@@ -52,11 +52,9 @@ from .rigidity import (
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
-    motion_generators,
     normalization_rows,
     numeric_rank,
     point_set_witness,
-    rigidity_bundle,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +92,6 @@ __all__ = [
     "is_sufficient",
     "max_diagonal_oracle",
     "mesh_volume",
-    "motion_generators",
     "normalization_rows",
     "normalize",
     "numeric_rank",
@@ -105,7 +102,6 @@ __all__ = [
     "read_off",
     "regular_polygon",
     "right_angle_quad_oracle",
-    "rigidity_bundle",
     "square_angle_oracle",
     "staircase_measurements",
     "staircase_polygon",

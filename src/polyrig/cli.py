@@ -9,6 +9,7 @@ JSON output is deterministic: sorted keys, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,7 +28,7 @@ from .geometry import (
     build_pool,
     evaluate_all,
     fit_realization,
-    normalize,
+    normalized_distance,
     phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence
@@ -52,16 +53,8 @@ from .rigidity import (
 POOL_CHOICES = sorted(MEASUREMENT_POOLS) + ["all"]
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 GENERATE_NAMES = PLATONIC_NAMES + ("hexa-a", "hexa-b", "staircase-ngon", "regular-ngon")
-
-
-def _default_seed() -> int:
-    env = os.environ.get("POLYRIG_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        return 0
+# what the ids of each mesh measurement refer to
+_ID_KIND = {FaceDistance: "vertex", FaceAngle: "vertex", DihedralAngle: "face"}
 
 
 def _check_tol(tol: float) -> float:
@@ -70,13 +63,16 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json_dumps(payload)
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: str | None) -> None:
+    _write(json_dumps(payload), out)
 
 
 def _load_text(path: str) -> str:
@@ -113,24 +109,23 @@ def _is_mesh_path(path: str) -> bool:
     return not _load_text(path).lstrip().startswith("{")
 
 
-def _check_mesh_measurements(poly: AbstractPolyhedron, ms: Sequence) -> None:
+def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedron, Realization]:
+    """Load a mesh and check that `ms` is a measurement set on it."""
+    if dim != 3:
+        raise ParseError("a mesh takes a dim-3 measurement set")
+    poly, real = _load_mesh(path)
     for m in ms:
-        if isinstance(m, (FaceDistance, FaceAngle)):
-            ids, bound, kind = (
-                [getattr(m, f) for f in ("v", "w")]
-                if isinstance(m, FaceDistance)
-                else [m.apex, m.end1, m.end2]
-            ), poly.vertex_count, "vertex"
-        elif isinstance(m, DihedralAngle):
-            ids, bound, kind = [m.f, m.g], poly.face_count, "face"
-        else:
+        kind = _ID_KIND.get(type(m))
+        if kind is None:
             raise ParseError(
                 f"{type(m).__name__} is not a mesh measurement; "
                 "use face_distance, face_angle, or dihedral"
             )
-        for i in ids:
+        bound = poly.vertex_count if kind == "vertex" else poly.face_count
+        for i in dataclasses.astuple(m):
             if not 0 <= i < bound:
                 raise ParseError(f"{kind} id {i} out of range 0..{bound - 1}")
+    return poly, real
 
 
 def _report_payload(report) -> dict:
@@ -147,6 +142,27 @@ def _report_payload(report) -> dict:
         "selected": selected,
         "tolerance": report.tolerance_used,
     }
+
+
+def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
+    """First-order test of the 2D point config `args.input`; the end of
+    `check` on a point config and of `polygon analyze`."""
+    cdim, pts, _ = parse_point_config(_load_json(args.input))
+    if cdim != 2 or dim != 2:
+        raise ParseError("a point config and its measurement set must both have dim 2")
+    report = polygon.sufficiency2d(polygon.PointConfig2D.from_points(pts), ms, args.tol)
+    _emit(
+        {
+            "pointCount": report.point_count,
+            "achievedRank": report.achieved_rank,
+            "targetRank": report.target_rank,
+            "sufficient": report.sufficient,
+            "status": report.status,
+            "tolerance": report.tolerance_used,
+        },
+        args.out,
+    )
+    return 0 if report.sufficient else 1
 
 
 # --- verbs -------------------------------------------------------------------
@@ -186,60 +202,32 @@ def cmd_check(args) -> int:
     tol = _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     if _is_mesh_path(args.input):
-        if dim != 3:
-            raise ParseError("a mesh takes a dim-3 measurement set")
-        poly, real = _load_mesh(args.input)
-        _check_mesh_measurements(poly, ms)
+        poly, real = _load_mesh_for(args.input, dim, ms)
         report = is_sufficient(
             poly, real, ms, args.mode, tol, allow_scale_variant=args.allow_scale_variant
         )
         _emit(_report_payload(report), args.out)
         return 0 if report.sufficient else 1
-    cdim, pts, _ = parse_point_config(_load_json(args.input))
-    if cdim != 2 or dim != 2:
-        raise ParseError("check on a point config needs dim 2 on both files")
-    config = polygon.PointConfig2D.from_points(pts)
-    report2 = polygon.sufficiency2d(config, ms, tol)
-    _emit(
-        {
-            "pointCount": report2.point_count,
-            "achievedRank": report2.achieved_rank,
-            "targetRank": report2.target_rank,
-            "sufficient": report2.sufficient,
-            "status": report2.status,
-            "tolerance": report2.tolerance_used,
-        },
-        args.out,
-    )
-    return 0 if report2.sufficient else 1
+    return _sufficiency2d_verdict(args, dim, ms)
 
 
 def cmd_generate(args) -> int:
     name = args.name
-    if name in PLATONIC_NAMES:
-        poly, real = generators.platonic(name, args.scale)
-        vertices, faces = real.vertices, poly.faces
-    elif name == "hexa-a":
+    if name == "hexa-a":
         poly, real = generators.hexahedron_family_a(args.q1)
-        vertices, faces = real.vertices, poly.faces
     elif name == "hexa-b":
         poly, real = generators.hexahedron_family_b(args.q1, args.q2)
-        vertices, faces = real.vertices, poly.faces
-    elif name == "staircase-ngon":
-        angles = _parse_angles(args.angles, args.n - 2)
-        config = polygon.staircase_polygon(args.n, args.base, angles)
-        vertices, faces = config.points, [list(range(args.n))]
-    elif name == "regular-ngon":
-        config = polygon.regular_polygon(args.n, args.side)
-        vertices, faces = config.points, [list(range(args.n))]
+    elif name in PLATONIC_NAMES:
+        poly, real = generators.platonic(name, args.scale)
     else:
-        raise ParseError(f"unknown generator {name!r}; choices: {GENERATE_NAMES}")
-    text = off_text(vertices, faces)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        if name == "staircase-ngon":
+            angles = _parse_angles(args.angles, args.n - 2)
+            config = polygon.staircase_polygon(args.n, args.base, angles)
+        else:
+            config = polygon.regular_polygon(args.n, args.side)
+        _write(off_text(config.points, [list(range(args.n))]), args.out)
+        return 0
+    _write(off_text(real.vertices, poly.faces), args.out)
     return 0
 
 
@@ -257,10 +245,7 @@ def cmd_witness(args) -> int:
     tol = _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     if _is_mesh_path(args.input):
-        if dim != 3:
-            raise ParseError("a mesh takes a dim-3 measurement set")
-        poly, real = _load_mesh(args.input)
-        _check_mesh_measurements(poly, ms)
+        poly, real = _load_mesh_for(args.input, dim, ms)
         try:
             found = flex_witness(
                 poly,
@@ -287,12 +272,7 @@ def cmd_witness(args) -> int:
                 np.abs(evaluate_all(ms, found) - targets).max()
             ),
             "maxIncidenceError": float(np.abs(phi(poly, found)).max()),
-            "normalizedDistance": float(
-                np.linalg.norm(
-                    normalize(poly, real).vertices - normalize(poly, found).vertices,
-                    axis=1,
-                ).max()
-            ),
+            "normalizedDistance": normalized_distance(poly, real, found),
         }
         _emit(payload, args.out)
         return 1
@@ -325,25 +305,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_polygon_analyze(args) -> int:
-    tol = _check_tol(args.tol)
-    cdim, pts, _ = parse_point_config(_load_json(args.input))
+    _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
-    if cdim != 2 or dim != 2:
-        raise ParseError("polygon analyze needs dim-2 config and measurement set")
-    config = polygon.PointConfig2D.from_points(pts)
-    report = polygon.sufficiency2d(config, ms, tol)
-    _emit(
-        {
-            "pointCount": report.point_count,
-            "achievedRank": report.achieved_rank,
-            "targetRank": report.target_rank,
-            "sufficient": report.sufficient,
-            "status": report.status,
-            "tolerance": report.tolerance_used,
-        },
-        args.out,
-    )
-    return 0 if report.sufficient else 1
+    return _sufficiency2d_verdict(args, dim, ms)
 
 
 def cmd_polygon_oracle(args) -> int:
@@ -460,10 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="OFF mesh or point-config JSON")
     p.add_argument("--measurements", required=True)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--step", type=float, default=1e-2)
+    p.add_argument(
+        "--step", type=float, default=1e-2,
+        help="flex step of a mesh witness, as a fraction of the diameter",
+    )
     p.add_argument("--allow-reflection", action="store_true")
     p.set_defaults(func=cmd_witness)
 
@@ -487,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--theta1", type=float, default=np.pi / 4)
     q.add_argument("--theta2", type=float, default=np.pi / 4)
     q.add_argument("--restarts", type=int, default=24)
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_polygon_oracle)
 

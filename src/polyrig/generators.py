@@ -21,7 +21,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from .errors import NonQuadFace, OutOfValidityRegion, UnknownName
-from .geometry import Realization, fit_realization
+from .geometry import FaceDistance, Realization, evaluate_all, fit_realization
 from .incidence import AbstractPolyhedron, build_incidence
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -78,11 +78,7 @@ def _plane_basis(normal: np.ndarray) -> np.ndarray:
 
 def _cycle_normal(coords: np.ndarray, cycle: list[int]) -> np.ndarray:
     # Newell's formula; robust for any simple planar polygon
-    n = np.zeros(3)
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        p, q = coords[a], coords[b]
-        n += np.cross(p, q)
-    return n
+    return np.cross(coords[cycle], coords[cycle[1:] + cycle[:1]]).sum(axis=0)
 
 
 def mesh_volume(poly: AbstractPolyhedron, real: Realization) -> float:
@@ -180,16 +176,6 @@ HEX_FACES = (
 )
 
 
-def _quat_rotation(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
-    return np.array(
-        [
-            [1 - 2 * (q2 * q2 + q3 * q3), 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
-            [2 * (q1 * q2 + q0 * q3), 1 - 2 * (q1 * q1 + q3 * q3), 2 * (q2 * q3 - q0 * q1)],
-            [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), 1 - 2 * (q1 * q1 + q2 * q2)],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class HexahedronParams:
     """Parameters of an equal-face-diagonal hexahedron.
@@ -237,7 +223,14 @@ class HexahedronParams:
             )
 
     def rotation(self) -> np.ndarray:
-        return _quat_rotation(self.q0, self.q1, self.q2, self.q3)
+        q0, q1, q2, q3 = self.q0, self.q1, self.q2, self.q3
+        return np.array(
+            [
+                [1 - 2 * (q2 * q2 + q3 * q3), 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
+                [2 * (q1 * q2 + q0 * q3), 1 - 2 * (q1 * q1 + q3 * q3), 2 * (q2 * q3 - q0 * q1)],
+                [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), 1 - 2 * (q1 * q1 + q2 * q2)],
+            ]
+        )
 
 
 def _hexahedron(params: HexahedronParams, b0: np.ndarray) -> tuple[AbstractPolyhedron, Realization]:
@@ -277,12 +270,11 @@ def verify_equal_face_diagonals(poly: AbstractPolyhedron, real: Realization) -> 
     Every face must be a quadrilateral; for cycle (p, q, r, s) the diagonals
     are pr and qs.
     """
-    lengths = []
+    diagonals = []
     for f, cycle in enumerate(poly.faces):
         if len(cycle) != 4:
             raise NonQuadFace(f"face {f} has {len(cycle)} vertices, need 4")
-        p, q, r, s = (real.vertices[i] for i in cycle)
-        lengths.append(np.linalg.norm(p - r))
-        lengths.append(np.linalg.norm(q - s))
-    lengths = np.array(lengths)
+        p, q, r, s = cycle
+        diagonals += [FaceDistance(p, r), FaceDistance(q, s)]
+    lengths = evaluate_all(diagonals, real)
     return float(np.abs(lengths - lengths.mean()).max())

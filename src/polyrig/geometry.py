@@ -13,13 +13,16 @@ exact Jacobian of that map.
 
 Measurements on a realization come in three kinds: distances between
 vertices sharing a face, angles at a face corner, and interior dihedral
-angles along an edge. evaluate/gradient give the value and the exact
-gradient with respect to the full coordinate vector
-(x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1, ..., a_F, b_F, c_F).
+angles along an edge. evaluate_all/gradient_rows give the values and the
+exact gradient rows with respect to the full coordinate vector
+(x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1, ..., a_F, b_F, c_F),
+computed by the point-set kernel of pointsets on the stacked points
+[vertices; planes; origin].
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,10 +31,10 @@ import numpy as np
 from .errors import (
     CollinearFrame,
     DegenerateFace,
-    DegenerateMeasurement,
     NonPlanarFace,
 )
 from .incidence import AbstractPolyhedron
+from .pointsets import Angle, DiagonalAngle, Distance, MeasurementList, diameter
 
 PLANARITY_TOL = 1e-9
 
@@ -47,16 +50,12 @@ class Realization:
     planes: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
-        p = np.array(self.planes, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 3:
-            raise ValueError(f"vertices must be (V, 3), got {v.shape}")
-        if p.ndim != 2 or p.shape[1] != 3:
-            raise ValueError(f"planes must be (F, 3), got {p.shape}")
-        v.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "vertices", v)
-        object.__setattr__(self, "planes", p)
+        for name, rows in (("vertices", "V"), ("planes", "F")):
+            a = np.array(getattr(self, name), dtype=float)
+            if a.ndim != 2 or a.shape[1] != 3:
+                raise ValueError(f"{name} must be ({rows}, 3), got {a.shape}")
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def vertex_count(self) -> int:
@@ -80,8 +79,7 @@ class Realization:
         )
 
     def diameter(self) -> float:
-        d = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((d ** 2).sum(axis=2)).max())
+        return diameter(self.vertices)
 
     def rescaled(self, factor: float) -> "Realization":
         """Scale lengths by factor (plane coefficients scale inversely)."""
@@ -98,6 +96,9 @@ class FaceDistance:
     v: int
     w: int
 
+    def on_stack(self, vertex_count: int, face_count: int) -> Distance:
+        return Distance(self.v, self.w)
+
 
 @dataclass(frozen=True)
 class FaceAngle:
@@ -107,6 +108,9 @@ class FaceAngle:
     end1: int
     end2: int
 
+    def on_stack(self, vertex_count: int, face_count: int) -> Angle:
+        return Angle(self.end1, self.apex, self.end2)
+
 
 @dataclass(frozen=True)
 class DihedralAngle:
@@ -114,6 +118,11 @@ class DihedralAngle:
 
     f: int
     g: int
+
+    def on_stack(self, vertex_count: int, face_count: int) -> DiagonalAngle:
+        # pi minus the angle between P_f and P_g: the angle of P_f - O, O - P_g
+        origin = vertex_count + face_count
+        return DiagonalAngle(origin, vertex_count + self.f, vertex_count + self.g, origin)
 
 
 Measurement3D = FaceDistance | FaceAngle | DihedralAngle
@@ -139,9 +148,7 @@ def face_angle_pool(poly: AbstractPolyhedron) -> list[FaceAngle]:
     for cycle in poly.faces:
         for apex in cycle:
             others = sorted(v for v in cycle if v != apex)
-            for i, a in enumerate(others):
-                for b in others[i + 1 :]:
-                    triples.add((apex, a, b))
+            triples.update((apex, a, b) for a, b in itertools.combinations(others, 2))
     return [FaceAngle(*t) for t in sorted(triples)]
 
 
@@ -160,11 +167,7 @@ MEASUREMENT_POOLS = {
 
 def build_pool(poly: AbstractPolyhedron, name: str) -> list[Measurement3D]:
     if name == "all":
-        out: list[Measurement3D] = []
-        out += face_distance_pool(poly)
-        out += face_angle_pool(poly)
-        out += dihedral_pool(poly)
-        return out
+        return face_distance_pool(poly) + face_angle_pool(poly) + dihedral_pool(poly)
     try:
         return MEASUREMENT_POOLS[name](poly)
     except KeyError:
@@ -218,10 +221,7 @@ def fit_realization(
 
 def phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
     """Incidence residuals a_j x_i + b_j y_i + c_j z_i - 1 over all pairs."""
-    vals = np.empty(len(poly.incidence))
-    for k, (i, j) in enumerate(poly.incidence):
-        vals[k] = real.planes[j] @ real.vertices[i] - 1.0
-    return vals
+    return np.array([real.planes[j] @ real.vertices[i] - 1.0 for i, j in poly.incidence])
 
 
 def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
@@ -242,91 +242,50 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 # --- measurement evaluation ---------------------------------------------------
 
 
-def _angle_between(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Angle in [0, pi] between u and v plus its gradients wrt u and v.
+class MeshMeasurements:
+    """Mesh measurements compiled once onto the stacked points
+    [vertices; planes; origin] of a realization.
 
-    Raises DegenerateMeasurement at zero vectors or (anti)parallel rays,
-    where the angle is not differentiable.
+    On that stack a face distance is a point distance, a face angle a point
+    angle and a dihedral the angle between P_f - O and O - P_g, so the one
+    point-set kernel serves meshes too. Gradients drop the fixed origin.
     """
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-300 or nv < 1e-300:
-        raise DegenerateMeasurement("zero-length ray")
-    cross = np.cross(u, v)
-    s = np.linalg.norm(cross)
-    c = float(u @ v)
-    theta = float(np.arctan2(s, c))
-    if s < 1e-14 * nu * nv:
-        raise DegenerateMeasurement("rays are parallel; angle gradient undefined")
-    du = (c * u / nu ** 2 - v) / s
-    dv = (c * v / nv ** 2 - u) / s
-    return theta, du, dv
+
+    def __init__(
+        self, measurements: Sequence[Measurement3D], vertex_count: int, face_count: int
+    ):
+        self.kernel = MeasurementList(
+            [m.on_stack(vertex_count, face_count) for m in measurements]
+        )
+
+    @staticmethod
+    def _stack(real: Realization) -> np.ndarray:
+        return np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
+
+    def values(self, real: Realization) -> np.ndarray:
+        return self.kernel.values(self._stack(real))
+
+    def rows(self, real: Realization) -> np.ndarray:
+        """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F)."""
+        return self.kernel.jacobian(self._stack(real))[:, :-3]
+
+
+def evaluate_all(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
+    return MeshMeasurements(measurements, real.vertex_count, real.face_count).values(real)
+
+
+def gradient_rows(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
+    return MeshMeasurements(measurements, real.vertex_count, real.face_count).rows(real)
 
 
 def evaluate(m: Measurement3D, real: Realization) -> float:
     """Value of one measurement at a realization."""
-    if isinstance(m, FaceDistance):
-        d = real.vertices[m.v] - real.vertices[m.w]
-        r = float(np.linalg.norm(d))
-        if r < 1e-300:
-            raise DegenerateMeasurement(f"vertices {m.v} and {m.w} coincide")
-        return r
-    if isinstance(m, FaceAngle):
-        u = real.vertices[m.end1] - real.vertices[m.apex]
-        v = real.vertices[m.end2] - real.vertices[m.apex]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-300 or nv < 1e-300:
-            raise DegenerateMeasurement("zero-length ray at face angle apex")
-        return float(np.arctan2(np.linalg.norm(np.cross(u, v)), u @ v))
-    if isinstance(m, DihedralAngle):
-        nf, ng = real.planes[m.f], real.planes[m.g]
-        lf, lg = np.linalg.norm(nf), np.linalg.norm(ng)
-        if lf < 1e-300 or lg < 1e-300:
-            raise DegenerateMeasurement("zero plane coefficient vector")
-        s = np.linalg.norm(np.cross(nf, ng))
-        c = float(nf @ ng)
-        if s < 1e-14 * lf * lg:
-            raise DegenerateMeasurement("parallel planes have no dihedral angle")
-        return float(np.pi - np.arctan2(s, c))
-    raise TypeError(f"not a 3D measurement: {m!r}")
+    return float(evaluate_all([m], real)[0])
 
 
 def gradient(m: Measurement3D, real: Realization) -> np.ndarray:
     """Exact gradient of one measurement wrt the full coordinate vector."""
-    n = 3 * real.vertex_count + 3 * real.face_count
-    g = np.zeros(n)
-    off = 3 * real.vertex_count
-    if isinstance(m, FaceDistance):
-        d = real.vertices[m.v] - real.vertices[m.w]
-        r = np.linalg.norm(d)
-        if r < 1e-300:
-            raise DegenerateMeasurement(f"vertices {m.v} and {m.w} coincide")
-        g[3 * m.v : 3 * m.v + 3] = d / r
-        g[3 * m.w : 3 * m.w + 3] = -d / r
-        return g
-    if isinstance(m, FaceAngle):
-        u = real.vertices[m.end1] - real.vertices[m.apex]
-        v = real.vertices[m.end2] - real.vertices[m.apex]
-        _, du, dv = _angle_between(u, v)
-        g[3 * m.end1 : 3 * m.end1 + 3] = du
-        g[3 * m.end2 : 3 * m.end2 + 3] = dv
-        g[3 * m.apex : 3 * m.apex + 3] = -(du + dv)
-        return g
-    if isinstance(m, DihedralAngle):
-        _, dnf, dng = _angle_between(real.planes[m.f], real.planes[m.g])
-        g[off + 3 * m.f : off + 3 * m.f + 3] = -dnf
-        g[off + 3 * m.g : off + 3 * m.g + 3] = -dng
-        return g
-    raise TypeError(f"not a 3D measurement: {m!r}")
-
-
-def evaluate_all(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
-    return np.array([evaluate(m, real) for m in measurements])
-
-
-def gradient_rows(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
-    if not measurements:
-        return np.zeros((0, 3 * real.vertex_count + 3 * real.face_count))
-    return np.vstack([gradient(m, real) for m in measurements])
+    return gradient_rows([m], real)[0]
 
 
 # --- canonical frame ----------------------------------------------------------
@@ -372,6 +331,13 @@ def normalize(poly: AbstractPolyhedron, real: Realization) -> Realization:
     return Realization(verts, planes)
 
 
+def normalized_distance(poly: AbstractPolyhedron, r1: Realization, r2: Realization) -> float:
+    """Max vertex distance between the canonical frames of two realizations."""
+    a = normalize(poly, r1).vertices
+    b = normalize(poly, r2).vertices
+    return float(np.linalg.norm(a - b, axis=1).max())
+
+
 def congruent(
     poly: AbstractPolyhedron,
     r1: Realization,
@@ -385,13 +351,10 @@ def congruent(
     max vertex distance <= tol means congruent. With allow_reflection a
     mirror image of r2 is tried as well.
     """
-    a = normalize(poly, r1).vertices
-    b = normalize(poly, r2).vertices
-    if float(np.linalg.norm(a - b, axis=1).max()) <= tol:
+    if normalized_distance(poly, r1, r2) <= tol:
         return True
     if allow_reflection:
         mirrored = Realization(r2.vertices * np.array([1.0, 1.0, -1.0]),
                                r2.planes * np.array([1.0, 1.0, -1.0]))
-        c = normalize(poly, mirrored).vertices
-        return float(np.linalg.norm(a - c, axis=1).max()) <= tol
+        return normalized_distance(poly, r1, mirrored) <= tol
     return False

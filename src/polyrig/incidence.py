@@ -11,6 +11,8 @@ Vertex and face ids are 0-based and contiguous.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,10 +56,7 @@ class AbstractPolyhedron:
         """Sorted pairs of distinct vertices sharing at least one face."""
         seen = set()
         for cycle in self.faces:
-            for i in range(len(cycle)):
-                for j in range(i + 1, len(cycle)):
-                    a, b = cycle[i], cycle[j]
-                    seen.add((min(a, b), max(a, b)))
+            seen.update(itertools.combinations(sorted(cycle), 2))
         return sorted(seen)
 
     def face_diagonals(self) -> list[tuple[int, int]]:
@@ -72,9 +71,6 @@ class AbstractPolyhedron:
             for a, b in _cycle_pairs(cycle):
                 by_edge.setdefault((min(a, b), max(a, b)), []).append(f)
         return sorted((min(fs), max(fs)) for fs in by_edge.values())
-
-    def faces_of_vertex(self, v: int) -> list[int]:
-        return [f for f, cycle in enumerate(self.faces) if v in cycle]
 
     def face_corner_triples(self) -> list[tuple[int, int, int]]:
         """(apex, end1, end2) for every corner of every face cycle."""
@@ -127,15 +123,12 @@ def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
         missing = sorted(set(range(vertex_count)) - set(used))
         raise ValueError(f"vertex ids are not contiguous, missing {missing}")
 
-    directed: dict[tuple[int, int], int] = {}
-    for cycle in cycles:
-        for a, b in _cycle_pairs(cycle):
-            directed[(a, b)] = directed.get((a, b), 0) + 1
+    directed = Counter(pair for cycle in cycles for pair in _cycle_pairs(cycle))
     for (a, b), n in directed.items():
-        if n != 1 or directed.get((b, a), 0) != 1:
+        if n != 1 or directed[(b, a)] != 1:
             raise DanglingEdge(
                 f"edge ({a},{b}) is traversed {n} time(s) forward and "
-                f"{directed.get((b, a), 0)} time(s) backward; a closed surface "
+                f"{directed[(b, a)]} time(s) backward; a closed surface "
                 "needs each edge once in each direction"
             )
 
@@ -145,13 +138,11 @@ def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
             f"V + F = {vertex_count + len(cycles)} but E + 2 = {edge_count + 2}"
         )
 
-    face_membership: dict[int, set[int]] = {v: set() for v in used}
-    for f, cycle in enumerate(cycles):
-        for v in cycle:
-            face_membership[v].add(f)
-    for v, fs in face_membership.items():
-        if len(fs) < 3:
-            raise DanglingEdge(f"vertex {v} lies on only {len(fs)} face(s)")
+    # a face lists each of its vertices once, so this counts faces per vertex
+    face_counts = Counter(v for cycle in cycles for v in cycle)
+    for v in used:
+        if face_counts[v] < 3:
+            raise DanglingEdge(f"vertex {v} lies on only {face_counts[v]} face(s)")
 
     incidence = tuple(
         (v, f) for f, cycle in enumerate(cycles) for v in cycle

@@ -2,18 +2,19 @@
 
 All emission is deterministic: object keys are sorted and floats are printed
 with 17 significant digits, which round-trips IEEE doubles losslessly.
+Strings and keys are escaped by json.dumps. Input coordinates must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from typing import Any, Sequence
 
 import numpy as np
 
 from .errors import ParseError
 from .geometry import DihedralAngle, FaceAngle, FaceDistance, Measurement3D
-from .incidence import AbstractPolyhedron
 from .pointsets import Angle, Coplanar, DiagonalAngle, Distance, SimpleMeasurement
 
 __all__ = [
@@ -46,7 +47,7 @@ def _emit(obj: Any, indent: int, out: list[str]) -> None:
         for i, k in enumerate(keys):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out.append(f'{pad}  "{k}": ')
+            out.append(f"{pad}  {json.dumps(k)}: ")
             _emit(obj[k], indent + 1, out)
             out.append(",\n" if i + 1 < len(keys) else "\n")
         out.append(pad + "}")
@@ -68,8 +69,7 @@ def _emit(obj: Any, indent: int, out: list[str]) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
     elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
+        out.append(json.dumps(obj))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, np.ndarray):
@@ -146,6 +146,8 @@ def read_off(text: str) -> tuple[np.ndarray, list[tuple[int, ...]]]:
         ).reshape(nv, 3)
     except ValueError as exc:
         raise ParseError("non-numeric vertex coordinate") from exc
+    if not np.isfinite(coords).all():
+        raise ParseError("non-finite vertex coordinate")
     pos += need
     faces: list[tuple[int, ...]] = []
     for j in range(nf):
@@ -259,6 +261,8 @@ def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:
         pts = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError("non-numeric point coordinate") from exc
+    if not np.isfinite(pts).all():
+        raise ParseError("non-finite point coordinate")
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise ParseError(f"each point needs exactly {dim} coordinates")
     coplanar: list[Coplanar] = []

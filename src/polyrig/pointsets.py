@@ -1,15 +1,19 @@
 """Measurements on labeled point configurations in the plane or in space.
 
-These are the dimension-agnostic primitives shared by the polygon module
-(2D chart) and the witness machinery in rigidity (free points in 2D/3D):
-distances, angles at an apex, angles between two segments, plus an optional
-coplanarity side constraint for 3D searches. Values and gradients are taken
-with respect to the flattened coordinate array (n * dim,).
+This is the one measurement kernel of the package. The polygon module (2D
+chart), the witness machinery in rigidity (free points in 2D/3D) and, via
+the stacked points [vertices; planes; origin], the mesh measurements of the
+geometry module all evaluate through it: distances, angles at an apex,
+angles between two segments, plus an optional coplanarity side constraint
+for 3D searches. A MeasurementList compiles a list once; values and the
+Jacobian are taken with respect to the flattened coordinate array
+(n * dim,).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,92 +65,155 @@ class Coplanar:
     s: int
 
 
-def _cross_mag(u: np.ndarray, v: np.ndarray) -> float:
-    if u.shape[0] == 2:
-        return abs(float(u[0] * v[1] - u[1] * v[0]))
-    return float(np.linalg.norm(np.cross(u, v)))
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # matmul rounds as np.dot and np.linalg.norm do on a single vector
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _angle_grads(u: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu < 1e-300 or nv < 1e-300:
-        raise DegenerateMeasurement("zero-length ray in angle measurement")
-    s = _cross_mag(u, v)
-    c = float(u @ v)
-    theta = float(np.arctan2(s, c))
-    if s < 1e-14 * nu * nv:
+def _norm(u: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(u, u))
+
+
+# Each primitive takes, for its k measurements, the t difference vectors
+# vecs[t][..., k, :] and their lengths lens[t][..., k], and returns the k
+# values and, when asked, the gradients with respect to each vector.
+
+
+def _length(vecs, lens, grad: bool):
+    (d,), (r,) = vecs, lens
+    return r, (d / r[..., None],) if grad else None
+
+
+def _angle(vecs, lens, grad: bool):
+    (u, v), (nu, nv) = vecs, lens
+    if u.shape[-1] == 2:
+        s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
+    else:
+        s = _norm(np.cross(u, v))
+    c = _dot(u, v)
+    theta = np.arctan2(s, c)
+    if not grad:
+        return theta, None
+    if (s < 1e-14 * nu * nv).any():
         raise DegenerateMeasurement("parallel rays; angle gradient undefined")
-    du = (c * u / nu ** 2 - v) / s
-    dv = (c * v / nv ** 2 - u) / s
-    return theta, du, dv
+    c, s = c[..., None], s[..., None]
+    du = (c * u / (nu ** 2)[..., None] - v) / s
+    dv = (c * v / (nv ** 2)[..., None] - u) / s
+    return theta, (du, dv)
+
+
+def _triple(vecs, lens, grad: bool):
+    a, b, c = vecs
+    bc = np.cross(b, c)
+    return _dot(a, bc), (bc, np.cross(c, a), np.cross(a, b)) if grad else None
+
+
+# the order of the vector blocks; the triple product comes last because its
+# vectors, unlike those of lengths and angles (the first _checked), may be zero
+_PRIMITIVES = (_length, _angle, _triple)
+
+
+def _primitive(m: SimpleMeasurement | Coplanar):
+    """(primitive, heads, tails): m is the primitive applied to the
+    difference vectors P[head] - P[tail]."""
+    if isinstance(m, Distance):
+        return _length, (m.i,), (m.j,)
+    if isinstance(m, Angle):
+        return _angle, (m.i, m.k), (m.j, m.j)
+    if isinstance(m, DiagonalAngle):
+        return _angle, (m.j, m.l), (m.i, m.k)
+    if isinstance(m, Coplanar):
+        return _triple, (m.q, m.r, m.s), (m.p, m.p, m.p)
+    raise TypeError(f"not a point measurement: {m!r}")
+
+
+class MeasurementList:
+    """A measurement list compiled once into index arrays.
+
+    Every measurement is a segment length, the angle between two
+    point-difference vectors or a triple product: Angle(i, j, k) is
+    DiagonalAngle(j, i, j, k), the angle between A_i - A_j and A_k - A_j.
+    All difference vectors of the list are gathered, and their lengths
+    taken, in one step; the measurements of one primitive are then
+    evaluated together, so a call costs a few numpy operations whatever the
+    length of the list.
+    """
+
+    def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
+        self.size = len(measurements)
+        compiled = [_primitive(m) for m in measurements]
+        heads, tails, owners, order = [], [], [], []
+        # (primitive, slices of the vector list: vector t of each of its rows)
+        self._blocks = []
+        for fn in _PRIMITIVES:
+            if fn is _triple:
+                self._checked = len(heads)
+            rows = [r for r in range(self.size) if compiled[r][0] is fn]
+            if not rows:
+                continue
+            slices = []
+            for t in range(len(compiled[rows[0]][1])):
+                slices.append(slice(len(heads), len(heads) + len(rows)))
+                heads += [compiled[r][1][t] for r in rows]
+                tails += [compiled[r][2][t] for r in rows]
+                owners += rows
+            self._blocks.append((fn, slices))
+            order += rows
+        self._heads = np.array(heads, dtype=np.intp)
+        self._tails = np.array(tails, dtype=np.intp)
+        # the blocks' values come out in block order; this puts them back
+        self._order = None if order == sorted(order) else np.argsort(order)
+        # a vector's gradient enters its row at its head and, negated, at its
+        # tail; np.add.at sums the terms of a point that ends two vectors
+        self._scatter = (
+            np.array(owners + owners, dtype=np.intp),
+            np.concatenate([self._heads, self._tails]),
+        )
+
+    def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
+        lens = _norm(D)
+        if self._checked and lens[..., : self._checked].min() < 1e-300:
+            raise DegenerateMeasurement("two points of a distance or an angle coincide")
+        return D, lens
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """All values on a (..., n, dim) point array, shape (..., size)."""
+        P = np.asarray(points, dtype=float)
+        if not self._blocks:
+            return np.zeros(P.shape[:-2] + (0,))
+        D, lens = self._vectors(P)
+        vals = [
+            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], False)[0]
+            for fn, slices in self._blocks
+        ]
+        vals = np.concatenate(vals, axis=-1)
+        return vals if self._order is None else vals.take(self._order, axis=-1)
+
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
+        """Exact Jacobian wrt the flattened (n * dim,) coordinate array,
+        shape (size, n * dim)."""
+        P = np.asarray(points, dtype=float)
+        n, dim = P.shape
+        D, lens = self._vectors(P)
+        G = np.empty_like(D)
+        for fn, slices in self._blocks:
+            grads = fn([D[s] for s in slices], [lens[s] for s in slices], True)[1]
+            for s, g in zip(slices, grads):
+                G[s] = g
+        J = np.zeros((self.size, n, dim))
+        np.add.at(J, self._scatter, np.concatenate([G, -G]))
+        return J.reshape(self.size, n * dim)
 
 
 def measurement_value(m: SimpleMeasurement | Coplanar, points: np.ndarray) -> float:
     """Value of one measurement on a (n, dim) point array."""
-    if isinstance(m, Distance):
-        r = float(np.linalg.norm(points[m.i] - points[m.j]))
-        if r < 1e-300:
-            raise DegenerateMeasurement(f"points {m.i} and {m.j} coincide")
-        return r
-    if isinstance(m, Angle):
-        u = points[m.i] - points[m.j]
-        v = points[m.k] - points[m.j]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-300 or nv < 1e-300:
-            raise DegenerateMeasurement("zero-length ray at angle apex")
-        return float(np.arctan2(_cross_mag(u, v), u @ v))
-    if isinstance(m, DiagonalAngle):
-        u = points[m.j] - points[m.i]
-        v = points[m.l] - points[m.k]
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu < 1e-300 or nv < 1e-300:
-            raise DegenerateMeasurement("zero-length segment in diagonal angle")
-        return float(np.arctan2(_cross_mag(u, v), u @ v))
-    if isinstance(m, Coplanar):
-        a = points[m.q] - points[m.p]
-        b = points[m.r] - points[m.p]
-        c = points[m.s] - points[m.p]
-        return float(a @ np.cross(b, c))
-    raise TypeError(f"not a point measurement: {m!r}")
+    return float(MeasurementList([m]).values(points)[0])
 
 
 def measurement_gradient(m: SimpleMeasurement | Coplanar, points: np.ndarray) -> np.ndarray:
     """Exact gradient wrt the flattened (n * dim,) coordinate array."""
-    n, dim = points.shape
-    g = np.zeros((n, dim))
-    if isinstance(m, Distance):
-        d = points[m.i] - points[m.j]
-        r = np.linalg.norm(d)
-        if r < 1e-300:
-            raise DegenerateMeasurement(f"points {m.i} and {m.j} coincide")
-        g[m.i] = d / r
-        g[m.j] = -d / r
-    elif isinstance(m, Angle):
-        u = points[m.i] - points[m.j]
-        v = points[m.k] - points[m.j]
-        _, du, dv = _angle_grads(u, v)
-        g[m.i] = du
-        g[m.k] = dv
-        g[m.j] = -(du + dv)
-    elif isinstance(m, DiagonalAngle):
-        u = points[m.j] - points[m.i]
-        v = points[m.l] - points[m.k]
-        _, du, dv = _angle_grads(u, v)
-        g[m.j] += du
-        g[m.i] -= du
-        g[m.l] += dv
-        g[m.k] -= dv
-    elif isinstance(m, Coplanar):
-        a = points[m.q] - points[m.p]
-        b = points[m.r] - points[m.p]
-        c = points[m.s] - points[m.p]
-        g[m.q] = np.cross(b, c)
-        g[m.r] = np.cross(c, a)
-        g[m.s] = np.cross(a, b)
-        g[m.p] = -(g[m.q] + g[m.r] + g[m.s])
-    else:
-        raise TypeError(f"not a point measurement: {m!r}")
-    return g.ravel()
+    return MeasurementList([m]).jacobian(points)[0]
 
 
 def diameter(points: np.ndarray) -> float:

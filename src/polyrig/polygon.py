@@ -25,9 +25,9 @@ from .pointsets import (
     Angle,
     DiagonalAngle,
     Distance,
+    MeasurementList,
     SimpleMeasurement,
     diameter,
-    measurement_gradient,
     measurement_value,
 )
 from .rigidity import numeric_rank
@@ -69,9 +69,7 @@ class PointConfig2D:
             raise ValueError("chart form requires A_1 = (0, 0)")
         if abs(pts[1, 1]) > 1e-12 or pts[1, 0] <= 0:
             raise ValueError("chart form requires A_2 = (x_2, 0) with x_2 > 0")
-        d = pts[:, None, :] - pts[None, :, :]
-        pair_min = np.sqrt((d ** 2).sum(axis=2))[np.triu_indices(pts.shape[0], 1)].min()
-        if pair_min <= 0.0:
+        if len(np.unique(pts, axis=0)) < len(pts):
             raise ValueError("points must be pairwise distinct")
         pts[0] = 0.0
         pts[1, 1] = 0.0
@@ -111,14 +109,19 @@ class PointConfig2D:
         return PointConfig2D(pts)
 
 
+def _free_columns(J: np.ndarray) -> np.ndarray:
+    """Columns of a point Jacobian for the free chart coordinates
+    (x_2, x_3, y_3, ..., x_n, y_n)."""
+    return np.delete(J, [0, 1, 3], axis=1)
+
+
 def evaluate2d(m: SimpleMeasurement, config: PointConfig2D) -> float:
     return measurement_value(m, config.points)
 
 
 def gradient2d(m: SimpleMeasurement, config: PointConfig2D) -> np.ndarray:
     """Gradient with respect to the free chart coordinates only."""
-    g = measurement_gradient(m, config.points).reshape(config.n, 2)
-    return np.concatenate([[g[1, 0]], g[2:].ravel()])
+    return _free_columns(MeasurementList([m]).jacobian(config.points))[0]
 
 
 @dataclass(frozen=True)
@@ -143,8 +146,8 @@ def sufficiency2d(
     land here as "candidate for second-order determination" and are
     settled by oracles or witness searches instead.
     """
-    scaled = PointConfig2D(config.points / diameter(config.points))
-    rows = np.vstack([gradient2d(m, scaled) for m in measurements])
+    scaled = config.points / diameter(config.points)
+    rows = _free_columns(MeasurementList(measurements).jacobian(scaled))
     rank = numeric_rank(rows, tol_rel)
     target = 2 * config.n - 3
     sufficient = rank == target
@@ -166,15 +169,47 @@ def sufficiency2d(
 # --- maximization oracles -------------------------------------------------------
 
 
-def _refine_max(fval, fgrad, p0: np.ndarray) -> np.ndarray:
+def _grid_max(
+    measurement: SimpleMeasurement,
+    fixed: np.ndarray,
+    movers: Sequence[tuple[int, np.ndarray, float]],
+    grids: Sequence[np.ndarray],
+) -> tuple[float, np.ndarray]:
+    """Maximize one measurement while two points move on circles.
+
+    `fixed` holds every point (a mover's row is a placeholder); mover k,
+    (row, center, radius), puts center + radius (cos p_k, sin p_k) in that
+    row. The whole grid over (p_0, p_1) is evaluated in one kernel call;
+    its first maximum in row-major order seeds a BFGS refinement with the
+    chain-rule gradient. Returns (max value, argmax points).
+    """
+    kernel = MeasurementList([measurement])
+    rows, centers, radii = (np.array(x) for x in zip(*movers))
+
+    def config(p: np.ndarray) -> np.ndarray:
+        pts = np.array(np.broadcast_to(fixed, p.shape[:-1] + fixed.shape))
+        circle = np.stack([np.cos(p), np.sin(p)], axis=-1)
+        pts[..., rows, :] = centers + radii[:, None] * circle
+        return pts
+
+    def fval(p: np.ndarray) -> float:
+        return float(kernel.values(config(p))[0])
+
+    def fgrad(p: np.ndarray) -> np.ndarray:
+        g = kernel.jacobian(config(p)).reshape(fixed.shape)[rows]
+        tangents = radii[:, None] * np.stack([-np.sin(p), np.cos(p)], axis=-1)
+        return np.array([gk @ tk for gk, tk in zip(g, tangents)])
+
+    grid = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
+    best = grid[int(np.argmax(kernel.values(config(grid))[:, 0]))]
     res = optimize.minimize(
         lambda p: -fval(p),
-        p0,
+        best,
         jac=lambda p: -fgrad(p),
         method="BFGS",
         options={"gtol": 1e-13, "maxiter": 800},
     )
-    return res.x
+    return fval(res.x), config(res.x)
 
 
 def square_angle_oracle(d: float) -> tuple[float, np.ndarray]:
@@ -189,40 +224,11 @@ def square_angle_oracle(d: float) -> tuple[float, np.ndarray]:
     """
     if d <= 0:
         raise ValueError("d must be positive")
-    ac = d * np.sqrt(2.0)
-    angle = Angle(1, 2, 3)
-
-    def config(p: np.ndarray) -> np.ndarray:
-        beta, delta = p
-        return np.array(
-            [
-                [0.0, 0.0],
-                [d * np.cos(beta), d * np.sin(beta)],
-                [ac, 0.0],
-                [d * np.cos(delta), d * np.sin(delta)],
-            ]
-        )
-
-    def fval(p: np.ndarray) -> float:
-        return measurement_value(angle, config(p))
-
-    def fgrad(p: np.ndarray) -> np.ndarray:
-        g = measurement_gradient(angle, config(p)).reshape(4, 2)
-        db = d * np.array([-np.sin(p[0]), np.cos(p[0])])
-        dd = d * np.array([-np.sin(p[1]), np.cos(p[1])])
-        return np.array([g[1] @ db, g[3] @ dd])
-
+    A = np.zeros(2)
+    fixed = np.array([A, A, [d * np.sqrt(2.0), 0.0], A])
+    # the grid includes B = D, where the angle is 0 and so never the maximum
     grid = np.linspace(-np.pi, np.pi, GRID, endpoint=False)
-    best, best_val = None, -np.inf
-    for beta in grid:
-        for delta in grid:
-            if abs(beta - delta) < 1e-9:
-                continue
-            v = fval(np.array([beta, delta]))
-            if v > best_val:
-                best, best_val = np.array([beta, delta]), v
-    p = _refine_max(fval, fgrad, best)
-    return fval(p), config(p)
+    return _grid_max(Angle(1, 2, 3), fixed, [(1, A, d), (3, A, d)], [grid, grid])
 
 
 def right_angle_quad_oracle(
@@ -239,38 +245,11 @@ def right_angle_quad_oracle(
         raise InfeasibleRadii(
             f"need 0 < |AB| < |AC| and 0 < |AD| < |AC|, got {ab}, {ad}, {ac}"
         )
-    angle = Angle(1, 2, 3)
-
-    def config(p: np.ndarray) -> np.ndarray:
-        beta, delta = p
-        return np.array(
-            [
-                [0.0, 0.0],
-                [ab * np.cos(beta), ab * np.sin(beta)],
-                [ac, 0.0],
-                [ad * np.cos(delta), ad * np.sin(delta)],
-            ]
-        )
-
-    def fval(p):
-        return measurement_value(angle, config(p))
-
-    def fgrad(p):
-        g = measurement_gradient(angle, config(p)).reshape(4, 2)
-        db = ab * np.array([-np.sin(p[0]), np.cos(p[0])])
-        dd = ad * np.array([-np.sin(p[1]), np.cos(p[1])])
-        return np.array([g[1] @ db, g[3] @ dd])
-
+    A = np.zeros(2)
+    fixed = np.array([A, A, [ac, 0.0], A])
     lo = np.linspace(-np.pi, 0.0, GRID + 2)[1:-1]  # B strictly below the axis
     hi = np.linspace(0.0, np.pi, GRID + 2)[1:-1]  # D strictly above
-    best, best_val = None, -np.inf
-    for beta in lo:
-        for delta in hi:
-            v = fval(np.array([beta, delta]))
-            if v > best_val:
-                best, best_val = np.array([beta, delta]), v
-    p = _refine_max(fval, fgrad, best)
-    return fval(p), config(p)
+    return _grid_max(Angle(1, 2, 3), fixed, [(1, A, ab), (3, A, ad)], [lo, hi])
 
 
 def max_diagonal_oracle(
@@ -304,33 +283,10 @@ def max_diagonal_oracle(
     ub = np.arctan2(k2, -bd / 2.0)
     ud = np.arctan2(k2, bd / 2.0)
 
-    def config(p: np.ndarray) -> np.ndarray:
-        t, u = p
-        A = c1 + r1 * np.array([np.cos(t), np.sin(t)])
-        C = c2 + r2 * np.array([np.cos(u), np.sin(u)])
-        return np.array([A, B, C, D])
-
-    dist = Distance(0, 2)
-
-    def fval(p):
-        return measurement_value(dist, config(p))
-
-    def fgrad(p):
-        g = measurement_gradient(dist, config(p)).reshape(4, 2)
-        da = r1 * np.array([-np.sin(p[0]), np.cos(p[0])])
-        dc = r2 * np.array([-np.sin(p[1]), np.cos(p[1])])
-        return np.array([g[0] @ da, g[2] @ dc])
-
     ts = np.linspace(td, tb, GRID + 2)[1:-1]
     us = np.linspace(-2.0 * np.pi + ub, ud, GRID + 2)[1:-1]
-    best, best_val = None, -np.inf
-    for t in ts:
-        for u in us:
-            v = fval(np.array([t, u]))
-            if v > best_val:
-                best, best_val = np.array([t, u]), v
-    p = _refine_max(fval, fgrad, best)
-    return fval(p), config(p)
+    fixed = np.array([c1, B, c2, D])
+    return _grid_max(Distance(0, 2), fixed, [(0, c1, r1), (2, c2, r2)], [ts, us])
 
 
 # --- staircase polygons ----------------------------------------------------------
@@ -429,27 +385,23 @@ def octagon_distance_oracle(
     """
     reference = regular_polygon(8, 1.0).points
     meas = octagon_measurements()
-    constraints = meas[:-1]  # all but |A_3A_7|
-    objective = meas[-1]
-    targets = np.array([measurement_value(m, reference) for m in constraints])
-    regular_value = measurement_value(objective, reference)
+    constraints = MeasurementList(meas[:-1])  # all but |A_3A_7|
+    objective = MeasurementList(meas[-1:])
+    targets = constraints.values(reference)
+    regular_value = objective.values(reference)[0]
     diam = diameter(reference)
 
     def c_fun(x: np.ndarray) -> np.ndarray:
-        return (
-            np.array([measurement_value(m, x.reshape(8, 2)) for m in constraints])
-            - targets
-        )
+        return constraints.values(x.reshape(8, 2)) - targets
 
     def c_jac(x: np.ndarray) -> np.ndarray:
-        pts = x.reshape(8, 2)
-        return np.vstack([measurement_gradient(m, pts) for m in constraints])
+        return constraints.jacobian(x.reshape(8, 2))
 
     def neg_obj(x: np.ndarray) -> float:
-        return -measurement_value(objective, x.reshape(8, 2))
+        return -objective.values(x.reshape(8, 2))[0]
 
     def neg_obj_grad(x: np.ndarray) -> np.ndarray:
-        return -measurement_gradient(objective, x.reshape(8, 2))
+        return -objective.jacobian(x.reshape(8, 2))[0]
 
     best_val, best_x = -np.inf, None
     for i in range(restarts):

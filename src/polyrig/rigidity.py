@@ -34,21 +34,20 @@ from .errors import (
 from .geometry import (
     FaceDistance,
     Measurement3D,
+    MeshMeasurements,
     Realization,
     d_phi,
-    evaluate_all,
     gradient_rows,
-    normalize,
+    normalized_distance,
     phi,
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
     Coplanar,
+    MeasurementList,
     SimpleMeasurement,
     align_distance,
     diameter,
-    measurement_gradient,
-    measurement_value,
 )
 
 CONGRUENCE = "congruence"
@@ -128,37 +127,8 @@ def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarra
     if real.vertex_count < 3:
         raise ValueError("need at least three vertices")
     rows = np.zeros((6, 3 * real.vertex_count + 3 * real.face_count))
-    for r, index in enumerate((0, 1, 2, 4, 5, 8)):
-        rows[r, index] = 1.0
+    rows[range(6), (0, 1, 2, 4, 5, 8)] = 1.0
     return rows
-
-
-@dataclass(frozen=True)
-class RigidityBundle:
-    """All four matrices of the rank analysis at one realization."""
-
-    d_phi: np.ndarray
-    d_psi: np.ndarray
-    generators: np.ndarray
-    d_chi: np.ndarray
-    mode: str
-
-
-def rigidity_bundle(
-    poly: AbstractPolyhedron,
-    real: Realization,
-    measurements: Sequence[Measurement3D],
-    mode: str = CONGRUENCE,
-    allow_scale_variant: bool = False,
-) -> RigidityBundle:
-    _check_mode_pool(measurements, mode, allow_scale_variant)
-    return RigidityBundle(
-        d_phi=d_phi(poly, real),
-        d_psi=gradient_rows(measurements, real),
-        generators=motion_generators(poly, real, mode),
-        d_chi=normalization_rows(poly, real),
-        mode=mode,
-    )
 
 
 # --- rank tests ---------------------------------------------------------------
@@ -252,10 +222,9 @@ def greedy_minimal_subset(
     target = 3 * poly.edge_count - (0 if g == 6 else 1)
     rank = base_rank
     selected: list[Measurement3D] = []
-    for m in pool:
+    for m, row in zip(pool, gradient_rows(pool, scaled)):
         if rank >= target:
             break
-        row = gradient_rows([m], scaled)[0]
         row_norm = np.linalg.norm(row)
         if row_norm == 0.0:
             continue
@@ -294,23 +263,27 @@ def flex_witness(
 ) -> Realization | None:
     """Construct a nearby non-congruent realization with identical measurements.
 
-    Requires the set to be insufficient. Picks a unit kernel direction of
-    stack(d_phi, d_psi) orthogonal to the motion generators, steps away by
-    `step`, and Gauss-Newton-projects back onto {phi = 0, psi = psi(R)} to
-    residual 1e-10. Returns the projected realization when it is genuinely
-    non-congruent to the input (normalized vertex distance > 10 * tol_rel),
-    or None when the projection slides back to the start, the signature of
-    a flex that exists to first order only.
+    Requires the set to be insufficient. Works at unit diameter: picks a
+    unit kernel direction of stack(d_phi, d_psi) orthogonal to the motion
+    generators, steps away by `step` (a fraction of the diameter), and
+    Gauss-Newton-projects back onto {phi = 0, psi = psi(R)} to residual
+    1e-10. Returns the projected realization, scaled back to the input's
+    units, when it is genuinely non-congruent to the input (normalized
+    vertex distance > 10 * tol_rel diameters), or None when the projection
+    slides back to the start, the signature of a flex that exists to first
+    order only.
     """
     report = is_sufficient(poly, real, measurements, mode, tol_rel, allow_scale_variant)
     if report.sufficient:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    stack = np.vstack([d_phi(poly, real), gradient_rows(measurements, real)])
+    scaled = _unit_diameter(real)
+    psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
+    stack = np.vstack([d_phi(poly, scaled), psi.rows(scaled)])
     _, svals, Vt = np.linalg.svd(stack)
     rank = int(np.count_nonzero(svals > tol_rel * svals[0]))
     kernel = Vt[rank:]
-    G = motion_generators(poly, real, mode)
+    G = motion_generators(poly, scaled, mode)
     QG, _ = np.linalg.qr(G)
     K = kernel.T - QG @ (QG.T @ kernel.T)
     Uk, sk, _ = np.linalg.svd(K, full_matrices=False)
@@ -321,32 +294,29 @@ def flex_witness(
     if u[pivot] < 0:
         u = -u
 
-    targets = evaluate_all(measurements, real)
+    targets = psi.values(scaled)
     nv, nf = real.vertex_count, real.face_count
 
     def resid(x: np.ndarray) -> np.ndarray:
         r = Realization.from_coordinate_vector(x, nv, nf)
-        return np.concatenate([phi(poly, r), evaluate_all(measurements, r) - targets])
+        return np.concatenate([phi(poly, r), psi.values(r) - targets])
 
     def jac(x: np.ndarray) -> np.ndarray:
         r = Realization.from_coordinate_vector(x, nv, nf)
-        return np.vstack([d_phi(poly, r), gradient_rows(measurements, r)])
+        return np.vstack([d_phi(poly, r), psi.rows(r)])
 
-    x0 = real.coordinate_vector() + step * u
+    x0 = scaled.coordinate_vector() + step * u
     x, ok = gauss_newton_project(
         resid, jac, x0, max_iter=max_iter, target=1e-10,
-        max_travel=100.0 * (step + real.diameter()),
+        max_travel=100.0 * (step + 1.0),
     )
     if not ok:
         raise ProjectionDiverged(
             f"projection did not reach residual 1e-10 in {max_iter} iterations"
         )
     result = Realization.from_coordinate_vector(x, nv, nf)
-    a = normalize(poly, real).vertices
-    b = normalize(poly, result).vertices
-    dist = float(np.linalg.norm(a - b, axis=1).max())
-    if dist > 10.0 * tol_rel:
-        return result
+    if normalized_distance(poly, scaled, result) > 10.0 * tol_rel:
+        return result.rescaled(real.diameter())
     return None
 
 
@@ -426,25 +396,22 @@ def point_set_witness(
         allow_reflection = dim == 2
 
     side = [Coplanar(*q) for q in coplanar]
-    for c in side:
-        if abs(measurement_value(c, ref)) > 1e-8:
+    kernel = MeasurementList(list(measurements) + side)
+    targets = kernel.values(ref)
+    for c, value in zip(side, targets[len(measurements):]):
+        if abs(value) > 1e-8:
             raise ValueError(f"reference violates coplanarity constraint {c}")
-    constraints = list(measurements) + side
-    targets = np.array(
-        [measurement_value(m, ref) for m in measurements] + [0.0] * len(side)
-    )
+    targets[len(measurements):] = 0.0
 
     n = ref.shape[0]
     diam = diameter(ref)
     scale = max(1.0, diam)
 
     def resid(x: np.ndarray) -> np.ndarray:
-        pts = x.reshape(n, dim)
-        return np.array([measurement_value(m, pts) for m in constraints]) - targets
+        return kernel.values(x.reshape(n, dim)) - targets
 
     def jac(x: np.ndarray) -> np.ndarray:
-        pts = x.reshape(n, dim)
-        return np.vstack([measurement_gradient(m, pts) for m in constraints])
+        return kernel.jacobian(x.reshape(n, dim))
 
     reps: list[np.ndarray] = [ref]
     counts: list[int] = [0]
@@ -461,14 +428,13 @@ def point_set_witness(
         # leaves the iterate ~sqrt(residual_tol) off the solution; a second
         # pass with a far tighter target collapses that smear
         x, _ = lm_solve(resid, jac, x, max_iter=80, target=1e-15)
-        converged += 1
         sol = x.reshape(n, dim)
         if locality is not None and (
             align_distance(ref, sol, allow_reflection) > locality * scale
         ):
             escaped += 1
-            converged -= 1
             continue
+        converged += 1
         for k, rep in enumerate(reps):
             if align_distance(rep, sol, allow_reflection) <= cluster_tol * scale:
                 counts[k] += 1

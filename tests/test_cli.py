@@ -242,9 +242,14 @@ def test_seed_env_override(monkeypatch):
     monkeypatch.setenv("POLYRIG_SEED", "7")
     args = build_parser().parse_args(["witness", "x", "--measurements", "y"])
     assert args.seed == 7
+    # a seed that is not an integer is an input error, not seed 0
     monkeypatch.setenv("POLYRIG_SEED", "junk")
-    args = build_parser().parse_args(["witness", "x", "--measurements", "y"])
-    assert args.seed == 0
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["witness", "x", "--measurements", "y"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit) as info:
+        main(["polygon", "oracle", "square"])
+    assert info.value.code == 2
     monkeypatch.delenv("POLYRIG_SEED")
     args = build_parser().parse_args(["witness", "x", "--measurements", "y"])
     assert args.seed == 0
@@ -322,7 +327,7 @@ def test_polygon_oracle_octagon_smoke(capsys):
     assert payload["angleA5A1A8"] == pytest.approx(3 * np.pi / 8, abs=1e-7)
 
 
-def test_malformed_inputs_exit_2(capsys, tmp_path):
+def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):
     bad_off = tmp_path / "bad.off"
     bad_off.write_text("OFF\n1 2\n")
     code, _, err = run(capsys, "analyze", str(bad_off))
@@ -341,3 +346,8 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
 
     code, _, _ = run(capsys, "analyze", str(bad_off), "--tol", "5.0")
     assert code == 2
+
+    nan_off = tmp_path / "nan.off"
+    nan_off.write_text(open(cube_off).read().replace("0.5", "nan", 1))
+    code, _, err = run(capsys, "analyze", str(nan_off))
+    assert code == 2 and "non-finite" in err

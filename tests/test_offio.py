@@ -35,6 +35,9 @@ def test_json_dumps_sorted_and_parseable():
     assert blob.index('"a"') < blob.index('"b"')
     assert blob.endswith("\n")
     assert "0.10000000000000001" in blob
+    # control characters and quotes in keys and strings stay valid JSON
+    odd = {'k"\x01': 'a\x01b"\\\n'}
+    assert json.loads(json_dumps(odd)) == odd
 
 
 def test_json_dumps_numpy_arrays():
@@ -84,6 +87,8 @@ def test_read_off_tolerates_comments_and_spacing():
         "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n7\n",
         "OFF\n4 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n",
         "OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n2 0 1\n",
+        "OFF\n3 1 3\n0 0 nan\n1 0 0\n0 1 0\n3 0 1 2\n",
+        "OFF\n3 1 3\n0 0 0\n1 inf 0\n0 1 0\n3 0 1 2\n",
     ],
 )
 def test_read_off_rejects_malformed(bad):
@@ -172,3 +177,6 @@ def test_point_config_parsing():
 def test_point_config_rejects_non_numeric():
     with pytest.raises(ParseError):
         parse_point_config({"dim": 2, "points": [[0, 0], ["a", 1]]})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParseError):
+            parse_point_config({"dim": 2, "points": [[0, 0], [bad, 1]]})

@@ -9,6 +9,7 @@ from polyrig.pointsets import (
     Coplanar,
     DiagonalAngle,
     Distance,
+    MeasurementList,
     align_distance,
     diameter,
     measurement_gradient,
@@ -57,22 +58,42 @@ def test_degenerate_measurements_raise():
 def test_gradients_match_finite_differences(dim):
     rng = np.random.default_rng(17)
     pts = rng.normal(size=(5, dim))
-    ms = [Distance(0, 3), Angle(1, 2, 4), DiagonalAngle(0, 1, 2, 3)]
+    # a mixed list with the primitives interleaved; DiagonalAngle(0, 1, 0, 2)
+    # puts point 0 on both segments
+    ms = [Distance(0, 3), Angle(1, 2, 4), DiagonalAngle(0, 1, 2, 3),
+          DiagonalAngle(0, 1, 0, 2), Distance(4, 1)]
     if dim == 3:
         ms.append(Coplanar(0, 1, 2, 3))
-    for m in ms:
-        g = measurement_gradient(m, pts)
-        flat = pts.ravel()
-        fd = np.zeros_like(flat)
-        for i in range(flat.size):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += 1e-6
-            dn[i] -= 1e-6
-            fd[i] = (
-                measurement_value(m, up.reshape(pts.shape))
-                - measurement_value(m, dn.reshape(pts.shape))
-            ) / 2e-6
-        assert np.abs(g - fd).max() < 1e-7
+    kernel = MeasurementList(ms)
+    J = kernel.jacobian(pts)
+    flat = pts.ravel()
+    fd = np.zeros_like(J)
+    for i in range(flat.size):
+        up, dn = flat.copy(), flat.copy()
+        up[i] += 1e-6
+        dn[i] -= 1e-6
+        fd[:, i] = (
+            kernel.values(up.reshape(pts.shape)) - kernel.values(dn.reshape(pts.shape))
+        ) / 2e-6
+    # the single-measurement views agree with the list
+    for m, value, row, fd_row in zip(ms, kernel.values(pts), J, fd):
+        assert np.abs(row - fd_row).max() < 1e-7, m
+        assert measurement_value(m, pts) == pytest.approx(value)
+        np.testing.assert_allclose(measurement_gradient(m, pts), row, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_values_over_batch_dimensions(dim):
+    rng = np.random.default_rng(5)
+    batch = rng.normal(size=(3, 4, 5, dim))
+    ms = [Distance(0, 3), Angle(1, 2, 4), DiagonalAngle(0, 1, 0, 2)]
+    if dim == 3:
+        ms.append(Coplanar(0, 1, 2, 3))
+    kernel = MeasurementList(ms)
+    vals = kernel.values(batch)
+    assert vals.shape == (3, 4, len(ms))
+    for idx in np.ndindex(3, 4):
+        np.testing.assert_allclose(vals[idx], kernel.values(batch[idx]), rtol=1e-15)
 
 
 def test_angle_gradient_invariant_to_translation_direction():

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from polyrig.errors import NoKernelDirection
+from polyrig.errors import DegenerateMeasurement, NoKernelDirection
 from polyrig.generators import platonic
 from polyrig.geometry import (
+    FaceAngle,
     build_pool,
     d_phi,
     evaluate_all,
@@ -99,6 +100,18 @@ def test_greedy_is_tolerance_independent():
         assert rep.selected == base.selected
 
 
+def test_greedy_refuses_a_degenerate_pool_measurement():
+    # the angle at vertex 0 between two rays to vertex 1 has no gradient;
+    # greedy refuses the pool, as is_sufficient does, even where the
+    # measurement sits after the point at which the target rank is reached
+    poly, real = platonic("cube")
+    pool = build_pool(poly, "face-distances") + [FaceAngle(0, 1, 1)]
+    with pytest.raises(DegenerateMeasurement):
+        is_sufficient(poly, real, pool)
+    with pytest.raises(DegenerateMeasurement):
+        greedy_minimal_subset(poly, real, pool)
+
+
 def test_dodecahedron_similarity_by_angles():
     poly, real = platonic("dodecahedron")
     pool = build_pool(poly, "face-angles") + build_pool(poly, "dihedrals")
@@ -133,15 +146,18 @@ def test_angles_never_reach_congruence():
 
 
 def test_flex_witness_for_cube_edges():
-    poly, real = platonic("cube")
-    pool = build_pool(poly, "edges-only")
-    w = flex_witness(poly, real, pool)
-    assert w is not None
-    assert np.abs(phi(poly, w)).max() < 1e-8
-    assert np.abs(evaluate_all(pool, w) - evaluate_all(pool, real)).max() < 1e-8
-    a = normalize(poly, real).vertices
-    b = normalize(poly, w).vertices
-    assert np.linalg.norm(a - b, axis=1).max() > 1e-4
+    # the verdict must not depend on the unit of length
+    for edge in (1e-4, 1.0, 1e4):
+        poly, real = platonic("cube", edge)
+        pool = build_pool(poly, "edges-only")
+        w = flex_witness(poly, real, pool)
+        assert w is not None, edge
+        assert np.abs(phi(poly, w)).max() < 1e-8
+        err = np.abs(evaluate_all(pool, w) - evaluate_all(pool, real)).max()
+        assert err < 1e-8 * edge
+        a = normalize(poly, real).vertices
+        b = normalize(poly, w).vertices
+        assert np.linalg.norm(a - b, axis=1).max() > 1e-4 * edge
 
 
 def test_flex_witness_for_cube_diagonals_keeps_diagonals():
