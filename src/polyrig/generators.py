@@ -42,17 +42,20 @@ def faces_from_convex_vertices(coords: np.ndarray) -> list[list[int]]:
     hull = ConvexHull(coords)
     eqs = hull.equations
 
-    groups: list[tuple[np.ndarray, set[int]]] = []
+    # each facet joins the first face whose representative plane (its first
+    # facet's) agrees to 1e-8, tested against all representatives at once
+    reps = np.empty_like(eqs)
+    groups: list[set[int]] = []
     for simplex, eq in zip(hull.simplices, eqs):
-        for geq, members in groups:
-            if np.abs(geq - eq).max() < 1e-8:
-                members.update(simplex)
-                break
+        hit = np.flatnonzero(np.abs(reps[: len(groups)] - eq).max(axis=1) < 1e-8)
+        if hit.size:
+            groups[hit[0]].update(simplex)
         else:
-            groups.append((eq, set(simplex)))
+            reps[len(groups)] = eq
+            groups.append(set(simplex))
 
     faces = []
-    for eq, members in groups:
+    for eq, members in zip(reps, groups):
         ids = sorted(members)
         normal = eq[:3]
         pts = coords[ids]

@@ -34,7 +34,7 @@ from .errors import (
     NonPlanarFace,
 )
 from .incidence import AbstractPolyhedron
-from .pointsets import Angle, DiagonalAngle, Distance, MeasurementList, diameter
+from .pointsets import Angle, DiagonalAngle, Distance, MeasurementList, _dot, diameter
 
 PLANARITY_TOL = 1e-9
 
@@ -219,9 +219,16 @@ def fit_realization(
 # --- incidence constraint map ------------------------------------------------
 
 
+def _incidence_indices(poly: AbstractPolyhedron) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex ids and face ids of the incidence pairs, as two index arrays."""
+    pairs = np.array(poly.incidence, dtype=np.intp).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
     """Incidence residuals a_j x_i + b_j y_i + c_j z_i - 1 over all pairs."""
-    return np.array([real.planes[j] @ real.vertices[i] - 1.0 for i, j in poly.incidence])
+    vi, fj = _incidence_indices(poly)
+    return _dot(real.planes[fj], real.vertices[vi]) - 1.0
 
 
 def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
@@ -230,12 +237,12 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
     The row for pair (v_i, f_j) carries (a_j, b_j, c_j) in vertex block i
     and (x_i, y_i, z_i) in plane block j.
     """
-    n = 3 * real.vertex_count + 3 * real.face_count
-    out = np.zeros((len(poly.incidence), n))
-    off = 3 * real.vertex_count
-    for k, (i, j) in enumerate(poly.incidence):
-        out[k, 3 * i : 3 * i + 3] = real.planes[j]
-        out[k, off + 3 * j : off + 3 * j + 3] = real.vertices[i]
+    vi, fj = _incidence_indices(poly)
+    out = np.zeros((len(vi), 3 * real.vertex_count + 3 * real.face_count))
+    k = np.arange(len(vi))[:, None]
+    xyz = np.arange(3)
+    out[k, 3 * vi[:, None] + xyz] = real.planes[fj]
+    out[k, 3 * real.vertex_count + 3 * fj[:, None] + xyz] = real.vertices[vi]
     return out
 
 

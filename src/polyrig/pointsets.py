@@ -217,8 +217,19 @@ def measurement_gradient(m: SimpleMeasurement | Coplanar, points: np.ndarray) ->
 
 
 def diameter(points: np.ndarray) -> float:
-    d = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((d ** 2).sum(axis=2)).max())
+    """Largest distance between two points, in O(n) memory.
+
+    Rows are taken in blocks of about 2**18 / n, each against itself and
+    the points after it; the squared distances are those of the full n x n
+    table, and sqrt is monotone, so the value is the same to the bit.
+    """
+    n = len(points)
+    block = max(1, 2**18 // max(n, 1))
+    best = 0.0
+    for start in range(0, n, block):
+        d = points[start : start + block, None, :] - points[None, start:, :]
+        best = max(best, float((d**2).sum(axis=2).max()))
+    return float(np.sqrt(best))
 
 
 def align_distance(

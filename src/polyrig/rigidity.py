@@ -8,6 +8,9 @@ the (3V+3F) x g matrix G whose columns generate the rigid-motion orbit
 at most 3E = (3V+3F) - 6, respectively 3E - 1. Hitting that ceiling is
 equivalent to the measurements locally determining the realization up to
 the motion group, which reduces the geometric question to numeric rank.
+Every rank computation here runs on the tangent space ker d_phi, of
+dimension E + 6, from one SVD of d_phi: there the rows must reach rank E
+(E - 1 for similarity).
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
@@ -21,7 +24,7 @@ invisible to first-order rank analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,6 +148,52 @@ def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
     return int(np.count_nonzero(s > tol_rel * s[0]))
 
 
+class _TangentRank(NamedTuple):
+    base: int  # rank of d_phi
+    basis: np.ndarray  # rows: an orthonormal basis N of ker d_phi
+    rank: int  # rank of [d_phi; rows], equal to base when no rows are given
+    flex: np.ndarray | None  # rows: ker [d_phi; rows] in N coordinates, when asked
+
+
+def _tangent_rank(
+    poly: AbstractPolyhedron,
+    scaled: Realization,
+    rows: np.ndarray | None,
+    tol_rel: float,
+    kernel: bool = False,
+) -> _TangentRank:
+    """Rank of the stack [d_phi; rows] at a unit-diameter realization,
+    computed on the tangent space ker d_phi.
+
+    One SVD of d_phi gives its rank `base` and an orthonormal basis N of its
+    kernel (the last 3V+3F - base rows of Vt), of dimension E + 6 for a
+    polyhedron. The stack's rank is base plus the numeric rank of the
+    reduced rows M = rows @ N.T, with singular values counted above tol_rel
+    times max(sigma_1(d_phi), sigma_1(M)). With kernel=True the right
+    singular vectors of M past its rank are returned too: N.T @ flex.T spans
+    the kernel of the stack.
+    """
+    _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
+    base = int(np.count_nonzero(s > tol_rel * s[0]))
+    N = Vt[base:]
+    if rows is None:
+        return _TangentRank(base, N, base, None)
+    M = rows @ N.T
+    if kernel:
+        # Vt of M must be square to hold the kernel; with more rows than
+        # columns the thin SVD already gives that, and U stays m x k
+        _, sm, VtM = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    else:
+        sm = np.linalg.svd(M, compute_uv=False)
+    top = max(s[0], sm[0]) if sm.size else s[0]
+    extra = int(np.count_nonzero(sm > tol_rel * top))
+    return _TangentRank(base, N, base + extra, VtM[extra:] if kernel else None)
+
+
+def _target_rank(poly: AbstractPolyhedron, g: int) -> int:
+    return 3 * poly.edge_count - (0 if g == 6 else 1)
+
+
 @dataclass(frozen=True)
 class SufficiencyReport:
     mode: str
@@ -165,18 +214,21 @@ def is_sufficient(
     tol_rel: float = DEFAULT_TOL_REL,
     allow_scale_variant: bool = False,
 ) -> SufficiencyReport:
-    """Rank test: stack d_phi with the measurement gradient rows and compare
-    the numeric rank against 3E (congruence) or 3E - 1 (similarity).
+    """Rank test: the rank of d_phi stacked with the measurement gradient
+    rows, compared against 3E (congruence) or 3E - 1 (similarity).
 
-    The model is rescaled to unit diameter before the SVD so tol_rel acts on
-    a well-conditioned matrix regardless of input units.
+    The model is rescaled to unit diameter, so tol_rel acts on a
+    well-conditioned matrix regardless of input units. The rank is taken on
+    the tangent space ker d_phi: the rank of d_phi (2E) plus the numeric
+    rank of the rows reduced to it, with the cutoff tol_rel times the larger
+    of the top singular values of d_phi and of the reduced rows.
     """
     g = _motion_dim(mode)
     _check_mode_pool(measurements, mode, allow_scale_variant)
     scaled = _unit_diameter(real)
-    stack = np.vstack([d_phi(poly, scaled), gradient_rows(measurements, scaled)])
-    rank = numeric_rank(stack, tol_rel)
-    target = 3 * poly.edge_count - (0 if g == 6 else 1)
+    rows = gradient_rows(measurements, scaled)
+    rank = _tangent_rank(poly, scaled, rows, tol_rel).rank
+    target = _target_rank(poly, g)
     # rank > target happens only in similarity mode with scale-variant
     # measurements admitted: scale is then pinned too, which determines the
     # shape a fortiori, so the flex count is clamped rather than negative
@@ -186,7 +238,7 @@ def is_sufficient(
         achieved_rank=rank,
         target_rank=target,
         sufficient=rank >= target,
-        flex_dimension=max(0, stack.shape[1] - rank - g),
+        flex_dimension=max(0, rows.shape[1] - rank - g),
         selected=None,
         tolerance_used=tol_rel,
     )
@@ -203,36 +255,41 @@ def greedy_minimal_subset(
     """Scan the pool once, keeping a measurement exactly when its gradient
     row is independent of the span of d_phi plus rows kept so far.
 
-    Independence is decided by the projection residual: the row is accepted
-    when its component orthogonal to the current basis exceeds tol_rel times
-    the row norm (with one reorthogonalization pass for stability). When the
-    pool is sufficient, the selection has exactly targetRank - 2E elements:
-    E measurements for congruence, E - 1 for similarity.
+    The scan runs on the tangent space ker d_phi, where the span of d_phi is
+    zero: each row is reduced to it once, and the row is accepted when its
+    component orthogonal to the reduced rows kept so far exceeds tol_rel
+    times the full row norm (with one reorthogonalization pass for
+    stability). When the pool is sufficient, the selection has exactly
+    targetRank - 2E elements: E measurements for congruence, E - 1 for
+    similarity.
     """
     g = _motion_dim(mode)
     _check_mode_pool(pool, mode, allow_scale_variant)
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
-    A = d_phi(poly, scaled)
-    _, svals, Vt = np.linalg.svd(A, full_matrices=False)
-    base_rank = int(np.count_nonzero(svals > tol_rel * svals[0]))
-    basis = Vt[:base_rank]
+    rows = gradient_rows(pool, scaled)
+    tangent = _tangent_rank(poly, scaled, None, tol_rel)
+    reduced = rows @ tangent.basis.T
+    # accepted residuals are orthonormal in E + 6 coordinates, and fewer
+    # than that many are needed to reach the target
+    basis = np.empty((reduced.shape[1], reduced.shape[1]))
 
-    target = 3 * poly.edge_count - (0 if g == 6 else 1)
-    rank = base_rank
+    target = _target_rank(poly, g)
+    rank = tangent.base
     selected: list[Measurement3D] = []
-    for m, row in zip(pool, gradient_rows(pool, scaled)):
+    for m, row, red in zip(pool, rows, reduced):
         if rank >= target:
             break
         row_norm = np.linalg.norm(row)
         if row_norm == 0.0:
             continue
-        res = row - basis.T @ (basis @ row)
-        res -= basis.T @ (basis @ res)
+        kept = basis[: len(selected)]
+        res = red - kept.T @ (kept @ red)
+        res -= kept.T @ (kept @ res)
         res_norm = np.linalg.norm(res)
         if res_norm > tol_rel * row_norm:
-            basis = np.vstack([basis, res / res_norm])
+            basis[len(selected)] = res / res_norm
             selected.append(m)
             rank += 1
 
@@ -242,7 +299,7 @@ def greedy_minimal_subset(
         achieved_rank=rank,
         target_rank=target,
         sufficient=rank == target,
-        flex_dimension=basis.shape[1] - rank - g,
+        flex_dimension=rows.shape[1] - rank - g,
         selected=tuple(selected),
         tolerance_used=tol_rel,
     )
@@ -267,29 +324,28 @@ def flex_witness(
     unit kernel direction of stack(d_phi, d_psi) orthogonal to the motion
     generators, steps away by `step` (a fraction of the diameter), and
     Gauss-Newton-projects back onto {phi = 0, psi = psi(R)} to residual
-    1e-10. Returns the projected realization, scaled back to the input's
-    units, when it is genuinely non-congruent to the input (normalized
-    vertex distance > 10 * tol_rel diameters), or None when the projection
-    slides back to the start, the signature of a flex that exists to first
-    order only.
+    1e-10. The kernel and the generators are handled in the coordinates of
+    ker d_phi, from the same rank computation as is_sufficient. Returns the
+    projected realization, scaled back to the input's units, when it is
+    genuinely non-congruent to the input (normalized vertex distance > 10 *
+    tol_rel diameters), or None when the projection slides back to the
+    start, the signature of a flex that exists to first order only.
     """
-    report = is_sufficient(poly, real, measurements, mode, tol_rel, allow_scale_variant)
-    if report.sufficient:
-        raise NoKernelDirection("measurement set is sufficient; nothing to flex")
-
+    g = _motion_dim(mode)
+    _check_mode_pool(measurements, mode, allow_scale_variant)
     scaled = _unit_diameter(real)
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
-    stack = np.vstack([d_phi(poly, scaled), psi.rows(scaled)])
-    _, svals, Vt = np.linalg.svd(stack)
-    rank = int(np.count_nonzero(svals > tol_rel * svals[0]))
-    kernel = Vt[rank:]
-    G = motion_generators(poly, scaled, mode)
-    QG, _ = np.linalg.qr(G)
-    K = kernel.T - QG @ (QG.T @ kernel.T)
+    tangent = _tangent_rank(poly, scaled, psi.rows(scaled), tol_rel, kernel=True)
+    if tangent.rank >= _target_rank(poly, g):
+        raise NoKernelDirection("measurement set is sufficient; nothing to flex")
+
+    N = tangent.basis
+    QG, _ = np.linalg.qr(N @ motion_generators(poly, scaled, mode))
+    K = tangent.flex.T - QG @ (QG.T @ tangent.flex.T)
     Uk, sk, _ = np.linalg.svd(K, full_matrices=False)
     if sk.size == 0 or sk[0] < 0.5:
         raise NoKernelDirection("kernel contains only trivial motions")
-    u = Uk[:, 0]
+    u = N.T @ Uk[:, 0]
     pivot = int(np.argmax(np.abs(u)))
     if u[pivot] < 0:
         u = -u

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from polyrig.errors import NonQuadFace, OutOfValidityRegion, UnknownName
 from polyrig.generators import (
     HEX_FACES,
+    _cycle_normal,
+    _plane_basis,
     TETRA_BASE,
     HexahedronParams,
     faces_from_convex_vertices,
@@ -95,6 +98,52 @@ def test_faces_from_convex_vertices_merges_coplanar_triangles():
     faces = faces_from_convex_vertices(coords)
     sizes = sorted(len(c) for c in faces)
     assert sizes == [4] * 6 + [6, 6]
+
+
+def _faces_by_pairwise_merge(coords):
+    # each facet compared with every face found so far, one plane at a time
+    hull = ConvexHull(coords)
+    groups = []
+    for simplex, eq in zip(hull.simplices, hull.equations):
+        for geq, members in groups:
+            if np.abs(geq - eq).max() < 1e-8:
+                members.update(simplex)
+                break
+        else:
+            groups.append((eq, set(simplex)))
+    faces = []
+    for eq, members in groups:
+        ids = sorted(members)
+        pts = coords[ids]
+        center = pts.mean(axis=0)
+        basis = _plane_basis(eq[:3])
+        ang = np.arctan2((pts - center) @ basis[1], (pts - center) @ basis[0])
+        cycle = [ids[k] for k in np.argsort(ang)]
+        if _cycle_normal(coords, cycle) @ eq[:3] < 0:
+            cycle.reverse()
+        start = cycle.index(min(cycle))
+        faces.append(cycle[start:] + cycle[:start])
+    faces.sort(key=lambda c: sorted(c))
+    return faces
+
+
+@pytest.mark.parametrize("V", [50, 100])
+def test_faces_from_convex_vertices_matches_pairwise_merge(V):
+    rng = np.random.default_rng(V)
+    for _ in range(3):
+        p = rng.standard_normal((V, 3))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        coords = rng.uniform(0.5, 2.0) * p + rng.uniform(-1.0, 1.0, size=3)
+        assert faces_from_convex_vertices(coords) == _faces_by_pairwise_merge(coords)
+
+
+def test_faces_from_convex_vertices_prism_matches_pairwise_merge():
+    t = 2.0 * np.pi * np.arange(24) / 24
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    coords = np.vstack([np.c_[ring, np.zeros(24)], np.c_[ring, np.ones(24)]])
+    faces = faces_from_convex_vertices(coords)
+    assert sorted(len(c) for c in faces) == [4] * 24 + [24, 24]
+    assert faces == _faces_by_pairwise_merge(coords)
 
 
 # hexahedron families --------------------------------------------------------

@@ -90,6 +90,21 @@ def test_d_phi_matches_finite_differences(cube):
         assert np.abs(J @ d - fd).max() < 1e-8
 
 
+def test_phi_and_d_phi_match_the_pairwise_definition():
+    poly, real = platonic("dodecahedron")
+    rng = np.random.default_rng(1)
+    x = real.coordinate_vector() + 1e-3 * rng.normal(size=real.coordinate_vector().size)
+    r = Realization.from_coordinate_vector(x, poly.vertex_count, poly.face_count)
+    off = 3 * poly.vertex_count
+    J = np.zeros((len(poly.incidence), x.size))
+    for k, (i, j) in enumerate(poly.incidence):
+        J[k, 3 * i : 3 * i + 3] = r.planes[j]
+        J[k, off + 3 * j : off + 3 * j + 3] = r.vertices[i]
+    assert np.array_equal(d_phi(poly, r), J)
+    pairwise = [r.planes[j] @ r.vertices[i] - 1.0 for i, j in poly.incidence]
+    assert np.abs(phi(poly, r) - pairwise).max() <= 1e-15
+
+
 def test_cube_measurement_values(cube):
     poly, real = cube
     assert evaluate(FaceDistance(0, 1), real) == pytest.approx(1.0)

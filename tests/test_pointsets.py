@@ -1,5 +1,7 @@
 """Dimension-agnostic measurement primitives and alignment distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,26 @@ def test_angle_gradient_invariant_to_translation_direction():
 
 def test_diameter():
     assert diameter(SQUARE) == pytest.approx(np.sqrt(2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_diameter_equals_brute_force(dim):
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 5, 300, 1500):
+        pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4)
+        d = pts[:, None, :] - pts[None, :, :]
+        assert diameter(pts) == float(np.sqrt((d**2).sum(axis=2)).max())
+
+
+def test_diameter_memory_is_linear():
+    pts = np.random.default_rng(0).standard_normal((4000, 3))
+    tracemalloc.start()
+    try:
+        diameter(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6
 
 
 def test_align_distance_rigid_and_mirror():

@@ -1,19 +1,29 @@
 """Rank computations, greedy selection, flex and point-set witnesses."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from polyrig.errors import DegenerateMeasurement, NoKernelDirection
-from polyrig.generators import platonic
+from polyrig.generators import (
+    faces_from_convex_vertices,
+    hexahedron_family_a,
+    hexahedron_family_b,
+    platonic,
+)
 from polyrig.geometry import (
     FaceAngle,
     build_pool,
     d_phi,
     evaluate_all,
+    fit_realization,
     gradient_rows,
     normalize,
+    normalized_distance,
     phi,
 )
+from polyrig.incidence import build_incidence
 from polyrig.pointsets import Angle, Distance
 from polyrig.rigidity import (
     CONGRUENCE,
@@ -175,6 +185,129 @@ def test_flex_witness_refuses_rigid_pool():
     pool = build_pool(poly, "face-distances")
     with pytest.raises(NoKernelDirection):
         flex_witness(poly, real, pool)
+
+
+# the tangent-space engine against the full stack [d_phi; rows] ------------
+
+
+def _convex_model(points):
+    poly = build_incidence(faces_from_convex_vertices(points))
+    return poly, fit_realization(poly, points)
+
+
+def _sphere_hull(V, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((V, 3))
+    return _convex_model(p / np.linalg.norm(p, axis=1, keepdims=True))
+
+
+def _prism(n):
+    t = 2.0 * np.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    return _convex_model(
+        np.vstack([np.c_[ring, np.zeros(n)], np.c_[ring, np.ones(n)]])
+    )
+
+
+ENGINE_MODELS = sorted(PLATONIC_EDGES) + ["hexa-0.2", "hexb-0.1-0.15", "sphere-50"]
+ENGINE_POOLS = [
+    ("face-distances", CONGRUENCE),
+    ("face-angles", SIMILARITY),
+    ("all", CONGRUENCE),
+]
+
+
+@lru_cache(maxsize=None)
+def _engine_model(name):
+    if name == "hexa-0.2":
+        return hexahedron_family_a(0.2)
+    if name == "hexb-0.1-0.15":
+        return hexahedron_family_b(0.1, 0.15)
+    if name == "sphere-50":
+        return _sphere_hull(50, 0)
+    return platonic(name)
+
+
+def _unit(real):
+    return real.rescaled(1.0 / real.diameter())
+
+
+def _full_stack(poly, real, pool):
+    scaled = _unit(real)
+    return np.vstack([d_phi(poly, scaled), gradient_rows(pool, scaled)])
+
+
+def _full_stack_greedy(poly, real, pool, target, tol_rel=1e-9):
+    # the scan on the full coordinates: a basis of the row space of d_phi,
+    # grown by each accepted row's residual
+    scaled = _unit(real)
+    _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=False)
+    basis = Vt[: np.count_nonzero(s > tol_rel * s[0])]
+    selected = []
+    for m, row in zip(pool, gradient_rows(pool, scaled)):
+        if len(basis) >= target:
+            break
+        res = row - basis.T @ (basis @ row)
+        res -= basis.T @ (basis @ res)
+        res_norm = np.linalg.norm(res)
+        if res_norm > tol_rel * np.linalg.norm(row):
+            basis = np.vstack([basis, res / res_norm])
+            selected.append(m)
+    return tuple(selected)
+
+
+@pytest.mark.parametrize("pool_name,mode", ENGINE_POOLS)
+@pytest.mark.parametrize("name", ENGINE_MODELS)
+def test_greedy_matches_full_stack_scan(name, pool_name, mode):
+    poly, real = _engine_model(name)
+    pool = build_pool(poly, pool_name)
+    report = greedy_minimal_subset(poly, real, pool, mode)
+    assert report.sufficient
+    assert report.selected == _full_stack_greedy(poly, real, pool, report.target_rank)
+
+
+@pytest.mark.parametrize("pool_name,mode", ENGINE_POOLS)
+@pytest.mark.parametrize("name", ENGINE_MODELS)
+def test_rank_matches_full_stack(name, pool_name, mode):
+    poly, real = _engine_model(name)
+    pool = build_pool(poly, pool_name)
+    report = is_sufficient(poly, real, pool, mode)
+    assert report.achieved_rank == numeric_rank(_full_stack(poly, real, pool))
+
+
+def _three_edges_removed(edges):
+    return edges[:10] + edges[11:40] + edges[41:70] + edges[71:]
+
+
+def test_rank_matches_full_stack_on_large_and_flexible_pools():
+    poly, real = _prism(24)
+    pool = build_pool(poly, "face-angles")
+    assert len(pool) == 12432
+    report = is_sufficient(poly, real, pool, SIMILARITY)
+    assert report.achieved_rank == numeric_rank(_full_stack(poly, real, pool))
+    assert report.sufficient
+
+    poly, real = _sphere_hull(50, 0)
+    edges = build_pool(poly, "edges-only")
+    kept = _three_edges_removed(edges)
+    report = is_sufficient(poly, real, kept)
+    assert report.achieved_rank == numeric_rank(_full_stack(poly, real, kept))
+    assert report.achieved_rank == report.target_rank - 3
+    assert report.flex_dimension == 3
+
+
+def test_flex_witness_on_a_hull_with_three_edges_removed():
+    poly, real = _sphere_hull(50, 0)
+    edges = build_pool(poly, "edges-only")
+    kept = _three_edges_removed(edges)
+    w = flex_witness(poly, real, kept)
+    assert w is not None
+    diam = real.diameter()
+    assert np.abs(evaluate_all(kept, w) - evaluate_all(kept, real)).max() < 1e-8 * diam
+    assert np.abs(phi(poly, w)).max() < 1e-8
+    assert normalized_distance(poly, real, w) > 1e-5 * diam
+    with pytest.raises(NoKernelDirection):
+        flex_witness(poly, real, edges)
 
 
 # point sets ---------------------------------------------------------------
