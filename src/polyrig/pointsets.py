@@ -12,6 +12,7 @@ Jacobian are taken with respect to the flattened coordinate array
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -173,7 +174,7 @@ class MeasurementList:
     def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
         lens = _norm(D)
-        if self._checked and lens[..., : self._checked].min() < 1e-300:
+        if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
         return D, lens
 
@@ -191,19 +192,25 @@ class MeasurementList:
         return vals if self._order is None else vals.take(self._order, axis=-1)
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """Exact Jacobian wrt the flattened (n * dim,) coordinate array,
-        shape (size, n * dim)."""
+        """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
+        (..., n, dim) point array; shape (..., size, n * dim)."""
         P = np.asarray(points, dtype=float)
-        n, dim = P.shape
+        *batch, n, dim = P.shape
         D, lens = self._vectors(P)
         G = np.empty_like(D)
         for fn, slices in self._blocks:
-            grads = fn([D[s] for s in slices], [lens[s] for s in slices], True)[1]
+            grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], True)[1]
             for s, g in zip(slices, grads):
-                G[s] = g
-        J = np.zeros((self.size, n, dim))
-        np.add.at(J, self._scatter, np.concatenate([G, -G]))
-        return J.reshape(self.size, n * dim)
+                G[..., s, :] = g
+        members = math.prod(batch)
+        owners, ends = self._scatter
+        J = np.zeros((members, self.size, n, dim))
+        np.add.at(
+            J,
+            (np.arange(members)[:, None], owners, ends),
+            np.concatenate([G, -G], axis=-2).reshape(members, len(owners), dim),
+        )
+        return J.reshape(*batch, self.size, n * dim)
 
 
 def measurement_value(m: SimpleMeasurement | Coplanar, points: np.ndarray) -> float:
@@ -234,18 +241,23 @@ def diameter(points: np.ndarray) -> float:
 
 def align_distance(
     reference: np.ndarray, other: np.ndarray, allow_reflection: bool = False
-) -> float:
+) -> float | np.ndarray:
     """Max point distance between `reference` and the best rigid placement
     of `other` (Kabsch). With allow_reflection the best orthogonal map is
-    used; otherwise only proper rotations are admitted."""
-    X = reference - reference.mean(axis=0)
-    Y = other - other.mean(axis=0)
-    H = Y.T @ X
+    used; otherwise only proper rotations are admitted.
+
+    Either argument may be a stack (..., n, dim); the stacks broadcast, and
+    the result is one distance per pair, a float when both are (n, dim)."""
+    X = reference - reference.mean(axis=-2, keepdims=True)
+    Y = other - other.mean(axis=-2, keepdims=True)
+    H = Y.swapaxes(-1, -2) @ X
     U, _, Vt = np.linalg.svd(H)
-    R = Vt.T @ U.T
-    if not allow_reflection and np.linalg.det(R) < 0:
-        D = np.eye(H.shape[0])
+    V, Ut = Vt.swapaxes(-1, -2), U.swapaxes(-1, -2)
+    R = V @ Ut
+    if not allow_reflection:
+        D = np.eye(H.shape[-1])
         D[-1, -1] = -1.0
-        R = Vt.T @ D @ U.T
-    moved = Y @ R.T
-    return float(np.linalg.norm(X - moved, axis=1).max())
+        R = np.where((np.linalg.det(R) < 0)[..., None, None], V @ D @ Ut, R)
+    moved = Y @ R.swapaxes(-1, -2)
+    dist = np.linalg.norm(X - moved, axis=-1).max(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist

@@ -391,11 +391,12 @@ def octagon_distance_oracle(
     regular_value = objective.values(reference)[0]
     diam = diameter(reference)
 
+    # on one point (16,) for SLSQP or on a batch (b, 16) for lm_solve
     def c_fun(x: np.ndarray) -> np.ndarray:
-        return constraints.values(x.reshape(8, 2)) - targets
+        return constraints.values(x.reshape(*x.shape[:-1], 8, 2)) - targets
 
     def c_jac(x: np.ndarray) -> np.ndarray:
-        return constraints.jacobian(x.reshape(8, 2))
+        return constraints.jacobian(x.reshape(*x.shape[:-1], 8, 2))
 
     def neg_obj(x: np.ndarray) -> float:
         return -objective.values(x.reshape(8, 2))[0]
@@ -416,7 +417,7 @@ def octagon_distance_oracle(
             options={"maxiter": 400, "ftol": 1e-14},
         )
         # polish onto the constraint variety regardless of SLSQP's verdict
-        x, r = lm_solve(c_fun, c_jac, res.x, max_iter=120, target=1e-13)
+        (x,), (r,), _ = lm_solve(c_fun, c_jac, res.x[None], max_iter=120, target=1e-13)
         if np.abs(r).max() > 1e-10:
             continue
         val = -neg_obj(x)

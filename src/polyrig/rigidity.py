@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._nlsq import gauss_newton_project, lm_solve
+from ._nlsq import EXHAUSTED, STALLED, gauss_newton_project, lm_solve
 from .errors import (
     NoConvergedRestarts,
     NoKernelDirection,
@@ -385,10 +385,17 @@ class PointCluster:
 
 @dataclass(frozen=True)
 class PointWitnessReport:
+    """The outcome of a restart search. Every restart is counted once:
+    `converged` (residual <= residual_tol, kept), `escaped` (converged
+    outside the locality radius), `stalled` (no damping value improved, the
+    residual above residual_tol) or `exhausted` (ran out of iterations)."""
+
     witness: np.ndarray | None
     clusters: tuple[PointCluster, ...]
     converged: int
     escaped: int
+    stalled: int
+    exhausted: int
     restarts: int
     residual_tol: float
     cluster_tol: float
@@ -418,9 +425,9 @@ def point_set_witness(
 
     Solves {measurement residuals = 0} by Levenberg-Marquardt from `restarts`
     perturbed copies of the reference (Gaussian noise of scale noise *
-    diameter, per-restart generator seeded by (seed, restart index)), keeps
-    solutions with residual <= residual_tol, and clusters them modulo rigid
-    motions (reflections allowed by default in 2D only, where unsigned
+    diameter, per-restart generator seeded by (seed, restart index)), all
+    restarts as one batch, keeps solutions with residual <= residual_tol,
+    and clusters them in restart order modulo rigid motions (reflections allowed by default in 2D only, where unsigned
     measurements cannot tell mirror images apart). The witness is a
     representative of any cluster farther than witness_tol * scale from the
     reference; None means every converged restart came back to the
@@ -464,41 +471,43 @@ def point_set_witness(
     scale = max(1.0, diam)
 
     def resid(x: np.ndarray) -> np.ndarray:
-        return kernel.values(x.reshape(n, dim)) - targets
+        return kernel.values(x.reshape(len(x), n, dim)) - targets
 
     def jac(x: np.ndarray) -> np.ndarray:
-        return kernel.jacobian(x.reshape(n, dim))
+        return kernel.jacobian(x.reshape(len(x), n, dim))
+
+    def start(i: int) -> np.ndarray:
+        rng = np.random.default_rng([seed, i])
+        return (ref + noise * diam * rng.standard_normal(ref.shape)).ravel()
+
+    x0 = np.array([start(i) for i in range(restarts)]).reshape(restarts, n * dim)
+    x, r, reason = lm_solve(resid, jac, x0, max_iter=max_iter, target=residual_tol * 1e-2)
+    ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
+    stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
+    exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
+    # polish: in a quadratic residual valley, stopping at residual_tol
+    # leaves the iterate ~sqrt(residual_tol) off the solution; a second
+    # pass with a far tighter target collapses that smear
+    sols = lm_solve(resid, jac, x[ok], max_iter=80, target=1e-15)[0].reshape(-1, n, dim)
+    to_ref = align_distance(ref, sols, allow_reflection)
+    far = np.zeros(len(sols), dtype=bool) if locality is None else to_ref > locality * scale
+    escaped = int(np.count_nonzero(far))
+    converged = len(sols) - escaped
 
     reps: list[np.ndarray] = [ref]
     counts: list[int] = [0]
     dists: list[float] = [0.0]
-    converged = 0
-    escaped = 0
-    for i in range(restarts):
-        rng = np.random.default_rng([seed, i])
-        x0 = (ref + noise * diam * rng.standard_normal(ref.shape)).ravel()
-        x, r = lm_solve(resid, jac, x0, max_iter=max_iter, target=residual_tol * 1e-2)
-        if np.abs(r).max() > residual_tol:
-            continue
-        # polish: in a quadratic residual valley, stopping at residual_tol
-        # leaves the iterate ~sqrt(residual_tol) off the solution; a second
-        # pass with a far tighter target collapses that smear
-        x, _ = lm_solve(resid, jac, x, max_iter=80, target=1e-15)
-        sol = x.reshape(n, dim)
-        if locality is not None and (
-            align_distance(ref, sol, allow_reflection) > locality * scale
-        ):
-            escaped += 1
-            continue
-        converged += 1
-        for k, rep in enumerate(reps):
-            if align_distance(rep, sol, allow_reflection) <= cluster_tol * scale:
-                counts[k] += 1
-                break
+    for sol, d in zip(sols[~far], to_ref[~far]):
+        # the first representative within cluster_tol takes the solution
+        hits = np.flatnonzero(
+            align_distance(np.array(reps), sol, allow_reflection) <= cluster_tol * scale
+        )
+        if len(hits):
+            counts[hits[0]] += 1
         else:
             reps.append(sol)
             counts.append(1)
-            dists.append(align_distance(ref, sol, allow_reflection))
+            dists.append(float(d))
 
     if converged == 0:
         raise NoConvergedRestarts(
@@ -519,6 +528,8 @@ def point_set_witness(
         clusters=clusters,
         converged=converged,
         escaped=escaped,
+        stalled=stalled,
+        exhausted=exhausted,
         restarts=restarts,
         residual_tol=residual_tol,
         cluster_tol=cluster_tol,

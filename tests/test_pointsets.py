@@ -94,8 +94,13 @@ def test_values_over_batch_dimensions(dim):
     kernel = MeasurementList(ms)
     vals = kernel.values(batch)
     assert vals.shape == (3, 4, len(ms))
+    jac = kernel.jacobian(batch)
+    assert jac.shape == (3, 4, len(ms), 5 * dim)
     for idx in np.ndindex(3, 4):
         np.testing.assert_allclose(vals[idx], kernel.values(batch[idx]), rtol=1e-15)
+        # one scatter over (batch, owner, point) sums each entry's terms in
+        # the order the unbatched call does
+        assert np.array_equal(jac[idx], kernel.jacobian(batch[idx]))
 
 
 def test_angle_gradient_invariant_to_translation_direction():

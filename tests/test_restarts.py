@@ -1,0 +1,230 @@
+"""The batched restart search against serial reference loops.
+
+`lm_solve` runs all restarts of a witness search as one batch, and
+`point_set_witness` clusters against all representatives in one call. The
+references below are the one-restart-at-a-time loops they replace; every
+restart must come out bit for bit the same.
+"""
+
+import numpy as np
+import pytest
+
+from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
+from polyrig.errors import NoConvergedRestarts
+from polyrig.pointsets import (
+    Angle,
+    Coplanar,
+    Distance,
+    MeasurementList,
+    align_distance,
+    diameter,
+)
+from polyrig.polygon import staircase_measurements, staircase_polygon
+from polyrig.rigidity import point_set_witness
+
+SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+CUBE = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                 [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]], dtype=float)
+CUBE_TEN = [Distance(0, 1), Distance(0, 3), Distance(0, 4), Distance(1, 3), Distance(1, 4),
+            Distance(3, 4), Distance(0, 6), Distance(5, 6), Distance(7, 6), Distance(2, 6)]
+CUBE_COPLANAR = [(0, 1, 2, 3), (4, 5, 6, 7), (0, 1, 5, 4),
+                 (1, 2, 6, 5), (2, 3, 7, 6), (3, 0, 4, 7)]
+STAIRCASE_ANGLES = np.random.default_rng(106).uniform(1.15, 1.45, size=4)
+
+# name -> (dim, points, measurements, keyword arguments of point_set_witness)
+CASES = {
+    "square-four": (2, SQUARE, [Distance(0, 1), Distance(0, 2), Distance(0, 3),
+                                Angle(1, 2, 3)], {}),
+    "square-five": (2, SQUARE, [Angle(1, 0, 3), Angle(2, 3, 0), Distance(0, 1),
+                                Distance(2, 3), Angle(0, 1, 2)], {}),
+    "staircase6": (2, staircase_polygon(6, 1.0, STAIRCASE_ANGLES).points,
+                   staircase_measurements(6), dict(noise=0.05, locality=0.1)),
+    "cube-nine": (3, CUBE, CUBE_TEN[:-1],
+                  dict(coplanar=CUBE_COPLANAR, allow_reflection=True)),
+    "cube-ten": (3, CUBE, CUBE_TEN, dict(coplanar=CUBE_COPLANAR, allow_reflection=True)),
+}
+RESTARTS = 30
+OUTCOMES = ("converged", "escaped", STALLED, EXHAUSTED)
+
+
+def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12):
+    """One start at a time: the loop the batched lm_solve replaced, with
+    the reason it stopped."""
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    cost = float(r @ r)
+    lam = 1e-3
+    reason = EXHAUSTED
+    for _ in range(max_iter):
+        if np.abs(r).max() <= target:
+            break
+        J = jacobian(x)
+        A = J.T @ J
+        g = J.T @ r
+        n = A.shape[0]
+        improved = False
+        for _ in range(40):
+            try:
+                dx = np.linalg.solve(A + lam * np.eye(n), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            xn = x + dx
+            rn = residual(xn)
+            cn = float(rn @ rn)
+            if cn < cost:
+                x, r, cost = xn, rn, cn
+                lam = max(lam * 0.25, 1e-14)
+                improved = True
+                break
+            lam *= 4.0
+        if not improved:
+            reason = STALLED
+            break
+    if np.abs(r).max() <= target:
+        reason = CONVERGED
+    return x, r, reason
+
+
+def system(name, restarts=RESTARTS, seed=0):
+    """The residual, the Jacobian (on one point or a batch) and the starts
+    point_set_witness builds for a case."""
+    dim, ref, ms, kw = CASES[name]
+    side = [Coplanar(*q) for q in kw.get("coplanar", ())]
+    kernel = MeasurementList(list(ms) + side)
+    targets = kernel.values(ref)
+    targets[len(ms):] = 0.0
+    n = len(ref)
+    noise = kw.get("noise", 0.5)
+    diam = diameter(ref)
+
+    def resid(x):
+        return kernel.values(x.reshape(*x.shape[:-1], n, dim)) - targets
+
+    def jac(x):
+        return kernel.jacobian(x.reshape(*x.shape[:-1], n, dim))
+
+    starts = np.array([
+        (ref + noise * diam * np.random.default_rng([seed, i]).standard_normal(ref.shape)).ravel()
+        for i in range(restarts)
+    ])
+    return resid, jac, starts
+
+
+def serial_witness(name, restarts=RESTARTS, seed=0):
+    """The search point_set_witness made before its restarts were batched:
+    (the count of each restart outcome, clusters as (representative, count,
+    distance), witness)."""
+    dim, ref, _, kw = CASES[name]
+    resid, jac, starts = system(name, restarts, seed)
+    reflect = kw.get("allow_reflection", dim == 2)
+    locality = kw.get("locality")
+    scale = max(1.0, diameter(ref))
+    reps, counts, dists = [ref], [0], [0.0]
+    outcomes = dict.fromkeys(OUTCOMES, 0)
+    for x0 in starts:
+        x, r, why = serial_lm(resid, jac, x0, target=1e-12)
+        if np.abs(r).max() > 1e-10:
+            outcomes[why] += 1
+            continue
+        x, _, _ = serial_lm(resid, jac, x, max_iter=80, target=1e-15)
+        sol = x.reshape(-1, dim)
+        if locality is not None and align_distance(ref, sol, reflect) > locality * scale:
+            outcomes["escaped"] += 1
+            continue
+        outcomes["converged"] += 1
+        for k, rep in enumerate(reps):
+            if align_distance(rep, sol, reflect) <= 1e-6 * scale:
+                counts[k] += 1
+                break
+        else:
+            reps.append(sol)
+            counts.append(1)
+            dists.append(align_distance(ref, sol, reflect))
+    witness = next((rep for rep, d in zip(reps, dists) if d > 1e-4 * scale), None)
+    return outcomes, list(zip(reps, counts, dists)), witness
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batched_lm_matches_serial_loop(name):
+    resid, jac, starts = system(name)
+    x, r, reason = lm_solve(resid, jac, starts, target=1e-12)
+    for i, x0 in enumerate(starts):
+        xs, rs, why = serial_lm(resid, jac, x0, target=1e-12)
+        assert np.array_equal(x[i], xs), i
+        assert np.array_equal(r[i], rs), i
+        assert reason[i] == why, i
+
+
+def test_singular_member_does_not_stop_the_others(monkeypatch):
+    # a member whose x[2] > 0 has J = 1e10 [1, 1, 0]: 1e20 + lam == 1e20 at
+    # the first damping values, so its solve raises LinAlgError until lam
+    # grows; the other members' damping and iterates must not notice
+    def scale(x):
+        return np.where(x[..., 2] > 0, 1e10, 1.0)
+
+    def resid(x):
+        return (scale(x) * (x[..., 0] + x[..., 1] - 1.0))[..., None]
+
+    def jac(x):
+        s = scale(x)
+        return np.stack([s, s, 0.0 * s], axis=-1)[..., None, :]
+
+    singular = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(len(a))
+            raise
+
+    starts = np.array([[0.3, 0.2, -1.0], [0.3, 0.2, 1.0], [2.0, -3.0, -1.0]])
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    x, r, reason = lm_solve(resid, jac, starts, max_iter=30, target=1e-9)
+    monkeypatch.undo()
+    assert singular
+    for i, x0 in enumerate(starts):
+        xs, rs, why = serial_lm(resid, jac, x0, max_iter=30, target=1e-9)
+        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
+        assert reason[i] == why, i
+    assert reason[0] == reason[2] == CONVERGED
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_witness_matches_serial_search(name):
+    dim, ref, ms, kw = CASES[name]
+    rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, **kw)
+    outcomes, clusters, witness = serial_witness(name)
+    assert {k: getattr(rep, k) for k in OUTCOMES} == outcomes
+    assert len(rep.clusters) == len(clusters)
+    for got, (representative, count, dist) in zip(rep.clusters, clusters):
+        assert np.array_equal(got.representative, representative)
+        assert (got.count, got.distance_to_reference) == (count, dist)
+    assert (rep.witness is None) == (witness is None)
+    if witness is not None:
+        assert np.array_equal(rep.witness, witness)
+
+
+def test_restart_outcomes_sum_to_restarts():
+    seen = dict.fromkeys(OUTCOMES, 0)
+    for name, (dim, ref, ms, kw) in sorted(CASES.items()):
+        rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, **kw)
+        assert sum(getattr(rep, k) for k in OUTCOMES) == rep.restarts == RESTARTS, name
+        for k in OUTCOMES:
+            seen[k] += getattr(rep, k)
+    # the cases between them show every outcome
+    assert all(seen.values()), seen
+    # a restart that stops above its target but within residual_tol is
+    # converged, whatever stopped it: square-five's restarts that run out of
+    # iterations end within 1e-3
+    dim, ref, ms, _ = CASES["square-five"]
+    rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, residual_tol=1e-3)
+    assert rep.converged == RESTARTS and rep.exhausted == rep.stalled == 0
+
+
+def test_no_restarts_is_no_converged_restart():
+    dim, ref, ms, _ = CASES["square-four"]
+    with pytest.raises(NoConvergedRestarts):
+        point_set_witness(dim, ref, ms, restarts=0)
