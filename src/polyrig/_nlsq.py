@@ -1,15 +1,20 @@
 """Internal nonlinear least-squares helpers.
 
-Two solvers, both deterministic:
+Two solvers, both deterministic, and one rank certificate:
 
 * lm_solve: Levenberg-Marquardt for square-to-overdetermined *or*
   underdetermined zero-residual systems, run from a batch of starts at
   once. Used by restart-based witness searches, where targets sit on
   rank-deficient constraint varieties and convergence near them is linear
   rather than quadratic, hence the generous default iteration budget.
-* gauss_newton_project: minimum-norm Gauss-Newton iteration x -= pinv(J) r,
-  used to project a perturbed point back onto a constraint manifold while
-  moving as little as possible.
+* gauss_newton_project: minimum-norm Gauss-Newton iteration x -= dx with
+  dx the least-squares solution of J dx = r of least norm, used to project
+  a perturbed point back onto a constraint manifold while moving as little
+  as possible. A Jacobian whose full row rank a QR of J^T proves gets dx
+  from that QR; any other takes np.linalg.lstsq.
+* _qr_full_rank: one Householder QR that proves a matrix has full column
+  rank with a margin, or fails to; numeric_rank and the projection skip
+  their SVD when it succeeds.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 Residual = Callable[[np.ndarray], np.ndarray]
 Jacobian = Callable[[np.ndarray], np.ndarray]
@@ -121,15 +127,61 @@ def gauss_newton_project(
 
     Underdetermined systems get the least-squares min-norm step, so the
     iterate stays close to x0 instead of drifting along the manifold.
+    `jacobian` must return a new array on each call: the step may factor it
+    in place.
     """
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
         r = residual(x)
         if np.abs(r).max() <= target:
             return x, True
-        J = jacobian(x)
-        dx, *_ = np.linalg.lstsq(J, r, rcond=None)
-        x = x - dx
+        x = x - _min_norm_step(jacobian, x, r)
         if max_travel is not None and np.linalg.norm(x - x0) > max_travel:
             return x, False
     return x, bool(np.abs(residual(x)).max() <= target)
+
+
+def _min_norm_step(jacobian: Jacobian, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The least-squares solution dx of J(x) dx = r of least norm.
+
+    When J has no more rows than columns and a QR of J^T = QR proves full
+    row rank at lstsq's own cutoff, max(m, n) eps, dx = Q [R^-T r; 0], with
+    R^-T applied from the R^-1 of the proof; J is factored in place. Then
+    lstsq would keep every singular value and give the same dx. Any other J
+    is built again and goes to np.linalg.lstsq.
+    """
+    J = jacobian(x)
+    m, n = J.shape
+    if m <= n:
+        qr, tau, rinv, full = _qr_full_rank(J.T, max(m, n) * np.finfo(float).eps)
+        if full:
+            y = np.zeros((n, 1))
+            y[:m, 0] = blas.dtrmv(rinv, r, trans=1)
+            return lapack.dormqr("L", "N", qr, tau, y, 1, overwrite_c=True)[0][:, 0]
+        J = jacobian(x)
+    return np.linalg.lstsq(J, r, rcond=None)[0]
+
+
+def _qr_full_rank(
+    A: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Householder QR of A (m >= n) and whether it proves rank n;
+    (qr, tau, rinv, full).
+
+    A is factored in place when it is a Fortran-ordered float array. qr and
+    tau hold Q and R as dgeqrf leaves them, and rinv holds R^-1 in its upper
+    triangle (inverted in place, in qr itself when A is square). full is
+    True when 1 / ||R^-1||_F > 2 tol ||A||_F. That proves every singular
+    value of A exceeds 2 tol sigma_1: sigma_n >= 1 / ||R^-1||_2 >=
+    1 / ||R^-1||_F and sigma_1 <= ||A||_F. At numeric_rank's tolerance,
+    1e-9, the factorization's rounding error of about n eps ||A|| is far
+    below that margin, so the SVD would count n singular values above tol
+    sigma_1.
+    """
+    m, n = A.shape
+    norm = np.linalg.norm(A)
+    lwork = int(lapack.dgeqrf_lwork(m, n)[0])
+    qr, tau, _, _ = lapack.dgeqrf(A, lwork=lwork, overwrite_a=True)
+    rinv, info = lapack.dtrtri(qr[:n, :n], overwrite_c=True)
+    full = info == 0 and 1.0 / lapack.dlantr("F", rinv) > 2.0 * tol * norm
+    return qr, tau, rinv, bool(full)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._nlsq import EXHAUSTED, STALLED, gauss_newton_project, lm_solve
+from ._nlsq import EXHAUSTED, STALLED, _qr_full_rank, gauss_newton_project, lm_solve
 from .errors import (
     NoConvergedRestarts,
     NoKernelDirection,
@@ -138,10 +138,21 @@ def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarra
 
 
 def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
-    """Number of singular values above tol_rel times the largest one."""
+    """Number of singular values above tol_rel times the largest one.
+
+    A Householder QR of a copy of M, or of M^T when M is wide, first tries
+    to prove that all min(m, n) of them clear the cutoff, with a factor-2
+    margin (see _nlsq._qr_full_rank). When it does, that count is the
+    answer and no SVD is taken. A rank-deficient matrix, or one whose
+    smallest singular value lies too near the cutoff for the proof, gets
+    the count from an SVD.
+    """
     M = np.asarray(M, dtype=float)
     if M.size == 0:
         return 0
+    wide = M.shape[0] < M.shape[1]
+    if _qr_full_rank(np.array(M.T if wide else M, order="F"), tol_rel)[3]:
+        return min(M.shape)
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] <= 0.0:
         return 0
