@@ -187,11 +187,14 @@ def fit_realization(
 ) -> Realization:
     """Build a realization from vertex coordinates alone.
 
-    Recenters the coordinates at the vertex centroid, then least-squares
-    fits a x + b y + c z = 1 over each face's vertices. The fit residual
+    Recenters the coordinates at the vertex centroid, then takes each
+    face's plane from one SVD of its vertices about their mean m: the
+    normal n is the last right singular vector and the coefficients are
+    n / (n . m), so that a x + b y + c z = 1 on the plane. The fit residual
     |a x_i + ... - 1| is dimensionless; if it exceeds planarity_tol for
-    some face, NonPlanarFace is raised. Collinear face vertices raise
-    DegenerateFace.
+    some face, NonPlanarFace is raised. Collinear face vertices, and a face
+    plane through the vertex centroid (possible only off convex
+    position), raise DegenerateFace.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (poly.vertex_count, 3):
@@ -204,11 +207,14 @@ def fit_realization(
     planes = np.empty((poly.face_count, 3))
     for j, cycle in enumerate(poly.faces):
         pts = centered[list(cycle)]
-        spread = pts - pts.mean(axis=0)
-        svals = np.linalg.svd(spread, compute_uv=False)
+        mid = pts.mean(axis=0)
+        _, svals, Vt = np.linalg.svd(pts - mid, full_matrices=False)
         if svals[1] <= 1e-12 * scale:
             raise DegenerateFace(f"face {j} vertices are collinear")
-        n, *_ = np.linalg.lstsq(pts, np.ones(len(cycle)), rcond=None)
+        offset = Vt[2] @ mid
+        if abs(offset) <= 1e-12 * scale:
+            raise DegenerateFace(f"face {j} plane passes through the vertex centroid")
+        n = Vt[2] / offset
         residual = float(np.abs(pts @ n - 1.0).max())
         if residual > planarity_tol:
             raise NonPlanarFace(j, residual)

@@ -1,21 +1,26 @@
 """Rank-based sufficiency analysis of measurement sets.
 
 For a realization of a polyhedron with V vertices, F faces and E edges,
-the planarity map phi has a 2E x (3V+3F) Jacobian of rank 2E, and each
-measurement contributes one gradient row (dPsi). Every row annihilates
-the (3V+3F) x g matrix G whose columns generate the rigid-motion orbit
-(g = 6) or the similarity orbit (g = 7), so the stacked matrix has rank
-at most 3E = (3V+3F) - 6, respectively 3E - 1. Hitting that ceiling is
-equivalent to the measurements locally determining the realization up to
-the motion group, which reduces the geometric question to numeric rank.
-Every rank computation here runs on the tangent space ker d_phi, of
-dimension E + 6, from one SVD of d_phi: there the rows must reach rank E
-(E - 1 for similarity).
+the planarity map phi has a 2E x (3V+3F) Jacobian of rank 2E, so its
+kernel, the tangent space of planar-faced realizations, has dimension
+E + 6. Each measurement contributes one gradient row (dPsi), and every row
+annihilates the g motion generators: the rigid motions (g = 6) for
+congruence, plus uniform scaling (g = 7) for similarity. A distance pins
+the scale, so a similarity set that admits one is judged by the congruence
+test, with g = 6.
+
+The motions are deflated once per verdict: one SVD of d_phi gives a basis
+of its kernel, and one QR splits off the motions, leaving an orthonormal
+basis T of the E + 6 - g nontrivial first-order deformations. The
+measurements locally determine the realization up to the motion group
+exactly when their rows reach rank E + 6 - g on T, i.e. when the stack
+[d_phi; rows] reaches 3E + 6 - g; the shortfall is the flex dimension.
+This reduces the geometric question to numeric rank.
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
 row leaves the span built so far), a first-order flex witness for
-insufficient sets (perturb along a kernel direction orthogonal to G, then
+insufficient sets (step along a kernel direction of the rows on T, then
 project back onto the constraint set), and a restart-based global witness
 search for labeled point configurations, which covers claims that are
 invisible to first-order rank analysis.
@@ -24,7 +29,7 @@ invisible to first-order rank analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,24 +64,24 @@ SIMILARITY = "similarity"
 DEFAULT_TOL_REL = 1e-9
 
 
-def _motion_dim(mode: str) -> int:
+def _motion_dim(
+    mode: str, measurements: Sequence[Measurement3D], allow_scale_variant: bool
+) -> int:
+    """The dimension g of the motion group a verdict on `measurements` is
+    taken modulo: 6 for congruence, 7 for similarity, and 6 for a
+    similarity set holding a distance, which pins the scale."""
     if mode == CONGRUENCE:
         return 6
-    if mode == SIMILARITY:
+    if mode != SIMILARITY:
+        raise ValueError(f"mode must be {CONGRUENCE!r} or {SIMILARITY!r}, got {mode!r}")
+    if not any(isinstance(m, FaceDistance) for m in measurements):
         return 7
-    raise ValueError(f"mode must be {CONGRUENCE!r} or {SIMILARITY!r}, got {mode!r}")
-
-
-def _check_mode_pool(
-    measurements: Sequence[Measurement3D], mode: str, allow_scale_variant: bool
-) -> None:
-    if mode == SIMILARITY and not allow_scale_variant:
-        for m in measurements:
-            if isinstance(m, FaceDistance):
-                raise ValueError(
-                    "similarity mode expects scale-invariant (angle) measurements; "
-                    "pass allow_scale_variant=True to include distances anyway"
-                )
+    if not allow_scale_variant:
+        raise ValueError(
+            "similarity mode expects scale-invariant (angle) measurements; "
+            "pass allow_scale_variant=True to include distances anyway"
+        )
+    return 6
 
 
 def _unit_diameter(real: Realization) -> Realization:
@@ -86,36 +91,27 @@ def _unit_diameter(real: Realization) -> Realization:
 # --- generator matrices -------------------------------------------------------
 
 
-def congruence_generators(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
-    """(3V+3F) x 6 matrix whose columns are the infinitesimal rigid motions.
+def motion_generators(real: Realization, g: int) -> np.ndarray:
+    """(3V+3F) x g matrix whose columns are the infinitesimal motions: the
+    six rigid motions, then uniform scaling when g = 7.
 
     Translation along axis e moves every vertex by e and every plane
     coefficient vector n by -(n.e) n; rotation with angular velocity w moves
-    a vertex p by w x p and a plane vector n by w x n.
+    a vertex p by w x p and a plane vector n by w x n; scaling moves a
+    vertex by p and a plane vector by -n.
     """
     X, P = real.vertices, real.planes
     nv = 3 * real.vertex_count
-    G = np.zeros((nv + 3 * real.face_count, 6))
+    G = np.zeros((nv + 3 * real.face_count, g))
     for axis in range(3):
         G[axis:nv:3, axis] = 1.0
         G[nv:, axis] = (-P[:, axis : axis + 1] * P).ravel()
     for k, omega in enumerate(np.eye(3)):
         G[:nv, 3 + k] = np.cross(np.broadcast_to(omega, X.shape), X).ravel()
         G[nv:, 3 + k] = np.cross(np.broadcast_to(omega, P.shape), P).ravel()
+    if g == 7:
+        G[:, 6] = np.concatenate([X.ravel(), -P.ravel()])
     return G
-
-
-def similarity_generators(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
-    """The six congruence columns plus uniform scaling: vertices move by
-    (x, y, z), plane coefficients by (-a, -b, -c)."""
-    scaling = np.concatenate([real.vertices.ravel(), -real.planes.ravel()])
-    return np.hstack([congruence_generators(poly, real), scaling[:, None]])
-
-
-def motion_generators(poly: AbstractPolyhedron, real: Realization, mode: str) -> np.ndarray:
-    if _motion_dim(mode) == 6:
-        return congruence_generators(poly, real)
-    return similarity_generators(poly, real)
 
 
 def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
@@ -137,6 +133,11 @@ def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarra
 # --- rank tests ---------------------------------------------------------------
 
 
+def _count_above(s: np.ndarray, tol_rel: float, top: float = 0.0) -> int:
+    """How many of s exceed tol_rel times the larger of top and max(s)."""
+    return int(np.count_nonzero(s > tol_rel * s.max(initial=top)))
+
+
 def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
     """Number of singular values above tol_rel times the largest one.
 
@@ -153,56 +154,26 @@ def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
     wide = M.shape[0] < M.shape[1]
     if _qr_full_rank(np.array(M.T if wide else M, order="F"), tol_rel)[3]:
         return min(M.shape)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol_rel * s[0]))
+    return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
-class _TangentRank(NamedTuple):
-    base: int  # rank of d_phi
-    basis: np.ndarray  # rows: an orthonormal basis N of ker d_phi
-    rank: int  # rank of [d_phi; rows], equal to base when no rows are given
-    flex: np.ndarray | None  # rows: ker [d_phi; rows] in N coordinates, when asked
+def _nontrivial_tangent(
+    poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
+) -> tuple[int, float, np.ndarray]:
+    """rank(d_phi), sigma_1(d_phi) and T at a unit-diameter realization.
 
-
-def _tangent_rank(
-    poly: AbstractPolyhedron,
-    scaled: Realization,
-    rows: np.ndarray | None,
-    tol_rel: float,
-    kernel: bool = False,
-) -> _TangentRank:
-    """Rank of the stack [d_phi; rows] at a unit-diameter realization,
-    computed on the tangent space ker d_phi.
-
-    One SVD of d_phi gives its rank `base` and an orthonormal basis N of its
-    kernel (the last 3V+3F - base rows of Vt), of dimension E + 6 for a
-    polyhedron. The stack's rank is base plus the numeric rank of the
-    reduced rows M = rows @ N.T, with singular values counted above tol_rel
-    times max(sigma_1(d_phi), sigma_1(M)). With kernel=True the right
-    singular vectors of M past its rank are returned too: N.T @ flex.T spans
-    the kernel of the stack.
+    The rows of T are an orthonormal basis of ker d_phi orthogonal to the g
+    motion generators G: the E + 6 - g nontrivial first-order deformations
+    of a polyhedron. One SVD of d_phi gives an orthonormal basis N of its
+    kernel (the last 3V+3F - rank rows of Vt); the last columns of one
+    complete QR of N G span the complement of the motions in N coordinates.
+    Measurement rows annihilate G, so rows @ T.T has the rank of rows @ N.T.
     """
     _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
-    base = int(np.count_nonzero(s > tol_rel * s[0]))
+    base = _count_above(s, tol_rel)
     N = Vt[base:]
-    if rows is None:
-        return _TangentRank(base, N, base, None)
-    M = rows @ N.T
-    if kernel:
-        # Vt of M must be square to hold the kernel; with more rows than
-        # columns the thin SVD already gives that, and U stays m x k
-        _, sm, VtM = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    else:
-        sm = np.linalg.svd(M, compute_uv=False)
-    top = max(s[0], sm[0]) if sm.size else s[0]
-    extra = int(np.count_nonzero(sm > tol_rel * top))
-    return _TangentRank(base, N, base + extra, VtM[extra:] if kernel else None)
-
-
-def _target_rank(poly: AbstractPolyhedron, g: int) -> int:
-    return 3 * poly.edge_count - (0 if g == 6 else 1)
+    Q, _ = np.linalg.qr(N @ motion_generators(scaled, g), mode="complete")
+    return base, s[0], Q[:, g:].T @ N
 
 
 @dataclass(frozen=True)
@@ -226,30 +197,29 @@ def is_sufficient(
     allow_scale_variant: bool = False,
 ) -> SufficiencyReport:
     """Rank test: the rank of d_phi stacked with the measurement gradient
-    rows, compared against 3E (congruence) or 3E - 1 (similarity).
+    rows, against the target 3E + 6 - g. That is 3E for congruence and
+    3E - 1 for similarity; a similarity set holding a distance (admitted
+    only with allow_scale_variant) is judged by the congruence test.
 
     The model is rescaled to unit diameter, so tol_rel acts on a
-    well-conditioned matrix regardless of input units. The rank is taken on
-    the tangent space ker d_phi: the rank of d_phi (2E) plus the numeric
-    rank of the rows reduced to it, with the cutoff tol_rel times the larger
-    of the top singular values of d_phi and of the reduced rows.
+    well-conditioned matrix regardless of input units. The rank is the rank
+    of d_phi (2E) plus the numeric rank of the rows on the E + 6 - g
+    nontrivial tangent directions T, counted above tol_rel times the larger
+    of sigma_1(d_phi) and their own sigma_1; flex_dimension = target - rank.
     """
-    g = _motion_dim(mode)
-    _check_mode_pool(measurements, mode, allow_scale_variant)
+    g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    rows = gradient_rows(measurements, scaled)
-    rank = _tangent_rank(poly, scaled, rows, tol_rel).rank
-    target = _target_rank(poly, g)
-    # rank > target happens only in similarity mode with scale-variant
-    # measurements admitted: scale is then pinned too, which determines the
-    # shape a fortiori, so the flex count is clamped rather than negative
+    base, top, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    sm = np.linalg.svd(gradient_rows(measurements, scaled) @ T.T, compute_uv=False)
+    rank = base + _count_above(sm, tol_rel, top)
+    target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
         edge_count=poly.edge_count,
         achieved_rank=rank,
         target_rank=target,
         sufficient=rank >= target,
-        flex_dimension=max(0, rows.shape[1] - rank - g),
+        flex_dimension=target - rank,
         selected=None,
         tolerance_used=tol_rel,
     )
@@ -266,28 +236,26 @@ def greedy_minimal_subset(
     """Scan the pool once, keeping a measurement exactly when its gradient
     row is independent of the span of d_phi plus rows kept so far.
 
-    The scan runs on the tangent space ker d_phi, where the span of d_phi is
-    zero: each row is reduced to it once, and the row is accepted when its
-    component orthogonal to the reduced rows kept so far exceeds tol_rel
-    times the full row norm (with one reorthogonalization pass for
-    stability). When the pool is sufficient, the selection has exactly
-    targetRank - 2E elements: E measurements for congruence, E - 1 for
-    similarity.
+    The scan runs on the nontrivial tangent directions T, where the span of
+    d_phi and the motions are zero: each row is reduced to them once, and
+    the row is accepted when its component orthogonal to the reduced rows
+    kept so far exceeds tol_rel times the full row norm (with one
+    reorthogonalization pass for stability). The motion group is decided
+    by the whole pool. When the pool is sufficient, the selection has
+    exactly targetRank - 2E elements: E measurements for congruence, E - 1
+    for similarity by angles.
     """
-    g = _motion_dim(mode)
-    _check_mode_pool(pool, mode, allow_scale_variant)
+    g = _motion_dim(mode, pool, allow_scale_variant)
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
     rows = gradient_rows(pool, scaled)
-    tangent = _tangent_rank(poly, scaled, None, tol_rel)
-    reduced = rows @ tangent.basis.T
-    # accepted residuals are orthonormal in E + 6 coordinates, and fewer
-    # than that many are needed to reach the target
-    basis = np.empty((reduced.shape[1], reduced.shape[1]))
+    rank, _, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    reduced = rows @ T.T
+    # accepted residuals are orthonormal in the E + 6 - g coordinates of T
+    basis = np.empty((len(T), len(T)))
 
-    target = _target_rank(poly, g)
-    rank = tangent.base
+    target = 3 * poly.edge_count + 6 - g
     selected: list[Measurement3D] = []
     for m, row, red in zip(pool, rows, reduced):
         if rank >= target:
@@ -310,7 +278,7 @@ def greedy_minimal_subset(
         achieved_rank=rank,
         target_rank=target,
         sufficient=rank == target,
-        flex_dimension=rows.shape[1] - rank - g,
+        flex_dimension=target - rank,
         selected=tuple(selected),
         tolerance_used=tol_rel,
     )
@@ -325,38 +293,35 @@ def flex_witness(
     measurements: Sequence[Measurement3D],
     mode: str = CONGRUENCE,
     step: float = 1e-2,
-    max_iter: int = 100,
     tol_rel: float = DEFAULT_TOL_REL,
     allow_scale_variant: bool = False,
 ) -> Realization | None:
     """Construct a nearby non-congruent realization with identical measurements.
 
-    Requires the set to be insufficient. Works at unit diameter: picks a
-    unit kernel direction of stack(d_phi, d_psi) orthogonal to the motion
-    generators, steps away by `step` (a fraction of the diameter), and
+    Requires the set to be insufficient. Works at unit diameter: takes a
+    unit kernel vector of the measurement rows on the nontrivial tangent
+    directions T of is_sufficient, which no motion of the group spans,
+    steps away along it by `step` (a fraction of the diameter), and
     Gauss-Newton-projects back onto {phi = 0, psi = psi(R)} to residual
-    1e-10. The kernel and the generators are handled in the coordinates of
-    ker d_phi, from the same rank computation as is_sufficient. Returns the
-    projected realization, scaled back to the input's units, when it is
-    genuinely non-congruent to the input (normalized vertex distance > 10 *
-    tol_rel diameters), or None when the projection slides back to the
-    start, the signature of a flex that exists to first order only.
+    1e-10. Returns the projected realization, scaled back to the input's
+    units, when it is genuinely non-congruent to the input (normalized
+    vertex distance > 10 * tol_rel diameters), or None when the projection
+    slides back to the start, the signature of a flex that exists to first
+    order only.
     """
-    g = _motion_dim(mode)
-    _check_mode_pool(measurements, mode, allow_scale_variant)
+    g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
-    tangent = _tangent_rank(poly, scaled, psi.rows(scaled), tol_rel, kernel=True)
-    if tangent.rank >= _target_rank(poly, g):
+    base, top, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    M = psi.rows(scaled) @ T.T
+    # Vt must be square to hold the kernel; with more rows than columns the
+    # thin SVD already gives that, and U stays m x k
+    _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    extra = _count_above(sm, tol_rel, top)
+    if base + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    N = tangent.basis
-    QG, _ = np.linalg.qr(N @ motion_generators(poly, scaled, mode))
-    K = tangent.flex.T - QG @ (QG.T @ tangent.flex.T)
-    Uk, sk, _ = np.linalg.svd(K, full_matrices=False)
-    if sk.size == 0 or sk[0] < 0.5:
-        raise NoKernelDirection("kernel contains only trivial motions")
-    u = N.T @ Uk[:, 0]
+    u = T.T @ Vt[extra]
     pivot = int(np.argmax(np.abs(u)))
     if u[pivot] < 0:
         u = -u
@@ -374,13 +339,10 @@ def flex_witness(
 
     x0 = scaled.coordinate_vector() + step * u
     x, ok = gauss_newton_project(
-        resid, jac, x0, max_iter=max_iter, target=1e-10,
-        max_travel=100.0 * (step + 1.0),
+        resid, jac, x0, target=1e-10, max_travel=100.0 * (step + 1.0)
     )
     if not ok:
-        raise ProjectionDiverged(
-            f"projection did not reach residual 1e-10 in {max_iter} iterations"
-        )
+        raise ProjectionDiverged("projection did not reach residual 1e-10")
     result = Realization.from_coordinate_vector(x, nv, nf)
     if normalized_distance(poly, scaled, result) > 10.0 * tol_rel:
         return result.rescaled(real.diameter())

@@ -54,10 +54,10 @@ from polyrig.polygon import (
 )
 from polyrig.rigidity import (
     SIMILARITY,
-    congruence_generators,
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
+    motion_generators,
     normalization_rows,
     numeric_rank,
     point_set_witness,
@@ -142,10 +142,10 @@ def test_criterion_05_generator_identities():
     for name, (poly, real) in _test_solids():
         pool = build_pool(poly, "all")
         stack = np.vstack([d_phi(poly, real), gradient_rows(pool, real)])
-        G = congruence_generators(poly, real)
+        G = motion_generators(real, 6)
         worst_prod = max(worst_prod, float(np.abs(stack @ G).max()))
         norm = normalize(poly, real)
-        D = normalization_rows(poly, norm) @ congruence_generators(poly, norm)
+        D = normalization_rows(poly, norm) @ motion_generators(norm, 6)
         v = norm.vertices
         want = (v[2, 1] - v[0, 1]) * (v[1, 0] - v[0, 0]) ** 2
         worst_det = max(worst_det, abs(np.linalg.det(D) - want) / abs(want))

@@ -82,6 +82,22 @@ def test_select_dodecahedron_similarity_angles(capsys, tmp_path):
     assert payload["achievedRank"] == payload["targetRank"] == 89
 
 
+def test_select_similarity_with_distances_is_the_congruence_test(capsys, cube_off):
+    # a distance pins the scale, so 11 face distances would leave the
+    # cube a flex that keeps them: greedy must go on to E = 12
+    code, out, _ = run(
+        capsys,
+        "select", cube_off,
+        "--pool", "all",
+        "--mode", "similarity",
+        "--allow-scale-variant",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["selected"]) == 12
+    assert payload["achievedRank"] == payload["targetRank"] == 36
+
+
 def test_select_insufficient_pool(capsys, cube_off):
     code, out, err = run(capsys, "select", cube_off, "--pool", "dihedrals")
     assert code == 1
@@ -325,6 +341,32 @@ def test_polygon_oracle_octagon_smoke(capsys):
     payload = json.loads(out)
     assert abs(payload["maxValue"] - payload["regularValue"]) < 1e-8
     assert payload["angleA5A1A8"] == pytest.approx(3 * np.pi / 8, abs=1e-7)
+
+
+# a triangular bipyramid with its lower apex pushed up to the vertex
+# centroid: the three lower faces are dents whose planes pass through it
+DENTED_BIPYRAMID_OFF = """OFF
+5 6 9
+2 0 0
+-1 2 0
+-1 -2 0
+0 0 4
+0 0 1
+3 0 1 3
+3 1 2 3
+3 2 0 3
+3 1 0 4
+3 2 1 4
+3 0 2 4
+"""
+
+
+def test_face_plane_through_the_centroid_exits_2(capsys, tmp_path):
+    path = tmp_path / "dented.off"
+    path.write_text(DENTED_BIPYRAMID_OFF)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert "DegenerateFace" in err and "vertex centroid" in err
 
 
 def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):

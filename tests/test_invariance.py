@@ -1,0 +1,86 @@
+"""Verdicts do not depend on where the solid sits, its unit of length, or
+how its vertices are numbered.
+
+Each example moves a solid by a random rotation and translation, scales it
+uniformly by 10^u with u in [-4, 4], and relabels its vertices, then
+compares the rank verdicts and the greedy selection size with those of the
+solid as generated.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+from polyrig.generators import hexahedron_family_a, hexahedron_family_b, platonic
+from polyrig.geometry import build_pool, fit_realization
+from polyrig.incidence import build_incidence
+from polyrig.rigidity import (
+    CONGRUENCE,
+    SIMILARITY,
+    greedy_minimal_subset,
+    is_sufficient,
+)
+
+SOLIDS = {
+    **{name: (platonic, (name,)) for name in (
+        "tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")},
+    "hexa-a(0.2)": (hexahedron_family_a, (0.2,)),
+    "hexa-a(-0.15)": (hexahedron_family_a, (-0.15,)),
+    "hexa-b(0.1,0.15)": (hexahedron_family_b, (0.1, 0.15)),
+    "hexa-b(-0.1,0.2)": (hexahedron_family_b, (-0.1, 0.2)),
+}
+
+POOLS = [
+    ("face-distances", CONGRUENCE),
+    ("edges-only", CONGRUENCE),
+    ("face-angles", SIMILARITY),
+]
+
+
+def _solid(name):
+    build, args = SOLIDS[name]
+    return build(*args)
+
+
+def _verdict(poly, real, pool_name, mode):
+    pool = build_pool(poly, pool_name)
+    report = is_sufficient(poly, real, pool, mode)
+    greedy = greedy_minimal_subset(poly, real, pool, mode)
+    return (
+        report.achieved_rank,
+        report.target_rank,
+        report.sufficient,
+        report.flex_dimension,
+        len(greedy.selected),
+    )
+
+
+@lru_cache(maxsize=None)
+def _reference(name, pool_name, mode):
+    return _verdict(*_solid(name), pool_name, mode)
+
+
+def _moved(poly, real, seed, scale):
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(poly.vertex_count)  # new vertex i is old perm[i]
+    label = np.argsort(perm)  # old vertex v is new label[v]
+    turn = Rotation.from_rotvec(rng.uniform(-np.pi, np.pi, 3)).as_matrix()
+    coords = scale * (real.vertices[perm] @ turn.T + rng.standard_normal(3))
+    moved = build_incidence([tuple(int(label[v]) for v in f) for f in poly.faces])
+    return moved, fit_realization(moved, coords)
+
+
+@pytest.mark.parametrize("pool_name,mode", POOLS)
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(sorted(SOLIDS)),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.floats(-4.0, 4.0),
+)
+def test_verdict_is_invariant(pool_name, mode, name, seed, exponent):
+    moved = _moved(*_solid(name), seed, 10.0**exponent)
+    assert _verdict(*moved, pool_name, mode) == _reference(name, pool_name, mode)

@@ -28,13 +28,12 @@ from polyrig.pointsets import Angle, Distance
 from polyrig.rigidity import (
     CONGRUENCE,
     SIMILARITY,
-    congruence_generators,
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
+    motion_generators,
     numeric_rank,
     point_set_witness,
-    similarity_generators,
 )
 
 PLATONIC_EDGES = {
@@ -65,14 +64,14 @@ def test_stack_annihilates_rigid_motions():
     poly, real = platonic("icosahedron")
     pool = build_pool(poly, "all")
     stack = np.vstack([d_phi(poly, real), gradient_rows(pool, real)])
-    G = congruence_generators(poly, real)
+    G = motion_generators(real, 6)
     assert G.shape[1] == 6
     assert np.abs(stack @ G).max() < 1e-8
 
 
 def test_angle_rows_annihilate_scaling():
     poly, real = platonic("dodecahedron")
-    s = similarity_generators(poly, real)[:, 6]
+    s = motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-angles") + build_pool(poly, "dihedrals")
     rows = np.vstack([d_phi(poly, real), gradient_rows(pool, real)])
     assert np.abs(rows @ s).max() < 1e-10
@@ -82,7 +81,7 @@ def test_distance_rows_are_degree_one_in_scale():
     # a distance gradient dotted with the scaling direction returns the
     # distance itself (Euler's relation for degree-1 homogeneous functions)
     poly, real = platonic("cube")
-    s = similarity_generators(poly, real)[:, 6]
+    s = motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-distances")
     rows = gradient_rows(pool, real)
     vals = evaluate_all(pool, real)
@@ -139,9 +138,38 @@ def test_similarity_mode_rejects_distances_by_default():
     report = is_sufficient(
         poly, real, pool, mode=SIMILARITY, allow_scale_variant=True
     )
-    assert report.sufficient  # distances pin scale and then some
-    assert report.achieved_rank == report.target_rank + 1
+    # distances pin the scale, so the set is judged by the congruence test
+    assert report.sufficient
+    assert report.achieved_rank == report.target_rank == 3 * poly.edge_count
     assert report.flex_dimension == 0
+
+
+@pytest.mark.parametrize("name", sorted(PLATONIC_EDGES))
+def test_similarity_with_distances_is_the_congruence_test(name):
+    # E - 1 face distances pin the scale but leave a one-dimensional flex,
+    # and a flex that keeps distances cannot be a similarity
+    poly, real = platonic(name)
+    pool = build_pool(poly, "face-distances")
+    kept = greedy_minimal_subset(poly, real, pool).selected[:-1]
+    report = is_sufficient(
+        poly, real, kept, mode=SIMILARITY, allow_scale_variant=True
+    )
+    assert not report.sufficient
+    assert report.target_rank == 3 * poly.edge_count
+    assert report.flex_dimension == 1
+    w = flex_witness(poly, real, kept, mode=SIMILARITY, allow_scale_variant=True)
+    assert w is not None
+    assert np.abs(evaluate_all(kept, w) - evaluate_all(kept, real)).max() < 1e-8
+    assert np.abs(phi(poly, w)).max() < 1e-8
+
+
+def test_empty_set_reports_the_whole_flex_space():
+    poly, real = platonic("cube")
+    for mode, g in ((CONGRUENCE, 6), (SIMILARITY, 7)):
+        report = is_sufficient(poly, real, [], mode=mode)
+        assert report.achieved_rank == 2 * poly.edge_count
+        assert not report.sufficient
+        assert report.flex_dimension == poly.edge_count + 6 - g
 
 
 def test_angles_never_reach_congruence():
