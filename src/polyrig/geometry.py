@@ -190,11 +190,13 @@ def fit_realization(
     Recenters the coordinates at the vertex centroid, then takes each
     face's plane from one SVD of its vertices about their mean m: the
     normal n is the last right singular vector and the coefficients are
-    n / (n . m), so that a x + b y + c z = 1 on the plane. The fit residual
+    n / (n . m), so that a x + b y + c z = 1 on the plane. Faces with the
+    same vertex count share one stacked SVD. The fit residual
     |a x_i + ... - 1| is dimensionless; if it exceeds planarity_tol for
     some face, NonPlanarFace is raised. Collinear face vertices, and a face
     plane through the vertex centroid (possible only off convex
-    position), raise DegenerateFace.
+    position), raise DegenerateFace. The error names the lowest-numbered
+    failing face, and the first of these three tests that it fails.
     """
     coords = np.asarray(coords, dtype=float)
     if coords.shape != (poly.vertex_count, 3):
@@ -204,21 +206,32 @@ def fit_realization(
     centered = coords - coords.mean(axis=0)
     scale = max(np.linalg.norm(centered, axis=1).max(), 1e-300)
 
-    planes = np.empty((poly.face_count, 3))
-    for j, cycle in enumerate(poly.faces):
-        pts = centered[list(cycle)]
-        mid = pts.mean(axis=0)
-        _, svals, Vt = np.linalg.svd(pts - mid, full_matrices=False)
-        if svals[1] <= 1e-12 * scale:
+    F = poly.face_count
+    planes = np.empty((F, 3))
+    collinear, through_centroid = np.zeros(F, dtype=bool), np.zeros(F, dtype=bool)
+    residual = np.zeros(F)
+    sizes = np.array([len(cycle) for cycle in poly.faces])
+    for k in np.unique(sizes):
+        ids = np.flatnonzero(sizes == k)
+        pts = centered[np.array([poly.faces[j] for j in ids])]
+        mid = pts.mean(axis=1)
+        _, svals, Vt = np.linalg.svd(pts - mid[:, None], full_matrices=False)
+        # a (1, 3) @ (3, 1) matmul rounds as a 1-D dot does, so the planes
+        # are those of a fit face by face
+        offset = (Vt[:, None, 2] @ mid[:, :, None])[:, 0, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            planes[ids] = Vt[:, 2] / offset[:, None]
+            residual[ids] = np.abs(pts @ planes[ids, :, None] - 1.0).max(axis=(1, 2))
+        collinear[ids] = svals[:, 1] <= 1e-12 * scale
+        through_centroid[ids] = np.abs(offset) <= 1e-12 * scale
+    bad = np.flatnonzero(collinear | through_centroid | (residual > planarity_tol))
+    if len(bad):
+        j = int(bad[0])
+        if collinear[j]:
             raise DegenerateFace(f"face {j} vertices are collinear")
-        offset = Vt[2] @ mid
-        if abs(offset) <= 1e-12 * scale:
+        if through_centroid[j]:
             raise DegenerateFace(f"face {j} plane passes through the vertex centroid")
-        n = Vt[2] / offset
-        residual = float(np.abs(pts @ n - 1.0).max())
-        if residual > planarity_tol:
-            raise NonPlanarFace(j, residual)
-        planes[j] = n
+        raise NonPlanarFace(j, float(residual[j]))
     return Realization(centered, planes)
 
 

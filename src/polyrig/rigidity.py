@@ -9,9 +9,11 @@ congruence, plus uniform scaling (g = 7) for similarity. A distance pins
 the scale, so a similarity set that admits one is judged by the congruence
 test, with g = 6.
 
-The motions are deflated once per verdict: one SVD of d_phi gives a basis
-of its kernel, and one QR splits off the motions, leaving an orthonormal
-basis T of the E + 6 - g nontrivial first-order deformations. The
+The motions are deflated once per verdict: one Householder QR of
+[d_phi^T G], G the motion generators, proves that d_phi has rank 2E and
+leaves, in its last E + 6 - g columns of Q, an orthonormal basis T of the
+nontrivial first-order deformations. A d_phi the QR cannot prove full
+rank takes an SVD instead, and a QR of its kernel basis against G. The
 measurements locally determine the realization up to the motion group
 exactly when their rows reach rank E + 6 - g on T, i.e. when the stack
 [d_phi; rows] reaches 3E + 6 - g; the shortfall is the flex dimension.
@@ -29,9 +31,10 @@ invisible to first-order rank analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import lapack
 
 from ._nlsq import EXHAUSTED, STALLED, _qr_full_rank, gauss_newton_project, lm_solve
 from .errors import (
@@ -79,7 +82,8 @@ def _motion_dim(
     if not allow_scale_variant:
         raise ValueError(
             "similarity mode expects scale-invariant (angle) measurements; "
-            "pass allow_scale_variant=True to include distances anyway"
+            "pass allow_scale_variant=True (--allow-scale-variant on the command "
+            "line) to include distances anyway"
         )
     return 6
 
@@ -157,23 +161,74 @@ def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
     return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
+@dataclass(frozen=True)
+class _Tangent:
+    """rank(d_phi), the orthonormal rows T of _nontrivial_tangent, a bracket
+    lo <= sigma_1(d_phi) <= hi, and sigma_1() to compute it exactly."""
+
+    rank: int
+    T: np.ndarray
+    lo: float
+    hi: float
+    sigma_1: Callable[[], float]
+
+    def count_above(self, s: np.ndarray, tol_rel: float) -> int:
+        """_count_above(s, tol_rel, sigma_1(d_phi)). The count is monotone
+        in the cutoff, so when lo and hi give the same count, so does
+        sigma_1, which is then not computed."""
+        count = _count_above(s, tol_rel, self.lo)
+        if count == _count_above(s, tol_rel, self.hi):
+            return count
+        return _count_above(s, tol_rel, self.sigma_1())
+
+
 def _nontrivial_tangent(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
-) -> tuple[int, float, np.ndarray]:
-    """rank(d_phi), sigma_1(d_phi) and T at a unit-diameter realization.
+) -> _Tangent:
+    """The nontrivial tangent space of d_phi at a unit-diameter realization.
 
     The rows of T are an orthonormal basis of ker d_phi orthogonal to the g
-    motion generators G: the E + 6 - g nontrivial first-order deformations
-    of a polyhedron. One SVD of d_phi gives an orthonormal basis N of its
-    kernel (the last 3V+3F - rank rows of Vt); the last columns of one
-    complete QR of N G span the complement of the motions in N coordinates.
+    motion generators G: the E + 6 - g nontrivial first-order deformations.
+    One Householder QR of A = [d_phi^T G] tries to prove with
+    _nlsq._qr_full_rank that A has full column rank 2E + g. Then
+    rank(d_phi) = 2E, the first 2E + g columns of Q span the rows of d_phi
+    and G, and the last E + 6 - g span their orthogonal complement, which
+    is T; dormqr applies Q to [0; I] to form them. sigma_1(d_phi) lies
+    between the largest column norm of d_phi and
+    sqrt(||d_phi||_1 ||d_phi||_inf); it is the largest singular value of
+    R's leading 2E x 2E block, taken only when a count needs it.
+
+    When the proof fails (a rank-deficient d_phi, or a smallest singular
+    value near the cutoff), one SVD of d_phi gives its rank, sigma_1 and an
+    orthonormal basis N of its kernel, and the last columns of one complete
+    QR of N G span the complement of the motions in N coordinates.
     Measurement rows annihilate G, so rows @ T.T has the rank of rows @ N.T.
     """
-    _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
-    base = _count_above(s, tol_rel)
-    N = Vt[base:]
-    Q, _ = np.linalg.qr(N @ motion_generators(scaled, g), mode="complete")
-    return base, s[0], Q[:, g:].T @ N
+    J = d_phi(poly, scaled)
+    m, n = J.shape
+    G = motion_generators(scaled, g)
+    A = np.empty((n, m + g), order="F")
+    A[:, :m] = J.T
+    A[:, m:] = G
+    qr, tau, _, full = _qr_full_rank(A, tol_rel)
+    if not full:
+        _, s, Vt = np.linalg.svd(J, full_matrices=True)
+        base = _count_above(s, tol_rel)
+        N = Vt[base:]
+        Q, _ = np.linalg.qr(N @ G, mode="complete")
+        return _Tangent(base, Q[:, g:].T @ N, s[0], s[0], lambda: s[0])
+
+    k = m + g
+    C = np.zeros((n, n - k), order="F")
+    C[k:] = np.eye(n - k)
+    lwork = int(lapack.dormqr("L", "N", qr, tau, C, -1)[1][0])
+    T = lapack.dormqr("L", "N", qr, tau, C, lwork, overwrite_c=True)[0].T
+    a = np.abs(J, out=J)
+    lo = np.sqrt(np.einsum("ij,ij->j", a, a).max())
+    hi = np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
+    return _Tangent(
+        m, T, lo, hi, lambda: np.linalg.svd(np.triu(qr[:m, :m]), compute_uv=False)[0]
+    )
 
 
 @dataclass(frozen=True)
@@ -209,9 +264,9 @@ def is_sufficient(
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    base, top, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
-    sm = np.linalg.svd(gradient_rows(measurements, scaled) @ T.T, compute_uv=False)
-    rank = base + _count_above(sm, tol_rel, top)
+    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    sm = np.linalg.svd(gradient_rows(measurements, scaled) @ tangent.T.T, compute_uv=False)
+    rank = tangent.rank + tangent.count_above(sm, tol_rel)
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -250,7 +305,8 @@ def greedy_minimal_subset(
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
     rows = gradient_rows(pool, scaled)
-    rank, _, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    rank, T = tangent.rank, tangent.T
     reduced = rows @ T.T
     # accepted residuals are orthonormal in the E + 6 - g coordinates of T
     basis = np.empty((len(T), len(T)))
@@ -312,13 +368,14 @@ def flex_witness(
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
-    base, top, T = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    T = tangent.T
     M = psi.rows(scaled) @ T.T
     # Vt must be square to hold the kernel; with more rows than columns the
     # thin SVD already gives that, and U stays m x k
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    extra = _count_above(sm, tol_rel, top)
-    if base + extra >= 3 * poly.edge_count + 6 - g:
+    extra = tangent.count_above(sm, tol_rel)
+    if tangent.rank + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
     u = T.T @ Vt[extra]

@@ -207,6 +207,21 @@ def test_witness_mesh_flexes_edges(capsys, tmp_path, cube_off):
     assert json.loads(out) == {"sufficient": True, "witness": None}
 
 
+def test_similarity_distances_error_names_the_cli_flag(capsys, tmp_path, cube_off):
+    from polyrig.geometry import build_pool
+    from polyrig.incidence import build_incidence
+
+    _, faces = read_off(open(cube_off).read())
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, err = run(
+        capsys, "witness", cube_off, "--measurements", str(ms), "--mode", "similarity"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--allow-scale-variant" in err
+
+
 def test_witness_point_config(capsys, tmp_path):
     cfg = _write(tmp_path, "square.json", SQUARE_POINTS)
     four_sides = {

@@ -6,10 +6,11 @@ from scipy.spatial.transform import Rotation
 
 from polyrig.errors import (
     CollinearFrame,
+    DegenerateFace,
     DegenerateMeasurement,
     NonPlanarFace,
 )
-from polyrig.generators import platonic
+from polyrig.generators import faces_from_convex_vertices, platonic
 from polyrig.geometry import (
     DihedralAngle,
     FaceAngle,
@@ -74,6 +75,73 @@ def test_fit_tolerance_is_relative_to_diameter(cube):
     with pytest.raises(NonPlanarFace):
         fit_realization(poly, coords)
 
+
+
+def _per_face_fit(poly, coords, planarity_tol=1e-9):
+    """One SVD per face: the planes, or the error of the first failing face."""
+    centered = coords - coords.mean(axis=0)
+    scale = max(np.linalg.norm(centered, axis=1).max(), 1e-300)
+    planes = np.empty((poly.face_count, 3))
+    for j, cycle in enumerate(poly.faces):
+        pts = centered[list(cycle)]
+        mid = pts.mean(axis=0)
+        _, svals, Vt = np.linalg.svd(pts - mid, full_matrices=False)
+        if svals[1] <= 1e-12 * scale:
+            return DegenerateFace, j
+        offset = Vt[2] @ mid
+        if abs(offset) <= 1e-12 * scale:
+            return DegenerateFace, j
+        planes[j] = Vt[2] / offset
+        residual = float(np.abs(pts @ planes[j] - 1.0).max())
+        if residual > planarity_tol:
+            return NonPlanarFace, j, residual
+    return planes
+
+
+def _batched_fit(poly, coords):
+    try:
+        return fit_realization(poly, coords).planes
+    except NonPlanarFace as exc:
+        return NonPlanarFace, exc.face, exc.residual
+    except DegenerateFace as exc:
+        return DegenerateFace, int(str(exc).split()[1])
+
+
+def _mixed_hull(seed):
+    # an n-gon prism with a pyramid on its top lid: n-gon, quad and triangle
+    # faces, moved by a random rotation and offset
+    rng = np.random.default_rng(seed)
+    n = 5 + seed % 5
+    t = 2.0 * np.pi * np.arange(n) / n
+    lid = np.column_stack([np.cos(t), np.sin(t), np.zeros(n)])
+    coords = np.vstack([lid, lid + [0.0, 0.0, 2.0], [[0.0, 0.0, 2.5]]])
+    return coords @ Rotation.random(random_state=seed).as_matrix().T + rng.standard_normal(3)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_plane_fit_is_the_per_face_fit(seed):
+    coords = _mixed_hull(seed)
+    poly = build_incidence(faces_from_convex_vertices(coords))
+    assert len({len(f) for f in poly.faces}) > 1
+    assert np.array_equal(_batched_fit(poly, coords), _per_face_fit(poly, coords))
+
+
+def test_fit_error_names_the_lowest_failing_face():
+    poly = build_incidence(CUBE_FACES)
+    rng = np.random.default_rng(2)
+    bent = CUBE_COORDS.copy()
+    bent[6, 2] += 1e-3  # faces 1, 3 and 4 leave their planes
+    collinear = CUBE_COORDS.copy()
+    collinear[[2, 3]] = [[2, 0, 0], [3, 0, 0]]  # face 0 on a line; others bend
+    cases = [bent, collinear] + [
+        CUBE_COORDS + 1e-6 * rng.standard_normal(CUBE_COORDS.shape) for _ in range(5)
+    ]
+    expected = [(NonPlanarFace, 1), (DegenerateFace, 0)]
+    for k, coords in enumerate(cases):
+        got, want = _batched_fit(poly, coords), _per_face_fit(poly, coords)
+        assert got[:3] == want[:3]
+        if k < len(expected):
+            assert got[:2] == expected[k]
 
 def test_d_phi_matches_finite_differences(cube):
     poly, real = cube
