@@ -12,9 +12,13 @@ Two solvers, both deterministic, and one rank certificate:
   a perturbed point back onto a constraint manifold while moving as little
   as possible. A Jacobian whose full row rank a QR of J^T proves gets dx
   from that QR; any other takes np.linalg.lstsq.
-* _qr_full_rank: one Householder QR that proves a matrix has full column
-  rank with a margin, or fails to; numeric_rank and the projection skip
-  their SVD when it succeeds.
+* _qr_full_rank: one Householder QR that proves a dense matrix has full
+  column rank with a margin, or fails to; numeric_rank and the projection
+  skip their SVD when it succeeds.
+* _gram_full_rank: the same proof for a sparse matrix, from one sparse LU
+  (SuperLU, no row interchanges) of its shifted Gram matrix; numeric_rank
+  tries it on sparse input and, when it fails, goes on to the dense QR and
+  then an SVD.
 """
 
 from __future__ import annotations
@@ -22,7 +26,9 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import blas, lapack
+from scipy.sparse.linalg import splu
 
 Residual = Callable[[np.ndarray], np.ndarray]
 Jacobian = Callable[[np.ndarray], np.ndarray]
@@ -185,3 +191,85 @@ def _qr_full_rank(
     rinv, info = lapack.dtrtri(qr[:n, :n], overwrite_c=True)
     full = info == 0 and 1.0 / lapack.dlantr("F", rinv) > 2.0 * tol * norm
     return qr, tau, rinv, bool(full)
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u the unit roundoff: the relative error of
+    k rounded operations in a row (Higham, Accuracy and Stability, 3.1)."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1.0 - k * u)
+
+
+def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
+    """Whether one sparse LU of a shifted Gram matrix proves that M has full
+    rank min(m, n), with the margin of _qr_full_rank; M is not changed.
+
+    A is M, or M^T when M is wide, scaled by a power of two so that its
+    largest entry lies in [1/2, 1), m x n with m >= n;
+    s = 2 fl(||A||_F^2) >= ||A||_F^2, and c is the longest column of A. SuperLU factors C = fl(A^T A) - mu I, with
+    mu = ((2 tol)^2 + 4 gamma_{n+2} + 4 gamma_{c+2}) s, in symmetric mode
+    with the diagonal always taken as pivot. The proof needs no row
+    interchange (perm_r == perm_c, so P C P^T = L U for one permutation P)
+    and every pivot d_j = u_jj positive. Then, for the computed factors:
+
+    * S = L D L^T, D = diag(d), is positive definite, being congruent to D
+      (Sylvester's law of inertia).
+    * A^T A - mu I = P^T S P - X with X = E1 + E2 + P^T (dA + L Delta) P,
+      symmetric as a difference of symmetric matrices. E1, the rounding of
+      fl(A^T A), has |E1| <= gamma_c |A^T| |A|, so ||E1|| <= gamma_c s; E2,
+      that of subtracting mu, is diagonal and at most u (2 s + mu).
+      dA = L U - P C P^T is the backward error of elimination,
+      |dA| <= gamma_{k+1} |L| |U| with k the longest row of L (Higham,
+      Thm 9.3, whose n counts the terms of each sum, which structural
+      zeros do not add to; the one more covers a division by reciprocal).
+      Delta = D L^T - U is what elimination leaves unequal between the two
+      triangles.
+    * |L| |U| <= |L| D |L^T| + |L| |Delta|. The first term is G G^T with
+      G = |L| D^(1/2), so its norm is at most its trace t = sum l_ij^2 d_j
+      (the argument of Rump, BIT 2006, for Cholesky). The second bounds
+      L Delta too, and its norm is at most lam = sqrt(||V||_1 ||V||_inf),
+      V = |L| W, where W = |fl(D L^T - U)| + u |U| is |Delta| up to
+      rounding; both norms of V come from products with a vector.
+    * By Weyl's inequality, lambda_min(A^T A) > mu - eps with
+      eps = gamma_c s + u (2 s + mu) + gamma_{k+1} (t + lam) + lam.
+
+    The proof holds when mu >= (2 tol)^2 s + 2 eps, with eps evaluated in
+    floating point; the factor 2 covers the rounding of t, lam and the test
+    itself. Then sigma_n(A)^2 > (2 tol)^2 s >= (2 tol sigma_1(A))^2. As
+    k <= n, mu leaves room for that whenever Delta is at rounding level.
+    Underflow, not counted above, adds at most 2^-1074 per operation, far
+    below mu >= 2^-50 (s >= 1/2 after the scaling).
+    Any failure (a row interchange, a pivot that is not positive, an
+    exactly singular factor, a margin too thin) returns False, and nothing
+    is claimed.
+    """
+    A = sparse.csc_matrix(M.T if M.shape[0] < M.shape[1] else M, dtype=float, copy=True)
+    A.sum_duplicates()
+    top = np.abs(A.data).max(initial=0.0)
+    if not 0.0 < top < np.inf:
+        return False
+    A.data = np.ldexp(A.data, -np.frexp(top)[1])
+    n = A.shape[1]
+    s = 2.0 * float(A.data @ A.data)
+    c = int(np.diff(A.indptr).max())
+    mu = ((2.0 * tol) ** 2 + 4.0 * (_gamma(n + 2) + _gamma(c + 2))) * s
+    C = (A.T @ A - mu * sparse.identity(n, format="csc")).tocsc()
+    try:
+        lu = splu(
+            C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:  # an exactly singular factor
+        return False
+    L, U = lu.L, lu.U
+    d = U.diagonal()
+    if not np.array_equal(lu.perm_r, lu.perm_c) or not (d > 0.0).all():
+        return False
+    u = np.finfo(float).eps / 2
+    k = int(np.bincount(L.indices).max())
+    t = float((L.multiply(L) @ d).sum())
+    W = abs(sparse.diags(d) @ L.T - U) + u * abs(U)
+    aL, one = abs(L), np.ones(n)
+    lam = np.sqrt((aL @ (W @ one)).max() * ((one @ aL) @ W).max())
+    eps = _gamma(c) * s + u * (2.0 * s + mu) + _gamma(k + 1) * (t + lam) + lam
+    return bool(mu >= (2.0 * tol) ** 2 * s + 2.0 * eps)

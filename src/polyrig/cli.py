@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -55,6 +56,17 @@ PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahed
 GENERATE_NAMES = PLATONIC_NAMES + ("hexa-a", "hexa-b", "staircase-ngon", "regular-ngon")
 # what the ids of each mesh measurement refer to
 _ID_KIND = {FaceDistance: "vertex", FaceAngle: "vertex", DihedralAngle: "face"}
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _check_tol(tol: float) -> float:
@@ -235,8 +247,8 @@ def _parse_angles(spec: str | None, needed: int) -> list[float]:
     if not spec:
         raise ParseError(f"--angles is required ({needed} comma-separated radians)")
     try:
-        angles = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
+        angles = [_finite_float(tok) for tok in spec.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
         raise ParseError(f"bad --angles {spec!r}: {exc}") from exc
     return angles
 
@@ -379,7 +391,7 @@ def _add_common(p: argparse.ArgumentParser, pool: bool = False) -> None:
     p.add_argument("--mode", choices=[CONGRUENCE, SIMILARITY], default=CONGRUENCE)
     if pool:
         p.add_argument("--pool", choices=POOL_CHOICES, default="face-distances")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=1e-9)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-scale-variant", action="store_true")
 
@@ -410,13 +422,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a generated model as OFF")
     p.add_argument("name", choices=GENERATE_NAMES)
-    p.add_argument("--q1", type=float, default=0.0)
-    p.add_argument("--q2", type=float, default=0.0)
+    p.add_argument("--q1", type=_finite_float, default=0.0)
+    p.add_argument("--q2", type=_finite_float, default=0.0)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--side", type=float, default=1.0)
-    p.add_argument("--base", type=float, default=1.0)
+    p.add_argument("--side", type=_finite_float, default=1.0)
+    p.add_argument("--base", type=_finite_float, default=1.0)
     p.add_argument("--angles", default=None)
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_finite_float, default=1.0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_generate)
 
@@ -426,9 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
     p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.5)
+    p.add_argument("--noise", type=_finite_float, default=0.5)
     p.add_argument(
-        "--step", type=float, default=1e-2,
+        "--step", type=_finite_float, default=1e-2,
         help="flex step of a mesh witness, as a fraction of the diameter",
     )
     p.add_argument("--allow-reflection", action="store_true")
@@ -440,19 +452,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = psub.add_parser("analyze", help="first-order sufficiency of a 2D set")
     q.add_argument("input")
     q.add_argument("--measurements", required=True)
-    q.add_argument("--tol", type=float, default=1e-9)
+    q.add_argument("--tol", type=_finite_float, default=1e-9)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_polygon_analyze)
 
     q = psub.add_parser("oracle", help="second-order determination oracles")
     q.add_argument("which", choices=["square", "right-quad", "max-diag", "octagon"])
-    q.add_argument("--d", type=float, default=1.0)
-    q.add_argument("--ab", type=float, default=1.0)
-    q.add_argument("--ad", type=float, default=1.0)
-    q.add_argument("--ac", type=float, default=2.0)
-    q.add_argument("--bd", type=float, default=1.0)
-    q.add_argument("--theta1", type=float, default=np.pi / 4)
-    q.add_argument("--theta2", type=float, default=np.pi / 4)
+    q.add_argument("--d", type=_finite_float, default=1.0)
+    q.add_argument("--ab", type=_finite_float, default=1.0)
+    q.add_argument("--ad", type=_finite_float, default=1.0)
+    q.add_argument("--ac", type=_finite_float, default=2.0)
+    q.add_argument("--bd", type=_finite_float, default=1.0)
+    q.add_argument("--theta1", type=_finite_float, default=np.pi / 4)
+    q.add_argument("--theta2", type=_finite_float, default=np.pi / 4)
     q.add_argument("--restarts", type=int, default=24)
     q.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
     q.add_argument("--out", default=None)
@@ -460,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = psub.add_parser("staircase", help="build a staircase polygon and its set")
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--base", type=float, default=1.0)
+    q.add_argument("--base", type=_finite_float, default=1.0)
     q.add_argument("--angles", required=True, help="comma-separated radians")
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_polygon_staircase)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DegenerateMeasurement
 
@@ -137,7 +138,8 @@ class MeasurementList:
     All difference vectors of the list are gathered, and their lengths
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the
-    length of the list.
+    length of the list. sparse_jacobian gives the Jacobian of one point
+    array as a CSR matrix, for lists too long for the dense one.
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
@@ -191,17 +193,23 @@ class MeasurementList:
         vals = np.concatenate(vals, axis=-1)
         return vals if self._order is None else vals.take(self._order, axis=-1)
 
-    def jacobian(self, points: np.ndarray) -> np.ndarray:
-        """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
-        (..., n, dim) point array; shape (..., size, n * dim)."""
-        P = np.asarray(points, dtype=float)
-        *batch, n, dim = P.shape
+    def _gradients(self, P: np.ndarray) -> np.ndarray:
+        """The gradient of each row's value with respect to each of its
+        difference vectors, shape (..., len(heads), dim)."""
         D, lens = self._vectors(P)
         G = np.empty_like(D)
         for fn, slices in self._blocks:
             grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], True)[1]
             for s, g in zip(slices, grads):
                 G[..., s, :] = g
+        return G
+
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
+        """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
+        (..., n, dim) point array; shape (..., size, n * dim)."""
+        P = np.asarray(points, dtype=float)
+        *batch, n, dim = P.shape
+        G = self._gradients(P)
         members = math.prod(batch)
         owners, ends = self._scatter
         J = np.zeros((members, self.size, n, dim))
@@ -211,6 +219,27 @@ class MeasurementList:
             np.concatenate([G, -G], axis=-2).reshape(members, len(owners), dim),
         )
         return J.reshape(*batch, self.size, n * dim)
+
+    def sparse_jacobian(self, points: np.ndarray) -> sparse.csr_matrix:
+        """The Jacobian on one (n, dim) point array as a CSR matrix, equal to
+        jacobian(points) entry for entry.
+
+        Each row stores the dim coordinates of every point it touches. The
+        terms that meet at one point of a row (the apex of an angle, p of a
+        coplanarity) are summed from zero in _scatter order, as jacobian
+        sums them.
+        """
+        P = np.asarray(points, dtype=float)
+        n, dim = P.shape
+        G = self._gradients(P)
+        owners, ends = self._scatter
+        cells, cell = np.unique(owners * n + ends, return_inverse=True)
+        data = np.zeros((len(cells), dim))
+        np.add.at(data, cell, np.concatenate([G, -G]))
+        rows, at = np.divmod(cells, n)
+        indptr = dim * np.searchsorted(rows, np.arange(self.size + 1))
+        indices = (dim * at[:, None] + np.arange(dim)).ravel()
+        return sparse.csr_matrix((data.ravel(), indices, indptr), shape=(self.size, n * dim))
 
 
 def measurement_value(m: SimpleMeasurement | Coplanar, points: np.ndarray) -> float:

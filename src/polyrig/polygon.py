@@ -65,6 +65,8 @@ class PointConfig2D:
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"points must be (n >= 2, 2), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         if np.abs(pts[0]).max() > 1e-12:
             raise ValueError("chart form requires A_1 = (0, 0)")
         if abs(pts[1, 1]) > 1e-12 or pts[1, 0] <= 0:
@@ -85,6 +87,8 @@ class PointConfig2D:
         """Chart-normalize an arbitrary labeled configuration by the proper
         rigid motion taking A_1 to the origin and A_2 onto the +x axis."""
         pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            raise ValueError("points must be finite")
         shifted = pts - pts[0]
         r = np.linalg.norm(shifted[1])
         if r <= 0.0:
@@ -109,10 +113,12 @@ class PointConfig2D:
         return PointConfig2D(pts)
 
 
-def _free_columns(J: np.ndarray) -> np.ndarray:
-    """Columns of a point Jacobian for the free chart coordinates
-    (x_2, x_3, y_3, ..., x_n, y_n)."""
-    return np.delete(J, [0, 1, 3], axis=1)
+def _free_columns(n: int) -> np.ndarray:
+    """Mask of the columns of an n-point Jacobian that belong to the free
+    chart coordinates (x_2, x_3, y_3, ..., x_n, y_n)."""
+    mask = np.ones(2 * n, dtype=bool)
+    mask[[0, 1, 3]] = False
+    return mask
 
 
 def evaluate2d(m: SimpleMeasurement, config: PointConfig2D) -> float:
@@ -121,7 +127,7 @@ def evaluate2d(m: SimpleMeasurement, config: PointConfig2D) -> float:
 
 def gradient2d(m: SimpleMeasurement, config: PointConfig2D) -> np.ndarray:
     """Gradient with respect to the free chart coordinates only."""
-    return _free_columns(MeasurementList([m]).jacobian(config.points))[0]
+    return MeasurementList([m]).jacobian(config.points)[0, _free_columns(config.n)]
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,15 @@ def sufficiency2d(
 ) -> Sufficiency2DReport:
     """First-order sufficiency: do the gradient rows span R^(2n-3)?
 
+    The gradient rows form one sparse matrix, a few nonzeros per row, and
+    numeric_rank proves full rank from a sparse factorization when it can.
     A deficient rank does not refute determination; sets that pin the
     configuration at second order (the square's four measurements, say)
     land here as "candidate for second-order determination" and are
     settled by oracles or witness searches instead.
     """
     scaled = config.points / diameter(config.points)
-    rows = _free_columns(MeasurementList(measurements).jacobian(scaled))
+    rows = MeasurementList(measurements).sparse_jacobian(scaled)[:, _free_columns(config.n)]
     rank = numeric_rank(rows, tol_rel)
     target = 2 * config.n - 3
     sufficient = rank == target
@@ -212,6 +220,12 @@ def _grid_max(
     return fval(res.x), config(res.x)
 
 
+def _require_finite(**params: float) -> None:
+    bad = [name for name, value in params.items() if not np.isfinite(value)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+
+
 def square_angle_oracle(d: float) -> tuple[float, np.ndarray]:
     """Maximize the angle B'C'D' over all configurations with
     |A'B'| = |A'D'| = d and |A'C'| = d sqrt(2).
@@ -222,6 +236,7 @@ def square_angle_oracle(d: float) -> tuple[float, np.ndarray]:
     circle parameters, then gradient refinement. Returns (maxAngle, argmax)
     with argmax rows (A, B, C, D).
     """
+    _require_finite(d=d)
     if d <= 0:
         raise ValueError("d must be positive")
     A = np.zeros(2)
@@ -241,6 +256,7 @@ def right_angle_quad_oracle(
     forces the right angles ABC = ADC = pi/2: the tangency quadrilateral is
     determined by four measurements although its rank test is deficient.
     """
+    _require_finite(ab=ab, ad=ad, ac=ac)
     if not (0 < ab < ac) or not (0 < ad < ac):
         raise InfeasibleRadii(
             f"need 0 < |AB| < |AC| and 0 < |AD| < |AC|, got {ab}, {ad}, {ac}"
@@ -263,6 +279,7 @@ def max_diagonal_oracle(
     theta1 = theta2 the maximizer is a rhombus. Returns (max|AC|, argmax)
     with rows (A, B, C, D).
     """
+    _require_finite(bd=bd, theta1=theta1, theta2=theta2)
     if bd <= 0:
         raise ValueError("|BD| must be positive")
     if not (0 < theta1 < np.pi / 2) or not (0 < theta2 < np.pi / 2):

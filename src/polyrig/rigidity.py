@@ -34,9 +34,17 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import lapack
 
-from ._nlsq import EXHAUSTED, STALLED, _qr_full_rank, gauss_newton_project, lm_solve
+from ._nlsq import (
+    EXHAUSTED,
+    STALLED,
+    _gram_full_rank,
+    _qr_full_rank,
+    gauss_newton_project,
+    lm_solve,
+)
 from .errors import (
     NoConvergedRestarts,
     NoKernelDirection,
@@ -142,17 +150,27 @@ def _count_above(s: np.ndarray, tol_rel: float, top: float = 0.0) -> int:
     return int(np.count_nonzero(s > tol_rel * s.max(initial=top)))
 
 
-def numeric_rank(M: np.ndarray, tol_rel: float = DEFAULT_TOL_REL) -> int:
+def numeric_rank(M: np.ndarray | sparse.spmatrix, tol_rel: float = DEFAULT_TOL_REL) -> int:
     """Number of singular values above tol_rel times the largest one.
 
-    A Householder QR of a copy of M, or of M^T when M is wide, first tries
-    to prove that all min(m, n) of them clear the cutoff, with a factor-2
-    margin (see _nlsq._qr_full_rank). When it does, that count is the
-    answer and no SVD is taken. A rank-deficient matrix, or one whose
-    smallest singular value lies too near the cutoff for the proof, gets
-    the count from an SVD.
+    A sparse M first goes to _nlsq._gram_full_rank: one sparse LU of the
+    shifted Gram matrix of M, or of M^T when M is wide, tries to prove that
+    all min(m, n) singular values clear the cutoff with a factor-2 margin.
+    When that fails, M is made dense. A dense M gets the same proof from a
+    Householder QR of a copy of M, or of M^T (see _nlsq._qr_full_rank). A
+    proof makes min(m, n) the answer, with no SVD taken; a rank-deficient
+    matrix, or one whose smallest singular value lies too near the cutoff
+    for the proofs, gets the count from an SVD. M must be finite.
     """
+    if sparse.issparse(M):
+        if not np.isfinite(M.data).all():
+            raise ValueError("numeric_rank needs a finite matrix")
+        if _gram_full_rank(M, tol_rel):
+            return min(M.shape)
+        M = M.toarray()
     M = np.asarray(M, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("numeric_rank needs a finite matrix")
     if M.size == 0:
         return 0
     wide = M.shape[0] < M.shape[1]

@@ -350,6 +350,33 @@ def test_polygon_oracle_right_quad(capsys):
     assert payload["angleADC"] == pytest.approx(np.pi / 2, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "argv, option, text",
+    [
+        (["polygon", "oracle", "square", "--d", "nan"], "--d", "nan"),
+        (["polygon", "oracle", "square", "--d", "inf"], "--d", "inf"),
+        (["polygon", "oracle", "max-diag", "--bd", "nan"], "--bd", "nan"),
+        (["polygon", "oracle", "right-quad", "--ac=-inf"], "--ac", "-inf"),
+        (["polygon", "staircase", "--n", "4", "--angles", "0.5,0.5", "--base", "nan"],
+         "--base", "nan"),
+        (["generate", "cube", "--scale", "1e999"], "--scale", "1e999"),
+        (["polygon", "oracle", "square", "--d", "one"], "--d", "one"),
+    ],
+)
+def test_non_finite_float_options_exit_2(capsys, argv, option, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {option}: expected a finite number, got {text!r}" in captured.err
+
+
+def test_non_finite_staircase_angle_exits_2(capsys):
+    code, out, err = run(capsys, "polygon", "staircase", "--n", "4", "--angles", "0.5,nan")
+    assert code == 2 and out == ""
+    assert "bad --angles '0.5,nan': expected a finite number, got 'nan'" in err
+
+
 def test_polygon_oracle_octagon_smoke(capsys):
     code, out, _ = run(capsys, "polygon", "oracle", "octagon", "--restarts", "3")
     assert code == 0

@@ -4,6 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from polyrig.errors import DegenerateMeasurement
 from polyrig.pointsets import (
@@ -112,6 +115,52 @@ def test_angle_gradient_invariant_to_translation_direction():
               Coplanar(0, 1, 2, 3)):
         g = measurement_gradient(m, pts).reshape(4, 3)
         assert np.abs(g.sum(axis=0)).max() < 1e-12
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# two terms at one point: an angle's apex, a diagonal angle whose segments
+# share an end; three: p of a coplanarity
+SPARSE_CASES = [
+    (
+        2,
+        [Distance(0, 3), Angle(1, 2, 4), DiagonalAngle(0, 5, 6, 2),
+         DiagonalAngle(1, 3, 3, 6), Distance(6, 1), Angle(4, 0, 3)],
+    ),
+    (3, [Coplanar(0, 1, 2, 3), Distance(4, 5), Angle(1, 0, 5), Coplanar(5, 2, 3, 4)]),
+    (2, []),
+]
+
+
+@pytest.mark.parametrize("dim, ms", SPARSE_CASES)
+def test_sparse_jacobian_is_the_dense_one_bit_for_bit(dim, ms):
+    P = np.random.default_rng(11).standard_normal((7, dim))
+    kernel = MeasurementList(ms)
+    S = kernel.sparse_jacobian(P)
+    assert S.format == "csr" and S.has_canonical_format
+    assert S.shape == (len(ms), 7 * dim)
+    assert np.array_equal(_bits(S.toarray()), _bits(kernel.jacobian(P)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4, unique=True), max_size=12),
+    st.lists(st.sampled_from([Distance, Angle, DiagonalAngle, Coplanar]), min_size=12, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+def test_sparse_jacobian_bits_on_random_lists(dim, ids, kinds, seed):
+    arity = {Distance: 2, Angle: 3, DiagonalAngle: 4, Coplanar: 4}
+    ms = [
+        kind(*quad[: arity[kind]])
+        for quad, kind in zip(ids, kinds)
+        if kind is not Coplanar or dim == 3
+    ]
+    P = np.random.default_rng(seed).standard_normal((6, dim))
+    kernel = MeasurementList(ms)
+    assert np.array_equal(_bits(kernel.sparse_jacobian(P).toarray()), _bits(kernel.jacobian(P)))
 
 
 def test_diameter():

@@ -35,6 +35,16 @@ def test_chart_validation():
         PointConfig2D(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_points_are_rejected(bad):
+    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+    square[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        PointConfig2D(square)
+    with pytest.raises(ValueError, match="finite"):
+        PointConfig2D.from_points(square + 0.5)
+
+
 def test_from_points_normalizes_any_frame():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(6, 2))
@@ -147,6 +157,16 @@ def test_right_angle_quad_oracle_feasibility():
         right_angle_quad_oracle(1.0, 1.5, 1.5)
     with pytest.raises(InfeasibleRadii):
         right_angle_quad_oracle(0.0, 1.0, 1.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_oracles_reject_non_finite_parameters(bad):
+    with pytest.raises(ValueError, match="d must be finite"):
+        square_angle_oracle(bad)
+    with pytest.raises(ValueError, match="ac must be finite"):
+        right_angle_quad_oracle(1.0, 1.0, bad)
+    with pytest.raises(ValueError, match="bd, theta2 must be finite"):
+        max_diagonal_oracle(bad, 0.5, bad)
 
 
 def test_max_diagonal_oracle_rhombus():

@@ -1,7 +1,8 @@
-"""The QR full-rank certificate behind numeric_rank and the flex projection.
+"""The full-rank certificates behind numeric_rank and the flex projection.
 
 `numeric_rank` counts singular values above tol_rel * sigma_1; when a
-Householder QR proves that all of them clear that cutoff it returns
+sparse LU of the shifted Gram matrix (sparse input) or a Householder QR
+(dense input) proves that all of them clear that cutoff it returns
 min(m, n) without an SVD. `gauss_newton_project` takes its minimum-norm
 step from a QR of J^T when that proves full row rank, and from lstsq
 otherwise. Both must give what the SVD-based computation gives.
@@ -12,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
-from polyrig._nlsq import _min_norm_step, _qr_full_rank, gauss_newton_project
+from polyrig import rigidity
+from polyrig._nlsq import _gram_full_rank, _min_norm_step, _qr_full_rank, gauss_newton_project
 from polyrig.generators import faces_from_convex_vertices, platonic
 from polyrig.geometry import (
     MeshMeasurements,
@@ -24,9 +27,14 @@ from polyrig.geometry import (
     phi,
 )
 from polyrig.incidence import build_incidence
-from polyrig.pointsets import Distance
-from polyrig.polygon import PointConfig2D, sufficiency2d
-from polyrig.rigidity import numeric_rank
+from polyrig.pointsets import Angle, Distance, MeasurementList, diameter
+from polyrig.polygon import (
+    PointConfig2D,
+    _free_columns,
+    staircase_measurements,
+    sufficiency2d,
+)
+from polyrig.rigidity import _count_above, numeric_rank
 
 TOL = 1e-9
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -80,11 +88,15 @@ def test_certificate_holds_for_full_rank_and_never_for_thin_products(n, extra, s
     assert not _qr_full_rank(np.array(thin * 10.0 ** u[:m], order="F"), TOL)[3]
 
 
-def _no_svd(monkeypatch):
+def _refuse(name):
     def refuse(*args, **kwargs):
-        raise AssertionError("numpy.linalg.svd called")
+        raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(np.linalg, "svd", refuse)
+    return refuse
+
+
+def _no_svd(monkeypatch):
+    monkeypatch.setattr(np.linalg, "svd", _refuse("numpy.linalg.svd"))
 
 
 def test_full_rank_takes_no_svd(monkeypatch):
@@ -106,6 +118,126 @@ def test_trilateration_rank_takes_no_svd(monkeypatch):
     _no_svd(monkeypatch)
     report = sufficiency2d(config, ms)
     assert report.achieved_rank == report.target_rank == 2 * n - 3
+
+
+# the sparse Gram certificate -----------------------------------------------------
+
+
+def _rows(points, ms):
+    """sufficiency2d's rows: the sparse Jacobian at unit diameter, on the
+    free chart columns."""
+    config = PointConfig2D.from_points(points)
+    scaled = config.points / diameter(config.points)
+    return MeasurementList(ms).sparse_jacobian(scaled)[:, _free_columns(config.n)]
+
+
+def _base_config(n, seed=4):
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(0.2, 1, n)])
+    pts[:, 1] *= rng.choice([-1.0, 1.0], n)
+    pts[0], pts[1] = (-1.5, 0.0), (1.5, 0.0)
+    return pts
+
+
+def _trilateration(n):
+    return [Distance(0, 1)] + [m for j in range(2, n) for m in (Distance(0, j), Distance(1, j))]
+
+
+def _three_counts(M):
+    """numeric_rank on sparse and on dense input, and the SVD count."""
+    dense = M.toarray()
+    svd = _count_above(np.linalg.svd(dense, compute_uv=False), TOL) if dense.size else 0
+    return numeric_rank(M, TOL), numeric_rank(dense, TOL), svd
+
+
+SQUARE_FOUR = (
+    np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float),
+    [Distance(0, 1), Distance(0, 2), Distance(0, 3), Angle(1, 2, 3)],
+)
+
+
+def _grey_trilateration(n=12):
+    # one point 1e-7 off the base line: its two distance rows are nearly
+    # parallel, sigma_min / sigma_1 ~ 3e-8, full rank at tol 1e-9 but too
+    # near the shift for the Gram proof
+    pts = _base_config(n)
+    pts[5] = (0.3, 1e-7)
+    return _rows(pts, _trilateration(n))
+
+
+@pytest.mark.parametrize(
+    "rows, proved, rank",
+    [
+        (lambda: _rows(_base_config(40), _trilateration(40)), True, 77),
+        (lambda: _rows(_base_config(40), staircase_measurements(40)), True, 40),
+        (lambda: _rows(*SQUARE_FOUR), False, 3),
+        (_grey_trilateration, False, 21),
+        (lambda: sparse.csr_matrix(np.eye(6, 4)[:, [0, 1, 3, 3]] * [1.0, 2.0, 0.0, 3.0]), False, 3),
+        (lambda: sparse.csr_matrix((0, 5)), False, 0),
+        (lambda: sparse.csr_matrix((5, 0)), False, 0),
+    ],
+    ids=["trilateration", "staircase-set", "square-four", "grey-zone", "zero-column",
+         "empty-rows", "empty-columns"],
+)
+def test_sparse_and_dense_ranks_are_the_svd_count(rows, proved, rank):
+    M = rows()
+    if min(M.shape):
+        assert _gram_full_rank(M, TOL) is proved
+    assert _three_counts(M) == (rank, rank, rank)
+
+
+def test_proved_sparse_rank_takes_no_qr_and_no_svd(monkeypatch):
+    wide = _rows(_base_config(40), staircase_measurements(40))
+    square = _rows(_base_config(40), _trilateration(40))
+    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
+    _no_svd(monkeypatch)
+    assert numeric_rank(wide) == 40
+    assert numeric_rank(square) == 77
+
+
+@st.composite
+def near_dependent(draw):
+    """A random sparse k x l matrix (k <= l), rows scaled by 10^u with u in
+    [-2, 2], whose last row is a combination of two others plus noise of
+    relative size 10^e, e in [-15, -1], on their pattern; transposed or
+    not, CSR or CSC."""
+    k, l = draw(st.integers(2, 10)), draw(st.integers(2, 14))
+    k, l = min(k, l), max(k, l)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = sparse.random(k, l, density=draw(st.floats(0.3, 0.9)), random_state=rng).toarray()
+    a, b = rng.standard_normal(2)
+    i, j = rng.choice(k - 1, 2) if k > 2 else (0, 0)
+    combo = a * M[i] + b * M[j]
+    noise = 10.0 ** draw(st.floats(-15.0, -1.0)) * rng.standard_normal(l) * (combo != 0)
+    M[-1] = combo + noise * np.abs(combo).max(initial=0.0)
+    M = M * 10.0 ** rng.uniform(-2.0, 2.0, (k, 1))
+    if draw(st.booleans()):
+        M = M.T
+    return sparse.csr_matrix(M) if draw(st.booleans()) else sparse.csc_matrix(M)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(near_dependent())
+def test_gram_proof_never_claims_more_than_the_svd(M):
+    before = M.copy()
+    svd = _count_above(np.linalg.svd(M.toarray(), compute_uv=False), TOL)
+    if _gram_full_rank(M, TOL):
+        assert svd == min(M.shape)
+    assert _three_counts(M) == (svd, svd, svd)
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(M, field), getattr(before, field))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_numeric_rank_rejects_non_finite_before_factoring(monkeypatch, bad):
+    M = np.eye(4)
+    M[2, 1] = bad
+    monkeypatch.setattr(rigidity, "_gram_full_rank", _refuse("_gram_full_rank"))
+    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
+    _no_svd(monkeypatch)
+    for arg in (M, sparse.csr_matrix(M)):
+        with pytest.raises(ValueError, match="finite"):
+            numeric_rank(arg)
 
 
 def test_deficient_rank_falls_back_to_the_svd(monkeypatch):
