@@ -1,15 +1,15 @@
 """Constructors for concrete test solids.
 
-Platonic solids come from their standard coordinate sets, with faces
-recovered from the convex hull (hull facets merged by plane, cycles
-ordered counterclockwise seen from outside). The two hexahedron families
-produce combinatorial cubes whose twelve face diagonals all have the same
-length: a base tetrahedron a_0..a_3 with edge sqrt(2) and an opposite
-tetrahedron b_i = b_0 - L a_i, where L is a rotation constrained so that
-all six quadrilateral faces are planar. Family a rotates about the (1,1,1)
-axis (one parameter), family b about an axis in the xy-plane (two
-parameters); each is valid on an explicit parameter region and degenerates
-on its boundary.
+Platonic solids come from their standard coordinate sets, with faces read
+from qhull's facet adjacency: neighbouring facets on one plane form a face,
+whose boundary is walked counterclockwise seen from outside. The two
+hexahedron families produce combinatorial cubes whose twelve face diagonals
+all have the same length: a base tetrahedron a_0..a_3 with edge sqrt(2) and
+an opposite tetrahedron b_i = b_0 - L a_i, where L is a rotation
+constrained so that all six quadrilateral faces are planar. Family a
+rotates about the (1,1,1) axis (one parameter), family b about an axis in
+the xy-plane (two parameters); each is valid on an explicit parameter
+region and degenerates on its boundary.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NonQuadFace, OutOfValidityRegion, UnknownName
 from .geometry import FaceDistance, Realization, evaluate_all, fit_realization
@@ -33,55 +33,54 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 def faces_from_convex_vertices(coords: np.ndarray) -> list[list[int]]:
     """Face cycles of the convex hull of `coords` (all points extreme).
 
-    Hull facets sharing a plane are merged into one polygonal face; each
-    cycle is ordered counterclockwise as seen from outside and starts at
-    its smallest vertex id. Faces are sorted by their vertex id sets, so
-    the output is deterministic.
+    Neighbouring hull facets whose planes agree to 1e-8 form one face; each
+    cycle runs counterclockwise seen from outside, from its smallest vertex
+    id, and faces are sorted by their vertex id sets. The hull is taken of
+    the points centred and scaled to unit size, so no unit changes a face.
+    Flat input and points that are not hull vertices raise ValueError.
     """
     coords = np.asarray(coords, dtype=float)
-    hull = ConvexHull(coords)
-    eqs = hull.equations
+    x = coords - (coords.min(axis=0) / 2 + coords.max(axis=0) / 2)
+    try:
+        hull = ConvexHull(x / (np.abs(x).max() or 1.0))
+    except QhullError as exc:
+        raise ValueError(f"flat or degenerate points: {str(exc).splitlines()[0]}") from exc
+    inner = np.setdiff1d(np.arange(len(x)), hull.vertices)
+    if inner.size:
+        raise ValueError(f"points {inner.tolist()} are not hull vertices")
 
-    # each facet joins the first face whose representative plane (its first
-    # facet's) agrees to 1e-8, tested against all representatives at once
-    reps = np.empty_like(eqs)
-    groups: list[set[int]] = []
-    for simplex, eq in zip(hull.simplices, eqs):
-        hit = np.flatnonzero(np.abs(reps[: len(groups)] - eq).max(axis=1) < 1e-8)
-        if hit.size:
-            groups[hit[0]].update(simplex)
-        else:
-            reps[len(groups)] = eq
-            groups.append(set(simplex))
+    # orient each triangle counterclockwise from outside: its edge j runs
+    # from vertex j to vertex j + 1, across from neighbour j + 2
+    x, eq, s = hull.points, hull.equations, hull.simplices
+    normal = np.cross(x[s[:, 1]] - x[s[:, 0]], x[s[:, 2]] - x[s[:, 0]])
+    flip = np.einsum("ij,ij->i", normal, eq[:, :3]) < 0
+    order = np.where(flip[:, None], [0, 2, 1], [0, 1, 2])
+    s = np.take_along_axis(s, order, 1)
+    across = np.roll(np.take_along_axis(hull.neighbors, order, 1), 1, axis=1)
 
-    faces = []
-    for eq, members in zip(reps, groups):
-        ids = sorted(members)
-        normal = eq[:3]
-        pts = coords[ids]
-        center = pts.mean(axis=0)
-        basis = _plane_basis(normal)
-        ang = np.arctan2((pts - center) @ basis[1], (pts - center) @ basis[0])
-        cycle = [ids[k] for k in np.argsort(ang)]
-        if _cycle_normal(coords, cycle) @ normal < 0:
-            cycle.reverse()
-        start = cycle.index(min(cycle))
-        faces.append(cycle[start:] + cycle[:start])
-    faces.sort(key=lambda c: sorted(c))
-    return faces
+    # neighbours on one plane share a label: their face's smallest facet id
+    same = np.abs(eq[:, None, :] - eq[across]).max(axis=2) < 1e-8
+    link = np.where(same, across, np.arange(len(s))[:, None])
+    label, prev = np.arange(len(s)), None
+    while prev is None or (label != prev).any():
+        prev, label = label, np.minimum(label, label[link].min(axis=1))
 
+    # an edge to another face bounds its own; sorted by (face, tail), each
+    # face's edges start at its smallest id and `nxt` follows the cycle
+    n, edge = len(x), ~same
+    face = np.broadcast_to(label[:, None], s.shape)[edge]
+    by_key = np.argsort(face * n + s[edge])
+    tail, head, face = s[edge][by_key], np.roll(s, -1, axis=1)[edge][by_key], face[by_key]
+    nxt = np.searchsorted(face * n + tail, face * n + head)
+    _, start, count = np.unique(face, return_index=True, return_counts=True)
+    walk = itertools.accumulate(range(count.max() - 1), lambda e, _: nxt[e], initial=start)
+    cycles = tail[np.column_stack(list(walk))]
+    inside = np.arange(cycles.shape[1]) < count[:, None]
 
-def _plane_basis(normal: np.ndarray) -> np.ndarray:
-    n = normal / np.linalg.norm(normal)
-    pick = np.eye(3)[np.argmin(np.abs(n))]
-    u = np.cross(n, pick)
-    u /= np.linalg.norm(u)
-    return np.vstack([u, np.cross(n, u)])
-
-
-def _cycle_normal(coords: np.ndarray, cycle: list[int]) -> np.ndarray:
-    # Newell's formula; robust for any simple planar polygon
-    return np.cross(coords[cycle], coords[cycle[1:] + cycle[:1]]).sum(axis=0)
+    # faces ordered by sorted vertex ids; no two share three, so padding never decides
+    rank = np.lexsort(np.sort(np.where(inside, cycles, n), axis=1).T[::-1])
+    flat, count = cycles[rank][inside[rank]].tolist(), count[rank].tolist()
+    return [flat[e - k : e] for e, k in zip(itertools.accumulate(count), count)]
 
 
 def mesh_volume(poly: AbstractPolyhedron, real: Realization) -> float:

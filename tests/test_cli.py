@@ -40,6 +40,15 @@ def test_generate_to_stdout(capsys):
     assert out.startswith("OFF\n4 4 6\n")
 
 
+@pytest.mark.parametrize("name", ["octahedron", "icosahedron", "cube"])
+@pytest.mark.parametrize("scale", ["1e-100", "1e100"])
+def test_generate_at_extreme_scales_keeps_the_faces(capsys, name, scale):
+    code, out, err = run(capsys, "generate", name, "--scale", scale)
+    assert code == 0 and err == ""
+    _, faces = read_off(out)
+    assert faces == read_off(run(capsys, "generate", name)[1])[1]
+
+
 def test_analyze_face_distances_sufficient(capsys, cube_off):
     code, out, _ = run(capsys, "analyze", cube_off)
     assert code == 0

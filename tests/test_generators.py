@@ -7,8 +7,6 @@ from scipy.spatial import ConvexHull
 from polyrig.errors import NonQuadFace, OutOfValidityRegion, UnknownName
 from polyrig.generators import (
     HEX_FACES,
-    _cycle_normal,
-    _plane_basis,
     TETRA_BASE,
     HexahedronParams,
     faces_from_convex_vertices,
@@ -100,26 +98,35 @@ def test_faces_from_convex_vertices_merges_coplanar_triangles():
     assert sizes == [4] * 6 + [6, 6]
 
 
+def _cross(a, b):
+    # np.cross, without its per-call axis handling
+    return a[..., [1, 2, 0]] * b[..., [2, 0, 1]] - a[..., [2, 0, 1]] * b[..., [1, 2, 0]]
+
+
 def _faces_by_pairwise_merge(coords):
-    # each facet compared with every face found so far, one plane at a time
+    # each facet joins the first face whose first facet's plane agrees to
+    # 1e-8; each face is ordered by angle about its centre and oriented by
+    # Newell's formula
     hull = ConvexHull(coords)
-    groups = []
+    reps, groups = np.empty_like(hull.equations), []
     for simplex, eq in zip(hull.simplices, hull.equations):
-        for geq, members in groups:
-            if np.abs(geq - eq).max() < 1e-8:
-                members.update(simplex)
-                break
+        hit = np.flatnonzero(np.abs(reps[: len(groups)] - eq).max(axis=1) < 1e-8)
+        if hit.size:
+            groups[hit[0]].update(simplex)
         else:
-            groups.append((eq, set(simplex)))
+            reps[len(groups)] = eq
+            groups.append(set(simplex))
     faces = []
-    for eq, members in groups:
+    for eq, members in zip(reps, groups):
         ids = sorted(members)
-        pts = coords[ids]
-        center = pts.mean(axis=0)
-        basis = _plane_basis(eq[:3])
-        ang = np.arctan2((pts - center) @ basis[1], (pts - center) @ basis[0])
-        cycle = [ids[k] for k in np.argsort(ang)]
-        if _cycle_normal(coords, cycle) @ eq[:3] < 0:
+        n = eq[:3] / np.linalg.norm(eq[:3])
+        u = _cross(n, np.eye(3)[np.argmin(np.abs(n))])
+        u /= np.linalg.norm(u)
+        w = _cross(n, u)
+        pts = coords[ids] - coords[ids].mean(axis=0)
+        cycle = [ids[k] for k in np.argsort(np.arctan2(pts @ w, pts @ u))]
+        newell = _cross(coords[cycle], coords[cycle[1:] + cycle[:1]]).sum(axis=0)
+        if newell @ eq[:3] < 0:
             cycle.reverse()
         start = cycle.index(min(cycle))
         faces.append(cycle[start:] + cycle[:start])
@@ -127,23 +134,71 @@ def _faces_by_pairwise_merge(coords):
     return faces
 
 
-@pytest.mark.parametrize("V", [50, 100])
-def test_faces_from_convex_vertices_matches_pairwise_merge(V):
+def _prism(n):
+    t = 2.0 * np.pi * np.arange(n) / n
+    ring = np.column_stack([np.cos(t), np.sin(t)])
+    return np.vstack([np.c_[ring, np.zeros(n)], np.c_[ring, np.ones(n)]])
+
+
+def _sphere_hulls(V):
     rng = np.random.default_rng(V)
-    for _ in range(3):
+    for _ in range(4):
         p = rng.standard_normal((V, 3))
         p /= np.linalg.norm(p, axis=1, keepdims=True)
-        coords = rng.uniform(0.5, 2.0) * p + rng.uniform(-1.0, 1.0, size=3)
-        assert faces_from_convex_vertices(coords) == _faces_by_pairwise_merge(coords)
+        yield rng.uniform(0.5, 2.0) * p + rng.uniform(-1.0, 1.0, size=3)
+
+
+SIZING_INPUTS = {
+    **{str(V): lambda V=V: _sphere_hulls(V) for V in (50, 100, 200, 400, 800, 1600)},
+    "platonic": lambda: (
+        platonic(name)[1].vertices * scale
+        for name in sorted(COUNTS)
+        for scale in (1e-4, 1.0, 1e4)
+    ),
+    "prisms": lambda: (_prism(n) for n in (3, 6, 24)),
+    "hexahedra": lambda: (
+        real.vertices
+        for _, real in [hexahedron_family_a(q) for q in (0.0, 0.1, -0.15, 0.28)]
+        + [hexahedron_family_b(*q) for q in ((0.1, 0.0), (0.15, 0.1), (0.3, -0.2))]
+    ),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(SIZING_INPUTS))
+def test_faces_from_convex_vertices_matches_pairwise_merge(inputs):
+    for coords in SIZING_INPUTS[inputs]():
+        faces = faces_from_convex_vertices(coords)
+        assert faces == _faces_by_pairwise_merge(coords)
+        assert all(type(i) is int for cycle in faces for i in cycle)
 
 
 def test_faces_from_convex_vertices_prism_matches_pairwise_merge():
-    t = 2.0 * np.pi * np.arange(24) / 24
-    ring = np.column_stack([np.cos(t), np.sin(t)])
-    coords = np.vstack([np.c_[ring, np.zeros(24)], np.c_[ring, np.ones(24)]])
+    coords = _prism(24)
     faces = faces_from_convex_vertices(coords)
     assert sorted(len(c) for c in faces) == [4] * 24 + [24, 24]
     assert faces == _faces_by_pairwise_merge(coords)
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS))
+def test_faces_from_convex_vertices_do_not_depend_on_scale(name):
+    coords = platonic(name)[1].vertices
+    faces = faces_from_convex_vertices(coords)
+    for k in range(-300, 301, 20):
+        assert faces_from_convex_vertices(coords * 10.0**k) == faces, k
+
+
+def test_faces_from_convex_vertices_rejects_flat_input():
+    square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [0.5, 0.5, 0]])
+    for coords in (square, square[:3] + 1e300, np.zeros((5, 3))):
+        with pytest.raises(ValueError, match="flat or degenerate"):
+            faces_from_convex_vertices(coords)
+
+
+def test_faces_from_convex_vertices_names_points_off_the_hull():
+    coords = platonic("cube")[1].vertices
+    inside = np.vstack([coords[:3], [[0.0, 0.0, 0.0]], coords[3:], [[0.1, 0.0, 0.0]]])
+    with pytest.raises(ValueError, match=r"points \[3, 9\] are not hull vertices"):
+        faces_from_convex_vertices(inside)
 
 
 # hexahedron families --------------------------------------------------------
