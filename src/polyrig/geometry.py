@@ -16,8 +16,8 @@ vertices sharing a face, angles at a face corner, and interior dihedral
 angles along an edge. evaluate_all/gradient_rows give the values and the
 exact gradient rows with respect to the full coordinate vector
 (x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1, ..., a_F, b_F, c_F),
-computed by the point-set kernel of pointsets on the stacked points
-[vertices; planes; origin].
+computed by the point-set kernel of pointsets on the vertices or, for a
+set holding a dihedral, on the stacked points [vertices; planes; origin].
 """
 
 from __future__ import annotations
@@ -34,7 +34,15 @@ from .errors import (
     NonPlanarFace,
 )
 from .incidence import AbstractPolyhedron
-from .pointsets import Angle, DiagonalAngle, Distance, MeasurementList, _dot, diameter
+from .pointsets import (
+    Angle,
+    DiagonalAngle,
+    Distance,
+    MeasurementList,
+    _dot,
+    _field_ids,
+    diameter,
+)
 
 PLANARITY_TOL = 1e-9
 
@@ -96,9 +104,6 @@ class FaceDistance:
     v: int
     w: int
 
-    def on_stack(self, vertex_count: int, face_count: int) -> Distance:
-        return Distance(self.v, self.w)
-
 
 @dataclass(frozen=True)
 class FaceAngle:
@@ -108,9 +113,6 @@ class FaceAngle:
     end1: int
     end2: int
 
-    def on_stack(self, vertex_count: int, face_count: int) -> Angle:
-        return Angle(self.end1, self.apex, self.end2)
-
 
 @dataclass(frozen=True)
 class DihedralAngle:
@@ -118,11 +120,6 @@ class DihedralAngle:
 
     f: int
     g: int
-
-    def on_stack(self, vertex_count: int, face_count: int) -> DiagonalAngle:
-        # pi minus the angle between P_f and P_g: the angle of P_f - O, O - P_g
-        origin = vertex_count + face_count
-        return DiagonalAngle(origin, vertex_count + self.f, vertex_count + self.g, origin)
 
 
 Measurement3D = FaceDistance | FaceAngle | DihedralAngle
@@ -187,11 +184,13 @@ def fit_realization(
 ) -> Realization:
     """Build a realization from vertex coordinates alone.
 
-    Recenters the coordinates at the vertex centroid, then takes each
-    face's plane from one SVD of its vertices about their mean m: the
-    normal n is the last right singular vector and the coefficients are
-    n / (n . m), so that a x + b y + c z = 1 on the plane. Faces with the
-    same vertex count share one stacked SVD. The fit residual
+    Divides the coordinates by a power of two just above their largest
+    absolute value, so that a fit in any unit is the unit-size fit scaled,
+    and recenters them at the vertex centroid. Each face's plane comes
+    from one SVD of its vertices about their mean m: the normal n is the
+    last right singular vector and the coefficients are n / (n . m), so
+    that a x + b y + c z = 1 on the plane. Faces with the same vertex count
+    share one stacked SVD. The fit residual
     |a x_i + ... - 1| is dimensionless; if it exceeds planarity_tol for
     some face, NonPlanarFace is raised. Collinear face vertices, and a face
     plane through the vertex centroid (possible only off convex
@@ -203,7 +202,11 @@ def fit_realization(
         raise ValueError(
             f"expected coords of shape {(poly.vertex_count, 3)}, got {coords.shape}"
         )
-    centered = coords - coords.mean(axis=0)
+    # fit at unit size, where no square overflows or underflows; dividing by
+    # a power of two is exact, so the fit is the one in the input's units
+    unit = np.ldexp(1.0, int(np.frexp(np.abs(coords).max(initial=0.0))[1]))
+    centered = coords / unit
+    centered -= centered.mean(axis=0)
     scale = max(np.linalg.norm(centered, axis=1).max(), 1e-300)
 
     F = poly.face_count
@@ -232,7 +235,7 @@ def fit_realization(
         if through_centroid[j]:
             raise DegenerateFace(f"face {j} plane passes through the vertex centroid")
         raise NonPlanarFace(j, float(residual[j]))
-    return Realization(centered, planes)
+    return Realization(centered * unit, planes / unit)
 
 
 # --- incidence constraint map ------------------------------------------------
@@ -268,32 +271,71 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 # --- measurement evaluation ---------------------------------------------------
 
 
-class MeshMeasurements:
-    """Mesh measurements compiled once onto the stacked points
-    [vertices; planes; origin] of a realization.
+# the point measurement each mesh measurement is, and the fields that give
+# its point ids (a dihedral's are shifted past the vertices, see below)
+_ON_POINTS = {
+    FaceDistance: (Distance, ("v", "w")),
+    FaceAngle: (Angle, ("end1", "apex", "end2")),
+    DihedralAngle: (DiagonalAngle, ("f", "g")),
+}
 
-    On that stack a face distance is a point distance, a face angle a point
-    angle and a dihedral the angle between P_f - O and O - P_g, so the one
-    point-set kernel serves meshes too. Gradients drop the fixed origin.
+
+class MeshMeasurements:
+    """Mesh measurements compiled once onto the points of a realization.
+
+    A face distance is a point distance and a face angle a point angle of
+    the vertices. A dihedral is the angle between P_f - O and O - P_g on the
+    stacked points [vertices; planes; origin], so a set holding one is
+    compiled onto that stack, and any other onto the vertices alone; the
+    one point-set kernel serves meshes too. The index arrays are built by
+    measurement type, not measurement by measurement.
     """
 
     def __init__(
         self, measurements: Sequence[Measurement3D], vertex_count: int, face_count: int
     ):
-        self.kernel = MeasurementList(
-            [m.on_stack(vertex_count, face_count) for m in measurements]
-        )
+        rows: dict[type, list[int]] = {}
+        for r, m in enumerate(measurements):
+            if type(m) not in _ON_POINTS:
+                raise TypeError(f"not a mesh measurement: {m!r}")
+            rows.setdefault(type(m), []).append(r)
+        #: whether the plane coefficients enter: only dihedrals use them
+        self.uses_planes = DihedralAngle in rows
+        ids = {}
+        for cls, r in rows.items():
+            kind, names = _ON_POINTS[cls]
+            items = measurements if len(r) == len(measurements) else [measurements[i] for i in r]
+            f = _field_ids(items, names)
+            if cls is DihedralAngle:
+                # pi minus the angle between P_f and P_g: the angle of P_f - O, O - P_g
+                o = np.full((len(r), 1), vertex_count + face_count)
+                f = np.hstack([o, f + vertex_count, o])
+            ids[kind] = (r, f)
+        self.kernel = MeasurementList.from_ids(len(measurements), ids)
+        self._width = 3 * (vertex_count + face_count if self.uses_planes else vertex_count)
 
-    @staticmethod
-    def _stack(real: Realization) -> np.ndarray:
+    def _points(self, real: Realization) -> np.ndarray:
+        if not self.uses_planes:
+            return real.vertices
         return np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
 
     def values(self, real: Realization) -> np.ndarray:
-        return self.kernel.values(self._stack(real))
+        return self.kernel.values(self._points(real))
+
+    def jacobian(self, real: Realization) -> np.ndarray:
+        """Gradient rows wrt the coordinates the set uses: the vertex
+        coordinates (m, 3V), followed by the plane coefficients (m, 3V + 3F)
+        when uses_planes."""
+        return self.kernel.jacobian(self._points(real))[:, : self._width]
 
     def rows(self, real: Realization) -> np.ndarray:
         """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F)."""
-        return self.kernel.jacobian(self._stack(real))[:, :-3]
+        J = self.jacobian(real)
+        if self.uses_planes:
+            return J
+        rows = np.zeros((len(J), 3 * (real.vertex_count + real.face_count)))
+        rows[:, : J.shape[1]] = J
+        return rows
 
 
 def evaluate_all(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:

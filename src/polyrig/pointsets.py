@@ -1,23 +1,25 @@
 """Measurements on labeled point configurations in the plane or in space.
 
 This is the one measurement kernel of the package. The polygon module (2D
-chart), the witness machinery in rigidity (free points in 2D/3D) and, via
-the stacked points [vertices; planes; origin], the mesh measurements of the
-geometry module all evaluate through it: distances, angles at an apex,
-angles between two segments, plus an optional coplanarity side constraint
-for 3D searches. A MeasurementList compiles a list once; values and the
-Jacobian are taken with respect to the flattened coordinate array
-(n * dim,).
+chart), the witness machinery in rigidity (free points in 2D/3D) and the
+mesh measurements of the geometry module (on the vertices or, with
+dihedrals, on the stacked points [vertices; planes; origin]) all evaluate
+through it: distances, angles at an apex, angles between two segments,
+plus an optional coplanarity side constraint for 3D searches. A
+MeasurementList compiles a list once; values and the Jacobian are taken
+with respect to the flattened coordinate array (n * dim,).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateMeasurement
 
@@ -76,6 +78,15 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u, u))
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # the products and differences np.cross takes, without its axis handling
+    return np.stack([
+        u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
+        u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
+        u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
+    ], axis=-1)
+
+
 # Each primitive takes, for its k measurements, the t difference vectors
 # vecs[t][..., k, :] and their lengths lens[t][..., k], and returns the k
 # values and, when asked, the gradients with respect to each vector.
@@ -91,7 +102,7 @@ def _angle(vecs, lens, grad: bool):
     if u.shape[-1] == 2:
         s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     else:
-        s = _norm(np.cross(u, v))
+        s = _norm(_cross(u, v))
     c = _dot(u, v)
     theta = np.arctan2(s, c)
     if not grad:
@@ -106,27 +117,35 @@ def _angle(vecs, lens, grad: bool):
 
 def _triple(vecs, lens, grad: bool):
     a, b, c = vecs
-    bc = np.cross(b, c)
-    return _dot(a, bc), (bc, np.cross(c, a), np.cross(a, b)) if grad else None
+    bc = _cross(b, c)
+    return _dot(a, bc), (bc, _cross(c, a), _cross(a, b)) if grad else None
 
 
 # the order of the vector blocks; the triple product comes last because its
 # vectors, unlike those of lengths and angles (the first _checked), may be zero
 _PRIMITIVES = (_length, _angle, _triple)
 
+# (primitive, ends) of each measurement type: the measurement is the
+# primitive applied to the difference vectors P[head] - P[tail], and ends
+# lists the positions in the type's fields of its heads, then its tails
+_LAYOUT = {
+    Distance: (_length, [0, 1]),
+    Angle: (_angle, [0, 2, 1, 1]),
+    DiagonalAngle: (_angle, [1, 3, 0, 2]),
+    Coplanar: (_triple, [1, 2, 3, 0, 0, 0]),
+}
 
-def _primitive(m: SimpleMeasurement | Coplanar):
-    """(primitive, heads, tails): m is the primitive applied to the
-    difference vectors P[head] - P[tail]."""
-    if isinstance(m, Distance):
-        return _length, (m.i,), (m.j,)
-    if isinstance(m, Angle):
-        return _angle, (m.i, m.k), (m.j, m.j)
-    if isinstance(m, DiagonalAngle):
-        return _angle, (m.j, m.l), (m.i, m.k)
-    if isinstance(m, Coplanar):
-        return _triple, (m.q, m.r, m.s), (m.p, m.p, m.p)
-    raise TypeError(f"not a point measurement: {m!r}")
+
+def _field_ids(items: Sequence, names: Sequence[str]) -> np.ndarray:
+    """The integer fields `names` of each item, shape (len(items), len(names))."""
+    return np.column_stack(
+        [np.fromiter(map(attrgetter(a), items), np.intp, len(items)) for a in names]
+    )
+
+
+def _join(parts: list) -> np.ndarray:
+    # the flattened parts, one after another, as one index array
+    return np.concatenate(parts, axis=None, dtype=np.intp) if parts else np.zeros(0, np.intp)
 
 
 class MeasurementList:
@@ -143,33 +162,69 @@ class MeasurementList:
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
-        self.size = len(measurements)
-        compiled = [_primitive(m) for m in measurements]
-        heads, tails, owners, order = [], [], [], []
+        rows: dict[type, list[int]] = {}
+        for r, m in enumerate(measurements):
+            if type(m) not in _LAYOUT:
+                raise TypeError(f"not a point measurement: {m!r}")
+            rows.setdefault(type(m), []).append(r)
+        self._compile(len(measurements), {
+            cls: (r, _field_ids([measurements[i] for i in r], [f.name for f in fields(cls)]))
+            for cls, r in rows.items()
+        })
+
+    @classmethod
+    def from_ids(
+        cls, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]
+    ) -> "MeasurementList":
+        """A list of `size` measurements given as index arrays: ids maps a
+        measurement type to (rows, fields), and the measurement at position
+        rows[i] is type(*fields[i]). Each position appears once."""
+        self = cls.__new__(cls)
+        self._compile(size, ids)
+        return self
+
+    def _compile(self, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]) -> None:
+        self.size = size
         # (primitive, slices of the vector list: vector t of each of its rows)
         self._blocks = []
+        heads, tails, owners, order = [], [], [], []
+        start = 0
         for fn in _PRIMITIVES:
             if fn is _triple:
-                self._checked = len(heads)
-            rows = [r for r in range(self.size) if compiled[r][0] is fn]
-            if not rows:
+                self._checked = start
+            parts = [
+                (rows, f[:, ends])
+                for kind, (rows, f) in ids.items()
+                for prim, ends in [_LAYOUT[kind]]
+                if prim is fn and len(rows)
+            ]
+            if not parts:
                 continue
-            slices = []
-            for t in range(len(compiled[rows[0]][1])):
-                slices.append(slice(len(heads), len(heads) + len(rows)))
-                heads += [compiled[r][1][t] for r in rows]
-                tails += [compiled[r][2][t] for r in rows]
-                owners += rows
-            self._blocks.append((fn, slices))
-            order += rows
-        self._heads = np.array(heads, dtype=np.intp)
-        self._tails = np.array(tails, dtype=np.intp)
+            if len(parts) == 1:
+                (rows, e), = parts
+            else:
+                rows = np.concatenate([r for r, _ in parts])
+                by_row = np.argsort(rows, kind="stable")
+                rows, e = rows[by_row], np.concatenate([e for _, e in parts])[by_row]
+            k, width = len(rows), e.shape[1] // 2
+            self._blocks.append(
+                (fn, [slice(start + t * k, start + (t + 1) * k) for t in range(width)])
+            )
+            heads.append(e[:, :width].T)
+            tails.append(e[:, width:].T)
+            owners += [rows] * width
+            order.append(rows)
+            start += k * width
+        self._heads = _join(heads)
+        self._tails = _join(tails)
         # the blocks' values come out in block order; this puts them back
-        self._order = None if order == sorted(order) else np.argsort(order)
+        order = _join(order)
+        self._order = None if (np.diff(order) > 0).all() else np.argsort(order)
         # a vector's gradient enters its row at its head and, negated, at its
         # tail; np.add.at sums the terms of a point that ends two vectors
+        owners = _join(owners)
         self._scatter = (
-            np.array(owners + owners, dtype=np.intp),
+            np.concatenate([owners, owners]),
             np.concatenate([self._heads, self._tails]),
         )
 
@@ -252,20 +307,49 @@ def measurement_gradient(m: SimpleMeasurement | Coplanar, points: np.ndarray) ->
     return MeasurementList([m]).jacobian(points)[0]
 
 
+# below this many points comparing every pair is cheaper than a convex hull
+_HULL_MIN = 256
+
+
 def diameter(points: np.ndarray) -> float:
     """Largest distance between two points, in O(n) memory.
 
-    Rows are taken in blocks of about 2**18 / n, each against itself and
-    the points after it; the squared distances are those of the full n x n
-    table, and sqrt is monotone, so the value is the same to the bit.
+    The farthest pair lies on the convex hull, so from _HULL_MIN points on
+    only the hull's vertices and the points qhull finds coplanar with a
+    facet (those on the hull to rounding) are compared; flat or degenerate
+    sets, and smaller ones, compare every point. Rows are taken in blocks
+    of about 2**16 / n, each against itself and the points after it, and
+    the squared distances are summed coordinate by coordinate as the full
+    n x n table sums them, at unit size: the points are divided by a power
+    of two just above their largest absolute value. sqrt is monotone and
+    the scaling exact, so the value is that of the full table to the bit
+    wherever no square of the table overflows or underflows; where one
+    does, as above about 1e154, it is still the diameter.
     """
-    n = len(points)
-    block = max(1, 2**18 // max(n, 1))
+    points = np.asarray(points, dtype=float)
+    if len(points) >= _HULL_MIN:
+        x = points - (points.min(axis=0) / 2 + points.max(axis=0) / 2)
+        try:
+            hull = ConvexHull(x / (np.abs(x).max() or 1.0))
+        except (QhullError, ValueError):
+            pass
+        else:
+            points = points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+    n, dim = points.shape
+    # at unit size no square overflows or underflows, and dividing by a
+    # power of two is exact
+    unit = np.ldexp(1.0, int(np.frexp(np.abs(points).max(initial=0.0))[1]))
+    points = points / unit
+    block = max(1, 2**16 // max(n, 1))
     best = 0.0
     for start in range(0, n, block):
-        d = points[start : start + block, None, :] - points[None, start:, :]
-        best = max(best, float((d**2).sum(axis=2).max()))
-    return float(np.sqrt(best))
+        chunk, rest = points[start : start + block], points[start:]
+        sq = np.zeros((len(chunk), len(rest)))
+        for k in range(dim):
+            d = chunk[:, None, k] - rest[None, :, k]
+            sq += d * d
+        best = max(best, float(sq.max()))
+    return float(np.sqrt(best) * unit)
 
 
 def align_distance(

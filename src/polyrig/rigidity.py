@@ -9,15 +9,21 @@ congruence, plus uniform scaling (g = 7) for similarity. A distance pins
 the scale, so a similarity set that admits one is judged by the congruence
 test, with g = 6.
 
-The motions are deflated once per verdict: one Householder QR of
-[d_phi^T G], G the motion generators, proves that d_phi has rank 2E and
-leaves, in its last E + 6 - g columns of Q, an orthonormal basis T of the
-nontrivial first-order deformations. A d_phi the QR cannot prove full
-rank takes an SVD instead, and a QR of its kernel basis against G. The
-measurements locally determine the realization up to the motion group
-exactly when their rows reach rank E + 6 - g on T, i.e. when the stack
-[d_phi; rows] reaches 3E + 6 - g; the shortfall is the flex dimension.
-This reduces the geometric question to numeric rank.
+The motions are deflated once per verdict, on the vertex chart: three
+anchor vertices of each face give its plane velocity from the vertex
+velocities (dn = D dx), and each further vertex of a face adds one
+first-order coplanarity row to C. One Householder QR of B = [I; D]
+(B = Q_B R) and one of [R^-T C^T, R G_x], G_x the vertex rows of the
+motion generators, give an orthonormal basis T of the nontrivial
+first-order deformations, T^T = B R^-1 W, and a proof that d_phi has rank
+2E; no factorization sees the 3V + 3F coordinates at once. A d_phi the
+chart cannot prove full rank takes an SVD instead, and a QR of its kernel
+basis against G. The measurements locally determine the realization up to
+the motion group exactly when their rows reach rank E + 6 - g on T, i.e.
+when the stack [d_phi; rows] reaches 3E + 6 - g; the shortfall is the
+flex dimension. Rows of sets without dihedrals have no plane columns and
+are reduced from the vertex coordinates alone. This reduces the geometric
+question to numeric rank.
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
@@ -55,8 +61,8 @@ from .geometry import (
     Measurement3D,
     MeshMeasurements,
     Realization,
+    _incidence_indices,
     d_phi,
-    gradient_rows,
     normalized_distance,
     phi,
 )
@@ -65,6 +71,8 @@ from .pointsets import (
     Coplanar,
     MeasurementList,
     SimpleMeasurement,
+    _cross,
+    _dot,
     align_distance,
     diameter,
 )
@@ -112,18 +120,18 @@ def motion_generators(real: Realization, g: int) -> np.ndarray:
     a vertex p by w x p and a plane vector n by w x n; scaling moves a
     vertex by p and a plane vector by -n.
     """
+    V = real.vertex_count
     X, P = real.vertices, real.planes
-    nv = 3 * real.vertex_count
-    G = np.zeros((nv + 3 * real.face_count, g))
-    for axis in range(3):
-        G[axis:nv:3, axis] = 1.0
-        G[nv:, axis] = (-P[:, axis : axis + 1] * P).ravel()
-    for k, omega in enumerate(np.eye(3)):
-        G[:nv, 3 + k] = np.cross(np.broadcast_to(omega, X.shape), X).ravel()
-        G[nv:, 3 + k] = np.cross(np.broadcast_to(omega, P.shape), P).ravel()
+    G = np.zeros((V + real.face_count, 3, g))
+    G[:V, range(3), range(3)] = 1.0
+    G[V:, :, :3] = -P[:, :, None] * P[:, None, :]
+    # the rotation about axis a moves a point y by e_a x y
+    G[:, [0, 0, 1, 1, 2, 2], [4, 5, 3, 5, 3, 4]] = (
+        np.vstack([X, P])[:, [2, 1, 2, 0, 1, 0]] * [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
+    )
     if g == 7:
-        G[:, 6] = np.concatenate([X.ravel(), -P.ravel()])
-    return G
+        G[:V, :, 6], G[V:, :, 6] = X, -P
+    return G.reshape(-1, g)
 
 
 def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
@@ -190,6 +198,11 @@ class _Tangent:
     hi: float
     sigma_1: Callable[[], float]
 
+    def reduce(self, J: np.ndarray) -> np.ndarray:
+        """Gradient rows J on T: J @ T^T. J may stop after the 3V vertex
+        columns (a set with no dihedral), whose plane columns are zero."""
+        return J @ self.T[:, : J.shape[1]].T
+
     def count_above(self, s: np.ndarray, tol_rel: float) -> int:
         """_count_above(s, tol_rel, sigma_1(d_phi)). The count is monotone
         in the cutoff, so when lo and hi give the same count, so does
@@ -200,6 +213,47 @@ class _Tangent:
         return _count_above(s, tol_rel, self.sigma_1())
 
 
+def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
+    """The index of the first largest value of each segment: values[i]
+    lies in segment[i], and segment s starts at starts[s]."""
+    top = np.maximum.reduceat(values, starts)
+    hit = np.flatnonzero(values == top[segment])
+    return hit[np.searchsorted(hit, starts)]
+
+
+def _sigma_1_bracket(
+    vi: np.ndarray, fj: np.ndarray, starts: np.ndarray, X: np.ndarray, P: np.ndarray
+) -> tuple[float, float]:
+    """lo <= sigma_1(d_phi) <= hi from the incidence pairs (vi, fj): lo is
+    the largest column norm of d_phi, hi = sqrt(||d_phi||_1 ||d_phi||_inf).
+    A vertex column sums over the faces at the vertex, a plane column over
+    the vertices of the face, and the row of a pair holds n_f and x_v."""
+    Pf, Xv = np.abs(P)[fj], np.abs(X)[vi]
+    # per pair and coordinate: the square, then the absolute value
+    n_terms = np.concatenate([Pf * Pf, Pf], axis=1)
+    at_vertex = np.zeros((len(X), 6))
+    np.add.at(at_vertex, vi, n_terms)
+    at_face = np.add.reduceat(np.concatenate([Xv * Xv, Xv], axis=1), starts)
+    top = np.maximum(at_vertex.max(axis=0), at_face.max(axis=0))
+    row_sum = (Pf.sum(axis=1) + Xv.sum(axis=1)).max()
+    return float(np.sqrt(top[:3].max())), float(np.sqrt(top[3:].max() * row_sum))
+
+
+def _face_anchors(
+    vi: np.ndarray, fj: np.ndarray, starts: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Three spread anchors per face, (F, 3): its first vertex a, the vertex
+    b farthest from a and the vertex c farthest from the line ab; and the
+    mask of the incidence pairs whose vertex is no anchor."""
+    d = X[vi] - X[vi[starts]][fj]
+    b_row = _segment_argmax(_dot(d, d), starts, fj)
+    e = _cross(d, d[b_row][fj])
+    rows = np.column_stack([starts, b_row, _segment_argmax(_dot(e, e), starts, fj)])
+    other = np.ones(len(vi), dtype=bool)
+    other[rows] = False
+    return vi[rows], other
+
+
 def _nontrivial_tangent(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
 ) -> _Tangent:
@@ -207,46 +261,124 @@ def _nontrivial_tangent(
 
     The rows of T are an orthonormal basis of ker d_phi orthogonal to the g
     motion generators G: the E + 6 - g nontrivial first-order deformations.
-    One Householder QR of A = [d_phi^T G] tries to prove with
-    _nlsq._qr_full_rank that A has full column rank 2E + g. Then
-    rank(d_phi) = 2E, the first 2E + g columns of Q span the rows of d_phi
-    and G, and the last E + 6 - g span their orthogonal complement, which
-    is T; dormqr applies Q to [0; I] to form them. sigma_1(d_phi) lies
-    between the largest column norm of d_phi and
-    sqrt(||d_phi||_1 ||d_phi||_inf); it is the largest singular value of
-    R's leading 2E x 2E block, taken only when a count needs it.
+    They are taken on the vertex chart. Each face f takes three spread
+    anchor vertices a, b, c (its first vertex, the one farthest from it,
+    the one farthest from their line), and X_f = [x_a; x_b; x_c]. The
+    incidence rows of the anchors give the plane velocity,
+    dn_f = -X_f^-1 [n_f.dx_a; n_f.dx_b; n_f.dx_c], a sparse map dn = D dx;
+    every other vertex v of f adds the coplanarity row
+    n_f.(dx_v - sum_j l_j dx_j) = 0 to C, with l = X_f^-T x_v its
+    barycentric coordinates over the anchors (a triangulated hull has no
+    such row). So ker d_phi = {(dx, D dx): C dx = 0}, and G = B G_x with
+    B = [I; D] and G_x the vertex rows of G. One Householder QR
+    B = Q_B R (LAPACK dtpqrt, which leaves the identity block unstored)
+    and one of A = [R^-T C^T, R G_x] follow; the last 3V - (2E - 3F) - g
+    columns W of A's Q are orthogonal to both blocks, and T^T = B R^-1 W,
+    orthonormal as Q_B W. With Z = R^-1 W, T holds Z over D Z, so
+    measurement rows r = [r_x, r_n] reduce to r T^T = r_x Z + r_n D Z, the
+    second term only for sets that hold a dihedral.
 
-    When the proof fails (a rank-deficient d_phi, or a smallest singular
-    value near the cutoff), one SVD of d_phi gives its rank, sigma_1 and an
-    orthonormal basis N of its kernel, and the last columns of one complete
-    QR of N G span the complement of the motions in N coordinates.
-    Measurement rows annihilate G, so rows @ T.T has the rank of rows @ N.T.
+    The QR of A goes through _qr_full_rank (of _nlsq), whose proof that A has
+    full column rank gives c = 1 / ||R_A^-1||_F <= sigma_min(A), and rank
+    2E is claimed only when the SVD of d_phi would count 2E singular values
+    above tol_rel sigma_1. Order the rows of d_phi by anchors, then the
+    other pairs: d_phi = [[A_a, X], [A_o, N_o]] over (dx, dn), X the
+    block-diagonal X_f. With S^-1 = [[I, 0], [A_a, X]], the anchor
+    elimination, d_phi = [[0, I], [C, K]] S^-1 with K = N_o X^-1 and
+    C = A_o - K A_a. For a unit u = (u_a, u_o) put v = u_a + K^T u_o; then
+    d_phi^T u = (A_a^T v + C^T u_o, X^T v), so with
+    s = min_f 1 / ||X_f^-1||_F <= sigma_min(X), alpha >= ||A_a||,
+    kappa >= ||K|| and sigma = ||d_phi^T u||:
+    ||v|| <= sigma / s, ||u_o|| <= (sigma + alpha ||v||) / c' with
+    c' = sigma_min(C) >= sigma_min(R^-T C^T) >= c (sigma_min(R) >= 1, as
+    B^T B = I + D^T D), and 1 <= (||v|| + kappa ||u_o||)^2 + ||u_o||^2.
+    Hence sigma_2E(d_phi) >= L = 1 / sqrt((1/s + kappa beta)^2 + beta^2),
+    beta = (1 + alpha / s) / c; on a triangulated hull u_o is empty and
+    L = s, every incidence row being an anchor row. alpha^2 is the largest
+    sum of |n_f|^2 over the anchor roles of one vertex (A_a^T A_a is
+    block-diagonal by vertex), kappa^2 the largest sum of |l|^2 over the
+    other vertices of one face (K^T K is block-diagonal by face). The claim
+    needs L > 2 tol_rel hi, hi >= sigma_1(d_phi) the bound of
+    _sigma_1_bracket; the factor 2 covers the rounding of these bounds, as
+    in _qr_full_rank. sigma_1(d_phi) itself, when a count needs it, is
+    taken from an SVD of d_phi.
+
+    When the chart fails (a singular X_f, no proof for A, or L too small),
+    one SVD of d_phi gives its rank, sigma_1 and an orthonormal basis N of
+    its kernel, and the last columns of one complete QR of N G span the
+    complement of the motions in N coordinates. Measurement rows annihilate
+    G, so rows @ T.T has the rank of rows @ N.T.
     """
-    J = d_phi(poly, scaled)
-    m, n = J.shape
+    X, P = scaled.vertices, scaled.planes
+    V, F = len(X), len(P)
+    vi, fj = _incidence_indices(poly)
+    starts = np.searchsorted(fj, np.arange(F))
+    lo, hi = _sigma_1_bracket(vi, fj, starts, X, P)
     G = motion_generators(scaled, g)
-    A = np.empty((n, m + g), order="F")
-    A[:, :m] = J.T
-    A[:, m:] = G
-    qr, tau, _, full = _qr_full_rank(A, tol_rel)
-    if not full:
-        _, s, Vt = np.linalg.svd(J, full_matrices=True)
-        base = _count_above(s, tol_rel)
-        N = Vt[base:]
-        Q, _ = np.linalg.qr(N @ G, mode="complete")
-        return _Tangent(base, Q[:, g:].T @ N, s[0], s[0], lambda: s[0])
 
-    k = m + g
-    C = np.zeros((n, n - k), order="F")
-    C[k:] = np.eye(n - k)
-    lwork = int(lapack.dormqr("L", "N", qr, tau, C, -1)[1][0])
-    T = lapack.dormqr("L", "N", qr, tau, C, lwork, overwrite_c=True)[0].T
-    a = np.abs(J, out=J)
-    lo = np.sqrt(np.einsum("ij,ij->j", a, a).max())
-    hi = np.sqrt(a.sum(axis=0).max() * a.sum(axis=1).max())
-    return _Tangent(
-        m, T, lo, hi, lambda: np.linalg.svd(np.triu(qr[:m, :m]), compute_uv=False)[0]
+    anchors, other = _face_anchors(vi, fj, starts, X)
+    Xa = X[anchors]
+    # the rows of adj are b x c, c x a, a x b, so X_f adj_f^T = det(X_f) I
+    adj = _cross(Xa[:, [1, 2, 0]], Xa[:, [2, 0, 1]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        Xinv = adj.transpose(0, 2, 1) / _dot(Xa[:, 0], adj[:, 0])[:, None, None]
+    if not np.isfinite(Xinv).all():
+        return _svd_tangent(poly, scaled, G, tol_rel)
+    ov, of = vi[other], fj[other]
+    lam = (X[ov][:, None, :] @ Xinv[of])[:, 0]
+    n, nc, xyz = 3 * V, len(ov), np.arange(3)
+
+    # D[3f + i, 3 a_j + k] = -X_f^-1[i, j] n_f[k], a_j the anchors of f
+    D = np.zeros((3 * F, n), order="F")
+    face_rows = 3 * np.arange(F)[:, None, None, None] + xyz[:, None, None]
+    D[face_rows, 3 * anchors[:, None, :, None] + xyz] = -Xinv[..., None] * P[:, None, None, :]
+    # the lower triangle of the identity stays zero, so R is upper triangular
+    R = lapack.dtpqrt(0, min(32, n), np.eye(n, order="F"), D, overwrite_a=True, overwrite_b=True)[0]
+    # column r of C^T, for pair (v, f): n_f at v and -l_j n_f at anchor j
+    Ct = np.zeros((n, nc), order="F")
+    Ct[3 * np.column_stack([ov, anchors[of]])[:, :, None] + xyz, np.arange(nc)[:, None, None]] = (
+        np.column_stack([np.ones(nc), -lam])[:, :, None] * P[of][:, None, :]
     )
+    A = np.empty((n, nc + g), order="F")
+    A[:, :nc] = lapack.dtrtrs(R, Ct, trans=1)[0]
+    A[:, nc:] = R @ G[:n]
+    qr, tau, rinv, full = _qr_full_rank(A, tol_rel)
+    bound = s = 1.0 / np.sqrt(np.einsum("fij,fij->f", Xinv, Xinv).max())
+    if nc and full:
+        alpha = np.sqrt(np.bincount(anchors.ravel(), np.repeat(_dot(P, P), 3), V).max())
+        kappa = np.sqrt(np.bincount(of, _dot(lam, lam), F).max())
+        beta = (1.0 + alpha / s) * lapack.dlantr("F", rinv)
+        bound = 1.0 / np.hypot(1.0 / s + kappa * beta, beta)
+    if not (full and bound > 2.0 * tol_rel * hi):
+        return _svd_tangent(poly, scaled, G, tol_rel)
+
+    k = nc + g
+    W = np.zeros((n, n - k), order="F")
+    W[k:] = np.eye(n - k)
+    lwork = int(lapack.dormqr("L", "N", qr, tau, W, -1)[1][0])
+    W = lapack.dormqr("L", "N", qr, tau, W, lwork, overwrite_c=True)[0]
+    Z = lapack.dtrtrs(R, W, overwrite_b=True)[0]
+    # D Z face by face: -X_f^-1 [n_f . Z_a; n_f . Z_b; n_f . Z_c]
+    Z3 = Z.reshape(V, 3, n - k)
+    nz = np.stack([(P[:, None, :] @ Z3[anchors[:, j]])[:, 0] for j in range(3)], axis=1)
+    T = np.concatenate([Z, -(Xinv @ nz).reshape(3 * F, n - k)]).T
+    return _Tangent(
+        2 * poly.edge_count, T, lo, hi,
+        lambda: np.linalg.svd(d_phi(poly, scaled), compute_uv=False)[0],
+    )
+
+
+def _svd_tangent(
+    poly: AbstractPolyhedron, scaled: Realization, G: np.ndarray, tol_rel: float
+) -> _Tangent:
+    """The tangent from one SVD of d_phi: its rank, sigma_1 and an
+    orthonormal basis N of its kernel, whose motion-free part the last
+    columns of one complete QR of N G span in N coordinates."""
+    _, sv, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
+    base = _count_above(sv, tol_rel)
+    N = Vt[base:]
+    Q, _ = np.linalg.qr(N @ G, mode="complete")
+    return _Tangent(base, Q[:, G.shape[1]:].T @ N, sv[0], sv[0], lambda: sv[0])
 
 
 @dataclass(frozen=True)
@@ -283,8 +415,10 @@ def is_sufficient(
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
-    sm = np.linalg.svd(gradient_rows(measurements, scaled) @ tangent.T.T, compute_uv=False)
-    rank = tangent.rank + tangent.count_above(sm, tol_rel)
+    J = MeshMeasurements(measurements, real.vertex_count, real.face_count).jacobian(scaled)
+    rank = tangent.rank + tangent.count_above(
+        np.linalg.svd(tangent.reduce(J), compute_uv=False), tol_rel
+    )
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -322,12 +456,11 @@ def greedy_minimal_subset(
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
-    rows = gradient_rows(pool, scaled)
+    rows = MeshMeasurements(pool, real.vertex_count, real.face_count).jacobian(scaled)
     tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
-    rank, T = tangent.rank, tangent.T
-    reduced = rows @ T.T
+    rank, reduced = tangent.rank, tangent.reduce(rows)
     # accepted residuals are orthonormal in the E + 6 - g coordinates of T
-    basis = np.empty((len(T), len(T)))
+    basis = np.empty((len(tangent.T), len(tangent.T)))
 
     target = 3 * poly.edge_count + 6 - g
     selected: list[Measurement3D] = []
@@ -388,7 +521,7 @@ def flex_witness(
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
     tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
     T = tangent.T
-    M = psi.rows(scaled) @ T.T
+    M = tangent.reduce(psi.jacobian(scaled))
     # Vt must be square to hold the kernel; with more rows than columns the
     # thin SVD already gives that, and U stays m x k
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])

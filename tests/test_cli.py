@@ -49,6 +49,29 @@ def test_generate_at_extreme_scales_keeps_the_faces(capsys, name, scale):
     assert faces == read_off(run(capsys, "generate", name)[1])[1]
 
 
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"])
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+def test_generate_where_squares_overflow(capsys, name, scale):
+    code, out, err = run(capsys, "generate", name, "--scale", scale)
+    assert code == 0 and err == ""
+    coords, faces = read_off(out)
+    assert faces == read_off(run(capsys, "generate", name)[1])[1]
+    assert np.isfinite(coords).all() and np.abs(coords).max() > 1e159
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300", "1e-300"])
+def test_rank_verbs_do_not_depend_on_extreme_units(capsys, tmp_path, scale):
+    # squared coordinates overflow or underflow at these scales
+    for unit in ("1", scale):
+        assert run(capsys, "generate", "dodecahedron", "--scale", unit,
+                   "--out", str(tmp_path / f"{unit}.off"))[0] == 0
+    for verb, *args in (("analyze", "--pool", "face-distances"),
+                        ("select", "--pool", "face-angles", "--mode", "similarity")):
+        code, out, _ = run(capsys, verb, str(tmp_path / f"{scale}.off"), *args)
+        assert (code, out) == run(capsys, verb, str(tmp_path / "1.off"), *args)[:2]
+        assert code == 0
+
+
 def test_analyze_face_distances_sufficient(capsys, cube_off):
     code, out, _ = run(capsys, "analyze", cube_off)
     assert code == 0

@@ -126,6 +126,21 @@ def test_stacked_plane_fit_is_the_per_face_fit(seed):
     assert np.array_equal(_batched_fit(poly, coords), _per_face_fit(poly, coords))
 
 
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron"])
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-300])
+def test_fit_does_not_overflow_at_extreme_scales(name, scale):
+    # squared coordinates overflow from about 1e154; the fit runs at unit
+    # size, and a power-of-two unit changes no bit of the result
+    poly, unit = platonic(name)
+    real = fit_realization(poly, unit.vertices * scale)
+    assert np.allclose(real.vertices / scale, unit.vertices, rtol=1e-12, atol=1e-12)
+    assert np.allclose(real.planes * scale, unit.planes, rtol=1e-12, atol=1e-12)
+    base = fit_realization(poly, unit.vertices)
+    exact = fit_realization(poly, unit.vertices * 2.0**500)
+    assert np.array_equal(exact.vertices, base.vertices * 2.0**500)
+    assert np.array_equal(exact.planes, base.planes / 2.0**500)
+
+
 def test_fit_error_names_the_lowest_failing_face():
     poly = build_incidence(CUBE_FACES)
     rng = np.random.default_rng(2)

@@ -15,6 +15,7 @@ from polyrig.pointsets import (
     DiagonalAngle,
     Distance,
     MeasurementList,
+    _cross,
     align_distance,
     diameter,
     measurement_gradient,
@@ -163,6 +164,15 @@ def test_sparse_jacobian_bits_on_random_lists(dim, ids, kinds, seed):
     assert np.array_equal(_bits(kernel.sparse_jacobian(P).toarray()), _bits(kernel.jacobian(P)))
 
 
+def test_cross_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for shape in [(5, 3), (4, 7, 3), (2, 3, 5, 3)]:
+        u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+        v = rng.standard_normal(shape)
+        assert np.array_equal(_cross(u, v), np.cross(u, v))
+        assert np.array_equal(_cross(u[:1], v), np.cross(u[:1], v))
+
+
 def test_diameter():
     assert diameter(SQUARE) == pytest.approx(np.sqrt(2))
 
@@ -174,6 +184,34 @@ def test_diameter_equals_brute_force(dim):
         pts = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-4, 4)
         d = pts[:, None, :] - pts[None, :, :]
         assert diameter(pts) == float(np.sqrt((d**2).sum(axis=2)).max())
+
+
+def _diameter_sets():
+    """Random 2D and 3D sets on both sides of the hull threshold: Gaussian,
+    rounded to a coarse grid (ties, points on hull facets), flat (3D points
+    on a plane, 2D points on a line, which qhull rejects), duplicated and
+    at extreme scales."""
+    rng = np.random.default_rng(7)
+    for k in range(120):
+        dim = 2 + k % 2
+        n = int(rng.integers(200, 700))
+        pts = rng.standard_normal((n, dim))
+        kind = k % 6
+        if kind == 1:
+            pts = np.round(pts * 2.0) / 2.0
+        elif kind == 2:
+            pts[:, -1] = 0.5 * pts[:, 0] - 0.25
+        elif kind == 3:
+            pts = np.vstack([pts, pts[: n // 3]])
+        elif kind == 4:
+            pts = rng.uniform(-1.0, 1.0, (n, dim)) ** 3
+        yield pts * 10.0 ** rng.uniform(-150, 150)
+
+
+def test_hull_first_diameter_is_the_full_table_bit_for_bit():
+    for pts in _diameter_sets():
+        d = pts[:, None, :] - pts[None, :, :]
+        assert diameter(pts) == float(np.sqrt((d**2).sum(axis=2).max()))
 
 
 def test_diameter_memory_is_linear():

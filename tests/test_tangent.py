@@ -1,17 +1,18 @@
 """The nontrivial tangent basis behind every mesh verdict.
 
 `rigidity._nontrivial_tangent` takes the E + 6 - g nontrivial first-order
-deformations from one Householder QR of [d_phi^T G] when the QR proves full
-column rank, and from an SVD of d_phi otherwise. Both must give an
-orthonormal basis of ker d_phi orthogonal to the motions, the subspace an
-SVD reference gives, and the same verdicts.
+deformations from the vertex chart (Householder QRs of B = [I; D] and of
+[R^-T C^T, R G_x]) when the chart proves that d_phi has rank 2E, and from
+an SVD of d_phi otherwise. Both must give an orthonormal basis of
+ker d_phi orthogonal to the motions, the subspace an SVD reference gives,
+and the same verdicts.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrig import rigidity
@@ -21,8 +22,16 @@ from polyrig.generators import (
     hexahedron_family_b,
     platonic,
 )
-from polyrig.geometry import build_pool, d_phi, fit_realization
+from polyrig.geometry import (
+    FaceAngle,
+    FaceDistance,
+    MeshMeasurements,
+    build_pool,
+    d_phi,
+    fit_realization,
+)
 from polyrig.incidence import build_incidence
+from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementList
 from polyrig.rigidity import (
     CONGRUENCE,
     SIMILARITY,
@@ -82,6 +91,8 @@ def _svd_reference(poly, scaled, g):
 @pytest.mark.parametrize("g", [6, 7])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(solid=solids)
+@example(solid=prism(100))
+@example(solid=sphere_hull(200, 0))
 def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     poly, real = solid
     scaled = _unit_diameter(real)
@@ -111,6 +122,88 @@ def test_mesh_verdicts_take_no_svd_of_d_phi(monkeypatch):
     assert is_sufficient(poly, real, pool).sufficient
     assert greedy_minimal_subset(poly, real, pool).sufficient
     assert shapes and shape not in shapes
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(solid=solids, tol=st.sampled_from([1e-9, 1e-4, 1e-2, 3e-2, 0.1, 0.3]))
+def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol):
+    """At any tolerance the rank of d_phi the tangent reports is the SVD
+    count: the chart's certificate fails, and the SVD fallback counts,
+    whenever a singular value lies at or below tol sigma_1."""
+    poly, real = solid
+    scaled = _unit_diameter(real)
+    count = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol)
+    assert _nontrivial_tangent(poly, scaled, 6, tol).rank == count
+
+
+def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
+    """No factorization of a verdict sees a matrix with 3V + 3F rows: B =
+    [I; D] goes to dtpqrt as its two blocks, and the rank proof and every
+    SVD work on 3V rows or fewer."""
+    poly, real = sphere_hull(50, 0)
+    full = 3 * real.vertex_count + 3 * real.face_count
+    shapes = {}
+
+    def spy(owner, name):
+        fn = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
+            shapes.setdefault(name, []).extend(a.shape for a in arrays)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    for name in ("dgeqrf", "dtpqrt", "dgesdd", "dgesvd"):
+        spy(rigidity.lapack, name)
+    spy(np.linalg, "svd")
+    spy(np.linalg, "qr")
+    spy(rigidity, "_qr_full_rank")
+    pool = build_pool(poly, "face-distances")
+    assert is_sufficient(poly, real, pool).sufficient
+    assert greedy_minimal_subset(poly, real, pool).sufficient
+    assert {"dtpqrt", "_qr_full_rank", "svd"} <= set(shapes)
+    assert all(shape[0] != full for seen in shapes.values() for shape in seen)
+
+
+def test_vertex_compile_is_the_stacked_one():
+    """A set without dihedrals is compiled onto the vertices alone; its
+    values and Jacobian equal, bit for bit, those of the stacked points
+    [vertices; planes; origin] on the vertex columns."""
+    poly, real = prism(24)
+    pool = build_pool(poly, "face-distances") + build_pool(poly, "face-angles")
+    pool = pool[::2] + pool[1::2]
+    stacked = MeasurementList([
+        Distance(m.v, m.w) if isinstance(m, FaceDistance) else Angle(m.end1, m.apex, m.end2)
+        for m in pool
+    ])
+    points = np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
+    psi = MeshMeasurements(pool, real.vertex_count, real.face_count)
+    assert not psi.uses_planes
+    assert np.array_equal(psi.values(real), stacked.values(points))
+    J = psi.jacobian(real)
+    assert J.shape == (len(pool), 3 * real.vertex_count)
+    assert np.array_equal(J, stacked.jacobian(points)[:, : J.shape[1]])
+    assert np.array_equal(psi.rows(real)[:, : J.shape[1]], J)
+    assert not psi.rows(real)[:, J.shape[1] :].any()
+
+
+def test_dihedral_sets_keep_the_plane_columns():
+    poly, real = platonic("dodecahedron")
+    pool = build_pool(poly, "all")
+    psi = MeshMeasurements(pool, real.vertex_count, real.face_count)
+    assert psi.uses_planes
+    stacked = MeasurementList([
+        Distance(m.v, m.w) if isinstance(m, FaceDistance)
+        else Angle(m.end1, m.apex, m.end2) if isinstance(m, FaceAngle)
+        else DiagonalAngle(
+            real.vertex_count + real.face_count, real.vertex_count + m.f,
+            real.vertex_count + m.g, real.vertex_count + real.face_count,
+        )
+        for m in pool
+    ])
+    points = np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
+    assert np.array_equal(psi.rows(real), stacked.jacobian(points)[:, :-3])
 
 
 def _no_certificate(monkeypatch):
