@@ -22,17 +22,15 @@ from .geometry import (
     Realization,
     build_pool,
     congruent,
-    evaluate,
     evaluate_all,
     fit_realization,
-    gradient,
     gradient_rows,
     normalize,
     phi,
     d_phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence, elimination_order
-from .offio import read_off, write_off
+from .offio import read_off
 from .pointsets import Angle, Coplanar, DiagonalAngle, Distance
 from .polygon import (
     PointConfig2D,
@@ -80,11 +78,9 @@ __all__ = [
     "d_phi",
     "elimination_order",
     "errors",
-    "evaluate",
     "evaluate_all",
     "fit_realization",
     "flex_witness",
-    "gradient",
     "gradient_rows",
     "greedy_minimal_subset",
     "hexahedron_family_a",
@@ -107,6 +103,5 @@ __all__ = [
     "staircase_polygon",
     "sufficiency2d",
     "verify_equal_face_diagonals",
-    "write_off",
     "__version__",
 ]

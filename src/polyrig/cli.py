@@ -41,7 +41,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, measurement_value
+from .pointsets import Angle, _unit, measurement_value
 from .rigidity import (
     CONGRUENCE,
     SIMILARITY,
@@ -274,17 +274,19 @@ def cmd_witness(args) -> int:
         if found is None:
             _emit({"witness": None, "sufficient": False, "note": "first-order flex only"}, args.out)
             return 0
-        targets = evaluate_all(ms, real)
+        # at unit size no square overflows or underflows; lengths are scaled back
+        unit = _unit(real.vertices)
+        ref, wit = real.rescaled(1.0 / unit), found.rescaled(1.0 / unit)
+        errors = evaluate_all(ms, wit) - evaluate_all(ms, ref)
+        errors[[isinstance(m, FaceDistance) for m in ms]] *= unit
         payload = {
             "witness": {
                 "vertices": found.vertices.tolist(),
                 "planes": found.planes.tolist(),
             },
-            "maxMeasurementError": float(
-                np.abs(evaluate_all(ms, found) - targets).max()
-            ),
-            "maxIncidenceError": float(np.abs(phi(poly, found)).max()),
-            "normalizedDistance": normalized_distance(poly, real, found),
+            "maxMeasurementError": float(np.abs(errors).max()),
+            "maxIncidenceError": float(np.abs(phi(poly, wit)).max()),
+            "normalizedDistance": normalized_distance(poly, ref, wit) * unit,
         }
         _emit(payload, args.out)
         return 1

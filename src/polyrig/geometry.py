@@ -41,6 +41,7 @@ from .pointsets import (
     MeasurementList,
     _dot,
     _field_ids,
+    _unit,
     diameter,
 )
 
@@ -204,7 +205,7 @@ def fit_realization(
         )
     # fit at unit size, where no square overflows or underflows; dividing by
     # a power of two is exact, so the fit is the one in the input's units
-    unit = np.ldexp(1.0, int(np.frexp(np.abs(coords).max(initial=0.0))[1]))
+    unit = _unit(coords)
     centered = coords / unit
     centered -= centered.mean(axis=0)
     scale = max(np.linalg.norm(centered, axis=1).max(), 1e-300)
@@ -344,16 +345,6 @@ def evaluate_all(measurements: Sequence[Measurement3D], real: Realization) -> np
 
 def gradient_rows(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
     return MeshMeasurements(measurements, real.vertex_count, real.face_count).rows(real)
-
-
-def evaluate(m: Measurement3D, real: Realization) -> float:
-    """Value of one measurement at a realization."""
-    return float(evaluate_all([m], real)[0])
-
-
-def gradient(m: Measurement3D, real: Realization) -> np.ndarray:
-    """Exact gradient of one measurement wrt the full coordinate vector."""
-    return gradient_rows([m], real)[0]
 
 
 # --- canonical frame ----------------------------------------------------------

@@ -72,24 +72,6 @@ class AbstractPolyhedron:
                 by_edge.setdefault((min(a, b), max(a, b)), []).append(f)
         return sorted((min(fs), max(fs)) for fs in by_edge.values())
 
-    def face_corner_triples(self) -> list[tuple[int, int, int]]:
-        """(apex, end1, end2) for every corner of every face cycle."""
-        triples = []
-        for cycle in self.faces:
-            k = len(cycle)
-            for i in range(k):
-                apex = cycle[i]
-                triples.append((apex, cycle[(i - 1) % k], cycle[(i + 1) % k]))
-        return triples
-
-
-@dataclass(frozen=True)
-class EliminationOrder:
-    """Ordering of all vertices and faces such that each element is incident
-    to at most three earlier elements (vertex-face incidence only)."""
-
-    elements: tuple[tuple[str, int], ...]
-
 
 def _cycle_pairs(cycle: Sequence[int]):
     k = len(cycle)
@@ -150,7 +132,7 @@ def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
     return AbstractPolyhedron(vertex_count=vertex_count, faces=cycles, incidence=incidence)
 
 
-def elimination_order(poly: AbstractPolyhedron) -> EliminationOrder:
+def elimination_order(poly: AbstractPolyhedron) -> tuple[tuple[str, int], ...]:
     """Order all vertices and faces so each has <= 3 earlier incidences.
 
     Works on the bipartite vertex-face incidence graph: repeatedly remove
@@ -182,18 +164,20 @@ def elimination_order(poly: AbstractPolyhedron) -> EliminationOrder:
         alive.discard(node)
         removed.append(node)
 
-    return EliminationOrder(elements=tuple(reversed(removed)))
+    return tuple(reversed(removed))
 
 
-def earlier_incidence_counts(poly: AbstractPolyhedron, order: EliminationOrder) -> list[int]:
+def earlier_incidence_counts(
+    poly: AbstractPolyhedron, order: Sequence[tuple[str, int]]
+) -> list[int]:
     """For each element of the order, how many earlier elements it touches.
 
     Every incidence pair charges whichever of its two endpoints appears
     later in the order, so counts[k] <= 3 for all k is exactly the defining
     property of a valid elimination order.
     """
-    position = {el: k for k, el in enumerate(order.elements)}
-    counts = [0] * len(order.elements)
+    position = {el: k for k, el in enumerate(order)}
+    counts = [0] * len(order)
     for v, f in poly.incidence:
         counts[max(position[(VERTEX, v)], position[(FACE, f)])] += 1
     return counts

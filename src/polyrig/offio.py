@@ -21,7 +21,6 @@ __all__ = [
     "format_float",
     "json_dumps",
     "off_text",
-    "write_off",
     "read_off",
     "measurement_to_dict",
     "measurement_from_dict",
@@ -107,11 +106,6 @@ def off_text(vertices: np.ndarray, faces: Sequence[Sequence[int]]) -> str:
     for cycle in faces:
         lines.append(" ".join(str(int(i)) for i in (len(cycle), *cycle)))
     return "\n".join(lines) + "\n"
-
-
-def write_off(path: str, vertices: np.ndarray, faces: Sequence[Sequence[int]]) -> None:
-    with open(path, "w") as fh:
-        fh.write(off_text(vertices, faces))
 
 
 def read_off(text: str) -> tuple[np.ndarray, list[tuple[int, ...]]]:

@@ -307,6 +307,13 @@ def measurement_gradient(m: SimpleMeasurement | Coplanar, points: np.ndarray) ->
     return MeasurementList([m]).jacobian(points)[0]
 
 
+def _unit(a: np.ndarray) -> float:
+    """The power of two just above the largest absolute entry of a (1 for
+    zeros). Dividing by it is exact, and at that size no square overflows
+    or underflows."""
+    return float(np.ldexp(1.0, int(np.frexp(np.abs(a).max(initial=0.0))[1])))
+
+
 # below this many points comparing every pair is cheaper than a convex hull
 _HULL_MIN = 256
 
@@ -336,9 +343,7 @@ def diameter(points: np.ndarray) -> float:
         else:
             points = points[np.union1d(hull.vertices, hull.coplanar[:, 0])]
     n, dim = points.shape
-    # at unit size no square overflows or underflows, and dividing by a
-    # power of two is exact
-    unit = np.ldexp(1.0, int(np.frexp(np.abs(points).max(initial=0.0))[1]))
+    unit = _unit(points)
     points = points / unit
     block = max(1, 2**16 // max(n, 1))
     best = 0.0

@@ -40,8 +40,6 @@ __all__ = [
     "PointConfig2D",
     "Sufficiency2DReport",
     "OctagonReport",
-    "evaluate2d",
-    "gradient2d",
     "sufficiency2d",
     "square_angle_oracle",
     "right_angle_quad_oracle",
@@ -119,15 +117,6 @@ def _free_columns(n: int) -> np.ndarray:
     mask = np.ones(2 * n, dtype=bool)
     mask[[0, 1, 3]] = False
     return mask
-
-
-def evaluate2d(m: SimpleMeasurement, config: PointConfig2D) -> float:
-    return measurement_value(m, config.points)
-
-
-def gradient2d(m: SimpleMeasurement, config: PointConfig2D) -> np.ndarray:
-    """Gradient with respect to the free chart coordinates only."""
-    return MeasurementList([m]).jacobian(config.points)[0, _free_columns(config.n)]
 
 
 @dataclass(frozen=True)

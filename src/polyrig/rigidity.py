@@ -82,6 +82,10 @@ SIMILARITY = "similarity"
 
 DEFAULT_TOL_REL = 1e-9
 
+# point_set_witness's cluster radius and witness distance, times its scale
+CLUSTER_TOL = 1e-6
+WITNESS_TOL = 1e-4
+
 
 def _motion_dim(
     mode: str, measurements: Sequence[Measurement3D], allow_scale_variant: bool
@@ -161,40 +165,32 @@ def _count_above(s: np.ndarray, tol_rel: float, top: float = 0.0) -> int:
 def numeric_rank(M: np.ndarray | sparse.spmatrix, tol_rel: float = DEFAULT_TOL_REL) -> int:
     """Number of singular values above tol_rel times the largest one.
 
-    A sparse M first goes to _nlsq._gram_full_rank: one sparse LU of the
-    shifted Gram matrix of M, or of M^T when M is wide, tries to prove that
-    all min(m, n) singular values clear the cutoff with a factor-2 margin.
-    When that fails, M is made dense. A dense M gets the same proof from a
-    Householder QR of a copy of M, or of M^T (see _nlsq._qr_full_rank). A
-    proof makes min(m, n) the answer, with no SVD taken; a rank-deficient
-    matrix, or one whose smallest singular value lies too near the cutoff
-    for the proofs, gets the count from an SVD. M must be finite.
+    M, dense or sparse, goes to _nlsq._gram_full_rank as a CSR matrix: one
+    sparse LU of the shifted Gram matrix of M, or of M^T when M is wide,
+    tries to prove that all min(m, n) singular values clear the cutoff
+    with a factor-2 margin. A proof makes min(m, n) the answer, with no SVD
+    taken; a rank-deficient matrix, or one whose smallest singular value
+    lies too near the cutoff for the proof, gets the count from an SVD. M
+    must be finite.
     """
-    if sparse.issparse(M):
-        if not np.isfinite(M.data).all():
-            raise ValueError("numeric_rank needs a finite matrix")
-        if _gram_full_rank(M, tol_rel):
-            return min(M.shape)
-        M = M.toarray()
-    M = np.asarray(M, dtype=float)
-    if not np.isfinite(M).all():
+    M = sparse.csr_matrix(M, dtype=float)
+    if not np.isfinite(M.data).all():
         raise ValueError("numeric_rank needs a finite matrix")
-    if M.size == 0:
+    if not min(M.shape):
         return 0
-    wide = M.shape[0] < M.shape[1]
-    if _qr_full_rank(np.array(M.T if wide else M, order="F"), tol_rel)[3]:
+    if _gram_full_rank(M, tol_rel):
         return min(M.shape)
-    return _count_above(np.linalg.svd(M, compute_uv=False), tol_rel)
+    return _count_above(np.linalg.svd(M.toarray(), compute_uv=False), tol_rel)
 
 
 @dataclass(frozen=True)
 class _Tangent:
-    """rank(d_phi), the orthonormal rows T of _nontrivial_tangent, a bracket
-    lo <= sigma_1(d_phi) <= hi, and sigma_1() to compute it exactly."""
+    """rank(d_phi), the orthonormal rows T of _nontrivial_tangent, the bound
+    hi >= sigma_1(d_phi) of _sigma_1_bound, and sigma_1() to compute it
+    exactly."""
 
     rank: int
     T: np.ndarray
-    lo: float
     hi: float
     sigma_1: Callable[[], float]
 
@@ -205,9 +201,10 @@ class _Tangent:
 
     def count_above(self, s: np.ndarray, tol_rel: float) -> int:
         """_count_above(s, tol_rel, sigma_1(d_phi)). The count is monotone
-        in the cutoff, so when lo and hi give the same count, so does
-        sigma_1, which is then not computed."""
-        count = _count_above(s, tol_rel, self.lo)
+        in the cutoff and 0 <= sigma_1 <= hi, so when the rows' own cutoff
+        (top 0) and hi give the same count, so does sigma_1, which is then
+        not computed."""
+        count = _count_above(s, tol_rel)
         if count == _count_above(s, tol_rel, self.hi):
             return count
         return _count_above(s, tol_rel, self.sigma_1())
@@ -221,22 +218,20 @@ def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray)
     return hit[np.searchsorted(hit, starts)]
 
 
-def _sigma_1_bracket(
+def _sigma_1_bound(
     vi: np.ndarray, fj: np.ndarray, starts: np.ndarray, X: np.ndarray, P: np.ndarray
-) -> tuple[float, float]:
-    """lo <= sigma_1(d_phi) <= hi from the incidence pairs (vi, fj): lo is
-    the largest column norm of d_phi, hi = sqrt(||d_phi||_1 ||d_phi||_inf).
-    A vertex column sums over the faces at the vertex, a plane column over
-    the vertices of the face, and the row of a pair holds n_f and x_v."""
+) -> float:
+    """hi = sqrt(||d_phi||_1 ||d_phi||_inf) >= sigma_1(d_phi) from the
+    incidence pairs (vi, fj). A vertex column sums over the faces at the
+    vertex, a plane column over the vertices of the face, and the row of a
+    pair holds n_f and x_v."""
     Pf, Xv = np.abs(P)[fj], np.abs(X)[vi]
-    # per pair and coordinate: the square, then the absolute value
-    n_terms = np.concatenate([Pf * Pf, Pf], axis=1)
-    at_vertex = np.zeros((len(X), 6))
-    np.add.at(at_vertex, vi, n_terms)
-    at_face = np.add.reduceat(np.concatenate([Xv * Xv, Xv], axis=1), starts)
-    top = np.maximum(at_vertex.max(axis=0), at_face.max(axis=0))
+    at_vertex = np.zeros((len(X), 3))
+    np.add.at(at_vertex, vi, Pf)
+    at_face = np.add.reduceat(Xv, starts)
+    col_sum = max(at_vertex.max(), at_face.max())
     row_sum = (Pf.sum(axis=1) + Xv.sum(axis=1)).max()
-    return float(np.sqrt(top[:3].max())), float(np.sqrt(top[3:].max() * row_sum))
+    return float(np.sqrt(col_sum * row_sum))
 
 
 def _face_anchors(
@@ -299,7 +294,7 @@ def _nontrivial_tangent(
     block-diagonal by vertex), kappa^2 the largest sum of |l|^2 over the
     other vertices of one face (K^T K is block-diagonal by face). The claim
     needs L > 2 tol_rel hi, hi >= sigma_1(d_phi) the bound of
-    _sigma_1_bracket; the factor 2 covers the rounding of these bounds, as
+    _sigma_1_bound; the factor 2 covers the rounding of these bounds, as
     in _qr_full_rank. sigma_1(d_phi) itself, when a count needs it, is
     taken from an SVD of d_phi.
 
@@ -313,7 +308,7 @@ def _nontrivial_tangent(
     V, F = len(X), len(P)
     vi, fj = _incidence_indices(poly)
     starts = np.searchsorted(fj, np.arange(F))
-    lo, hi = _sigma_1_bracket(vi, fj, starts, X, P)
+    hi = _sigma_1_bound(vi, fj, starts, X, P)
     G = motion_generators(scaled, g)
 
     anchors, other = _face_anchors(vi, fj, starts, X)
@@ -363,7 +358,7 @@ def _nontrivial_tangent(
     nz = np.stack([(P[:, None, :] @ Z3[anchors[:, j]])[:, 0] for j in range(3)], axis=1)
     T = np.concatenate([Z, -(Xinv @ nz).reshape(3 * F, n - k)]).T
     return _Tangent(
-        2 * poly.edge_count, T, lo, hi,
+        2 * poly.edge_count, T, hi,
         lambda: np.linalg.svd(d_phi(poly, scaled), compute_uv=False)[0],
     )
 
@@ -378,7 +373,7 @@ def _svd_tangent(
     base = _count_above(sv, tol_rel)
     N = Vt[base:]
     Q, _ = np.linalg.qr(N @ G, mode="complete")
-    return _Tangent(base, Q[:, G.shape[1]:].T @ N, sv[0], sv[0], lambda: sv[0])
+    return _Tangent(base, Q[:, G.shape[1]:].T @ N, sv[0], lambda: sv[0])
 
 
 @dataclass(frozen=True)
@@ -597,8 +592,6 @@ def point_set_witness(
     coplanar: Sequence[tuple[int, int, int, int]] = (),
     allow_reflection: bool | None = None,
     residual_tol: float = 1e-10,
-    cluster_tol: float = 1e-6,
-    witness_tol: float = 1e-4,
     locality: float | None = None,
     max_iter: int = 250,
 ) -> PointWitnessReport:
@@ -609,12 +602,13 @@ def point_set_witness(
     diameter, per-restart generator seeded by (seed, restart index)), all
     restarts as one batch, keeps solutions with residual <= residual_tol,
     and clusters them in restart order modulo rigid motions (reflections allowed by default in 2D only, where unsigned
-    measurements cannot tell mirror images apart). The witness is a
-    representative of any cluster farther than witness_tol * scale from the
-    reference; None means every converged restart came back to the
-    reference, i.e. the set is determined at oracle scale.
+    measurements cannot tell mirror images apart), within CLUSTER_TOL *
+    scale. The witness is a representative of any cluster farther than
+    WITNESS_TOL * scale from the reference; None means every converged
+    restart came back to the reference, i.e. the set is determined at
+    oracle scale.
 
-    witness_tol is deliberately coarser than cluster_tol: near a
+    WITNESS_TOL is deliberately coarser than CLUSTER_TOL: near a
     second-order-determined configuration the residual grows only
     quadratically with shape distance, so solutions at residual_tol can
     scatter up to sqrt(residual_tol) from the true point without being
@@ -679,9 +673,9 @@ def point_set_witness(
     counts: list[int] = [0]
     dists: list[float] = [0.0]
     for sol, d in zip(sols[~far], to_ref[~far]):
-        # the first representative within cluster_tol takes the solution
+        # the first representative within CLUSTER_TOL takes the solution
         hits = np.flatnonzero(
-            align_distance(np.array(reps), sol, allow_reflection) <= cluster_tol * scale
+            align_distance(np.array(reps), sol, allow_reflection) <= CLUSTER_TOL * scale
         )
         if len(hits):
             counts[hits[0]] += 1
@@ -697,7 +691,7 @@ def point_set_witness(
 
     witness = None
     for rep, d in zip(reps, dists):
-        if d > witness_tol * scale:
+        if d > WITNESS_TOL * scale:
             witness = rep
             break
     clusters = tuple(
@@ -713,6 +707,6 @@ def point_set_witness(
         exhausted=exhausted,
         restarts=restarts,
         residual_tol=residual_tol,
-        cluster_tol=cluster_tol,
-        witness_tol=witness_tol,
+        cluster_tol=CLUSTER_TOL,
+        witness_tol=WITNESS_TOL,
     )

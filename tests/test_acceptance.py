@@ -28,10 +28,8 @@ from polyrig.geometry import (
     build_pool,
     congruent,
     d_phi,
-    evaluate,
     evaluate_all,
     fit_realization,
-    gradient,
     gradient_rows,
     normalize,
 )
@@ -164,7 +162,7 @@ def test_criterion_06_hexahedron_families():
         dev = abs(
             verify_equal_face_diagonals(poly, real)
         )
-        diag = evaluate(FaceDistance(poly.faces[0][0], poly.faces[0][2]), real)
+        diag = evaluate_all([FaceDistance(poly.faces[0][0], poly.faces[0][2])], real)[0]
         worst = max(worst, dev, abs(diag - np.sqrt(2.0)))
     b_samples = [
         (0.1, 0.0), (0.0, 0.2), (0.15, 0.1), (-0.2, 0.1), (0.3, -0.2),
@@ -173,7 +171,7 @@ def test_criterion_06_hexahedron_families():
     for q1, q2 in b_samples:
         poly, real = hexahedron_family_b(q1, q2)
         dev = verify_equal_face_diagonals(poly, real)
-        diag = evaluate(FaceDistance(poly.faces[0][0], poly.faces[0][2]), real)
+        diag = evaluate_all([FaceDistance(poly.faces[0][0], poly.faces[0][2])], real)[0]
         worst = max(worst, dev, abs(diag - np.sqrt(2.0)))
     ok &= worst <= 1e-9
     pa, ra = hexahedron_family_a(0.0)
@@ -348,7 +346,7 @@ def _fd_rel_error_2d(m, pts, h=1e-6):
 
 
 def _fd_rel_error_3d(m, real, h=1e-6):
-    g = gradient(m, real)
+    g = gradient_rows([m], real)[0]
     x = real.coordinate_vector()
     nv, nf = real.vertex_count, real.face_count
     fd = np.zeros_like(x)
@@ -357,8 +355,8 @@ def _fd_rel_error_3d(m, real, h=1e-6):
         up[i] += h
         dn[i] -= h
         fd[i] = (
-            evaluate(m, Realization.from_coordinate_vector(up, nv, nf))
-            - evaluate(m, Realization.from_coordinate_vector(dn, nv, nf))
+            evaluate_all([m], Realization.from_coordinate_vector(up, nv, nf))[0]
+            - evaluate_all([m], Realization.from_coordinate_vector(dn, nv, nf))[0]
         ) / (2 * h)
     scale = max(1.0, float(np.abs(g).max()))
     return float(np.abs(g - fd).max()) / scale

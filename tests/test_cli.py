@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from polyrig.cli import build_parser, main
+from polyrig.geometry import FaceDistance, build_pool
+from polyrig.incidence import build_incidence
 from polyrig.offio import measurements_to_json, read_off
 
 
@@ -70,6 +72,34 @@ def test_rank_verbs_do_not_depend_on_extreme_units(capsys, tmp_path, scale):
         code, out, _ = run(capsys, verb, str(tmp_path / f"{scale}.off"), *args)
         assert (code, out) == run(capsys, verb, str(tmp_path / "1.off"), *args)[:2]
         assert code == 0
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300", "1e-300"])
+def test_witness_does_not_depend_on_extreme_units(capsys, tmp_path, scale):
+    # the payload's errors and distance square the coordinates; the cube's
+    # edges and two face diagonals leave one flex, so the witness does not
+    # depend on rounding in the choice of a kernel direction
+    for unit in ("1", scale):
+        assert run(capsys, "generate", "cube", "--scale", unit,
+                   "--out", str(tmp_path / f"{unit}.off"))[0] == 0
+    _, faces = read_off((tmp_path / "1.off").read_text())
+    edges = build_pool(build_incidence(faces), "edges-only")
+    payloads = {}
+    one_flex = edges + [FaceDistance(0, 3), FaceDistance(0, 5)]
+    for name, ms in (("edges", edges), ("one-flex", one_flex)):
+        (tmp_path / f"{name}.json").write_text(measurements_to_json(3, ms))
+        for unit in ("1", scale):
+            code, out, _ = run(capsys, "witness", str(tmp_path / f"{unit}.off"),
+                               "--measurements", str(tmp_path / f"{name}.json"))
+            assert code == 1
+            payload = json.loads(out)
+            assert payload["maxMeasurementError"] < 1e-8 * float(unit)
+            assert payload["maxIncidenceError"] < 1e-8
+            assert payload["normalizedDistance"] > 1e-4 * float(unit)
+            payloads[name, unit] = payload
+    assert payloads["one-flex", scale]["normalizedDistance"] / float(scale) == pytest.approx(
+        payloads["one-flex", "1"]["normalizedDistance"], rel=1e-9
+    )
 
 
 def test_analyze_face_distances_sufficient(capsys, cube_off):

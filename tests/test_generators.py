@@ -16,7 +16,7 @@ from polyrig.generators import (
     platonic,
     verify_equal_face_diagonals,
 )
-from polyrig.geometry import FaceDistance, congruent, evaluate, fit_realization
+from polyrig.geometry import FaceDistance, congruent, evaluate_all, fit_realization
 from polyrig.incidence import build_incidence
 
 COUNTS = {
@@ -214,7 +214,7 @@ def _unit_cube_reference():
 def test_family_a_all_diagonals_sqrt_two(q1):
     poly, real = hexahedron_family_a(q1)
     assert verify_equal_face_diagonals(poly, real) < 1e-10
-    d = evaluate(FaceDistance(*poly.faces[0][:3:2]), real)
+    d = evaluate_all([FaceDistance(*poly.faces[0][:3:2])], real)[0]
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 

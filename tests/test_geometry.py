@@ -19,10 +19,9 @@ from polyrig.geometry import (
     build_pool,
     congruent,
     d_phi,
-    evaluate,
     evaluate_all,
     fit_realization,
-    gradient,
+    gradient_rows,
     normalize,
     phi,
 )
@@ -190,25 +189,26 @@ def test_phi_and_d_phi_match_the_pairwise_definition():
 
 def test_cube_measurement_values(cube):
     poly, real = cube
-    assert evaluate(FaceDistance(0, 1), real) == pytest.approx(1.0)
-    assert evaluate(FaceDistance(0, 2), real) == pytest.approx(np.sqrt(2))
-    for apex, e1, e2 in poly.face_corner_triples():
-        assert evaluate(FaceAngle(apex, e1, e2), real) == pytest.approx(np.pi / 2)
+    assert evaluate_all([FaceDistance(0, 1)], real)[0] == pytest.approx(1.0)
+    assert evaluate_all([FaceDistance(0, 2)], real)[0] == pytest.approx(np.sqrt(2))
+    corners = [(c[i], c[i - 1], c[(i + 1) % len(c)]) for c in poly.faces for i in range(len(c))]
+    for apex, e1, e2 in corners:
+        assert evaluate_all([FaceAngle(apex, e1, e2)], real)[0] == pytest.approx(np.pi / 2)
     for f, g in poly.adjacent_faces():
-        assert evaluate(DihedralAngle(f, g), real) == pytest.approx(np.pi / 2)
+        assert evaluate_all([DihedralAngle(f, g)], real)[0] == pytest.approx(np.pi / 2)
 
 
 def test_dodecahedron_dihedral(cube):
     poly, real = platonic("dodecahedron")
     want = np.arccos(-1 / np.sqrt(5))  # ~116.57 degrees
     for f, g in poly.adjacent_faces():
-        assert evaluate(DihedralAngle(f, g), real) == pytest.approx(want, abs=1e-12)
+        assert evaluate_all([DihedralAngle(f, g)], real)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_degenerate_angle_raises(cube):
     _, real = cube
     with pytest.raises(DegenerateMeasurement):
-        evaluate(FaceAngle(0, 0, 1), real)
+        evaluate_all([FaceAngle(0, 0, 1)], real)[0]
 
 
 def test_measurements_invariant_under_rigid_motion(cube):
@@ -228,12 +228,12 @@ def test_angles_scale_invariant_distances_linear(cube):
     scaled = real.rescaled(3.7)
     assert np.abs(phi(poly, scaled)).max() < 1e-12
     for m in build_pool(poly, "face-angles")[:10]:
-        assert evaluate(m, scaled) == pytest.approx(evaluate(m, real))
+        assert evaluate_all([m], scaled)[0] == pytest.approx(evaluate_all([m], real)[0])
     for f, g in poly.adjacent_faces():
         m = DihedralAngle(f, g)
-        assert evaluate(m, scaled) == pytest.approx(evaluate(m, real))
+        assert evaluate_all([m], scaled)[0] == pytest.approx(evaluate_all([m], real)[0])
     for m in build_pool(poly, "face-distances")[:10]:
-        assert evaluate(m, scaled) == pytest.approx(3.7 * evaluate(m, real))
+        assert evaluate_all([m], scaled)[0] == pytest.approx(3.7 * evaluate_all([m], real)[0])
 
 
 def test_gradient_matches_finite_differences(cube):
@@ -241,15 +241,15 @@ def test_gradient_matches_finite_differences(cube):
     x0 = real.coordinate_vector()
     ms = [FaceDistance(0, 2), FaceAngle(1, 0, 2), DihedralAngle(0, 2)]
     for m in ms:
-        g = gradient(m, real)
+        g = gradient_rows([m], real)[0]
         fd = np.zeros_like(x0)
         for i in range(x0.size):
             up, dn = x0.copy(), x0.copy()
             up[i] += 1e-6
             dn[i] -= 1e-6
             fd[i] = (
-                evaluate(m, Realization.from_coordinate_vector(up, 8, 6))
-                - evaluate(m, Realization.from_coordinate_vector(dn, 8, 6))
+                evaluate_all([m], Realization.from_coordinate_vector(up, 8, 6))[0]
+                - evaluate_all([m], Realization.from_coordinate_vector(dn, 8, 6))[0]
             ) / 2e-6
         assert np.abs(g - fd).max() / max(1.0, np.abs(g).max()) < 1e-8
 
@@ -257,9 +257,9 @@ def test_gradient_matches_finite_differences(cube):
 def test_gradient_touches_expected_blocks(cube):
     poly, real = cube
     nv = real.vertex_count
-    g = gradient(FaceDistance(0, 1), real)
+    g = gradient_rows([FaceDistance(0, 1)], real)[0]
     assert np.abs(g[3 * nv :]).max() == 0.0  # distances never touch planes
-    g = gradient(DihedralAngle(0, 2), real)
+    g = gradient_rows([DihedralAngle(0, 2)], real)[0]
     assert np.abs(g[: 3 * nv]).max() == 0.0  # dihedrals never touch vertices
 
 

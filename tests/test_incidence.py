@@ -95,8 +95,8 @@ def test_noncontiguous_ids_rejected():
 def test_elimination_order_cube():
     poly = build_incidence(CUBE_FACES)
     order = elimination_order(poly)
-    assert len(order.elements) == poly.vertex_count + poly.face_count
-    assert set(order.elements) == {(VERTEX, v) for v in range(8)} | {
+    assert len(order) == poly.vertex_count + poly.face_count
+    assert set(order) == {(VERTEX, v) for v in range(8)} | {
         (FACE, f) for f in range(6)
     }
     counts = earlier_incidence_counts(poly, order)

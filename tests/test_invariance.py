@@ -4,7 +4,8 @@ how its vertices are numbered.
 Each example moves a solid by a random rotation and translation, scales it
 uniformly by 10^u with u in [-4, 4], and relabels its vertices, then
 compares the rank verdicts and the greedy selection size with those of the
-solid as generated.
+solid as generated. Flex witnesses of moved and scaled sphere hulls are
+checked again against their measurements and incidences.
 """
 
 from functools import lru_cache
@@ -15,12 +16,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from polyrig.generators import hexahedron_family_a, hexahedron_family_b, platonic
-from polyrig.geometry import build_pool, fit_realization
+from polyrig.generators import (
+    faces_from_convex_vertices,
+    hexahedron_family_a,
+    hexahedron_family_b,
+    platonic,
+)
+from polyrig.geometry import (
+    build_pool,
+    evaluate_all,
+    fit_realization,
+    normalized_distance,
+    phi,
+)
 from polyrig.incidence import build_incidence
 from polyrig.rigidity import (
     CONGRUENCE,
+    DEFAULT_TOL_REL,
     SIMILARITY,
+    flex_witness,
     greedy_minimal_subset,
     is_sufficient,
 )
@@ -84,3 +98,33 @@ def _moved(poly, real, seed, scale):
 def test_verdict_is_invariant(pool_name, mode, name, seed, exponent):
     moved = _moved(*_solid(name), seed, 10.0**exponent)
     assert _verdict(*moved, pool_name, mode) == _reference(name, pool_name, mode)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    V=st.integers(8, 40),
+    seed=st.integers(0, 2**32 - 1),
+    drop=st.integers(1, 3),
+    exponent=st.integers(-4, 4),
+)
+def test_every_flex_witness_satisfies_its_measurements(V, seed, drop, exponent):
+    """A sphere hull's edges pin it; with 1 to 3 dropped it flexes, and any
+    witness must keep the remaining edge lengths and every incidence to
+    1e-8, lengths relative to the diameter, and lie more than 10 tol_rel
+    diameters from the input."""
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal((V, 3))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    poly = build_incidence(faces_from_convex_vertices(p))
+    poly, real = _moved(poly, fit_realization(poly, p), seed, 10.0**exponent)
+    edges = build_pool(poly, "edges-only")
+    gone = set(rng.choice(len(edges), drop, replace=False).tolist())
+    kept = [m for i, m in enumerate(edges) if i not in gone]
+    witness = flex_witness(poly, real, kept)
+    if witness is None:
+        return
+    diameter = real.diameter()
+    errors = evaluate_all(kept, witness) - evaluate_all(kept, real)
+    assert np.abs(errors).max() <= 1e-8 * diameter
+    assert np.abs(phi(poly, witness)).max() <= 1e-8
+    assert normalized_distance(poly, real, witness) > 10.0 * DEFAULT_TOL_REL * diameter

@@ -1,11 +1,11 @@
 """The full-rank certificates behind numeric_rank and the flex projection.
 
 `numeric_rank` counts singular values above tol_rel * sigma_1; when a
-sparse LU of the shifted Gram matrix (sparse input) or a Householder QR
-(dense input) proves that all of them clear that cutoff it returns
-min(m, n) without an SVD. `gauss_newton_project` takes its minimum-norm
-step from a QR of J^T when that proves full row rank, and from lstsq
-otherwise. Both must give what the SVD-based computation gives.
+sparse LU of the shifted Gram matrix of its input, dense or sparse, proves
+that all of them clear that cutoff it returns min(m, n) without an SVD.
+`gauss_newton_project` takes its minimum-norm step from a QR of J^T when
+that proves full row rank, and from lstsq otherwise. Both must give what
+the SVD-based computation gives.
 """
 
 import numpy as np
@@ -240,13 +240,27 @@ def test_numeric_rank_rejects_non_finite_before_factoring(monkeypatch, bad):
             numeric_rank(arg)
 
 
-def test_deficient_rank_falls_back_to_the_svd(monkeypatch):
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
+def _count_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    return calls
+
+
+def test_deficient_rank_falls_back_to_the_svd(monkeypatch):
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 20))
+    calls = _count_svd(monkeypatch)
     assert numeric_rank(M) == 4
+    assert calls == [1]
+
+
+def test_deficient_sparse_rank_takes_one_svd_and_no_qr(monkeypatch):
+    # the square's four measurements: rank 3 of 4 rows on 5 free columns
+    M = _rows(*SQUARE_FOUR)
+    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
+    calls = _count_svd(monkeypatch)
+    assert numeric_rank(M) == 3
     assert calls == [1]
 
 

@@ -246,7 +246,8 @@ def test_svd_fallback_flex_witness(monkeypatch):
     edges = build_pool(poly, "edges-only")
     _no_certificate(monkeypatch)
     tangent = _nontrivial_tangent(poly, _unit_diameter(real), 6, TOL)
-    assert tangent.lo == tangent.hi
+    # the SVD fallback's bound is the exact sigma_1
+    assert tangent.hi == tangent.sigma_1()
     assert flex_witness(poly, real, edges) is not None
 
 
@@ -255,8 +256,8 @@ def test_count_between_the_bracket_takes_the_exact_sigma_1():
     scaled = _unit_diameter(real)
     tangent = _nontrivial_tangent(poly, scaled, 6, TOL)
     sigma_1 = np.linalg.svd(d_phi(poly, scaled), compute_uv=False)[0]
-    lo, hi = tangent.lo, tangent.hi
-    assert lo < sigma_1 < hi
+    hi = tangent.hi
+    assert sigma_1 < hi
     assert tangent.sigma_1() == pytest.approx(sigma_1, rel=1e-13)
 
     calls = []
@@ -266,11 +267,13 @@ def test_count_between_the_bracket_takes_the_exact_sigma_1():
         return tangent.sigma_1()
 
     spied = dataclasses.replace(tangent, sigma_1=exact)
-    # one singular value either side of tol * sigma_1, both inside the bracket
-    s = TOL * np.array([(sigma_1 + hi) / 2, (lo + sigma_1) / 2])
+    # one singular value either side of tol * sigma_1, both below tol * hi
+    s = TOL * np.array([(sigma_1 + hi) / 2, sigma_1 / 2])
     assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 1
     assert calls == [1]
-    # a bracket that settles the count does not compute sigma_1
-    s = TOL * np.array([2.0 * hi, lo / 2.0])
+    # rows whose own sigma_1 exceeds hi settle the count without sigma_1
+    s = np.array([2.0 * hi, TOL * sigma_1 / 2.0])
     assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 1
+    s = TOL * np.array([2.0 * hi, 3.0 * hi])
+    assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 2
     assert calls == [1]
