@@ -13,8 +13,8 @@ Two solvers, both deterministic, and one rank certificate:
   as possible. A Jacobian whose full row rank a QR of J^T proves gets dx
   from that QR; any other takes np.linalg.lstsq.
 * _qr_full_rank: one Householder QR that proves a dense matrix has full
-  column rank with a margin, or fails to; rigidity's tangent proves its
-  chart with it, and the projection skips lstsq when it succeeds.
+  column rank with a margin, or fails to; its one caller, the projection
+  step _min_norm_step, skips lstsq when it succeeds.
 * _gram_full_rank: the same proof from one sparse LU (SuperLU, no row
   interchanges) of a shifted Gram matrix; numeric_rank tries it on every
   input and, when it fails, takes an SVD.
@@ -178,10 +178,8 @@ def _qr_full_rank(
     triangle (inverted in place, in qr itself when A is square). full is
     True when 1 / ||R^-1||_F > 2 tol ||A||_F. That proves every singular
     value of A exceeds 2 tol sigma_1: sigma_n >= 1 / ||R^-1||_2 >=
-    1 / ||R^-1||_F and sigma_1 <= ||A||_F. At the tangent's tolerance,
-    1e-9, the factorization's rounding error of about n eps ||A|| is far
-    below that margin, so the SVD would count n singular values above tol
-    sigma_1. Callers: rigidity._nontrivial_tangent and _min_norm_step.
+    1 / ||R^-1||_F and sigma_1 <= ||A||_F. The one caller is
+    _min_norm_step.
     """
     m, n = A.shape
     norm = np.linalg.norm(A)

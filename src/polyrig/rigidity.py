@@ -9,26 +9,24 @@ congruence, plus uniform scaling (g = 7) for similarity. A distance pins
 the scale, so a similarity set that admits one is judged by the congruence
 test, with g = 6.
 
-The motions are deflated once per verdict, on the vertex chart: three
-anchor vertices of each face give its plane velocity from the vertex
+The motions are deflated once per verdict, on the vertex chart (_chart):
+three anchor vertices of each face give its plane velocity from the vertex
 velocities (dn = D dx), and each further vertex of a face adds one
-first-order coplanarity row to C. One Householder QR of B = [I; D]
-(B = Q_B R) and one of [R^-T C^T, R G_x], G_x the vertex rows of the
-motion generators, give an orthonormal basis T of the nontrivial
-first-order deformations, T^T = B R^-1 W, and a proof that d_phi has rank
-2E; no factorization sees the 3V + 3F coordinates at once. A d_phi the
-chart cannot prove full rank takes an SVD instead, and a QR of its kernel
-basis against G. The measurements locally determine the realization up to
-the motion group exactly when their rows reach rank E + 6 - g on T, i.e.
-when the stack [d_phi; rows] reaches 3E + 6 - g; the shortfall is the
-flex dimension. Rows of sets without dihedrals have no plane columns and
-are reduced from the vertex coordinates alone. This reduces the geometric
+first-order coplanarity row to C, so ker d_phi = {(dx, D dx): C dx = 0}.
+One SVD of [C; G_x^T], G_x the vertex rows of the motion generators, gives
+the rank of d_phi and an orthonormal basis Z of the nontrivial first-order
+deformations in vertex coordinates; no factorization sees the 3V + 3F
+coordinates. The measurements locally determine the realization up to the
+motion group exactly when their rows reach rank E + 6 - g on Z, i.e. when
+the stack [d_phi; rows] reaches 3E + 6 - g; the shortfall is the flex
+dimension. A row [r_x, r_n] is reduced to r_x Z + r_n D Z, the second
+term only for sets that hold a dihedral. This reduces the geometric
 question to numeric rank.
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
 row leaves the span built so far), a first-order flex witness for
-insufficient sets (step along a kernel direction of the rows on T, then
+insufficient sets (step along a kernel direction of the rows on Z, then
 project back onto the constraint set), and a restart-based global witness
 search for labeled point configurations, which covers claims that are
 invisible to first-order rank analysis.
@@ -37,21 +35,14 @@ invisible to first-order rank analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import lapack
 
-from ._nlsq import (
-    EXHAUSTED,
-    STALLED,
-    _gram_full_rank,
-    _qr_full_rank,
-    gauss_newton_project,
-    lm_solve,
-)
+from ._nlsq import EXHAUSTED, STALLED, _gram_full_rank, gauss_newton_project, lm_solve
 from .errors import (
+    DegenerateFace,
     NoConvergedRestarts,
     NoKernelDirection,
     ProjectionDiverged,
@@ -157,9 +148,9 @@ def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarra
 # --- rank tests ---------------------------------------------------------------
 
 
-def _count_above(s: np.ndarray, tol_rel: float, top: float = 0.0) -> int:
-    """How many of s exceed tol_rel times the larger of top and max(s)."""
-    return int(np.count_nonzero(s > tol_rel * s.max(initial=top)))
+def _count_above(s: np.ndarray, tol_rel: float) -> int:
+    """How many of s exceed tol_rel times max(s)."""
+    return int(np.count_nonzero(s > tol_rel * s.max(initial=0.0)))
 
 
 def numeric_rank(M: np.ndarray | sparse.spmatrix, tol_rel: float = DEFAULT_TOL_REL) -> int:
@@ -183,55 +174,12 @@ def numeric_rank(M: np.ndarray | sparse.spmatrix, tol_rel: float = DEFAULT_TOL_R
     return _count_above(np.linalg.svd(M.toarray(), compute_uv=False), tol_rel)
 
 
-@dataclass(frozen=True)
-class _Tangent:
-    """rank(d_phi), the orthonormal rows T of _nontrivial_tangent, the bound
-    hi >= sigma_1(d_phi) of _sigma_1_bound, and sigma_1() to compute it
-    exactly."""
-
-    rank: int
-    T: np.ndarray
-    hi: float
-    sigma_1: Callable[[], float]
-
-    def reduce(self, J: np.ndarray) -> np.ndarray:
-        """Gradient rows J on T: J @ T^T. J may stop after the 3V vertex
-        columns (a set with no dihedral), whose plane columns are zero."""
-        return J @ self.T[:, : J.shape[1]].T
-
-    def count_above(self, s: np.ndarray, tol_rel: float) -> int:
-        """_count_above(s, tol_rel, sigma_1(d_phi)). The count is monotone
-        in the cutoff and 0 <= sigma_1 <= hi, so when the rows' own cutoff
-        (top 0) and hi give the same count, so does sigma_1, which is then
-        not computed."""
-        count = _count_above(s, tol_rel)
-        if count == _count_above(s, tol_rel, self.hi):
-            return count
-        return _count_above(s, tol_rel, self.sigma_1())
-
-
 def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray) -> np.ndarray:
     """The index of the first largest value of each segment: values[i]
     lies in segment[i], and segment s starts at starts[s]."""
     top = np.maximum.reduceat(values, starts)
     hit = np.flatnonzero(values == top[segment])
     return hit[np.searchsorted(hit, starts)]
-
-
-def _sigma_1_bound(
-    vi: np.ndarray, fj: np.ndarray, starts: np.ndarray, X: np.ndarray, P: np.ndarray
-) -> float:
-    """hi = sqrt(||d_phi||_1 ||d_phi||_inf) >= sigma_1(d_phi) from the
-    incidence pairs (vi, fj). A vertex column sums over the faces at the
-    vertex, a plane column over the vertices of the face, and the row of a
-    pair holds n_f and x_v."""
-    Pf, Xv = np.abs(P)[fj], np.abs(X)[vi]
-    at_vertex = np.zeros((len(X), 3))
-    np.add.at(at_vertex, vi, Pf)
-    at_face = np.add.reduceat(Xv, starts)
-    col_sum = max(at_vertex.max(), at_face.max())
-    row_sum = (Pf.sum(axis=1) + Xv.sum(axis=1)).max()
-    return float(np.sqrt(col_sum * row_sum))
 
 
 def _face_anchors(
@@ -249,131 +197,73 @@ def _face_anchors(
     return vi[rows], other
 
 
-def _nontrivial_tangent(
+def _chart(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
-) -> _Tangent:
-    """The nontrivial tangent space of d_phi at a unit-diameter realization.
+) -> tuple[int, np.ndarray, sparse.csr_matrix]:
+    """The kernel of d_phi modulo the g motions at a unit-diameter
+    realization, on the vertex chart; (rank of d_phi, Z, D).
 
-    The rows of T are an orthonormal basis of ker d_phi orthogonal to the g
-    motion generators G: the E + 6 - g nontrivial first-order deformations.
-    They are taken on the vertex chart. Each face f takes three spread
-    anchor vertices a, b, c (its first vertex, the one farthest from it,
-    the one farthest from their line), and X_f = [x_a; x_b; x_c]. The
-    incidence rows of the anchors give the plane velocity,
-    dn_f = -X_f^-1 [n_f.dx_a; n_f.dx_b; n_f.dx_c], a sparse map dn = D dx;
-    every other vertex v of f adds the coplanarity row
-    n_f.(dx_v - sum_j l_j dx_j) = 0 to C, with l = X_f^-T x_v its
-    barycentric coordinates over the anchors (a triangulated hull has no
-    such row). So ker d_phi = {(dx, D dx): C dx = 0}, and G = B G_x with
-    B = [I; D] and G_x the vertex rows of G. One Householder QR
-    B = Q_B R (LAPACK dtpqrt, which leaves the identity block unstored)
-    and one of A = [R^-T C^T, R G_x] follow; the last 3V - (2E - 3F) - g
-    columns W of A's Q are orthogonal to both blocks, and T^T = B R^-1 W,
-    orthonormal as Q_B W. With Z = R^-1 W, T holds Z over D Z, so
-    measurement rows r = [r_x, r_n] reduce to r T^T = r_x Z + r_n D Z, the
-    second term only for sets that hold a dihedral.
+    Each face f takes three spread anchor vertices a, b, c (its first
+    vertex, the one farthest from it, the one farthest from their line),
+    and X_f = [x_a; x_b; x_c]. The incidence rows of the anchors give the
+    plane velocity dn_f = -X_f^-1 [n_f.dx_a; n_f.dx_b; n_f.dx_c], a sparse
+    map dn = D dx; every other vertex v of f adds the coplanarity row
+    n_f.(dx_v - sum_j l_j dx_j) = 0 to C, l = X_f^-T x_v its barycentric
+    coordinates over the anchors (none on a triangulated hull). So
+    ker d_phi = {(dx, D dx): C dx = 0}, and C G_x = 0 for the vertex rows
+    G_x of motion_generators.
 
-    The QR of A goes through _qr_full_rank (of _nlsq), whose proof that A has
-    full column rank gives c = 1 / ||R_A^-1||_F <= sigma_min(A), and rank
-    2E is claimed only when the SVD of d_phi would count 2E singular values
-    above tol_rel sigma_1. Order the rows of d_phi by anchors, then the
-    other pairs: d_phi = [[A_a, X], [A_o, N_o]] over (dx, dn), X the
-    block-diagonal X_f. With S^-1 = [[I, 0], [A_a, X]], the anchor
-    elimination, d_phi = [[0, I], [C, K]] S^-1 with K = N_o X^-1 and
-    C = A_o - K A_a. For a unit u = (u_a, u_o) put v = u_a + K^T u_o; then
-    d_phi^T u = (A_a^T v + C^T u_o, X^T v), so with
-    s = min_f 1 / ||X_f^-1||_F <= sigma_min(X), alpha >= ||A_a||,
-    kappa >= ||K|| and sigma = ||d_phi^T u||:
-    ||v|| <= sigma / s, ||u_o|| <= (sigma + alpha ||v||) / c' with
-    c' = sigma_min(C) >= sigma_min(R^-T C^T) >= c (sigma_min(R) >= 1, as
-    B^T B = I + D^T D), and 1 <= (||v|| + kappa ||u_o||)^2 + ||u_o||^2.
-    Hence sigma_2E(d_phi) >= L = 1 / sqrt((1/s + kappa beta)^2 + beta^2),
-    beta = (1 + alpha / s) / c; on a triangulated hull u_o is empty and
-    L = s, every incidence row being an anchor row. alpha^2 is the largest
-    sum of |n_f|^2 over the anchor roles of one vertex (A_a^T A_a is
-    block-diagonal by vertex), kappa^2 the largest sum of |l|^2 over the
-    other vertices of one face (K^T K is block-diagonal by face). The claim
-    needs L > 2 tol_rel hi, hi >= sigma_1(d_phi) the bound of
-    _sigma_1_bound; the factor 2 covers the rounding of these bounds, as
-    in _qr_full_rank. sigma_1(d_phi) itself, when a count needs it, is
-    taken from an SVD of d_phi.
-
-    When the chart fails (a singular X_f, no proof for A, or L too small),
-    one SVD of d_phi gives its rank, sigma_1 and an orthonormal basis N of
-    its kernel, and the last columns of one complete QR of N G span the
-    complement of the motions in N coordinates. Measurement rows annihilate
-    G, so rows @ T.T has the rank of rows @ N.T.
+    One SVD of A = [C; G_x^T], (2E - 3F + g) x 3V, with r the count of its
+    singular values above tol_rel sigma_1(A): Z, its last 3V - r right
+    singular vectors, is an orthonormal basis of ker C orthogonal to G_x,
+    the E + 6 - g nontrivial first-order deformations in vertex
+    coordinates, and rank(d_phi) = 3F + rank(C) = 3F + r - g, the rows of
+    C being orthogonal to those of G_x^T. Measurement rows annihilate the
+    motions, so their rank on those deformations is that of
+    r_x Z + r_n D Z (_on_chart). Tolerance contract: each block is cut at
+    its own sigma_1, A here and the reduced rows in the verdicts. A face
+    whose X_f is singular (anchors on one line or on a plane through the
+    origin) raises DegenerateFace.
     """
     X, P = scaled.vertices, scaled.planes
     V, F = len(X), len(P)
     vi, fj = _incidence_indices(poly)
-    starts = np.searchsorted(fj, np.arange(F))
-    hi = _sigma_1_bound(vi, fj, starts, X, P)
-    G = motion_generators(scaled, g)
-
-    anchors, other = _face_anchors(vi, fj, starts, X)
+    anchors, other = _face_anchors(vi, fj, np.searchsorted(fj, np.arange(F)), X)
     Xa = X[anchors]
     # the rows of adj are b x c, c x a, a x b, so X_f adj_f^T = det(X_f) I
     adj = _cross(Xa[:, [1, 2, 0]], Xa[:, [2, 0, 1]])
     with np.errstate(divide="ignore", invalid="ignore"):
         Xinv = adj.transpose(0, 2, 1) / _dot(Xa[:, 0], adj[:, 0])[:, None, None]
-    if not np.isfinite(Xinv).all():
-        return _svd_tangent(poly, scaled, G, tol_rel)
+    singular = np.flatnonzero(~np.isfinite(Xinv).all(axis=(1, 2)))
+    if len(singular):
+        raise DegenerateFace(f"face {singular[0]}: its anchors and the origin are coplanar")
     ov, of = vi[other], fj[other]
     lam = (X[ov][:, None, :] @ Xinv[of])[:, 0]
     n, nc, xyz = 3 * V, len(ov), np.arange(3)
 
-    # D[3f + i, 3 a_j + k] = -X_f^-1[i, j] n_f[k], a_j the anchors of f
-    D = np.zeros((3 * F, n), order="F")
-    face_rows = 3 * np.arange(F)[:, None, None, None] + xyz[:, None, None]
-    D[face_rows, 3 * anchors[:, None, :, None] + xyz] = -Xinv[..., None] * P[:, None, None, :]
-    # the lower triangle of the identity stays zero, so R is upper triangular
-    R = lapack.dtpqrt(0, min(32, n), np.eye(n, order="F"), D, overwrite_a=True, overwrite_b=True)[0]
-    # column r of C^T, for pair (v, f): n_f at v and -l_j n_f at anchor j
-    Ct = np.zeros((n, nc), order="F")
-    Ct[3 * np.column_stack([ov, anchors[of]])[:, :, None] + xyz, np.arange(nc)[:, None, None]] = (
+    # row i of C, for pair (v, f): n_f at v and -l_j n_f at anchor j
+    A = np.zeros((nc + g, n))
+    A[np.arange(nc)[:, None, None], 3 * np.column_stack([ov, anchors[of]])[:, :, None] + xyz] = (
         np.column_stack([np.ones(nc), -lam])[:, :, None] * P[of][:, None, :]
     )
-    A = np.empty((n, nc + g), order="F")
-    A[:, :nc] = lapack.dtrtrs(R, Ct, trans=1)[0]
-    A[:, nc:] = R @ G[:n]
-    qr, tau, rinv, full = _qr_full_rank(A, tol_rel)
-    bound = s = 1.0 / np.sqrt(np.einsum("fij,fij->f", Xinv, Xinv).max())
-    if nc and full:
-        alpha = np.sqrt(np.bincount(anchors.ravel(), np.repeat(_dot(P, P), 3), V).max())
-        kappa = np.sqrt(np.bincount(of, _dot(lam, lam), F).max())
-        beta = (1.0 + alpha / s) * lapack.dlantr("F", rinv)
-        bound = 1.0 / np.hypot(1.0 / s + kappa * beta, beta)
-    if not (full and bound > 2.0 * tol_rel * hi):
-        return _svd_tangent(poly, scaled, G, tol_rel)
-
-    k = nc + g
-    W = np.zeros((n, n - k), order="F")
-    W[k:] = np.eye(n - k)
-    lwork = int(lapack.dormqr("L", "N", qr, tau, W, -1)[1][0])
-    W = lapack.dormqr("L", "N", qr, tau, W, lwork, overwrite_c=True)[0]
-    Z = lapack.dtrtrs(R, W, overwrite_b=True)[0]
-    # D Z face by face: -X_f^-1 [n_f . Z_a; n_f . Z_b; n_f . Z_c]
-    Z3 = Z.reshape(V, 3, n - k)
-    nz = np.stack([(P[:, None, :] @ Z3[anchors[:, j]])[:, 0] for j in range(3)], axis=1)
-    T = np.concatenate([Z, -(Xinv @ nz).reshape(3 * F, n - k)]).T
-    return _Tangent(
-        2 * poly.edge_count, T, hi,
-        lambda: np.linalg.svd(d_phi(poly, scaled), compute_uv=False)[0],
-    )
+    A[nc:] = motion_generators(scaled, g)[:n].T
+    _, s, Vt = np.linalg.svd(A, full_matrices=True)
+    r = _count_above(s, tol_rel)
+    # D[3f + i, 3 a_j + k] = -X_f^-1[i, j] n_f[k], a_j the anchors of f: 9 per row
+    vals = -Xinv[..., None] * P[:, None, None, :]
+    cols = np.broadcast_to(3 * anchors[:, None, :, None] + xyz, vals.shape)
+    D = sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 27 * F + 1, 9)), (3 * F, n))
+    return 3 * F + r - g, Vt[r:].T, D
 
 
-def _svd_tangent(
-    poly: AbstractPolyhedron, scaled: Realization, G: np.ndarray, tol_rel: float
-) -> _Tangent:
-    """The tangent from one SVD of d_phi: its rank, sigma_1 and an
-    orthonormal basis N of its kernel, whose motion-free part the last
-    columns of one complete QR of N G span in N coordinates."""
-    _, sv, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
-    base = _count_above(sv, tol_rel)
-    N = Vt[base:]
-    Q, _ = np.linalg.qr(N @ G, mode="complete")
-    return _Tangent(base, Q[:, G.shape[1]:].T @ N, sv[0], lambda: sv[0])
+def _on_chart(J: np.ndarray, Z: np.ndarray, D: sparse.csr_matrix) -> np.ndarray:
+    """Gradient rows J on the chart basis Z of _chart: J_x Z, plus J_n D Z
+    when J holds the plane columns (a set with a dihedral)."""
+    n = len(Z)
+    M = J[:, :n] @ Z
+    if J.shape[1] > n:
+        M += J[:, n:] @ (D @ Z)
+    return M
 
 
 @dataclass(frozen=True)
@@ -403,17 +293,15 @@ def is_sufficient(
 
     The model is rescaled to unit diameter, so tol_rel acts on a
     well-conditioned matrix regardless of input units. The rank is the rank
-    of d_phi (2E) plus the numeric rank of the rows on the E + 6 - g
-    nontrivial tangent directions T, counted above tol_rel times the larger
-    of sigma_1(d_phi) and their own sigma_1; flex_dimension = target - rank.
+    of d_phi (2E) plus the numeric rank of the rows on the chart basis Z of
+    the E + 6 - g nontrivial deformations (_chart), counted above tol_rel
+    times their own sigma_1; flex_dimension = target - rank.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
+    base, Z, D = _chart(poly, scaled, g, tol_rel)
     J = MeshMeasurements(measurements, real.vertex_count, real.face_count).jacobian(scaled)
-    rank = tangent.rank + tangent.count_above(
-        np.linalg.svd(tangent.reduce(J), compute_uv=False), tol_rel
-    )
+    rank = base + _count_above(np.linalg.svd(_on_chart(J, Z, D), compute_uv=False), tol_rel)
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -438,24 +326,24 @@ def greedy_minimal_subset(
     """Scan the pool once, keeping a measurement exactly when its gradient
     row is independent of the span of d_phi plus rows kept so far.
 
-    The scan runs on the nontrivial tangent directions T, where the span of
-    d_phi and the motions are zero: each row is reduced to them once, and
-    the row is accepted when its component orthogonal to the reduced rows
-    kept so far exceeds tol_rel times the full row norm (with one
-    reorthogonalization pass for stability). The motion group is decided
-    by the whole pool. When the pool is sufficient, the selection has
-    exactly targetRank - 2E elements: E measurements for congruence, E - 1
-    for similarity by angles.
+    The scan runs on the chart basis Z of the nontrivial deformations
+    (_chart), where the span of d_phi and the motions are zero: each row is
+    reduced to Z once, and the row is accepted when its component
+    orthogonal to the reduced rows kept so far exceeds tol_rel times the
+    full row norm (with one reorthogonalization pass for stability). The
+    motion group is decided by the whole pool. When the pool is sufficient,
+    the selection has exactly targetRank - 2E elements: E measurements for
+    congruence, E - 1 for similarity by angles.
     """
     g = _motion_dim(mode, pool, allow_scale_variant)
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
     rows = MeshMeasurements(pool, real.vertex_count, real.face_count).jacobian(scaled)
-    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
-    rank, reduced = tangent.rank, tangent.reduce(rows)
-    # accepted residuals are orthonormal in the E + 6 - g coordinates of T
-    basis = np.empty((len(tangent.T), len(tangent.T)))
+    rank, Z, D = _chart(poly, scaled, g, tol_rel)
+    reduced = _on_chart(rows, Z, D)
+    # accepted residuals are orthonormal in the E + 6 - g coordinates of Z
+    basis = np.empty((Z.shape[1], Z.shape[1]))
 
     target = 3 * poly.edge_count + 6 - g
     selected: list[Measurement3D] = []
@@ -501,33 +389,41 @@ def flex_witness(
     """Construct a nearby non-congruent realization with identical measurements.
 
     Requires the set to be insufficient. Works at unit diameter: takes a
-    unit kernel vector of the measurement rows on the nontrivial tangent
-    directions T of is_sufficient, which no motion of the group spans,
-    steps away along it by `step` (a fraction of the diameter), and
-    Gauss-Newton-projects back onto {phi = 0, psi = psi(R)} to residual
-    1e-10. Returns the projected realization, scaled back to the input's
-    units, when it is genuinely non-congruent to the input (normalized
-    vertex distance > 10 * tol_rel diameters), or None when the projection
-    slides back to the start, the signature of a flex that exists to first
-    order only.
+    kernel vector y of the measurement rows on the chart basis Z of
+    is_sufficient (_chart), which no motion of the group spans, lifts it to
+    the tangent vector u = (Z y, D Z y) of ker d_phi, takes out its
+    component along the motions and normalizes it, steps away along u by
+    `step` (a fraction of the diameter), and Gauss-Newton-projects back
+    onto {phi = 0, psi = psi(R)} to residual 1e-10. Returns the projected
+    realization, scaled back to the input's units, when it is genuinely
+    non-congruent to the input (normalized vertex distance > 10 * tol_rel
+    diameters), or None when the projection slides back to the start, the
+    signature of a flex that exists to first order only.
+
+    With one flex the direction is fixed up to its sign, which the largest
+    entry of u fixes. Above one flex, y is the first kernel vector of the
+    SVD: the witness is valid, but the direction is not canonical and may
+    change with rounding, with the input's unit for one.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
-    tangent = _nontrivial_tangent(poly, scaled, g, tol_rel)
-    T = tangent.T
-    M = tangent.reduce(psi.jacobian(scaled))
+    base, Z, D = _chart(poly, scaled, g, tol_rel)
+    M = _on_chart(psi.jacobian(scaled), Z, D)
     # Vt must be square to hold the kernel; with more rows than columns the
     # thin SVD already gives that, and U stays m x k
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    extra = tangent.count_above(sm, tol_rel)
-    if tangent.rank + extra >= 3 * poly.edge_count + 6 - g:
+    extra = _count_above(sm, tol_rel)
+    if base + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    u = T.T @ Vt[extra]
-    pivot = int(np.argmax(np.abs(u)))
-    if u[pivot] < 0:
-        u = -u
+    dx = Z @ Vt[extra]
+    u = np.concatenate([dx, D @ dx])
+    # dx is free of the motions on the vertices only; take them out of u
+    G = motion_generators(scaled, g)
+    u -= G @ np.linalg.solve(G.T @ G, G.T @ u)
+    # unit length, with its largest entry positive
+    u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
     targets = psi.values(scaled)
     nv, nf = real.vertex_count, real.face_count

@@ -4,8 +4,9 @@ how its vertices are numbered.
 Each example moves a solid by a random rotation and translation, scales it
 uniformly by 10^u with u in [-4, 4], and relabels its vertices, then
 compares the rank verdicts and the greedy selection size with those of the
-solid as generated. Flex witnesses of moved and scaled sphere hulls are
-checked again against their measurements and incidences.
+solid as generated. Flex witnesses of moved and scaled sphere hulls, and
+of the Platonic solids' face-angle and dihedral sets, are checked again
+against their measurements and incidences.
 """
 
 from functools import lru_cache
@@ -29,6 +30,7 @@ from polyrig.geometry import (
     normalized_distance,
     phi,
 )
+from polyrig.errors import NoKernelDirection
 from polyrig.incidence import build_incidence
 from polyrig.rigidity import (
     CONGRUENCE,
@@ -128,3 +130,39 @@ def test_every_flex_witness_satisfies_its_measurements(V, seed, drop, exponent):
     assert np.abs(errors).max() <= 1e-8 * diameter
     assert np.abs(phi(poly, witness)).max() <= 1e-8
     assert normalized_distance(poly, real, witness) > 10.0 * DEFAULT_TOL_REL * diameter
+
+
+PLATONIC = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+
+
+@pytest.mark.parametrize("mode", [CONGRUENCE, SIMILARITY])
+@pytest.mark.parametrize("pool_name", ["face-angles", "dihedrals"])
+@pytest.mark.parametrize("name", PLATONIC)
+def test_flex_witnesses_of_angle_and_dihedral_sets(name, pool_name, mode):
+    """Angles pin no scale, so in congruence mode every such set flexes; a
+    dihedral set's rows reach the plane columns. Each witness, of the solid
+    moved and scaled by 10^k, keeps its angles and every incidence to 1e-8
+    and lies more than 10 tol_rel diameters from the input; a sufficient
+    set (every face-angle set in similarity mode, the icosahedron's
+    dihedrals) has no kernel direction."""
+    for i, exponent in enumerate((-4, 0, 4)):
+        poly, real = _moved(*platonic(name), PLATONIC.index(name) + 10 * i, 10.0**exponent)
+        pool = build_pool(poly, pool_name)
+        if is_sufficient(poly, real, pool, mode).sufficient:
+            assert mode == SIMILARITY
+            with pytest.raises(NoKernelDirection):
+                flex_witness(poly, real, pool, mode)
+            continue
+        witness = flex_witness(poly, real, pool, mode)
+        assert witness is not None
+        diameter = real.diameter()
+        assert np.abs(evaluate_all(pool, witness) - evaluate_all(pool, real)).max() <= 1e-8
+        assert np.abs(phi(poly, witness)).max() <= 1e-8
+        assert normalized_distance(poly, real, witness) > 10.0 * DEFAULT_TOL_REL * diameter
+
+
+def test_icosahedron_dihedrals_pin_it_up_to_similarity():
+    poly, real = platonic("icosahedron")
+    pool = build_pool(poly, "dihedrals")
+    assert is_sufficient(poly, real, pool, SIMILARITY).sufficient
+    assert is_sufficient(poly, real, pool, CONGRUENCE).flex_dimension == 1

@@ -189,7 +189,6 @@ def test_sparse_and_dense_ranks_are_the_svd_count(rows, proved, rank):
 def test_proved_sparse_rank_takes_no_qr_and_no_svd(monkeypatch):
     wide = _rows(_base_config(40), staircase_measurements(40))
     square = _rows(_base_config(40), _trilateration(40))
-    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
     _no_svd(monkeypatch)
     assert numeric_rank(wide) == 40
     assert numeric_rank(square) == 77
@@ -233,7 +232,6 @@ def test_numeric_rank_rejects_non_finite_before_factoring(monkeypatch, bad):
     M = np.eye(4)
     M[2, 1] = bad
     monkeypatch.setattr(rigidity, "_gram_full_rank", _refuse("_gram_full_rank"))
-    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
     _no_svd(monkeypatch)
     for arg in (M, sparse.csr_matrix(M)):
         with pytest.raises(ValueError, match="finite"):
@@ -258,7 +256,6 @@ def test_deficient_rank_falls_back_to_the_svd(monkeypatch):
 def test_deficient_sparse_rank_takes_one_svd_and_no_qr(monkeypatch):
     # the square's four measurements: rank 3 of 4 rows on 5 free columns
     M = _rows(*SQUARE_FOUR)
-    monkeypatch.setattr(rigidity, "_qr_full_rank", _refuse("_qr_full_rank"))
     calls = _count_svd(monkeypatch)
     assert numeric_rank(M) == 3
     assert calls == [1]

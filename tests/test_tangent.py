@@ -1,14 +1,13 @@
-"""The nontrivial tangent basis behind every mesh verdict.
+"""The vertex chart behind every mesh verdict.
 
-`rigidity._nontrivial_tangent` takes the E + 6 - g nontrivial first-order
-deformations from the vertex chart (Householder QRs of B = [I; D] and of
-[R^-T C^T, R G_x]) when the chart proves that d_phi has rank 2E, and from
-an SVD of d_phi otherwise. Both must give an orthonormal basis of
-ker d_phi orthogonal to the motions, the subspace an SVD reference gives,
-and the same verdicts.
+`rigidity._chart` takes one SVD of [C; G_x^T] (C the coplanarity rows of the
+faces with more than three vertices, G_x the vertex rows of the motion
+generators) and returns the rank of d_phi, an orthonormal basis Z of the
+nontrivial first-order deformations in vertex coordinates, and the plane
+map D. The lifted basis [Z; D Z] with the motions must span ker d_phi, the
+subspace an SVD reference gives, and no verdict may factor a matrix over
+all 3V + 3F coordinates.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrig import rigidity
+from polyrig.errors import DegenerateFace
 from polyrig.generators import (
     faces_from_convex_vertices,
     hexahedron_family_a,
@@ -26,6 +26,7 @@ from polyrig.geometry import (
     FaceAngle,
     FaceDistance,
     MeshMeasurements,
+    Realization,
     build_pool,
     d_phi,
     fit_realization,
@@ -35,8 +36,8 @@ from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementList
 from polyrig.rigidity import (
     CONGRUENCE,
     SIMILARITY,
+    _chart,
     _count_above,
-    _nontrivial_tangent,
     _unit_diameter,
     flex_witness,
     greedy_minimal_subset,
@@ -94,16 +95,23 @@ def _svd_reference(poly, scaled, g):
 @example(solid=prism(100))
 @example(solid=sphere_hull(200, 0))
 def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
+    """Z is orthonormal and orthogonal to G_x, the lift [Z; D Z] is
+    annihilated by d_phi, and with the motions G it spans ker d_phi."""
     poly, real = solid
     scaled = _unit_diameter(real)
-    tangent = _nontrivial_tangent(poly, scaled, g, TOL)
-    T = tangent.T
-    assert tangent.rank == 2 * poly.edge_count
-    assert T.shape == (poly.edge_count + 6 - g, 3 * real.vertex_count + 3 * real.face_count)
-    assert np.abs(T @ T.T - np.eye(len(T))).max() <= 1e-12
-    assert np.linalg.norm(d_phi(poly, scaled) @ T.T, 2) <= 1e-12
-    assert np.linalg.norm(motion_generators(scaled, g).T @ T.T, 2) <= 1e-12
-    cosines = np.linalg.svd(T @ _svd_reference(poly, scaled, g).T, compute_uv=False)
+    rank, Z, D = _chart(poly, scaled, g, TOL)
+    n = 3 * real.vertex_count
+    assert rank == 2 * poly.edge_count
+    assert Z.shape == (n, poly.edge_count + 6 - g)
+    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() <= 1e-12
+    G = motion_generators(scaled, g)
+    assert np.linalg.norm(G[:n].T @ Z, 2) <= 1e-12
+    lifted = np.vstack([Z, D @ Z])
+    assert np.linalg.norm(d_phi(poly, scaled) @ lifted, 2) <= 1e-12 * np.linalg.norm(lifted, 2)
+    assert np.linalg.norm(D @ G[:n] - G[n:], 2) <= 1e-12 * np.linalg.norm(D @ G[:n], 2)
+    chart = np.linalg.qr(np.hstack([lifted, G]))[0]
+    reference = np.linalg.qr(np.hstack([_svd_reference(poly, scaled, g).T, G]))[0]
+    cosines = np.linalg.svd(chart.T @ reference, compute_uv=False)
     assert cosines.min() >= 1.0 - 1e-12
 
 
@@ -125,45 +133,74 @@ def test_mesh_verdicts_take_no_svd_of_d_phi(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(solid=solids, tol=st.sampled_from([1e-9, 1e-4, 1e-2, 3e-2, 0.1, 0.3]))
-def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol):
-    """At any tolerance the rank of d_phi the tangent reports is the SVD
-    count: the chart's certificate fails, and the SVD fallback counts,
-    whenever a singular value lies at or below tol sigma_1."""
+@given(solid=solids, tol=st.sampled_from([1e-10, 1e-9, 1e-8, 1e-6]), g=st.sampled_from([6, 7]))
+def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol, g):
+    """At the verdict tolerances the chart's rank of d_phi, 3F + r - g with r
+    the count of [C; G_x^T], is the SVD count of d_phi. (At loose
+    tolerances the two differ: the chart cuts [C; G_x^T] at its own
+    sigma_1, not d_phi at sigma_1(d_phi).)"""
     poly, real = solid
     scaled = _unit_diameter(real)
     count = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol)
-    assert _nontrivial_tangent(poly, scaled, 6, tol).rank == count
+    assert _chart(poly, scaled, g, tol)[0] == count == 2 * poly.edge_count
 
 
 def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
-    """No factorization of a verdict sees a matrix with 3V + 3F rows: B =
-    [I; D] goes to dtpqrt as its two blocks, and the rank proof and every
-    SVD work on 3V rows or fewer."""
+    """No factorization of a rank verdict sees a matrix with 3V + 3F rows
+    or columns: the chart's SVD has 3V columns and the reduced rows
+    E + 6 - g, also for a set holding a dihedral, whose rows enter through
+    the plane map D."""
     poly, real = sphere_hull(50, 0)
     full = 3 * real.vertex_count + 3 * real.face_count
     shapes = {}
 
-    def spy(owner, name):
-        fn = getattr(owner, name)
+    def spy(name):
+        fn = getattr(np.linalg, name)
 
-        def spied(*args, **kwargs):
-            arrays = [a for a in (*args, *kwargs.values()) if isinstance(a, np.ndarray)]
-            shapes.setdefault(name, []).extend(a.shape for a in arrays)
-            return fn(*args, **kwargs)
+        def spied(a, *args, **kwargs):
+            shapes.setdefault(name, []).append(np.shape(a))
+            return fn(a, *args, **kwargs)
 
-        monkeypatch.setattr(owner, name, spied)
+        monkeypatch.setattr(np.linalg, name, spied)
 
-    for name in ("dgeqrf", "dtpqrt", "dgesdd", "dgesvd"):
-        spy(rigidity.lapack, name)
-    spy(np.linalg, "svd")
-    spy(np.linalg, "qr")
-    spy(rigidity, "_qr_full_rank")
-    pool = build_pool(poly, "face-distances")
-    assert is_sufficient(poly, real, pool).sufficient
-    assert greedy_minimal_subset(poly, real, pool).sufficient
-    assert {"dtpqrt", "_qr_full_rank", "svd"} <= set(shapes)
-    assert all(shape[0] != full for seen in shapes.values() for shape in seen)
+    spy("svd")
+    spy("qr")
+    for pool_name in ("face-distances", "all"):
+        pool = build_pool(poly, pool_name)
+        assert is_sufficient(poly, real, pool).sufficient
+        assert greedy_minimal_subset(poly, real, pool).sufficient
+    assert (6, 3 * real.vertex_count) in shapes["svd"]
+    assert "qr" not in shapes
+    assert all(full not in shape for seen in shapes.values() for shape in seen)
+
+
+def test_triangulated_hulls_and_the_cube_are_rigid_at_loose_tolerance():
+    """Dehn's theorem: a triangulated convex polyhedron is infinitesimally
+    rigid on its edges, so its face distances are sufficient, at any
+    tolerance the chart and the rows clear on their own. The cube's face
+    distances pin it too, and its 12 edges leave 3 flexes."""
+    poly, real = sphere_hull(100, 0)
+    assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=1e-2).sufficient
+    poly, real = platonic("cube")
+    assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=0.1).sufficient
+    edges = is_sufficient(poly, real, build_pool(poly, "edges-only"), tol_rel=0.1)
+    assert edges.flex_dimension == 3
+
+
+def test_a_face_without_an_anchor_frame_is_named():
+    """A face whose anchors lie on a plane through the origin has no X_f^-1;
+    a Realization given directly can have one (here the unit cube with a
+    corner at the origin), and the verdict names the face."""
+    poly, real = platonic("cube")
+    corner = Realization(real.vertices - real.vertices.min(axis=0), real.planes)
+    # the faces whose vertices share a zero coordinate
+    through_origin = [
+        f for f, cycle in enumerate(poly.faces)
+        if (corner.vertices[list(cycle)] == 0.0).all(axis=0).any()
+    ]
+    assert len(through_origin) == 3
+    with pytest.raises(DegenerateFace, match=rf"^face {through_origin[0]}: its anchors"):
+        is_sufficient(poly, corner, build_pool(poly, "edges-only"))
 
 
 def test_vertex_compile_is_the_stacked_one():
@@ -206,13 +243,20 @@ def test_dihedral_sets_keep_the_plane_columns():
     assert np.array_equal(psi.rows(real), stacked.jacobian(points)[:, :-3])
 
 
-def _no_certificate(monkeypatch):
-    qr_full_rank = rigidity._qr_full_rank
+def _svd_route(monkeypatch):
+    """Run the verdicts on the SVD reference instead of the chart basis: the
+    rank of d_phi from its SVD, and as Z the vertex rows of the reference
+    basis, which is orthonormal on all 3V + 3F coordinates, not on the
+    vertices; the chart's D lifts it, as ker d_phi = {(dx, D dx)}. This is
+    the SVD fallback of the earlier engine, kept as a reference."""
+    chart = rigidity._chart
 
-    def refuse(A, tol):
-        return (*qr_full_rank(A, tol)[:3], False)
+    def svd_chart(poly, scaled, g, tol_rel):
+        D = chart(poly, scaled, g, tol_rel)[2]
+        base = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol_rel)
+        return base, _svd_reference(poly, scaled, g)[:, : 3 * scaled.vertex_count].T, D
 
-    monkeypatch.setattr(rigidity, "_qr_full_rank", refuse)
+    monkeypatch.setattr(rigidity, "_chart", svd_chart)
 
 
 CASES = [
@@ -228,52 +272,23 @@ CASES = [
 
 @pytest.mark.parametrize("build,pool_name,mode", CASES)
 def test_svd_fallback_gives_the_same_verdicts(monkeypatch, build, pool_name, mode):
+    """The verdicts do not depend on the basis of the nontrivial
+    deformations: the chart's and the SVD reference's agree."""
     poly, real = build()
     pool = build_pool(poly, pool_name)
-    qr_path = (
+    chart_path = (
         is_sufficient(poly, real, pool, mode),
         greedy_minimal_subset(poly, real, pool, mode),
     )
-    _no_certificate(monkeypatch)
+    _svd_route(monkeypatch)
     assert (
         is_sufficient(poly, real, pool, mode),
         greedy_minimal_subset(poly, real, pool, mode),
-    ) == qr_path
+    ) == chart_path
 
 
 def test_svd_fallback_flex_witness(monkeypatch):
     poly, real = platonic("cube")
     edges = build_pool(poly, "edges-only")
-    _no_certificate(monkeypatch)
-    tangent = _nontrivial_tangent(poly, _unit_diameter(real), 6, TOL)
-    # the SVD fallback's bound is the exact sigma_1
-    assert tangent.hi == tangent.sigma_1()
+    _svd_route(monkeypatch)
     assert flex_witness(poly, real, edges) is not None
-
-
-def test_count_between_the_bracket_takes_the_exact_sigma_1():
-    poly, real = sphere_hull(40, 3)
-    scaled = _unit_diameter(real)
-    tangent = _nontrivial_tangent(poly, scaled, 6, TOL)
-    sigma_1 = np.linalg.svd(d_phi(poly, scaled), compute_uv=False)[0]
-    hi = tangent.hi
-    assert sigma_1 < hi
-    assert tangent.sigma_1() == pytest.approx(sigma_1, rel=1e-13)
-
-    calls = []
-
-    def exact():
-        calls.append(1)
-        return tangent.sigma_1()
-
-    spied = dataclasses.replace(tangent, sigma_1=exact)
-    # one singular value either side of tol * sigma_1, both below tol * hi
-    s = TOL * np.array([(sigma_1 + hi) / 2, sigma_1 / 2])
-    assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 1
-    assert calls == [1]
-    # rows whose own sigma_1 exceeds hi settle the count without sigma_1
-    s = np.array([2.0 * hi, TOL * sigma_1 / 2.0])
-    assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 1
-    s = TOL * np.array([2.0 * hi, 3.0 * hi])
-    assert spied.count_above(s, TOL) == _count_above(s, TOL, sigma_1) == 2
-    assert calls == [1]
