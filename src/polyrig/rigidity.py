@@ -13,15 +13,15 @@ The motions are deflated once per verdict, on the vertex chart (_chart):
 three anchor vertices of each face give its plane velocity from the vertex
 velocities (dn = D dx), and each further vertex of a face adds one
 first-order coplanarity row to C, so ker d_phi = {(dx, D dx): C dx = 0}.
-One SVD of [C; G_x^T], G_x the vertex rows of the motion generators, gives
-the rank of d_phi and an orthonormal basis Z of the nontrivial first-order
-deformations in vertex coordinates; no factorization sees the 3V + 3F
-coordinates. The measurements locally determine the realization up to the
-motion group exactly when their rows reach rank E + 6 - g on Z, i.e. when
-the stack [d_phi; rows] reaches 3E + 6 - g; the shortfall is the flex
-dimension. A row [r_x, r_n] is reduced to r_x Z + r_n D Z, the second
-term only for sets that hold a dihedral. This reduces the geometric
-question to numeric rank.
+One SVD of C stacked with the motions' vertex rows, orthonormalized and
+scaled past sigma_1(C), gives the rank of d_phi and an orthonormal basis Z
+of the nontrivial first-order deformations in vertex coordinates; no
+factorization sees the 3V + 3F coordinates. The measurements locally
+determine the realization up to the motion group exactly when their rows
+reach rank E + 6 - g on Z, i.e. when the stack [d_phi; rows] reaches
+3E + 6 - g; the shortfall is the flex dimension. A row [r_x, r_n] is
+reduced to r_x Z + r_n D Z, the second term only for sets that hold a
+dihedral. This reduces the geometric question to numeric rank.
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
+from scipy import linalg, sparse
 
 from ._nlsq import EXHAUSTED, STALLED, _gram_full_rank, gauss_newton_project, lm_solve
 from .errors import (
@@ -213,17 +213,18 @@ def _chart(
     ker d_phi = {(dx, D dx): C dx = 0}, and C G_x = 0 for the vertex rows
     G_x of motion_generators.
 
-    One SVD of A = [C; G_x^T], (2E - 3F + g) x 3V, with r the count of its
-    singular values above tol_rel sigma_1(A): Z, its last 3V - r right
-    singular vectors, is an orthonormal basis of ker C orthogonal to G_x,
-    the E + 6 - g nontrivial first-order deformations in vertex
-    coordinates, and rank(d_phi) = 3F + rank(C) = 3F + r - g, the rows of
-    C being orthogonal to those of G_x^T. Measurement rows annihilate the
-    motions, so their rank on those deformations is that of
-    r_x Z + r_n D Z (_on_chart). Tolerance contract: each block is cut at
-    its own sigma_1, A here and the reduced rows in the verdicts. A face
-    whose X_f is singular (anchors on one line or on a plane through the
-    origin) raises DegenerateFace.
+    One SVD of A = [C; c Q^T], (2E - 3F + g) x 3V, Q an orthonormal basis
+    of G_x and c = ||C||_F >= sigma_1(C): its values are the g motion
+    values c, the largest, and those of C, whose rows are orthogonal to
+    Q's. With r = g plus the count of C's values above tol_rel times C's
+    own sigma_1, Z (the last 3V - r right singular vectors) is an
+    orthonormal basis of ker C orthogonal to G_x at every tolerance, the
+    E + 6 - g nontrivial deformations in vertex coordinates, and
+    rank(d_phi) = 3F + rank(C) = 3F + r - g. Measurement rows annihilate
+    the motions, so their rank there is that of r_x Z + r_n D Z
+    (_on_chart). Each block is cut at its own sigma_1, C here and the
+    reduced rows in the verdicts. A face whose X_f is singular (anchors on
+    one line or on a plane through the origin) raises DegenerateFace.
     """
     X, P = scaled.vertices, scaled.planes
     V, F = len(X), len(P)
@@ -246,9 +247,11 @@ def _chart(
     A[np.arange(nc)[:, None, None], 3 * np.column_stack([ov, anchors[of]])[:, :, None] + xyz] = (
         np.column_stack([np.ones(nc), -lam])[:, :, None] * P[of][:, None, :]
     )
-    A[nc:] = motion_generators(scaled, g)[:n].T
+    # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
+    Q = np.linalg.qr(motion_generators(scaled, g)[:n])[0]
+    A[nc:] = max(np.linalg.norm(A[:nc]), 1.0) * Q.T
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    r = _count_above(s, tol_rel)
+    r = g + _count_above(s[g:], tol_rel)
     # D[3f + i, 3 a_j + k] = -X_f^-1[i, j] n_f[k], a_j the anchors of f: 9 per row
     vals = -Xinv[..., None] * P[:, None, None, :]
     cols = np.broadcast_to(3 * anchors[:, None, :, None] + xyz, vals.shape)
@@ -388,40 +391,42 @@ def flex_witness(
 ) -> Realization | None:
     """Construct a nearby non-congruent realization with identical measurements.
 
-    Requires the set to be insufficient. Works at unit diameter: takes a
-    kernel vector y of the measurement rows on the chart basis Z of
-    is_sufficient (_chart), which no motion of the group spans, lifts it to
-    the tangent vector u = (Z y, D Z y) of ker d_phi, takes out its
-    component along the motions and normalizes it, steps away along u by
-    `step` (a fraction of the diameter), and Gauss-Newton-projects back
-    onto {phi = 0, psi = psi(R)} to residual 1e-10. Returns the projected
-    realization, scaled back to the input's units, when it is genuinely
-    non-congruent to the input (normalized vertex distance > 10 * tol_rel
-    diameters), or None when the projection slides back to the start, the
-    signature of a flex that exists to first order only.
+    Requires the set to be insufficient. Works at unit diameter: lifts the
+    kernel of the measurement rows on the chart basis Z of is_sufficient
+    (_chart), which no motion spans, to tangent vectors (Z y, D Z y) of
+    ker d_phi, takes out their motion components, picks one direction u
+    (below) and normalizes it, steps away along u by `step` (a fraction of
+    the diameter), and Gauss-Newton-projects back onto {phi = 0,
+    psi = psi(R)} to residual 1e-10. Returns the projected realization,
+    scaled back to the input's units, when it is genuinely non-congruent
+    to the input (normalized vertex distance > 10 * tol_rel diameters), or
+    None when the projection slides back to the start, the signature of a
+    flex that exists to first order only.
 
-    With one flex the direction is fixed up to its sign, which the largest
-    entry of u fixes. Above one flex, y is the first kernel vector of the
-    SVD: the witness is valid, but the direction is not canonical and may
-    change with rounding, with the input's unit for one.
+    With one flex u is fixed up to its sign, which its largest entry fixes.
+    Above one flex u moves the vertices most for its length: the top
+    eigenvector of the pencil (L_x^T L_x, L^T L), L the lifted kernel basis
+    and L_x its vertex rows. No kernel basis decides it; only a tie (a
+    symmetry of the solid) leaves the choice to rounding.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
     base, Z, D = _chart(poly, scaled, g, tol_rel)
     M = _on_chart(psi.jacobian(scaled), Z, D)
-    # Vt must be square to hold the kernel; with more rows than columns the
-    # thin SVD already gives that, and U stays m x k
+    # Vt must be square to hold the kernel; a tall M's thin SVD has that
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     extra = _count_above(sm, tol_rel)
     if base + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    dx = Z @ Vt[extra]
-    u = np.concatenate([dx, D @ dx])
-    # dx is free of the motions on the vertices only; take them out of u
+    dx = Z @ Vt[extra:].T
+    L = np.vstack([dx, D @ dx])
+    # dx is free of the motions on the vertices only; take them out of L
     G = motion_generators(scaled, g)
-    u -= G @ np.linalg.solve(G.T @ G, G.T @ u)
+    L -= G @ np.linalg.solve(G.T @ G, G.T @ L)
+    # the kernel direction whose step moves the vertices most for its length
+    u = L @ linalg.eigh(L[: len(Z)].T @ L[: len(Z)], L.T @ L)[1][:, -1]
     # unit length, with its largest entry positive
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 

@@ -30,6 +30,7 @@ from polyrig.geometry import (
     build_pool,
     d_phi,
     fit_realization,
+    normalized_distance,
 )
 from polyrig.incidence import build_incidence
 from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementList
@@ -132,17 +133,34 @@ def test_mesh_verdicts_take_no_svd_of_d_phi(monkeypatch):
     assert shapes and shape not in shapes
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(solid=solids, tol=st.sampled_from([1e-10, 1e-9, 1e-8, 1e-6]), g=st.sampled_from([6, 7]))
+@settings(max_examples=90, deadline=None, derandomize=True, database=None)
+@given(
+    solid=solids,
+    tol=st.sampled_from([1e-10, 1e-9, 1e-8, 1e-6, 1e-4, 1e-2, 3e-2, 0.1, 0.3]),
+    g=st.sampled_from([6, 7]),
+)
 def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol, g):
-    """At the verdict tolerances the chart's rank of d_phi, 3F + r - g with r
-    the count of [C; G_x^T], is the SVD count of d_phi. (At loose
-    tolerances the two differ: the chart cuts [C; G_x^T] at its own
-    sigma_1, not d_phi at sigma_1(d_phi).)"""
+    """At every tolerance the motions stay out of the chart's cutoff: Z is
+    orthonormal and orthogonal to G_x, and its width is 3V minus r, the
+    rank 3F + r - g being at most 2E. At the verdict tolerances (to 1e-6)
+    that rank is the SVD count of d_phi, 2E. At loose ones C is cut at its
+    own sigma_1, so the rank stays 2E on solids whose faces have at most
+    five vertices; a 24-gon's coplanarity rows fall below 3e-2 sigma_1(C).
+    """
     poly, real = solid
     scaled = _unit_diameter(real)
-    count = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol)
-    assert _chart(poly, scaled, g, tol)[0] == count == 2 * poly.edge_count
+    rank, Z, _ = _chart(poly, scaled, g, tol)
+    n = 3 * real.vertex_count
+    assert Z.shape == (n, n - (rank - 3 * real.face_count + g))
+    assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() <= 1e-12
+    assert np.linalg.norm(motion_generators(scaled, g)[:n].T @ Z, 2) <= 1e-12
+    if tol <= 1e-6:
+        count = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol)
+        assert rank == count == 2 * poly.edge_count
+    elif max(map(len, poly.faces)) <= 5:
+        assert rank == 2 * poly.edge_count
+    else:
+        assert rank <= 2 * poly.edge_count
 
 
 def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
@@ -170,7 +188,8 @@ def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
         assert is_sufficient(poly, real, pool).sufficient
         assert greedy_minimal_subset(poly, real, pool).sufficient
     assert (6, 3 * real.vertex_count) in shapes["svd"]
-    assert "qr" not in shapes
+    # the only QR orthonormalizes the motions' vertex rows G_x
+    assert set(shapes["qr"]) == {(3 * real.vertex_count, 6)}
     assert all(full not in shape for seen in shapes.values() for shape in seen)
 
 
@@ -178,13 +197,21 @@ def test_triangulated_hulls_and_the_cube_are_rigid_at_loose_tolerance():
     """Dehn's theorem: a triangulated convex polyhedron is infinitesimally
     rigid on its edges, so its face distances are sufficient, at any
     tolerance the chart and the rows clear on their own. The cube's face
-    distances pin it too, and its 12 edges leave 3 flexes."""
+    distances pin it too, and its 12 edges leave 3 flexes, none of them a
+    rotation: the cube's rotations have smaller singular values than its
+    coplanarity rows, and no cutoff may reach them."""
     poly, real = sphere_hull(100, 0)
     assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=1e-2).sufficient
     poly, real = platonic("cube")
-    assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=0.1).sufficient
-    edges = is_sufficient(poly, real, build_pool(poly, "edges-only"), tol_rel=0.1)
-    assert edges.flex_dimension == 3
+    scaled = _unit_diameter(real)
+    for tol in (0.1, 0.2, 0.3):
+        assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=tol).sufficient
+        edges = is_sufficient(poly, real, build_pool(poly, "edges-only"), tol_rel=tol)
+        assert edges.flex_dimension == 3
+        for g in (6, 7):
+            rank, Z, _ = _chart(poly, scaled, g, tol)
+            assert rank == 2 * poly.edge_count
+            assert np.linalg.norm(motion_generators(scaled, g)[:24].T @ Z, 2) <= 1e-12
 
 
 def test_a_face_without_an_anchor_frame_is_named():
@@ -292,3 +319,30 @@ def test_svd_fallback_flex_witness(monkeypatch):
     edges = build_pool(poly, "edges-only")
     _svd_route(monkeypatch)
     assert flex_witness(poly, real, edges) is not None
+
+
+def test_multi_flex_direction_does_not_depend_on_the_kernel_basis(monkeypatch):
+    """Above one flex the witness steps along the kernel direction whose
+    lift moves the vertices most for its length, not along whichever
+    kernel vector the SVD lists first: mixing the SVD's kernel vectors by a
+    rotation gives the same witness."""
+    poly, real = sphere_hull(50, 0)
+    edges = build_pool(poly, "edges-only")
+    kept = edges[:10] + edges[11:40] + edges[41:70] + edges[71:]
+    assert is_sufficient(poly, real, kept).flex_dimension == 3
+    first = flex_witness(poly, real, kept)
+    assert first is not None
+    assert normalized_distance(poly, real, first) > 1e-4 * real.diameter()
+
+    svd = np.linalg.svd
+    mix = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+
+    def mixed(a, *args, **kwargs):
+        U, s, Vt = svd(a, *args, **kwargs)
+        if np.shape(a)[1] == poly.edge_count:  # the rows on Z: E + 6 - g columns
+            Vt = np.vstack([Vt[:-3], mix @ Vt[-3:]])
+        return U, s, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", mixed)
+    second = flex_witness(poly, real, kept)
+    assert normalized_distance(poly, first, second) <= 1e-9 * real.diameter()
