@@ -126,6 +126,7 @@ def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedro
     if dim != 3:
         raise ParseError("a mesh takes a dim-3 measurement set")
     poly, real = _load_mesh(path)
+    adjacent = set(poly.adjacent_faces())
     for m in ms:
         kind = _ID_KIND.get(type(m))
         if kind is None:
@@ -137,6 +138,8 @@ def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedro
         for i in dataclasses.astuple(m):
             if not 0 <= i < bound:
                 raise ParseError(f"{kind} id {i} out of range 0..{bound - 1}")
+        if kind == "face" and (min(m.f, m.g), max(m.f, m.g)) not in adjacent:
+            raise ParseError(f"dihedral faces {m.f} and {m.g} share no edge")
     return poly, real
 
 
@@ -277,7 +280,7 @@ def cmd_witness(args) -> int:
         # at unit size no square overflows or underflows; lengths are scaled back
         unit = _unit(real.vertices)
         ref, wit = real.rescaled(1.0 / unit), found.rescaled(1.0 / unit)
-        errors = evaluate_all(ms, wit) - evaluate_all(ms, ref)
+        errors = evaluate_all(poly, ms, wit) - evaluate_all(poly, ms, ref)
         errors[[isinstance(m, FaceDistance) for m in ms]] *= unit
         payload = {
             "witness": {

@@ -278,5 +278,5 @@ def verify_equal_face_diagonals(poly: AbstractPolyhedron, real: Realization) -> 
             raise NonQuadFace(f"face {f} has {len(cycle)} vertices, need 4")
         p, q, r, s = cycle
         diagonals += [FaceDistance(p, r), FaceDistance(q, s)]
-    lengths = evaluate_all(diagonals, real)
+    lengths = evaluate_all(poly, diagonals, real)
     return float(np.abs(lengths - lengths.mean()).max())

@@ -9,15 +9,20 @@ solid, so every plane offset is nonzero).
 The incidence constraint map phi sends a realization to the stacked values
 a_j x_i + b_j y_i + c_j z_i - 1 over all incident (vertex, face) pairs; its
 zero set is the manifold of planar-faced realizations, and d_phi is the
-exact Jacobian of that map.
+exact Jacobian of that map. The rank engine of rigidity works on the
+vertices alone; phi and d_phi are the full-coordinate reference it is
+checked against.
 
 Measurements on a realization come in three kinds: distances between
 vertices sharing a face, angles at a face corner, and interior dihedral
-angles along an edge. evaluate_all/gradient_rows give the values and the
-exact gradient rows with respect to the full coordinate vector
+angles along an edge. All three are functions of the vertices alone; the
+plane coefficients are a chart for the incidences, not data. MeshMeasurements
+compiles a list onto the point-set kernel of pointsets over the vertices, a
+dihedral as the angle between two cross products of edge vectors at the
+shared edge. evaluate_all/gradient_rows give the values and the exact
+gradient rows with respect to the full coordinate vector
 (x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1, ..., a_F, b_F, c_F),
-computed by the point-set kernel of pointsets on the vertices or, for a
-set holding a dihedral, on the stacked points [vertices; planes; origin].
+whose plane columns are zero.
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from .errors import (
 from .incidence import AbstractPolyhedron
 from .pointsets import (
     Angle,
-    DiagonalAngle,
     Distance,
     MeasurementList,
+    _Hinge,
     _dot,
     _field_ids,
     _unit,
@@ -272,79 +277,84 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 # --- measurement evaluation ---------------------------------------------------
 
 
-# the point measurement each mesh measurement is, and the fields that give
-# its point ids (a dihedral's are shifted past the vertices, see below)
+# the point measurement each vertex measurement is, and the fields that give its point ids
 _ON_POINTS = {
     FaceDistance: (Distance, ("v", "w")),
     FaceAngle: (Angle, ("end1", "apex", "end2")),
-    DihedralAngle: (DiagonalAngle, ("f", "g")),
 }
 
 
+def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.ndarray:
+    """The _Hinge ids (u, v, w_f, w_g) of each DihedralAngle(f, g): u -> v
+    the edge f shares with g in f's cycle, w_f the vertex after v in f and
+    w_g the vertex after u in g. The cycles are consistently oriented, so
+    the hinge's angle is pi minus the angle between the face normals; a
+    global flip of the orientation leaves it unchanged. Two faces that share
+    no edge raise ValueError."""
+    after = {}  # each directed cycle edge (a, b): its face and the vertex after b
+    for f, cycle in enumerate(poly.faces):
+        for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
+            after[a, b] = f, c
+    hinge = {}
+    for (u, v), (f, w) in after.items():
+        g, x = after[v, u]
+        hinge.setdefault((f, g), (u, v, w, x))
+    for d in dihedrals:
+        if (d.f, d.g) not in hinge:
+            raise ValueError(f"faces {d.f} and {d.g} share no edge")
+    return np.array([hinge[d.f, d.g] for d in dihedrals], dtype=np.intp)
+
+
 class MeshMeasurements:
-    """Mesh measurements compiled once onto the points of a realization.
+    """Mesh measurements of a polyhedron compiled once onto its vertices.
 
     A face distance is a point distance and a face angle a point angle of
-    the vertices. A dihedral is the angle between P_f - O and O - P_g on the
-    stacked points [vertices; planes; origin], so a set holding one is
-    compiled onto that stack, and any other onto the vertices alone; the
-    one point-set kernel serves meshes too. The index arrays are built by
-    measurement type, not measurement by measurement.
+    the vertices; a dihedral is the angle of a _Hinge at the edge the two
+    faces share (_hinges). The one point-set kernel serves meshes too, and
+    the index arrays are built by measurement type, not measurement by
+    measurement.
     """
 
-    def __init__(
-        self, measurements: Sequence[Measurement3D], vertex_count: int, face_count: int
-    ):
+    def __init__(self, poly: AbstractPolyhedron, measurements: Sequence[Measurement3D]):
         rows: dict[type, list[int]] = {}
         for r, m in enumerate(measurements):
-            if type(m) not in _ON_POINTS:
+            if type(m) not in (FaceDistance, FaceAngle, DihedralAngle):
                 raise TypeError(f"not a mesh measurement: {m!r}")
             rows.setdefault(type(m), []).append(r)
-        #: whether the plane coefficients enter: only dihedrals use them
-        self.uses_planes = DihedralAngle in rows
         ids = {}
         for cls, r in rows.items():
-            kind, names = _ON_POINTS[cls]
             items = measurements if len(r) == len(measurements) else [measurements[i] for i in r]
-            f = _field_ids(items, names)
             if cls is DihedralAngle:
-                # pi minus the angle between P_f and P_g: the angle of P_f - O, O - P_g
-                o = np.full((len(r), 1), vertex_count + face_count)
-                f = np.hstack([o, f + vertex_count, o])
-            ids[kind] = (r, f)
+                ids[_Hinge] = (r, _hinges(poly, items))
+            else:
+                kind, names = _ON_POINTS[cls]
+                ids[kind] = (r, _field_ids(items, names))
         self.kernel = MeasurementList.from_ids(len(measurements), ids)
-        self._width = 3 * (vertex_count + face_count if self.uses_planes else vertex_count)
-
-    def _points(self, real: Realization) -> np.ndarray:
-        if not self.uses_planes:
-            return real.vertices
-        return np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
 
     def values(self, real: Realization) -> np.ndarray:
-        return self.kernel.values(self._points(real))
+        return self.kernel.values(real.vertices)
 
     def jacobian(self, real: Realization) -> np.ndarray:
-        """Gradient rows wrt the coordinates the set uses: the vertex
-        coordinates (m, 3V), followed by the plane coefficients (m, 3V + 3F)
-        when uses_planes."""
-        return self.kernel.jacobian(self._points(real))[:, : self._width]
+        """Gradient rows wrt the vertex coordinates, shape (m, 3V)."""
+        return self.kernel.jacobian(real.vertices)
 
     def rows(self, real: Realization) -> np.ndarray:
-        """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F)."""
+        """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F);
+        the plane columns are zero."""
         J = self.jacobian(real)
-        if self.uses_planes:
-            return J
-        rows = np.zeros((len(J), 3 * (real.vertex_count + real.face_count)))
-        rows[:, : J.shape[1]] = J
-        return rows
+        return np.hstack([J, np.zeros((len(J), 3 * real.face_count))])
 
 
-def evaluate_all(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
-    return MeshMeasurements(measurements, real.vertex_count, real.face_count).values(real)
+def evaluate_all(
+    poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
+) -> np.ndarray:
+    return MeshMeasurements(poly, measurements).values(real)
 
 
-def gradient_rows(measurements: Sequence[Measurement3D], real: Realization) -> np.ndarray:
-    return MeshMeasurements(measurements, real.vertex_count, real.face_count).rows(real)
+def gradient_rows(
+    poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
+) -> np.ndarray:
+    return MeshMeasurements(poly, measurements).rows(real)
 
 
 # --- canonical frame ----------------------------------------------------------

@@ -2,10 +2,10 @@
 
 This is the one measurement kernel of the package. The polygon module (2D
 chart), the witness machinery in rigidity (free points in 2D/3D) and the
-mesh measurements of the geometry module (on the vertices or, with
-dihedrals, on the stacked points [vertices; planes; origin]) all evaluate
-through it: distances, angles at an apex, angles between two segments,
-plus an optional coplanarity side constraint for 3D searches. A
+mesh measurements of the geometry module (on the vertices alone, a
+dihedral as the angle between two cross products of edge vectors) all
+evaluate through it: distances, angles at an apex, angles between two
+segments, plus an optional coplanarity side constraint for 3D searches. A
 MeasurementList compiles a list once; values and the Jacobian are taken
 with respect to the flattened coordinate array (n * dim,).
 """
@@ -52,6 +52,13 @@ class DiagonalAngle:
 
 
 SimpleMeasurement = Distance | Angle | DiagonalAngle
+
+
+class _Hinge:
+    """The layout of a mesh dihedral, ids (u, v, w, x): the angle between
+    (A_v - A_u) x (A_w - A_u) and (A_x - A_v) x (A_u - A_v), the interior
+    dihedral angle at edge uv of the consistently oriented triangles
+    (u, v, w) and (v, u, x)."""
 
 
 @dataclass(frozen=True)
@@ -107,12 +114,23 @@ def _angle(vecs, lens, grad: bool):
     theta = np.arctan2(s, c)
     if not grad:
         return theta, None
-    if (s < 1e-14 * nu * nv).any():
+    if (s <= 1e-14 * nu * nv).any():
         raise DegenerateMeasurement("parallel rays; angle gradient undefined")
     c, s = c[..., None], s[..., None]
     du = (c * u / (nu ** 2)[..., None] - v) / s
     dv = (c * v / (nv ** 2)[..., None] - u) / s
     return theta, (du, dv)
+
+
+def _normal_angle(vecs, lens, grad: bool):
+    # the angle between a x b and c x d; d theta = g.dn with dn = da x b + a x db
+    a, b, c, d = vecs
+    n, m = _cross(a, b), _cross(c, d)
+    theta, g = _angle([n, m], [_norm(n), _norm(m)], grad)
+    if not grad:
+        return theta, None
+    gn, gm = g
+    return theta, (_cross(b, gn), _cross(gn, a), _cross(d, gm), _cross(gm, c))
 
 
 def _triple(vecs, lens, grad: bool):
@@ -122,8 +140,8 @@ def _triple(vecs, lens, grad: bool):
 
 
 # the order of the vector blocks; the triple product comes last because its
-# vectors, unlike those of lengths and angles (the first _checked), may be zero
-_PRIMITIVES = (_length, _angle, _triple)
+# vectors, unlike those of lengths and both angles (the first _checked), may be zero
+_PRIMITIVES = (_length, _angle, _normal_angle, _triple)
 
 # (primitive, ends) of each measurement type: the measurement is the
 # primitive applied to the difference vectors P[head] - P[tail], and ends
@@ -132,6 +150,7 @@ _LAYOUT = {
     Distance: (_length, [0, 1]),
     Angle: (_angle, [0, 2, 1, 1]),
     DiagonalAngle: (_angle, [1, 3, 0, 2]),
+    _Hinge: (_normal_angle, [1, 2, 3, 0, 0, 0, 1, 1]),
     Coplanar: (_triple, [1, 2, 3, 0, 0, 0]),
 }
 
@@ -152,8 +171,9 @@ class MeasurementList:
     """A measurement list compiled once into index arrays.
 
     Every measurement is a segment length, the angle between two
-    point-difference vectors or a triple product: Angle(i, j, k) is
-    DiagonalAngle(j, i, j, k), the angle between A_i - A_j and A_k - A_j.
+    point-difference vectors, the angle between two of their cross products
+    or a triple product: Angle(i, j, k) is DiagonalAngle(j, i, j, k), the
+    angle between A_i - A_j and A_k - A_j.
     All difference vectors of the list are gathered, and their lengths
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the

@@ -1,35 +1,35 @@
 """Rank-based sufficiency analysis of measurement sets.
 
-For a realization of a polyhedron with V vertices, F faces and E edges,
-the planarity map phi has a 2E x (3V+3F) Jacobian of rank 2E, so its
-kernel, the tangent space of planar-faced realizations, has dimension
-E + 6. Each measurement contributes one gradient row (dPsi), and every row
-annihilates the g motion generators: the rigid motions (g = 6) for
-congruence, plus uniform scaling (g = 7) for similarity. A distance pins
-the scale, so a similarity set that admits one is judged by the congruence
-test, with g = 6.
+A planar-faced realization of a polyhedron with V vertices, F faces and E
+edges is fixed by its vertices: every measurement (face distance, face
+angle, dihedral) is a function of them, and the face planes follow. Its
+planar-faced first-order deformations form a space of dimension E + 6, the
+kernel of the 2E x (3V + 3F) incidence Jacobian d_phi of geometry. Each
+measurement contributes one gradient row J over the 3V vertex coordinates,
+and every row annihilates the g motion generators: the rigid motions
+(g = 6) for congruence, plus uniform scaling (g = 7) for similarity. A
+distance pins the scale, so a similarity set that admits one is judged by
+the congruence test, with g = 6.
 
 The motions are deflated once per verdict, on the vertex chart (_chart):
-three anchor vertices of each face give its plane velocity from the vertex
-velocities (dn = D dx), and each further vertex of a face adds one
-first-order coplanarity row to C, so ker d_phi = {(dx, D dx): C dx = 0}.
-One SVD of C stacked with the motions' vertex rows, orthonormalized and
-scaled past sigma_1(C), gives the rank of d_phi and an orthonormal basis Z
-of the nontrivial first-order deformations in vertex coordinates; no
-factorization sees the 3V + 3F coordinates. The measurements locally
-determine the realization up to the motion group exactly when their rows
-reach rank E + 6 - g on Z, i.e. when the stack [d_phi; rows] reaches
-3E + 6 - g; the shortfall is the flex dimension. A row [r_x, r_n] is
-reduced to r_x Z + r_n D Z, the second term only for sets that hold a
-dihedral. This reduces the geometric question to numeric rank.
+three anchor vertices of each face span its plane, and each further vertex
+of a face adds one Coplanar side row to C, so the planar-faced deformations
+are ker C. One SVD of C stacked with the motions' vertex rows,
+orthonormalized and scaled past sigma_1(C), gives the rank of d_phi and an
+orthonormal basis Z of the nontrivial first-order deformations; no
+computation sees the plane coefficients. The measurements locally
+determine the realization up to the motion group exactly when J Z reaches
+rank E + 6 - g, i.e. when the stack [d_phi; rows] reaches 3E + 6 - g; the
+shortfall is the flex dimension. This reduces the geometric question to
+numeric rank.
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
-row leaves the span built so far), a first-order flex witness for
-insufficient sets (step along a kernel direction of the rows on Z, then
-project back onto the constraint set), and a restart-based global witness
-search for labeled point configurations, which covers claims that are
-invisible to first-order rank analysis.
+row leaves the span built so far), a flex witness for insufficient sets
+(step along a kernel direction of J Z, then project back onto the
+measurements and the Coplanar rows over the vertices), and a restart-based
+global witness search for labeled point configurations, which covers
+claims that are invisible to first-order rank analysis.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 
 from ._nlsq import EXHAUSTED, STALLED, _gram_full_rank, gauss_newton_project, lm_solve
 from .errors import (
-    DegenerateFace,
     NoConvergedRestarts,
     NoKernelDirection,
     ProjectionDiverged,
@@ -53,9 +52,8 @@ from .geometry import (
     MeshMeasurements,
     Realization,
     _incidence_indices,
-    d_phi,
+    face_distance_pool,
     normalized_distance,
-    phi,
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
@@ -182,91 +180,55 @@ def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray)
     return hit[np.searchsorted(hit, starts)]
 
 
-def _face_anchors(
-    vi: np.ndarray, fj: np.ndarray, starts: np.ndarray, X: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Three spread anchors per face, (F, 3): its first vertex a, the vertex
-    b farthest from a and the vertex c farthest from the line ab; and the
-    mask of the incidence pairs whose vertex is no anchor."""
+def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, MeasurementList]:
+    """Three spread anchors per face of a realization with vertices X, (F, 3):
+    its first vertex a, the vertex b farthest from a and the vertex c
+    farthest from the line ab; and the side rows Coplanar(a, b, c, v), one
+    per face and vertex v of it other than its anchors (none on a
+    triangulated mesh)."""
+    vi, fj = _incidence_indices(poly)
+    starts = np.searchsorted(fj, np.arange(poly.face_count))
     d = X[vi] - X[vi[starts]][fj]
     b_row = _segment_argmax(_dot(d, d), starts, fj)
     e = _cross(d, d[b_row][fj])
     rows = np.column_stack([starts, b_row, _segment_argmax(_dot(e, e), starts, fj)])
     other = np.ones(len(vi), dtype=bool)
     other[rows] = False
-    return vi[rows], other
+    anchors = vi[rows]
+    ids = np.column_stack([anchors[fj[other]], vi[other]])
+    return anchors, MeasurementList.from_ids(len(ids), {Coplanar: (np.arange(len(ids)), ids)})
 
 
 def _chart(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
-) -> tuple[int, np.ndarray, sparse.csr_matrix]:
-    """The kernel of d_phi modulo the g motions at a unit-diameter
-    realization, on the vertex chart; (rank of d_phi, Z, D).
+) -> tuple[int, np.ndarray]:
+    """The planar-faced first-order deformations modulo the g motions at a
+    unit-diameter realization, in vertex coordinates; (rank of d_phi, Z).
 
-    Each face f takes three spread anchor vertices a, b, c (its first
-    vertex, the one farthest from it, the one farthest from their line),
-    and X_f = [x_a; x_b; x_c]. The incidence rows of the anchors give the
-    plane velocity dn_f = -X_f^-1 [n_f.dx_a; n_f.dx_b; n_f.dx_c], a sparse
-    map dn = D dx; every other vertex v of f adds the coplanarity row
-    n_f.(dx_v - sum_j l_j dx_j) = 0 to C, l = X_f^-T x_v its barycentric
-    coordinates over the anchors (none on a triangulated hull). So
-    ker d_phi = {(dx, D dx): C dx = 0}, and C G_x = 0 for the vertex rows
-    G_x of motion_generators.
+    C is the Jacobian over the 3V vertex coordinates of the Coplanar side
+    rows of _face_anchors. A vertex velocity dx keeps every face planar to
+    first order exactly when C dx = 0, and the planes follow the vertices,
+    so rank(d_phi) = 3F + rank(C); C G_x = 0 for the vertex rows G_x of
+    motion_generators.
 
-    One SVD of A = [C; c Q^T], (2E - 3F + g) x 3V, Q an orthonormal basis
-    of G_x and c = ||C||_F >= sigma_1(C): its values are the g motion
-    values c, the largest, and those of C, whose rows are orthogonal to
-    Q's. With r = g plus the count of C's values above tol_rel times C's
-    own sigma_1, Z (the last 3V - r right singular vectors) is an
-    orthonormal basis of ker C orthogonal to G_x at every tolerance, the
-    E + 6 - g nontrivial deformations in vertex coordinates, and
-    rank(d_phi) = 3F + rank(C) = 3F + r - g. Measurement rows annihilate
-    the motions, so their rank there is that of r_x Z + r_n D Z
-    (_on_chart). Each block is cut at its own sigma_1, C here and the
-    reduced rows in the verdicts. A face whose X_f is singular (anchors on
-    one line or on a plane through the origin) raises DegenerateFace.
+    One SVD of A = [C; c Q^T], Q an orthonormal basis of G_x and
+    c = ||C||_F >= sigma_1(C): its values are the g motion values c, the
+    largest, and those of C. With r = g plus the count of C's values above
+    tol_rel times C's own sigma_1, Z (the last 3V - r right singular
+    vectors) is an orthonormal basis of ker C orthogonal to G_x at every
+    tolerance, the E + 6 - g nontrivial deformations, and rank(d_phi) =
+    3F + r - g. Measurement rows annihilate the motions, so their rank
+    there is that of J Z, which the verdicts cut at its own sigma_1.
     """
-    X, P = scaled.vertices, scaled.planes
-    V, F = len(X), len(P)
-    vi, fj = _incidence_indices(poly)
-    anchors, other = _face_anchors(vi, fj, np.searchsorted(fj, np.arange(F)), X)
-    Xa = X[anchors]
-    # the rows of adj are b x c, c x a, a x b, so X_f adj_f^T = det(X_f) I
-    adj = _cross(Xa[:, [1, 2, 0]], Xa[:, [2, 0, 1]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        Xinv = adj.transpose(0, 2, 1) / _dot(Xa[:, 0], adj[:, 0])[:, None, None]
-    singular = np.flatnonzero(~np.isfinite(Xinv).all(axis=(1, 2)))
-    if len(singular):
-        raise DegenerateFace(f"face {singular[0]}: its anchors and the origin are coplanar")
-    ov, of = vi[other], fj[other]
-    lam = (X[ov][:, None, :] @ Xinv[of])[:, 0]
-    n, nc, xyz = 3 * V, len(ov), np.arange(3)
-
-    # row i of C, for pair (v, f): n_f at v and -l_j n_f at anchor j
-    A = np.zeros((nc + g, n))
-    A[np.arange(nc)[:, None, None], 3 * np.column_stack([ov, anchors[of]])[:, :, None] + xyz] = (
-        np.column_stack([np.ones(nc), -lam])[:, :, None] * P[of][:, None, :]
-    )
+    X = scaled.vertices
+    n = 3 * len(X)
+    C = _face_anchors(poly, X)[1].jacobian(X)
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     Q = np.linalg.qr(motion_generators(scaled, g)[:n])[0]
-    A[nc:] = max(np.linalg.norm(A[:nc]), 1.0) * Q.T
+    A = np.vstack([C, max(np.linalg.norm(C), 1.0) * Q.T])
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     r = g + _count_above(s[g:], tol_rel)
-    # D[3f + i, 3 a_j + k] = -X_f^-1[i, j] n_f[k], a_j the anchors of f: 9 per row
-    vals = -Xinv[..., None] * P[:, None, None, :]
-    cols = np.broadcast_to(3 * anchors[:, None, :, None] + xyz, vals.shape)
-    D = sparse.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, 27 * F + 1, 9)), (3 * F, n))
-    return 3 * F + r - g, Vt[r:].T, D
-
-
-def _on_chart(J: np.ndarray, Z: np.ndarray, D: sparse.csr_matrix) -> np.ndarray:
-    """Gradient rows J on the chart basis Z of _chart: J_x Z, plus J_n D Z
-    when J holds the plane columns (a set with a dihedral)."""
-    n = len(Z)
-    M = J[:, :n] @ Z
-    if J.shape[1] > n:
-        M += J[:, n:] @ (D @ Z)
-    return M
+    return 3 * poly.face_count + r - g, Vt[r:].T
 
 
 @dataclass(frozen=True)
@@ -302,9 +264,9 @@ def is_sufficient(
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    base, Z, D = _chart(poly, scaled, g, tol_rel)
-    J = MeshMeasurements(measurements, real.vertex_count, real.face_count).jacobian(scaled)
-    rank = base + _count_above(np.linalg.svd(_on_chart(J, Z, D), compute_uv=False), tol_rel)
+    base, Z = _chart(poly, scaled, g, tol_rel)
+    J = MeshMeasurements(poly, measurements).jacobian(scaled)
+    rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol_rel)
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -342,9 +304,9 @@ def greedy_minimal_subset(
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
-    rows = MeshMeasurements(pool, real.vertex_count, real.face_count).jacobian(scaled)
-    rank, Z, D = _chart(poly, scaled, g, tol_rel)
-    reduced = _on_chart(rows, Z, D)
+    rows = MeshMeasurements(poly, pool).jacobian(scaled)
+    rank, Z = _chart(poly, scaled, g, tol_rel)
+    reduced = rows @ Z
     # accepted residuals are orthonormal in the E + 6 - g coordinates of Z
     basis = np.empty((Z.shape[1], Z.shape[1]))
 
@@ -391,64 +353,66 @@ def flex_witness(
 ) -> Realization | None:
     """Construct a nearby non-congruent realization with identical measurements.
 
-    Requires the set to be insufficient. Works at unit diameter: lifts the
-    kernel of the measurement rows on the chart basis Z of is_sufficient
-    (_chart), which no motion spans, to tangent vectors (Z y, D Z y) of
-    ker d_phi, takes out their motion components, picks one direction u
-    (below) and normalizes it, steps away along u by `step` (a fraction of
-    the diameter), and Gauss-Newton-projects back onto {phi = 0,
-    psi = psi(R)} to residual 1e-10. Returns the projected realization,
-    scaled back to the input's units, when it is genuinely non-congruent
-    to the input (normalized vertex distance > 10 * tol_rel diameters), or
-    None when the projection slides back to the start, the signature of a
-    flex that exists to first order only.
+    Requires the set to be insufficient. Works at unit diameter on the
+    vertices alone: picks a unit vertex velocity u = Z K c in the kernel of
+    the measurement rows on the chart basis Z of is_sufficient (_chart),
+    K an orthonormal basis of ker J Z, steps away along u by `step` (a
+    fraction of the diameter), and Gauss-Newton-projects back onto
+    {psi = psi(R), Coplanar rows = 0} over the 3V vertex coordinates, the
+    system point_set_witness solves, to residual 1e-10. The witness planes
+    come from each face's anchor triple. Returns the projected realization,
+    scaled back to the input's units, when it lies more than sqrt(1e-10) =
+    1e-5 diameters from the input (normalized vertex distance), or None
+    when the projection slides back to the start, the signature of a flex
+    that exists to first order only: near a second-order-rigid point a
+    residual of 1e-10 admits a drift of about 1e-5. So a step below about
+    1e-4 cannot be certified.
 
-    With one flex u is fixed up to its sign, which its largest entry fixes.
-    Above one flex u moves the vertices most for its length: the top
-    eigenvector of the pencil (L_x^T L_x, L^T L), L the lifted kernel basis
-    and L_x its vertex rows. No kernel basis decides it; only a tie (a
-    symmetry of the solid) leaves the choice to rounding.
+    c is the top eigenvector of (H Z K)^T (H Z K), H the Jacobian of the
+    face distances: u changes the face distances most for its length. By
+    Dehn's theorem H is injective on Z, so no kernel basis decides u; only
+    a tie (a symmetry of the solid) leaves the choice to rounding. The sign
+    of u makes its largest entry positive.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    psi = MeshMeasurements(measurements, real.vertex_count, real.face_count)
-    base, Z, D = _chart(poly, scaled, g, tol_rel)
-    M = _on_chart(psi.jacobian(scaled), Z, D)
+    X = scaled.vertices
+    psi = MeshMeasurements(poly, measurements).kernel
+    base, Z = _chart(poly, scaled, g, tol_rel)
+    M = psi.jacobian(X) @ Z
     # Vt must be square to hold the kernel; a tall M's thin SVD has that
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     extra = _count_above(sm, tol_rel)
     if base + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    dx = Z @ Vt[extra:].T
-    L = np.vstack([dx, D @ dx])
-    # dx is free of the motions on the vertices only; take them out of L
-    G = motion_generators(scaled, g)
-    L -= G @ np.linalg.solve(G.T @ G, G.T @ L)
-    # the kernel direction whose step moves the vertices most for its length
-    u = L @ linalg.eigh(L[: len(Z)].T @ L[: len(Z)], L.T @ L)[1][:, -1]
-    # unit length, with its largest entry positive
+    ZK = Z @ Vt[extra:].T
+    HZK = MeshMeasurements(poly, face_distance_pool(poly)).kernel.sparse_jacobian(X) @ ZK
+    u = ZK @ np.linalg.eigh(HZK.T @ HZK)[1][:, -1]
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
-    targets = psi.values(scaled)
-    nv, nf = real.vertex_count, real.face_count
+    anchors, side = _face_anchors(poly, X)
+    targets = psi.values(X)
 
     def resid(x: np.ndarray) -> np.ndarray:
-        r = Realization.from_coordinate_vector(x, nv, nf)
-        return np.concatenate([phi(poly, r), psi.values(r) - targets])
+        P = x.reshape(-1, 3)
+        return np.concatenate([psi.values(P) - targets, side.values(P)])
 
     def jac(x: np.ndarray) -> np.ndarray:
-        r = Realization.from_coordinate_vector(x, nv, nf)
-        return np.vstack([d_phi(poly, r), psi.rows(r)])
+        P = x.reshape(-1, 3)
+        return np.vstack([psi.jacobian(P), side.jacobian(P)])
 
-    x0 = scaled.coordinate_vector() + step * u
+    target = 1e-10
     x, ok = gauss_newton_project(
-        resid, jac, x0, target=1e-10, max_travel=100.0 * (step + 1.0)
+        resid, jac, X.ravel() + step * u, target=target, max_travel=100.0 * (step + 1.0)
     )
     if not ok:
-        raise ProjectionDiverged("projection did not reach residual 1e-10")
-    result = Realization.from_coordinate_vector(x, nv, nf)
-    if normalized_distance(poly, scaled, result) > 10.0 * tol_rel:
+        raise ProjectionDiverged(f"projection did not reach residual {target:g}")
+    W = x.reshape(-1, 3)
+    # each face's plane a.x = 1 through its anchor triple
+    planes = np.linalg.solve(W[anchors], np.ones((poly.face_count, 3, 1)))[..., 0]
+    result = Realization(W, planes)
+    if normalized_distance(poly, scaled, result) > np.sqrt(target):
         return result.rescaled(real.diameter())
     return None
 

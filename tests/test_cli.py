@@ -497,3 +497,30 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):
     nan_off.write_text(open(cube_off).read().replace("0.5", "nan", 1))
     code, _, err = run(capsys, "analyze", str(nan_off))
     assert code == 2 and "non-finite" in err
+
+
+def test_dihedral_of_faces_without_a_common_edge_exits_2(capsys, tmp_path, cube_off):
+    _, faces = read_off(open(cube_off).read())
+    adjacent = build_incidence(faces).adjacent_faces()
+    f, g = next((f, g) for f in range(6) for g in range(f + 1, 6) if (f, g) not in adjacent)
+    ms = _write(tmp_path, "opposite.json", {"dim": 3, "measurements": [
+        {"type": "dihedral", "ids": [0, 1]}, {"type": "dihedral", "ids": [g, f]}]})
+    for verb in ("check", "witness"):
+        code, out, err = run(capsys, verb, cube_off, "--measurements", ms)
+        assert code == 2 and out == ""
+        assert f"dihedral faces {g} and {f} share no edge" in err
+
+
+def test_witness_of_a_first_order_flex_only_exits_0(capsys, tmp_path):
+    """The dodecahedron's 30 edges flex to first order only: the projection
+    slides back to within the 1e-5 diameters its residual admits, so no
+    witness is reported."""
+    off = str(tmp_path / "dodeca.off")
+    assert main(["generate", "dodecahedron", "--out", off]) == 0
+    _, faces = read_off(open(off).read())
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, _ = run(capsys, "witness", off, "--measurements", str(ms))
+    assert code == 0
+    assert json.loads(out) == {
+        "note": "first-order flex only", "sufficient": False, "witness": None}

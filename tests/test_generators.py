@@ -214,7 +214,7 @@ def _unit_cube_reference():
 def test_family_a_all_diagonals_sqrt_two(q1):
     poly, real = hexahedron_family_a(q1)
     assert verify_equal_face_diagonals(poly, real) < 1e-10
-    d = evaluate_all([FaceDistance(*poly.faces[0][:3:2])], real)[0]
+    d = evaluate_all(poly, [FaceDistance(*poly.faces[0][:3:2])], real)[0]
     assert d == pytest.approx(np.sqrt(2.0), abs=1e-10)
 
 

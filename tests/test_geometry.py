@@ -189,38 +189,44 @@ def test_phi_and_d_phi_match_the_pairwise_definition():
 
 def test_cube_measurement_values(cube):
     poly, real = cube
-    assert evaluate_all([FaceDistance(0, 1)], real)[0] == pytest.approx(1.0)
-    assert evaluate_all([FaceDistance(0, 2)], real)[0] == pytest.approx(np.sqrt(2))
+    assert evaluate_all(poly, [FaceDistance(0, 1)], real)[0] == pytest.approx(1.0)
+    assert evaluate_all(poly, [FaceDistance(0, 2)], real)[0] == pytest.approx(np.sqrt(2))
     corners = [(c[i], c[i - 1], c[(i + 1) % len(c)]) for c in poly.faces for i in range(len(c))]
     for apex, e1, e2 in corners:
-        assert evaluate_all([FaceAngle(apex, e1, e2)], real)[0] == pytest.approx(np.pi / 2)
+        assert evaluate_all(poly, [FaceAngle(apex, e1, e2)], real)[0] == pytest.approx(np.pi / 2)
     for f, g in poly.adjacent_faces():
-        assert evaluate_all([DihedralAngle(f, g)], real)[0] == pytest.approx(np.pi / 2)
+        assert evaluate_all(poly, [DihedralAngle(f, g)], real)[0] == pytest.approx(np.pi / 2)
 
 
 def test_dodecahedron_dihedral(cube):
     poly, real = platonic("dodecahedron")
     want = np.arccos(-1 / np.sqrt(5))  # ~116.57 degrees
     for f, g in poly.adjacent_faces():
-        assert evaluate_all([DihedralAngle(f, g)], real)[0] == pytest.approx(want, abs=1e-12)
+        assert evaluate_all(poly, [DihedralAngle(f, g)], real)[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_degenerate_angle_raises(cube):
-    _, real = cube
+    poly, real = cube
     with pytest.raises(DegenerateMeasurement):
-        evaluate_all([FaceAngle(0, 0, 1)], real)[0]
+        evaluate_all(poly, [FaceAngle(0, 0, 1)], real)[0]
+    # the hinge of faces 0 and 2 is (0, 1, 2, 4); vertex 2 on the line 0 1
+    # leaves face 0's cross product zero, and no gradient
+    verts = real.vertices.copy()
+    verts[2] = 2.0 * verts[1] - verts[0]
+    with pytest.raises(DegenerateMeasurement):
+        gradient_rows(poly, [DihedralAngle(0, 2)], Realization(verts, real.planes))
 
 
 def test_measurements_invariant_under_rigid_motion(cube):
     poly, real = cube
     pool = build_pool(poly, "all")
-    vals = evaluate_all(pool, real)
+    vals = evaluate_all(poly, pool, real)
     rng = np.random.default_rng(3)
     for k in range(5):
         R = Rotation.random(random_state=k).as_matrix()
         t = rng.normal(size=3)
         moved = fit_realization(poly, real.vertices @ R.T + t)
-        assert np.abs(evaluate_all(pool, moved) - vals).max() < 1e-10
+        assert np.abs(evaluate_all(poly, pool, moved) - vals).max() < 1e-10
 
 
 def test_angles_scale_invariant_distances_linear(cube):
@@ -228,12 +234,12 @@ def test_angles_scale_invariant_distances_linear(cube):
     scaled = real.rescaled(3.7)
     assert np.abs(phi(poly, scaled)).max() < 1e-12
     for m in build_pool(poly, "face-angles")[:10]:
-        assert evaluate_all([m], scaled)[0] == pytest.approx(evaluate_all([m], real)[0])
+        assert evaluate_all(poly, [m], scaled)[0] == pytest.approx(evaluate_all(poly, [m], real)[0])
     for f, g in poly.adjacent_faces():
         m = DihedralAngle(f, g)
-        assert evaluate_all([m], scaled)[0] == pytest.approx(evaluate_all([m], real)[0])
+        assert evaluate_all(poly, [m], scaled)[0] == pytest.approx(evaluate_all(poly, [m], real)[0])
     for m in build_pool(poly, "face-distances")[:10]:
-        assert evaluate_all([m], scaled)[0] == pytest.approx(3.7 * evaluate_all([m], real)[0])
+        assert evaluate_all(poly, [m], scaled)[0] == pytest.approx(3.7 * evaluate_all(poly, [m], real)[0])
 
 
 def test_gradient_matches_finite_differences(cube):
@@ -241,26 +247,32 @@ def test_gradient_matches_finite_differences(cube):
     x0 = real.coordinate_vector()
     ms = [FaceDistance(0, 2), FaceAngle(1, 0, 2), DihedralAngle(0, 2)]
     for m in ms:
-        g = gradient_rows([m], real)[0]
+        g = gradient_rows(poly, [m], real)[0]
         fd = np.zeros_like(x0)
         for i in range(x0.size):
             up, dn = x0.copy(), x0.copy()
             up[i] += 1e-6
             dn[i] -= 1e-6
             fd[i] = (
-                evaluate_all([m], Realization.from_coordinate_vector(up, 8, 6))[0]
-                - evaluate_all([m], Realization.from_coordinate_vector(dn, 8, 6))[0]
+                evaluate_all(poly, [m], Realization.from_coordinate_vector(up, 8, 6))[0]
+                - evaluate_all(poly, [m], Realization.from_coordinate_vector(dn, 8, 6))[0]
             ) / 2e-6
         assert np.abs(g - fd).max() / max(1.0, np.abs(g).max()) < 1e-8
 
 
 def test_gradient_touches_expected_blocks(cube):
+    """Every mesh measurement is a function of the vertices, so no row
+    touches a plane column; a dihedral of adjacent faces touches the four
+    vertices of its hinge: faces 0 = (0, 1, 2, 3) and 2 = (0, 4, 5, 1) share
+    the edge 0 -> 1 of face 0, after which come 2 in face 0 and 4 in face 2."""
     poly, real = cube
     nv = real.vertex_count
-    g = gradient_rows([FaceDistance(0, 1)], real)[0]
-    assert np.abs(g[3 * nv :]).max() == 0.0  # distances never touch planes
-    g = gradient_rows([DihedralAngle(0, 2)], real)[0]
-    assert np.abs(g[: 3 * nv]).max() == 0.0  # dihedrals never touch vertices
+    for m in (FaceDistance(0, 1), FaceAngle(1, 0, 2), DihedralAngle(0, 2)):
+        g = gradient_rows(poly, [m], real)[0]
+        assert np.abs(g[3 * nv :]).max() == 0.0
+    g = gradient_rows(poly, [DihedralAngle(0, 2)], real)[0]
+    touched = np.flatnonzero(np.abs(g[: 3 * nv]).reshape(nv, 3).max(axis=1))
+    assert touched.tolist() == [0, 1, 2, 4]
 
 
 def test_normalize_idempotent_and_canonical(cube):

@@ -268,7 +268,7 @@ def _projection(poly, real, pool, seed):
     """flex_witness's residual and Jacobian at unit diameter, with the
     measurement targets perturbed, and the realization as the start."""
     scaled = real.rescaled(1.0 / real.diameter())
-    psi = MeshMeasurements(pool, real.vertex_count, real.face_count)
+    psi = MeshMeasurements(poly, pool)
     targets = psi.values(scaled) + 1e-3 * np.random.default_rng(seed).standard_normal(len(pool))
     nv, nf = real.vertex_count, real.face_count
 

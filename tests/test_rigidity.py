@@ -63,7 +63,7 @@ def test_face_distances_suffice_for_congruence(name):
 def test_stack_annihilates_rigid_motions():
     poly, real = platonic("icosahedron")
     pool = build_pool(poly, "all")
-    stack = np.vstack([d_phi(poly, real), gradient_rows(pool, real)])
+    stack = np.vstack([d_phi(poly, real), gradient_rows(poly, pool, real)])
     G = motion_generators(real, 6)
     assert G.shape[1] == 6
     assert np.abs(stack @ G).max() < 1e-8
@@ -73,7 +73,7 @@ def test_angle_rows_annihilate_scaling():
     poly, real = platonic("dodecahedron")
     s = motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-angles") + build_pool(poly, "dihedrals")
-    rows = np.vstack([d_phi(poly, real), gradient_rows(pool, real)])
+    rows = np.vstack([d_phi(poly, real), gradient_rows(poly, pool, real)])
     assert np.abs(rows @ s).max() < 1e-10
 
 
@@ -83,8 +83,8 @@ def test_distance_rows_are_degree_one_in_scale():
     poly, real = platonic("cube")
     s = motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-distances")
-    rows = gradient_rows(pool, real)
-    vals = evaluate_all(pool, real)
+    rows = gradient_rows(poly, pool, real)
+    vals = evaluate_all(poly, pool, real)
     assert np.abs(rows @ s - vals).max() < 1e-10
 
 
@@ -159,7 +159,7 @@ def test_similarity_with_distances_is_the_congruence_test(name):
     assert report.flex_dimension == 1
     w = flex_witness(poly, real, kept, mode=SIMILARITY, allow_scale_variant=True)
     assert w is not None
-    assert np.abs(evaluate_all(kept, w) - evaluate_all(kept, real)).max() < 1e-8
+    assert np.abs(evaluate_all(poly, kept, w) - evaluate_all(poly, kept, real)).max() < 1e-8
     assert np.abs(phi(poly, w)).max() < 1e-8
 
 
@@ -191,11 +191,11 @@ def test_flex_witness_for_cube_edges():
         w = flex_witness(poly, real, pool)
         assert w is not None, edge
         assert np.abs(phi(poly, w)).max() < 1e-8
-        err = np.abs(evaluate_all(pool, w) - evaluate_all(pool, real)).max()
+        err = np.abs(evaluate_all(poly, pool, w) - evaluate_all(poly, pool, real)).max()
         assert err < 1e-8 * edge
         a = normalize(poly, real).vertices
         b = normalize(poly, w).vertices
-        assert np.linalg.norm(a - b, axis=1).max() > 1e-4 * edge
+        assert np.linalg.norm(a - b, axis=1).max() >= 1e-3 * real.diameter()
 
 
 def test_flex_witness_for_cube_diagonals_keeps_diagonals():
@@ -203,8 +203,8 @@ def test_flex_witness_for_cube_diagonals_keeps_diagonals():
     pool = build_pool(poly, "face-diagonals")
     w = flex_witness(poly, real, pool)
     assert w is not None
-    moved = evaluate_all(pool, w)
-    assert np.abs(moved - evaluate_all(pool, real)).max() < 1e-8
+    moved = evaluate_all(poly, pool, w)
+    assert np.abs(moved - evaluate_all(poly, pool, real)).max() < 1e-8
     assert np.abs(moved - moved[0]).max() < 1e-8  # still equidiagonal
 
 
@@ -262,7 +262,7 @@ def _unit(real):
 
 def _full_stack(poly, real, pool):
     scaled = _unit(real)
-    return np.vstack([d_phi(poly, scaled), gradient_rows(pool, scaled)])
+    return np.vstack([d_phi(poly, scaled), gradient_rows(poly, pool, scaled)])
 
 
 def _full_stack_greedy(poly, real, pool, target, tol_rel=1e-9):
@@ -272,7 +272,7 @@ def _full_stack_greedy(poly, real, pool, target, tol_rel=1e-9):
     _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=False)
     basis = Vt[: np.count_nonzero(s > tol_rel * s[0])]
     selected = []
-    for m, row in zip(pool, gradient_rows(pool, scaled)):
+    for m, row in zip(pool, gradient_rows(poly, pool, scaled)):
         if len(basis) >= target:
             break
         res = row - basis.T @ (basis @ row)
@@ -331,11 +331,22 @@ def test_flex_witness_on_a_hull_with_three_edges_removed():
     w = flex_witness(poly, real, kept)
     assert w is not None
     diam = real.diameter()
-    assert np.abs(evaluate_all(kept, w) - evaluate_all(kept, real)).max() < 1e-8 * diam
+    assert np.abs(evaluate_all(poly, kept, w) - evaluate_all(poly, kept, real)).max() < 1e-8 * diam
     assert np.abs(phi(poly, w)).max() < 1e-8
-    assert normalized_distance(poly, real, w) > 1e-5 * diam
+    assert normalized_distance(poly, real, w) >= 1e-3 * diam
     with pytest.raises(NoKernelDirection):
         flex_witness(poly, real, edges)
+
+
+def test_a_first_order_flex_gives_no_witness():
+    """The dodecahedron's 30 edges leave first-order flexes, but the
+    projection slides back: its residual target 1e-10 admits a drift of
+    sqrt(1e-10) = 1e-5 diameters near a second-order-rigid point, and no
+    witness lies within that."""
+    poly, real = platonic("dodecahedron")
+    edges = build_pool(poly, "edges-only")
+    assert not is_sufficient(poly, real, edges).sufficient
+    assert flex_witness(poly, real, edges) is None
 
 
 # point sets ---------------------------------------------------------------
