@@ -6,7 +6,10 @@ Two solvers, both deterministic, and one rank certificate:
   underdetermined zero-residual systems, run from a batch of starts at
   once. Used by restart-based witness searches, where targets sit on
   rank-deficient constraint varieties and convergence near them is linear
-  rather than quadratic, hence the generous default iteration budget.
+  rather than quadratic, hence the generous default iteration budget. Its
+  damping sweep runs as a ladder of 1, 2, 4, 8, 16 and 9 damping values
+  per round, so a member parked at its rounding floor costs six residual
+  calls per iteration, not forty.
 * gauss_newton_project: minimum-norm Gauss-Newton iteration x -= dx with
   dx the least-squares solution of J dx = r of least norm, used to project
   a perturbed point back onto a constraint manifold while moving as little
@@ -72,12 +75,18 @@ def lm_solve(
     reason[i] is CONVERGED (max|r_i| <= target), STALLED (no damping value
     in a sweep improved the cost) or EXHAUSTED (max_iter iterations).
 
-    Classic multiplicative damping on J^T J + lam I. Each member keeps its
-    own lam and stopping rule, so its iterates are those of a run from its
-    start alone; the members still active share one Jacobian call per
-    iteration, and each damping trial is one stacked solve and one residual
-    call over the members still looking for a step. The caller decides
-    whether a final residual is acceptable.
+    Classic multiplicative damping on J^T J + lam I: a step that lowers the
+    cost is taken and lam *= 0.25 (floor 1e-14), one that does not gives
+    lam *= 4, a singular solve gives lam *= 10, and 40 trials without a
+    step stall the member. Each member keeps its own lam and stopping rule,
+    so its iterates are those of a run from its start alone; the members
+    still active share one Jacobian call per iteration. The trials run in
+    rounds: in each, every member still looking for a step tries its next
+    1, 2, 4, 8, 16, then up to 9 values lam 4^j at once, all members' rows
+    in one stacked solve and one residual call, and keeps the first rung
+    that lowers the cost or is singular. Multiplying by 4 is exact, so lam,
+    the iterates and the reason are those of one trial at a time, bit for
+    bit. The caller decides whether a final residual is acceptable.
     """
     x = np.array(x0, dtype=float)
     r = residual(x)
@@ -94,28 +103,45 @@ def lm_solve(
         Jt = J.swapaxes(1, 2)
         A = Jt @ J
         g = Jt @ r[active][:, :, None]
-        looking = np.ones(len(active), dtype=bool)
-        for _ in range(40):
-            idx = np.flatnonzero(looking)
-            if not len(idx):
-                break
-            members = active[idx]
-            dx, solved = _solve(A[idx] + lam[members, None, None] * eye, -g[idx])
-            lam[members[~solved]] *= 10.0
-            idx, members = idx[solved], members[solved]
-            if not len(idx):
-                continue
-            xn = x[members] + dx[solved, :, 0]
+        # one round per ladder: k rungs lam 4^j, j < k, per member still
+        # looking, k = 1, 2, 4, ... up to its 40 trials
+        found = np.zeros(len(active), dtype=bool)
+        tried = np.zeros(len(active), dtype=int)
+        looking = np.arange(len(active))
+        size = 1
+        while len(looking):
+            members = active[looking]
+            k = np.minimum(size, 40 - tried[looking])
+            first = np.cumsum(k) - k
+            own = np.repeat(np.arange(len(looking)), k)
+            rung = np.arange(len(own)) - first[own]
+            at = looking[own]
+            row = active[at]
+            lams = np.ldexp(lam[row], 2 * rung)
+            dx, solved = _solve(A[at] + lams[:, None, None] * eye, -g[at])
+            xn = x[row] + dx[:, :, 0]
             rn = residual(xn)
             cn = _sq(rn)
-            better = cn < cost[members]
-            won = members[better]
-            x[won], r[won], cost[won] = xn[better], rn[better], cn[better]
-            lam[won] = np.maximum(lam[won] * 0.25, 1e-14)
-            lam[members[~better]] *= 4.0
-            looking[idx[better]] = False
-        reason[active[looking]] = STALLED
-        active = active[~looking]
+            better = solved & (cn < cost[row])
+            # the first rung that lowers the cost or is singular stops the
+            # member's round (stop == k: none did); rungs past it are discarded
+            stop = np.minimum.reduceat(np.where(better | ~solved, rung, k[own]), first)
+            stopped = stop < k
+            hit = first + np.minimum(stop, k - 1)
+            won = stopped & better[hit]
+            singular = stopped & ~won
+            lam_s = np.ldexp(lam[members], 2 * stop)
+            lam[members] = np.where(
+                won, np.maximum(lam_s * 0.25, 1e-14), np.where(singular, lam_s * 10.0, lam_s)
+            )
+            w, mw = hit[won], members[won]
+            x[mw], r[mw], cost[mw] = xn[w], rn[w], cn[w]
+            found[looking[won]] = True
+            tried[looking] += np.where(singular, stop + 1, stop)
+            looking = looking[~won & (tried[looking] < 40)]
+            size *= 2
+        reason[active[~found]] = STALLED
+        active = active[found]
     reason[np.abs(r).max(axis=1, initial=0.0) <= target] = CONVERGED
     return x, r, reason
 

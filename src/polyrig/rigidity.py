@@ -527,7 +527,9 @@ def point_set_witness(
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
     # polish: in a quadratic residual valley, stopping at residual_tol
     # leaves the iterate ~sqrt(residual_tol) off the solution; a second
-    # pass with a far tighter target collapses that smear
+    # pass with a far tighter target collapses that smear. 1e-15 is below
+    # the rounding floor of most members (a residual of 1e-13 to 1e-14), so
+    # they end by a stall, after a full sweep of damping values
     sols = lm_solve(resid, jac, x[ok], max_iter=80, target=1e-15)[0].reshape(-1, n, dim)
     to_ref = align_distance(ref, sols, allow_reflection)
     far = np.zeros(len(sols), dtype=bool) if locality is None else to_ref > locality * scale

@@ -192,6 +192,93 @@ def test_singular_member_does_not_stop_the_others(monkeypatch):
     assert reason[0] == reason[2] == CONVERGED
 
 
+def polish_starts(name):
+    """The system of a case and the points point_set_witness polishes: its
+    restarts that converged within residual_tol."""
+    resid, jac, starts = system(name)
+    x, r, _ = lm_solve(resid, jac, starts, target=1e-12)
+    return resid, jac, x[np.abs(r).max(axis=1) <= 1e-10]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_polish_pass_matches_serial_loop(name):
+    # the polish pass of point_set_witness, where most members end by a stall
+    # at their rounding floor after a full sweep of damping values
+    resid, jac, x0 = polish_starts(name)
+    x, r, reason = lm_solve(resid, jac, x0, max_iter=80, target=1e-15)
+    for i in range(len(x0)):
+        xs, rs, why = serial_lm(resid, jac, x0[i], max_iter=80, target=1e-15)
+        assert np.array_equal(x[i], xs), i
+        assert np.array_equal(r[i], rs), i
+        assert reason[i] == why, i
+
+
+@pytest.mark.parametrize("name", ["cube-ten", "square-four", "staircase6"])
+def test_stalled_member_costs_six_residual_calls(name):
+    # a member at its rounding floor tries its 40 damping values in ladders
+    # of 1, 2, 4, 8, 16 and 9: six residual calls in its last iteration, not
+    # one per value
+    resid, jac, x0 = polish_starts(name)
+    _, _, reason = lm_solve(resid, jac, x0, max_iter=80, target=1e-15)
+    for start in x0[reason == STALLED][:3]:
+        iterations = []  # per iteration, the rows of each residual call
+
+        def counting_jac(x):
+            iterations.append([])
+            return jac(x)
+
+        def counting_resid(x):
+            if iterations:
+                iterations[-1].append(len(x))
+            return resid(x)
+
+        _, _, (why,) = lm_solve(counting_resid, counting_jac, start[None], max_iter=80,
+                                target=1e-15)
+        assert why == STALLED
+        assert iterations[-1] == [1, 2, 4, 8, 16, 9]
+        assert all(len(calls) <= 6 and sum(calls) <= 40 for calls in iterations)
+
+
+def test_singular_rung_inside_a_ladder(monkeypatch):
+    # r = atan(x0): from |x0| = 3 the steps of small damping overshoot, and
+    # the ladder of the second round holds 4e-3 and 1.6e-2. The zero column of
+    # x1 puts the damping value itself at (1, 1) of J^T J + lam I, so the
+    # solve can be made singular at 1.6e-2 alone: rung 1 of that ladder
+    poison = np.ldexp(1e-3, 4)
+
+    def resid(x):
+        return np.arctan(x[..., :1])
+
+    def jac(x):
+        J = np.zeros(x.shape[:-1] + (1, 2))
+        J[..., 0, 0] = 1.0 / (1.0 + x[..., 0] ** 2)
+        return J
+
+    ladders = []  # the damping values of each solve that met the poison
+    solve = np.linalg.solve
+
+    def poisoned_solve(a, b):
+        lams = a.reshape(-1, 2, 2)[:, 1, 1]
+        if (lams == poison).any():
+            ladders.append(lams)
+            raise np.linalg.LinAlgError("poisoned damping value")
+        return solve(a, b)
+
+    starts = np.array([[3.0, 0.0], [-3.0, 1.0], [0.5, 0.0]])
+    monkeypatch.setattr(np.linalg, "solve", poisoned_solve)
+    x, r, reason = lm_solve(resid, jac, starts, max_iter=30, target=1e-9)
+    serial = [serial_lm(resid, jac, x0, max_iter=30, target=1e-9) for x0 in starts]
+    monkeypatch.undo()
+    # a stacked solve met the poison right after the rung below it
+    assert any(
+        i > 0 and lams[i - 1] == poison / 4
+        for lams in ladders for i in np.flatnonzero(lams == poison)
+    ), ladders
+    for i, (xs, rs, why) in enumerate(serial):
+        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
+        assert reason[i] == why == CONVERGED, i
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_witness_matches_serial_search(name):
     dim, ref, ms, kw = CASES[name]
