@@ -50,7 +50,6 @@ from .rigidity import (
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
-    normalization_rows,
     numeric_rank,
     point_set_witness,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "is_sufficient",
     "max_diagonal_oracle",
     "mesh_volume",
-    "normalization_rows",
     "normalize",
     "numeric_rank",
     "octagon_distance_oracle",

@@ -79,19 +79,6 @@ class Realization:
     def face_count(self) -> int:
         return self.planes.shape[0]
 
-    def coordinate_vector(self) -> np.ndarray:
-        """Flatten to (3V + 3F,): all vertex coords, then all plane coeffs."""
-        return np.concatenate([self.vertices.ravel(), self.planes.ravel()])
-
-    @staticmethod
-    def from_coordinate_vector(x: np.ndarray, vertex_count: int, face_count: int) -> "Realization":
-        x = np.asarray(x, dtype=float)
-        nv = 3 * vertex_count
-        return Realization(
-            vertices=x[:nv].reshape(vertex_count, 3),
-            planes=x[nv : nv + 3 * face_count].reshape(face_count, 3),
-        )
-
     def diameter(self) -> float:
         return diameter(self.vertices)
 

@@ -23,6 +23,14 @@ rank E + 6 - g, i.e. when the stack [d_phi; rows] reaches 3E + 6 - g; the
 shortfall is the flex dimension. This reduces the geometric question to
 numeric rank.
 
+The measurement rows never exist as a dense m x 3V matrix: they are taken
+as CSR (MeasurementList.sparse_jacobian, at most twelve nonzeros a row) and
+reduced onto Z _ROW_BLOCK rows at a time (_reduced_blocks). The rank test
+streams the blocks through a Householder QR that keeps only its triangular
+factor R; R is an orthogonal transform of J Z, so sigma(R) = sigma(J Z).
+Besides the CSR rows, a verdict holds O(_ROW_BLOCK (E + 6 - g)) numbers
+whatever the pool's length.
+
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
 row leaves the span built so far), a flex witness for insufficient sets
@@ -34,6 +42,7 @@ claims that are invisible to first-order rank analysis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,6 +79,9 @@ CONGRUENCE = "congruence"
 SIMILARITY = "similarity"
 
 DEFAULT_TOL_REL = 1e-9
+
+# how many measurement rows the mesh verdicts reduce onto the chart basis at a time
+_ROW_BLOCK = 2048
 
 # point_set_witness's cluster radius and witness distance, times its scale
 CLUSTER_TOL = 1e-6
@@ -125,22 +137,6 @@ def motion_generators(real: Realization, g: int) -> np.ndarray:
     if g == 7:
         G[:V, :, 6], G[V:, :, 6] = X, -P
     return G.reshape(-1, g)
-
-
-def normalization_rows(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
-    """6 x (3V+3F) unit selector rows for x_1, y_1, z_1, y_2, z_2, z_3.
-
-    These are the derivatives of the six pinning functions that kill the
-    rigid-motion freedom of a realization in canonical frame; paired with
-    the generators G they form a 6x6 block with determinant
-    (y_3 - y_1)(x_2 - x_1)^2, nonzero whenever the first three vertices
-    are not collinear.
-    """
-    if real.vertex_count < 3:
-        raise ValueError("need at least three vertices")
-    rows = np.zeros((6, 3 * real.vertex_count + 3 * real.face_count))
-    rows[range(6), (0, 1, 2, 4, 5, 8)] = 1.0
-    return rows
 
 
 # --- rank tests ---------------------------------------------------------------
@@ -222,13 +218,19 @@ def _chart(
     """
     X = scaled.vertices
     n = 3 * len(X)
-    C = _face_anchors(poly, X)[1].jacobian(X)
+    C = _face_anchors(poly, X)[1].sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     Q = np.linalg.qr(motion_generators(scaled, g)[:n])[0]
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * Q.T])
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     r = g + _count_above(s[g:], tol_rel)
     return 3 * poly.face_count + r - g, Vt[r:].T
+
+
+def _reduced_blocks(S: sparse.csr_matrix, Z: np.ndarray):
+    """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks."""
+    for start in range(0, S.shape[0], _ROW_BLOCK):
+        yield S[start : start + _ROW_BLOCK] @ Z
 
 
 @dataclass(frozen=True)
@@ -261,12 +263,21 @@ def is_sufficient(
     of d_phi (2E) plus the numeric rank of the rows on the chart basis Z of
     the E + 6 - g nontrivial deformations (_chart), counted above tol_rel
     times their own sigma_1; flex_dimension = target - rank.
+
+    The rows are CSR, reduced onto Z in blocks of _ROW_BLOCK rows; each
+    block is stacked under the triangular factor so far and factored again
+    (R = qr([R; S_block Z], mode="r")). R is Q^T J Z for an orthogonal Q,
+    so the singular values of R, counted above tol_rel sigma_1(R), are
+    those of J Z, and no dense m x 3V Jacobian is formed.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     base, Z = _chart(poly, scaled, g, tol_rel)
-    J = MeshMeasurements(poly, measurements).jacobian(scaled)
-    rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol_rel)
+    S = MeshMeasurements(poly, measurements).kernel.sparse_jacobian(scaled.vertices)
+    R = np.empty((0, Z.shape[1]))
+    for block in _reduced_blocks(S, Z):
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    rank = base + _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -296,6 +307,9 @@ def greedy_minimal_subset(
     reduced to Z once, and the row is accepted when its component
     orthogonal to the reduced rows kept so far exceeds tol_rel times the
     full row norm (with one reorthogonalization pass for stability). The
+    rows are CSR: every full row norm comes from its nonzeros, and the
+    reduced rows are formed _ROW_BLOCK at a time as the scan reaches them,
+    so a scan that meets the target early reduces no further block. The
     motion group is decided by the whole pool. When the pool is sufficient,
     the selection has exactly targetRank - 2E elements: E measurements for
     congruence, E - 1 for similarity by angles.
@@ -304,18 +318,18 @@ def greedy_minimal_subset(
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
-    rows = MeshMeasurements(poly, pool).jacobian(scaled)
+    S = MeshMeasurements(poly, pool).kernel.sparse_jacobian(scaled.vertices)
+    # every row holds the entries of the points it touches, so no segment is empty
+    row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1]))
     rank, Z = _chart(poly, scaled, g, tol_rel)
-    reduced = rows @ Z
+    reduced = itertools.chain.from_iterable(_reduced_blocks(S, Z))
     # accepted residuals are orthonormal in the E + 6 - g coordinates of Z
     basis = np.empty((Z.shape[1], Z.shape[1]))
 
     target = 3 * poly.edge_count + 6 - g
     selected: list[Measurement3D] = []
-    for m, row, red in zip(pool, rows, reduced):
-        if rank >= target:
-            break
-        row_norm = np.linalg.norm(row)
+    # Z has target - rank columns: a scan that starts at the target accepts nothing
+    for m, row_norm, red in zip(pool, row_norms, reduced):
         if row_norm == 0.0:
             continue
         kept = basis[: len(selected)]
@@ -326,6 +340,8 @@ def greedy_minimal_subset(
             basis[len(selected)] = res / res_norm
             selected.append(m)
             rank += 1
+            if rank >= target:
+                break
 
     return SufficiencyReport(
         mode=mode,
@@ -356,7 +372,9 @@ def flex_witness(
     Requires the set to be insufficient. Works at unit diameter on the
     vertices alone: picks a unit vertex velocity u = Z K c in the kernel of
     the measurement rows on the chart basis Z of is_sufficient (_chart),
-    K an orthonormal basis of ker J Z, steps away along u by `step` (a
+    K an orthonormal basis of ker J Z (J Z taken from the CSR rows, as in
+    is_sufficient; only the projection forms the dense Jacobian of the
+    measurements and the Coplanar rows), steps away along u by `step` (a
     fraction of the diameter), and Gauss-Newton-projects back onto
     {psi = psi(R), Coplanar rows = 0} over the 3V vertex coordinates, the
     system point_set_witness solves, to residual 1e-10. The witness planes
@@ -379,7 +397,7 @@ def flex_witness(
     X = scaled.vertices
     psi = MeshMeasurements(poly, measurements).kernel
     base, Z = _chart(poly, scaled, g, tol_rel)
-    M = psi.jacobian(X) @ Z
+    M = psi.sparse_jacobian(X) @ Z
     # Vt must be square to hold the kernel; a tall M's thin SVD has that
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     extra = _count_above(sm, tol_rel)

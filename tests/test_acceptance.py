@@ -56,10 +56,11 @@ from polyrig.rigidity import (
     greedy_minimal_subset,
     is_sufficient,
     motion_generators,
-    normalization_rows,
     numeric_rank,
     point_set_witness,
 )
+
+from full_coordinates import coordinate_vector, from_coordinate_vector, normalization_rows
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
@@ -143,7 +144,7 @@ def test_criterion_05_generator_identities():
         G = motion_generators(real, 6)
         worst_prod = max(worst_prod, float(np.abs(stack @ G).max()))
         norm = normalize(poly, real)
-        D = normalization_rows(poly, norm) @ motion_generators(norm, 6)
+        D = normalization_rows(norm) @ motion_generators(norm, 6)
         v = norm.vertices
         want = (v[2, 1] - v[0, 1]) * (v[1, 0] - v[0, 0]) ** 2
         worst_det = max(worst_det, abs(np.linalg.det(D) - want) / abs(want))
@@ -347,7 +348,7 @@ def _fd_rel_error_2d(m, pts, h=1e-6):
 
 def _fd_rel_error_3d(poly, m, real, h=1e-6):
     g = gradient_rows(poly, [m], real)[0]
-    x = real.coordinate_vector()
+    x = coordinate_vector(real)
     nv, nf = real.vertex_count, real.face_count
     fd = np.zeros_like(x)
     for i in range(x.size):
@@ -355,8 +356,8 @@ def _fd_rel_error_3d(poly, m, real, h=1e-6):
         up[i] += h
         dn[i] -= h
         fd[i] = (
-            evaluate_all(poly, [m], Realization.from_coordinate_vector(up, nv, nf))[0]
-            - evaluate_all(poly, [m], Realization.from_coordinate_vector(dn, nv, nf))[0]
+            evaluate_all(poly, [m], from_coordinate_vector(up, nv, nf))[0]
+            - evaluate_all(poly, [m], from_coordinate_vector(dn, nv, nf))[0]
         ) / (2 * h)
     scale = max(1.0, float(np.abs(g).max()))
     return float(np.abs(g - fd).max()) / scale

@@ -27,6 +27,8 @@ from polyrig.geometry import (
 )
 from polyrig.incidence import build_incidence
 
+from full_coordinates import coordinate_vector, from_coordinate_vector
+
 CUBE_FACES = [
     (0, 1, 2, 3),
     (7, 6, 5, 4),
@@ -159,15 +161,15 @@ def test_fit_error_names_the_lowest_failing_face():
 
 def test_d_phi_matches_finite_differences(cube):
     poly, real = cube
-    x0 = real.coordinate_vector()
+    x0 = coordinate_vector(real)
     J = d_phi(poly, real)
     rng = np.random.default_rng(0)
     for _ in range(5):
         h = 1e-7
         d = rng.normal(size=x0.size)
         d /= np.linalg.norm(d)
-        rp = Realization.from_coordinate_vector(x0 + h * d, 8, 6)
-        rm = Realization.from_coordinate_vector(x0 - h * d, 8, 6)
+        rp = from_coordinate_vector(x0 + h * d, 8, 6)
+        rm = from_coordinate_vector(x0 - h * d, 8, 6)
         fd = (phi(poly, rp) - phi(poly, rm)) / (2 * h)
         assert np.abs(J @ d - fd).max() < 1e-8
 
@@ -175,8 +177,8 @@ def test_d_phi_matches_finite_differences(cube):
 def test_phi_and_d_phi_match_the_pairwise_definition():
     poly, real = platonic("dodecahedron")
     rng = np.random.default_rng(1)
-    x = real.coordinate_vector() + 1e-3 * rng.normal(size=real.coordinate_vector().size)
-    r = Realization.from_coordinate_vector(x, poly.vertex_count, poly.face_count)
+    x = coordinate_vector(real) + 1e-3 * rng.normal(size=coordinate_vector(real).size)
+    r = from_coordinate_vector(x, poly.vertex_count, poly.face_count)
     off = 3 * poly.vertex_count
     J = np.zeros((len(poly.incidence), x.size))
     for k, (i, j) in enumerate(poly.incidence):
@@ -244,7 +246,7 @@ def test_angles_scale_invariant_distances_linear(cube):
 
 def test_gradient_matches_finite_differences(cube):
     poly, real = cube
-    x0 = real.coordinate_vector()
+    x0 = coordinate_vector(real)
     ms = [FaceDistance(0, 2), FaceAngle(1, 0, 2), DihedralAngle(0, 2)]
     for m in ms:
         g = gradient_rows(poly, [m], real)[0]
@@ -254,8 +256,8 @@ def test_gradient_matches_finite_differences(cube):
             up[i] += 1e-6
             dn[i] -= 1e-6
             fd[i] = (
-                evaluate_all(poly, [m], Realization.from_coordinate_vector(up, 8, 6))[0]
-                - evaluate_all(poly, [m], Realization.from_coordinate_vector(dn, 8, 6))[0]
+                evaluate_all(poly, [m], from_coordinate_vector(up, 8, 6))[0]
+                - evaluate_all(poly, [m], from_coordinate_vector(dn, 8, 6))[0]
             ) / 2e-6
         assert np.abs(g - fd).max() / max(1.0, np.abs(g).max()) < 1e-8
 

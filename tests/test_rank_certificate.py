@@ -20,7 +20,6 @@ from polyrig._nlsq import _gram_full_rank, _min_norm_step, _qr_full_rank, gauss_
 from polyrig.generators import faces_from_convex_vertices, platonic
 from polyrig.geometry import (
     MeshMeasurements,
-    Realization,
     build_pool,
     d_phi,
     fit_realization,
@@ -35,6 +34,8 @@ from polyrig.polygon import (
     sufficiency2d,
 )
 from polyrig.rigidity import _count_above, numeric_rank
+
+from full_coordinates import coordinate_vector, from_coordinate_vector
 
 TOL = 1e-9
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -273,14 +274,14 @@ def _projection(poly, real, pool, seed):
     nv, nf = real.vertex_count, real.face_count
 
     def resid(x):
-        r = Realization.from_coordinate_vector(x, nv, nf)
+        r = from_coordinate_vector(x, nv, nf)
         return np.concatenate([phi(poly, r), psi.values(r) - targets])
 
     def jac(x):
-        r = Realization.from_coordinate_vector(x, nv, nf)
+        r = from_coordinate_vector(x, nv, nf)
         return np.vstack([d_phi(poly, r), psi.rows(r)])
 
-    return resid, jac, scaled.coordinate_vector()
+    return resid, jac, coordinate_vector(scaled)
 
 
 def _count_lstsq(monkeypatch):

@@ -10,6 +10,9 @@ over all 3V + 3F coordinates. Every mesh measurement is compiled onto the
 vertices, a dihedral as the angle of its hinge's two cross products.
 """
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -170,7 +173,8 @@ def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
     """No factorization of a rank verdict or a flex witness sees a matrix
     with 3V + 3F rows or columns: the chart's SVD has 3V columns, the
     reduced rows E + 6 - g, also for a set holding a dihedral, and the
-    witness's kernel, direction and projection work on the vertices."""
+    witness's kernel, direction and projection work on the vertices. The
+    rank test and greedy never form a dense measurement Jacobian."""
     poly, real = sphere_hull(50, 0)
     full = 3 * real.vertex_count + 3 * real.face_count
     shapes = {}
@@ -184,19 +188,28 @@ def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, spied)
 
+    def dense(*args, **kwargs):
+        raise AssertionError("a dense measurement Jacobian was formed")
+
     for name in ("svd", "qr", "eigh", "lstsq", "solve"):
         spy(name)
-    for pool_name in ("face-distances", "all"):
-        pool = build_pool(poly, pool_name)
-        assert is_sufficient(poly, real, pool).sufficient
-        assert greedy_minimal_subset(poly, real, pool).sufficient
+    with monkeypatch.context() as patch:
+        patch.setattr(MeasurementList, "jacobian", dense)
+        for pool_name in ("face-distances", "all"):
+            pool = build_pool(poly, pool_name)
+            assert is_sufficient(poly, real, pool).sufficient
+            assert greedy_minimal_subset(poly, real, pool).sufficient
     edges = build_pool(poly, "edges-only")
     assert flex_witness(poly, real, edges[:10] + edges[11:]) is not None
     assert flex_witness(poly, real, dihedral_pool(poly)) is not None
     assert (6, 3 * real.vertex_count) in shapes["svd"]
     assert shapes["eigh"]
-    # the only QR orthonormalizes the motions' vertex rows G_x
-    assert set(shapes["qr"]) == {(3 * real.vertex_count, 6)}
+    # one QR orthonormalizes the motions' vertex rows G_x; the others are
+    # the rank test's streamed QR of the rows on Z, with E + 6 - g columns
+    motions = (3 * real.vertex_count, 6)
+    streamed = set(shapes["qr"]) - {motions}
+    assert motions in shapes["qr"]
+    assert streamed and {cols for _, cols in streamed} == {poly.edge_count}
     assert all(full not in shape for seen in shapes.values() for shape in seen)
 
 
@@ -369,3 +382,90 @@ def test_multi_flex_direction_does_not_depend_on_the_kernel_basis(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", mixed)
     second = flex_witness(poly, real, kept)
     assert normalized_distance(poly, first, second) <= 1e-9 * real.diameter()
+
+
+def _dense_verdicts(poly, real, pool, mode, tol):
+    """The rank and the greedy selection from the dense m x 3V rows: the
+    singular values of J Z counted above tol sigma_1, and a scan of J's
+    rows that keeps one when its residual against the rows kept so far,
+    reduced to Z, exceeds tol times its full norm."""
+    g = rigidity._motion_dim(mode, pool, True)
+    scaled = _unit_diameter(real)
+    base, Z = _chart(poly, scaled, g, tol)
+    J = MeshMeasurements(poly, pool).jacobian(scaled)
+    rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol)
+    target = 3 * poly.edge_count + 6 - g
+    greedy_rank, selected = base, []
+    basis = np.empty((Z.shape[1], Z.shape[1]))
+    for m, row, red in zip(pool, J, J @ Z):
+        if greedy_rank >= target:
+            break
+        row_norm = np.linalg.norm(row)
+        if row_norm == 0.0:
+            continue
+        kept = basis[: len(selected)]
+        res = red - kept.T @ (kept @ red)
+        res -= kept.T @ (kept @ res)
+        res_norm = np.linalg.norm(res)
+        if res_norm > tol * row_norm:
+            basis[len(selected)] = res / res_norm
+            selected.append(m)
+            greedy_rank += 1
+    return rank, greedy_rank, tuple(selected)
+
+
+STREAMED_SOLIDS = {
+    **{name: (lambda name=name: platonic(name)) for name in
+       ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")},
+    "hexa-a": lambda: hexahedron_family_a(0.13),
+    "hexa-b": lambda: hexahedron_family_b(0.1, -0.15),
+    "prism24": prism,
+    "sphere40": lambda: sphere_hull(40, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "pool_name",
+    ["face-distances", "face-angles", "dihedrals", "edges-only", "face-diagonals", "all"],
+)
+@pytest.mark.parametrize("solid", sorted(STREAMED_SOLIDS))
+def test_streamed_verdicts_are_the_dense_ones(monkeypatch, solid, pool_name):
+    """The rank from the streamed QR of the CSR rows and the greedy scan
+    of blocks reduced as it goes agree with the dense reference on the
+    rank, the verdict and the selection, at the module's block size and at
+    blocks of 13 rows, which stream every pool here through many blocks,
+    most of them narrower than the E + 6 - g columns of Z."""
+    poly, real = STREAMED_SOLIDS[solid]()
+    pool = build_pool(poly, pool_name)
+    blocks = (13, rigidity._ROW_BLOCK)
+    for mode, tol in itertools.product((CONGRUENCE, SIMILARITY), (1e-10, 1e-3)):
+        rank, greedy_rank, selected = _dense_verdicts(poly, real, pool, mode, tol)
+        for block in blocks:
+            monkeypatch.setattr(rigidity, "_ROW_BLOCK", block)
+            report = is_sufficient(poly, real, pool, mode, tol, allow_scale_variant=True)
+            assert report.achieved_rank == rank
+            assert report.sufficient == (rank >= report.target_rank)
+            if not pool:
+                with pytest.raises(ValueError, match="pool is empty"):
+                    greedy_minimal_subset(poly, real, pool, mode, tol, allow_scale_variant=True)
+                continue
+            greedy = greedy_minimal_subset(poly, real, pool, mode, tol, allow_scale_variant=True)
+            assert greedy.achieved_rank == greedy_rank
+            assert greedy.sufficient == (greedy_rank == greedy.target_rank)
+            assert greedy.selected == selected
+
+
+def test_rank_verdicts_on_a_large_pool_stay_small():
+    """The 24-prism's 12 432 face angles: a dense Jacobian alone would take
+    14 MB; the rank test and greedy each peak under 10 MB."""
+    poly, real = prism(24)
+    pool = build_pool(poly, "face-angles")
+    assert len(pool) == 12432
+    for verdict in (is_sufficient, greedy_minimal_subset):
+        tracemalloc.start()
+        try:
+            verdict(poly, real, pool)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, (verdict.__name__, peak)
