@@ -13,14 +13,12 @@ Two solvers, both deterministic, and one rank certificate:
 * gauss_newton_project: minimum-norm Gauss-Newton iteration x -= dx with
   dx the least-squares solution of J dx = r of least norm, used to project
   a perturbed point back onto a constraint manifold while moving as little
-  as possible. A Jacobian whose full row rank a QR of J^T proves gets dx
-  from that QR; any other takes np.linalg.lstsq.
-* _qr_full_rank: one Householder QR that proves a dense matrix has full
-  column rank with a margin, or fails to; its one caller, the projection
-  step _min_norm_step, skips lstsq when it succeeds.
-* _gram_full_rank: the same proof from one sparse LU (SuperLU, no row
-  interchanges) of a shifted Gram matrix; numeric_rank tries it on every
-  input and, when it fails, takes an SVD.
+  as possible. Each step is one LAPACK least-squares call (gelsy, a
+  complete orthogonal factorization), whatever the rank of J.
+* _gram_full_rank: the certificate, a proof that a matrix has full rank
+  with a margin from one sparse LU (SuperLU, no row interchanges) of a
+  shifted Gram matrix; numeric_rank tries it on every input and, when it
+  fails, takes an SVD.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import blas, lapack
+from scipy import linalg, sparse
 from scipy.sparse.linalg import splu
 
 Residual = Callable[[np.ndarray], np.ndarray]
@@ -156,64 +153,24 @@ def gauss_newton_project(
 ) -> tuple[np.ndarray, bool]:
     """Minimum-norm Newton steps toward residual = 0; (x, reached_target).
 
-    Underdetermined systems get the least-squares min-norm step, so the
-    iterate stays close to x0 instead of drifting along the manifold.
-    `jacobian` must return a new array on each call: the step may factor it
-    in place.
+    Each step dx is the least-squares solution of J dx = r of least norm,
+    so an underdetermined system's iterate stays close to x0 instead of
+    drifting along the manifold. It comes from one LAPACK call whatever the
+    rank of J: gelsy, a QR with column pivoting completed to an orthogonal
+    factorization, whose rank estimate cuts at np.linalg.lstsq's cutoff
+    max(m, n) eps. A J or r that is not finite raises ValueError.
     """
     x = np.array(x0, dtype=float)
     for _ in range(max_iter):
         r = residual(x)
         if np.abs(r).max() <= target:
             return x, True
-        x = x - _min_norm_step(jacobian, x, r)
+        J = jacobian(x)
+        cond = max(J.shape) * np.finfo(float).eps
+        x = x - linalg.lstsq(J, r, cond=cond, lapack_driver="gelsy")[0]
         if max_travel is not None and np.linalg.norm(x - x0) > max_travel:
             return x, False
     return x, bool(np.abs(residual(x)).max() <= target)
-
-
-def _min_norm_step(jacobian: Jacobian, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The least-squares solution dx of J(x) dx = r of least norm.
-
-    When J has no more rows than columns and a QR of J^T = QR proves full
-    row rank at lstsq's own cutoff, max(m, n) eps, dx = Q [R^-T r; 0], with
-    R^-T applied from the R^-1 of the proof; J is factored in place. Then
-    lstsq would keep every singular value and give the same dx. Any other J
-    is built again and goes to np.linalg.lstsq.
-    """
-    J = jacobian(x)
-    m, n = J.shape
-    if m <= n:
-        qr, tau, rinv, full = _qr_full_rank(J.T, max(m, n) * np.finfo(float).eps)
-        if full:
-            y = np.zeros((n, 1))
-            y[:m, 0] = blas.dtrmv(rinv, r, trans=1)
-            return lapack.dormqr("L", "N", qr, tau, y, 1, overwrite_c=True)[0][:, 0]
-        J = jacobian(x)
-    return np.linalg.lstsq(J, r, rcond=None)[0]
-
-
-def _qr_full_rank(
-    A: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Householder QR of A (m >= n) and whether it proves rank n;
-    (qr, tau, rinv, full).
-
-    A is factored in place when it is a Fortran-ordered float array. qr and
-    tau hold Q and R as dgeqrf leaves them, and rinv holds R^-1 in its upper
-    triangle (inverted in place, in qr itself when A is square). full is
-    True when 1 / ||R^-1||_F > 2 tol ||A||_F. That proves every singular
-    value of A exceeds 2 tol sigma_1: sigma_n >= 1 / ||R^-1||_2 >=
-    1 / ||R^-1||_F and sigma_1 <= ||A||_F. The one caller is
-    _min_norm_step.
-    """
-    m, n = A.shape
-    norm = np.linalg.norm(A)
-    lwork = int(lapack.dgeqrf_lwork(m, n)[0])
-    qr, tau, _, _ = lapack.dgeqrf(A, lwork=lwork, overwrite_a=True)
-    rinv, info = lapack.dtrtri(qr[:n, :n], overwrite_c=True)
-    full = info == 0 and 1.0 / lapack.dlantr("F", rinv) > 2.0 * tol * norm
-    return qr, tau, rinv, bool(full)
 
 
 def _gamma(k: int) -> float:
@@ -225,7 +182,7 @@ def _gamma(k: int) -> float:
 
 def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
     """Whether one sparse LU of a shifted Gram matrix proves that M has full
-    rank min(m, n), with the margin of _qr_full_rank; M is not changed.
+    rank min(m, n) with a margin, sigma_n > 2 tol sigma_1; M is not changed.
 
     A is M, or M^T when M is wide, scaled by a power of two so that its
     largest entry lies in [1/2, 1), m x n with m >= n;

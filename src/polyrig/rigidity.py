@@ -117,25 +117,21 @@ def _unit_diameter(real: Realization) -> Realization:
 
 
 def motion_generators(real: Realization, g: int) -> np.ndarray:
-    """(3V+3F) x g matrix whose columns are the infinitesimal motions: the
-    six rigid motions, then uniform scaling when g = 7.
+    """3V x g matrix whose columns are the infinitesimal motions of the
+    vertices: the six rigid motions, then uniform scaling when g = 7.
 
-    Translation along axis e moves every vertex by e and every plane
-    coefficient vector n by -(n.e) n; rotation with angular velocity w moves
-    a vertex p by w x p and a plane vector n by w x n; scaling moves a
-    vertex by p and a plane vector by -n.
+    Translation along axis e moves every vertex by e, rotation with angular
+    velocity w moves a vertex p by w x p, and scaling moves it by p.
     """
-    V = real.vertex_count
-    X, P = real.vertices, real.planes
-    G = np.zeros((V + real.face_count, 3, g))
-    G[:V, range(3), range(3)] = 1.0
-    G[V:, :, :3] = -P[:, :, None] * P[:, None, :]
+    X = real.vertices
+    G = np.zeros((len(X), 3, g))
+    G[:, range(3), range(3)] = 1.0
     # the rotation about axis a moves a point y by e_a x y
-    G[:, [0, 0, 1, 1, 2, 2], [4, 5, 3, 5, 3, 4]] = (
-        np.vstack([X, P])[:, [2, 1, 2, 0, 1, 0]] * [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
-    )
+    G[:, [0, 0, 1, 1, 2, 2], [4, 5, 3, 5, 3, 4]] = X[:, [2, 1, 2, 0, 1, 0]] * [
+        1.0, -1.0, -1.0, 1.0, 1.0, -1.0
+    ]
     if g == 7:
-        G[:V, :, 6], G[V:, :, 6] = X, -P
+        G[:, :, 6] = X
     return G.reshape(-1, g)
 
 
@@ -204,7 +200,7 @@ def _chart(
     C is the Jacobian over the 3V vertex coordinates of the Coplanar side
     rows of _face_anchors. A vertex velocity dx keeps every face planar to
     first order exactly when C dx = 0, and the planes follow the vertices,
-    so rank(d_phi) = 3F + rank(C); C G_x = 0 for the vertex rows G_x of
+    so rank(d_phi) = 3F + rank(C); C G_x = 0 for the motions G_x of
     motion_generators.
 
     One SVD of A = [C; c Q^T], Q an orthonormal basis of G_x and
@@ -217,10 +213,9 @@ def _chart(
     there is that of J Z, which the verdicts cut at its own sigma_1.
     """
     X = scaled.vertices
-    n = 3 * len(X)
     C = _face_anchors(poly, X)[1].sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
-    Q = np.linalg.qr(motion_generators(scaled, g)[:n])[0]
+    Q = np.linalg.qr(motion_generators(scaled, g))[0]
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * Q.T])
     _, s, Vt = np.linalg.svd(A, full_matrices=True)
     r = g + _count_above(s[g:], tol_rel)

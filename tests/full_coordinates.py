@@ -9,6 +9,7 @@ helpers serve the tests that compare it with that model.
 import numpy as np
 
 from polyrig.geometry import Realization
+from polyrig.rigidity import motion_generators
 
 
 def coordinate_vector(real: Realization) -> np.ndarray:
@@ -39,3 +40,23 @@ def normalization_rows(real: Realization) -> np.ndarray:
     rows = np.zeros((6, 3 * real.vertex_count + 3 * real.face_count))
     rows[range(6), (0, 1, 2, 4, 5, 8)] = 1.0
     return rows
+
+
+def full_motion_generators(real: Realization, g: int) -> np.ndarray:
+    """(3V+3F) x g: the vertex motions of rigidity.motion_generators with the
+    motions of the plane coefficient vectors stacked under them.
+
+    Translation along axis e moves a plane coefficient vector n by
+    -(n.e) n, rotation with angular velocity w moves it by w x n, and
+    scaling moves it by -n.
+    """
+    P = real.planes
+    H = np.zeros((real.face_count, 3, g))
+    H[:, :, :3] = -P[:, :, None] * P[:, None, :]
+    # the rotation about axis a moves a vector y by e_a x y
+    H[:, [0, 0, 1, 1, 2, 2], [4, 5, 3, 5, 3, 4]] = P[:, [2, 1, 2, 0, 1, 0]] * [
+        1.0, -1.0, -1.0, 1.0, 1.0, -1.0
+    ]
+    if g == 7:
+        H[:, :, 6] = -P
+    return np.vstack([motion_generators(real, g), H.reshape(-1, g)])

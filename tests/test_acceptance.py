@@ -55,12 +55,16 @@ from polyrig.rigidity import (
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
-    motion_generators,
     numeric_rank,
     point_set_witness,
 )
 
-from full_coordinates import coordinate_vector, from_coordinate_vector, normalization_rows
+from full_coordinates import (
+    coordinate_vector,
+    from_coordinate_vector,
+    full_motion_generators,
+    normalization_rows,
+)
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 
@@ -141,10 +145,10 @@ def test_criterion_05_generator_identities():
     for name, (poly, real) in _test_solids():
         pool = build_pool(poly, "all")
         stack = np.vstack([d_phi(poly, real), gradient_rows(poly, pool, real)])
-        G = motion_generators(real, 6)
+        G = full_motion_generators(real, 6)
         worst_prod = max(worst_prod, float(np.abs(stack @ G).max()))
         norm = normalize(poly, real)
-        D = normalization_rows(norm) @ motion_generators(norm, 6)
+        D = normalization_rows(norm) @ full_motion_generators(norm, 6)
         v = norm.vertices
         want = (v[2, 1] - v[0, 1]) * (v[1, 0] - v[0, 0]) ** 2
         worst_det = max(worst_det, abs(np.linalg.det(D) - want) / abs(want))

@@ -31,10 +31,11 @@ from polyrig.rigidity import (
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
-    motion_generators,
     numeric_rank,
     point_set_witness,
 )
+
+from full_coordinates import full_motion_generators
 
 PLATONIC_EDGES = {
     "tetrahedron": 6,
@@ -64,14 +65,14 @@ def test_stack_annihilates_rigid_motions():
     poly, real = platonic("icosahedron")
     pool = build_pool(poly, "all")
     stack = np.vstack([d_phi(poly, real), gradient_rows(poly, pool, real)])
-    G = motion_generators(real, 6)
+    G = full_motion_generators(real, 6)
     assert G.shape[1] == 6
     assert np.abs(stack @ G).max() < 1e-8
 
 
 def test_angle_rows_annihilate_scaling():
     poly, real = platonic("dodecahedron")
-    s = motion_generators(real, 7)[:, 6]
+    s = full_motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-angles") + build_pool(poly, "dihedrals")
     rows = np.vstack([d_phi(poly, real), gradient_rows(poly, pool, real)])
     assert np.abs(rows @ s).max() < 1e-10
@@ -81,7 +82,7 @@ def test_distance_rows_are_degree_one_in_scale():
     # a distance gradient dotted with the scaling direction returns the
     # distance itself (Euler's relation for degree-1 homogeneous functions)
     poly, real = platonic("cube")
-    s = motion_generators(real, 7)[:, 6]
+    s = full_motion_generators(real, 7)[:, 6]
     pool = build_pool(poly, "face-distances")
     rows = gradient_rows(poly, pool, real)
     vals = evaluate_all(poly, pool, real)

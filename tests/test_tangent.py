@@ -51,6 +51,8 @@ from polyrig.rigidity import (
     motion_generators,
 )
 
+from full_coordinates import full_motion_generators
+
 TOL = 1e-9
 
 
@@ -91,7 +93,7 @@ def _svd_reference(poly, scaled, g):
     the complement of the motions in N coordinates from a QR of N G."""
     _, s, Vt = np.linalg.svd(d_phi(poly, scaled), full_matrices=True)
     N = Vt[_count_above(s, TOL):]
-    Q, _ = np.linalg.qr(N @ motion_generators(scaled, g), mode="complete")
+    Q, _ = np.linalg.qr(N @ full_motion_generators(scaled, g), mode="complete")
     return Q[:, g:].T @ N
 
 
@@ -111,7 +113,7 @@ def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     assert rank == 2 * poly.edge_count
     assert Z.shape == (n, poly.edge_count + 6 - g)
     assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() <= 1e-12
-    G = motion_generators(scaled, g)
+    G = full_motion_generators(scaled, g)
     assert np.linalg.norm(G[:n].T @ Z, 2) <= 1e-12
     J = d_phi(poly, scaled)
     lifted = np.vstack([Z, np.linalg.lstsq(J[:, n:], -J[:, :n] @ Z, rcond=None)[0]])
