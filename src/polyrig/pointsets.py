@@ -6,8 +6,11 @@ mesh measurements of the geometry module (on the vertices alone, a
 dihedral as the angle between two cross products of edge vectors) all
 evaluate through it: distances, angles at an apex, angles between two
 segments, plus an optional coplanarity side constraint for 3D searches. A
-MeasurementList compiles a list once; values and the Jacobian are taken
-with respect to the flattened coordinate array (n * dim,).
+MeasurementList compiles a list once; values, the Jacobian and the
+per-measurement Hessians are taken with respect to the flattened
+coordinate array (n * dim,). Each primitive differentiates itself twice
+with respect to its difference vectors, so the second derivatives are
+exact, not finite differences; the grid oracles' Newton steps use them.
 """
 
 from __future__ import annotations
@@ -94,17 +97,39 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     ], axis=-1)
 
 
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :]
+
+
+def _skew(a: np.ndarray) -> np.ndarray:
+    """The matrices [a]x with [a]x v = a x v, shape a.shape + (3,)."""
+    z = np.zeros_like(a[..., 0])
+    return np.stack([
+        z, -a[..., 2], a[..., 1],
+        a[..., 2], z, -a[..., 0],
+        -a[..., 1], a[..., 0], z,
+    ], axis=-1).reshape(a.shape + (3,))
+
+
 # Each primitive takes, for its k measurements, the t difference vectors
 # vecs[t][..., k, :] and their lengths lens[t][..., k], and returns the k
-# values and, when asked, the gradients with respect to each vector.
+# values, then (for order >= 1) the gradients with respect to each vector,
+# then (for order 2) the Hessian blocks, shape (..., t, t, k, dim, dim):
+# block [s, r] holds the second derivatives with respect to vectors s and r.
 
 
-def _length(vecs, lens, grad: bool):
+def _length(vecs, lens, order: int):
     (d,), (r,) = vecs, lens
-    return r, (d / r[..., None],) if grad else None
+    if not order:
+        return r, None, None
+    u = d / r[..., None]
+    if order == 1:
+        return r, (u,), None
+    hess = (np.eye(d.shape[-1]) - _outer(u, u)) / r[..., None, None]
+    return r, (u,), hess[..., None, None, :, :, :]
 
 
-def _angle(vecs, lens, grad: bool):
+def _angle(vecs, lens, order: int):
     (u, v), (nu, nv) = vecs, lens
     if u.shape[-1] == 2:
         s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
@@ -112,31 +137,78 @@ def _angle(vecs, lens, grad: bool):
         s = _norm(_cross(u, v))
     c = _dot(u, v)
     theta = np.arctan2(s, c)
-    if not grad:
-        return theta, None
+    if not order:
+        return theta, None, None
     if (s <= 1e-14 * nu * nv).any():
         raise DegenerateMeasurement("parallel rays; angle gradient undefined")
     c, s = c[..., None], s[..., None]
-    du = (c * u / (nu ** 2)[..., None] - v) / s
-    dv = (c * v / (nv ** 2)[..., None] - u) / s
-    return theta, (du, dv)
+    nu2, nv2 = (nu ** 2)[..., None], (nv ** 2)[..., None]
+    du = (c * u / nu2 - v) / s
+    dv = (c * v / nv2 - u) / s
+    if order == 1:
+        return theta, (du, dv), None
+    # In the plane of u and v the angle is a difference of two arguments,
+    # so there d2/dudv = 0 and d2/du2 = -(au'^T + u'a^T), a = du and
+    # u' = u / |u|^2 (v alike). In space the plane's unit normal e adds
+    # cot e e^T / |u|^2 to d2/du2 (|v|^2 to d2/dv2), and d2/dudv = -e e^T / s.
+    au, bv = _outer(du, u / nu2), _outer(dv, v / nv2)
+    hess = np.zeros(u.shape[:-2] + (2, 2) + u.shape[-2:] + u.shape[-1:])
+    hess[..., 0, 0, :, :, :] = -(au + au.swapaxes(-1, -2))
+    hess[..., 1, 1, :, :, :] = -(bv + bv.swapaxes(-1, -2))
+    if u.shape[-1] == 3:
+        e = _cross(u, v) / s
+        ee = _outer(e, e)
+        cot = (c / s)[..., None]
+        hess[..., 0, 0, :, :, :] += cot / nu2[..., None] * ee
+        hess[..., 1, 1, :, :, :] += cot / nv2[..., None] * ee
+        hess[..., 0, 1, :, :, :] = hess[..., 1, 0, :, :, :] = -ee / s[..., None]
+    return theta, (du, dv), hess
 
 
-def _normal_angle(vecs, lens, grad: bool):
-    # the angle between a x b and c x d; d theta = g.dn with dn = da x b + a x db
+def _normal_angle(vecs, lens, order: int):
+    # the angle between n = a x b and m = c x d; d theta = g.dn with
+    # dn = da x b + a x db, that is dn/da = -[b]x and dn/db = [a]x
     a, b, c, d = vecs
     n, m = _cross(a, b), _cross(c, d)
-    theta, g = _angle([n, m], [_norm(n), _norm(m)], grad)
-    if not grad:
-        return theta, None
+    theta, g, h = _angle([n, m], [_norm(n), _norm(m)], order)
+    if not order:
+        return theta, None, None
     gn, gm = g
-    return theta, (_cross(b, gn), _cross(gn, a), _cross(d, gm), _cross(gm, c))
+    grads = (_cross(b, gn), _cross(gn, a), _cross(d, gm), _cross(gm, c))
+    if order == 1:
+        return theta, grads, None
+    # the chain rule through dn/da, dn/db, dm/dc, dm/dd, plus the bilinear
+    # second derivatives of gn.(a x b) and gm.(c x d)
+    J = np.stack([-_skew(b), _skew(a), -_skew(d), _skew(c)], axis=-4)
+    normal = [0, 0, 1, 1]
+    h = h[..., normal, :, :, :, :][..., normal, :, :, :]
+    hess = J.swapaxes(-1, -2)[..., :, None, :, :, :] @ h @ J[..., None, :, :, :, :]
+    kn, km = _skew(gn), _skew(gm)
+    hess[..., 0, 1, :, :, :] -= kn
+    hess[..., 1, 0, :, :, :] += kn
+    hess[..., 2, 3, :, :, :] -= km
+    hess[..., 3, 2, :, :, :] += km
+    return theta, grads, hess
 
 
-def _triple(vecs, lens, grad: bool):
+def _triple(vecs, lens, order: int):
     a, b, c = vecs
     bc = _cross(b, c)
-    return _dot(a, bc), (bc, _cross(c, a), _cross(a, b)) if grad else None
+    value = _dot(a, bc)
+    if not order:
+        return value, None, None
+    grads = (bc, _cross(c, a), _cross(a, b))
+    if order == 1:
+        return value, grads, None
+    # bilinear in each pair of vectors: d2/dadb = -[c]x and so on
+    ka, kb, kc = _skew(a), _skew(b), _skew(c)
+    zero = np.zeros_like(ka)
+    hess = np.stack([
+        np.stack([zero, -kc, kb], axis=-4),
+        np.stack([kc, zero, -ka], axis=-4),
+        np.stack([-kb, ka, zero], axis=-4),
+    ], axis=-5)
+    return value, grads, hess
 
 
 # the order of the vector blocks; the triple product comes last because its
@@ -153,6 +225,10 @@ _LAYOUT = {
     _Hinge: (_normal_angle, [1, 2, 3, 0, 0, 0, 1, 1]),
     Coplanar: (_triple, [1, 2, 3, 0, 0, 0]),
 }
+
+
+# the signs of the four point pairs of a Hessian block (MeasurementList._compile)
+_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 
 
 def _field_ids(items: Sequence, names: Sequence[str]) -> np.ndarray:
@@ -178,7 +254,8 @@ class MeasurementList:
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the
     length of the list. sparse_jacobian gives the Jacobian of one point
-    array as a CSR matrix, for lists too long for the dense one.
+    array as a CSR matrix, for lists too long for the dense one, and
+    hessian the dense Hessian of every measurement.
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
@@ -247,6 +324,8 @@ class MeasurementList:
             np.concatenate([owners, owners]),
             np.concatenate([self._heads, self._tails]),
         )
+        # built by the first hessian call: most lists never take one
+        self._hess_scatter = None
 
     def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
@@ -262,7 +341,7 @@ class MeasurementList:
             return np.zeros(P.shape[:-2] + (0,))
         D, lens = self._vectors(P)
         vals = [
-            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], False)[0]
+            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 0)[0]
             for fn, slices in self._blocks
         ]
         vals = np.concatenate(vals, axis=-1)
@@ -274,7 +353,7 @@ class MeasurementList:
         D, lens = self._vectors(P)
         G = np.empty_like(D)
         for fn, slices in self._blocks:
-            grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], True)[1]
+            grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1)[1]
             for s, g in zip(slices, grads):
                 G[..., s, :] = g
         return G
@@ -294,6 +373,61 @@ class MeasurementList:
             np.concatenate([G, -G], axis=-2).reshape(members, len(owners), dim),
         )
         return J.reshape(*batch, self.size, n * dim)
+
+    def _hessian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each entry of the Hessian blocks, in their (block, s, r, row)
+        order: its row, and the points (head s, head r), (head s, tail r),
+        (tail s, head r), (tail s, tail r) at which the block of vectors s
+        and r enters that row, with the signs +, -, -, + of _SIGNS."""
+        if self._hess_scatter is None:
+            vs, vr = [], []
+            for _, slices in self._blocks:
+                first, width = slices[0], len(slices)
+                k = first.stop - first.start
+                at = first.start + k * np.arange(width)[:, None] + np.arange(k)
+                vs.append(np.broadcast_to(at[:, None], (width, width, k)))
+                vr.append(np.broadcast_to(at[None, :], (width, width, k)))
+            vs, vr = _join(vs), _join(vr)
+            ends = np.stack([self._heads, self._tails])
+            self._hess_scatter = (
+                self._scatter[0][vs], ends[[0, 0, 1, 1]][:, vs], ends[[0, 1, 0, 1]][:, vr]
+            )
+        return self._hess_scatter
+
+    def hessian(self, points: np.ndarray) -> np.ndarray:
+        """Exact Hessian of each value wrt the flattened (n * dim,) coordinate
+        array, on a (..., n, dim) point array; shape (..., size, n * dim,
+        n * dim), symmetric to the bit.
+
+        Each primitive gives its second derivatives with respect to its
+        difference vectors; one signed scatter (+ at a head, - at a tail)
+        sums them into the coordinates of the points.
+        """
+        P = np.asarray(points, dtype=float)
+        *batch, n, dim = P.shape
+        members, N = math.prod(batch), n * dim
+        if not self._blocks:
+            return np.zeros((*batch, self.size, N, N))
+        D, lens = self._vectors(P)
+        blocks = [
+            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)[2]
+            for fn, slices in self._blocks
+        ]
+        weights = np.concatenate([b.reshape(members, 1, -1) for b in blocks], axis=-1)
+        owner, left, right = self._hessian_scatter()
+        coord = np.arange(dim)
+        cells = (
+            ((owner * N + dim * left)[..., None, None] + coord[:, None]) * N
+            + (dim * right)[..., None, None] + coord
+        )
+        stride = self.size * N * N
+        cells = np.arange(0, members * stride, stride)[:, None] + cells.reshape(-1)
+        H = np.bincount(
+            cells.ravel(),
+            (weights * _SIGNS).ravel(),
+            minlength=members * stride,
+        ).reshape(*batch, self.size, N, N)
+        return (H + H.swapaxes(-1, -2)) / 2
 
     def sparse_jacobian(self, points: np.ndarray) -> sparse.csr_matrix:
         """The Jacobian on one (n, dim) point array as a CSR matrix, equal to

@@ -27,6 +27,8 @@ from .pointsets import (
     Distance,
     MeasurementList,
     SimpleMeasurement,
+    _dot,
+    _norm,
     diameter,
     measurement_value,
 )
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 GRID = 64  # grid points per angular parameter when seeding an oracle
+NEWTON_GTOL = 1e-13  # |gradient|_inf at which an oracle's Newton iteration stops
+NEWTON_MAXITER = 800
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,18 @@ def _grid_max(
     `fixed` holds every point (a mover's row is a placeholder); mover k,
     (row, center, radius), puts center + radius (cos p_k, sin p_k) in that
     row. The whole grid over (p_0, p_1) is evaluated in one kernel call;
-    its first maximum in row-major order seeds a BFGS refinement with the
-    chain-rule gradient. Returns (max value, argmax points).
+    its first maximum in row-major order starts a damped Newton iteration
+    on p. Its f, gradient and 2 x 2 Hessian come from one configuration and
+    the kernel's exact derivatives by the chain rule: with x(p) the movers'
+    points, g = (dm/dx) x' and H = x'^T (d2m/dx2) x' + diag((dm/dx) x'').
+    Each step is -H^-1 g where H is negative definite and g elsewhere, and
+    is halved until f does not fall. The iteration stops at |g|_inf <=
+    NEWTON_GTOL, when no halving keeps f from falling, or after
+    NEWTON_MAXITER steps. Returns (max value, argmax points).
     """
     kernel = MeasurementList([measurement])
     rows, centers, radii = (np.array(x) for x in zip(*movers))
+    n = len(fixed)
 
     def config(p: np.ndarray) -> np.ndarray:
         pts = np.array(np.broadcast_to(fixed, p.shape[:-1] + fixed.shape))
@@ -189,24 +200,41 @@ def _grid_max(
         pts[..., rows, :] = centers + radii[:, None] * circle
         return pts
 
-    def fval(p: np.ndarray) -> float:
-        return float(kernel.values(config(p))[0])
-
-    def fgrad(p: np.ndarray) -> np.ndarray:
-        g = kernel.jacobian(config(p)).reshape(fixed.shape)[rows]
-        tangents = radii[:, None] * np.stack([-np.sin(p), np.cos(p)], axis=-1)
-        return np.array([gk @ tk for gk, tk in zip(g, tangents)])
+    def derivatives(p: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x' = r (-sin p, cos p) and x'' = -r (cos p, sin p) for each mover
+        arm = radii[:, None] * np.stack([np.cos(p), np.sin(p)], axis=-1)
+        tangent = arm[:, ::-1] * [-1.0, 1.0]
+        grad = kernel.jacobian(pts).reshape(n, 2)[rows]
+        hess = kernel.hessian(pts).reshape(n, 2, n, 2)[rows][:, :, rows]
+        H = np.einsum("ka,kalb,lb->kl", tangent, hess, tangent)
+        H[[0, 1], [0, 1]] -= (grad * arm).sum(axis=1)
+        return (grad * tangent).sum(axis=1), H
 
     grid = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
-    best = grid[int(np.argmax(kernel.values(config(grid))[:, 0]))]
-    res = optimize.minimize(
-        lambda p: -fval(p),
-        best,
-        jac=lambda p: -fgrad(p),
-        method="BFGS",
-        options={"gtol": 1e-13, "maxiter": 800},
-    )
-    return fval(res.x), config(res.x)
+    p = grid[int(np.argmax(kernel.values(config(grid))[:, 0]))]
+    pts = config(p)
+    f = kernel.values(pts)[0]
+    for _ in range(NEWTON_MAXITER):
+        g, H = derivatives(p, pts)
+        if np.abs(g).max() <= NEWTON_GTOL:
+            break
+        det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
+        if H[0, 0] < 0.0 and det > 0.0:
+            step = np.array([H[0, 1] * g[1] - H[1, 1] * g[0],
+                             H[1, 0] * g[0] - H[0, 0] * g[1]]) / det
+        else:
+            step = g
+        while True:
+            q = p + step
+            if (q == p).all():
+                return float(f), pts
+            q_pts = config(q)
+            q_f = kernel.values(q_pts)[0]
+            if q_f >= f:
+                break
+            step = step / 2.0
+        p, pts, f = q, q_pts, q_f
+    return float(f), pts
 
 
 def _require_finite(**params: float) -> None:
@@ -441,41 +469,36 @@ def octagon_distance_oracle(
     a5 = np.array([d15, 0.0])
     mid_base = (a1 + a5) / 2.0
 
-    def linkage(theta: float) -> tuple[np.ndarray, np.ndarray] | None:
-        a8 = side * np.array([np.cos(theta), -np.sin(theta)])
+    def linkage(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a6, a8, closes) at each angle of an array: closes is false where
+        the circles about a5 and a8 do not meet."""
+        a8 = side * np.stack([np.cos(theta), -np.sin(theta)], axis=-1)
         # intersect circle(a5, side) with circle(a8, d68)
         delta = a8 - a5
-        dist2 = float(delta @ delta)
+        dist2 = _dot(delta, delta)
         dist = np.sqrt(dist2)
-        if dist >= side + d68 or dist <= abs(side - d68):
-            return None
         along = (dist2 + side * side - d68 * d68) / (2.0 * dist)
         h2 = side * side - along * along
-        if h2 <= 0.0:
-            return None
-        h = np.sqrt(h2)
-        base = a5 + along * delta / dist
-        perp = np.array([-delta[1], delta[0]]) / dist
-        a6 = base + h * perp  # positive-cross branch, matching the octagon
-        return a6, a8
+        closes = (dist < side + d68) & (dist > abs(side - d68)) & (h2 > 0.0)
+        h = np.sqrt(np.where(closes, h2, 0.0))
+        base = a5 + along[..., None] * delta / dist[..., None]
+        perp = np.stack([-delta[..., 1], delta[..., 0]], axis=-1) / dist[..., None]
+        a6 = base + h[..., None] * perp  # positive-cross branch, matching the octagon
+        return a6, a8, closes
 
-    def mid_dist(theta: float) -> float:
-        link = linkage(theta)
-        if link is None:
-            return -np.inf
-        a6, a8 = link
-        return float(np.linalg.norm((a6 + a8) / 2.0 - mid_base))
+    def mid_dist(theta: np.ndarray) -> np.ndarray:
+        a6, a8, closes = linkage(theta)
+        return np.where(closes, _norm((a6 + a8) / 2.0 - mid_base), -np.inf)
 
     thetas = np.linspace(1e-3, np.pi - 1e-3, 2048)
-    vals = np.array([mid_dist(t) for t in thetas])
-    k = int(np.argmax(vals))
+    k = int(np.argmax(mid_dist(thetas)))
     lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
     res = optimize.minimize_scalar(
-        lambda t: -mid_dist(t), bounds=(lo, hi), method="bounded",
+        lambda t: -float(mid_dist(t)), bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-13},
     )
     theta_star = float(res.x)
-    a6, a8 = linkage(theta_star)
+    a6, a8, _ = linkage(theta_star)
     # angle A_6 A_5 A_1: apex a5 = row 1, rays to a6 = row 2 and a1 = row 0
     pts = np.array([a1, a5, a6, a8])
     second = measurement_value(Angle(2, 1, 0), pts)

@@ -107,6 +107,96 @@ def test_values_over_batch_dimensions(dim):
         assert np.array_equal(jac[idx], kernel.jacobian(batch[idx]))
 
 
+def _hessian_by_differences(kernel, pts, h=1e-6):
+    """Central differences of the Jacobian, (..., size, n * dim, n * dim)."""
+    *batch, n, dim = pts.shape
+    flat = pts.reshape(*batch, n * dim)
+    fd = np.zeros((*batch, kernel.size, n * dim, n * dim))
+    for i in range(n * dim):
+        up, dn = flat.copy(), flat.copy()
+        up[..., i] += h
+        dn[..., i] -= h
+        up, dn = up.reshape(pts.shape), dn.reshape(pts.shape)
+        fd[..., i] = (kernel.jacobian(up) - kernel.jacobian(dn)) / (2 * h)
+    return fd
+
+
+def _mixed_list(dim):
+    # every primitive, DiagonalAngle(0, 1, 0, 2) with point 0 on both
+    # segments, and in 3D two coplanarity rows, one sharing its p
+    ms = [Distance(0, 3), Angle(1, 2, 4), DiagonalAngle(0, 1, 2, 3),
+          DiagonalAngle(0, 1, 0, 2), Distance(4, 1), Angle(3, 0, 1)]
+    if dim == 3:
+        ms += [Coplanar(0, 1, 2, 3), Coplanar(0, 4, 1, 2)]
+    return ms
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_matches_differences_of_the_jacobian(dim):
+    pts = np.random.default_rng(23).normal(size=(5, dim))
+    ms = _mixed_list(dim)
+    kernel = MeasurementList(ms)
+    H = kernel.hessian(pts)
+    assert H.shape == (len(ms), 5 * dim, 5 * dim)
+    fd = _hessian_by_differences(kernel, pts)
+    for m, row, fd_row in zip(ms, H, fd):
+        assert np.abs(row - fd_row).max() < 1e-7 * max(1.0, np.abs(row).max()), m
+        # every row is symmetric to the bit, and its own list agrees with it
+        assert np.array_equal(row, row.T), m
+        assert np.array_equal(MeasurementList([m]).hessian(pts)[0], row), m
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_over_batch_dimensions(dim):
+    batch = np.random.default_rng(29).normal(size=(2, 3, 5, dim))
+    kernel = MeasurementList(_mixed_list(dim))
+    H = kernel.hessian(batch)
+    assert H.shape == (2, 3, kernel.size, 5 * dim, 5 * dim)
+    assert np.array_equal(H, H.swapaxes(-1, -2))
+    assert np.abs(H - _hessian_by_differences(kernel, batch)).max() < 1e-7 * np.abs(H).max()
+    # each member's terms are summed in the order of the unbatched call
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(H[idx], kernel.hessian(batch[idx]))
+
+
+def test_hessian_of_a_dihedral_row():
+    from polyrig.generators import platonic
+    from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance, MeshMeasurements
+
+    poly, real = platonic("cube", 1.3)
+    # off the cube, so that no hinge is square and no face stays planar
+    verts = real.vertices + 0.1 * np.random.default_rng(31).normal(size=real.vertices.shape)
+    ms = [DihedralAngle(f, g) for f, g in poly.adjacent_faces()[:4]]
+    ms += [FaceDistance(0, 2), FaceAngle(1, 0, 2)]
+    kernel = MeshMeasurements(poly, ms).kernel
+    H = kernel.hessian(verts)
+    assert np.array_equal(H, H.swapaxes(-1, -2))
+    fd = _hessian_by_differences(kernel, verts)
+    assert np.abs(H - fd).max() < 1e-7 * np.abs(H).max()
+    # a dihedral touches the four points of its hinge only
+    touched = np.flatnonzero(np.abs(H[0]).reshape(8, 3, 8, 3).max(axis=(1, 2, 3)))
+    assert len(touched) == 4
+
+
+def test_hessian_raises_where_the_gradient_does():
+    collinear = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
+    for m in (Angle(0, 1, 2), DiagonalAngle(0, 1, 1, 2)):
+        with pytest.raises(DegenerateMeasurement, match="parallel rays"):
+            MeasurementList([m]).jacobian(collinear)
+        with pytest.raises(DegenerateMeasurement, match="parallel rays"):
+            MeasurementList([m]).hessian(collinear)
+    for m in (Distance(0, 0), Angle(0, 0, 2)):
+        with pytest.raises(DegenerateMeasurement, match="coincide"):
+            MeasurementList([m]).jacobian(collinear)
+        with pytest.raises(DegenerateMeasurement, match="coincide"):
+            MeasurementList([m]).hessian(collinear)
+
+
+def test_hessian_of_an_empty_list():
+    H = MeasurementList([]).hessian(np.zeros((2, 4, 3)))
+    assert H.shape == (2, 0, 12, 12)
+
+
 def test_angle_gradient_invariant_to_translation_direction():
     # rows must sum to zero: sliding the whole configuration cannot
     # change any measurement

@@ -3,6 +3,7 @@ staircase polygons, the twelve-measurement octagon."""
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from polyrig.errors import InfeasibleRadii, NotConvex
 from polyrig.pointsets import (
@@ -151,8 +152,44 @@ def test_right_angle_quad_oracle_forces_tangency(ab, ad, ac):
     _, argmax = right_angle_quad_oracle(ab, ad, ac)
     abc = measurement_value(Angle(0, 1, 2), argmax)
     adc = measurement_value(Angle(0, 3, 2), argmax)
-    assert abc == pytest.approx(np.pi / 2, abs=1e-7)
-    assert adc == pytest.approx(np.pi / 2, abs=1e-7)
+    assert abc == pytest.approx(np.pi / 2, abs=1e-11)
+    assert adc == pytest.approx(np.pi / 2, abs=1e-11)
+
+
+def _oracle_draws(count=20):
+    """Seeded parameters from the ranges of the benchmark's oracle cases,
+    with each maximum in closed form: the square's right angle; both rays
+    from C tangent to their circles; A and C at the tops of their arcs."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        d = rng.uniform(0.5, 2.0)
+        ac = rng.uniform(1.5, 4.0)
+        ab, ad = rng.uniform(0.3, 0.95, size=2) * ac
+        bd = rng.uniform(0.5, 2.0)
+        t1, t2 = rng.uniform(0.3, 1.4, size=2)
+        yield (
+            (square_angle_oracle, (d,), np.pi / 2),
+            (right_angle_quad_oracle, (ab, ad, ac), np.arcsin(ab / ac) + np.arcsin(ad / ac)),
+            (max_diagonal_oracle, (bd, t1, t2), bd / 2 * (1 / np.tan(t1 / 2) + 1 / np.tan(t2 / 2))),
+        )
+
+
+def test_grid_oracles_reach_the_closed_form_maxima():
+    for draw in _oracle_draws():
+        for oracle, args, want in draw:
+            value, _ = oracle(*args)
+            assert abs(value - want) <= 1e-14 * want, (oracle.__name__, args)
+
+
+def test_grid_oracles_never_call_scipy_minimize(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.optimize.minimize called")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+    for draw in _oracle_draws(3):
+        for oracle, args, want in draw:
+            value, _ = oracle(*args)
+            assert value == pytest.approx(want, rel=1e-14)
 
 
 def test_right_angle_quad_oracle_feasibility():
