@@ -21,17 +21,15 @@ from .geometry import (
     FaceDistance,
     Realization,
     build_pool,
-    congruent,
     evaluate_all,
     fit_realization,
     gradient_rows,
-    normalize,
     phi,
     d_phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence, elimination_order
 from .offio import read_off
-from .pointsets import Angle, Coplanar, DiagonalAngle, Distance
+from .pointsets import Angle, Coplanar, DiagonalAngle, Distance, align_distance
 from .polygon import (
     PointConfig2D,
     max_diagonal_oracle,
@@ -71,9 +69,9 @@ __all__ = [
     "Realization",
     "SIMILARITY",
     "SufficiencyReport",
+    "align_distance",
     "build_incidence",
     "build_pool",
-    "congruent",
     "d_phi",
     "elimination_order",
     "errors",
@@ -87,7 +85,6 @@ __all__ = [
     "is_sufficient",
     "max_diagonal_oracle",
     "mesh_volume",
-    "normalize",
     "numeric_rank",
     "octagon_distance_oracle",
     "phi",

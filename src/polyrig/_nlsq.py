@@ -1,6 +1,6 @@
 """Internal nonlinear least-squares helpers.
 
-Two solvers, both deterministic, and one rank certificate:
+One solver, deterministic, and one rank certificate:
 
 * lm_solve: Levenberg-Marquardt for square-to-overdetermined *or*
   underdetermined zero-residual systems, run from a batch of starts at
@@ -9,12 +9,9 @@ Two solvers, both deterministic, and one rank certificate:
   rather than quadratic, hence the generous default iteration budget. Its
   damping sweep runs as a ladder of 1, 2, 4, 8, 16 and 9 damping values
   per round, so a member parked at its rounding floor costs six residual
-  calls per iteration, not forty.
-* gauss_newton_project: minimum-norm Gauss-Newton iteration x -= dx with
-  dx the least-squares solution of J dx = r of least norm, used to project
-  a perturbed point back onto a constraint manifold while moving as little
-  as possible. Each step is one LAPACK least-squares call (gelsy, a
-  complete orthogonal factorization), whatever the rank of J.
+  calls per iteration, not forty. gauss_newton_project, the flex witness's
+  projection back onto a constraint manifold, is one lm_solve from one
+  start.
 * _gram_full_rank: the certificate, a proof that a matrix has full rank
   with a margin from one sparse LU (SuperLU, no row interchanges) of a
   shifted Gram matrix; numeric_rank tries it on every input and, when it
@@ -26,7 +23,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 Residual = Callable[[np.ndarray], np.ndarray]
@@ -151,26 +148,24 @@ def gauss_newton_project(
     target: float = 1e-10,
     max_travel: float | None = None,
 ) -> tuple[np.ndarray, bool]:
-    """Minimum-norm Newton steps toward residual = 0; (x, reached_target).
+    """Damped Gauss-Newton steps from x0 toward residual = 0; (x, reached).
 
-    Each step dx is the least-squares solution of J dx = r of least norm,
-    so an underdetermined system's iterate stays close to x0 instead of
-    drifting along the manifold. It comes from one LAPACK call whatever the
-    rank of J: gelsy, a QR with column pivoting completed to an orthogonal
-    factorization, whose rank estimate cuts at np.linalg.lstsq's cutoff
-    max(m, n) eps. A J or r that is not finite raises ValueError.
+    One lm_solve from x0 alone, driven to target * 1e-2 as point_set_witness
+    drives its restarts, so a point that stops short still meets the
+    target. Every step solves (J^T J + lam I) dx = -J^T r, so on an
+    underdetermined system x - x0 stays in the row space of J and the
+    iterate does not drift along the manifold; the damping bounds the step
+    where J is near singular. reached is max|r| <= target with x within
+    max_travel of x0. A J or r that is not finite takes no step: (x0, False).
     """
-    x = np.array(x0, dtype=float)
-    for _ in range(max_iter):
-        r = residual(x)
-        if np.abs(r).max() <= target:
-            return x, True
-        J = jacobian(x)
-        cond = max(J.shape) * np.finfo(float).eps
-        x = x - linalg.lstsq(J, r, cond=cond, lapack_driver="gelsy")[0]
-        if max_travel is not None and np.linalg.norm(x - x0) > max_travel:
-            return x, False
-    return x, bool(np.abs(residual(x)).max() <= target)
+    x0 = np.asarray(x0, dtype=float)
+
+    def rows(f: Residual) -> Residual:
+        return lambda X: np.stack([f(x) for x in X])
+
+    (x,), (r,), _ = lm_solve(rows(residual), rows(jacobian), x0[None], max_iter, target * 1e-2)
+    near = max_travel is None or np.linalg.norm(x - x0) <= max_travel
+    return x, bool(near and np.abs(r).max(initial=0.0) <= target)
 
 
 def _gamma(k: int) -> float:

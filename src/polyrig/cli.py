@@ -29,7 +29,6 @@ from .geometry import (
     build_pool,
     evaluate_all,
     fit_realization,
-    normalized_distance,
     phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence
@@ -41,7 +40,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, _unit, measurement_value
+from .pointsets import Angle, _unit, align_distance, measurement_value
 from .rigidity import (
     CONGRUENCE,
     SIMILARITY,
@@ -289,7 +288,7 @@ def cmd_witness(args) -> int:
             },
             "maxMeasurementError": float(np.abs(errors).max()),
             "maxIncidenceError": float(np.abs(phi(poly, wit)).max()),
-            "normalizedDistance": normalized_distance(poly, ref, wit) * unit,
+            "normalizedDistance": align_distance(ref.vertices, wit.vertices) * unit,
         }
         _emit(payload, args.out)
         return 1

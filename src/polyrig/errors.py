@@ -46,10 +46,6 @@ class DegenerateMeasurement(PolyrigError):
     (coincident points, zero-length ray, parallel planes)."""
 
 
-class CollinearFrame(PolyrigError):
-    """The first three vertices are collinear, so no normalizing frame exists."""
-
-
 # --- rigidity --------------------------------------------------------------
 
 class NoKernelDirection(PolyrigError):

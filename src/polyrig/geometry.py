@@ -33,11 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    CollinearFrame,
-    DegenerateFace,
-    NonPlanarFace,
-)
+from .errors import DegenerateFace, NonPlanarFace
 from .incidence import AbstractPolyhedron
 from .pointsets import (
     Angle,
@@ -342,75 +338,3 @@ def gradient_rows(
     poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
 ) -> np.ndarray:
     return MeshMeasurements(poly, measurements).rows(real)
-
-
-# --- canonical frame ----------------------------------------------------------
-
-
-def _canonical_rotation(vertices: np.ndarray) -> np.ndarray:
-    """Proper rotation M (rows = new axes) aligning v_2 - v_1 with +x and
-    putting v_3 - v_1 into the xy-plane with positive y."""
-    d1 = vertices[1] - vertices[0]
-    d2 = vertices[2] - vertices[0]
-    n1 = np.linalg.norm(d1)
-    if n1 < 1e-300:
-        raise CollinearFrame("first two vertices coincide")
-    ex = d1 / n1
-    zraw = np.cross(ex, d2)
-    nz = np.linalg.norm(zraw)
-    if nz < 1e-12 * max(np.linalg.norm(d2), 1.0):
-        raise CollinearFrame("first three vertices are collinear")
-    ez = zraw / nz
-    ey = np.cross(ez, ex)
-    return np.vstack([ex, ey, ez])
-
-
-def normalize(poly: AbstractPolyhedron, real: Realization) -> Realization:
-    """Move a realization to its canonical frame.
-
-    The canonical frame puts the vertex centroid at the origin, v_2 - v_1
-    along the positive x-axis, and v_3 - v_1 into the xy-plane with positive
-    y-component. This is a complete invariant for proper congruence of
-    labeled realizations: two realizations are properly congruent exactly
-    when their canonical frames carry identical coordinates. The centroid
-    (not v_1) anchors the translation so that no face plane passes through
-    the origin and the plane chart stays valid; in the canonical frame
-    y_1 = y_2, z_1 = z_2 = z_3, x_1 < x_2 and y_1 < y_3 all hold.
-    """
-    center = real.vertices.mean(axis=0)
-    M = _canonical_rotation(real.vertices)
-    verts = (real.vertices - center) @ M.T
-    denom = 1.0 - real.planes @ center
-    if np.any(np.abs(denom) < 1e-12):
-        raise DegenerateFace("a face plane passes through the vertex centroid")
-    planes = (real.planes @ M.T) / denom[:, None]
-    return Realization(verts, planes)
-
-
-def normalized_distance(poly: AbstractPolyhedron, r1: Realization, r2: Realization) -> float:
-    """Max vertex distance between the canonical frames of two realizations."""
-    a = normalize(poly, r1).vertices
-    b = normalize(poly, r2).vertices
-    return float(np.linalg.norm(a - b, axis=1).max())
-
-
-def congruent(
-    poly: AbstractPolyhedron,
-    r1: Realization,
-    r2: Realization,
-    tol: float = 1e-8,
-    allow_reflection: bool = False,
-) -> bool:
-    """Whether two labeled realizations differ by a proper rigid motion.
-
-    Both are moved to the canonical frame and vertex coordinates compared;
-    max vertex distance <= tol means congruent. With allow_reflection a
-    mirror image of r2 is tried as well.
-    """
-    if normalized_distance(poly, r1, r2) <= tol:
-        return True
-    if allow_reflection:
-        mirrored = Realization(r2.vertices * np.array([1.0, 1.0, -1.0]),
-                               r2.planes * np.array([1.0, 1.0, -1.0]))
-        return normalized_distance(poly, r1, mirrored) <= tol
-    return False

@@ -50,11 +50,7 @@ import numpy as np
 from scipy import sparse
 
 from ._nlsq import EXHAUSTED, STALLED, _gram_full_rank, gauss_newton_project, lm_solve
-from .errors import (
-    NoConvergedRestarts,
-    NoKernelDirection,
-    ProjectionDiverged,
-)
+from .errors import NoConvergedRestarts, NoKernelDirection, ProjectionDiverged
 from .geometry import (
     FaceDistance,
     Measurement3D,
@@ -62,7 +58,6 @@ from .geometry import (
     Realization,
     _incidence_indices,
     face_distance_pool,
-    normalized_distance,
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
@@ -83,9 +78,11 @@ DEFAULT_TOL_REL = 1e-9
 # how many measurement rows the mesh verdicts reduce onto the chart basis at a time
 _ROW_BLOCK = 2048
 
-# point_set_witness's cluster radius and witness distance, times its scale
+# point_set_witness's cluster radius and witness distance, times its scale,
+# and its iteration budget per restart
 CLUSTER_TOL = 1e-6
 WITNESS_TOL = 1e-4
+MAX_ITER = 250
 
 
 def _motion_dim(
@@ -370,16 +367,17 @@ def flex_witness(
     K an orthonormal basis of ker J Z (J Z taken from the CSR rows, as in
     is_sufficient; only the projection forms the dense Jacobian of the
     measurements and the Coplanar rows), steps away along u by `step` (a
-    fraction of the diameter), and Gauss-Newton-projects back onto
-    {psi = psi(R), Coplanar rows = 0} over the 3V vertex coordinates, the
-    system point_set_witness solves, to residual 1e-10. The witness planes
-    come from each face's anchor triple. Returns the projected realization,
-    scaled back to the input's units, when it lies more than sqrt(1e-10) =
-    1e-5 diameters from the input (normalized vertex distance), or None
-    when the projection slides back to the start, the signature of a flex
-    that exists to first order only: near a second-order-rigid point a
-    residual of 1e-10 admits a drift of about 1e-5. So a step below about
-    1e-4 cannot be certified.
+    fraction of the diameter), and projects back onto {psi = psi(R),
+    Coplanar rows = 0} over the 3V vertex coordinates, the system
+    point_set_witness solves, with its solver (gauss_newton_project, one
+    lm_solve) to residual 1e-10. The witness planes come from each face's
+    anchor triple. Returns the projected realization, scaled back to the
+    input's units, when it lies more than sqrt(1e-10) = 1e-5 diameters from
+    the input after the best proper rigid placement (align_distance, which
+    no vertex numbering enters), or None when the projection slides back to
+    the start, the signature of a flex that exists to first order only:
+    near a second-order-rigid point a residual of 1e-10 admits a drift of
+    about 1e-5. So a step below about 1e-4 cannot be certified.
 
     c is the top eigenvector of (H Z K)^T (H Z K), H the Jacobian of the
     face distances: u changes the face distances most for its length. By
@@ -422,12 +420,11 @@ def flex_witness(
     if not ok:
         raise ProjectionDiverged(f"projection did not reach residual {target:g}")
     W = x.reshape(-1, 3)
+    if align_distance(X, W) <= np.sqrt(target):
+        return None
     # each face's plane a.x = 1 through its anchor triple
     planes = np.linalg.solve(W[anchors], np.ones((poly.face_count, 3, 1)))[..., 0]
-    result = Realization(W, planes)
-    if normalized_distance(poly, scaled, result) > np.sqrt(target):
-        return result.rescaled(real.diameter())
-    return None
+    return Realization(W, planes).rescaled(real.diameter())
 
 
 @dataclass(frozen=True)
@@ -471,7 +468,6 @@ def point_set_witness(
     allow_reflection: bool | None = None,
     residual_tol: float = 1e-10,
     locality: float | None = None,
-    max_iter: int = 250,
 ) -> PointWitnessReport:
     """Uniqueness oracle for a labeled point configuration.
 
@@ -534,7 +530,7 @@ def point_set_witness(
         return (ref + noise * diam * rng.standard_normal(ref.shape)).ravel()
 
     x0 = np.array([start(i) for i in range(restarts)]).reshape(restarts, n * dim)
-    x, r, reason = lm_solve(resid, jac, x0, max_iter=max_iter, target=residual_tol * 1e-2)
+    x, r, reason = lm_solve(resid, jac, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2)
     ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
     stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))

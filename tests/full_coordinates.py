@@ -2,8 +2,9 @@
 
 A realization flattens to (x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1,
 ..., a_F, b_F, c_F), the coordinates of geometry.d_phi and
-geometry.gradient_rows. The program works on the vertices alone; these
-helpers serve the tests that compare it with that model.
+geometry.gradient_rows. The program works on the vertices alone and
+compares shapes by Kabsch alignment; these helpers, with the paper's
+canonical frame, serve the tests that compare it with that model.
 """
 
 import numpy as np
@@ -24,6 +25,27 @@ def from_coordinate_vector(x: np.ndarray, vertex_count: int, face_count: int) ->
         vertices=x[:nv].reshape(vertex_count, 3),
         planes=x[nv : nv + 3 * face_count].reshape(face_count, 3),
     )
+
+
+def normalize(real: Realization) -> Realization:
+    """Move a realization, vertices and planes, to its canonical frame.
+
+    The canonical frame puts the vertex centroid at the origin, v_2 - v_1
+    along the positive x-axis, and v_3 - v_1 into the xy-plane with positive
+    y-component, so that y_1 = y_2, z_1 = z_2 = z_3, x_1 < x_2 and y_1 < y_3.
+    It exists when the first three vertices are not collinear. The centroid
+    anchors the translation so that no face plane passes through the origin
+    and the plane chart stays valid.
+    """
+    V = real.vertices
+    center = V.mean(axis=0)
+    ex = V[1] - V[0]
+    ez = np.cross(ex, V[2] - V[0])
+    if np.linalg.norm(ez) <= 1e-12 * np.linalg.norm(ex) * np.linalg.norm(V[2] - V[0]):
+        raise ValueError("the first three vertices are collinear")
+    ex, ez = ex / np.linalg.norm(ex), ez / np.linalg.norm(ez)
+    M = np.vstack([ex, np.cross(ez, ex), ez])
+    return Realization((V - center) @ M.T, (real.planes @ M.T) / (1.0 - real.planes @ center)[:, None])
 
 
 def normalization_rows(real: Realization) -> np.ndarray:

@@ -8,7 +8,7 @@ import pytest
 from polyrig.cli import build_parser, main
 from polyrig.geometry import FaceDistance, build_pool
 from polyrig.incidence import build_incidence
-from polyrig.offio import measurements_to_json, read_off
+from polyrig.offio import measurements_to_json, off_text, read_off
 
 
 def run(capsys, *argv):
@@ -521,6 +521,24 @@ def test_witness_of_a_first_order_flex_only_exits_0(capsys, tmp_path):
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, _ = run(capsys, "witness", off, "--measurements", str(ms))
+    assert code == 0
+    assert json.loads(out) == {
+        "note": "first-order flex only", "sufficient": False, "witness": None}
+
+
+def test_witness_of_a_relabelled_dodecahedron_exits_0(capsys, tmp_path):
+    """Renumbering the vertices does not turn the first-order flex of the
+    dodecahedron's 30 edges into a witness."""
+    coords, faces = read_off(run(capsys, "generate", "dodecahedron")[1])
+    perm = np.random.default_rng(3).permutation(len(coords))  # old vertex v is new perm[v]
+    relabelled = np.empty_like(coords)
+    relabelled[perm] = coords
+    faces = [[int(perm[v]) for v in f] for f in faces]
+    off = tmp_path / "dodeca.off"
+    off.write_text(off_text(relabelled, faces))
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, _ = run(capsys, "witness", str(off), "--measurements", str(ms))
     assert code == 0
     assert json.loads(out) == {
         "note": "first-order flex only", "sufficient": False, "witness": None}

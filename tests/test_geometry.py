@@ -1,11 +1,11 @@
-"""Realization fitting, the incidence map phi, measurements, normalization."""
+"""Realization fitting, the incidence map phi, measurements, and shape
+comparison by Kabsch alignment against the canonical frame."""
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 from polyrig.errors import (
-    CollinearFrame,
     DegenerateFace,
     DegenerateMeasurement,
     NonPlanarFace,
@@ -17,17 +17,16 @@ from polyrig.geometry import (
     FaceDistance,
     Realization,
     build_pool,
-    congruent,
     d_phi,
     evaluate_all,
     fit_realization,
     gradient_rows,
-    normalize,
     phi,
 )
 from polyrig.incidence import build_incidence
+from polyrig.pointsets import align_distance
 
-from full_coordinates import coordinate_vector, from_coordinate_vector
+from full_coordinates import coordinate_vector, from_coordinate_vector, normalize
 
 CUBE_FACES = [
     (0, 1, 2, 3),
@@ -278,9 +277,10 @@ def test_gradient_touches_expected_blocks(cube):
 
 
 def test_normalize_idempotent_and_canonical(cube):
+    # the paper's canonical frame, kept as the test reference
     poly, real = cube
-    n1 = normalize(poly, real)
-    n2 = normalize(poly, n1)
+    n1 = normalize(real)
+    n2 = normalize(n1)
     assert np.abs(n1.vertices - n2.vertices).max() < 1e-12
     assert np.abs(n1.planes - n2.planes).max() < 1e-12
     assert np.abs(phi(poly, n1)).max() < 1e-10
@@ -298,27 +298,29 @@ def test_normalize_is_congruence_invariant(cube):
     for k in range(5):
         R = Rotation.random(random_state=100 + k).as_matrix()
         moved = fit_realization(poly, real.vertices @ R.T + rng.normal(size=3))
-        a = normalize(poly, real)
-        b = normalize(poly, moved)
+        a = normalize(real)
+        b = normalize(moved)
         assert np.abs(a.vertices - b.vertices).max() < 1e-9
-        assert congruent(poly, real, moved)
+        # Kabsch alignment needs no frame and agrees
+        assert align_distance(real.vertices, moved.vertices) < 1e-9
 
 
 def test_congruent_distinguishes_shapes(cube):
     poly, real = cube
     squashed = fit_realization(poly, CUBE_COORDS * np.array([1.0, 1.0, 1.1]))
-    assert not congruent(poly, real, squashed)
+    assert align_distance(real.vertices, squashed.vertices) > 1e-2
 
 
 def test_congruent_mirror_needs_flag(cube):
     poly, real = cube
     mirrored = fit_realization(poly, real.vertices * np.array([1.0, 1.0, -1.0]))
-    assert not congruent(poly, real, mirrored)
-    assert congruent(poly, real, mirrored, allow_reflection=True)
+    assert align_distance(real.vertices, mirrored.vertices) > 1e-2
+    assert align_distance(real.vertices, mirrored.vertices, allow_reflection=True) < 1e-12
 
 
-def test_collinear_frame_raises():
-    # first three vertices collinear: normalization frame undefined
+def test_alignment_needs_no_frame_at_collinear_first_vertices():
+    # the first three vertices are collinear, so the canonical frame is
+    # undefined; Kabsch alignment does not look at the labels
     faces = [(0, 1, 2, 3), (7, 6, 5, 4), (0, 4, 5, 1), (1, 5, 6, 2),
              (2, 6, 7, 3), (3, 7, 4, 0)]
     coords = np.array(
@@ -330,8 +332,13 @@ def test_collinear_frame_raises():
     )
     poly = build_incidence(faces)
     real = fit_realization(poly, coords)
-    with pytest.raises(CollinearFrame):
-        normalize(poly, real)
+    with pytest.raises(ValueError, match="collinear"):
+        normalize(real)
+    R = Rotation.random(random_state=7).as_matrix()
+    moved = fit_realization(poly, coords @ R.T + 3.0)
+    assert align_distance(real.vertices, moved.vertices) < 1e-12
+    stretched = fit_realization(poly, coords * np.array([1.0, 1.2, 1.0]))
+    assert align_distance(real.vertices, stretched.vertices) > 1e-2
 
 
 def test_pool_sizes_cube(cube):

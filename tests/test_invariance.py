@@ -6,7 +6,9 @@ uniformly by 10^u with u in [-4, 4], and relabels its vertices, then
 compares the rank verdicts and the greedy selection size with those of the
 solid as generated. Flex witnesses of moved and scaled sphere hulls, and
 of the Platonic solids' face-angle and dihedral sets, are checked again
-against their measurements and incidences.
+against their measurements and incidences, and their distance from the
+input is taken by Kabsch alignment, which no numbering enters. Relabelled
+copies of the dodecahedron and the cube give the same witness verdicts.
 """
 
 import itertools
@@ -29,12 +31,11 @@ from polyrig.geometry import (
     build_pool,
     evaluate_all,
     fit_realization,
-    normalized_distance,
     phi,
 )
 from polyrig.errors import NoConvergedRestarts, NoKernelDirection
 from polyrig.incidence import build_incidence
-from polyrig.pointsets import Angle, Distance
+from polyrig.pointsets import Angle, Distance, align_distance
 from polyrig.rigidity import (
     CONGRUENCE,
     SIMILARITY,
@@ -133,7 +134,7 @@ def test_every_flex_witness_satisfies_its_measurements(V, seed, drop, exponent):
     errors = evaluate_all(poly, kept, witness) - evaluate_all(poly, kept, real)
     assert np.abs(errors).max() <= 1e-8 * diameter
     assert np.abs(phi(poly, witness)).max() <= 1e-8
-    assert normalized_distance(poly, real, witness) >= 1e-3 * diameter
+    assert align_distance(real.vertices, witness.vertices) >= 1e-3 * diameter
 
 
 PLATONIC = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
@@ -161,7 +162,37 @@ def test_flex_witnesses_of_angle_and_dihedral_sets(name, pool_name, mode):
         diameter = real.diameter()
         assert np.abs(evaluate_all(poly, pool, witness) - evaluate_all(poly, pool, real)).max() <= 1e-8
         assert np.abs(phi(poly, witness)).max() <= 1e-8
-        assert normalized_distance(poly, real, witness) >= 1e-3 * diameter
+        assert align_distance(real.vertices, witness.vertices) >= 1e-3 * diameter
+
+
+def _relabelled(poly, real, seed):
+    """The solid with its vertices renumbered by a seeded permutation."""
+    perm = np.random.default_rng(seed).permutation(poly.vertex_count)
+    label = np.argsort(perm)  # old vertex v is new label[v]
+    relabelled = build_incidence([tuple(int(label[v]) for v in f) for f in poly.faces])
+    return relabelled, fit_realization(relabelled, real.vertices[perm])
+
+
+@pytest.mark.parametrize("seed", range(1, 25))
+def test_relabelled_dodecahedron_edges_give_no_witness(seed):
+    """The dodecahedron's 30 edges leave first-order flexes only: under
+    every numbering the projection slides back to within 1e-5 diameters."""
+    poly, real = _relabelled(*platonic("dodecahedron"), seed)
+    assert flex_witness(poly, real, build_pool(poly, "edges-only")) is None
+
+
+@pytest.mark.parametrize("seed", range(1, 25))
+def test_relabelled_cube_face_diagonals_give_a_witness(seed):
+    """The cube's 12 face diagonals flex under every numbering: the
+    projection converges (no ProjectionDiverged) to a witness that keeps
+    the diagonals and lies 1e-3 to 1e-2 diameters out by Kabsch."""
+    poly, real = _relabelled(*platonic("cube"), seed)
+    pool = build_pool(poly, "face-diagonals")
+    witness = flex_witness(poly, real, pool)
+    assert witness is not None
+    assert np.abs(evaluate_all(poly, pool, witness) - evaluate_all(poly, pool, real)).max() <= 1e-8
+    assert np.abs(phi(poly, witness)).max() <= 1e-8
+    assert 1e-3 <= align_distance(real.vertices, witness.vertices) / real.diameter() <= 1e-2
 
 
 def test_icosahedron_dihedrals_pin_it_up_to_similarity():

@@ -1,12 +1,11 @@
-"""The full-rank certificate behind numeric_rank, and the flex projection's
-minimum-norm step.
+"""The full-rank certificate behind numeric_rank, and the flex projection.
 
 `numeric_rank` counts singular values above tol_rel * sigma_1; when a
 sparse LU of the shifted Gram matrix of its input, dense or sparse, proves
 that all of them clear that cutoff it returns min(m, n) without an SVD.
-`gauss_newton_project` takes each step from one gelsy least-squares call
-at lstsq's cutoff, whatever the rank of J. Both must give what the
-SVD-based computation gives.
+It must give what the SVD-based computation gives. `gauss_newton_project`
+is one damped lm_solve from one start: its steps stay in the row space of
+J, so on a consistent linear system it ends at lstsq's solution.
 """
 
 import numpy as np
@@ -19,14 +18,11 @@ from scipy import sparse
 from polyrig import rigidity
 from polyrig._nlsq import _gram_full_rank, gauss_newton_project
 from polyrig.generators import faces_from_convex_vertices, platonic
-from polyrig.geometry import (
-    MeshMeasurements,
-    build_pool,
-    d_phi,
-    fit_realization,
-    phi,
-)
+from polyrig.cli import main
+from polyrig.errors import ProjectionDiverged
+from polyrig.geometry import MeshMeasurements, build_pool, fit_realization
 from polyrig.incidence import build_incidence
+from polyrig.offio import measurements_to_json
 from polyrig.pointsets import Angle, Distance, MeasurementList, diameter
 from polyrig.polygon import (
     PointConfig2D,
@@ -35,8 +31,6 @@ from polyrig.polygon import (
     sufficiency2d,
 )
 from polyrig.rigidity import _count_above, numeric_rank
-
-from full_coordinates import coordinate_vector, from_coordinate_vector
 
 TOL = 1e-9
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -248,82 +242,44 @@ def test_deficient_sparse_rank_takes_one_svd_and_no_qr(monkeypatch):
 # the minimum-norm projection step ----------------------------------------------
 
 
-def _projection(poly, real, pool, seed):
-    """flex_witness's residual and Jacobian at unit diameter, with the
-    measurement targets perturbed, and the realization as the start."""
-    scaled = real.rescaled(1.0 / real.diameter())
-    psi = MeshMeasurements(poly, pool)
-    targets = psi.values(scaled) + 1e-3 * np.random.default_rng(seed).standard_normal(len(pool))
-    nv, nf = real.vertex_count, real.face_count
-
-    def resid(x):
-        r = from_coordinate_vector(x, nv, nf)
-        return np.concatenate([phi(poly, r), psi.values(r) - targets])
-
-    def jac(x):
-        r = from_coordinate_vector(x, nv, nf)
-        return np.vstack([d_phi(poly, r), psi.rows(r)])
-
-    return resid, jac, coordinate_vector(scaled)
+def _linear(J, b):
+    """The residual J x - b and its constant Jacobian."""
+    return (lambda x: J @ x - b), (lambda x: J)
 
 
-def _count_lstsq(monkeypatch):
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted)
-    return calls
-
-
-def test_projection_step_matches_lstsq_on_full_row_rank(monkeypatch):
+def test_projection_step_matches_lstsq_on_full_row_rank():
+    # the flex projection's Jacobian on a 30-vertex hull with three edges
+    # dropped: 81 edge rows on 90 vertex coordinates, full row rank
     p = np.random.default_rng(6).standard_normal((30, 3))
     p /= np.linalg.norm(p, axis=1, keepdims=True)
     poly = build_incidence(faces_from_convex_vertices(p))
     real = fit_realization(poly, p)
-    edges = build_pool(poly, "edges-only")
-    resid, jac, x0 = _projection(poly, real, edges[:-3], 7)
-    J = jac(x0)
-    assert J.shape[0] < J.shape[1] and numeric_rank(J, 1e-12) == J.shape[0]
-    r = resid(x0)
-    reference = np.linalg.lstsq(J, r, rcond=None)[0]
-    calls = _count_lstsq(monkeypatch)
-    x1, _ = gauss_newton_project(resid, jac, x0, max_iter=1, target=0.0)
-    assert calls == []
-    assert np.abs((x0 - x1) - reference).max() <= 1e-12 * np.abs(reference).max()
-
-
-def test_projection_falls_back_to_lstsq_on_the_cube_edges():
-    poly, real = platonic("cube")
-    resid, jac, x0 = _projection(poly, real, build_pool(poly, "edges-only"), 8)
-    J = jac(x0)
-    assert J.shape == (36, 42) and numeric_rank(J) == 33
-    r = resid(x0)
-    reference = np.linalg.lstsq(J, r, rcond=None)[0]
-    built = []
-    x1, _ = gauss_newton_project(
-        resid, lambda x: built.append(1) or jac(x), x0, max_iter=1, target=0.0
-    )
-    # a rank-deficient J takes the same one call as any other, built once
-    assert built == [1]
-    assert np.linalg.norm((x0 - x1) - reference) <= 1e-12 * np.linalg.norm(reference)
-
-
-def _one_step(J, r):
-    """The step dx of one gauss_newton_project iteration on a constant J, r."""
-    x0 = np.zeros(J.shape[1])
-    x1, _ = gauss_newton_project(lambda x: r, lambda x: J, x0, max_iter=1, target=0.0)
-    return -x1
+    X = real.rescaled(1.0 / real.diameter()).vertices
+    J = MeshMeasurements(poly, build_pool(poly, "edges-only")[:-3]).kernel.jacobian(X)
+    assert J.shape == (81, 90) and numeric_rank(J, 1e-12) == 81
+    b = 1e-3 * np.random.default_rng(7).standard_normal(81)
+    x0 = X.ravel()
+    resid, jac = _linear(J, J @ x0 + b)
+    x, ok = gauss_newton_project(resid, jac, x0)
+    assert ok and np.abs(resid(x)).max() <= 1e-10
+    # damped steps J^T (J J^T + lam I)^-1 r stay in the row space of J
+    dx = x - x0
+    in_rows = J.T @ np.linalg.lstsq(J.T, dx, rcond=None)[0]
+    assert np.linalg.norm(dx - in_rows) <= 1e-10 * np.linalg.norm(dx)
+    reference = np.linalg.lstsq(J, b, rcond=None)[0]
+    assert np.linalg.norm(dx - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("shape", [(5, 8), (8, 8), (11, 8)], ids=["wide", "square", "tall"])
 def test_projection_step_matches_lstsq(shape):
+    # on a consistent linear system of full rank the projection from 0 ends
+    # at the least-squares solution of least norm
     rng = np.random.default_rng(9)
-    J, r = rng.standard_normal(shape), rng.standard_normal(shape[0])
-    assert np.allclose(_one_step(J, r), np.linalg.lstsq(J, r, rcond=None)[0], rtol=0, atol=1e-13)
+    J = rng.standard_normal(shape)
+    b = J @ rng.standard_normal(shape[1])
+    x, ok = gauss_newton_project(*_linear(J, b), np.zeros(shape[1]))
+    reference = np.linalg.lstsq(J, b, rcond=None)[0]
+    assert ok and np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -333,18 +289,50 @@ def test_projection_step_matches_lstsq(shape):
     st.integers(0, 2**32 - 1),
     arrays(np.float64, (9, 1), elements=st.floats(-2.0, 2.0)),
 )
-def test_projection_step_on_thin_products_is_the_min_norm_lstsq(m, n, seed, u):
-    # J = A B of rank k < min(m, n), rows scaled by 10^u with u in [-2, 2]
+def test_projection_on_thin_products_reaches_its_target(m, n, seed, u):
+    # J = A B of rank k < min(m, n), rows scaled by 10^u with u in [-2, 2],
+    # and a consistent right-hand side. The damping lam I that keeps the
+    # steps finite lets rounding leak into ker J, so the end point is the
+    # least-squares solution of least norm only to about 1e-7 relative.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, min(m, n)))
     J = rng.standard_normal((m, k)) @ rng.standard_normal((k, n)) * 10.0 ** u[:m]
-    r = rng.standard_normal(m)
-    reference = np.linalg.lstsq(J, r, rcond=None)[0]
-    assert np.linalg.norm(_one_step(J, r) - reference) <= 1e-8 * np.linalg.norm(reference)
+    b = J @ rng.standard_normal(n)
+    target = 1e-12 * np.abs(b).max()
+    x, ok = gauss_newton_project(*_linear(J, b), np.zeros(n), target=target)
+    assert ok and np.abs(J @ x - b).max() <= target
+    reference = np.linalg.lstsq(J, b, rcond=None)[0]
+    assert np.linalg.norm(x - reference) <= 1e-6 * np.linalg.norm(reference)
 
 
-def test_projection_rejects_a_non_finite_jacobian():
+def test_projection_reports_travel_beyond_its_bound():
+    J = np.eye(3, 4)
+    b = np.array([1.0, 0.0, 0.0])
+    x, ok = gauss_newton_project(*_linear(J, b), np.zeros(4), max_travel=0.5)
+    assert not ok and np.abs(J @ x - b).max() <= 1e-10
+    assert gauss_newton_project(*_linear(J, b), np.zeros(4), max_travel=2.0)[1]
+
+
+def test_projection_rejects_a_non_finite_jacobian(monkeypatch, capsys, tmp_path):
+    # a NaN Jacobian takes no step: one Jacobian, one sweep of damping values
     J = np.eye(3, 4)
     J[1, 2] = np.nan
-    with pytest.raises(ValueError):
-        _one_step(J, np.ones(3))
+    built = []
+    x0 = np.arange(4.0)
+    x, ok = gauss_newton_project(
+        lambda x: np.ones(3), lambda x: built.append(1) or J, x0
+    )
+    assert not ok and np.array_equal(x, x0) and built == [1]
+
+    # and flex_witness reports it as a diverged projection, exit 2 on the CLI
+    poly, real = platonic("cube")
+    monkeypatch.setattr(
+        MeasurementList, "jacobian", lambda self, points: np.full((self.size, points.size), np.nan)
+    )
+    with pytest.raises(ProjectionDiverged):
+        rigidity.flex_witness(poly, real, build_pool(poly, "edges-only"))
+    off, ms = tmp_path / "cube.off", tmp_path / "edges.json"
+    assert main(["generate", "cube", "--out", str(off)]) == 0
+    ms.write_text(measurements_to_json(3, build_pool(poly, "edges-only")))
+    assert main(["witness", str(off), "--measurements", str(ms)]) == 2
+    assert "ProjectionDiverged" in capsys.readouterr().err
