@@ -367,6 +367,7 @@ def cmd_polygon_oracle(args) -> int:
                 "angleA5A1A8": report.linkage_angle_a5_a1_a8,
                 "angleA6A5A1": report.linkage_angle_a6_a5_a1,
                 "midpointDistance": report.midpoint_distance,
+                "restartsAtMax": report.restarts_at_max,
             },
             args.out,
         )

@@ -254,8 +254,9 @@ class MeasurementList:
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the
     length of the list. sparse_jacobian gives the Jacobian of one point
-    array as a CSR matrix, for lists too long for the dense one, and
-    hessian the dense Hessian of every measurement.
+    array as a CSR matrix, for lists too long for the dense one, hessian
+    the dense Hessian of every measurement, and weighted_hessian one
+    weighted sum of them.
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
@@ -403,11 +404,28 @@ class MeasurementList:
         difference vectors; one signed scatter (+ at a head, - at a tail)
         sums them into the coordinates of the points.
         """
-        P = np.asarray(points, dtype=float)
+        return self._scatter_hessians(np.asarray(points, dtype=float), None)
+
+    def weighted_hessian(self, points: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i times the Hessian of value i, on a (..., n, dim) point
+        array with weights w of shape (..., size); shape (..., n * dim,
+        n * dim), symmetric to the bit.
+
+        The scatter of hessian with each row's terms scaled by its weight
+        and summed into one matrix, so the (..., size, n * dim, n * dim)
+        stack is never formed: a Lagrangian's Hessian in one call.
+        """
+        P, w = np.asarray(points, dtype=float), np.asarray(w, dtype=float)
+        return self._scatter_hessians(P, w)[..., 0, :, :]
+
+    def _scatter_hessians(self, P: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+        """The Hessian of every row, shape (..., size, N, N), or with weights
+        w (..., size) their weighted sum, shape (..., 1, N, N)."""
         *batch, n, dim = P.shape
         members, N = math.prod(batch), n * dim
+        size = self.size if w is None else 1
         if not self._blocks:
-            return np.zeros((*batch, self.size, N, N))
+            return np.zeros((*batch, size, N, N))
         D, lens = self._vectors(P)
         blocks = [
             fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)[2]
@@ -415,18 +433,25 @@ class MeasurementList:
         ]
         weights = np.concatenate([b.reshape(members, 1, -1) for b in blocks], axis=-1)
         owner, left, right = self._hessian_scatter()
+        if w is None:
+            left = owner * N + dim * left
+        else:
+            # each (dim, dim) block takes the weight of the row it belongs to
+            rows = w.reshape(members, 1, self.size)[..., owner]
+            weights = weights * np.repeat(rows, dim * dim, axis=-1)
+            left = dim * left
         coord = np.arange(dim)
         cells = (
-            ((owner * N + dim * left)[..., None, None] + coord[:, None]) * N
+            (left[..., None, None] + coord[:, None]) * N
             + (dim * right)[..., None, None] + coord
         )
-        stride = self.size * N * N
+        stride = size * N * N
         cells = np.arange(0, members * stride, stride)[:, None] + cells.reshape(-1)
         H = np.bincount(
             cells.ravel(),
             (weights * _SIGNS).ravel(),
             minlength=members * stride,
-        ).reshape(*batch, self.size, N, N)
+        ).reshape(*batch, size, N, N)
         return (H + H.swapaxes(-1, -2)) / 2
 
     def sparse_jacobian(self, points: np.ndarray) -> sparse.csr_matrix:

@@ -445,6 +445,7 @@ def test_polygon_oracle_octagon_smoke(capsys):
     payload = json.loads(out)
     assert abs(payload["maxValue"] - payload["regularValue"]) < 1e-8
     assert payload["angleA5A1A8"] == pytest.approx(3 * np.pi / 8, abs=1e-7)
+    assert 1 <= payload["restartsAtMax"] <= 3
 
 
 # a triangular bipyramid with its lower apex pushed up to the vertex

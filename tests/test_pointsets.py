@@ -159,6 +159,24 @@ def test_hessian_over_batch_dimensions(dim):
         assert np.array_equal(H[idx], kernel.hessian(batch[idx]))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_weighted_hessian_is_the_weighted_sum_of_the_hessians(dim):
+    rng = np.random.default_rng(37)
+    batch = rng.normal(size=(2, 3, 5, dim))
+    kernel = MeasurementList(_mixed_list(dim))
+    w = rng.normal(size=(2, 3, kernel.size))
+    H = kernel.weighted_hessian(batch, w)
+    assert H.shape == (2, 3, 5 * dim, 5 * dim)
+    assert np.array_equal(H, H.swapaxes(-1, -2))
+    want = (w[..., None, None] * kernel.hessian(batch)).sum(axis=-3)
+    assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
+    for idx in np.ndindex(2, 3):
+        one = kernel.weighted_hessian(batch[idx], w[idx])
+        assert one.shape == (5 * dim, 5 * dim)
+        assert np.array_equal(one, H[idx])
+    assert MeasurementList([]).weighted_hessian(batch, np.zeros((2, 3, 0))).shape == H.shape
+
+
 def test_hessian_of_a_dihedral_row():
     from polyrig.generators import platonic
     from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance, MeshMeasurements

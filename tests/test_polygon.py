@@ -9,13 +9,16 @@ from polyrig.errors import InfeasibleRadii, NotConvex
 from polyrig.pointsets import (
     Angle,
     Distance,
+    MeasurementList,
     align_distance,
+    diameter,
     measurement_gradient,
     measurement_value,
 )
 from polyrig.polygon import (
     PointConfig2D,
     _free_columns,
+    _sqp_max,
     max_diagonal_oracle,
     octagon_distance_oracle,
     octagon_measurements,
@@ -181,7 +184,7 @@ def test_grid_oracles_reach_the_closed_form_maxima():
             assert abs(value - want) <= 1e-14 * want, (oracle.__name__, args)
 
 
-def test_grid_oracles_never_call_scipy_minimize(monkeypatch):
+def test_oracles_never_call_scipy_minimize(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.optimize.minimize called")
 
@@ -190,6 +193,8 @@ def test_grid_oracles_never_call_scipy_minimize(monkeypatch):
         for oracle, args, want in draw:
             value, _ = oracle(*args)
             assert value == pytest.approx(want, rel=1e-14)
+    report = octagon_distance_oracle(restarts=4, seed=0)
+    assert abs(report.max_value - report.regular_value) < 1e-9
 
 
 def test_right_angle_quad_oracle_feasibility():
@@ -331,3 +336,34 @@ def test_octagon_oracle_regular_is_maximal():
     )
     reg = regular_polygon(8, 1.0).points
     assert align_distance(reg, report.maximizer, allow_reflection=True) < 1e-5
+
+
+def test_octagon_oracle_counts_the_restarts_at_the_maximum():
+    report = octagon_distance_oracle(restarts=24, seed=0)
+    assert abs(report.max_value - report.regular_value) < 1e-9
+    assert 12 <= report.restarts_at_max <= 24
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_three_restarts_reach_the_regular_octagon(seed):
+    report = octagon_distance_oracle(restarts=3, seed=seed)
+    assert abs(report.max_value - report.regular_value) < 1e-9
+
+
+def test_sqp_restarts_do_not_couple():
+    # the oracle's 24 starts at seed 0: each one run alone ends where it
+    # ends in the batch, bit for bit
+    reference = regular_polygon(8, 1.0).points
+    kernel = MeasurementList(octagon_measurements())
+    targets = kernel.values(reference)[:-1]
+    diam = diameter(reference)
+    starts = np.array([
+        reference + 0.05 * diam * np.random.default_rng([0, i]).standard_normal(reference.shape)
+        for i in range(24)
+    ])
+    points, residual = _sqp_max(kernel, targets, starts, max_step=diam)
+    assert (residual <= 1e-10).sum() >= 12
+    for i in range(24):
+        alone, r = _sqp_max(kernel, targets, starts[i : i + 1], max_step=diam)
+        assert np.array_equal(alone[0], points[i]), i
+        assert r[0] == residual[i], i
