@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -402,6 +403,19 @@ def _add_common(p: argparse.ArgumentParser, pool: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The `polyrig` argument parser.
+
+    The `--seed` default of `witness` and `polygon oracle` is the value of
+    POLYRIG_SEED (0 when unset), read at every call; a value that is not an
+    integer makes parsing exit 2. The parser is built once per process for
+    each value and shared by every caller, `main` included: `parse_args`
+    does not change it, and callers must not either.
+    """
+    return _parser(os.environ.get("POLYRIG_SEED", "0"))
+
+
+@functools.lru_cache(maxsize=1)
+def _parser(seed_default: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyrig",
         description="Sufficiency analysis of measurement sets on polyhedra "
@@ -441,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="OFF mesh or point-config JSON")
     p.add_argument("--measurements", required=True)
     _add_common(p)
-    p.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
+    p.add_argument("--seed", type=int, default=seed_default)
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--noise", type=_finite_float, default=0.5)
     p.add_argument(
@@ -471,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--theta1", type=_finite_float, default=np.pi / 4)
     q.add_argument("--theta2", type=_finite_float, default=np.pi / 4)
     q.add_argument("--restarts", type=int, default=24)
-    q.add_argument("--seed", type=int, default=os.environ.get("POLYRIG_SEED", "0"))
+    q.add_argument("--seed", type=int, default=seed_default)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_polygon_oracle)
 

@@ -473,7 +473,12 @@ class MeasurementList:
         rows, at = np.divmod(cells, n)
         indptr = dim * np.searchsorted(rows, np.arange(self.size + 1))
         indices = (dim * at[:, None] + np.arange(dim)).ravel()
-        return sparse.csr_matrix((data.ravel(), indices, indptr), shape=(self.size, n * dim))
+        # 32-bit indices when every index fits: scipy then takes them as they
+        # are instead of scanning and converting 64-bit ones
+        itype = np.int32 if self.size * n * dim <= np.iinfo(np.int32).max else np.int64
+        return sparse.csr_matrix(
+            (data.ravel(), indices.astype(itype), indptr.astype(itype)), shape=(self.size, n * dim)
+        )
 
 
 def measurement_value(m: SimpleMeasurement | Coplanar, points: np.ndarray) -> float:

@@ -1,11 +1,16 @@
 """End-to-end checks of the command-line verbs and their exit codes."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from polyrig.cli import build_parser, main
+import polyrig
+from polyrig.cli import _parser, build_parser, main
 from polyrig.geometry import FaceDistance, build_pool
 from polyrig.incidence import build_incidence
 from polyrig.offio import measurements_to_json, off_text, read_off
@@ -346,6 +351,122 @@ def test_seed_env_override(monkeypatch):
     monkeypatch.delenv("POLYRIG_SEED")
     args = build_parser().parse_args(["witness", "x", "--measurements", "y"])
     assert args.seed == 0
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys, tmp_path, cube_off):
+    monkeypatch.delenv("POLYRIG_SEED", raising=False)
+    poly = build_incidence(read_off(open(cube_off).read())[1])
+    edges = tmp_path / "edges.json"
+    edges.write_text(measurements_to_json(3, build_pool(poly, "edges-only")))
+    progs = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        progs.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parser.__wrapped__("0")
+    one_build = len(progs)
+    assert progs.count("polyrig") == 1
+
+    progs.clear()
+    _parser.cache_clear()
+    verbs = [
+        ["analyze", cube_off],
+        ["select", cube_off],
+        ["witness", cube_off, "--measurements", str(edges)],
+    ]
+    codes = [main(verbs[i % 3]) for i in range(20)]
+    capsys.readouterr()
+    assert codes == [0, 0, 1] * 6 + [0, 0]
+    assert progs.count("polyrig") == 1
+    assert len(progs) == one_build
+
+
+def test_import_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import polyrig.cli\n"
+        "print(len(built))\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyrig.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0\n"
+
+
+def test_seed_env_is_read_at_every_call(monkeypatch, capsys, tmp_path):
+    cfg = _write(tmp_path, "square.json", SQUARE_POINTS)
+    ms = _write(
+        tmp_path,
+        "sides.json",
+        {
+            "dim": 2,
+            "measurements": [
+                {"type": "distance", "ids": [i, (i + 1) % 4]} for i in range(4)
+            ],
+        },
+    )
+    base = ["witness", cfg, "--measurements", ms, "--restarts", "30"]
+    monkeypatch.delenv("POLYRIG_SEED", raising=False)
+    explicit = {seed: run(capsys, *base, "--seed", seed) for seed in ("0", "7")}
+    assert explicit["0"][1] != explicit["7"][1]
+
+    monkeypatch.setenv("POLYRIG_SEED", "7")
+    assert run(capsys, *base) == explicit["7"]
+    monkeypatch.delenv("POLYRIG_SEED")
+    assert run(capsys, *base) == explicit["0"]
+    monkeypatch.setenv("POLYRIG_SEED", "junk")
+    with pytest.raises(SystemExit) as info:
+        main(base)
+    assert info.value.code == 2
+
+
+def test_usage_error_leaves_the_parser_intact(capsys, tmp_path, cube_off):
+    _parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["witness", cube_off])
+    assert info.value.code == 2
+    assert "--measurements" in capsys.readouterr().err
+    after_error = run(capsys, "analyze", cube_off)
+    _parser.cache_clear()
+    assert run(capsys, "analyze", cube_off) == after_error
+
+
+HELP_ARGV = [
+    [],
+    ["analyze"],
+    ["select"],
+    ["check"],
+    ["generate"],
+    ["witness"],
+    ["polygon"],
+    ["polygon", "analyze"],
+    ["polygon", "oracle"],
+    ["polygon", "staircase"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=lambda a: "-".join(a) or "polyrig")
+def test_help_is_that_of_an_uncached_parser(monkeypatch, capsys, argv):
+    monkeypatch.delenv("POLYRIG_SEED", raising=False)
+    helps = []
+    for parse in (main, _parser.__wrapped__("0").parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv + ["--help"])
+        assert info.value.code == 0
+        helps.append(capsys.readouterr())
+    assert helps[0] == helps[1]
+    assert helps[0].out.startswith("usage: polyrig")
 
 
 def test_generate_out_of_region_exits_2(capsys):
