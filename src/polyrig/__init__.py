@@ -8,13 +8,7 @@ the equal-diagonal hexahedron families.
 
 from . import errors
 from .errors import PolyrigError
-from .generators import (
-    hexahedron_family_a,
-    hexahedron_family_b,
-    mesh_volume,
-    platonic,
-    verify_equal_face_diagonals,
-)
+from .generators import hexahedron_family_a, hexahedron_family_b, platonic
 from .geometry import (
     DihedralAngle,
     FaceAngle,
@@ -27,7 +21,7 @@ from .geometry import (
     phi,
     d_phi,
 )
-from .incidence import AbstractPolyhedron, build_incidence, elimination_order
+from .incidence import AbstractPolyhedron, build_incidence
 from .offio import read_off
 from .pointsets import Angle, Coplanar, DiagonalAngle, Distance, align_distance
 from .polygon import (
@@ -73,7 +67,6 @@ __all__ = [
     "build_incidence",
     "build_pool",
     "d_phi",
-    "elimination_order",
     "errors",
     "evaluate_all",
     "fit_realization",
@@ -84,7 +77,6 @@ __all__ = [
     "hexahedron_family_b",
     "is_sufficient",
     "max_diagonal_oracle",
-    "mesh_volume",
     "numeric_rank",
     "octagon_distance_oracle",
     "phi",
@@ -97,6 +89,5 @@ __all__ = [
     "staircase_measurements",
     "staircase_polygon",
     "sufficiency2d",
-    "verify_equal_face_diagonals",
     "__version__",
 ]

@@ -41,7 +41,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, _unit, align_distance, measurement_value
+from .pointsets import Angle, DiagonalAngle, Distance, _unit, align_distance, measurement_value
 from .rigidity import (
     CONGRUENCE,
     SIMILARITY,
@@ -54,8 +54,9 @@ from .rigidity import (
 POOL_CHOICES = sorted(MEASUREMENT_POOLS) + ["all"]
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 GENERATE_NAMES = PLATONIC_NAMES + ("hexa-a", "hexa-b", "staircase-ngon", "regular-ngon")
-# what the ids of each mesh measurement refer to
-_ID_KIND = {FaceDistance: "vertex", FaceAngle: "vertex", DihedralAngle: "face"}
+# what the ids of each measurement refer to
+_ID_KIND = {FaceDistance: "vertex", FaceAngle: "vertex", DihedralAngle: "face",
+            Distance: "point", Angle: "point", DiagonalAngle: "point"}
 
 
 def _finite_float(text: str) -> float:
@@ -121,26 +122,46 @@ def _is_mesh_path(path: str) -> bool:
     return not _load_text(path).lstrip().startswith("{")
 
 
+def _check_ids(ms: Sequence, bounds: dict[str, int], hint: str) -> None:
+    """Check that each measurement of `ms` has ids of a kind in `bounds`,
+    which maps a kind to its count, each id in 0..count - 1; `hint` says
+    which measurements the input takes."""
+    for m in ms:
+        kind = _ID_KIND[type(m)]
+        if kind not in bounds:
+            raise ParseError(f"{type(m).__name__} is not a {hint}")
+        for i in dataclasses.astuple(m):
+            if not 0 <= i < bounds[kind]:
+                raise ParseError(f"{kind} id {i} out of range 0..{bounds[kind] - 1}")
+
+
 def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedron, Realization]:
     """Load a mesh and check that `ms` is a measurement set on it."""
     if dim != 3:
         raise ParseError("a mesh takes a dim-3 measurement set")
     poly, real = _load_mesh(path)
+    _check_ids(
+        ms,
+        {"vertex": poly.vertex_count, "face": poly.face_count},
+        "mesh measurement; use face_distance, face_angle, or dihedral",
+    )
     adjacent = set(poly.adjacent_faces())
     for m in ms:
-        kind = _ID_KIND.get(type(m))
-        if kind is None:
-            raise ParseError(
-                f"{type(m).__name__} is not a mesh measurement; "
-                "use face_distance, face_angle, or dihedral"
-            )
-        bound = poly.vertex_count if kind == "vertex" else poly.face_count
-        for i in dataclasses.astuple(m):
-            if not 0 <= i < bound:
-                raise ParseError(f"{kind} id {i} out of range 0..{bound - 1}")
-        if kind == "face" and (min(m.f, m.g), max(m.f, m.g)) not in adjacent:
+        if isinstance(m, DihedralAngle) and (min(m.f, m.g), max(m.f, m.g)) not in adjacent:
             raise ParseError(f"dihedral faces {m.f} and {m.g} share no edge")
     return poly, real
+
+
+def _load_points_for(path: str, dim: int, ms: Sequence) -> tuple[np.ndarray, list]:
+    """Load a point config and check that `ms` is a measurement set on it;
+    returns its points and coplanar constraints."""
+    cdim, pts, coplanar = parse_point_config(_load_json(path))
+    if cdim != dim:
+        raise ParseError(f"config dim {cdim} != measurement-set dim {dim}")
+    _check_ids(
+        ms, {"point": len(pts)}, "point measurement; use distance, angle, or diagonal_angle"
+    )
+    return pts, coplanar
 
 
 def _report_payload(report) -> dict:
@@ -162,9 +183,9 @@ def _report_payload(report) -> dict:
 def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
     """First-order test of the 2D point config `args.input`; the end of
     `check` on a point config and of `polygon analyze`."""
-    cdim, pts, _ = parse_point_config(_load_json(args.input))
-    if cdim != 2 or dim != 2:
+    if dim != 2:
         raise ParseError("a point config and its measurement set must both have dim 2")
+    pts, _ = _load_points_for(args.input, dim, ms)
     report = polygon.sufficiency2d(polygon.PointConfig2D.from_points(pts), ms, args.tol)
     _emit(
         {
@@ -293,9 +314,7 @@ def cmd_witness(args) -> int:
         }
         _emit(payload, args.out)
         return 1
-    cdim, pts, coplanar = parse_point_config(_load_json(args.input))
-    if cdim != dim:
-        raise ParseError(f"config dim {cdim} != measurement-set dim {dim}")
+    pts, coplanar = _load_points_for(args.input, dim, ms)
     report = point_set_witness(
         dim,
         pts,

@@ -25,11 +25,6 @@ class DegenerateFace(PolyrigError):
     """A face cycle has fewer than three vertices or repeats a vertex."""
 
 
-class NotReducible(PolyrigError):
-    """The vertex-face incidence graph has no node of degree <= 3 left,
-    so no elimination order exists."""
-
-
 # --- geometry --------------------------------------------------------------
 
 class NonPlanarFace(PolyrigError):
@@ -71,10 +66,6 @@ class UnknownName(PolyrigError):
 class OutOfValidityRegion(PolyrigError):
     """Hexahedron family parameters lie outside the region where the
     construction yields a convex hexahedron with planar faces."""
-
-
-class NonQuadFace(PolyrigError):
-    """Operation defined only for quadrilateral faces."""
 
 
 # --- polygon ---------------------------------------------------------------

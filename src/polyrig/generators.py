@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import NonQuadFace, OutOfValidityRegion, UnknownName
-from .geometry import FaceDistance, Realization, evaluate_all, fit_realization
+from .errors import OutOfValidityRegion, UnknownName
+from .geometry import Realization, fit_realization
 from .incidence import AbstractPolyhedron, build_incidence
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -81,17 +81,6 @@ def faces_from_convex_vertices(coords: np.ndarray) -> list[list[int]]:
     rank = np.lexsort(np.sort(np.where(inside, cycles, n), axis=1).T[::-1])
     flat, count = cycles[rank][inside[rank]].tolist(), count[rank].tolist()
     return [flat[e - k : e] for e, k in zip(itertools.accumulate(count), count)]
-
-
-def mesh_volume(poly: AbstractPolyhedron, real: Realization) -> float:
-    """Enclosed volume by the divergence theorem over fan-triangulated,
-    outward-oriented faces."""
-    total = 0.0
-    for cycle in poly.faces:
-        pts = real.vertices[list(cycle)]
-        for i in range(1, len(pts) - 1):
-            total += float(pts[0] @ np.cross(pts[i], pts[i + 1]))
-    return total / 6.0
 
 
 # --- Platonic solids -----------------------------------------------------------
@@ -265,18 +254,3 @@ def hexahedron_family_b(q1: float, q2: float) -> tuple[AbstractPolyhedron, Reali
     )
     return _hexahedron(params, b0)
 
-
-def verify_equal_face_diagonals(poly: AbstractPolyhedron, real: Realization) -> float:
-    """Max deviation of the 2F face-diagonal lengths from their mean.
-
-    Every face must be a quadrilateral; for cycle (p, q, r, s) the diagonals
-    are pr and qs.
-    """
-    diagonals = []
-    for f, cycle in enumerate(poly.faces):
-        if len(cycle) != 4:
-            raise NonQuadFace(f"face {f} has {len(cycle)} vertices, need 4")
-        p, q, r, s = cycle
-        diagonals += [FaceDistance(p, r), FaceDistance(q, s)]
-    lengths = evaluate_all(poly, diagonals, real)
-    return float(np.abs(lengths - lengths.mean()).max())

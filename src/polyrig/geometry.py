@@ -16,7 +16,7 @@ checked against.
 Measurements on a realization come in three kinds: distances between
 vertices sharing a face, angles at a face corner, and interior dihedral
 angles along an edge. All three are functions of the vertices alone; the
-plane coefficients are a chart for the incidences, not data. MeshMeasurements
+plane coefficients are a chart for the incidences, not data. mesh_kernel
 compiles a list onto the point-set kernel of pointsets over the vertices, a
 dihedral as the angle between two cross products of edge vectors at the
 shared edge. evaluate_all/gradient_rows give the values and the exact
@@ -288,53 +288,43 @@ def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.
     return np.array([hinge[d.f, d.g] for d in dihedrals], dtype=np.intp)
 
 
-class MeshMeasurements:
+def mesh_kernel(
+    poly: AbstractPolyhedron, measurements: Sequence[Measurement3D]
+) -> MeasurementList:
     """Mesh measurements of a polyhedron compiled once onto its vertices.
 
     A face distance is a point distance and a face angle a point angle of
     the vertices; a dihedral is the angle of a _Hinge at the edge the two
     faces share (_hinges). The one point-set kernel serves meshes too, and
     the index arrays are built by measurement type, not measurement by
-    measurement.
+    measurement. A measurement of another type raises TypeError.
     """
-
-    def __init__(self, poly: AbstractPolyhedron, measurements: Sequence[Measurement3D]):
-        rows: dict[type, list[int]] = {}
-        for r, m in enumerate(measurements):
-            if type(m) not in (FaceDistance, FaceAngle, DihedralAngle):
-                raise TypeError(f"not a mesh measurement: {m!r}")
-            rows.setdefault(type(m), []).append(r)
-        ids = {}
-        for cls, r in rows.items():
-            items = measurements if len(r) == len(measurements) else [measurements[i] for i in r]
-            if cls is DihedralAngle:
-                ids[_Hinge] = (r, _hinges(poly, items))
-            else:
-                kind, names = _ON_POINTS[cls]
-                ids[kind] = (r, _field_ids(items, names))
-        self.kernel = MeasurementList.from_ids(len(measurements), ids)
-
-    def values(self, real: Realization) -> np.ndarray:
-        return self.kernel.values(real.vertices)
-
-    def jacobian(self, real: Realization) -> np.ndarray:
-        """Gradient rows wrt the vertex coordinates, shape (m, 3V)."""
-        return self.kernel.jacobian(real.vertices)
-
-    def rows(self, real: Realization) -> np.ndarray:
-        """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F);
-        the plane columns are zero."""
-        J = self.jacobian(real)
-        return np.hstack([J, np.zeros((len(J), 3 * real.face_count))])
+    rows: dict[type, list[int]] = {}
+    for r, m in enumerate(measurements):
+        if type(m) not in (FaceDistance, FaceAngle, DihedralAngle):
+            raise TypeError(f"not a mesh measurement: {m!r}")
+        rows.setdefault(type(m), []).append(r)
+    ids = {}
+    for cls, r in rows.items():
+        items = measurements if len(r) == len(measurements) else [measurements[i] for i in r]
+        if cls is DihedralAngle:
+            ids[_Hinge] = (r, _hinges(poly, items))
+        else:
+            kind, names = _ON_POINTS[cls]
+            ids[kind] = (r, _field_ids(items, names))
+    return MeasurementList.from_ids(len(measurements), ids)
 
 
 def evaluate_all(
     poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
 ) -> np.ndarray:
-    return MeshMeasurements(poly, measurements).values(real)
+    return mesh_kernel(poly, measurements).values(real.vertices)
 
 
 def gradient_rows(
     poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
 ) -> np.ndarray:
-    return MeshMeasurements(poly, measurements).rows(real)
+    """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F);
+    the plane columns are zero."""
+    J = mesh_kernel(poly, measurements).jacobian(real.vertices)
+    return np.hstack([J, np.zeros((len(J), 3 * real.face_count))])

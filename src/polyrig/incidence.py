@@ -16,10 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DanglingEdge, DegenerateFace, EulerViolation, NotReducible
-
-VERTEX = "vertex"
-FACE = "face"
+from .errors import DanglingEdge, DegenerateFace, EulerViolation
 
 
 @dataclass(frozen=True)
@@ -131,53 +128,3 @@ def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
     )
     return AbstractPolyhedron(vertex_count=vertex_count, faces=cycles, incidence=incidence)
 
-
-def elimination_order(poly: AbstractPolyhedron) -> tuple[tuple[str, int], ...]:
-    """Order all vertices and faces so each has <= 3 earlier incidences.
-
-    Works on the bipartite vertex-face incidence graph: repeatedly remove
-    a node of minimum current degree (which is <= 3 whenever the graph is
-    planar and bipartite) and reverse the removal sequence. Raises
-    NotReducible if at some point every remaining node has degree >= 4.
-    Deterministic: ties break on (kind, id) with vertices first.
-    """
-    nodes = [(VERTEX, i) for i in range(poly.vertex_count)] + [
-        (FACE, j) for j in range(poly.face_count)
-    ]
-    neighbors: dict[tuple[str, int], set[tuple[str, int]]] = {n: set() for n in nodes}
-    for v, f in poly.incidence:
-        neighbors[(VERTEX, v)].add((FACE, f))
-        neighbors[(FACE, f)].add((VERTEX, v))
-
-    kind_rank = {VERTEX: 0, FACE: 1}
-    removed: list[tuple[str, int]] = []
-    alive = set(nodes)
-    while alive:
-        node = min(alive, key=lambda n: (len(neighbors[n]), kind_rank[n[0]], n[1]))
-        if len(neighbors[node]) > 3:
-            raise NotReducible(
-                f"all remaining nodes have degree >= 4 (stuck at {node})"
-            )
-        for other in neighbors[node]:
-            neighbors[other].discard(node)
-        neighbors[node] = set()
-        alive.discard(node)
-        removed.append(node)
-
-    return tuple(reversed(removed))
-
-
-def earlier_incidence_counts(
-    poly: AbstractPolyhedron, order: Sequence[tuple[str, int]]
-) -> list[int]:
-    """For each element of the order, how many earlier elements it touches.
-
-    Every incidence pair charges whichever of its two endpoints appears
-    later in the order, so counts[k] <= 3 for all k is exactly the defining
-    property of a valid elimination order.
-    """
-    position = {el: k for k, el in enumerate(order)}
-    counts = [0] * len(order)
-    for v, f in poly.incidence:
-        counts[max(position[(VERTEX, v)], position[(FACE, f)])] += 1
-    return counts

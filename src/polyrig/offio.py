@@ -220,13 +220,20 @@ def measurements_to_json(
     )
 
 
+def _dim(obj: dict) -> int:
+    """The 'dim' of a measurement set or point config: the integer 2 or 3
+    (not 2.0, not a bool)."""
+    dim = obj.get("dim")
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim not in (2, 3):
+        raise ParseError(f"'dim' must be 2 or 3, got {dim!r}")
+    return dim
+
+
 def parse_measurement_set(obj: Any) -> tuple[int, list]:
     """Validate {'dim': 2|3, 'measurements': [...]}; returns (dim, list)."""
     if not isinstance(obj, dict):
         raise ParseError("measurement set must be a JSON object")
-    dim = obj.get("dim")
-    if dim not in (2, 3):
-        raise ParseError(f"'dim' must be 2 or 3, got {dim!r}")
+    dim = _dim(obj)
     raw = obj.get("measurements")
     if not isinstance(raw, list) or not raw:
         raise ParseError("'measurements' must be a nonempty list")
@@ -245,9 +252,7 @@ def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:
     """Validate {'dim': 2|3, 'points': [[...]], 'coplanar': [[p,q,r,s]...]?}."""
     if not isinstance(obj, dict):
         raise ParseError("point config must be a JSON object")
-    dim = obj.get("dim")
-    if dim not in (2, 3):
-        raise ParseError(f"'dim' must be 2 or 3, got {dim!r}")
+    dim = _dim(obj)
     raw = obj.get("points")
     if not isinstance(raw, list) or len(raw) < 2:
         raise ParseError("'points' must list at least two points")

@@ -6,8 +6,8 @@ mesh measurements of the geometry module (on the vertices alone, a
 dihedral as the angle between two cross products of edge vectors) all
 evaluate through it: distances, angles at an apex, angles between two
 segments, plus an optional coplanarity side constraint for 3D searches. A
-MeasurementList compiles a list once; values, the Jacobian and the
-per-measurement Hessians are taken with respect to the flattened
+MeasurementList compiles a list once; values, the Jacobian and weighted
+sums of the measurements' Hessians are taken with respect to the flattened
 coordinate array (n * dim,). Each primitive differentiates itself twice
 with respect to its difference vectors, so the second derivatives are
 exact, not finite differences; the grid oracles' Newton steps use them.
@@ -254,9 +254,8 @@ class MeasurementList:
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the
     length of the list. sparse_jacobian gives the Jacobian of one point
-    array as a CSR matrix, for lists too long for the dense one, hessian
-    the dense Hessian of every measurement, and weighted_hessian one
-    weighted sum of them.
+    array as a CSR matrix, for lists too long for the dense one, and
+    weighted_hessian one weighted sum of the measurements' Hessians.
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
@@ -325,7 +324,7 @@ class MeasurementList:
             np.concatenate([owners, owners]),
             np.concatenate([self._heads, self._tails]),
         )
-        # built by the first hessian call: most lists never take one
+        # built by the first weighted_hessian call: most lists never take one
         self._hess_scatter = None
 
     def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -395,37 +394,23 @@ class MeasurementList:
             )
         return self._hess_scatter
 
-    def hessian(self, points: np.ndarray) -> np.ndarray:
-        """Exact Hessian of each value wrt the flattened (n * dim,) coordinate
-        array, on a (..., n, dim) point array; shape (..., size, n * dim,
-        n * dim), symmetric to the bit.
+    def weighted_hessian(self, points: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i times the exact Hessian of value i wrt the flattened
+        (n * dim,) coordinate array, on a (..., n, dim) point array with
+        weights w of shape (..., size); shape (..., n * dim, n * dim),
+        symmetric to the bit. One-hot weights give the Hessian of one row.
 
         Each primitive gives its second derivatives with respect to its
-        difference vectors; one signed scatter (+ at a head, - at a tail)
-        sums them into the coordinates of the points.
-        """
-        return self._scatter_hessians(np.asarray(points, dtype=float), None)
-
-    def weighted_hessian(self, points: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i times the Hessian of value i, on a (..., n, dim) point
-        array with weights w of shape (..., size); shape (..., n * dim,
-        n * dim), symmetric to the bit.
-
-        The scatter of hessian with each row's terms scaled by its weight
-        and summed into one matrix, so the (..., size, n * dim, n * dim)
+        difference vectors; one signed scatter (+ at a head, - at a tail),
+        each row's terms scaled by its weight, sums them into the
+        coordinates of the points, so the (..., size, n * dim, n * dim)
         stack is never formed: a Lagrangian's Hessian in one call.
         """
         P, w = np.asarray(points, dtype=float), np.asarray(w, dtype=float)
-        return self._scatter_hessians(P, w)[..., 0, :, :]
-
-    def _scatter_hessians(self, P: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-        """The Hessian of every row, shape (..., size, N, N), or with weights
-        w (..., size) their weighted sum, shape (..., 1, N, N)."""
         *batch, n, dim = P.shape
         members, N = math.prod(batch), n * dim
-        size = self.size if w is None else 1
         if not self._blocks:
-            return np.zeros((*batch, size, N, N))
+            return np.zeros((*batch, N, N))
         D, lens = self._vectors(P)
         blocks = [
             fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)[2]
@@ -433,25 +418,20 @@ class MeasurementList:
         ]
         weights = np.concatenate([b.reshape(members, 1, -1) for b in blocks], axis=-1)
         owner, left, right = self._hessian_scatter()
-        if w is None:
-            left = owner * N + dim * left
-        else:
-            # each (dim, dim) block takes the weight of the row it belongs to
-            rows = w.reshape(members, 1, self.size)[..., owner]
-            weights = weights * np.repeat(rows, dim * dim, axis=-1)
-            left = dim * left
+        # each (dim, dim) block takes the weight of the row it belongs to
+        rows = w.reshape(members, 1, self.size)[..., owner]
+        weights = weights * np.repeat(rows, dim * dim, axis=-1)
         coord = np.arange(dim)
         cells = (
-            (left[..., None, None] + coord[:, None]) * N
+            ((dim * left)[..., None, None] + coord[:, None]) * N
             + (dim * right)[..., None, None] + coord
         )
-        stride = size * N * N
-        cells = np.arange(0, members * stride, stride)[:, None] + cells.reshape(-1)
+        cells = np.arange(0, members * N * N, N * N)[:, None] + cells.reshape(-1)
         H = np.bincount(
             cells.ravel(),
             (weights * _SIGNS).ravel(),
-            minlength=members * stride,
-        ).reshape(*batch, size, N, N)
+            minlength=members * N * N,
+        ).reshape(*batch, N, N)
         return (H + H.swapaxes(-1, -2)) / 2
 
     def sparse_jacobian(self, points: np.ndarray) -> sparse.csr_matrix:

@@ -100,21 +100,6 @@ class PointConfig2D:
         rot = np.array([[c, s], [-s, c]])
         return PointConfig2D(shifted @ rot.T)
 
-    def free_coords(self) -> np.ndarray:
-        """(x_2, x_3, y_3, ..., x_n, y_n)."""
-        return np.concatenate([[self.points[1, 0]], self.points[2:].ravel()])
-
-    @staticmethod
-    def from_free_coords(vec: np.ndarray) -> "PointConfig2D":
-        vec = np.asarray(vec, dtype=float)
-        if vec.size < 1 or vec.size % 2 != 1:
-            raise ValueError("free coordinate vector must have odd length 2n-3")
-        n = (vec.size + 3) // 2
-        pts = np.zeros((n, 2))
-        pts[1, 0] = vec[0]
-        pts[2:] = vec[1:].reshape(n - 2, 2)
-        return PointConfig2D(pts)
-
 
 def _free_columns(n: int) -> np.ndarray:
     """Mask of the columns of an n-point Jacobian that belong to the free
@@ -208,7 +193,7 @@ def _grid_max(
         arm = radii[:, None] * np.stack([np.cos(p), np.sin(p)], axis=-1)
         tangent = arm[:, ::-1] * [-1.0, 1.0]
         grad = kernel.jacobian(pts).reshape(n, 2)[rows]
-        hess = kernel.hessian(pts).reshape(n, 2, n, 2)[rows][:, :, rows]
+        hess = kernel.weighted_hessian(pts, np.ones(1)).reshape(n, 2, n, 2)[rows][:, :, rows]
         H = np.einsum("ka,kalb,lb->kl", tangent, hess, tangent)
         H[[0, 1], [0, 1]] -= (grad * arm).sum(axis=1)
         return (grad * tangent).sum(axis=1), H

@@ -54,10 +54,10 @@ from .errors import NoConvergedRestarts, NoKernelDirection, ProjectionDiverged
 from .geometry import (
     FaceDistance,
     Measurement3D,
-    MeshMeasurements,
     Realization,
     _incidence_indices,
     face_distance_pool,
+    mesh_kernel,
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
@@ -265,7 +265,7 @@ def is_sufficient(
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     base, Z = _chart(poly, scaled, g, tol_rel)
-    S = MeshMeasurements(poly, measurements).kernel.sparse_jacobian(scaled.vertices)
+    S = mesh_kernel(poly, measurements).sparse_jacobian(scaled.vertices)
     R = np.empty((0, Z.shape[1]))
     for block in _reduced_blocks(S, Z):
         R = np.linalg.qr(np.vstack([R, block]), mode="r")
@@ -310,7 +310,7 @@ def greedy_minimal_subset(
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
-    S = MeshMeasurements(poly, pool).kernel.sparse_jacobian(scaled.vertices)
+    S = mesh_kernel(poly, pool).sparse_jacobian(scaled.vertices)
     # every row holds the entries of the points it touches, so no segment is empty
     row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1]))
     rank, Z = _chart(poly, scaled, g, tol_rel)
@@ -388,7 +388,7 @@ def flex_witness(
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     X = scaled.vertices
-    psi = MeshMeasurements(poly, measurements).kernel
+    psi = mesh_kernel(poly, measurements)
     base, Z = _chart(poly, scaled, g, tol_rel)
     M = psi.sparse_jacobian(X) @ Z
     # Vt must be square to hold the kernel; a tall M's thin SVD has that
@@ -398,7 +398,7 @@ def flex_witness(
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
     ZK = Z @ Vt[extra:].T
-    HZK = MeshMeasurements(poly, face_distance_pool(poly)).kernel.sparse_jacobian(X) @ ZK
+    HZK = mesh_kernel(poly, face_distance_pool(poly)).sparse_jacobian(X) @ ZK
     u = ZK @ np.linalg.eigh(HZK.T @ HZK)[1][:, -1]
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 

@@ -4,13 +4,28 @@ A realization flattens to (x_1, y_1, z_1, ..., x_V, y_V, z_V, a_1, b_1, c_1,
 ..., a_F, b_F, c_F), the coordinates of geometry.d_phi and
 geometry.gradient_rows. The program works on the vertices alone and
 compares shapes by Kabsch alignment; these helpers, with the paper's
-canonical frame, serve the tests that compare it with that model.
+canonical frame, serve the tests that compare it with that model. The
+paper's counting argument adds one more: an elimination order of the
+vertex-face incidences, in which each vertex and face meets at most three
+earlier ones.
 """
+
+from typing import Sequence
 
 import numpy as np
 
+from polyrig.errors import PolyrigError
 from polyrig.geometry import Realization
+from polyrig.incidence import AbstractPolyhedron
 from polyrig.rigidity import motion_generators
+
+VERTEX = "vertex"
+FACE = "face"
+
+
+class NotReducible(PolyrigError):
+    """The vertex-face incidence graph has no node of degree <= 3 left,
+    so no elimination order exists."""
 
 
 def coordinate_vector(real: Realization) -> np.ndarray:
@@ -82,3 +97,54 @@ def full_motion_generators(real: Realization, g: int) -> np.ndarray:
     if g == 7:
         H[:, :, 6] = -P
     return np.vstack([motion_generators(real, g), H.reshape(-1, g)])
+
+
+def elimination_order(poly: AbstractPolyhedron) -> tuple[tuple[str, int], ...]:
+    """Order all vertices and faces so each has <= 3 earlier incidences.
+
+    Works on the bipartite vertex-face incidence graph: repeatedly remove
+    a node of minimum current degree (which is <= 3 whenever the graph is
+    planar and bipartite) and reverse the removal sequence. Raises
+    NotReducible if at some point every remaining node has degree >= 4.
+    Deterministic: ties break on (kind, id) with vertices first.
+    """
+    nodes = [(VERTEX, i) for i in range(poly.vertex_count)] + [
+        (FACE, j) for j in range(poly.face_count)
+    ]
+    neighbors: dict[tuple[str, int], set[tuple[str, int]]] = {n: set() for n in nodes}
+    for v, f in poly.incidence:
+        neighbors[(VERTEX, v)].add((FACE, f))
+        neighbors[(FACE, f)].add((VERTEX, v))
+
+    kind_rank = {VERTEX: 0, FACE: 1}
+    removed: list[tuple[str, int]] = []
+    alive = set(nodes)
+    while alive:
+        node = min(alive, key=lambda n: (len(neighbors[n]), kind_rank[n[0]], n[1]))
+        if len(neighbors[node]) > 3:
+            raise NotReducible(
+                f"all remaining nodes have degree >= 4 (stuck at {node})"
+            )
+        for other in neighbors[node]:
+            neighbors[other].discard(node)
+        neighbors[node] = set()
+        alive.discard(node)
+        removed.append(node)
+
+    return tuple(reversed(removed))
+
+
+def earlier_incidence_counts(
+    poly: AbstractPolyhedron, order: Sequence[tuple[str, int]]
+) -> list[int]:
+    """For each element of the order, how many earlier elements it touches.
+
+    Every incidence pair charges whichever of its two endpoints appears
+    later in the order, so counts[k] <= 3 for all k is exactly the defining
+    property of a valid elimination order.
+    """
+    position = {el: k for k, el in enumerate(order)}
+    counts = [0] * len(order)
+    for v, f in poly.incidence:
+        counts[max(position[(VERTEX, v)], position[(FACE, f)])] += 1
+    return counts

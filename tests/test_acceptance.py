@@ -18,7 +18,6 @@ from polyrig.generators import (
     hexahedron_family_a,
     hexahedron_family_b,
     platonic,
-    verify_equal_face_diagonals,
 )
 from polyrig.geometry import (
     DihedralAngle,
@@ -64,6 +63,7 @@ from full_coordinates import (
     normalization_rows,
     normalize,
 )
+from solid_checks import verify_equal_face_diagonals
 
 PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 

@@ -621,6 +621,39 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):
     assert code == 2 and "non-finite" in err
 
 
+BAD_POINT_IDS = {
+    "face-distance-3d": (3, {"type": "face_distance", "ids": [0, 1]}, "not a point measurement"),
+    "past-the-end-2d": (2, {"type": "distance", "ids": [0, 9]}, "point id 9 out of range 0..3"),
+    "past-the-end-3d": (3, {"type": "distance", "ids": [0, 9]}, "point id 9 out of range 0..3"),
+    "negative-2d": (2, {"type": "distance", "ids": [0, -1]}, "point id -1 out of range 0..3"),
+    "negative-3d": (3, {"type": "angle", "ids": [-1, 0, 2]}, "point id -1 out of range 0..3"),
+}
+
+
+# check and polygon analyze take 2D point configs only
+BAD_POINT_ID_RUNS = [
+    (verb, case)
+    for case, (dim, _, _) in sorted(BAD_POINT_IDS.items())
+    for verb in (["check", "polygon-analyze"] if dim == 2 else []) + ["witness"]
+]
+
+
+@pytest.mark.parametrize("verb,case", BAD_POINT_ID_RUNS)
+def test_point_config_measurement_ids_are_checked(capsys, tmp_path, verb, case):
+    """An id past the config's points or a negative one (which numpy would
+    wrap to the last point), or a mesh measurement on points, is an input
+    error: exit 2, nothing on stdout, and no traceback."""
+    dim, bad, message = BAD_POINT_IDS[case]
+    points = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]] if dim == 3 else SQUARE_POINTS["points"]
+    cfg = _write(tmp_path, "cfg.json", {"dim": dim, "points": points})
+    ms = _write(tmp_path, "ms.json", {"dim": dim, "measurements": [
+        {"type": "distance", "ids": [0, 1]}, {"type": "distance", "ids": [1, 2]}, bad]})
+    argv = verb.split("-") + [cfg, "--measurements", ms]
+    code, out, err = run(capsys, *argv, *(["--restarts", "4"] if verb == "witness" else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_dihedral_of_faces_without_a_common_edge_exits_2(capsys, tmp_path, cube_off):
     _, faces = read_off(open(cube_off).read())
     adjacent = build_incidence(faces).adjacent_faces()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from polyrig.errors import NonQuadFace, OutOfValidityRegion, UnknownName
+from polyrig.errors import OutOfValidityRegion, UnknownName
 from polyrig.generators import (
     HEX_FACES,
     TETRA_BASE,
@@ -12,13 +12,12 @@ from polyrig.generators import (
     faces_from_convex_vertices,
     hexahedron_family_a,
     hexahedron_family_b,
-    mesh_volume,
     platonic,
-    verify_equal_face_diagonals,
 )
 from polyrig.geometry import FaceDistance, evaluate_all, fit_realization
 from polyrig.incidence import build_incidence
 from polyrig.pointsets import align_distance
+from solid_checks import NonQuadFace, mesh_volume, verify_equal_face_diagonals
 
 COUNTS = {
     "tetrahedron": (4, 4, 6),

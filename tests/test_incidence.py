@@ -1,12 +1,21 @@
 """Incidence structure construction, validation, and elimination orders."""
 
+import numpy as np
 import pytest
 
-from polyrig.errors import DanglingEdge, DegenerateFace, EulerViolation, NotReducible
-from polyrig.incidence import (
+from polyrig.errors import DanglingEdge, DegenerateFace, EulerViolation
+from polyrig.generators import (
+    faces_from_convex_vertices,
+    hexahedron_family_a,
+    hexahedron_family_b,
+    platonic,
+)
+from polyrig.incidence import build_incidence
+
+from full_coordinates import (
     FACE,
     VERTEX,
-    build_incidence,
+    NotReducible,
     earlier_incidence_counts,
     elimination_order,
 )
@@ -107,11 +116,27 @@ def test_elimination_order_cube():
     assert sum(counts) == len(poly.incidence)
 
 
-@pytest.mark.parametrize("faces", [CUBE_FACES, TETRA_FACES])
+def _sphere_hull_faces(V, seed=0):
+    p = np.random.default_rng(seed).standard_normal((V, 3))
+    return faces_from_convex_vertices(p / np.linalg.norm(p, axis=1, keepdims=True))
+
+
+# the paper's counting step on every kind of solid the program generates
+GENERATED_SOLIDS = [
+    *(pytest.param(platonic(name)[0].faces, id=name)
+      for name in ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")),
+    pytest.param(hexahedron_family_a(0.2)[0].faces, id="hexa-a"),
+    pytest.param(hexahedron_family_b(0.15, 0.1)[0].faces, id="hexa-b"),
+    pytest.param(_sphere_hull_faces(100), id="sphere-100"),
+]
+
+
+@pytest.mark.parametrize("faces", [CUBE_FACES, TETRA_FACES, *GENERATED_SOLIDS])
 def test_elimination_order_bound(faces):
     poly = build_incidence(faces)
     counts = earlier_incidence_counts(poly, elimination_order(poly))
     assert max(counts) <= 3
+    assert sum(counts) == len(poly.incidence)
 
 
 def test_not_reducible():

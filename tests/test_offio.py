@@ -180,3 +180,12 @@ def test_point_config_rejects_non_numeric():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ParseError):
             parse_point_config({"dim": 2, "points": [[0, 0], [bad, 1]]})
+
+
+@pytest.mark.parametrize("dim", [2.0, 3.0, True, "2", None])
+def test_dim_must_be_the_integer_2_or_3(dim):
+    # 2.0 == 2 and True == 1, but neither is an integer dimension
+    with pytest.raises(ParseError, match="'dim' must be 2 or 3"):
+        parse_measurement_set({"dim": dim, "measurements": [{"type": "distance", "ids": [0, 1]}]})
+    with pytest.raises(ParseError, match="'dim' must be 2 or 3"):
+        parse_point_config({"dim": dim, "points": [[0, 0, 0], [1, 0, 0]]})

@@ -121,6 +121,16 @@ def _hessian_by_differences(kernel, pts, h=1e-6):
     return fd
 
 
+def _row_hessians(kernel, pts):
+    """The Hessian of each row, (..., size, n * dim, n * dim): one
+    weighted_hessian call over the rows as a batch, with one-hot weights."""
+    pts = np.asarray(pts, dtype=float)
+    *batch, n, dim = pts.shape
+    size = kernel.size
+    stack = np.broadcast_to(pts[..., None, :, :], (*batch, size, n, dim))
+    return kernel.weighted_hessian(stack, np.broadcast_to(np.eye(size), (*batch, size, size)))
+
+
 def _mixed_list(dim):
     # every primitive, DiagonalAngle(0, 1, 0, 2) with point 0 on both
     # segments, and in 3D two coplanarity rows, one sharing its p
@@ -136,27 +146,27 @@ def test_hessian_matches_differences_of_the_jacobian(dim):
     pts = np.random.default_rng(23).normal(size=(5, dim))
     ms = _mixed_list(dim)
     kernel = MeasurementList(ms)
-    H = kernel.hessian(pts)
+    H = _row_hessians(kernel, pts)
     assert H.shape == (len(ms), 5 * dim, 5 * dim)
     fd = _hessian_by_differences(kernel, pts)
     for m, row, fd_row in zip(ms, H, fd):
         assert np.abs(row - fd_row).max() < 1e-7 * max(1.0, np.abs(row).max()), m
         # every row is symmetric to the bit, and its own list agrees with it
         assert np.array_equal(row, row.T), m
-        assert np.array_equal(MeasurementList([m]).hessian(pts)[0], row), m
+        assert np.array_equal(_row_hessians(MeasurementList([m]), pts)[0], row), m
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_hessian_over_batch_dimensions(dim):
     batch = np.random.default_rng(29).normal(size=(2, 3, 5, dim))
     kernel = MeasurementList(_mixed_list(dim))
-    H = kernel.hessian(batch)
+    H = _row_hessians(kernel, batch)
     assert H.shape == (2, 3, kernel.size, 5 * dim, 5 * dim)
     assert np.array_equal(H, H.swapaxes(-1, -2))
     assert np.abs(H - _hessian_by_differences(kernel, batch)).max() < 1e-7 * np.abs(H).max()
     # each member's terms are summed in the order of the unbatched call
     for idx in np.ndindex(2, 3):
-        assert np.array_equal(H[idx], kernel.hessian(batch[idx]))
+        assert np.array_equal(H[idx], _row_hessians(kernel, batch[idx]))
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -168,7 +178,20 @@ def test_weighted_hessian_is_the_weighted_sum_of_the_hessians(dim):
     H = kernel.weighted_hessian(batch, w)
     assert H.shape == (2, 3, 5 * dim, 5 * dim)
     assert np.array_equal(H, H.swapaxes(-1, -2))
-    want = (w[..., None, None] * kernel.hessian(batch)).sum(axis=-3)
+    # central differences of the gradient w . J of the weighted sum
+    flat = batch.reshape(2, 3, 5 * dim)
+    fd = np.zeros_like(H)
+    for i in range(5 * dim):
+        up, dn = flat.copy(), flat.copy()
+        up[..., i] += 1e-6
+        dn[..., i] -= 1e-6
+        wj_up, wj_dn = (
+            (w[..., None] * kernel.jacobian(x.reshape(batch.shape))).sum(axis=-2) for x in (up, dn)
+        )
+        fd[..., i] = (wj_up - wj_dn) / 2e-6
+    assert np.abs(H - fd).max() < 1e-7 * np.abs(H).max()
+    # and linear in w: the one-hot Hessians, weighted and summed
+    want = (w[..., None, None] * _row_hessians(kernel, batch)).sum(axis=-3)
     assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
     for idx in np.ndindex(2, 3):
         one = kernel.weighted_hessian(batch[idx], w[idx])
@@ -179,15 +202,15 @@ def test_weighted_hessian_is_the_weighted_sum_of_the_hessians(dim):
 
 def test_hessian_of_a_dihedral_row():
     from polyrig.generators import platonic
-    from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance, MeshMeasurements
+    from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance, mesh_kernel
 
     poly, real = platonic("cube", 1.3)
     # off the cube, so that no hinge is square and no face stays planar
     verts = real.vertices + 0.1 * np.random.default_rng(31).normal(size=real.vertices.shape)
     ms = [DihedralAngle(f, g) for f, g in poly.adjacent_faces()[:4]]
     ms += [FaceDistance(0, 2), FaceAngle(1, 0, 2)]
-    kernel = MeshMeasurements(poly, ms).kernel
-    H = kernel.hessian(verts)
+    kernel = mesh_kernel(poly, ms)
+    H = _row_hessians(kernel, verts)
     assert np.array_equal(H, H.swapaxes(-1, -2))
     fd = _hessian_by_differences(kernel, verts)
     assert np.abs(H - fd).max() < 1e-7 * np.abs(H).max()
@@ -202,17 +225,19 @@ def test_hessian_raises_where_the_gradient_does():
         with pytest.raises(DegenerateMeasurement, match="parallel rays"):
             MeasurementList([m]).jacobian(collinear)
         with pytest.raises(DegenerateMeasurement, match="parallel rays"):
-            MeasurementList([m]).hessian(collinear)
+            MeasurementList([m]).weighted_hessian(collinear, np.ones(1))
     for m in (Distance(0, 0), Angle(0, 0, 2)):
         with pytest.raises(DegenerateMeasurement, match="coincide"):
             MeasurementList([m]).jacobian(collinear)
         with pytest.raises(DegenerateMeasurement, match="coincide"):
-            MeasurementList([m]).hessian(collinear)
+            MeasurementList([m]).weighted_hessian(collinear, np.ones(1))
 
 
 def test_hessian_of_an_empty_list():
-    H = MeasurementList([]).hessian(np.zeros((2, 4, 3)))
+    H = _row_hessians(MeasurementList([]), np.zeros((2, 4, 3)))
     assert H.shape == (2, 0, 12, 12)
+    H = MeasurementList([]).weighted_hessian(np.zeros((2, 4, 3)), np.zeros((2, 0)))
+    assert H.shape == (2, 12, 12) and not H.any()
 
 
 def test_angle_gradient_invariant_to_translation_direction():

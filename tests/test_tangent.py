@@ -28,13 +28,13 @@ from polyrig.generators import (
 from polyrig.geometry import (
     DihedralAngle,
     FaceDistance,
-    MeshMeasurements,
     Realization,
     build_pool,
     d_phi,
     dihedral_pool,
     fit_realization,
     gradient_rows,
+    mesh_kernel,
 )
 from polyrig.incidence import build_incidence
 from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementList, align_distance
@@ -262,13 +262,14 @@ def test_vertex_compile_is_the_stacked_one():
         for m in pool
     ])
     points = np.vstack([real.vertices, real.planes, np.zeros((1, 3))])
-    psi = MeshMeasurements(poly, pool)
-    assert np.array_equal(psi.values(real), stacked.values(points))
-    J = psi.jacobian(real)
+    psi = mesh_kernel(poly, pool)
+    assert np.array_equal(psi.values(real.vertices), stacked.values(points))
+    J = psi.jacobian(real.vertices)
     assert J.shape == (len(pool), 3 * real.vertex_count)
     assert np.array_equal(J, stacked.jacobian(points)[:, : J.shape[1]])
-    assert np.array_equal(psi.rows(real)[:, : J.shape[1]], J)
-    assert not psi.rows(real)[:, J.shape[1] :].any()
+    rows = gradient_rows(poly, pool, real)
+    assert np.array_equal(rows[:, : J.shape[1]], J)
+    assert not rows[:, J.shape[1] :].any()
 
 
 @pytest.mark.parametrize(
@@ -290,8 +291,8 @@ def test_vertex_dihedral_is_the_plane_formula(name):
     pool = dihedral_pool(poly)
     planes = MeasurementList([DiagonalAngle(V + F, V + m.f, V + m.g, V + F) for m in pool])
     points = np.vstack([scaled.vertices, scaled.planes, np.zeros((1, 3))])
-    psi = MeshMeasurements(poly, pool)
-    assert np.abs(psi.values(scaled) - planes.values(points)).max() <= agree
+    psi = mesh_kernel(poly, pool)
+    assert np.abs(psi.values(scaled.vertices) - planes.values(points)).max() <= agree
     _, s, Vt = np.linalg.svd(d_phi(poly, scaled))
     N = Vt[_count_above(s, TOL):].T
     on_planes = planes.jacobian(points)[:, :-3] @ N
@@ -299,13 +300,20 @@ def test_vertex_dihedral_is_the_plane_formula(name):
     # either order of the faces, and a global flip of the orientation
     flipped = build_incidence([cycle[::-1] for cycle in poly.faces])
     swapped = [DihedralAngle(m.g, m.f) for m in pool]
-    assert np.abs(MeshMeasurements(flipped, swapped).values(scaled) - psi.values(scaled)).max() <= agree
+    flipped_values = mesh_kernel(flipped, swapped).values(scaled.vertices)
+    assert np.abs(flipped_values - psi.values(scaled.vertices)).max() <= agree
 
 
 def test_a_dihedral_of_faces_without_a_common_edge_is_rejected():
     poly, real = platonic("cube")
     with pytest.raises(ValueError, match="faces 0 and 5 share no edge"):
-        MeshMeasurements(poly, [DihedralAngle(0, 1), DihedralAngle(0, 5)])
+        mesh_kernel(poly, [DihedralAngle(0, 1), DihedralAngle(0, 5)])
+
+
+def test_a_point_measurement_is_not_a_mesh_measurement():
+    poly, _ = platonic("cube")
+    with pytest.raises(TypeError, match="not a mesh measurement"):
+        mesh_kernel(poly, [FaceDistance(0, 1), Distance(0, 1)])
 
 
 def _svd_route(monkeypatch):
@@ -393,7 +401,7 @@ def _dense_verdicts(poly, real, pool, mode, tol):
     g = rigidity._motion_dim(mode, pool, True)
     scaled = _unit_diameter(real)
     base, Z = _chart(poly, scaled, g, tol)
-    J = MeshMeasurements(poly, pool).jacobian(scaled)
+    J = mesh_kernel(poly, pool).jacobian(scaled.vertices)
     rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol)
     target = 3 * poly.edge_count + 6 - g
     greedy_rank, selected = base, []
