@@ -20,6 +20,7 @@ One solver, deterministic, and one rank certificate:
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -64,8 +65,10 @@ def lm_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Drive max|residual| below `target` from each of a batch of starts.
 
-    x0 has shape (B, N); `residual` maps (b, N) to (b, m) and `jacobian`
-    maps (b, N) to (b, m, N). Returns (x, residual(x), reason), where
+    x0 is a batch of B starts of any shape (B, ...), such as (B, n, dim)
+    points, with N = prod(...) coordinates each; `residual` maps a (b, ...)
+    batch to (b, m) and `jacobian` maps it to (b, m, N), over the flattened
+    coordinates. Returns (x, residual(x), reason), x in x0's shape, where
     reason[i] is CONVERGED (max|r_i| <= target), STALLED (no damping value
     in a sweep improved the cost) or EXHAUSTED (max_iter iterations).
 
@@ -82,8 +85,9 @@ def lm_solve(
     the iterates and the reason are those of one trial at a time, bit for
     bit. The caller decides whether a final residual is acceptable.
     """
-    x = np.array(x0, dtype=float)
-    r = residual(x)
+    shape = np.shape(x0)
+    x = np.array(x0, dtype=float).reshape(shape[0], math.prod(shape[1:]))
+    r = residual(x.reshape(shape))
     cost = _sq(r)
     lam = np.full(len(x), 1e-3)
     reason = np.full(len(x), EXHAUSTED)
@@ -93,7 +97,7 @@ def lm_solve(
         active = active[np.abs(r[active]).max(axis=1, initial=0.0) > target]
         if not len(active):
             break
-        J = jacobian(x[active])
+        J = jacobian(x[active].reshape(len(active), *shape[1:]))
         Jt = J.swapaxes(1, 2)
         A = Jt @ J
         g = Jt @ r[active][:, :, None]
@@ -114,7 +118,7 @@ def lm_solve(
             lams = np.ldexp(lam[row], 2 * rung)
             dx, solved = _solve(A[at] + lams[:, None, None] * eye, -g[at])
             xn = x[row] + dx[:, :, 0]
-            rn = residual(xn)
+            rn = residual(xn.reshape(len(xn), *shape[1:]))
             cn = _sq(rn)
             better = solved & (cn < cost[row])
             # the first rung that lowers the cost or is singular stops the
@@ -137,7 +141,7 @@ def lm_solve(
         reason[active[~found]] = STALLED
         active = active[found]
     reason[np.abs(r).max(axis=1, initial=0.0) <= target] = CONVERGED
-    return x, r, reason
+    return x.reshape(shape), r, reason
 
 
 def gauss_newton_project(
@@ -152,18 +156,16 @@ def gauss_newton_project(
 
     One lm_solve from x0 alone, driven to target * 1e-2 as point_set_witness
     drives its restarts, so a point that stops short still meets the
-    target. Every step solves (J^T J + lam I) dx = -J^T r, so on an
-    underdetermined system x - x0 stays in the row space of J and the
-    iterate does not drift along the manifold; the damping bounds the step
-    where J is near singular. reached is max|r| <= target with x within
-    max_travel of x0. A J or r that is not finite takes no step: (x0, False).
+    target. x0 has any shape, and `residual` and `jacobian` take a batch of
+    such points, as lm_solve's do. Every step solves (J^T J + lam I) dx =
+    -J^T r, so on an underdetermined system x - x0 stays in the row space
+    of J and the iterate does not drift along the manifold; the damping
+    bounds the step where J is near singular. reached is max|r| <= target
+    with x within max_travel of x0. A J or r that is not finite takes no
+    step: (x0, False).
     """
     x0 = np.asarray(x0, dtype=float)
-
-    def rows(f: Residual) -> Residual:
-        return lambda X: np.stack([f(x) for x in X])
-
-    (x,), (r,), _ = lm_solve(rows(residual), rows(jacobian), x0[None], max_iter, target * 1e-2)
+    (x,), (r,), _ = lm_solve(residual, jacobian, x0[None], max_iter, target * 1e-2)
     near = max_travel is None or np.linalg.norm(x - x0) <= max_travel
     return x, bool(near and np.abs(r).max(initial=0.0) <= target)
 

@@ -37,6 +37,7 @@ from .errors import DegenerateFace, NonPlanarFace
 from .incidence import AbstractPolyhedron
 from .pointsets import (
     Angle,
+    Coplanar,
     Distance,
     MeasurementList,
     _Hinge,
@@ -264,6 +265,7 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 _ON_POINTS = {
     FaceDistance: (Distance, ("v", "w")),
     FaceAngle: (Angle, ("end1", "apex", "end2")),
+    Coplanar: (Coplanar, ("p", "q", "r", "s")),
 }
 
 
@@ -289,19 +291,20 @@ def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.
 
 
 def mesh_kernel(
-    poly: AbstractPolyhedron, measurements: Sequence[Measurement3D]
+    poly: AbstractPolyhedron, measurements: Sequence[Measurement3D | Coplanar]
 ) -> MeasurementList:
     """Mesh measurements of a polyhedron compiled once onto its vertices.
 
     A face distance is a point distance and a face angle a point angle of
     the vertices; a dihedral is the angle of a _Hinge at the edge the two
-    faces share (_hinges). The one point-set kernel serves meshes too, and
-    the index arrays are built by measurement type, not measurement by
-    measurement. A measurement of another type raises TypeError.
+    faces share (_hinges), and a Coplanar row on vertex ids stays as it is.
+    The one point-set kernel serves meshes too, and the index arrays are
+    built by measurement type, not measurement by measurement. A
+    measurement of another type raises TypeError.
     """
     rows: dict[type, list[int]] = {}
     for r, m in enumerate(measurements):
-        if type(m) not in (FaceDistance, FaceAngle, DihedralAngle):
+        if type(m) not in _ON_POINTS and type(m) is not DihedralAngle:
             raise TypeError(f"not a mesh measurement: {m!r}")
         rows.setdefault(type(m), []).append(r)
     ids = {}

@@ -269,7 +269,7 @@ def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:
         if (
             not isinstance(quad, (list, tuple))
             or len(quad) != 4
-            or not all(isinstance(i, int) and 0 <= i < len(raw) for i in quad)
+            or not all(type(i) is int and 0 <= i < len(raw) for i in quad)
         ):
             raise ParseError(f"coplanar entries are 4 point ids, got {quad!r}")
         coplanar.append(Coplanar(*quad))

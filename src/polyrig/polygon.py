@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InfeasibleRadii, NotConvex, OracleInconclusive
 from ._nlsq import _solve, lm_solve
@@ -431,14 +430,13 @@ def _sqp_max(
     free = _free_columns(n)
     N, m = int(free.sum()), kernel.size - 1
 
-    def c_fun(x: np.ndarray) -> np.ndarray:
-        return kernel.values(x.reshape(len(x), n, 2))[:, :-1] - targets
+    def c_fun(P: np.ndarray) -> np.ndarray:
+        return kernel.values(P)[:, :-1] - targets
 
-    def c_jac(x: np.ndarray) -> np.ndarray:
-        return kernel.jacobian(x.reshape(len(x), n, 2))[:, :-1]
+    def c_jac(P: np.ndarray) -> np.ndarray:
+        return kernel.jacobian(P)[:, :-1]
 
-    x, _, _ = lm_solve(c_fun, c_jac, starts.reshape(B, 2 * n), max_iter=120, target=1e-13)
-    x = x.reshape(B, n, 2)
+    x, _, _ = lm_solve(c_fun, c_jac, starts, max_iter=120, target=1e-13)
     kept = np.ones(B, dtype=bool)
     active = np.arange(B)
     eye = np.eye(N)
@@ -471,10 +469,7 @@ def _sqp_max(
         active = step[size[ok] > SQP_XTOL]
     residual = np.full(B, np.inf)
     if kept.any():
-        polished, r, _ = lm_solve(
-            c_fun, c_jac, x[kept].reshape(-1, n * 2), max_iter=120, target=1e-13
-        )
-        x[kept] = polished.reshape(-1, n, 2)
+        x[kept], r, _ = lm_solve(c_fun, c_jac, x[kept], max_iter=120, target=1e-13)
         residual[kept] = np.abs(r).max(axis=1)
     return x, residual
 
@@ -496,7 +491,10 @@ def octagon_distance_oracle(
     (ii) In the four-bar linkage A_1 A_5 A_6 A_8 (base |A_1A_5|, cranks of
     side length, coupler |A_6A_8|), the distance between the midpoints of
     A_1A_5 and A_6A_8 is maximal when both angles A_5 A_1 A_8 and
-    A_6 A_5 A_1 equal 3 pi / 8.
+    A_6 A_5 A_1 equal 3 pi / 8. A closed-form scan of 2048 angles A_5 A_1 A_8
+    is the global evidence; one _sqp_max on the linkage's four distances
+    refines its best point, and both angles and the midpoint distance are
+    read from the refined points. A dropped refinement raises OracleInconclusive.
     """
     reference = regular_polygon(8, 1.0).points
     kernel = MeasurementList(octagon_measurements())  # |A_3A_7| last
@@ -516,55 +514,44 @@ def octagon_distance_oracle(
     best_val, best_x = values[best], points[best]
     at_max = int(np.count_nonzero(values >= best_val - 1e-9))
 
-    # (ii) the four-bar linkage, parametrized by theta = angle A_5 A_1 A_8
+    # (ii) the four-bar linkage: a closed-form scan over theta = angle
+    # A_5 A_1 A_8, the global evidence, then one SQP from its best point
     side = 1.0
     d15 = measurement_value(Distance(0, 4), reference)
     d68 = measurement_value(Distance(5, 7), reference)
-    a1 = np.array([0.0, 0.0])
     a5 = np.array([d15, 0.0])
-    mid_base = (a1 + a5) / 2.0
-
-    def linkage(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(a6, a8, closes) at each angle of an array: closes is false where
-        the circles about a5 and a8 do not meet."""
-        a8 = side * np.stack([np.cos(theta), -np.sin(theta)], axis=-1)
-        # intersect circle(a5, side) with circle(a8, d68)
-        delta = a8 - a5
-        dist2 = _dot(delta, delta)
-        dist = np.sqrt(dist2)
-        along = (dist2 + side * side - d68 * d68) / (2.0 * dist)
-        h2 = side * side - along * along
-        closes = (dist < side + d68) & (dist > abs(side - d68)) & (h2 > 0.0)
-        h = np.sqrt(np.where(closes, h2, 0.0))
-        base = a5 + along[..., None] * delta / dist[..., None]
-        perp = np.stack([-delta[..., 1], delta[..., 0]], axis=-1) / dist[..., None]
-        a6 = base + h[..., None] * perp  # positive-cross branch, matching the octagon
-        return a6, a8, closes
-
-    def mid_dist(theta: np.ndarray) -> np.ndarray:
-        a6, a8, closes = linkage(theta)
-        return np.where(closes, _norm((a6 + a8) / 2.0 - mid_base), -np.inf)
-
-    thetas = np.linspace(1e-3, np.pi - 1e-3, 2048)
-    k = int(np.argmax(mid_dist(thetas)))
-    lo, hi = thetas[max(k - 1, 0)], thetas[min(k + 1, len(thetas) - 1)]
-    res = optimize.minimize_scalar(
-        lambda t: -float(mid_dist(t)), bounds=(lo, hi), method="bounded",
-        options={"xatol": 1e-13},
+    theta = np.linspace(1e-3, np.pi - 1e-3, 2048)
+    a8 = side * np.stack([np.cos(theta), -np.sin(theta)], axis=-1)
+    # a6 where circle(a5, side) meets circle(a8, d68), on the positive-cross
+    # branch as in the octagon; closes is false where they do not meet
+    delta = a8 - a5
+    dist2 = _dot(delta, delta)
+    dist = np.sqrt(dist2)
+    along = (dist2 + side * side - d68 * d68) / (2.0 * dist)
+    h2 = side * side - along * along
+    closes = (dist < side + d68) & (dist > abs(side - d68)) & (h2 > 0.0)
+    h = np.sqrt(np.where(closes, h2, 0.0))
+    perp = np.stack([-delta[:, 1], delta[:, 0]], axis=-1) / dist[:, None]
+    a6 = a5 + along[:, None] * delta / dist[:, None] + h[:, None] * perp
+    k = int(np.argmax(np.where(closes, _norm((a6 + a8) / 2.0 - a5 / 2.0), -np.inf)))
+    # on the rows (A_1, A_5, A_6, A_8), 2 |midpoint gap| = |(A_8 - A_1) +
+    # (A_6 - A_5)| = sqrt(2 + 2 cos b), b the angle between A_1->A_8 and
+    # A_5->A_6: the widest gap is the largest angle between A_1->A_8 and A_6->A_5
+    link = MeasurementList(
+        [Distance(0, 1), Distance(1, 2), Distance(2, 3), Distance(3, 0), DiagonalAngle(0, 3, 2, 1)]
     )
-    theta_star = float(res.x)
-    a6, a8, _ = linkage(theta_star)
-    # angle A_6 A_5 A_1: apex a5 = row 1, rays to a6 = row 2 and a1 = row 0
-    pts = np.array([a1, a5, a6, a8])
-    second = measurement_value(Angle(2, 1, 0), pts)
+    start = np.array([[np.zeros(2), a5, a6[k], a8[k]]])
+    (pts,), (res,) = _sqp_max(link, np.array([d15, side, d68, side]), start, max_step=side)
+    if not res <= 1e-10:
+        raise OracleInconclusive("the SQP from the linkage scan's best point was dropped")
 
     return OctagonReport(
         regular_value=float(regular_value),
         max_value=float(best_val),
         maximizer=best_x,
         constraint_residual=float(residual[best]),
-        linkage_angle_a5_a1_a8=theta_star,
-        linkage_angle_a6_a5_a1=float(second),
-        midpoint_distance=float(mid_dist(theta_star)),
+        linkage_angle_a5_a1_a8=measurement_value(Angle(1, 0, 3), pts),
+        linkage_angle_a6_a5_a1=measurement_value(Angle(2, 1, 0), pts),
+        midpoint_distance=float(_norm((pts[2] + pts[3]) / 2.0 - (pts[0] + pts[1]) / 2.0)),
         restarts_at_max=at_max,
     )

@@ -169,12 +169,12 @@ def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray)
     return hit[np.searchsorted(hit, starts)]
 
 
-def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, MeasurementList]:
+def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Three spread anchors per face of a realization with vertices X, (F, 3):
     its first vertex a, the vertex b farthest from a and the vertex c
-    farthest from the line ab; and the side rows Coplanar(a, b, c, v), one
-    per face and vertex v of it other than its anchors (none on a
-    triangulated mesh)."""
+    farthest from the line ab; and the ids (a, b, c, v) of the side rows
+    Coplanar(a, b, c, v), one per face and vertex v of it other than its
+    anchors (none on a triangulated mesh)."""
     vi, fj = _incidence_indices(poly)
     starts = np.searchsorted(fj, np.arange(poly.face_count))
     d = X[vi] - X[vi[starts]][fj]
@@ -185,7 +185,7 @@ def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, 
     other[rows] = False
     anchors = vi[rows]
     ids = np.column_stack([anchors[fj[other]], vi[other]])
-    return anchors, MeasurementList.from_ids(len(ids), {Coplanar: (np.arange(len(ids)), ids)})
+    return anchors, ids
 
 
 def _chart(
@@ -210,7 +210,9 @@ def _chart(
     there is that of J Z, which the verdicts cut at its own sigma_1.
     """
     X = scaled.vertices
-    C = _face_anchors(poly, X)[1].sparse_jacobian(X).toarray()
+    side = _face_anchors(poly, X)[1]
+    rows = MeasurementList.from_ids(len(side), {Coplanar: (np.arange(len(side)), side)})
+    C = rows.sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     Q = np.linalg.qr(motion_generators(scaled, g))[0]
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * Q.T])
@@ -368,16 +370,19 @@ def flex_witness(
     is_sufficient; only the projection forms the dense Jacobian of the
     measurements and the Coplanar rows), steps away along u by `step` (a
     fraction of the diameter), and projects back onto {psi = psi(R),
-    Coplanar rows = 0} over the 3V vertex coordinates, the system
-    point_set_witness solves, with its solver (gauss_newton_project, one
-    lm_solve) to residual 1e-10. The witness planes come from each face's
-    anchor triple. Returns the projected realization, scaled back to the
+    Coplanar rows = 0} over the 3V vertex coordinates, one list of the
+    measurements then the side rows of _face_anchors, as point_set_witness
+    solves it, with its solver (gauss_newton_project, one lm_solve) to
+    residual 1e-10. The witness planes come from each face's anchor
+    triple. Returns the projected realization, scaled back to the
     input's units, when it lies more than sqrt(1e-10) = 1e-5 diameters from
     the input after the best proper rigid placement (align_distance, which
     no vertex numbering enters), or None when the projection slides back to
     the start, the signature of a flex that exists to first order only:
     near a second-order-rigid point a residual of 1e-10 admits a drift of
-    about 1e-5. So a step below about 1e-4 cannot be certified.
+    about 1e-5. u is a unit vector and the projection adds O(step^2), so
+    no vertex moves much farther than |step|: a step with |step| <= 1e-5
+    cannot clear that radius and raises ValueError.
 
     c is the top eigenvector of (H Z K)^T (H Z K), H the Jacobian of the
     face distances: u changes the face distances most for its length. By
@@ -385,12 +390,13 @@ def flex_witness(
     a tie (a symmetry of the solid) leaves the choice to rounding. The sign
     of u makes its largest entry positive.
     """
+    if not abs(step) > 1e-5:
+        raise ValueError(f"|step| must exceed 1e-5, the witness radius; got {step:g}")
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     X = scaled.vertices
-    psi = mesh_kernel(poly, measurements)
     base, Z = _chart(poly, scaled, g, tol_rel)
-    M = psi.sparse_jacobian(X) @ Z
+    M = mesh_kernel(poly, measurements).sparse_jacobian(X) @ Z
     # Vt must be square to hold the kernel; a tall M's thin SVD has that
     _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     extra = _count_above(sm, tol_rel)
@@ -402,24 +408,18 @@ def flex_witness(
     u = ZK @ np.linalg.eigh(HZK.T @ HZK)[1][:, -1]
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
+    # one list: the measurements, then the side rows, whose target is 0
     anchors, side = _face_anchors(poly, X)
-    targets = psi.values(X)
-
-    def resid(x: np.ndarray) -> np.ndarray:
-        P = x.reshape(-1, 3)
-        return np.concatenate([psi.values(P) - targets, side.values(P)])
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        P = x.reshape(-1, 3)
-        return np.vstack([psi.jacobian(P), side.jacobian(P)])
-
+    kernel = mesh_kernel(poly, list(measurements) + [Coplanar(*q) for q in side.tolist()])
+    targets = kernel.values(X)
+    targets[len(measurements):] = 0.0
     target = 1e-10
-    x, ok = gauss_newton_project(
-        resid, jac, X.ravel() + step * u, target=target, max_travel=100.0 * (step + 1.0)
+    W, ok = gauss_newton_project(
+        lambda P: kernel.values(P) - targets, kernel.jacobian, X + step * u.reshape(-1, 3),
+        target=target, max_travel=100.0 * (abs(step) + 1.0),
     )
     if not ok:
         raise ProjectionDiverged(f"projection did not reach residual {target:g}")
-    W = x.reshape(-1, 3)
     if align_distance(X, W) <= np.sqrt(target):
         return None
     # each face's plane a.x = 1 through its anchor triple
@@ -515,22 +515,20 @@ def point_set_witness(
             raise ValueError(f"reference violates coplanarity constraint {c}")
     targets[len(measurements):] = 0.0
 
-    n = ref.shape[0]
     diam = diameter(ref)
     scale = max(1.0, diam)
 
-    def resid(x: np.ndarray) -> np.ndarray:
-        return kernel.values(x.reshape(len(x), n, dim)) - targets
-
-    def jac(x: np.ndarray) -> np.ndarray:
-        return kernel.jacobian(x.reshape(len(x), n, dim))
+    def resid(P: np.ndarray) -> np.ndarray:
+        return kernel.values(P) - targets
 
     def start(i: int) -> np.ndarray:
         rng = np.random.default_rng([seed, i])
-        return (ref + noise * diam * rng.standard_normal(ref.shape)).ravel()
+        return ref + noise * diam * rng.standard_normal(ref.shape)
 
-    x0 = np.array([start(i) for i in range(restarts)]).reshape(restarts, n * dim)
-    x, r, reason = lm_solve(resid, jac, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2)
+    x0 = np.array([start(i) for i in range(restarts)]).reshape(restarts, *ref.shape)
+    x, r, reason = lm_solve(
+        resid, kernel.jacobian, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2
+    )
     ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
     stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
@@ -539,7 +537,7 @@ def point_set_witness(
     # pass with a far tighter target collapses that smear. 1e-15 is below
     # the rounding floor of most members (a residual of 1e-13 to 1e-14), so
     # they end by a stall, after a full sweep of damping values
-    sols = lm_solve(resid, jac, x[ok], max_iter=80, target=1e-15)[0].reshape(-1, n, dim)
+    sols = lm_solve(resid, kernel.jacobian, x[ok], max_iter=80, target=1e-15)[0]
     to_ref = align_distance(ref, sols, allow_reflection)
     far = np.zeros(len(sols), dtype=bool) if locality is None else to_ref > locality * scale
     escaped = int(np.count_nonzero(far))

@@ -274,6 +274,29 @@ def test_witness_mesh_flexes_edges(capsys, tmp_path, cube_off):
     assert json.loads(out) == {"sufficient": True, "witness": None}
 
 
+@pytest.mark.parametrize("step", ["0", "1e-300", "1e-5", "-1e-5"])
+def test_witness_step_within_the_witness_radius_exits_2(capsys, tmp_path, cube_off, step):
+    # the cube's 12 edges flex, but a step of at most 1e-5 cannot move a
+    # vertex past the 1e-5 radius a witness must clear
+    _, faces = read_off(open(cube_off).read())
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, err = run(capsys, "witness", cube_off, "--measurements", str(ms), f"--step={step}")
+    assert code == 2 and out == ""
+    assert "|step| must exceed 1e-5" in err
+
+
+@pytest.mark.parametrize("step", ["3e-5", "-0.01"])
+def test_witness_step_beyond_the_witness_radius_flexes(capsys, tmp_path, cube_off, step):
+    _, faces = read_off(open(cube_off).read())
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, _ = run(capsys, "witness", cube_off, "--measurements", str(ms), f"--step={step}")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["maxMeasurementError"] < 1e-8 and payload["normalizedDistance"] > 1e-5
+
+
 def test_similarity_distances_error_names_the_cli_flag(capsys, tmp_path, cube_off):
     from polyrig.geometry import build_pool
     from polyrig.incidence import build_incidence
@@ -402,6 +425,24 @@ def test_import_builds_no_parser():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "0\n"
+
+
+def test_no_verb_loads_scipy_optimize():
+    # every constrained maximum runs on the kernel's SQP: a fresh interpreter
+    # that imports the CLI, and runs the octagon oracle, loads no scipy minimizer
+    script = (
+        "import sys, polyrig.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "polyrig.cli.main(['polygon', 'oracle', 'octagon', '--restarts', '2', '--out', sys.argv[1]])\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyrig.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script, os.devnull],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\nFalse\n"
 
 
 def test_seed_env_is_read_at_every_call(monkeypatch, capsys, tmp_path):

@@ -174,6 +174,16 @@ def test_point_config_parsing():
         )
 
 
+def test_point_config_rejects_a_bool_coplanar_id():
+    # JSON true is a Python int, 1, but not a point id; a bool measurement id
+    # is already rejected the same way
+    cube = [[x, y, z] for z in (0, 1) for y in (0, 1) for x in (0, 1)]
+    for quad in ("[true, 2, 6, 5]", "[0, 1, 3, false]"):
+        obj = json.loads(f'{{"dim": 3, "points": {cube}, "coplanar": [{quad}]}}')
+        with pytest.raises(ParseError, match="coplanar entries are 4 point ids"):
+            parse_point_config(obj)
+
+
 def test_point_config_rejects_non_numeric():
     with pytest.raises(ParseError):
         parse_point_config({"dim": 2, "points": [[0, 0], ["a", 1]]})

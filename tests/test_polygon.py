@@ -319,10 +319,10 @@ def test_octagon_oracle_regular_is_maximal():
     assert report.constraint_residual < 1e-10
     assert abs(report.max_value - report.regular_value) < 1e-9
     assert report.linkage_angle_a5_a1_a8 == pytest.approx(
-        3.0 * np.pi / 8.0, abs=1e-7
+        3.0 * np.pi / 8.0, abs=1e-12
     )
     assert report.linkage_angle_a6_a5_a1 == pytest.approx(
-        3.0 * np.pi / 8.0, abs=1e-7
+        3.0 * np.pi / 8.0, abs=1e-12
     )
     reg = regular_polygon(8, 1.0).points
     assert align_distance(reg, report.maximizer, allow_reflection=True) < 1e-5

@@ -243,8 +243,8 @@ def test_deficient_sparse_rank_takes_one_svd_and_no_qr(monkeypatch):
 
 
 def _linear(J, b):
-    """The residual J x - b and its constant Jacobian."""
-    return (lambda x: J @ x - b), (lambda x: J)
+    """The residual J x - b and its constant Jacobian, on a batch of x."""
+    return (lambda x: x @ J.T - b), (lambda x: np.broadcast_to(J, (len(x), *J.shape)))
 
 
 def test_projection_step_matches_lstsq_on_full_row_rank():
@@ -320,14 +320,15 @@ def test_projection_rejects_a_non_finite_jacobian(monkeypatch, capsys, tmp_path)
     built = []
     x0 = np.arange(4.0)
     x, ok = gauss_newton_project(
-        lambda x: np.ones(3), lambda x: built.append(1) or J, x0
+        lambda x: np.ones((len(x), 3)), lambda x: built.append(1) or J[None], x0
     )
     assert not ok and np.array_equal(x, x0) and built == [1]
 
     # and flex_witness reports it as a diverged projection, exit 2 on the CLI
     poly, real = platonic("cube")
     monkeypatch.setattr(
-        MeasurementList, "jacobian", lambda self, points: np.full((self.size, points.size), np.nan)
+        MeasurementList, "jacobian",
+        lambda self, P: np.full((len(P), self.size, P[0].size), np.nan),
     )
     with pytest.raises(ProjectionDiverged):
         rigidity.flex_witness(poly, real, build_pool(poly, "edges-only"))

@@ -156,6 +156,30 @@ def test_batched_lm_matches_serial_loop(name):
         assert reason[i] == why, i
 
 
+@pytest.mark.parametrize("restarts", [RESTARTS, 0], ids=["batch", "empty"])
+@pytest.mark.parametrize("name", ["square-four", "cube-ten"])
+def test_a_point_batch_solves_as_its_flattened_batch(name, restarts):
+    # lm_solve hands residual and jacobian the batch in x0's shape and
+    # returns x in it: a (B, n, dim) run is the (B, n * dim) run, bit for bit
+    ref = CASES[name][1]
+    resid, jac, starts = system(name, restarts)
+    flat = starts.reshape(restarts, ref.size)
+    x_flat, r_flat, why_flat = lm_solve(resid, jac, flat, target=1e-12)
+    seen = set()
+
+    def on_points(f):
+        def g(P):
+            seen.add(P.shape[1:])
+            return f(P.reshape(len(P), ref.size))
+        return g
+
+    points = flat.reshape(restarts, *ref.shape)
+    x, r, why = lm_solve(on_points(resid), on_points(jac), points, target=1e-12)
+    assert seen == {ref.shape} and x.shape == points.shape
+    assert np.array_equal(x.reshape(restarts, ref.size), x_flat)
+    assert np.array_equal(r, r_flat) and np.array_equal(why, why_flat)
+
+
 def test_singular_member_does_not_stop_the_others(monkeypatch):
     # a member whose x[2] > 0 has J = 1e10 [1, 1, 0]: 1e20 + lam == 1e20 at
     # the first damping values, so its solve raises LinAlgError until lam

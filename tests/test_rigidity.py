@@ -205,6 +205,26 @@ def test_flex_witness_for_cube_diagonals_keeps_diagonals():
     assert np.abs(moved - moved[0]).max() < 1e-8  # still equidiagonal
 
 
+@pytest.mark.parametrize("step", [0.0, 1e-300, 1e-5, -1e-5, float("nan")])
+def test_flex_witness_rejects_a_step_within_the_witness_radius(step):
+    # u is a unit vector and the projection adds O(step^2), so a step of at
+    # most 1e-5 moves no vertex past the 1e-5 radius a witness must clear
+    poly, real = platonic("cube")
+    with pytest.raises(ValueError, match="step"):
+        flex_witness(poly, real, build_pool(poly, "edges-only"), step=step)
+
+
+@pytest.mark.parametrize("step", [-0.01, -1.5])
+def test_flex_witness_takes_a_negative_step(step):
+    # the projection may travel 100 (|step| + 1) diameters, whatever the sign
+    poly, real = platonic("cube")
+    pool = build_pool(poly, "edges-only")
+    w = flex_witness(poly, real, pool, step=step)
+    assert w is not None and np.abs(phi(poly, w)).max() < 1e-8
+    assert np.abs(evaluate_all(poly, pool, w) - evaluate_all(poly, pool, real)).max() < 1e-8
+    assert align_distance(real.vertices, w.vertices) > 1e-5 * real.diameter()
+
+
 def test_flex_witness_refuses_rigid_pool():
     poly, real = platonic("cube")
     pool = build_pool(poly, "face-distances")
