@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -421,6 +422,17 @@ def _add_common(p: argparse.ArgumentParser, pool: bool = False) -> None:
     p.add_argument("--allow-scale-variant", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a negative number such as -1e-2 as a
+    value (`--step -1e-2`): argparse's own pattern takes only forms like -1
+    and -0.01, and reads the rest as an unknown option. Its subparsers are
+    of the same class."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The `polyrig` argument parser.
 
@@ -435,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=1)
 def _parser(seed_default: str) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyrig",
         description="Sufficiency analysis of measurement sets on polyhedra "
         "and planar point configurations.",

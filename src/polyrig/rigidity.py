@@ -14,14 +14,22 @@ the congruence test, with g = 6.
 The motions are deflated once per verdict, on the vertex chart (_chart):
 three anchor vertices of each face span its plane, and each further vertex
 of a face adds one Coplanar side row to C, so the planar-faced deformations
-are ker C. One SVD of C stacked with the motions' vertex rows,
+are ker C. One complete QR of C stacked with the motions' vertex rows,
 orthonormalized and scaled past sigma_1(C), gives the rank of d_phi and an
-orthonormal basis Z of the nontrivial first-order deformations; no
+orthonormal basis Z of the nontrivial first-order deformations (of the
+motions alone on a triangulated mesh, which has no side rows); no
 computation sees the plane coefficients. The measurements locally
 determine the realization up to the motion group exactly when J Z reaches
 rank E + 6 - g, i.e. when the stack [d_phi; rows] reaches 3E + 6 - g; the
 shortfall is the flex dimension. This reduces the geometric question to
 numeric rank.
+
+Every count is taken from a triangular factor when it can be proved:
+_nlsq._triangular_full_rank shows from R^-1 that a square R has sigma_min
+> 2 tol_rel sigma_1, so all its values clear the cutoff and no SVD is
+needed. The chart's QR, the rank test's R and a wide J Z's kernel (from a
+complete QR of (J Z)^T) each take that proof first, and an SVD only when it
+fails: a rank-deficient factor, or one too near the cutoff.
 
 The measurement rows never exist as a dense m x 3V matrix: they are taken
 as CSR (MeasurementList.sparse_jacobian, at most twelve nonzeros a row) and
@@ -42,14 +50,20 @@ claims that are invisible to first-order rank analysis.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
-from ._nlsq import EXHAUSTED, STALLED, _gram_full_rank, gauss_newton_project, lm_solve
+from ._nlsq import (
+    EXHAUSTED,
+    STALLED,
+    _gram_full_rank,
+    _triangular_full_rank,
+    gauss_newton_project,
+    lm_solve,
+)
 from .errors import NoConvergedRestarts, NoKernelDirection, ProjectionDiverged
 from .geometry import (
     FaceDistance,
@@ -75,8 +89,10 @@ SIMILARITY = "similarity"
 
 DEFAULT_TOL_REL = 1e-9
 
-# how many measurement rows the mesh verdicts reduce onto the chart basis at a time
+# how many measurement rows the mesh verdicts reduce onto the chart basis at a
+# time, and how many of them the greedy scan projects off its basis at once
 _ROW_BLOCK = 2048
+_SUB_BLOCK = 64
 
 # point_set_witness's cluster radius and witness distance, times its scale,
 # and its iteration budget per restart
@@ -190,9 +206,10 @@ def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, 
 
 def _chart(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
-) -> tuple[int, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """The planar-faced first-order deformations modulo the g motions at a
-    unit-diameter realization, in vertex coordinates; (rank of d_phi, Z).
+    unit-diameter realization, in vertex coordinates; (rank of d_phi, Z,
+    anchors, side), the last two those of _face_anchors.
 
     C is the Jacobian over the 3V vertex coordinates of the Coplanar side
     rows of _face_anchors. A vertex velocity dx keeps every face planar to
@@ -200,31 +217,87 @@ def _chart(
     so rank(d_phi) = 3F + rank(C); C G_x = 0 for the motions G_x of
     motion_generators.
 
-    One SVD of A = [C; c Q^T], Q an orthonormal basis of G_x and
-    c = ||C||_F >= sigma_1(C): its values are the g motion values c, the
+    A = [C; c Q^T], Q an orthonormal basis of G_x and c = ||C||_F >=
+    sigma_1(C): its singular values are the g motion values c, the
     largest, and those of C. With r = g plus the count of C's values above
-    tol_rel times C's own sigma_1, Z (the last 3V - r right singular
-    vectors) is an orthonormal basis of ker C orthogonal to G_x at every
-    tolerance, the E + 6 - g nontrivial deformations, and rank(d_phi) =
-    3F + r - g. Measurement rows annihilate the motions, so their rank
-    there is that of J Z, which the verdicts cut at its own sigma_1.
+    tol_rel times C's own sigma_1, Z, an orthonormal basis of the
+    complement of A's first r right singular vectors, is one of ker C
+    orthogonal to G_x at every tolerance, the E + 6 - g nontrivial
+    deformations, and rank(d_phi) = 3F + r - g. Measurement rows annihilate
+    the motions, so their rank there is that of J Z, which the verdicts cut
+    at its own sigma_1.
+
+    A has 2E - 3F + g = 3V - (E + 6 - g) rows (Euler), so a complete QR
+    A^T = [Q_A Q_Z] [R; 0] gives Z = Q_Z once _triangular_full_rank proves
+    the square R nonsingular with a margin: then sigma_min(A) > 2 tol_rel c
+    >= 2 tol_rel sigma_1(C), every value of C counts, and r is A's row
+    count. A triangulated mesh has no side rows, so A is Q^T and Z
+    completes Q, from one complete QR of G_x. An A the proof fails on takes
+    its count and Z from an SVD.
     """
     X = scaled.vertices
-    side = _face_anchors(poly, X)[1]
+    anchors, side = _face_anchors(poly, X)
+    G = motion_generators(scaled, g)
+    if not len(side):
+        return 3 * poly.face_count, np.linalg.qr(G, mode="complete")[0][:, g:], anchors, side
     rows = MeasurementList.from_ids(len(side), {Coplanar: (np.arange(len(side)), side)})
     C = rows.sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
-    Q = np.linalg.qr(motion_generators(scaled, g))[0]
-    A = np.vstack([C, max(np.linalg.norm(C), 1.0) * Q.T])
-    _, s, Vt = np.linalg.svd(A, full_matrices=True)
-    r = g + _count_above(s[g:], tol_rel)
-    return 3 * poly.face_count + r - g, Vt[r:].T
+    A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
+    r = len(A)
+    Q, R = np.linalg.qr(A.T, mode="complete")
+    if _triangular_full_rank(R[:r], tol_rel):
+        Z = Q[:, r:]
+    else:
+        _, s, Vt = np.linalg.svd(A, full_matrices=True)
+        r = g + _count_above(s[g:], tol_rel)
+        Z = Vt[r:].T
+    return 3 * poly.face_count + r - g, Z, anchors, side
 
 
 def _reduced_blocks(S: sparse.csr_matrix, Z: np.ndarray):
     """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks."""
     for start in range(0, S.shape[0], _ROW_BLOCK):
         yield S[start : start + _ROW_BLOCK] @ Z
+
+
+def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int) -> list[int]:
+    """The rows of S that greedy_minimal_subset keeps, in order, at most room
+    of them: a row is kept when its reduced row S_i Z, less its projection
+    on the reduced rows kept before it (twice, the second pass a
+    reorthogonalization), exceeds tol_rel times its full norm.
+
+    The kept residuals form an orthonormal basis. Each _SUB_BLOCK rows of
+    a reduced block are projected off the basis kept before them in two
+    BLAS-3 passes, and then each row, in order, off the rows kept within
+    its sub-block, also twice; the two bases are orthogonal, so this is
+    the per-row projection on every row kept so far.
+    """
+    # every row holds the entries of the points it touches, so no segment is empty
+    row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1]))
+    # accepted residuals are orthonormal in the columns of Z
+    basis = np.empty((Z.shape[1], Z.shape[1]))
+    kept: list[int] = []
+    for offset, block in zip(range(0, S.shape[0], _ROW_BLOCK), _reduced_blocks(S, Z)):
+        for sub in range(0, len(block), _SUB_BLOCK):
+            old = basis[: len(kept)]
+            P = block[sub : sub + _SUB_BLOCK]
+            P = P - (P @ old.T) @ old
+            P -= (P @ old.T) @ old
+            first = len(kept)
+            for i, res in enumerate(P, offset + sub):
+                if row_norms[i] == 0.0:
+                    continue
+                new = basis[first : len(kept)]
+                res = res - new.T @ (new @ res)
+                res -= new.T @ (new @ res)
+                res_norm = np.linalg.norm(res)
+                if res_norm > tol_rel * row_norms[i]:
+                    basis[len(kept)] = res / res_norm
+                    kept.append(i)
+                    if len(kept) >= room:
+                        return kept
+    return kept
 
 
 @dataclass(frozen=True)
@@ -262,16 +335,21 @@ def is_sufficient(
     block is stacked under the triangular factor so far and factored again
     (R = qr([R; S_block Z], mode="r")). R is Q^T J Z for an orthogonal Q,
     so the singular values of R, counted above tol_rel sigma_1(R), are
-    those of J Z, and no dense m x 3V Jacobian is formed.
+    those of J Z, and no dense m x 3V Jacobian is formed. A square R that
+    _triangular_full_rank proves nonsingular with a margin counts all its
+    E + 6 - g values with no SVD; any other R takes its count from one.
     """
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
-    base, Z = _chart(poly, scaled, g, tol_rel)
+    base, Z = _chart(poly, scaled, g, tol_rel)[:2]
     S = mesh_kernel(poly, measurements).sparse_jacobian(scaled.vertices)
     R = np.empty((0, Z.shape[1]))
     for block in _reduced_blocks(S, Z):
         R = np.linalg.qr(np.vstack([R, block]), mode="r")
-    rank = base + _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
+    if _triangular_full_rank(R, tol_rel):
+        rank = base + len(R)
+    else:
+        rank = base + _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
     target = 3 * poly.edge_count + 6 - g
     return SufficiencyReport(
         mode=mode,
@@ -300,42 +378,25 @@ def greedy_minimal_subset(
     (_chart), where the span of d_phi and the motions are zero: each row is
     reduced to Z once, and the row is accepted when its component
     orthogonal to the reduced rows kept so far exceeds tol_rel times the
-    full row norm (with one reorthogonalization pass for stability). The
-    rows are CSR: every full row norm comes from its nonzeros, and the
-    reduced rows are formed _ROW_BLOCK at a time as the scan reaches them,
-    so a scan that meets the target early reduces no further block. The
-    motion group is decided by the whole pool. When the pool is sufficient,
-    the selection has exactly targetRank - 2E elements: E measurements for
-    congruence, E - 1 for similarity by angles.
+    full row norm (with one reorthogonalization pass for stability;
+    _greedy_scan projects _SUB_BLOCK rows at a time off the rows kept
+    before them). The rows are CSR: every full row norm comes from its
+    nonzeros, and the reduced rows are formed _ROW_BLOCK at a time as the
+    scan reaches them, so a scan that meets the target early reduces no
+    further block. The motion group is decided by the whole pool. When the
+    pool is sufficient, the selection has exactly targetRank - 2E elements:
+    E measurements for congruence, E - 1 for similarity by angles.
     """
     g = _motion_dim(mode, pool, allow_scale_variant)
     if not pool:
         raise ValueError("pool is empty")
     scaled = _unit_diameter(real)
     S = mesh_kernel(poly, pool).sparse_jacobian(scaled.vertices)
-    # every row holds the entries of the points it touches, so no segment is empty
-    row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1]))
-    rank, Z = _chart(poly, scaled, g, tol_rel)
-    reduced = itertools.chain.from_iterable(_reduced_blocks(S, Z))
-    # accepted residuals are orthonormal in the E + 6 - g coordinates of Z
-    basis = np.empty((Z.shape[1], Z.shape[1]))
-
+    rank, Z = _chart(poly, scaled, g, tol_rel)[:2]
     target = 3 * poly.edge_count + 6 - g
-    selected: list[Measurement3D] = []
     # Z has target - rank columns: a scan that starts at the target accepts nothing
-    for m, row_norm, red in zip(pool, row_norms, reduced):
-        if row_norm == 0.0:
-            continue
-        kept = basis[: len(selected)]
-        res = red - kept.T @ (kept @ red)
-        res -= kept.T @ (kept @ res)
-        res_norm = np.linalg.norm(res)
-        if res_norm > tol_rel * row_norm:
-            basis[len(selected)] = res / res_norm
-            selected.append(m)
-            rank += 1
-            if rank >= target:
-                break
+    selected = [pool[i] for i in _greedy_scan(S, Z, tol_rel, target - rank)]
+    rank += len(selected)
 
     return SufficiencyReport(
         mode=mode,
@@ -352,6 +413,25 @@ def greedy_minimal_subset(
 # --- witnesses ----------------------------------------------------------------
 
 
+def _kernel(M: np.ndarray, tol_rel: float) -> tuple[int, np.ndarray]:
+    """The rank of M, its singular values counted above tol_rel sigma_1,
+    and an orthonormal basis of its kernel, as columns.
+
+    A wide M has full row rank, and its kernel is Q_2, when
+    _triangular_full_rank proves R nonsingular with a margin in a complete
+    QR M^T = [Q_1 Q_2] [R; 0]. Any other M takes both from an SVD, a full
+    one for a wide M, whose kernel a thin Vt does not hold.
+    """
+    m, n = M.shape
+    if m < n:
+        Q, R = np.linalg.qr(M.T, mode="complete")
+        if _triangular_full_rank(R[:m], tol_rel):
+            return m, Q[:, m:]
+    _, s, Vt = np.linalg.svd(M, full_matrices=m < n)
+    rank = _count_above(s, tol_rel)
+    return rank, Vt[rank:].T
+
+
 def flex_witness(
     poly: AbstractPolyhedron,
     real: Realization,
@@ -366,10 +446,10 @@ def flex_witness(
     Requires the set to be insufficient. Works at unit diameter on the
     vertices alone: picks a unit vertex velocity u = Z K c in the kernel of
     the measurement rows on the chart basis Z of is_sufficient (_chart),
-    K an orthonormal basis of ker J Z (J Z taken from the CSR rows, as in
-    is_sufficient; only the projection forms the dense Jacobian of the
-    measurements and the Coplanar rows), steps away along u by `step` (a
-    fraction of the diameter), and projects back onto {psi = psi(R),
+    K an orthonormal basis of ker J Z (_kernel; J Z taken from the CSR
+    rows, as in is_sufficient; only the projection forms the dense Jacobian
+    of the measurements and the Coplanar rows), steps away along u by
+    `step` (a fraction of the diameter), and projects back onto {psi = psi(R),
     Coplanar rows = 0} over the 3V vertex coordinates, one list of the
     measurements then the side rows of _face_anchors, as point_set_witness
     solves it, with its solver (gauss_newton_project, one lm_solve) to
@@ -395,21 +475,17 @@ def flex_witness(
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     X = scaled.vertices
-    base, Z = _chart(poly, scaled, g, tol_rel)
-    M = mesh_kernel(poly, measurements).sparse_jacobian(X) @ Z
-    # Vt must be square to hold the kernel; a tall M's thin SVD has that
-    _, sm, Vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
-    extra = _count_above(sm, tol_rel)
+    base, Z, anchors, side = _chart(poly, scaled, g, tol_rel)
+    extra, K = _kernel(mesh_kernel(poly, measurements).sparse_jacobian(X) @ Z, tol_rel)
     if base + extra >= 3 * poly.edge_count + 6 - g:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
-    ZK = Z @ Vt[extra:].T
+    ZK = Z @ K
     HZK = mesh_kernel(poly, face_distance_pool(poly)).sparse_jacobian(X) @ ZK
     u = ZK @ np.linalg.eigh(HZK.T @ HZK)[1][:, -1]
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
     # one list: the measurements, then the side rows, whose target is 0
-    anchors, side = _face_anchors(poly, X)
     kernel = mesh_kernel(poly, list(measurements) + [Coplanar(*q) for q in side.tolist()])
     targets = kernel.values(X)
     targets[len(measurements):] = 0.0

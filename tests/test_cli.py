@@ -297,6 +297,33 @@ def test_witness_step_beyond_the_witness_radius_flexes(capsys, tmp_path, cube_of
     assert payload["maxMeasurementError"] < 1e-8 and payload["normalizedDistance"] > 1e-5
 
 
+@pytest.mark.parametrize("step", [["--step", "-1e-2"], ["--step", "-1E-2"], ["--step=-1e-2"]])
+def test_witness_reads_a_negative_step_in_exponent_form(capsys, tmp_path, cube_off, step):
+    # argparse's own negative-number pattern takes -1 and -0.01 but not
+    # -1e-2, which it reads as an option: "argument --step: expected one argument"
+    _, faces = read_off(open(cube_off).read())
+    ms = tmp_path / "edges.json"
+    ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
+    code, out, _ = run(capsys, "witness", cube_off, "--measurements", str(ms), *step)
+    assert code == 1
+    decimal = run(capsys, "witness", cube_off, "--measurements", str(ms), "--step=-0.01")
+    assert (code, out) == decimal[:2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "hexa-a", "--q1", "-1e-2"],
+        ["witness", "in.off", "--measurements", "m.json", "--tol", "-1E-2"],
+        ["polygon", "oracle", "square", "--d", "-1e-2"],
+        ["polygon", "staircase", "--n", "6", "--angles", "1", "--base", "-.1e-1"],
+    ],
+)
+def test_every_parser_reads_negative_numbers_in_exponent_form(argv):
+    args = build_parser().parse_args(argv)
+    assert -0.01 in vars(args).values()
+
+
 def test_similarity_distances_error_names_the_cli_flag(capsys, tmp_path, cube_off):
     from polyrig.geometry import build_pool
     from polyrig.incidence import build_incidence

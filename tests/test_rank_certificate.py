@@ -1,9 +1,12 @@
-"""The full-rank certificate behind numeric_rank, and the flex projection.
+"""The full-rank certificates behind numeric_rank and the mesh verdicts,
+and the flex projection.
 
 `numeric_rank` counts singular values above tol_rel * sigma_1; when a
 sparse LU of the shifted Gram matrix of its input, dense or sparse, proves
 that all of them clear that cutoff it returns min(m, n) without an SVD.
-It must give what the SVD-based computation gives. `gauss_newton_project`
+It must give what the SVD-based computation gives. `_triangular_full_rank`
+proves the same of a square triangular factor from its inverse, and must
+never claim more than the SVD count. `gauss_newton_project`
 is one damped lm_solve from one start: its steps stay in the row space of
 J, so on a consistent linear system it ends at lstsq's solution.
 """
@@ -16,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
 from polyrig import rigidity
-from polyrig._nlsq import _gram_full_rank, gauss_newton_project
+from polyrig._nlsq import _gram_full_rank, _triangular_full_rank, gauss_newton_project
 from polyrig.generators import faces_from_convex_vertices, platonic
 from polyrig.cli import main
 from polyrig.errors import ProjectionDiverged
@@ -203,6 +206,62 @@ def test_gram_proof_never_claims_more_than_the_svd(M):
     assert _three_counts(M) == (svd, svd, svd)
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(M, field), getattr(before, field))
+
+
+@st.composite
+def near_cutoff(draw):
+    """(R, tol): an n x n upper-triangular R, n <= 40, from a QR of
+    U diag(s) V^T with random orthogonal U and V, sigma_1 = 1 and its
+    `near` smallest values at 2 tol 10^e, e in [-2, 1] (jittered by up to
+    a factor 10^0.1), the others log-uniform between those and 1; scaled by
+    10^u, u in [-4, 4]. Sometimes a diagonal entry is zeroed, which makes R
+    exactly singular."""
+    n = draw(st.integers(1, 40))
+    tol = draw(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.05]))
+    near = draw(st.integers(1, n))
+    e = draw(st.floats(-2.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = min(1.0, 2.0 * tol * 10.0**e)
+    s = 10.0 ** rng.uniform(np.log10(low), 0.0, n)
+    s[n - near :] = np.minimum(1.0, low * 10.0 ** rng.uniform(-0.1, 0.1, near))
+    s[0] = 1.0
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    R = np.linalg.qr((U * s) @ V.T, mode="r") * 10.0 ** draw(st.floats(-4.0, 4.0))
+    if draw(st.integers(0, 9)) == 0:
+        i = draw(st.integers(0, n - 1))
+        R[i, i] = 0.0
+    return R, tol
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(near_cutoff())
+def test_triangular_proof_never_claims_more_than_the_svd(case):
+    R, tol = case
+    before = R.copy()
+    if _triangular_full_rank(R, tol):
+        assert _count_above(np.linalg.svd(R, compute_uv=False), tol) == len(R)
+    assert np.array_equal(R, before)
+
+
+def test_triangular_proof_holds_with_room_and_refuses_the_rest():
+    rng = np.random.default_rng(3)
+    R = np.linalg.qr(rng.standard_normal((60, 60)), mode="r")
+    assert _triangular_full_rank(R, 1e-9)
+    # sigma_min = 1e-3 sigma_1: a proof at 1e-9, none at 1e-3
+    U, _, Vt = np.linalg.svd(rng.standard_normal((20, 20)))
+    R = np.linalg.qr((U * np.geomspace(1.0, 1e-3, 20)) @ Vt, mode="r")
+    assert _triangular_full_rank(R, 1e-9) and not _triangular_full_rank(R, 1e-3)
+    singular = R.copy()
+    singular[7, 7] = 0.0
+    assert not _triangular_full_rank(singular, 1e-9)
+    for bad in (np.nan, np.inf):
+        broken = R.copy()
+        broken[0, 5] = bad
+        assert not _triangular_full_rank(broken, 1e-9)
+    assert not _triangular_full_rank(R[:10], 1e-9)  # not square
+    assert not _triangular_full_rank(np.zeros((4, 4)), 1e-9)
+    assert not _triangular_full_rank(np.zeros((0, 0)), 1e-9)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,8 +1,9 @@
 """The vertex chart behind every mesh verdict.
 
-`rigidity._chart` takes one SVD of [C; G_x^T] (C the Jacobian of the
-Coplanar side rows of the faces with more than three vertices, G_x the
-vertex rows of the motion generators) and returns the rank of d_phi and an
+`rigidity._chart` takes one complete QR of [C; G_x^T]^T (C the Jacobian of
+the Coplanar side rows of the faces with more than three vertices, G_x the
+vertex rows of the motion generators), or an SVD when the QR's triangular
+factor is not proved nonsingular, and returns the rank of d_phi and an
 orthonormal basis Z of the nontrivial first-order deformations in vertex
 coordinates. Z lifted to the planes, with the motions, must span ker d_phi,
 the subspace an SVD reference gives, and no verdict may factor a matrix
@@ -19,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyrig import rigidity
+from polyrig._nlsq import _triangular_full_rank
 from polyrig.generators import (
     faces_from_convex_vertices,
     hexahedron_family_a,
@@ -32,9 +34,11 @@ from polyrig.geometry import (
     build_pool,
     d_phi,
     dihedral_pool,
+    evaluate_all,
     fit_realization,
     gradient_rows,
     mesh_kernel,
+    phi,
 )
 from polyrig.incidence import build_incidence
 from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementList, align_distance
@@ -107,7 +111,7 @@ def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     d_phi, and with the motions G it spans ker d_phi."""
     poly, real = solid
     scaled = _unit_diameter(real)
-    rank, Z = _chart(poly, scaled, g, TOL)
+    rank, Z = _chart(poly, scaled, g, TOL)[:2]
     n = 3 * real.vertex_count
     assert rank == 2 * poly.edge_count
     assert Z.shape == (n, poly.edge_count + 6 - g)
@@ -123,21 +127,35 @@ def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     assert cosines.min() >= 1.0 - 1e-12
 
 
+def _spy_shapes(monkeypatch, names):
+    """{name: the shapes of the matrices np.linalg.<name> is called on}."""
+    shapes = {}
+
+    def spy(name, fn):
+        def spied(a, *args, **kwargs):
+            shapes.setdefault(name, []).append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return spied
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    return shapes
+
+
 def test_mesh_verdicts_take_no_svd_of_d_phi(monkeypatch):
+    """No verdict factors a matrix of d_phi's shape. On a triangulated
+    hull's face distances the chart is a QR of the 3V x 6 motions, and the
+    rank test and greedy prove their factors nonsingular, so no SVD is
+    taken at all."""
     poly, real = sphere_hull(50, 0)
     shape = (2 * poly.edge_count, 3 * real.vertex_count + 3 * real.face_count)
-    shapes = []
-    svd = np.linalg.svd
-
-    def spy(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    shapes = _spy_shapes(monkeypatch, ("svd", "qr"))
     pool = build_pool(poly, "face-distances")
     assert is_sufficient(poly, real, pool).sufficient
     assert greedy_minimal_subset(poly, real, pool).sufficient
-    assert shapes and shape not in shapes
+    assert (3 * real.vertex_count, 6) in shapes["qr"]
+    assert shape not in shapes["qr"] and "svd" not in shapes
 
 
 @settings(max_examples=90, deadline=None, derandomize=True, database=None)
@@ -156,7 +174,7 @@ def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol, g):
     """
     poly, real = solid
     scaled = _unit_diameter(real)
-    rank, Z = _chart(poly, scaled, g, tol)
+    rank, Z = _chart(poly, scaled, g, tol)[:2]
     n = 3 * real.vertex_count
     assert Z.shape == (n, n - (rank - 3 * real.face_count + g))
     assert np.abs(Z.T @ Z - np.eye(Z.shape[1])).max() <= 1e-12
@@ -172,28 +190,17 @@ def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol, g):
 
 def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
     """No factorization of a rank verdict or a flex witness sees a matrix
-    with 3V + 3F rows or columns: the chart's SVD has 3V columns, the
-    reduced rows E + 6 - g, also for a set holding a dihedral, and the
+    with 3V + 3F rows or columns: the chart's QR has 3V rows, the reduced
+    rows E + 6 - g columns, also for a set holding a dihedral, and the
     witness's kernel, direction and projection work on the vertices. The
     rank test and greedy never form a dense measurement Jacobian."""
     poly, real = sphere_hull(50, 0)
     full = 3 * real.vertex_count + 3 * real.face_count
-    shapes = {}
-
-    def spy(name):
-        fn = getattr(np.linalg, name)
-
-        def spied(a, *args, **kwargs):
-            shapes.setdefault(name, []).append(np.shape(a))
-            return fn(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, spied)
+    shapes = _spy_shapes(monkeypatch, ("svd", "qr", "eigh", "lstsq", "solve"))
 
     def dense(*args, **kwargs):
         raise AssertionError("a dense measurement Jacobian was formed")
 
-    for name in ("svd", "qr", "eigh", "lstsq", "solve"):
-        spy(name)
     with monkeypatch.context() as patch:
         patch.setattr(MeasurementList, "jacobian", dense)
         for pool_name in ("face-distances", "all"):
@@ -203,14 +210,19 @@ def test_mesh_verdicts_factor_nothing_with_plane_rows(monkeypatch):
     edges = build_pool(poly, "edges-only")
     assert flex_witness(poly, real, edges[:10] + edges[11:]) is not None
     assert flex_witness(poly, real, dihedral_pool(poly)) is not None
-    assert (6, 3 * real.vertex_count) in shapes["svd"]
     assert shapes["eigh"]
-    # one QR orthonormalizes the motions' vertex rows G_x; the others are
-    # the rank test's streamed QR of the rows on Z, with E + 6 - g columns
+    # one QR per verdict completes the motions' vertex rows G_x to the chart;
+    # the witness one edge short has a wide J Z, whose kernel comes from a QR
+    # of (J Z)^T, E + 6 - g rows; the others are the rank test's streamed QR
+    # of the rows on Z, with E + 6 - g columns
     motions = (3 * real.vertex_count, 6)
-    streamed = set(shapes["qr"]) - {motions}
-    assert motions in shapes["qr"]
+    kernel = (poly.edge_count, poly.edge_count - 1)
+    streamed = set(shapes["qr"]) - {motions, kernel}
+    assert motions in shapes["qr"] and kernel in shapes["qr"]
     assert streamed and {cols for _, cols in streamed} == {poly.edge_count}
+    # the dihedral witness's square J Z, whose kernel only an SVD holds, and
+    # the 3 x 3 of the witnesses' Kabsch alignment
+    assert set(shapes["svd"]) == {(poly.edge_count, poly.edge_count), (3, 3)}
     assert all(full not in shape for seen in shapes.values() for shape in seen)
 
 
@@ -230,7 +242,7 @@ def test_triangulated_hulls_and_the_cube_are_rigid_at_loose_tolerance():
         edges = is_sufficient(poly, real, build_pool(poly, "edges-only"), tol_rel=tol)
         assert edges.flex_dimension == 3
         for g in (6, 7):
-            rank, Z = _chart(poly, scaled, g, tol)
+            rank, Z = _chart(poly, scaled, g, tol)[:2]
             assert rank == 2 * poly.edge_count
             assert np.linalg.norm(motion_generators(scaled, g)[:24].T @ Z, 2) <= 1e-12
 
@@ -326,7 +338,8 @@ def _svd_route(monkeypatch):
 
     def svd_chart(poly, scaled, g, tol_rel):
         base = _count_above(np.linalg.svd(d_phi(poly, scaled), compute_uv=False), tol_rel)
-        return base, _svd_reference(poly, scaled, g)[:, : 3 * scaled.vertex_count].T
+        Z = _svd_reference(poly, scaled, g)[:, : 3 * scaled.vertex_count].T
+        return base, Z, *rigidity._face_anchors(poly, scaled.vertices)
 
     monkeypatch.setattr(rigidity, "_chart", svd_chart)
 
@@ -366,31 +379,136 @@ def test_svd_fallback_flex_witness(monkeypatch):
     assert flex_witness(poly, real, edges) is not None
 
 
-def test_multi_flex_direction_does_not_depend_on_the_kernel_basis(monkeypatch):
-    """Above one flex the witness steps along the kernel direction whose
-    lift moves the vertices most for its length, not along whichever
-    kernel vector the SVD lists first: mixing the SVD's kernel vectors by a
-    rotation gives the same witness."""
+def _certificate(monkeypatch, answer=None):
+    """Record every answer of the triangular certificate in the mesh
+    verdicts, or replace it by `answer`."""
+    answers = []
+
+    def recorded(R, tol):
+        answers.append(_triangular_full_rank(R, tol) if answer is None else answer)
+        return answers[-1]
+
+    monkeypatch.setattr(rigidity, "_triangular_full_rank", recorded)
+    return answers
+
+
+CERTIFIED_SOLIDS = {
+    **{name: (lambda name=name: platonic(name)) for name in
+       ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")},
+    "hexa-a": lambda: hexahedron_family_a(0.13),
+    "hexa-b": lambda: hexahedron_family_b(0.1, -0.15),
+    "prism24": prism,
+    **{f"sphere{V}": (lambda V=V: sphere_hull(V, 7)) for V in (8, 30, 75)},
+}
+
+
+@pytest.mark.parametrize("solid", sorted(CERTIFIED_SOLIDS))
+def test_verdicts_without_the_certificate_are_the_same(monkeypatch, solid):
+    """The chart, the rank test and greedy read their counts off proved
+    triangular factors; with the certificate always refusing, the SVD
+    counts give the same ranks, verdicts and selections on every pool and
+    in both modes."""
+    poly, real = CERTIFIED_SOLIDS[solid]()
+    pools = [
+        build_pool(poly, name)
+        for name in ("face-distances", "face-angles", "dihedrals", "edges-only", "face-diagonals")
+    ]
+    cases = [(pool, mode) for pool in pools if pool for mode in (CONGRUENCE, SIMILARITY)]
+
+    def verdicts():
+        return [
+            (
+                is_sufficient(poly, real, pool, mode, allow_scale_variant=True),
+                greedy_minimal_subset(poly, real, pool, mode, allow_scale_variant=True),
+            )
+            for pool, mode in cases
+        ]
+
+    with monkeypatch.context() as patch:
+        proved = _certificate(patch)
+        certified = verdicts()
+    assert any(proved)
+    refused = _certificate(monkeypatch, False)
+    assert verdicts() == certified
+    assert refused and not any(refused)
+
+
+@pytest.mark.parametrize(
+    "solid,pool_name",
+    [("cube", "edges-only"), ("cube", "face-diagonals"), ("hexa-a", "face-diagonals"),
+     ("hexa-b", "face-diagonals"), ("sphere30", "edges-only"), ("sphere75", "edges-only")],
+)
+def test_flex_witnesses_without_the_certificate_are_valid(monkeypatch, solid, pool_name):
+    """A witness with the certificate on and one with it off both keep the
+    measurements and the planes and move the solid. A hull three edges
+    short has a wide J Z, proved of full row rank, and both witnesses step
+    the same way."""
+    poly, real = CERTIFIED_SOLIDS[solid]()
+    kept = build_pool(poly, pool_name)
+    if solid.startswith("sphere"):
+        kept = kept[:5] + kept[6:17] + kept[18:40] + kept[41:]
+    witnesses = []
+    for answer in (None, False):
+        with monkeypatch.context() as patch:
+            proved = _certificate(patch, answer)
+            w = flex_witness(poly, real, kept)
+        assert w is not None
+        assert np.abs(phi(poly, w)).max() < 1e-8
+        err = np.abs(evaluate_all(poly, kept, w) - evaluate_all(poly, kept, real)).max()
+        assert err < 1e-8 * real.diameter()
+        assert align_distance(real.vertices, w.vertices) > 1e-5 * real.diameter()
+        witnesses.append((w, proved))
+    (on, proved), (off, _) = witnesses
+    if solid.startswith("sphere"):
+        assert proved[-1]
+        assert align_distance(on.vertices, off.vertices) <= 1e-9 * real.diameter()
+
+
+def _kernel_mixing_moves_no_witness(monkeypatch, route):
     poly, real = sphere_hull(50, 0)
     edges = build_pool(poly, "edges-only")
     kept = edges[:10] + edges[11:40] + edges[41:70] + edges[71:]
     assert is_sufficient(poly, real, kept).flex_dimension == 3
+    if route == "svd":
+        monkeypatch.setattr(rigidity, "_triangular_full_rank", lambda R, tol: False)
     first = flex_witness(poly, real, kept)
     assert first is not None
     assert align_distance(real.vertices, first.vertices) >= 1e-3 * real.diameter()
 
-    svd = np.linalg.svd
+    factor = getattr(np.linalg, route)
     mix = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+    mixed = []
 
-    def mixed(a, *args, **kwargs):
-        U, s, Vt = svd(a, *args, **kwargs)
-        if np.shape(a)[1] == poly.edge_count:  # the rows on Z: E + 6 - g columns
-            Vt = np.vstack([Vt[:-3], mix @ Vt[-3:]])
-        return U, s, Vt
+    def mixing(a, *args, **kwargs):
+        out = factor(a, *args, **kwargs)
+        if route == "qr" and np.shape(a) == (poly.edge_count, len(kept)):
+            # (J Z)^T: its kernel is the last three columns of Q
+            Q, R = out
+            mixed.append(a)
+            return np.hstack([Q[:, :-3], Q[:, -3:] @ mix.T]), R
+        if route == "svd" and np.shape(a)[1] == poly.edge_count:  # the rows on Z
+            U, s, Vt = out
+            mixed.append(a)
+            return U, s, np.vstack([Vt[:-3], mix @ Vt[-3:]])
+        return out
 
-    monkeypatch.setattr(np.linalg, "svd", mixed)
+    monkeypatch.setattr(np.linalg, route, mixing)
     second = flex_witness(poly, real, kept)
+    assert mixed
     assert align_distance(first.vertices, second.vertices) <= 1e-9 * real.diameter()
+
+
+def test_multi_flex_direction_does_not_depend_on_the_kernel_basis(monkeypatch):
+    """Above one flex the witness steps along the kernel direction whose
+    lift moves the vertices most for its length, not along whichever
+    kernel vector its factorization lists first: mixing the kernel vectors
+    of the complete QR of (J Z)^T by a rotation gives the same witness."""
+    _kernel_mixing_moves_no_witness(monkeypatch, "qr")
+
+
+def test_multi_flex_direction_on_the_svd_kernel_does_not_depend_on_its_basis(monkeypatch):
+    """The same with the certificate off, when the kernel comes from the SVD."""
+    _kernel_mixing_moves_no_witness(monkeypatch, "svd")
 
 
 def _dense_verdicts(poly, real, pool, mode, tol):
@@ -400,7 +518,7 @@ def _dense_verdicts(poly, real, pool, mode, tol):
     reduced to Z, exceeds tol times its full norm."""
     g = rigidity._motion_dim(mode, pool, True)
     scaled = _unit_diameter(real)
-    base, Z = _chart(poly, scaled, g, tol)
+    base, Z = _chart(poly, scaled, g, tol)[:2]
     J = mesh_kernel(poly, pool).jacobian(scaled.vertices)
     rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol)
     target = 3 * poly.edge_count + 6 - g
@@ -462,6 +580,31 @@ def test_streamed_verdicts_are_the_dense_ones(monkeypatch, solid, pool_name):
             assert greedy.achieved_rank == greedy_rank
             assert greedy.sufficient == (greedy_rank == greedy.target_rank)
             assert greedy.selected == selected
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    V=st.integers(8, 90),
+    seed=st.integers(0, 2**32 - 1),
+    sub=st.sampled_from([1, 5, rigidity._SUB_BLOCK]),
+    tol=st.sampled_from([1e-10, 1e-9, 1e-3]),
+)
+def test_greedy_by_sub_blocks_keeps_the_rows_of_the_per_row_scan(V, seed, sub, tol):
+    """Greedy projects a sub-block of rows off the rows kept before it at
+    once; on sampled hulls, over four pools and both modes, it keeps the
+    rows of the per-row scan of _dense_verdicts, at sub-blocks of 1, 5 and
+    the module's 64 rows, the pool streamed in blocks of 37 rows."""
+    poly, real = sphere_hull(V, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rigidity, "_SUB_BLOCK", sub)
+        patch.setattr(rigidity, "_ROW_BLOCK", 37)
+        for name, mode in itertools.product(
+            ("face-distances", "face-angles", "dihedrals", "edges-only"), (CONGRUENCE, SIMILARITY)
+        ):
+            pool = build_pool(poly, name)
+            report = greedy_minimal_subset(poly, real, pool, mode, tol, allow_scale_variant=True)
+            _, rank, selected = _dense_verdicts(poly, real, pool, mode, tol)
+            assert (report.achieved_rank, report.selected) == (rank, selected)
 
 
 def test_rank_verdicts_on_a_large_pool_stay_small():
