@@ -45,6 +45,7 @@ from .offio import (
 from .pointsets import Angle, DiagonalAngle, Distance, _unit, align_distance, measurement_value
 from .rigidity import (
     CONGRUENCE,
+    DEFAULT_TOL_REL,
     SIMILARITY,
     flex_witness,
     greedy_minimal_subset,
@@ -137,7 +138,9 @@ def _check_ids(ms: Sequence, bounds: dict[str, int], hint: str) -> None:
 
 
 def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedron, Realization]:
-    """Load a mesh and check that `ms` is a measurement set on it."""
+    """Load a mesh and check that `ms` is a measurement set on it; a
+    dihedral of two faces that share no edge is left to the verdict, whose
+    mesh_kernel raises ValueError."""
     if dim != 3:
         raise ParseError("a mesh takes a dim-3 measurement set")
     poly, real = _load_mesh(path)
@@ -146,10 +149,6 @@ def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedro
         {"vertex": poly.vertex_count, "face": poly.face_count},
         "mesh measurement; use face_distance, face_angle, or dihedral",
     )
-    adjacent = set(poly.adjacent_faces())
-    for m in ms:
-        if isinstance(m, DihedralAngle) and (min(m.f, m.g), max(m.f, m.g)) not in adjacent:
-            raise ParseError(f"dihedral faces {m.f} and {m.g} share no edge")
     return poly, real
 
 
@@ -165,20 +164,36 @@ def _load_points_for(path: str, dim: int, ms: Sequence) -> tuple[np.ndarray, lis
     return pts, coplanar
 
 
-def _report_payload(report) -> dict:
-    selected = None
-    if report.selected is not None:
-        selected = [measurement_to_dict(m) for m in report.selected]
-    return {
-        "mode": report.mode,
-        "E": report.edge_count,
-        "achievedRank": report.achieved_rank,
-        "targetRank": report.target_rank,
-        "sufficient": report.sufficient,
-        "flexDimension": report.flex_dimension,
-        "selected": selected,
-        "tolerance": report.tolerance_used,
-    }
+def _mesh_verdict(args, verdict, poly, real, ms: Sequence) -> int:
+    """The end of analyze, select and check on a mesh: `verdict`
+    (is_sufficient or greedy_minimal_subset) with the common options, its
+    JSON report, and its exit code; a selection is also summed up on stderr."""
+    report = verdict(
+        poly, real, ms, args.mode, args.tol, allow_scale_variant=args.allow_scale_variant
+    )
+    selected = report.selected
+    _emit(
+        {
+            "mode": report.mode,
+            "E": report.edge_count,
+            "achievedRank": report.achieved_rank,
+            "targetRank": report.target_rank,
+            "sufficient": report.sufficient,
+            "flexDimension": report.flex_dimension,
+            "selected": None if selected is None else [measurement_to_dict(m) for m in selected],
+            "tolerance": report.tolerance_used,
+        },
+        args.out,
+    )
+    if selected is not None:
+        print(f"selected {len(selected)} measurements", file=sys.stderr)
+        if not report.sufficient:
+            print(
+                f"insufficient: pool '{args.pool}' exhausted at rank "
+                f"{report.achieved_rank} < {report.target_rank}",
+                file=sys.stderr,
+            )
+    return 0 if report.sufficient else 1
 
 
 def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
@@ -206,45 +221,22 @@ def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
 
 
 def cmd_analyze(args) -> int:
-    tol = _check_tol(args.tol)
+    _check_tol(args.tol)
     poly, real = _load_mesh(args.input)
-    pool = build_pool(poly, args.pool)
-    report = is_sufficient(
-        poly, real, pool, args.mode, tol, allow_scale_variant=args.allow_scale_variant
-    )
-    _emit(_report_payload(report), args.out)
-    return 0 if report.sufficient else 1
+    return _mesh_verdict(args, is_sufficient, poly, real, build_pool(poly, args.pool))
 
 
 def cmd_select(args) -> int:
-    tol = _check_tol(args.tol)
+    _check_tol(args.tol)
     poly, real = _load_mesh(args.input)
-    pool = build_pool(poly, args.pool)
-    report = greedy_minimal_subset(
-        poly, real, pool, args.mode, tol, allow_scale_variant=args.allow_scale_variant
-    )
-    _emit(_report_payload(report), args.out)
-    print(f"selected {len(report.selected)} measurements", file=sys.stderr)
-    if not report.sufficient:
-        print(
-            f"insufficient: pool '{args.pool}' exhausted at rank "
-            f"{report.achieved_rank} < {report.target_rank}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _mesh_verdict(args, greedy_minimal_subset, poly, real, build_pool(poly, args.pool))
 
 
 def cmd_check(args) -> int:
-    tol = _check_tol(args.tol)
+    _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     if _is_mesh_path(args.input):
-        poly, real = _load_mesh_for(args.input, dim, ms)
-        report = is_sufficient(
-            poly, real, ms, args.mode, tol, allow_scale_variant=args.allow_scale_variant
-        )
-        _emit(_report_payload(report), args.out)
-        return 0 if report.sufficient else 1
+        return _mesh_verdict(args, is_sufficient, *_load_mesh_for(args.input, dim, ms), ms)
     return _sufficiency2d_verdict(args, dim, ms)
 
 
@@ -417,7 +409,7 @@ def _add_common(p: argparse.ArgumentParser, pool: bool = False) -> None:
     p.add_argument("--mode", choices=[CONGRUENCE, SIMILARITY], default=CONGRUENCE)
     if pool:
         p.add_argument("--pool", choices=POOL_CHOICES, default="face-distances")
-    p.add_argument("--tol", type=_finite_float, default=1e-9)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_REL)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-scale-variant", action="store_true")
 
@@ -502,7 +494,7 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
     q = psub.add_parser("analyze", help="first-order sufficiency of a 2D set")
     q.add_argument("input")
     q.add_argument("--measurements", required=True)
-    q.add_argument("--tol", type=_finite_float, default=1e-9)
+    q.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_REL)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_polygon_analyze)
 

@@ -15,7 +15,6 @@ region and degenerates on its boundary.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -167,84 +166,47 @@ HEX_FACES = (
 )
 
 
-@dataclass(frozen=True)
-class HexahedronParams:
-    """Parameters of an equal-face-diagonal hexahedron.
-
-    family "a": rotation quaternion (q0, q1, q1, q1), valid for
-    |q1| < 1/sqrt(12). family "b": quaternion (q0, q1, q2, 0), valid where
-    |q1| + |q2| < 1/sqrt(2) and (1 - s^2)(1 - 2 s^2) > 2 |q1 q2| s^2 with
-    s = |q1| + |q2|. q0 is the positive root making the quaternion unit.
-    """
-
-    family: str
-    q1: float
-    q2: float
-
-    def __post_init__(self):
-        if self.family not in ("a", "b"):
-            raise ValueError(f"family must be 'a' or 'b', got {self.family!r}")
-        if self.family == "a" and self.q2 != self.q1:
-            raise ValueError("family a has q2 = q1 by definition")
-
-    @property
-    def q3(self) -> float:
-        return self.q1 if self.family == "a" else 0.0
-
-    @property
-    def q0(self) -> float:
-        rest = self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
-        return float(np.sqrt(max(1.0 - rest, 0.0)))
-
-    def validate(self) -> None:
-        if self.family == "a":
-            if not abs(self.q1) < 1.0 / np.sqrt(12.0):
-                raise OutOfValidityRegion(
-                    f"family a needs |q1| < 1/sqrt(12) ~ 0.2887, got {self.q1}"
-                )
-            return
-        s = abs(self.q1) + abs(self.q2)
-        if not s < 1.0 / np.sqrt(2.0):
-            raise OutOfValidityRegion(
-                f"family b needs |q1| + |q2| < 1/sqrt(2), got {s:.4f}"
-            )
-        if not (1.0 - s * s) * (1.0 - 2.0 * s * s) > 2.0 * abs(self.q1 * self.q2) * s * s:
-            raise OutOfValidityRegion(
-                f"family b region inequality fails at q1={self.q1}, q2={self.q2}"
-            )
-
-    def rotation(self) -> np.ndarray:
-        q0, q1, q2, q3 = self.q0, self.q1, self.q2, self.q3
-        return np.array(
-            [
-                [1 - 2 * (q2 * q2 + q3 * q3), 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
-                [2 * (q1 * q2 + q0 * q3), 1 - 2 * (q1 * q1 + q3 * q3), 2 * (q2 * q3 - q0 * q1)],
-                [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), 1 - 2 * (q1 * q1 + q2 * q2)],
-            ]
-        )
-
-
-def _hexahedron(params: HexahedronParams, b0: np.ndarray) -> tuple[AbstractPolyhedron, Realization]:
-    L = params.rotation()
+def _hexahedron(
+    q0: float, q1: float, q2: float, q3: float, b0: np.ndarray
+) -> tuple[AbstractPolyhedron, Realization]:
+    """The hexahedron on TETRA_BASE and b_i = b0 - L a_i, L the rotation of
+    the unit quaternion (q0, q1, q2, q3)."""
+    L = np.array(
+        [
+            [1 - 2 * (q2 * q2 + q3 * q3), 2 * (q1 * q2 - q0 * q3), 2 * (q1 * q3 + q0 * q2)],
+            [2 * (q1 * q2 + q0 * q3), 1 - 2 * (q1 * q1 + q3 * q3), 2 * (q2 * q3 - q0 * q1)],
+            [2 * (q1 * q3 - q0 * q2), 2 * (q2 * q3 + q0 * q1), 1 - 2 * (q1 * q1 + q2 * q2)],
+        ]
+    )
     verts = np.vstack([TETRA_BASE, [b0 - L @ a for a in TETRA_BASE]])
     poly = build_incidence(HEX_FACES)
     return poly, fit_realization(poly, verts, planarity_tol=1e-10)
 
 
+def _q0(q1: float, q2: float, q3: float) -> float:
+    """The root q0 >= 0 that makes (q0, q1, q2, q3) a unit quaternion."""
+    return float(np.sqrt(max(1.0 - (q1 ** 2 + q2 ** 2 + q3 ** 2), 0.0)))
+
+
 def hexahedron_family_a(q1: float) -> tuple[AbstractPolyhedron, Realization]:
-    """One-parameter family with 3-fold symmetry about the (1,1,1) axis."""
-    params = HexahedronParams("a", q1, q1)
-    params.validate()
+    """One-parameter family with 3-fold symmetry about the (1,1,1) axis:
+    rotation quaternion (q0, q1, q1, q1), valid for |q1| < 1/sqrt(12)."""
+    if not abs(q1) < 1.0 / np.sqrt(12.0):
+        raise OutOfValidityRegion(f"family a needs |q1| < 1/sqrt(12) ~ 0.2887, got {q1}")
     b = (1.0 - 4.0 * q1 * q1) / (1.0 - 6.0 * q1 * q1)
-    return _hexahedron(params, np.array([b, b, b]))
+    return _hexahedron(_q0(q1, q1, q1), q1, q1, q1, np.array([b, b, b]))
 
 
 def hexahedron_family_b(q1: float, q2: float) -> tuple[AbstractPolyhedron, Realization]:
     """Two-parameter family with a plane of symmetry (rotation axis in the
-    xy-plane)."""
-    params = HexahedronParams("b", q1, q2)
-    params.validate()
-    q0 = params.q0
+    xy-plane): rotation quaternion (q0, q1, q2, 0), valid where
+    s = |q1| + |q2| < 1/sqrt(2) and (1 - s^2)(1 - 2 s^2) > 2 |q1 q2| s^2."""
+    s = abs(q1) + abs(q2)
+    if not s < 1.0 / np.sqrt(2.0):
+        raise OutOfValidityRegion(f"family b needs |q1| + |q2| < 1/sqrt(2), got {s:.4f}")
+    if not (1.0 - s * s) * (1.0 - 2.0 * s * s) > 2.0 * abs(q1 * q2) * s * s:
+        raise OutOfValidityRegion(f"family b region inequality fails at q1={q1}, q2={q2}")
+    q0 = _q0(q1, q2, 0.0)
     b0 = np.array(
         [
             1.0 + q0 * q2 + q1 * q2 - q2 * q2 + 2.0 * q1 * q2 * q2 / q0,
@@ -252,5 +214,4 @@ def hexahedron_family_b(q1: float, q2: float) -> tuple[AbstractPolyhedron, Reali
             q0 * q0 + q0 * q1 - q0 * q2 + 2.0 * q1 * q2,
         ]
     )
-    return _hexahedron(params, b0)
-
+    return _hexahedron(q0, q1, q2, 0.0, b0)

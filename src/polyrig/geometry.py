@@ -286,7 +286,7 @@ def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.
         hinge.setdefault((f, g), (u, v, w, x))
     for d in dihedrals:
         if (d.f, d.g) not in hinge:
-            raise ValueError(f"faces {d.f} and {d.g} share no edge")
+            raise ValueError(f"dihedral faces {d.f} and {d.g} share no edge")
     return np.array([hinge[d.f, d.g] for d in dihedrals], dtype=np.intp)
 
 

@@ -31,7 +31,7 @@ from .pointsets import (
     diameter,
     measurement_value,
 )
-from .rigidity import numeric_rank
+from .rigidity import DEFAULT_TOL_REL, _perturbed_starts, numeric_rank
 
 __all__ = [
     "Angle",
@@ -121,7 +121,7 @@ class Sufficiency2DReport:
 def sufficiency2d(
     config: PointConfig2D,
     measurements: Sequence[SimpleMeasurement],
-    tol_rel: float = 1e-9,
+    tol_rel: float = DEFAULT_TOL_REL,
 ) -> Sufficiency2DReport:
     """First-order sufficiency: do the gradient rows span R^(2n-3)?
 
@@ -495,6 +495,7 @@ def octagon_distance_oracle(
     is the global evidence; one _sqp_max on the linkage's four distances
     refines its best point, and both angles and the midpoint distance are
     read from the refined points. A dropped refinement raises OracleInconclusive.
+    A negative `restarts` or `seed` raises ValueError.
     """
     reference = regular_polygon(8, 1.0).points
     kernel = MeasurementList(octagon_measurements())  # |A_3A_7| last
@@ -502,10 +503,7 @@ def octagon_distance_oracle(
     targets, regular_value = regular[:-1], regular[-1]
     diam = diameter(reference)
 
-    starts = np.array([
-        reference + 0.05 * diam * np.random.default_rng([seed, i]).standard_normal(reference.shape)
-        for i in range(restarts)
-    ]).reshape(restarts, 8, 2)
+    starts = _perturbed_starts(reference, 0.05 * diam, restarts, seed)
     points, residual = _sqp_max(kernel, targets, starts, max_step=diam)
     if not (residual <= 1e-10).any():
         raise OracleInconclusive("no SQP restart satisfied the 11 constraints")

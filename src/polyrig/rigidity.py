@@ -27,9 +27,12 @@ numeric rank.
 Every count is taken from a triangular factor when it can be proved:
 _nlsq._triangular_full_rank shows from R^-1 that a square R has sigma_min
 > 2 tol_rel sigma_1, so all its values clear the cutoff and no SVD is
-needed. The chart's QR, the rank test's R and a wide J Z's kernel (from a
-complete QR of (J Z)^T) each take that proof first, and an SVD only when it
-fails: a rank-deficient factor, or one too near the cutoff.
+needed. The rank test's R takes that proof first, and so does _kernel, the
+one rank-and-kernel step of the chart and of the flex witness's J Z (from a
+complete QR of the wide matrix's transpose); each takes an SVD only when it
+fails: a rank-deficient factor, or one too near the cutoff. The three mesh
+verdicts take their unit-diameter vertices, chart, CSR rows and target rank
+from one setup, _setup.
 
 The measurement rows never exist as a dense m x 3V matrix: they are taken
 as CSR (MeasurementList.sparse_jacobian, at most twelve nonzeros a row) and
@@ -204,6 +207,26 @@ def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, 
     return anchors, ids
 
 
+def _kernel(M: np.ndarray, tol_rel: float, keep: int = 0) -> tuple[int, np.ndarray]:
+    """The rank of M and an orthonormal basis of its kernel, as columns:
+    its first `keep` singular values count, and the rest count above
+    tol_rel times the largest of them.
+
+    A wide M has full row rank, and its kernel is Q_2, when
+    _triangular_full_rank proves R nonsingular with a margin in a complete
+    QR M^T = [Q_1 Q_2] [R; 0]. Any other M takes both from an SVD, a full
+    one for a wide M, whose kernel a thin Vt does not hold.
+    """
+    m, n = M.shape
+    if m < n:
+        Q, R = np.linalg.qr(M.T, mode="complete")
+        if _triangular_full_rank(R[:m], tol_rel):
+            return m, Q[:, m:]
+    _, s, Vt = np.linalg.svd(M, full_matrices=m < n)
+    rank = keep + _count_above(s[keep:], tol_rel)
+    return rank, Vt[rank:].T
+
+
 def _chart(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -227,13 +250,13 @@ def _chart(
     the motions, so their rank there is that of J Z, which the verdicts cut
     at its own sigma_1.
 
-    A has 2E - 3F + g = 3V - (E + 6 - g) rows (Euler), so a complete QR
-    A^T = [Q_A Q_Z] [R; 0] gives Z = Q_Z once _triangular_full_rank proves
-    the square R nonsingular with a margin: then sigma_min(A) > 2 tol_rel c
-    >= 2 tol_rel sigma_1(C), every value of C counts, and r is A's row
-    count. A triangulated mesh has no side rows, so A is Q^T and Z
-    completes Q, from one complete QR of G_x. An A the proof fails on takes
-    its count and Z from an SVD.
+    A has 2E - 3F + g = 3V - (E + 6 - g) rows (Euler), fewer than its 3V
+    columns, so _kernel(A, tol_rel, keep=g) gives r and Z: from a complete
+    QR of A^T once the square R is proved nonsingular with a margin (then
+    sigma_min(A) > 2 tol_rel c >= 2 tol_rel sigma_1(C), every value of C
+    counts, and r is A's row count), else from an SVD. A triangulated mesh
+    has no side rows, so A is Q^T and Z completes Q, from one complete QR
+    of G_x.
     """
     X = scaled.vertices
     anchors, side = _face_anchors(poly, X)
@@ -244,14 +267,7 @@ def _chart(
     C = rows.sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
-    r = len(A)
-    Q, R = np.linalg.qr(A.T, mode="complete")
-    if _triangular_full_rank(R[:r], tol_rel):
-        Z = Q[:, r:]
-    else:
-        _, s, Vt = np.linalg.svd(A, full_matrices=True)
-        r = g + _count_above(s[g:], tol_rel)
-        Z = Vt[r:].T
+    r, Z = _kernel(A, tol_rel, keep=g)
     return 3 * poly.face_count + r - g, Z, anchors, side
 
 
@@ -300,6 +316,21 @@ def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int)
     return kept
 
 
+def _setup(
+    poly: AbstractPolyhedron, real: Realization, measurements: Sequence[Measurement3D],
+    mode: str, tol_rel: float, allow_scale_variant: bool,
+) -> tuple[int, np.ndarray, sparse.csr_matrix, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The setup the three mesh verdicts share: (rank of d_phi, Z, S,
+    target, X, anchors, side). X are the vertices of the unit-diameter
+    realization, S the CSR measurement rows over X, target = 3E + 6 - g for
+    the motion group of _motion_dim, and the rest _chart's at X."""
+    g = _motion_dim(mode, measurements, allow_scale_variant)
+    scaled = _unit_diameter(real)
+    base, Z, anchors, side = _chart(poly, scaled, g, tol_rel)
+    S = mesh_kernel(poly, measurements).sparse_jacobian(scaled.vertices)
+    return base, Z, S, 3 * poly.edge_count + 6 - g, scaled.vertices, anchors, side
+
+
 @dataclass(frozen=True)
 class SufficiencyReport:
     mode: str
@@ -310,6 +341,19 @@ class SufficiencyReport:
     flex_dimension: int
     selected: tuple[Measurement3D, ...] | None
     tolerance_used: float
+
+
+def _report(
+    poly: AbstractPolyhedron, mode: str, rank: int, target: int,
+    selected: tuple[Measurement3D, ...] | None, tol_rel: float,
+) -> SufficiencyReport:
+    """The report of a verdict that reached `rank` of `target`, which no
+    verdict exceeds."""
+    return SufficiencyReport(
+        mode=mode, edge_count=poly.edge_count, achieved_rank=rank, target_rank=target,
+        sufficient=rank >= target, flex_dimension=target - rank, selected=selected,
+        tolerance_used=tol_rel,
+    )
 
 
 def is_sufficient(
@@ -339,10 +383,7 @@ def is_sufficient(
     _triangular_full_rank proves nonsingular with a margin counts all its
     E + 6 - g values with no SVD; any other R takes its count from one.
     """
-    g = _motion_dim(mode, measurements, allow_scale_variant)
-    scaled = _unit_diameter(real)
-    base, Z = _chart(poly, scaled, g, tol_rel)[:2]
-    S = mesh_kernel(poly, measurements).sparse_jacobian(scaled.vertices)
+    base, Z, S, target = _setup(poly, real, measurements, mode, tol_rel, allow_scale_variant)[:4]
     R = np.empty((0, Z.shape[1]))
     for block in _reduced_blocks(S, Z):
         R = np.linalg.qr(np.vstack([R, block]), mode="r")
@@ -350,17 +391,7 @@ def is_sufficient(
         rank = base + len(R)
     else:
         rank = base + _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
-    target = 3 * poly.edge_count + 6 - g
-    return SufficiencyReport(
-        mode=mode,
-        edge_count=poly.edge_count,
-        achieved_rank=rank,
-        target_rank=target,
-        sufficient=rank >= target,
-        flex_dimension=target - rank,
-        selected=None,
-        tolerance_used=tol_rel,
-    )
+    return _report(poly, mode, rank, target, None, tol_rel)
 
 
 def greedy_minimal_subset(
@@ -387,49 +418,15 @@ def greedy_minimal_subset(
     pool is sufficient, the selection has exactly targetRank - 2E elements:
     E measurements for congruence, E - 1 for similarity by angles.
     """
-    g = _motion_dim(mode, pool, allow_scale_variant)
     if not pool:
         raise ValueError("pool is empty")
-    scaled = _unit_diameter(real)
-    S = mesh_kernel(poly, pool).sparse_jacobian(scaled.vertices)
-    rank, Z = _chart(poly, scaled, g, tol_rel)[:2]
-    target = 3 * poly.edge_count + 6 - g
+    rank, Z, S, target = _setup(poly, real, pool, mode, tol_rel, allow_scale_variant)[:4]
     # Z has target - rank columns: a scan that starts at the target accepts nothing
-    selected = [pool[i] for i in _greedy_scan(S, Z, tol_rel, target - rank)]
-    rank += len(selected)
-
-    return SufficiencyReport(
-        mode=mode,
-        edge_count=poly.edge_count,
-        achieved_rank=rank,
-        target_rank=target,
-        sufficient=rank == target,
-        flex_dimension=target - rank,
-        selected=tuple(selected),
-        tolerance_used=tol_rel,
-    )
+    selected = tuple(pool[i] for i in _greedy_scan(S, Z, tol_rel, target - rank))
+    return _report(poly, mode, rank + len(selected), target, selected, tol_rel)
 
 
 # --- witnesses ----------------------------------------------------------------
-
-
-def _kernel(M: np.ndarray, tol_rel: float) -> tuple[int, np.ndarray]:
-    """The rank of M, its singular values counted above tol_rel sigma_1,
-    and an orthonormal basis of its kernel, as columns.
-
-    A wide M has full row rank, and its kernel is Q_2, when
-    _triangular_full_rank proves R nonsingular with a margin in a complete
-    QR M^T = [Q_1 Q_2] [R; 0]. Any other M takes both from an SVD, a full
-    one for a wide M, whose kernel a thin Vt does not hold.
-    """
-    m, n = M.shape
-    if m < n:
-        Q, R = np.linalg.qr(M.T, mode="complete")
-        if _triangular_full_rank(R[:m], tol_rel):
-            return m, Q[:, m:]
-    _, s, Vt = np.linalg.svd(M, full_matrices=m < n)
-    rank = _count_above(s, tol_rel)
-    return rank, Vt[rank:].T
 
 
 def flex_witness(
@@ -472,12 +469,11 @@ def flex_witness(
     """
     if not abs(step) > 1e-5:
         raise ValueError(f"|step| must exceed 1e-5, the witness radius; got {step:g}")
-    g = _motion_dim(mode, measurements, allow_scale_variant)
-    scaled = _unit_diameter(real)
-    X = scaled.vertices
-    base, Z, anchors, side = _chart(poly, scaled, g, tol_rel)
-    extra, K = _kernel(mesh_kernel(poly, measurements).sparse_jacobian(X) @ Z, tol_rel)
-    if base + extra >= 3 * poly.edge_count + 6 - g:
+    base, Z, S, target, X, anchors, side = _setup(
+        poly, real, measurements, mode, tol_rel, allow_scale_variant
+    )
+    extra, K = _kernel(S @ Z, tol_rel)
+    if base + extra >= target:
         raise NoKernelDirection("measurement set is sufficient; nothing to flex")
 
     ZK = Z @ K
@@ -489,14 +485,14 @@ def flex_witness(
     kernel = mesh_kernel(poly, list(measurements) + [Coplanar(*q) for q in side.tolist()])
     targets = kernel.values(X)
     targets[len(measurements):] = 0.0
-    target = 1e-10
+    residual = 1e-10
     W, ok = gauss_newton_project(
         lambda P: kernel.values(P) - targets, kernel.jacobian, X + step * u.reshape(-1, 3),
-        target=target, max_travel=100.0 * (abs(step) + 1.0),
+        target=residual, max_travel=100.0 * (abs(step) + 1.0),
     )
     if not ok:
-        raise ProjectionDiverged(f"projection did not reach residual {target:g}")
-    if align_distance(X, W) <= np.sqrt(target):
+        raise ProjectionDiverged(f"projection did not reach residual {residual:g}")
+    if align_distance(X, W) <= np.sqrt(residual):
         return None
     # each face's plane a.x = 1 through its anchor triple
     planes = np.linalg.solve(W[anchors], np.ones((poly.face_count, 3, 1)))[..., 0]
@@ -531,6 +527,20 @@ class PointWitnessReport:
     @property
     def determined(self) -> bool:
         return self.witness is None
+
+
+def _perturbed_starts(ref: np.ndarray, spread: float, restarts: int, seed: int) -> np.ndarray:
+    """The starts of a restart search, one (restarts, *ref.shape) batch:
+    restart i is ref plus Gaussian noise of scale `spread` from the
+    generator seeded by (seed, i). A negative `restarts` or `seed` raises
+    ValueError that names it."""
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+    return np.array([
+        ref + spread * np.random.default_rng([seed, i]).standard_normal(ref.shape)
+        for i in range(restarts)
+    ]).reshape(restarts, *ref.shape)
 
 
 def point_set_witness(
@@ -571,7 +581,8 @@ def point_set_witness(
     staircase polygon, say) do not refute anything.
 
     `coplanar` quadruples add side constraints [q-p, r-p, s-p] = 0 for 3D
-    searches whose claims presume planar faces.
+    searches whose claims presume planar faces. A negative `restarts` or
+    `seed` raises ValueError; no restarts at all raise NoConvergedRestarts.
     """
     if dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {dim}")
@@ -597,11 +608,7 @@ def point_set_witness(
     def resid(P: np.ndarray) -> np.ndarray:
         return kernel.values(P) - targets
 
-    def start(i: int) -> np.ndarray:
-        rng = np.random.default_rng([seed, i])
-        return ref + noise * diam * rng.standard_normal(ref.shape)
-
-    x0 = np.array([start(i) for i in range(restarts)]).reshape(restarts, *ref.shape)
+    x0 = _perturbed_starts(ref, noise * diam, restarts, seed)
     x, r, reason = lm_solve(
         resid, kernel.jacobian, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2
     )

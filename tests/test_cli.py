@@ -689,6 +689,36 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):
     assert code == 2 and "non-finite" in err
 
 
+# options, POLYRIG_SEED, and the message of a negative restart count or seed
+NEGATIVE_COUNTS = [
+    (["--restarts", "-3"], None, "restarts must be non-negative, got -3"),
+    (["--seed", "-1"], None, "seed must be non-negative, got -1"),
+    ([], "-2", "seed must be non-negative, got -2"),
+]
+
+
+@pytest.mark.parametrize("verb", ["witness", "octagon"])
+@pytest.mark.parametrize("options,env_seed,message", NEGATIVE_COUNTS)
+def test_negative_restarts_and_seeds_exit_2_by_name(
+    monkeypatch, capsys, tmp_path, verb, options, env_seed, message
+):
+    """A negative restart count or seed, from its option or from
+    POLYRIG_SEED, is an input error that names it, not a search that found
+    nothing or numpy's bare complaint about a negative seed."""
+    monkeypatch.delenv("POLYRIG_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("POLYRIG_SEED", env_seed)
+    if verb == "witness":
+        cfg = _write(tmp_path, "square.json", SQUARE_POINTS)
+        ms = _write(tmp_path, "sides.json", {"dim": 2, "measurements": [
+            {"type": "distance", "ids": [i, (i + 1) % 4]} for i in range(4)]})
+        argv = ["witness", cfg, "--measurements", ms]
+    else:
+        argv = ["polygon", "oracle", "octagon"]
+    code, out, err = run(capsys, *argv, *options)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 BAD_POINT_IDS = {
     "face-distance-3d": (3, {"type": "face_distance", "ids": [0, 1]}, "not a point measurement"),
     "past-the-end-2d": (2, {"type": "distance", "ids": [0, 9]}, "point id 9 out of range 0..3"),

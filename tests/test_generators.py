@@ -8,7 +8,6 @@ from polyrig.errors import OutOfValidityRegion, UnknownName
 from polyrig.generators import (
     HEX_FACES,
     TETRA_BASE,
-    HexahedronParams,
     faces_from_convex_vertices,
     hexahedron_family_a,
     hexahedron_family_b,
@@ -210,7 +209,11 @@ def _unit_cube_reference():
     return poly, fit_realization(poly, verts)
 
 
-@pytest.mark.parametrize("q1", [0.0, 0.1, -0.15, 0.2, 0.28])
+FAMILY_A_GRID = [0.0, 0.1, -0.15, 0.2, 0.28]
+FAMILY_B_GRID = [(0.0, 0.0), (0.1, 0.0), (0.0, 0.2), (0.15, 0.1), (-0.2, 0.1), (0.3, -0.2)]
+
+
+@pytest.mark.parametrize("q1", FAMILY_A_GRID)
 def test_family_a_all_diagonals_sqrt_two(q1):
     poly, real = hexahedron_family_a(q1)
     assert verify_equal_face_diagonals(poly, real) < 1e-10
@@ -241,10 +244,7 @@ def test_family_a_b_scalar_formula():
     assert np.abs(got - b).max() < 1e-12
 
 
-@pytest.mark.parametrize(
-    "q1,q2",
-    [(0.0, 0.0), (0.1, 0.0), (0.0, 0.2), (0.15, 0.1), (-0.2, 0.1), (0.3, -0.2)],
-)
+@pytest.mark.parametrize("q1,q2", FAMILY_B_GRID)
 def test_family_b_all_diagonals_sqrt_two(q1, q2):
     poly, real = hexahedron_family_b(q1, q2)
     assert verify_equal_face_diagonals(poly, real) < 1e-10
@@ -268,17 +268,23 @@ def test_family_b_validity_region(q1, q2):
         hexahedron_family_b(q1, q2)
 
 
-def test_hexahedron_params_validation():
-    with pytest.raises(ValueError):
-        HexahedronParams("c", 0.1, 0.1)
-    with pytest.raises(ValueError):
-        HexahedronParams("a", 0.1, 0.2)
-    p = HexahedronParams("b", 0.1, 0.2)
-    assert p.q3 == 0.0
-    assert p.q0 == pytest.approx(np.sqrt(1.0 - 0.01 - 0.04))
-    R = p.rotation()
-    assert np.abs(R @ R.T - np.eye(3)).max() < 1e-12
-    assert np.linalg.det(R) == pytest.approx(1.0)
+def _signed_volume(p: np.ndarray) -> float:
+    return float(np.linalg.det(p[1:] - p[0]))
+
+
+@pytest.mark.parametrize(
+    "build,params",
+    [(hexahedron_family_a, (q1,)) for q1 in FAMILY_A_GRID]
+    + [(hexahedron_family_b, q) for q in FAMILY_B_GRID],
+    ids=[f"a{q1}" for q1 in FAMILY_A_GRID] + [f"b{q1},{q2}" for q1, q2 in FAMILY_B_GRID],
+)
+def test_hexahedron_rotation_is_proper(build, params):
+    """b_i - b_0 = -L (a_i - a_0), so the tetrahedron b_0..b_3 has the
+    signed volume of a_0..a_3 times -det L: negated exactly when L is a
+    rotation, det L = +1, not a reflection."""
+    _, real = build(*params)
+    a, b = real.vertices[:4], real.vertices[4:]
+    assert _signed_volume(b) == pytest.approx(-_signed_volume(a), rel=1e-12)
 
 
 def test_verify_equal_face_diagonals_needs_quads():

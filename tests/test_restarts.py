@@ -19,7 +19,7 @@ from polyrig.pointsets import (
     align_distance,
     diameter,
 )
-from polyrig.polygon import staircase_measurements, staircase_polygon
+from polyrig.polygon import octagon_distance_oracle, staircase_measurements, staircase_polygon
 from polyrig.rigidity import point_set_witness
 
 SQUARE = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
@@ -339,3 +339,12 @@ def test_no_restarts_is_no_converged_restart():
     dim, ref, ms, _ = CASES["square-four"]
     with pytest.raises(NoConvergedRestarts):
         point_set_witness(dim, ref, ms, restarts=0)
+
+
+@pytest.mark.parametrize("restarts,seed,name", [(-3, 0, "restarts"), (4, -1, "seed")])
+def test_negative_restarts_or_seed_is_a_value_error(restarts, seed, name):
+    dim, ref, ms, _ = CASES["square-four"]
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        point_set_witness(dim, ref, ms, restarts=restarts, seed=seed)
+    with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        octagon_distance_oracle(restarts=restarts, seed=seed)
