@@ -17,9 +17,6 @@ from .geometry import (
     build_pool,
     evaluate_all,
     fit_realization,
-    gradient_rows,
-    phi,
-    d_phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence
 from .offio import read_off
@@ -66,12 +63,10 @@ __all__ = [
     "align_distance",
     "build_incidence",
     "build_pool",
-    "d_phi",
     "errors",
     "evaluate_all",
     "fit_realization",
     "flex_witness",
-    "gradient_rows",
     "greedy_minimal_subset",
     "hexahedron_family_a",
     "hexahedron_family_b",
@@ -79,7 +74,6 @@ __all__ = [
     "max_diagonal_oracle",
     "numeric_rank",
     "octagon_distance_oracle",
-    "phi",
     "platonic",
     "point_set_witness",
     "read_off",

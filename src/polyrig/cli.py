@@ -22,9 +22,8 @@ import numpy as np
 
 from . import generators, polygon
 from .errors import NoKernelDirection, ParseError, PolyrigError
+from .generators import PLATONIC_NAMES
 from .geometry import (
-    DihedralAngle,
-    FaceAngle,
     FaceDistance,
     MEASUREMENT_POOLS,
     Realization,
@@ -35,6 +34,7 @@ from .geometry import (
 )
 from .incidence import AbstractPolyhedron, build_incidence
 from .offio import (
+    MEASUREMENT_TYPES,
     json_dumps,
     measurement_to_dict,
     off_text,
@@ -42,7 +42,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, DiagonalAngle, Distance, _unit, align_distance, measurement_value
+from .pointsets import Angle, _unit, align_distance, measurement_value
 from .rigidity import (
     CONGRUENCE,
     DEFAULT_TOL_REL,
@@ -53,12 +53,7 @@ from .rigidity import (
     point_set_witness,
 )
 
-POOL_CHOICES = sorted(MEASUREMENT_POOLS) + ["all"]
-PLATONIC_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 GENERATE_NAMES = PLATONIC_NAMES + ("hexa-a", "hexa-b", "staircase-ngon", "regular-ngon")
-# what the ids of each measurement refer to
-_ID_KIND = {FaceDistance: "vertex", FaceAngle: "vertex", DihedralAngle: "face",
-            Distance: "point", Angle: "point", DiagonalAngle: "point"}
 
 
 def _finite_float(text: str) -> float:
@@ -70,12 +65,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
-
-
-def _check_tol(tol: float) -> float:
-    if not 0.0 < tol < 1.0:
-        raise ParseError(f"tolerance must lie in (0, 1), got {tol}")
-    return tol
 
 
 def _write(text: str, out: str | None) -> None:
@@ -129,7 +118,7 @@ def _check_ids(ms: Sequence, bounds: dict[str, int], hint: str) -> None:
     which maps a kind to its count, each id in 0..count - 1; `hint` says
     which measurements the input takes."""
     for m in ms:
-        kind = _ID_KIND[type(m)]
+        kind = MEASUREMENT_TYPES[type(m)][1]
         if kind not in bounds:
             raise ParseError(f"{type(m).__name__} is not a {hint}")
         for i in dataclasses.astuple(m):
@@ -220,20 +209,16 @@ def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
 # --- verbs -------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    _check_tol(args.tol)
+def cmd_pool(args) -> int:
+    """analyze (a rank test) or select (a greedy selection) of a pool."""
     poly, real = _load_mesh(args.input)
-    return _mesh_verdict(args, is_sufficient, poly, real, build_pool(poly, args.pool))
-
-
-def cmd_select(args) -> int:
-    _check_tol(args.tol)
-    poly, real = _load_mesh(args.input)
-    return _mesh_verdict(args, greedy_minimal_subset, poly, real, build_pool(poly, args.pool))
+    # looked up at each call, not bound at parser build: the parser is
+    # cached, and a caller may replace the verdict on this module
+    verdict = is_sufficient if args.verb == "analyze" else greedy_minimal_subset
+    return _mesh_verdict(args, verdict, poly, real, build_pool(poly, args.pool))
 
 
 def cmd_check(args) -> int:
-    _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     if _is_mesh_path(args.input):
         return _mesh_verdict(args, is_sufficient, *_load_mesh_for(args.input, dim, ms), ms)
@@ -271,7 +256,6 @@ def _parse_angles(spec: str | None, needed: int) -> list[float]:
 
 
 def cmd_witness(args) -> int:
-    tol = _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     if _is_mesh_path(args.input):
         poly, real = _load_mesh_for(args.input, dim, ms)
@@ -282,7 +266,7 @@ def cmd_witness(args) -> int:
                 ms,
                 args.mode,
                 step=args.step,
-                tol_rel=tol,
+                tol_rel=args.tol,
                 allow_scale_variant=args.allow_scale_variant,
             )
         except NoKernelDirection:
@@ -334,7 +318,6 @@ def cmd_witness(args) -> int:
 
 
 def cmd_polygon_analyze(args) -> int:
-    _check_tol(args.tol)
     dim, ms = parse_measurement_set(_load_json(args.measurements))
     return _sufficiency2d_verdict(args, dim, ms)
 
@@ -357,15 +340,16 @@ def cmd_polygon_oracle(args) -> int:
         )
     elif which == "max-diag":
         value, argmax = polygon.max_diagonal_oracle(args.bd, args.theta1, args.theta2)
-        a, b, c, d = argmax
+        unit = _unit(argmax)  # the sides at unit size, where no square overflows
+        a, b, c, d = argmax / unit
         _emit(
             {
                 "maxDiagonal": value,
                 "argmax": argmax.tolist(),
-                "ab": float(np.linalg.norm(a - b)),
-                "ad": float(np.linalg.norm(a - d)),
-                "cb": float(np.linalg.norm(c - b)),
-                "cd": float(np.linalg.norm(c - d)),
+                "ab": float(np.linalg.norm(a - b)) * unit,
+                "ad": float(np.linalg.norm(a - d)) * unit,
+                "cb": float(np.linalg.norm(c - b)) * unit,
+                "cd": float(np.linalg.norm(c - d)) * unit,
             },
             args.out,
         )
@@ -408,7 +392,7 @@ def cmd_polygon_staircase(args) -> int:
 def _add_common(p: argparse.ArgumentParser, pool: bool = False) -> None:
     p.add_argument("--mode", choices=[CONGRUENCE, SIMILARITY], default=CONGRUENCE)
     if pool:
-        p.add_argument("--pool", choices=POOL_CHOICES, default="face-distances")
+        p.add_argument("--pool", choices=sorted(MEASUREMENT_POOLS), default="face-distances")
     p.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL_REL)
     p.add_argument("--out", default=None)
     p.add_argument("--allow-scale-variant", action="store_true")
@@ -446,15 +430,12 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("analyze", help="rank test of a measurement pool on an OFF mesh")
-    p.add_argument("input")
-    _add_common(p, pool=True)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("select", help="greedy minimal sufficient subset from a pool")
-    p.add_argument("input")
-    _add_common(p, pool=True)
-    p.set_defaults(func=cmd_select)
+    for verb, text in (("analyze", "rank test of a measurement pool on an OFF mesh"),
+                       ("select", "greedy minimal sufficient subset from a pool")):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("input")
+        _add_common(p, pool=True)
+        p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("check", help="evaluate an explicit measurement set")
     p.add_argument("input", help="OFF mesh or point-config JSON")
@@ -525,15 +506,14 @@ def _parser(seed_default: str) -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "tol" in args and not 0.0 < args.tol < 1.0:
+            raise ParseError(f"tolerance must lie in (0, 1), got {args.tol}")
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PolyrigError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

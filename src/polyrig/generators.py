@@ -129,6 +129,7 @@ _PLATONIC = {
     "dodecahedron": _dodecahedron_coords,
     "icosahedron": _icosahedron_coords,
 }
+PLATONIC_NAMES = tuple(_PLATONIC)
 
 
 def platonic(name: str, scale: float = 1.0) -> tuple[AbstractPolyhedron, Realization]:

@@ -149,19 +149,14 @@ MEASUREMENT_POOLS = {
     "dihedrals": dihedral_pool,
     "edges-only": edge_pool,
     "face-diagonals": face_diagonal_pool,
+    "all": lambda poly: face_distance_pool(poly) + face_angle_pool(poly) + dihedral_pool(poly),
 }
 
 
 def build_pool(poly: AbstractPolyhedron, name: str) -> list[Measurement3D]:
-    if name == "all":
-        return face_distance_pool(poly) + face_angle_pool(poly) + dihedral_pool(poly)
-    try:
-        return MEASUREMENT_POOLS[name](poly)
-    except KeyError:
-        raise ValueError(
-            f"unknown pool {name!r}; choose from "
-            f"{sorted(MEASUREMENT_POOLS) + ['all']}"
-        ) from None
+    if name not in MEASUREMENT_POOLS:
+        raise ValueError(f"unknown pool {name!r}; choose from {sorted(MEASUREMENT_POOLS)}")
+    return MEASUREMENT_POOLS[name](poly)
 
 
 # --- realization construction ----------------------------------------------

@@ -17,18 +17,6 @@ from .errors import ParseError
 from .geometry import DihedralAngle, FaceAngle, FaceDistance, Measurement3D
 from .pointsets import Angle, Coplanar, DiagonalAngle, Distance, SimpleMeasurement
 
-__all__ = [
-    "format_float",
-    "json_dumps",
-    "off_text",
-    "read_off",
-    "measurement_to_dict",
-    "measurement_from_dict",
-    "measurements_to_json",
-    "parse_measurement_set",
-    "parse_point_config",
-]
-
 
 def format_float(x: float) -> str:
     """17 significant digits; enough to reproduce any double exactly."""
@@ -171,44 +159,43 @@ def read_off(text: str) -> tuple[np.ndarray, list[tuple[int, ...]]]:
 
 # --- measurement sets ----------------------------------------------------------
 
-_TYPE_BY_CLASS = {
-    FaceDistance: "face_distance",
-    FaceAngle: "face_angle",
-    DihedralAngle: "dihedral",
-    Distance: "distance",
-    Angle: "angle",
-    DiagonalAngle: "diagonal_angle",
+# each measurement class: its JSON "type", and what its ids number
+MEASUREMENT_TYPES = {
+    FaceDistance: ("face_distance", "vertex"),
+    FaceAngle: ("face_angle", "vertex"),
+    DihedralAngle: ("dihedral", "face"),
+    Distance: ("distance", "point"),
+    Angle: ("angle", "point"),
+    DiagonalAngle: ("diagonal_angle", "point"),
 }
-_CLASS_BY_TYPE = {
-    name: (cls, len(dataclasses.fields(cls))) for cls, name in _TYPE_BY_CLASS.items()
-}
+_CLASS_BY_TYPE = {name: cls for cls, (name, _) in MEASUREMENT_TYPES.items()}
 
 
 def measurement_to_dict(m: Measurement3D | SimpleMeasurement) -> dict:
-    name = _TYPE_BY_CLASS.get(type(m))
-    if name is None:
+    entry = MEASUREMENT_TYPES.get(type(m))
+    if entry is None:
         raise TypeError(f"not a serializable measurement: {type(m).__name__}")
     ids = [getattr(m, f.name) for f in dataclasses.fields(m)]
-    return {"type": name, "ids": ids}
+    return {"type": entry[0], "ids": ids}
 
 
 def measurement_from_dict(obj: dict) -> Measurement3D | SimpleMeasurement:
     if not isinstance(obj, dict) or "type" not in obj or "ids" not in obj:
         raise ParseError(f"measurement must be {{'type', 'ids'}}, got {obj!r}")
-    entry = _CLASS_BY_TYPE.get(obj["type"])
-    if entry is None:
+    name = obj["type"]
+    if not isinstance(name, str) or name not in _CLASS_BY_TYPE:
         raise ParseError(
-            f"unknown measurement type {obj['type']!r}; "
-            f"expected one of {sorted(_CLASS_BY_TYPE)}"
+            f"unknown measurement type {name!r}; expected one of {sorted(_CLASS_BY_TYPE)}"
         )
-    cls, arity = entry
+    cls = _CLASS_BY_TYPE[name]
+    arity = len(dataclasses.fields(cls))
     ids = obj["ids"]
     if (
         not isinstance(ids, (list, tuple))
         or len(ids) != arity
         or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids)
     ):
-        raise ParseError(f"{obj['type']} needs {arity} integer ids, got {ids!r}")
+        raise ParseError(f"{name} needs {arity} integer ids, got {ids!r}")
     return cls(*ids)
 
 
@@ -239,12 +226,11 @@ def parse_measurement_set(obj: Any) -> tuple[int, list]:
         raise ParseError("'measurements' must be a nonempty list")
     ms = [measurement_from_dict(o) for o in raw]
     if dim == 2:
-        simple = {"distance", "angle", "diagonal_angle"}
-        for o in raw:
-            if o["type"] not in simple:
-                raise ParseError(
-                    f"{o['type']} is a mesh measurement; dim 2 takes {sorted(simple)}"
-                )
+        for m in ms:
+            name, kind = MEASUREMENT_TYPES[type(m)]
+            if kind != "point":
+                simple = sorted(n for n, k in MEASUREMENT_TYPES.values() if k == "point")
+                raise ParseError(f"{name} is a mesh measurement; dim 2 takes {simple}")
     return dim, ms
 
 
@@ -256,16 +242,22 @@ def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:
     raw = obj.get("points")
     if not isinstance(raw, list) or len(raw) < 2:
         raise ParseError("'points' must list at least two points")
+    if not all(isinstance(p, list) and len(p) == dim for p in raw):
+        raise ParseError(f"each point needs exactly {dim} coordinates")
+    # a JSON string or bool is no coordinate, though numpy would read one
+    if not all(type(c) in (int, float) for p in raw for c in p):
+        raise ParseError("non-numeric point coordinate")
     try:
         pts = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError("non-numeric point coordinate") from exc
+    except OverflowError as exc:
+        raise ParseError("non-finite point coordinate") from exc
     if not np.isfinite(pts).all():
         raise ParseError("non-finite point coordinate")
-    if pts.ndim != 2 or pts.shape[1] != dim:
-        raise ParseError(f"each point needs exactly {dim} coordinates")
+    quads = obj.get("coplanar", [])
+    if not isinstance(quads, list):
+        raise ParseError(f"'coplanar' must be a list, got {quads!r}")
     coplanar: list[Coplanar] = []
-    for quad in obj.get("coplanar", []):
+    for quad in quads:
         if (
             not isinstance(quad, (list, tuple))
             or len(quad) != 4

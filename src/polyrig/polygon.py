@@ -28,28 +28,11 @@ from .pointsets import (
     SimpleMeasurement,
     _dot,
     _norm,
+    _unit,
     diameter,
     measurement_value,
 )
 from .rigidity import DEFAULT_TOL_REL, _perturbed_starts, numeric_rank
-
-__all__ = [
-    "Angle",
-    "DiagonalAngle",
-    "Distance",
-    "SimpleMeasurement",
-    "PointConfig2D",
-    "Sufficiency2DReport",
-    "OctagonReport",
-    "sufficiency2d",
-    "square_angle_oracle",
-    "right_angle_quad_oracle",
-    "max_diagonal_oracle",
-    "staircase_polygon",
-    "staircase_measurements",
-    "octagon_distance_oracle",
-    "regular_polygon",
-]
 
 GRID = 64  # grid points per angular parameter when seeding an oracle
 NEWTON_GTOL = 1e-13  # |gradient|_inf at which an oracle's Newton iteration stops
@@ -174,12 +157,19 @@ def _grid_max(
     is halved until f does not fall. The iteration stops at |g|_inf <=
     NEWTON_GTOL, when a step makes f fall by at most FLOOR_ULPS ulp (f is
     then at its rounding floor, where halving only repeats the fall), when
-    no halving keeps f from falling, or after NEWTON_MAXITER steps.
-    Returns (max value, argmax points).
+    no halving keeps f from falling, or after NEWTON_MAXITER steps. It all
+    runs at unit size: the points, centers and radii are divided by the
+    power of two just above their largest absolute value, so that the stop
+    at NEWTON_GTOL does not depend on the unit of length, and no square
+    overflows or underflows. Returns (max value, argmax points), scaled
+    back.
     """
     kernel = MeasurementList([measurement])
     rows, centers, radii = (np.array(x) for x in zip(*movers))
     n = len(fixed)
+    unit = _unit(np.concatenate([fixed.ravel(), centers.ravel(), radii]))
+    fixed, centers, radii = fixed / unit, centers / unit, radii / unit
+    scale = unit if isinstance(measurement, Distance) else 1.0  # the value's unit
 
     def config(p: np.ndarray) -> np.ndarray:
         pts = np.array(np.broadcast_to(fixed, p.shape[:-1] + fixed.shape))
@@ -214,16 +204,16 @@ def _grid_max(
         while True:
             q = p + step
             if (q == p).all():
-                return float(f), pts
+                return float(f) * scale, pts * unit
             q_pts = config(q)
             q_f = kernel.values(q_pts)[0]
             if q_f >= f:
                 break
             if f - q_f <= FLOOR_ULPS * np.spacing(f):
-                return float(f), pts  # f is at its rounding floor
+                return float(f) * scale, pts * unit  # f is at its rounding floor
             step = step / 2.0
         p, pts, f = q, q_pts, q_f
-    return float(f), pts
+    return float(f) * scale, pts * unit
 
 
 def _require_finite(**params: float) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ def cube_off(tmp_path):
 
 
 def test_generate_writes_valid_off(cube_off):
-    coords, faces = read_off(open(cube_off).read())
+    coords, faces = read_off(Path(cube_off).read_text())
     assert coords.shape == (8, 3)
     assert len(faces) == 6
     lengths = {
@@ -180,7 +181,7 @@ def test_select_is_deterministic(tmp_path, cube_off):
 
 
 def test_check_mesh_measurement_set(capsys, tmp_path, cube_off):
-    coords, faces = read_off(open(cube_off).read())
+    coords, faces = read_off(Path(cube_off).read_text())
     from polyrig.generators import faces_from_convex_vertices  # labeling match
     from polyrig.geometry import build_pool, fit_realization
     from polyrig.incidence import build_incidence
@@ -253,7 +254,7 @@ def test_check_point_config(capsys, tmp_path):
 
 
 def test_witness_mesh_flexes_edges(capsys, tmp_path, cube_off):
-    coords, faces = read_off(open(cube_off).read())
+    coords, faces = read_off(Path(cube_off).read_text())
     from polyrig.geometry import build_pool
     from polyrig.incidence import build_incidence
 
@@ -278,7 +279,7 @@ def test_witness_mesh_flexes_edges(capsys, tmp_path, cube_off):
 def test_witness_step_within_the_witness_radius_exits_2(capsys, tmp_path, cube_off, step):
     # the cube's 12 edges flex, but a step of at most 1e-5 cannot move a
     # vertex past the 1e-5 radius a witness must clear
-    _, faces = read_off(open(cube_off).read())
+    _, faces = read_off(Path(cube_off).read_text())
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, err = run(capsys, "witness", cube_off, "--measurements", str(ms), f"--step={step}")
@@ -288,7 +289,7 @@ def test_witness_step_within_the_witness_radius_exits_2(capsys, tmp_path, cube_o
 
 @pytest.mark.parametrize("step", ["3e-5", "-0.01"])
 def test_witness_step_beyond_the_witness_radius_flexes(capsys, tmp_path, cube_off, step):
-    _, faces = read_off(open(cube_off).read())
+    _, faces = read_off(Path(cube_off).read_text())
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, _ = run(capsys, "witness", cube_off, "--measurements", str(ms), f"--step={step}")
@@ -301,7 +302,7 @@ def test_witness_step_beyond_the_witness_radius_flexes(capsys, tmp_path, cube_of
 def test_witness_reads_a_negative_step_in_exponent_form(capsys, tmp_path, cube_off, step):
     # argparse's own negative-number pattern takes -1 and -0.01 but not
     # -1e-2, which it reads as an option: "argument --step: expected one argument"
-    _, faces = read_off(open(cube_off).read())
+    _, faces = read_off(Path(cube_off).read_text())
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, _ = run(capsys, "witness", cube_off, "--measurements", str(ms), *step)
@@ -328,7 +329,7 @@ def test_similarity_distances_error_names_the_cli_flag(capsys, tmp_path, cube_of
     from polyrig.geometry import build_pool
     from polyrig.incidence import build_incidence
 
-    _, faces = read_off(open(cube_off).read())
+    _, faces = read_off(Path(cube_off).read_text())
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, err = run(
@@ -405,7 +406,7 @@ def test_seed_env_override(monkeypatch):
 
 def test_one_parser_serves_every_call(monkeypatch, capsys, tmp_path, cube_off):
     monkeypatch.delenv("POLYRIG_SEED", raising=False)
-    poly = build_incidence(read_off(open(cube_off).read())[1])
+    poly = build_incidence(read_off(Path(cube_off).read_text())[1])
     edges = tmp_path / "edges.json"
     edges.write_text(measurements_to_json(3, build_pool(poly, "edges-only")))
     progs = []
@@ -684,9 +685,64 @@ def test_malformed_inputs_exit_2(capsys, tmp_path, cube_off):
     assert code == 2
 
     nan_off = tmp_path / "nan.off"
-    nan_off.write_text(open(cube_off).read().replace("0.5", "nan", 1))
+    nan_off.write_text(Path(cube_off).read_text().replace("0.5", "nan", 1))
     code, _, err = run(capsys, "analyze", str(nan_off))
     assert code == 2 and "non-finite" in err
+
+
+SQUARE_SIDES = {"dim": 2, "measurements": [
+    {"type": "distance", "ids": [i, (i + 1) % 4]} for i in range(4)]}
+
+# JSON that parses but is no input: (point config, measurement set, message)
+MALFORMED_JSON = {
+    "list-type": (SQUARE_POINTS, {"dim": 2, "measurements": [
+        {"type": ["distance"], "ids": [0, 1]}]}, "unknown measurement type"),
+    "object-type": (SQUARE_POINTS, {"dim": 2, "measurements": [
+        {"type": {"distance": 1}, "ids": [0, 1]}]}, "unknown measurement type"),
+    "number-coplanar": ({**SQUARE_POINTS, "coplanar": 5}, SQUARE_SIDES,
+                        "'coplanar' must be a list"),
+    "null-coplanar": ({**SQUARE_POINTS, "coplanar": None}, SQUARE_SIDES,
+                      "'coplanar' must be a list"),
+    "string-and-bool-coordinates": (
+        {"dim": 2, "points": [["0", "0"], [True, False], [0, 1], [1, 1]]}, SQUARE_SIDES,
+        "non-numeric point coordinate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+@pytest.mark.parametrize("verb", [["check"], ["polygon", "analyze"], ["witness"]],
+                         ids=lambda v: "-".join(v))
+def test_malformed_json_exits_2(capsys, tmp_path, case, verb):
+    """Malformed JSON is an input error: exit 2 and nothing on stdout, not a
+    TypeError's exit 1 (the code of a negative verdict), nor a string or bool
+    read as a number."""
+    config, measurements, message = MALFORMED_JSON[case]
+    cfg = _write(tmp_path, "cfg.json", config)
+    ms = _write(tmp_path, "ms.json", measurements)
+    code, out, err = run(capsys, *verb, cfg, "--measurements", ms,
+                         *(["--restarts", "4"] if verb == ["witness"] else []))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_pool_verbs_call_the_verdicts_the_module_holds(monkeypatch, capsys, cube_off):
+    """analyze and select call the is_sufficient and greedy_minimal_subset
+    found on polyrig.cli when they run, also through the cached parser, so a
+    wrapper put on the module sees every verdict."""
+    monkeypatch.delenv("POLYRIG_SEED", raising=False)
+    build_parser()  # the cached parser predates the wrappers
+    calls = []
+    for name in ("is_sufficient", "greedy_minimal_subset"):
+        def wrapped(*args, _name=name, _verdict=getattr(polyrig.cli, name), **kwargs):
+            calls.append(_name)
+            return _verdict(*args, **kwargs)
+
+        monkeypatch.setattr(polyrig.cli, name, wrapped)
+    for _ in range(2):
+        assert main(["analyze", cube_off]) == 0
+        assert main(["select", cube_off]) == 0
+    capsys.readouterr()
+    assert calls == ["is_sufficient", "greedy_minimal_subset"] * 2
 
 
 # options, POLYRIG_SEED, and the message of a negative restart count or seed
@@ -753,7 +809,7 @@ def test_point_config_measurement_ids_are_checked(capsys, tmp_path, verb, case):
 
 
 def test_dihedral_of_faces_without_a_common_edge_exits_2(capsys, tmp_path, cube_off):
-    _, faces = read_off(open(cube_off).read())
+    _, faces = read_off(Path(cube_off).read_text())
     adjacent = build_incidence(faces).adjacent_faces()
     f, g = next((f, g) for f in range(6) for g in range(f + 1, 6) if (f, g) not in adjacent)
     ms = _write(tmp_path, "opposite.json", {"dim": 3, "measurements": [
@@ -770,7 +826,7 @@ def test_witness_of_a_first_order_flex_only_exits_0(capsys, tmp_path):
     witness is reported."""
     off = str(tmp_path / "dodeca.off")
     assert main(["generate", "dodecahedron", "--out", off]) == 0
-    _, faces = read_off(open(off).read())
+    _, faces = read_off(Path(off).read_text())
     ms = tmp_path / "edges.json"
     ms.write_text(measurements_to_json(3, build_pool(build_incidence(faces), "edges-only")))
     code, out, _ = run(capsys, "witness", off, "--measurements", str(ms))

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrig.errors import ParseError
 from polyrig.generators import platonic
@@ -199,3 +201,41 @@ def test_dim_must_be_the_integer_2_or_3(dim):
         parse_measurement_set({"dim": dim, "measurements": [{"type": "distance", "ids": [0, 1]}]})
     with pytest.raises(ParseError, match="'dim' must be 2 or 3"):
         parse_point_config({"dim": dim, "points": [[0, 0, 0], [1, 0, 0]]})
+
+
+# arbitrary JSON values, with dims near 2 and 3, strings and bools where
+# numbers belong, and non-finite and overflowing numbers
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-1, 4) | st.integers() | st.just(10**400)
+    | st.floats() | st.sampled_from(["distance", "angle", "face_distance", "dihedral", "0"])
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=30,
+)
+
+
+def _object(**fields):
+    """JSON objects with some of `fields` (key: strategy), each value either
+    drawn from its strategy or any JSON value."""
+    return st.fixed_dictionaries({}, optional={k: v | JSON_VALUES for k, v in fields.items()})
+
+
+_DIM = st.sampled_from([2, 3])
+_IDS = st.lists(st.integers(-1, 4) | _SCALARS, max_size=5)
+MEASUREMENT_SETS = _object(dim=_DIM, measurements=st.lists(
+    _object(type=st.sampled_from(["distance", "angle", "face_angle"]) | _SCALARS, ids=_IDS),
+    min_size=1, max_size=4))
+POINT_CONFIGS = _object(
+    dim=_DIM, points=st.lists(st.lists(_SCALARS, max_size=4), max_size=5), coplanar=st.lists(_IDS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES | MEASUREMENT_SETS | POINT_CONFIGS)
+def test_parsers_raise_only_parse_error(obj):
+    for parse in (parse_measurement_set, parse_point_config):
+        try:
+            parse(obj)
+        except ParseError:
+            pass

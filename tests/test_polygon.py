@@ -242,6 +242,22 @@ def test_max_diagonal_oracle_scales_linearly():
         max_diagonal_oracle(1.0, 1.7, 0.9)  # obtuse
 
 
+def test_grid_oracles_do_not_depend_on_the_unit_of_length():
+    """The grid oracles run at unit size, so that at every d = 10^k from
+    1e-300 to 1e300 they return their d = 1 values (a length's times d)
+    well within a second; max|AC| / bd at bd = 1e-20 once stopped 1.7e-4
+    short, on a gradient test that scaled with bd."""
+    unit = (square_angle_oracle(1.0), right_angle_quad_oracle(0.6, 0.8, 1.5),
+            max_diagonal_oracle(1.0, 0.7, 0.9))
+    for k in range(-300, 301):
+        d = 10.0 ** k
+        scaled = (square_angle_oracle(d), right_angle_quad_oracle(0.6 * d, 0.8 * d, 1.5 * d),
+                  max_diagonal_oracle(d, 0.7, 0.9))
+        for (v1, a1), (v, a), length in zip(unit, scaled, (1.0, 1.0, d)):
+            assert v / length == pytest.approx(v1, rel=1e-12), k
+            assert np.isfinite(a).all() and a / d == pytest.approx(a1, rel=1e-6, abs=1e-6), k
+
+
 # staircase polygons ----------------------------------------------------------
 
 
