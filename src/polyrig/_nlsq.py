@@ -257,9 +257,12 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
     return bool(mu >= (2.0 * tol) ** 2 * s + 2.0 * eps)
 
 
-def _triangular_full_rank(R: np.ndarray, tol: float) -> bool:
+def _triangular_full_rank(R: np.ndarray, tol: float, sigma_1: float | None = None) -> bool:
     """Whether the inverse of a square upper-triangular R proves that R is
     nonsingular with a margin, sigma_n > 2 tol sigma_1; R is not changed.
+    sigma_1 is R's own largest singular value, or, when given, an absolute
+    threshold: a bound, in R's units, on the largest singular value of a
+    matrix that R stands for.
 
     T is R scaled by a power of two so that its largest entry lies in
     [1/2, 1), which changes no ratio of singular values, and X = fl(T^-1)
@@ -281,6 +284,9 @@ def _triangular_full_rank(R: np.ndarray, tol: float) -> bool:
     the rounding of the two sums of n^2 squares, their square roots and
     the product. The proof holds when 1 - 2 delta > 2 tol p; the second
     delta, at least gamma_2 as p >= 1, covers the rounding of the test.
+    With a given sigma_1 the test takes p = fl(||X||_F) sigma_1 2^-e (1 +
+    gamma_{n^2 + 3}) in its place, 2^e the scaling of T, as sigma_n(R) =
+    2^e sigma_n(T) >= 2^e (1 - delta) / ||X||_F.
     Underflow, not counted above, adds at most 2^-1074 per operation, far
     below delta. An exactly singular or non-finite inverse, a matrix that
     is not square, zero or not finite returns False, and nothing is
@@ -293,11 +299,14 @@ def _triangular_full_rank(R: np.ndarray, tol: float) -> bool:
     top = np.abs(R).max(initial=0.0)
     if not 0.0 < top < np.inf:
         return False
-    T = np.ldexp(R, -np.frexp(top)[1])
+    e = np.frexp(top)[1]
+    T = np.ldexp(R, -e)
     X, info = dtrtri(T)
     if info != 0 or not np.isfinite(X).all():
         return False
     X = np.triu(X)
     p = np.linalg.norm(X) * np.linalg.norm(T) * (1.0 + _gamma(2 * n * n + 3))
     delta = _gamma(n + 1) * p
+    if sigma_1 is not None:
+        p = np.linalg.norm(X) * np.ldexp(sigma_1, -e) * (1.0 + _gamma(n * n + 3))
     return bool(1.0 - 2.0 * delta > 2.0 * tol * p)

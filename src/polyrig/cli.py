@@ -9,7 +9,6 @@ JSON output is deterministic: sorted keys, floats at 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -42,7 +41,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, _unit, align_distance, measurement_value
+from .pointsets import Angle, MeasurementIds, _unit, align_distance, measurement_value
 from .rigidity import (
     CONGRUENCE,
     DEFAULT_TOL_REL,
@@ -113,17 +112,24 @@ def _is_mesh_path(path: str) -> bool:
     return not _load_text(path).lstrip().startswith("{")
 
 
-def _check_ids(ms: Sequence, bounds: dict[str, int], hint: str) -> None:
+def _check_ids(ms: MeasurementIds, bounds: dict[str, int], hint: str) -> None:
     """Check that each measurement of `ms` has ids of a kind in `bounds`,
     which maps a kind to its count, each id in 0..count - 1; `hint` says
-    which measurements the input takes."""
-    for m in ms:
-        kind = MEASUREMENT_TYPES[type(m)][1]
+    which measurements the input takes. The error names the first
+    measurement that fails, on its id arrays."""
+    errors = []
+    for cls, (rows, ids) in ms.ids.items():
+        kind = MEASUREMENT_TYPES[cls][1]
         if kind not in bounds:
-            raise ParseError(f"{type(m).__name__} is not a {hint}")
-        for i in dataclasses.astuple(m):
-            if not 0 <= i < bounds[kind]:
-                raise ParseError(f"{kind} id {i} out of range 0..{bounds[kind] - 1}")
+            errors.append((rows[0], f"{cls.__name__} is not a {hint}"))
+            continue
+        out = (ids < 0) | (ids >= bounds[kind])
+        if out.any():
+            j = np.flatnonzero(out.any(axis=1))[0]
+            bad = ids[j][out[j]][0]
+            errors.append((rows[j], f"{kind} id {bad} out of range 0..{bounds[kind] - 1}"))
+    if errors:
+        raise ParseError(min(errors)[1])
 
 
 def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedron, Realization]:
@@ -279,7 +285,8 @@ def cmd_witness(args) -> int:
         unit = _unit(real.vertices)
         ref, wit = real.rescaled(1.0 / unit), found.rescaled(1.0 / unit)
         errors = evaluate_all(poly, ms, wit) - evaluate_all(poly, ms, ref)
-        errors[[isinstance(m, FaceDistance) for m in ms]] *= unit
+        if FaceDistance in ms.ids:
+            errors[ms.ids[FaceDistance][0]] *= unit
         payload = {
             "witness": {
                 "vertices": found.vertices.tolist(),

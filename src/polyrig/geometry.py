@@ -27,8 +27,7 @@ whose plane columns are zero.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -39,10 +38,10 @@ from .pointsets import (
     Angle,
     Coplanar,
     Distance,
+    MeasurementIds,
     MeasurementList,
     _Hinge,
     _dot,
-    _field_ids,
     _unit,
     diameter,
 )
@@ -115,32 +114,54 @@ class DihedralAngle:
 Measurement3D = FaceDistance | FaceAngle | DihedralAngle
 
 
-def face_distance_pool(poly: AbstractPolyhedron) -> list[FaceDistance]:
+def _pool(kind: type, ids) -> MeasurementIds:
+    """The measurements kind(*row) of the id rows `ids`, in their order."""
+    f = np.asarray(ids, dtype=np.intp).reshape(-1, len(fields(kind)))
+    return MeasurementIds(len(f), {kind: (np.arange(len(f)), f)})
+
+
+def face_distance_pool(poly: AbstractPolyhedron) -> MeasurementIds:
     """All distances between vertex pairs sharing a face, sorted by ids."""
-    return [FaceDistance(a, b) for a, b in poly.face_vertex_pairs()]
+    return _pool(FaceDistance, poly.face_vertex_pairs())
 
 
-def edge_pool(poly: AbstractPolyhedron) -> list[FaceDistance]:
-    return [FaceDistance(a, b) for a, b in poly.edges()]
+def edge_pool(poly: AbstractPolyhedron) -> MeasurementIds:
+    return _pool(FaceDistance, poly.edges())
 
 
-def face_diagonal_pool(poly: AbstractPolyhedron) -> list[FaceDistance]:
-    return [FaceDistance(a, b) for a, b in poly.face_diagonals()]
+def face_diagonal_pool(poly: AbstractPolyhedron) -> MeasurementIds:
+    return _pool(FaceDistance, poly.face_diagonals())
 
 
-def face_angle_pool(poly: AbstractPolyhedron) -> list[FaceAngle]:
+def face_angle_pool(poly: AbstractPolyhedron) -> MeasurementIds:
     """Every angle formed at a vertex by rays to two other vertices of a
-    common face, cycle-adjacent or not; ordered by (apex, end1, end2)."""
-    triples = set()
+    common face, cycle-adjacent or not; ordered by (apex, end1, end2).
+
+    The faces of each size k take one template of positions (apex p, then
+    two others q < r), each row's two ends go in id order, and one sort of
+    the rows' keys (apex V + end1) V + end2 orders them and drops a triple
+    that two faces share.
+    """
+    by_size: dict[int, list] = {}
     for cycle in poly.faces:
-        for apex in cycle:
-            others = sorted(v for v in cycle if v != apex)
-            triples.update((apex, a, b) for a, b in itertools.combinations(others, 2))
-    return [FaceAngle(*t) for t in sorted(triples)]
+        by_size.setdefault(len(cycle), []).append(cycle)
+    V = poly.vertex_count
+    keys = []
+    for k, cycles in by_size.items():
+        q, r = np.triu_indices(k, 1)
+        p = np.repeat(np.arange(k), len(q))
+        q, r = np.tile(q, k), np.tile(r, k)
+        apex_first = (p != q) & (p != r)
+        ids = np.array(cycles, dtype=np.intp)
+        a, b, c = (ids[:, t[apex_first]] for t in (p, q, r))
+        keys.append(((a * V + np.minimum(b, c)) * V + np.maximum(b, c)).ravel())
+    apex, ends = np.divmod(np.unique(np.concatenate(keys)), V * V)
+    rows = np.column_stack([apex, *np.divmod(ends, V)])
+    return _pool(FaceAngle, rows)
 
 
-def dihedral_pool(poly: AbstractPolyhedron) -> list[DihedralAngle]:
-    return [DihedralAngle(f, g) for f, g in poly.adjacent_faces()]
+def dihedral_pool(poly: AbstractPolyhedron) -> MeasurementIds:
+    return _pool(DihedralAngle, poly.adjacent_faces())
 
 
 MEASUREMENT_POOLS = {
@@ -153,7 +174,8 @@ MEASUREMENT_POOLS = {
 }
 
 
-def build_pool(poly: AbstractPolyhedron, name: str) -> list[Measurement3D]:
+def build_pool(poly: AbstractPolyhedron, name: str) -> MeasurementIds:
+    """The pool `name` of MEASUREMENT_POOLS, as index arrays (MeasurementIds)."""
     if name not in MEASUREMENT_POOLS:
         raise ValueError(f"unknown pool {name!r}; choose from {sorted(MEASUREMENT_POOLS)}")
     return MEASUREMENT_POOLS[name](poly)
@@ -256,21 +278,22 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 # --- measurement evaluation ---------------------------------------------------
 
 
-# the point measurement each vertex measurement is, and the fields that give its point ids
+# the point measurement each vertex measurement is, and the columns of its
+# ids that give the point measurement's fields
 _ON_POINTS = {
-    FaceDistance: (Distance, ("v", "w")),
-    FaceAngle: (Angle, ("end1", "apex", "end2")),
-    Coplanar: (Coplanar, ("p", "q", "r", "s")),
+    FaceDistance: (Distance, [0, 1]),
+    FaceAngle: (Angle, [1, 0, 2]),
+    Coplanar: (Coplanar, [0, 1, 2, 3]),
 }
 
 
-def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.ndarray:
-    """The _Hinge ids (u, v, w_f, w_g) of each DihedralAngle(f, g): u -> v
-    the edge f shares with g in f's cycle, w_f the vertex after v in f and
-    w_g the vertex after u in g. The cycles are consistently oriented, so
-    the hinge's angle is pi minus the angle between the face normals; a
-    global flip of the orientation leaves it unchanged. Two faces that share
-    no edge raise ValueError."""
+def _hinges(poly: AbstractPolyhedron, faces: np.ndarray) -> np.ndarray:
+    """The _Hinge ids (u, v, w_f, w_g) of each DihedralAngle(f, g), given
+    as the rows (f, g) of `faces`: u -> v the edge f shares with g in f's
+    cycle, w_f the vertex after v in f and w_g the vertex after u in g. The
+    cycles are consistently oriented, so the hinge's angle is pi minus the
+    angle between the face normals; a global flip of the orientation leaves
+    it unchanged. Two faces that share no edge raise ValueError."""
     after = {}  # each directed cycle edge (a, b): its face and the vertex after b
     for f, cycle in enumerate(poly.faces):
         for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
@@ -279,10 +302,17 @@ def _hinges(poly: AbstractPolyhedron, dihedrals: Sequence[DihedralAngle]) -> np.
     for (u, v), (f, w) in after.items():
         g, x = after[v, u]
         hinge.setdefault((f, g), (u, v, w, x))
-    for d in dihedrals:
-        if (d.f, d.g) not in hinge:
-            raise ValueError(f"dihedral faces {d.f} and {d.g} share no edge")
-    return np.array([hinge[d.f, d.g] for d in dihedrals], dtype=np.intp)
+    pairs = list(map(tuple, faces.tolist()))
+    for f, g in pairs:
+        if (f, g) not in hinge:
+            raise ValueError(f"dihedral faces {f} and {g} share no edge")
+    return np.array([hinge[p] for p in pairs], dtype=np.intp).reshape(-1, 4)
+
+
+def _mesh_ids(measurements: Sequence[Measurement3D | Coplanar]) -> MeasurementIds:
+    """`measurements` as MeasurementIds, checked to be mesh measurements or
+    Coplanar rows on vertex ids; another type raises TypeError."""
+    return MeasurementIds.of(measurements, (*_ON_POINTS, DihedralAngle), "mesh")
 
 
 def mesh_kernel(
@@ -293,24 +323,20 @@ def mesh_kernel(
     A face distance is a point distance and a face angle a point angle of
     the vertices; a dihedral is the angle of a _Hinge at the edge the two
     faces share (_hinges), and a Coplanar row on vertex ids stays as it is.
-    The one point-set kernel serves meshes too, and the index arrays are
-    built by measurement type, not measurement by measurement. A
-    measurement of another type raises TypeError.
+    The one point-set kernel serves meshes too. The index arrays of a
+    MeasurementIds (a pool) are taken as they are, and any other sequence
+    is read into them once, by measurement type. A measurement of another
+    type raises TypeError.
     """
-    rows: dict[type, list[int]] = {}
-    for r, m in enumerate(measurements):
-        if type(m) not in _ON_POINTS and type(m) is not DihedralAngle:
-            raise TypeError(f"not a mesh measurement: {m!r}")
-        rows.setdefault(type(m), []).append(r)
+    ms = _mesh_ids(measurements)
     ids = {}
-    for cls, r in rows.items():
-        items = measurements if len(r) == len(measurements) else [measurements[i] for i in r]
+    for cls, (rows, f) in ms.ids.items():
         if cls is DihedralAngle:
-            ids[_Hinge] = (r, _hinges(poly, items))
+            ids[_Hinge] = (rows, _hinges(poly, f))
         else:
-            kind, names = _ON_POINTS[cls]
-            ids[kind] = (r, _field_ids(items, names))
-    return MeasurementList.from_ids(len(measurements), ids)
+            kind, columns = _ON_POINTS[cls]
+            ids[kind] = (rows, f[:, columns])
+    return MeasurementList.from_ids(len(ms), ids)
 
 
 def evaluate_all(

@@ -15,7 +15,9 @@ import numpy as np
 
 from .errors import ParseError
 from .geometry import DihedralAngle, FaceAngle, FaceDistance, Measurement3D
-from .pointsets import Angle, Coplanar, DiagonalAngle, Distance, SimpleMeasurement
+from .pointsets import (
+    Angle, Coplanar, DiagonalAngle, Distance, MeasurementIds, SimpleMeasurement,
+)
 
 
 def format_float(x: float) -> str:
@@ -179,7 +181,8 @@ def measurement_to_dict(m: Measurement3D | SimpleMeasurement) -> dict:
     return {"type": entry[0], "ids": ids}
 
 
-def measurement_from_dict(obj: dict) -> Measurement3D | SimpleMeasurement:
+def _measurement_ids(obj: dict) -> tuple[type, list[int]]:
+    """The class and ids of one measurement entry {'type', 'ids'}."""
     if not isinstance(obj, dict) or "type" not in obj or "ids" not in obj:
         raise ParseError(f"measurement must be {{'type', 'ids'}}, got {obj!r}")
     name = obj["type"]
@@ -196,6 +199,11 @@ def measurement_from_dict(obj: dict) -> Measurement3D | SimpleMeasurement:
         or not all(isinstance(i, int) and not isinstance(i, bool) for i in ids)
     ):
         raise ParseError(f"{name} needs {arity} integer ids, got {ids!r}")
+    return cls, ids
+
+
+def measurement_from_dict(obj: dict) -> Measurement3D | SimpleMeasurement:
+    cls, ids = _measurement_ids(obj)
     return cls(*ids)
 
 
@@ -216,22 +224,36 @@ def _dim(obj: dict) -> int:
     return dim
 
 
-def parse_measurement_set(obj: Any) -> tuple[int, list]:
-    """Validate {'dim': 2|3, 'measurements': [...]}; returns (dim, list)."""
+def parse_measurement_set(obj: Any) -> tuple[int, MeasurementIds]:
+    """Validate {'dim': 2|3, 'measurements': [...]}; returns (dim,
+    measurements), the measurements as MeasurementIds: each entry's ids go
+    to the arrays of its MEASUREMENT_TYPES class. An id too large for an
+    index array is out of range of any input."""
     if not isinstance(obj, dict):
         raise ParseError("measurement set must be a JSON object")
     dim = _dim(obj)
     raw = obj.get("measurements")
     if not isinstance(raw, list) or not raw:
         raise ParseError("'measurements' must be a nonempty list")
-    ms = [measurement_from_dict(o) for o in raw]
+    by_class: dict[type, tuple[list[int], list[list[int]]]] = {}
+    for r, entry in enumerate(raw):
+        cls, ids = _measurement_ids(entry)
+        rows, fields = by_class.setdefault(cls, ([], []))
+        rows.append(r)
+        fields.append(ids)
+    # the classes are in the order of their first entries
     if dim == 2:
-        for m in ms:
-            name, kind = MEASUREMENT_TYPES[type(m)]
+        for cls in by_class:
+            name, kind = MEASUREMENT_TYPES[cls]
             if kind != "point":
                 simple = sorted(n for n, k in MEASUREMENT_TYPES.values() if k == "point")
                 raise ParseError(f"{name} is a mesh measurement; dim 2 takes {simple}")
-    return dim, ms
+    limit = np.iinfo(np.intp).max
+    for cls, (_, fields) in by_class.items():
+        big = [i for ids in fields for i in ids if abs(i) > limit]
+        if big:
+            raise ParseError(f"{MEASUREMENT_TYPES[cls][1]} id {big[0]} out of range")
+    return dim, MeasurementIds(len(raw), by_class)
 
 
 def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:

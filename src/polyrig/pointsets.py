@@ -11,14 +11,16 @@ sums of the measurements' Hessians are taken with respect to the flattened
 coordinate array (n * dim,). Each primitive differentiates itself twice
 with respect to its difference vectors, so the second derivatives are
 exact, not finite differences; the grid oracles' Newton steps use them.
+A MeasurementIds holds a list as those index arrays, type by type, and
+builds a measurement object only when one is read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Sequence
+from operator import attrgetter, index
 
 import numpy as np
 from scipy import sparse
@@ -227,6 +229,9 @@ _LAYOUT = {
 }
 
 
+# how many rows MeasurementList.sparse_jacobian takes at a time
+_CSR_CHUNK = 2**15
+
 # the signs of the four point pairs of a Hessian block (MeasurementList._compile)
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 
@@ -236,6 +241,104 @@ def _field_ids(items: Sequence, names: Sequence[str]) -> np.ndarray:
     return np.column_stack(
         [np.fromiter(map(attrgetter(a), items), np.intp, len(items)) for a in names]
     )
+
+
+class MeasurementIds(Sequence):
+    """A read-only sequence of measurements held as index arrays.
+
+    ids maps each measurement type present to (rows, fields), the form
+    MeasurementList.from_ids takes: the measurement at position rows[i] is
+    type(*fields[i]), each rows array ascending, each position in one of
+    them. A measurement object is built only when the sequence is indexed
+    or iterated, so a pool of a million face angles is a few arrays, while
+    a selection, the JSON and any caller that reads the items still gets
+    the dataclasses. A slice is a list of them. Adding two MeasurementIds
+    gives their concatenation as MeasurementIds, adding any other sequence
+    a list. The arrays are frozen, not copied.
+    """
+
+    def __init__(self, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]):
+        self.size = size
+        self.ids = {}
+        for kind, (rows, f) in ids.items():
+            if len(rows):
+                rows, f = np.asarray(rows, dtype=np.intp), np.asarray(f, dtype=np.intp)
+                rows.setflags(write=False)
+                f.setflags(write=False)
+                self.ids[kind] = rows, f
+
+    @classmethod
+    def of(
+        cls, measurements: Sequence, allowed: Collection[type], what: str
+    ) -> "MeasurementIds":
+        """`measurements` as MeasurementIds, itself when it is one; an item
+        of a type outside `allowed` raises TypeError ("not a {what}
+        measurement")."""
+        if isinstance(measurements, cls):
+            for kind, (rows, _) in measurements.ids.items():
+                if kind not in allowed:
+                    raise TypeError(f"not a {what} measurement: {measurements[rows[0]]!r}")
+            return measurements
+        rows: dict[type, list[int]] = {}
+        for r, m in enumerate(measurements):
+            if type(m) not in allowed:
+                raise TypeError(f"not a {what} measurement: {m!r}")
+            rows.setdefault(type(m), []).append(r)
+        return cls(len(measurements), {
+            kind: (r, _field_ids([measurements[i] for i in r], [f.name for f in fields(kind)]))
+            for kind, r in rows.items()
+        })
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self.size))]
+        i = index(i)
+        if not -self.size <= i < self.size:
+            raise IndexError("measurement index out of range")
+        i %= self.size
+        for kind, (rows, f) in self.ids.items():
+            # one type holds every position, as in a pool
+            j = i if len(rows) == self.size else int(np.searchsorted(rows, i))
+            if j < len(rows) and rows[j] == i:
+                return kind(*f[j].tolist())
+
+    def __iter__(self):
+        items = [None] * self.size
+        for kind, (rows, f) in self.ids.items():
+            for r, args in zip(rows.tolist(), f.tolist()):
+                items[r] = kind(*args)
+        return iter(items)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __add__(self, other):
+        if isinstance(other, MeasurementIds):
+            ids = dict(self.ids)
+            for kind, (rows, f) in other.ids.items():
+                rows = rows + self.size
+                if kind in ids:
+                    (r0, f0) = ids[kind]
+                    rows, f = np.concatenate([r0, rows]), np.concatenate([f0, f])
+                ids[kind] = rows, f
+            return MeasurementIds(self.size + other.size, ids)
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) + list(other)
+        return NotImplemented
+
+    def __radd__(self, other):
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(other) + list(self)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        kinds = ", ".join(k.__name__ for k in self.ids)
+        return f"MeasurementIds({self.size} measurements: {kinds})"
 
 
 def _join(parts: list) -> np.ndarray:
@@ -259,15 +362,8 @@ class MeasurementList:
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
-        rows: dict[type, list[int]] = {}
-        for r, m in enumerate(measurements):
-            if type(m) not in _LAYOUT:
-                raise TypeError(f"not a point measurement: {m!r}")
-            rows.setdefault(type(m), []).append(r)
-        self._compile(len(measurements), {
-            cls: (r, _field_ids([measurements[i] for i in r], [f.name for f in fields(cls)]))
-            for cls, r in rows.items()
-        })
+        ids = MeasurementIds.of(measurements, _LAYOUT, "point")
+        self._compile(len(ids), ids.ids)
 
     @classmethod
     def from_ids(
@@ -282,9 +378,10 @@ class MeasurementList:
 
     def _compile(self, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]) -> None:
         self.size = size
-        # (primitive, slices of the vector list: vector t of each of its rows)
-        self._blocks = []
-        heads, tails, owners, order = [], [], [], []
+        # (primitive, slices of the vector list: vector t of each of its rows),
+        # and each block's rows, ascending
+        self._blocks, self._rows = [], []
+        heads, tails, owners = [], [], []
         start = 0
         for fn in _PRIMITIVES:
             if fn is _triple:
@@ -307,32 +404,69 @@ class MeasurementList:
             self._blocks.append(
                 (fn, [slice(start + t * k, start + (t + 1) * k) for t in range(width)])
             )
+            self._rows.append(rows)
             heads.append(e[:, :width].T)
             tails.append(e[:, width:].T)
             owners += [rows] * width
-            order.append(rows)
             start += k * width
         self._heads = _join(heads)
         self._tails = _join(tails)
         # the blocks' values come out in block order; this puts them back
-        order = _join(order)
+        order = _join(self._rows)
         self._order = None if (np.diff(order) > 0).all() else np.argsort(order)
-        # a vector's gradient enters its row at its head and, negated, at its
-        # tail; np.add.at sums the terms of a point that ends two vectors
-        owners = _join(owners)
-        self._scatter = (
-            np.concatenate([owners, owners]),
-            np.concatenate([self._heads, self._tails]),
-        )
-        # built by the first weighted_hessian call: most lists never take one
+        # a vector's gradient enters its row, its owner, at its head and,
+        # negated, at its tail; a scatter sums the terms of a point that ends
+        # two vectors, all heads' terms first (_cells)
+        self._owners = _join(owners)
+        # built on first use: most lists never take a Hessian, and a long one
+        # only a sparse Jacobian
         self._hess_scatter = None
+        self._jacobian_cells = None
 
-    def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
+    def _cells(self, n: int, at: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """owner * n + point of each term of the vectors `at`, for n points:
+        every vector at its head, then every vector at its tail."""
+        owner = self._owners[at] * n
+        return np.concatenate([owner + self._heads[at], owner + self._tails[at]])
+
+    def _vectors(
+        self, P: np.ndarray, at: np.ndarray | slice | None = None, checked: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The difference vectors `at` (all by default) and their lengths;
+        the first `checked` of them (those of lengths and angles) must not
+        vanish."""
+        if at is None:
+            heads, tails, checked = self._heads, self._tails, self._checked
+        else:
+            heads, tails = self._heads[at], self._tails[at]
+        D = P.take(heads, axis=-2) - P.take(tails, axis=-2)
         lens = _norm(D)
-        if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
+        if checked and lens.size and lens[..., :checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
         return D, lens
+
+    def _chunks(self, rows: int):
+        """The list `rows` rows at a time: for each chunk its first row, its
+        blocks, as (primitive, slices) into the chunk's vectors, the
+        positions of those vectors in the list's, and how many of them, the
+        first, belong to lengths and angles. A list of at most `rows` rows
+        is one chunk, its vectors all of the list's."""
+        if self.size <= rows:
+            yield 0, self._blocks, slice(None), self._checked
+            return
+        for r0 in range(0, self.size, rows):
+            blocks, at, start, checked = [], [], 0, 0
+            for (fn, slices), own in zip(self._blocks, self._rows):
+                a, b = np.searchsorted(own, [r0, r0 + rows])
+                k = int(b - a)
+                if k:
+                    width = len(slices)
+                    blocks.append((fn, [slice(start + t * k, start + (t + 1) * k)
+                                        for t in range(width)]))
+                    at += [np.arange(s.start + a, s.start + b) for s in slices]
+                    start += k * width
+                    checked = start if fn is not _triple else checked
+            yield r0, blocks, _join(at), checked
 
     def values(self, points: np.ndarray) -> np.ndarray:
         """All values on a (..., n, dim) point array, shape (..., size)."""
@@ -347,12 +481,11 @@ class MeasurementList:
         vals = np.concatenate(vals, axis=-1)
         return vals if self._order is None else vals.take(self._order, axis=-1)
 
-    def _gradients(self, P: np.ndarray) -> np.ndarray:
+    def _gradients(self, D: np.ndarray, lens: np.ndarray, blocks: list) -> np.ndarray:
         """The gradient of each row's value with respect to each of its
-        difference vectors, shape (..., len(heads), dim)."""
-        D, lens = self._vectors(P)
+        difference vectors D (with lengths lens) of `blocks`, in D's shape."""
         G = np.empty_like(D)
-        for fn, slices in self._blocks:
+        for fn, slices in blocks:
             grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1)[1]
             for s, g in zip(slices, grads):
                 G[..., s, :] = g
@@ -363,14 +496,21 @@ class MeasurementList:
         (..., n, dim) point array; shape (..., size, n * dim)."""
         P = np.asarray(points, dtype=float)
         *batch, n, dim = P.shape
-        G = self._gradients(P)
+        G = self._gradients(*self._vectors(P), self._blocks)
         members = math.prod(batch)
-        owners, ends = self._scatter
-        J = np.zeros((members, self.size, n, dim))
-        np.add.at(
-            J,
-            (np.arange(members)[:, None], owners, ends),
-            np.concatenate([G, -G], axis=-2).reshape(members, len(owners), dim),
+        # one weighted bincount: each cell sums its terms from zero in input
+        # order, as np.add.at would, at a fraction of its cost. The cells of
+        # one member are kept for the next call, as solvers call again and
+        # again on points of one shape
+        if self._jacobian_cells is None or self._jacobian_cells[0] != (n, dim):
+            self._jacobian_cells = (n, dim), (dim * self._cells(n))[:, None] + np.arange(dim)
+        cells = self._jacobian_cells[1]
+        if members != 1:
+            cells = (np.arange(members) * (self.size * n * dim))[:, None, None] + cells
+        J = np.bincount(
+            cells.ravel(),
+            np.concatenate([G, -G], axis=-2).ravel(),
+            minlength=members * self.size * n * dim,
         )
         return J.reshape(*batch, self.size, n * dim)
 
@@ -390,7 +530,7 @@ class MeasurementList:
             vs, vr = _join(vs), _join(vr)
             ends = np.stack([self._heads, self._tails])
             self._hess_scatter = (
-                self._scatter[0][vs], ends[[0, 0, 1, 1]][:, vs], ends[[0, 1, 0, 1]][:, vr]
+                self._owners[vs], ends[[0, 0, 1, 1]][:, vs], ends[[0, 1, 0, 1]][:, vr]
             )
         return self._hess_scatter
 
@@ -440,24 +580,41 @@ class MeasurementList:
 
         Each row stores the dim coordinates of every point it touches. The
         terms that meet at one point of a row (the apex of an angle, p of a
-        coplanarity) are summed from zero in _scatter order, as jacobian
-        sums them.
+        coplanarity) are summed from zero in the order of _cells, as
+        jacobian sums them. The rows are taken _CSR_CHUNK at a time, so that
+        besides the matrix only one chunk's vectors, gradients and cells
+        exist at once.
         """
         P = np.asarray(points, dtype=float)
         n, dim = P.shape
-        G = self._gradients(P)
-        owners, ends = self._scatter
-        cells, cell = np.unique(owners * n + ends, return_inverse=True)
-        data = np.zeros((len(cells), dim))
-        np.add.at(data, cell, np.concatenate([G, -G]))
-        rows, at = np.divmod(cells, n)
-        indptr = dim * np.searchsorted(rows, np.arange(self.size + 1))
-        indices = (dim * at[:, None] + np.arange(dim)).ravel()
         # 32-bit indices when every index fits: scipy then takes them as they
         # are instead of scanning and converting 64-bit ones
         itype = np.int32 if self.size * n * dim <= np.iinfo(np.int32).max else np.int64
+        # room for a cell per term; the pages past the cells are never touched
+        terms = 2 * len(self._heads)
+        data, indices = np.empty((terms, dim)), np.empty((terms, dim), itype)
+        counts = np.zeros(self.size, itype)  # cells per row
+        nnz = 0
+        for r0, blocks, at, checked in self._chunks(_CSR_CHUNK):
+            G = self._gradients(*self._vectors(P, at, checked), blocks)
+            cells, cell = np.unique(self._cells(n, at).astype(itype), return_inverse=True)
+            rows, ends = np.divmod(cells, n)
+            counts[r0 : r0 + _CSR_CHUNK] = np.bincount(
+                rows - r0, minlength=min(_CSR_CHUNK, self.size - r0)
+            )
+            end = nnz + len(cells)
+            coord = np.arange(dim, dtype=itype)
+            indices[nnz:end] = dim * ends[:, None] + coord
+            # a weighted bincount sums each cell from zero in input order
+            data[nnz:end] = np.bincount(
+                (dim * cell[:, None] + coord).ravel(), np.concatenate([G, -G]).ravel(),
+                minlength=dim * len(cells),
+            ).reshape(-1, dim)
+            nnz = end
+        indptr = np.zeros(self.size + 1, itype)
+        np.cumsum(dim * counts, out=indptr[1:])
         return sparse.csr_matrix(
-            (data.ravel(), indices.astype(itype), indptr.astype(itype)), shape=(self.size, n * dim)
+            (data[:nnz].ravel(), indices[:nnz].ravel(), indptr), shape=(self.size, n * dim)
         )
 
 

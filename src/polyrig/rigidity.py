@@ -40,7 +40,9 @@ reduced onto Z _ROW_BLOCK rows at a time (_reduced_blocks). The rank test
 streams the blocks through a Householder QR that keeps only its triangular
 factor R; R is an orthogonal transform of J Z, so sigma(R) = sigma(J Z).
 Besides the CSR rows, a verdict holds O(_ROW_BLOCK (E + 6 - g)) numbers
-whatever the pool's length.
+whatever the pool's length. A pool of more than _SKETCH_ROWS rows per
+column of Z is first ranked from one CountSketch of J Z, whose count is
+kept only when it is proved (_sketched_rank).
 
 Beyond the rank tests this module provides the greedy extraction of a
 minimal sufficient subset (accept a measurement exactly when its gradient
@@ -53,6 +55,7 @@ claims that are invisible to first-order rank analysis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,6 +65,7 @@ from scipy import sparse
 from ._nlsq import (
     EXHAUSTED,
     STALLED,
+    _gamma,
     _gram_full_rank,
     _triangular_full_rank,
     gauss_newton_project,
@@ -73,12 +77,14 @@ from .geometry import (
     Measurement3D,
     Realization,
     _incidence_indices,
+    _mesh_ids,
     face_distance_pool,
     mesh_kernel,
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
     Coplanar,
+    MeasurementIds,
     MeasurementList,
     SimpleMeasurement,
     _cross,
@@ -97,6 +103,12 @@ DEFAULT_TOL_REL = 1e-9
 _ROW_BLOCK = 2048
 _SUB_BLOCK = 64
 
+# a rank test on more rows than _SKETCH_ROWS per column of its chart first
+# ranks a CountSketch of them with that many rows per column, drawn from a
+# generator of this fixed seed (_sketched_rank)
+_SKETCH_ROWS = 4
+_SKETCH_SEED = 0
+
 # point_set_witness's cluster radius and witness distance, times its scale,
 # and its iteration budget per restart
 CLUSTER_TOL = 1e-6
@@ -104,9 +116,7 @@ WITNESS_TOL = 1e-4
 MAX_ITER = 250
 
 
-def _motion_dim(
-    mode: str, measurements: Sequence[Measurement3D], allow_scale_variant: bool
-) -> int:
+def _motion_dim(mode: str, measurements: MeasurementIds, allow_scale_variant: bool) -> int:
     """The dimension g of the motion group a verdict on `measurements` is
     taken modulo: 6 for congruence, 7 for similarity, and 6 for a
     similarity set holding a distance, which pins the scale."""
@@ -114,7 +124,7 @@ def _motion_dim(
         return 6
     if mode != SIMILARITY:
         raise ValueError(f"mode must be {CONGRUENCE!r} or {SIMILARITY!r}, got {mode!r}")
-    if not any(isinstance(m, FaceDistance) for m in measurements):
+    if FaceDistance not in measurements.ids:
         return 7
     if not allow_scale_variant:
         raise ValueError(
@@ -272,7 +282,11 @@ def _chart(
 
 
 def _reduced_blocks(S: sparse.csr_matrix, Z: np.ndarray):
-    """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks."""
+    """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks; S
+    itself, not a slice of it, when one block holds every row."""
+    if S.shape[0] <= _ROW_BLOCK:
+        yield S @ Z
+        return
     for start in range(0, S.shape[0], _ROW_BLOCK):
         yield S[start : start + _ROW_BLOCK] @ Z
 
@@ -290,7 +304,7 @@ def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int)
     the per-row projection on every row kept so far.
     """
     # every row holds the entries of the points it touches, so no segment is empty
-    row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1]))
+    row_norms = np.sqrt(np.add.reduceat(np.square(S.data), S.indptr[:-1])).tolist()
     # accepted residuals are orthonormal in the columns of Z
     basis = np.empty((Z.shape[1], Z.shape[1]))
     kept: list[int] = []
@@ -302,18 +316,129 @@ def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int)
             P -= (P @ old.T) @ old
             first = len(kept)
             for i, res in enumerate(P, offset + sub):
-                if row_norms[i] == 0.0:
+                norm = row_norms[i]
+                if norm == 0.0:
                     continue
-                new = basis[first : len(kept)]
-                res = res - new.T @ (new @ res)
-                res -= new.T @ (new @ res)
-                res_norm = np.linalg.norm(res)
-                if res_norm > tol_rel * row_norms[i]:
+                # projecting off no kept rows would subtract exact zeros
+                if len(kept) > first:
+                    new = basis[first : len(kept)]
+                    res = res - new.T @ (new @ res)
+                    res -= new.T @ (new @ res)
+                # np.linalg.norm's own formula for a vector
+                res_norm = math.sqrt(res @ res)
+                if res_norm > tol_rel * norm:
                     basis[len(kept)] = res / res_norm
                     kept.append(i)
                     if len(kept) >= room:
                         return kept
     return kept
+
+
+def _streamed_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int:
+    """The numeric rank of J Z, J the rows S: its singular values above
+    tol_rel times its largest.
+
+    The rows are reduced onto Z in blocks of _ROW_BLOCK rows; each block is
+    stacked under the triangular factor so far and factored again (R =
+    qr([R; S_block Z], mode="r")). R is Q^T J Z for an orthogonal Q, so the
+    singular values of R are those of J Z, and no dense m x 3V Jacobian is
+    formed. A square R that _triangular_full_rank proves nonsingular with a
+    margin counts all its values with no SVD; any other R takes its count
+    from one.
+    """
+    R = np.empty((0, Z.shape[1]))
+    for block in _reduced_blocks(S, Z):
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    if _triangular_full_rank(R, tol_rel):
+        return len(R)
+    return _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
+
+
+def _column_norms(S: sparse.csr_matrix, V: np.ndarray) -> np.ndarray:
+    """The norms of the columns of S V, taken a few columns at a time, so
+    that about 2^20 numbers of S V exist at once."""
+    step = max(1, 2**20 // max(S.shape[0], 1))
+    parts = (S @ V[:, j : j + step] for j in range(0, V.shape[1], step))
+    return np.sqrt(np.concatenate([np.einsum("ij,ij->j", P, P) for P in parts]))
+
+
+def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int | None:
+    """The numeric rank of M = J Z, J the m rows S and Z the N orthonormal
+    columns of the chart, proved from one CountSketch, or None.
+
+    The sketch C (k x m, k = _SKETCH_ROWS N) sends each row of J to one
+    of k buckets with a sign +-1, both from one generator of seed
+    _SKETCH_SEED (Clarkson & Woodruff, STOC 2013; Woodruff, Sketching as a
+    Tool for Numerical Linear Algebra, 2014). B = C J Z is k x N, and one
+    QR gives its triangular factor R. The proof needs no property of the
+    draw:
+
+    * C C^T is diagonal, the bucket counts, so ||C||_2 = c = sqrt(max
+      count) exactly, and sigma_min(M W) >= sigma_min(B W) / c for any W.
+    * sigma_1(M) <= ||J||_F ||Z||_2 = ||J||_F <= f, f = fl(||J||_F)
+      rounded up.
+    * Forming B and its QR moves its singular values by at most
+      e = 2 sqrt(N) gamma_w c f, w = max count + 3V + N + 16 N (k + N):
+      the bucket sums (a count's terms each), the products with Z (3V) and
+      with W (N), and the backward error of Householder QR (Higham,
+      Accuracy and Stability, Thm 19.4, taking its constant as 16) on B
+      and on R W.
+
+    Full rank: _triangular_full_rank(R, tol_rel, sigma_1=c f + e / (2
+    tol_rel)) proves sigma_N(B) > 2 tol_rel c f, so sigma_N(M) > 2 tol_rel
+    sigma_1(M). Otherwise an SVD of R guesses the flex dimension d, the
+    values of R not above tol_rel times its largest, with right singular
+    vectors x (the largest), K (the last d) and W (the other N - d):
+
+    * J Z x is taken on all m rows, and sigma_1(M) >= ||J Z x||; J Z K too,
+      and by Courant-Fischer d singular values of M are at most ||J Z K||_F.
+      Both are taken less or more their rounding: of the products, 2
+      gamma_{3V + N + r} f sqrt(N d) with r the longest row of S, and of
+      the norms, a factor 1 -+ gamma_{m + d + 2}. The bound must lie below
+      tol_rel sigma_1(M) / 2.
+    * The factor of R W, certified as in the full-rank case, proves the
+      other N - d values above 2 tol_rel sigma_1(M).
+
+    A rank of N - d then counts the values of M above tol_rel sigma_1(M)
+    with a factor 2 on either side of the cutoff. Z, K and W are
+    orthonormal up to rounding far inside these margins. A guess of 0 or N,
+    or a proof that fails, gives None, and the caller streams the rows.
+    """
+    m, (n, N) = S.shape[0], Z.shape
+    k = _SKETCH_ROWS * N
+    # row i goes to bucket draw_i // 2 with sign (-1)^draw_i
+    draw = np.random.default_rng(_SKETCH_SEED).integers(2 * k, size=m)
+    # the bucket sums C J, 16 row blocks at a time
+    CJ = np.zeros(k * n)
+    for a in range(0, m, 16 * _ROW_BLOCK):
+        b = min(a + 16 * _ROW_BLOCK, m)
+        at = np.repeat(draw[a:b], np.diff(S.indptr[a : b + 1]))  # each nonzero's draw
+        nz = slice(S.indptr[a], S.indptr[b])
+        CJ += np.bincount(
+            (at >> 1) * n + S.indices[nz], (1 - 2 * (at & 1)) * S.data[nz], minlength=k * n
+        )
+    R = np.linalg.qr(CJ.reshape(k, n) @ Z, mode="r")
+    counts = np.bincount(draw, minlength=2 * k).reshape(k, 2).sum(axis=1)
+    c = math.sqrt(counts.max())
+    f = math.sqrt(S.data @ S.data) * (1.0 + _gamma(S.nnz + 2))
+    e = 2.0 * math.sqrt(N) * _gamma(int(counts.max()) + n + N + 16 * N * (k + N)) * c * f
+    threshold = c * f + e / (2.0 * tol_rel)
+    if _triangular_full_rank(R, tol_rel, threshold):
+        return N
+    _, s, Vt = np.linalg.svd(R)
+    rank = _count_above(s, tol_rel)
+    d = N - rank
+    if not 0 < rank < N:
+        return None
+    norms = _column_norms(S, Z @ np.vstack([Vt[:1], Vt[rank:]]).T)
+    r = int(np.diff(S.indptr).max())
+    slack, rounding = 2.0 * _gamma(n + N + r) * f * math.sqrt(N * d), _gamma(m + d + 2)
+    sigma_1 = norms[0] * (1.0 - rounding) - slack
+    flex = math.hypot(*norms[1:]) * (1.0 + rounding) + slack
+    if not flex <= tol_rel * sigma_1 / 2.0:
+        return None
+    W = np.linalg.qr(R @ Vt[:rank].T, mode="r")
+    return rank if _triangular_full_rank(W, tol_rel, threshold) else None
 
 
 def _setup(
@@ -324,6 +449,7 @@ def _setup(
     target, X, anchors, side). X are the vertices of the unit-diameter
     realization, S the CSR measurement rows over X, target = 3E + 6 - g for
     the motion group of _motion_dim, and the rest _chart's at X."""
+    measurements = _mesh_ids(measurements)
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)
     base, Z, anchors, side = _chart(poly, scaled, g, tol_rel)
@@ -375,23 +501,20 @@ def is_sufficient(
     the E + 6 - g nontrivial deformations (_chart), counted above tol_rel
     times their own sigma_1; flex_dimension = target - rank.
 
-    The rows are CSR, reduced onto Z in blocks of _ROW_BLOCK rows; each
-    block is stacked under the triangular factor so far and factored again
-    (R = qr([R; S_block Z], mode="r")). R is Q^T J Z for an orthogonal Q,
-    so the singular values of R, counted above tol_rel sigma_1(R), are
-    those of J Z, and no dense m x 3V Jacobian is formed. A square R that
-    _triangular_full_rank proves nonsingular with a margin counts all its
-    E + 6 - g values with no SVD; any other R takes its count from one.
+    The rows are CSR. A pool with more than _SKETCH_ROWS rows per column of
+    Z first takes _sketched_rank, which ranks one CountSketch of J Z and
+    proves its count or gives up. Any other pool, and any count the sketch
+    does not prove, takes _streamed_rank; both count J Z above tol_rel
+    times its own sigma_1, so a proved count is the streamed one wherever
+    that count does not rest on rounding at the cutoff.
     """
     base, Z, S, target = _setup(poly, real, measurements, mode, tol_rel, allow_scale_variant)[:4]
-    R = np.empty((0, Z.shape[1]))
-    for block in _reduced_blocks(S, Z):
-        R = np.linalg.qr(np.vstack([R, block]), mode="r")
-    if _triangular_full_rank(R, tol_rel):
-        rank = base + len(R)
-    else:
-        rank = base + _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
-    return _report(poly, mode, rank, target, None, tol_rel)
+    rank = None
+    if 0 < _SKETCH_ROWS * Z.shape[1] < S.shape[0]:
+        rank = _sketched_rank(S, Z, tol_rel)
+    if rank is None:
+        rank = _streamed_rank(S, Z, tol_rel)
+    return _report(poly, mode, base + rank, target, None, tol_rel)
 
 
 def greedy_minimal_subset(
@@ -418,7 +541,7 @@ def greedy_minimal_subset(
     pool is sufficient, the selection has exactly targetRank - 2E elements:
     E measurements for congruence, E - 1 for similarity by angles.
     """
-    if not pool:
+    if not len(pool):
         raise ValueError("pool is empty")
     rank, Z, S, target = _setup(poly, real, pool, mode, tol_rel, allow_scale_variant)[:4]
     # Z has target - rank columns: a scan that starts at the target accepts nothing
@@ -469,8 +592,9 @@ def flex_witness(
     """
     if not abs(step) > 1e-5:
         raise ValueError(f"|step| must exceed 1e-5, the witness radius; got {step:g}")
+    ms = _mesh_ids(measurements)
     base, Z, S, target, X, anchors, side = _setup(
-        poly, real, measurements, mode, tol_rel, allow_scale_variant
+        poly, real, ms, mode, tol_rel, allow_scale_variant
     )
     extra, K = _kernel(S @ Z, tol_rel)
     if base + extra >= target:
@@ -482,9 +606,11 @@ def flex_witness(
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
     # one list: the measurements, then the side rows, whose target is 0
-    kernel = mesh_kernel(poly, list(measurements) + [Coplanar(*q) for q in side.tolist()])
+    kernel = mesh_kernel(
+        poly, ms + MeasurementIds(len(side), {Coplanar: (np.arange(len(side)), side)})
+    )
     targets = kernel.values(X)
-    targets[len(measurements):] = 0.0
+    targets[len(ms):] = 0.0
     residual = 1e-10
     W, ok = gauss_newton_project(
         lambda P: kernel.values(P) - targets, kernel.jacobian, X + step * u.reshape(-1, 3),

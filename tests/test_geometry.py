@@ -1,6 +1,8 @@
 """Realization fitting, the incidence map phi, measurements, and shape
 comparison by Kabsch alignment against the canonical frame."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -24,7 +26,7 @@ from polyrig.geometry import (
     phi,
 )
 from polyrig.incidence import build_incidence
-from polyrig.pointsets import align_distance
+from polyrig.pointsets import MeasurementIds, align_distance
 
 from full_coordinates import coordinate_vector, from_coordinate_vector, normalize
 
@@ -339,6 +341,72 @@ def test_alignment_needs_no_frame_at_collinear_first_vertices():
     assert align_distance(real.vertices, moved.vertices) < 1e-12
     stretched = fit_realization(poly, coords * np.array([1.0, 1.2, 1.0]))
     assert align_distance(real.vertices, stretched.vertices) > 1e-2
+
+
+def _object_pools(poly):
+    """The pools one measurement object at a time, from the incidence
+    structure's pair lists and a set of face triples."""
+    triples = set()
+    for cycle in poly.faces:
+        for apex in cycle:
+            others = sorted(v for v in cycle if v != apex)
+            triples.update((apex, a, b) for a, b in itertools.combinations(others, 2))
+    pools = {
+        "face-distances": [FaceDistance(*p) for p in poly.face_vertex_pairs()],
+        "face-angles": [FaceAngle(*t) for t in sorted(triples)],
+        "dihedrals": [DihedralAngle(*p) for p in poly.adjacent_faces()],
+        "edges-only": [FaceDistance(*p) for p in poly.edges()],
+        "face-diagonals": [FaceDistance(*p) for p in poly.face_diagonals()],
+    }
+    pools["all"] = pools["face-distances"] + pools["face-angles"] + pools["dihedrals"]
+    return pools
+
+
+@pytest.mark.parametrize("solid", ["tetrahedron", "cube", "dodecahedron", "prism", "hull"])
+def test_pools_are_index_arrays_of_the_object_pools(solid):
+    """Each pool is a MeasurementIds holding index arrays; read item by
+    item it is the pool built one object at a time, in the same order."""
+    if solid == "prism":
+        t = 2.0 * np.pi * np.arange(9) / 9
+        ring = np.column_stack([np.cos(t), np.sin(t), np.zeros(9)])
+        poly = build_incidence(faces_from_convex_vertices(np.vstack([ring, ring + [0, 0, 0.7]])))
+    elif solid == "hull":
+        pts = np.random.default_rng(5).standard_normal((40, 3))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        poly = build_incidence(faces_from_convex_vertices(pts))
+    else:
+        poly, _ = platonic(solid)
+    for name, expected in _object_pools(poly).items():
+        pool = build_pool(poly, name)
+        assert isinstance(pool, MeasurementIds)
+        assert len(pool) == len(expected) and list(pool) == expected and pool == expected
+        assert [pool[i] for i in range(-len(pool), 0)] == expected
+        assert pool[2:7] == expected[2:7]
+
+
+def test_measurement_ids_is_a_read_only_sequence():
+    poly, _ = platonic("cube")
+    edges, angles = build_pool(poly, "edges-only"), build_pool(poly, "face-angles")
+    both = edges + angles
+    assert isinstance(both, MeasurementIds) and list(both) == list(edges) + list(angles)
+    assert both.ids[FaceAngle][0][0] == len(edges)
+    # adding any other sequence gives a list
+    extra = [FaceAngle(0, 1, 3)]
+    assert edges + extra == list(edges) + extra and extra + edges == extra + list(edges)
+    assert type(edges + extra) is list and type(extra + edges) is list
+    assert FaceDistance(0, 1) in edges and edges.index(edges[5]) == 5
+    with pytest.raises(IndexError):
+        edges[len(edges)]
+    with pytest.raises(ValueError, match="read-only"):
+        edges.ids[FaceDistance][1][0, 0] = 3
+    # a list is read type by type, in the form MeasurementList.from_ids takes
+    mixed = MeasurementIds.of([FaceAngle(0, 1, 3), FaceDistance(2, 3), FaceAngle(1, 0, 2)],
+                              (FaceAngle, FaceDistance), "mesh")
+    assert mixed.ids[FaceAngle][0].tolist() == [0, 2]
+    assert mixed.ids[FaceAngle][1].tolist() == [[0, 1, 3], [1, 0, 2]]
+    assert mixed[1] == FaceDistance(2, 3)
+    with pytest.raises(TypeError, match="not a mesh measurement"):
+        MeasurementIds.of([FaceDistance(0, 1), "edge"], (FaceDistance,), "mesh")
 
 
 def test_pool_sizes_cube(cube):

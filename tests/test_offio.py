@@ -21,7 +21,7 @@ from polyrig.offio import (
     parse_point_config,
     read_off,
 )
-from polyrig.pointsets import Angle, DiagonalAngle, Distance
+from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementIds
 
 
 def test_format_float_17_digits():
@@ -152,6 +152,21 @@ def test_measurement_set_validation():
         {"dim": 3, "measurements": [{"type": "face_distance", "ids": [0, 1]}]}
     )
     assert dim == 3 and ms == [FaceDistance(0, 1)]
+
+
+def test_measurement_set_parses_to_index_arrays():
+    """Each entry's ids go to the arrays of its type; the set reads back as
+    its measurement objects, in order. An id too large for an index array
+    is an input error."""
+    entries = [{"type": "face_angle", "ids": [0, 1, 2]}, {"type": "dihedral", "ids": [1, 2]},
+               {"type": "face_angle", "ids": [3, 1, 2]}]
+    dim, ms = parse_measurement_set({"dim": 3, "measurements": entries})
+    assert isinstance(ms, MeasurementIds)
+    assert ms.ids[FaceAngle][0].tolist() == [0, 2] and ms.ids[DihedralAngle][0].tolist() == [1]
+    assert ms == [FaceAngle(0, 1, 2), DihedralAngle(1, 2), FaceAngle(3, 1, 2)]
+    huge = [{"type": "face_distance", "ids": [0, 10**30]}]
+    with pytest.raises(ParseError, match=f"vertex id {10**30} out of range"):
+        parse_measurement_set({"dim": 3, "measurements": huge})
 
 
 def test_point_config_parsing():

@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from polyrig import pointsets
 from polyrig.errors import DegenerateMeasurement
+from polyrig.generators import platonic
+from polyrig.geometry import build_pool, mesh_kernel
 from polyrig.pointsets import (
     Angle,
     Coplanar,
@@ -295,6 +298,30 @@ def test_sparse_jacobian_bits_on_random_lists(dim, ids, kinds, seed):
     P = np.random.default_rng(seed).standard_normal((6, dim))
     kernel = MeasurementList(ms)
     assert np.array_equal(_bits(kernel.sparse_jacobian(P).toarray()), _bits(kernel.jacobian(P)))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5])
+def test_sparse_jacobian_in_chunks_is_the_whole(monkeypatch, chunk):
+    """sparse_jacobian takes its rows _CSR_CHUNK at a time: any chunk gives
+    the CSR arrays of one chunk bit for bit, also where the rows of several
+    primitives interleave and where a chunk ends inside a primitive's rows."""
+    poly, real = platonic("cube")
+    cases = [
+        (MeasurementList(ms), np.random.default_rng(11).standard_normal((7, dim)))
+        for dim, ms in SPARSE_CASES
+    ]
+    pool = build_pool(poly, "all") + [Coplanar(0, 1, 2, 3)] + build_pool(poly, "edges-only")
+    cases.append((mesh_kernel(poly, pool), real.vertices))
+    whole = [kernel.sparse_jacobian(P) for kernel, P in cases]
+    monkeypatch.setattr(pointsets, "_CSR_CHUNK", chunk)
+    for (kernel, P), S in zip(cases, whole):
+        C = kernel.sparse_jacobian(P)
+        assert np.array_equal(_bits(C.data), _bits(S.data))
+        assert np.array_equal(C.indices, S.indices) and np.array_equal(C.indptr, S.indptr)
+    # two points that coincide in the last chunk still raise
+    P = np.random.default_rng(2).standard_normal((4, 3))
+    with pytest.raises(DegenerateMeasurement, match="coincide"):
+        MeasurementList([Distance(0, 1)] * 5 + [Distance(2, 2)]).sparse_jacobian(P)
 
 
 def test_cross_is_numpys_bit_for_bit():

@@ -11,6 +11,8 @@ import pytest
 
 from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
 from polyrig.errors import NoConvergedRestarts
+from polyrig.generators import platonic
+from polyrig.geometry import build_pool, mesh_kernel
 from polyrig.pointsets import (
     Angle,
     Coplanar,
@@ -348,3 +350,48 @@ def test_negative_restarts_or_seed_is_a_value_error(restarts, seed, name):
         point_set_witness(dim, ref, ms, restarts=restarts, seed=seed)
     with pytest.raises(ValueError, match=f"{name} must be non-negative"):
         octagon_distance_oracle(restarts=restarts, seed=seed)
+
+
+def _add_at_jacobian(kernel, P):
+    """The Jacobian as np.add.at scatters it: every head's term, then every
+    tail's, each cell summed from zero in that order."""
+    *batch, n, dim = P.shape
+    members = int(np.prod(batch))
+    G = kernel._gradients(*kernel._vectors(P), kernel._blocks)
+    owners = np.concatenate([kernel._owners, kernel._owners])
+    ends = np.concatenate([kernel._heads, kernel._tails])
+    J = np.zeros((members, kernel.size, n, dim))
+    np.add.at(
+        J,
+        (np.arange(members)[:, None], owners, ends),
+        np.concatenate([G, -G], axis=-2).reshape(members, len(owners), dim),
+    )
+    return J.reshape(*batch, kernel.size, n * dim)
+
+
+def _jacobian_case(name):
+    """A restart case's list with its side rows, or a cube's dihedrals and
+    face angles on its vertices; with the reference points."""
+    if name == "cube-dihedrals":
+        poly, real = platonic("cube")
+        pool = build_pool(poly, "dihedrals") + build_pool(poly, "face-angles")
+        return mesh_kernel(poly, pool), real.vertices
+    _, ref, ms, kw = CASES[name]
+    return MeasurementList(list(ms) + [Coplanar(*q) for q in kw.get("coplanar", ())]), ref
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + ["cube-dihedrals"])
+def test_jacobian_scatter_is_np_add_at_bit_for_bit(name):
+    """MeasurementList.jacobian scatters with one weighted bincount; it
+    equals the np.add.at scatter bit for bit, on one point array, on the
+    20 starts of a restart batch and on an empty batch."""
+    kernel, ref = _jacobian_case(name)
+    starts = ref + 0.3 * np.random.default_rng(3).standard_normal((20, *ref.shape))
+    for P in (ref, starts, starts[:0]):
+        J = kernel.jacobian(P)
+        assert J.shape == P.shape[:-2] + (kernel.size, ref.size)
+        assert J.tobytes() == _add_at_jacobian(kernel, P).tobytes()
+    # a list with no measurement has an empty Jacobian, one member or many
+    empty = MeasurementList([])
+    assert empty.jacobian(ref).shape == (0, ref.size)
+    assert empty.jacobian(starts).shape == (20, 0, ref.size)

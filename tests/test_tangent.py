@@ -384,8 +384,8 @@ def _certificate(monkeypatch, answer=None):
     verdicts, or replace it by `answer`."""
     answers = []
 
-    def recorded(R, tol):
-        answers.append(_triangular_full_rank(R, tol) if answer is None else answer)
+    def recorded(R, tol, *threshold):
+        answers.append(_triangular_full_rank(R, tol, *threshold) if answer is None else answer)
         return answers[-1]
 
     monkeypatch.setattr(rigidity, "_triangular_full_rank", recorded)
