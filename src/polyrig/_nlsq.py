@@ -9,7 +9,13 @@ One solver, deterministic, and two rank certificates:
   rather than quadratic, hence the generous default iteration budget. Its
   damping sweep runs as a ladder of 1, 2, 4, 8, 16 and 9 damping values
   per round, so a member parked at its rounding floor costs six residual
-  calls per iteration, not forty. gauss_newton_project, the flex witness's
+  calls per iteration, not forty. Each member runs on its own schedule:
+  a step gives every member its next round, the first of a new iteration
+  for one whose last trial won, so no member waits for another's ladder,
+  and all of them share one stacked solve and one call of `evaluate`,
+  which returns the residuals with data that `jacobian` turns into the
+  Jacobians of the members that took a step (a plain residual f passes
+  `lambda x: (f(x), x)`). gauss_newton_project, the flex witness's
   projection back onto a constraint manifold, is one lm_solve from one
   start.
 * _gram_full_rank: the certificate, a proof that a matrix has full rank
@@ -25,15 +31,16 @@ One solver, deterministic, and two rank certificates:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 
-Residual = Callable[[np.ndarray], np.ndarray]
-Jacobian = Callable[[np.ndarray], np.ndarray]
+# a batch of points -> (residuals, data by member); data[idx] -> Jacobians
+Evaluate = Callable[[np.ndarray], tuple[np.ndarray, Any]]
+Jacobian = Callable[[Any], np.ndarray]
 
 
 # why a member of a batched lm_solve stopped
@@ -62,7 +69,7 @@ def _solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lm_solve(
-    residual: Residual,
+    evaluate: Evaluate,
     jacobian: Jacobian,
     x0: np.ndarray,
     max_iter: int = 250,
@@ -71,86 +78,104 @@ def lm_solve(
     """Drive max|residual| below `target` from each of a batch of starts.
 
     x0 is a batch of B starts of any shape (B, ...), such as (B, n, dim)
-    points, with N = prod(...) coordinates each; `residual` maps a (b, ...)
-    batch to (b, m) and `jacobian` maps it to (b, m, N), over the flattened
-    coordinates. Returns (x, residual(x), reason), x in x0's shape, where
-    reason[i] is CONVERGED (max|r_i| <= target), STALLED (no damping value
-    in a sweep improved the cost) or EXHAUSTED (max_iter iterations).
+    points, with N = prod(...) coordinates each. `evaluate` maps a (b, ...)
+    batch to (r, data): the (b, m) residuals and data on those b points that
+    can be indexed by member, and `jacobian(data[idx])` gives the (len(idx),
+    m, N) Jacobian, over the flattened coordinates, at the points idx. A
+    plain residual f with a Jacobian jac on points passes
+    `lambda x: (f(x), x)` and jac; MeasurementList.evaluate and assemble
+    split one kernel pass that way, so a Jacobian costs only a scatter at a
+    point already evaluated. Returns (x, r, reason), x in x0's shape and r
+    its residual, where reason[i] is CONVERGED (max|r_i| <= target),
+    STALLED (no damping value in a sweep improved the cost) or EXHAUSTED
+    (max_iter iterations).
 
     Classic multiplicative damping on J^T J + lam I: a step that lowers the
     cost is taken and lam *= 0.25 (floor 1e-14), one that does not gives
     lam *= 4, a singular solve gives lam *= 10, and 40 trials without a
-    step stall the member. Each member keeps its own lam and stopping rule,
-    so its iterates are those of a run from its start alone; the members
-    still active share one Jacobian call per iteration. The trials run in
-    rounds: in each, every member still looking for a step tries its next
-    1, 2, 4, 8, 16, then up to 9 values lam 4^j at once, all members' rows
-    in one stacked solve and one residual call, and keeps the first rung
-    that lowers the cost or is singular. Multiplying by 4 is exact, so lam,
-    the iterates and the reason are those of one trial at a time, bit for
-    bit. The caller decides whether a final residual is acceptable.
+    step stall the member. Each member keeps its own lam, trial and
+    iteration counts, J^T J and J^T r, and runs on its own schedule: in an
+    iteration it tries its damping values in rounds of 1, 2, 4, 8, 16, then
+    up to 9 values lam 4^j at once and keeps the first rung that lowers the
+    cost or is singular. Multiplying by 4 is exact, so lam, the iterates and
+    the reason are those of one trial at a time from its start alone, bit
+    for bit. In each step, every member whose last trial won starts its next
+    iteration, with the Jacobian at the point it took, and every member
+    still in its ladder takes its next round: the rows of all of them go
+    through one stacked solve and one `evaluate` call, and the new
+    iterations' Jacobians through one `jacobian` call. So a member that
+    converges in few rounds never waits for another's ladder, and the steps
+    number the most rounds any one member takes. The caller decides whether
+    a final residual is acceptable.
     """
     shape = np.shape(x0)
-    x = np.array(x0, dtype=float).reshape(shape[0], math.prod(shape[1:]))
-    r = residual(x.reshape(shape))
+    B, N = shape[0], math.prod(shape[1:])
+    x = np.array(x0, dtype=float).reshape(B, N)
+    r, data = evaluate(x.reshape(shape))
     cost = _sq(r)
-    lam = np.full(len(x), 1e-3)
-    reason = np.full(len(x), EXHAUSTED)
-    active = np.arange(len(x))
-    eye = np.eye(x.shape[1])
-    for _ in range(max_iter):
-        active = active[np.abs(r[active]).max(axis=1, initial=0.0) > target]
-        if not len(active):
+    lam = np.full(B, 1e-3)
+    # J^T J and -J^T r of each member's iteration, and per member the
+    # iterations it started, the trials left in the current one and the size
+    # of its next round
+    A, b = np.empty((B, N, N)), np.empty((B, N, 1))
+    iters, left, size = np.zeros(B, int), np.full(B, 40), np.zeros(B, int)
+    # members that start an iteration, with their rows of `data` and their
+    # residuals, and those inside a ladder
+    start, at, rs, looking = np.arange(B), np.arange(B), r, np.zeros(0, int)
+    while True:
+        go = (np.abs(rs).max(axis=1, initial=0.0) > target) & (iters[start] < max_iter)
+        start, at = start[go], at[go]
+        if len(start):
+            J = jacobian(data[at])
+            Jt = J.swapaxes(1, 2)
+            A[start] = Jt @ J
+            b[start] = -(Jt @ rs[go][:, :, None])
+            iters[start] += 1
+            left[start] = 40
+            size[start] = 1
+            looking = np.concatenate([looking, start])
+        if not len(looking):
             break
-        J = jacobian(x[active].reshape(len(active), *shape[1:]))
-        Jt = J.swapaxes(1, 2)
-        A = Jt @ J
-        g = Jt @ r[active][:, :, None]
-        # one round per ladder: k rungs lam 4^j, j < k, per member still
-        # looking, k = 1, 2, 4, ... up to its 40 trials
-        found = np.zeros(len(active), dtype=bool)
-        tried = np.zeros(len(active), dtype=int)
-        looking = np.arange(len(active))
-        size = 1
-        while len(looking):
-            members = active[looking]
-            k = np.minimum(size, 40 - tried[looking])
-            first = np.cumsum(k) - k
-            own = np.repeat(np.arange(len(looking)), k)
-            rung = np.arange(len(own)) - first[own]
-            at = looking[own]
-            row = active[at]
-            lams = np.ldexp(lam[row], 2 * rung)
-            dx, solved = _solve(A[at] + lams[:, None, None] * eye, -g[at])
-            xn = x[row] + dx[:, :, 0]
-            rn = residual(xn.reshape(len(xn), *shape[1:]))
-            cn = _sq(rn)
-            better = solved & (cn < cost[row])
-            # the first rung that lowers the cost or is singular stops the
-            # member's round (stop == k: none did); rungs past it are discarded
-            stop = np.minimum.reduceat(np.where(better | ~solved, rung, k[own]), first)
-            stopped = stop < k
-            hit = first + np.minimum(stop, k - 1)
-            won = stopped & better[hit]
-            singular = stopped & ~won
-            lam_s = np.ldexp(lam[members], 2 * stop)
-            lam[members] = np.where(
-                won, np.maximum(lam_s * 0.25, 1e-14), np.where(singular, lam_s * 10.0, lam_s)
-            )
-            w, mw = hit[won], members[won]
-            x[mw], r[mw], cost[mw] = xn[w], rn[w], cn[w]
-            found[looking[won]] = True
-            tried[looking] += np.where(singular, stop + 1, stop)
-            looking = looking[~won & (tried[looking] < 40)]
-            size *= 2
-        reason[active[~found]] = STALLED
-        active = active[found]
+        # k rungs lam 4^j, j < k, per member
+        k = np.minimum(size[looking], left[looking])
+        first = np.add.accumulate(k) - k
+        own = np.arange(len(looking)).repeat(k)
+        rung = np.arange(len(own)) - first[own]
+        row = looking[own]
+        # J^T J + lam I: matmul sums from +0, so J^T J holds no -0 and adding
+        # lam on the diagonal alone rounds as adding lam I
+        M = A[row]
+        M.reshape(len(row), N * N)[:, :: N + 1] += np.ldexp(lam[row], 2 * rung)[:, None]
+        dx, solved = _solve(M, b[row])
+        xn = x[row] + dx[:, :, 0]
+        rn, data = evaluate(xn.reshape(len(xn), *shape[1:]))
+        cn = _sq(rn)
+        better = solved & (cn < cost[row])
+        # the first rung that lowers the cost or is singular stops the
+        # member's round (stop == k: none did); rungs past it are discarded
+        stop = np.minimum.reduceat(np.where(better | ~solved, rung, k[own]), first)
+        stopped = stop < k
+        hit = first + np.minimum(stop, k - 1)
+        won = stopped & better[hit]
+        singular = stopped & ~won
+        lam_s = np.ldexp(lam[looking], 2 * stop)
+        lam[looking] = np.where(
+            won, np.maximum(lam_s * 0.25, 1e-14), np.where(singular, lam_s * 10.0, lam_s)
+        )
+        start, at = looking[won], hit[won]
+        rs = rn[at]
+        x[start], r[start], cost[start] = xn[at], rs, cn[at]
+        left[looking] -= stop + singular
+        size[looking] *= 2
+        looking = looking[~won & (left[looking] > 0)]
+    # a member out of trials stalled: one that took a step has some left
+    reason = np.where(left == 0, STALLED, EXHAUSTED)
     reason[np.abs(r).max(axis=1, initial=0.0) <= target] = CONVERGED
     return x.reshape(shape), r, reason
 
 
 def gauss_newton_project(
-    residual: Residual,
+    evaluate: Evaluate,
     jacobian: Jacobian,
     x0: np.ndarray,
     max_iter: int = 100,
@@ -161,16 +186,16 @@ def gauss_newton_project(
 
     One lm_solve from x0 alone, driven to target * 1e-2 as point_set_witness
     drives its restarts, so a point that stops short still meets the
-    target. x0 has any shape, and `residual` and `jacobian` take a batch of
-    such points, as lm_solve's do. Every step solves (J^T J + lam I) dx =
-    -J^T r, so on an underdetermined system x - x0 stays in the row space
-    of J and the iterate does not drift along the manifold; the damping
-    bounds the step where J is near singular. reached is max|r| <= target
-    with x within max_travel of x0. A J or r that is not finite takes no
-    step: (x0, False).
+    target. x0 has any shape; `evaluate` takes a batch of such points and
+    `jacobian` its data, as lm_solve's do. Every step solves
+    (J^T J + lam I) dx = -J^T r, so on an underdetermined system x - x0
+    stays in the row space of J and the iterate does not drift along the
+    manifold; the damping bounds the step where J is near singular.
+    reached is max|r| <= target with x within max_travel of x0. A J or r
+    that is not finite takes no step: (x0, False).
     """
     x0 = np.asarray(x0, dtype=float)
-    (x,), (r,), _ = lm_solve(residual, jacobian, x0[None], max_iter, target * 1e-2)
+    (x,), (r,), _ = lm_solve(evaluate, jacobian, x0[None], max_iter, target * 1e-2)
     near = max_travel is None or np.linalg.norm(x - x0) <= max_travel
     return x, bool(near and np.abs(r).max(initial=0.0) <= target)
 

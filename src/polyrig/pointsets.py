@@ -118,17 +118,28 @@ def _skew(a: np.ndarray) -> np.ndarray:
 # values, then (for order >= 1) the gradients with respect to each vector,
 # then (for order 2) the Hessian blocks, shape (..., t, t, k, dim, dim):
 # block [s, r] holds the second derivatives with respect to vectors s and r.
+# Last comes, for the angles at order >= 1 when some rays are parallel,
+# where they are, shape (..., k): there the derivatives are finite
+# stand-ins for undefined ones, and the caller refuses them
+# (_refuse_parallel); None elsewhere.
+
+_PARALLEL = "parallel rays; angle gradient undefined"
+
+
+def _refuse_parallel(parallel: np.ndarray | None) -> None:
+    if parallel is not None and parallel.any():
+        raise DegenerateMeasurement(_PARALLEL)
 
 
 def _length(vecs, lens, order: int):
     (d,), (r,) = vecs, lens
     if not order:
-        return r, None, None
+        return r, None, None, None
     u = d / r[..., None]
     if order == 1:
-        return r, (u,), None
+        return r, (u,), None, None
     hess = (np.eye(d.shape[-1]) - _outer(u, u)) / r[..., None, None]
-    return r, (u,), hess[..., None, None, :, :, :]
+    return r, (u,), hess[..., None, None, :, :, :], None
 
 
 def _angle(vecs, lens, order: int):
@@ -140,15 +151,21 @@ def _angle(vecs, lens, order: int):
     c = _dot(u, v)
     theta = np.arctan2(s, c)
     if not order:
-        return theta, None, None
-    if (s <= 1e-14 * nu * nv).any():
-        raise DegenerateMeasurement("parallel rays; angle gradient undefined")
+        return theta, None, None, None
+    parallel = s <= 1e-14 * nu * nv
+    if not parallel.any():
+        parallel = None
+    else:
+        # 1 stands in for s and both lengths there, so that no division
+        # meets a zero (a solver's trial point may be such a point and be
+        # rejected); `parallel` marks the result as no derivative
+        s, nu, nv = (np.where(parallel, 1.0, t) for t in (s, nu, nv))
     c, s = c[..., None], s[..., None]
     nu2, nv2 = (nu ** 2)[..., None], (nv ** 2)[..., None]
     du = (c * u / nu2 - v) / s
     dv = (c * v / nv2 - u) / s
     if order == 1:
-        return theta, (du, dv), None
+        return theta, (du, dv), None, parallel
     # In the plane of u and v the angle is a difference of two arguments,
     # so there d2/dudv = 0 and d2/du2 = -(au'^T + u'a^T), a = du and
     # u' = u / |u|^2 (v alike). In space the plane's unit normal e adds
@@ -164,7 +181,7 @@ def _angle(vecs, lens, order: int):
         hess[..., 0, 0, :, :, :] += cot / nu2[..., None] * ee
         hess[..., 1, 1, :, :, :] += cot / nv2[..., None] * ee
         hess[..., 0, 1, :, :, :] = hess[..., 1, 0, :, :, :] = -ee / s[..., None]
-    return theta, (du, dv), hess
+    return theta, (du, dv), hess, parallel
 
 
 def _normal_angle(vecs, lens, order: int):
@@ -172,13 +189,13 @@ def _normal_angle(vecs, lens, order: int):
     # dn = da x b + a x db, that is dn/da = -[b]x and dn/db = [a]x
     a, b, c, d = vecs
     n, m = _cross(a, b), _cross(c, d)
-    theta, g, h = _angle([n, m], [_norm(n), _norm(m)], order)
+    theta, g, h, parallel = _angle([n, m], [_norm(n), _norm(m)], order)
     if not order:
-        return theta, None, None
+        return theta, None, None, None
     gn, gm = g
     grads = (_cross(b, gn), _cross(gn, a), _cross(d, gm), _cross(gm, c))
     if order == 1:
-        return theta, grads, None
+        return theta, grads, None, parallel
     # the chain rule through dn/da, dn/db, dm/dc, dm/dd, plus the bilinear
     # second derivatives of gn.(a x b) and gm.(c x d)
     J = np.stack([-_skew(b), _skew(a), -_skew(d), _skew(c)], axis=-4)
@@ -190,7 +207,7 @@ def _normal_angle(vecs, lens, order: int):
     hess[..., 1, 0, :, :, :] += kn
     hess[..., 2, 3, :, :, :] -= km
     hess[..., 3, 2, :, :, :] += km
-    return theta, grads, hess
+    return theta, grads, hess, parallel
 
 
 def _triple(vecs, lens, order: int):
@@ -198,10 +215,10 @@ def _triple(vecs, lens, order: int):
     bc = _cross(b, c)
     value = _dot(a, bc)
     if not order:
-        return value, None, None
+        return value, None, None, None
     grads = (bc, _cross(c, a), _cross(a, b))
     if order == 1:
-        return value, grads, None
+        return value, grads, None, None
     # bilinear in each pair of vectors: d2/dadb = -[c]x and so on
     ka, kb, kc = _skew(a), _skew(b), _skew(c)
     zero = np.zeros_like(ka)
@@ -210,7 +227,7 @@ def _triple(vecs, lens, order: int):
         np.stack([kc, zero, -ka], axis=-4),
         np.stack([-kb, ka, zero], axis=-4),
     ], axis=-5)
-    return value, grads, hess
+    return value, grads, hess, None
 
 
 # the order of the vector blocks; the triple product comes last because its
@@ -346,6 +363,25 @@ def _join(parts: list) -> np.ndarray:
     return np.concatenate(parts, axis=None, dtype=np.intp) if parts else np.zeros(0, np.intp)
 
 
+@dataclass(frozen=True)
+class Gradients:
+    """What MeasurementList.evaluate leaves for MeasurementList.assemble
+    on a batch of (n, dim) point arrays: G, shape (..., vectors, dim), the
+    gradient of each row's value with respect to each of its difference
+    vectors, not yet scattered into the points, and parallel, shape (...,),
+    whether a member has an angle whose rays are parallel (its G holds
+    stand-ins there), or None when no member has. Indexing takes members,
+    as of an array of shape (...,)."""
+
+    G: np.ndarray
+    parallel: np.ndarray | None
+    n: int
+
+    def __getitem__(self, i) -> Gradients:
+        parallel = None if self.parallel is None else self.parallel[i]
+        return Gradients(self.G[i], parallel, self.n)
+
+
 class MeasurementList:
     """A measurement list compiled once into index arrays.
 
@@ -356,8 +392,11 @@ class MeasurementList:
     All difference vectors of the list are gathered, and their lengths
     taken, in one step; the measurements of one primitive are then
     evaluated together, so a call costs a few numpy operations whatever the
-    length of the list. sparse_jacobian gives the Jacobian of one point
-    array as a CSR matrix, for lists too long for the dense one, and
+    length of the list. evaluate gives the values with the gradients of
+    each row with respect to its difference vectors, from one gather, and
+    assemble scatters those into the Jacobian of any of the point arrays;
+    jacobian is the two in a row. sparse_jacobian gives the Jacobian of one
+    point array as a CSR matrix, for lists too long for the dense one, and
     weighted_hessian one weighted sum of the measurements' Hessians.
     """
 
@@ -468,35 +507,71 @@ class MeasurementList:
                     checked = start if fn is not _triple else checked
             yield r0, blocks, _join(at), checked
 
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """All values on a (..., n, dim) point array, shape (..., size)."""
-        P = np.asarray(points, dtype=float)
-        if not self._blocks:
-            return np.zeros(P.shape[:-2] + (0,))
-        D, lens = self._vectors(P)
-        vals = [
-            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 0)[0]
-            for fn, slices in self._blocks
-        ]
+    def _in_order(self, vals: list, batch: tuple) -> np.ndarray:
+        # the blocks' values, shape batch + (size,), in the list's order
+        if not vals:
+            return np.zeros(batch + (0,))
         vals = np.concatenate(vals, axis=-1)
         return vals if self._order is None else vals.take(self._order, axis=-1)
 
-    def _gradients(self, D: np.ndarray, lens: np.ndarray, blocks: list) -> np.ndarray:
-        """The gradient of each row's value with respect to each of its
-        difference vectors D (with lengths lens) of `blocks`, in D's shape."""
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """All values on a (..., n, dim) point array, shape (..., size)."""
+        P = np.asarray(points, dtype=float)
+        D, lens = self._vectors(P)
+        return self._in_order([
+            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 0)[0]
+            for fn, slices in self._blocks
+        ], P.shape[:-2])
+
+    def _gradients(
+        self, D: np.ndarray, lens: np.ndarray, blocks: list
+    ) -> tuple[list, np.ndarray, np.ndarray | None]:
+        """The values of `blocks`, one array a block, the gradient of each
+        row's value with respect to each of its difference vectors D (with
+        lengths lens), in D's shape, and, when some angle's rays are
+        parallel, whether they are for each member (an index of D's leading
+        axes); None when none are."""
         G = np.empty_like(D)
+        vals, parallel = [], None
         for fn, slices in blocks:
-            grads = fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1)[1]
+            value, grads, _, flat = fn(
+                [D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1
+            )
+            vals.append(value)
             for s, g in zip(slices, grads):
                 G[..., s, :] = g
-        return G
+            if flat is not None:
+                flat = flat.any(axis=-1)
+                parallel = flat if parallel is None else parallel | flat
+        return vals, G, parallel
+
+    def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, Gradients]:
+        """The values on a (..., n, dim) point array, as values gives them,
+        and their Gradients, both from one gather of difference vectors.
+
+        Parallel rays do not raise here, only when assemble is asked for a
+        Jacobian at them, so a solver may evaluate a trial point that it
+        then rejects. Two points of a distance or an angle that coincide
+        raise, as in values.
+        """
+        P = np.asarray(points, dtype=float)
+        vals, G, parallel = self._gradients(*self._vectors(P), self._blocks)
+        return self._in_order(vals, P.shape[:-2]), Gradients(G, parallel, P.shape[-2])
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
         (..., n, dim) point array; shape (..., size, n * dim)."""
         P = np.asarray(points, dtype=float)
-        *batch, n, dim = P.shape
-        G = self._gradients(*self._vectors(P), self._blocks)
+        _, G, parallel = self._gradients(*self._vectors(P), self._blocks)
+        return self.assemble(Gradients(G, parallel, P.shape[-2]))
+
+    def assemble(self, grads: Gradients) -> np.ndarray:
+        """The Jacobian of the members of `grads` (from evaluate, or any
+        index of them): shape (..., size, n * dim). A member with parallel
+        rays raises DegenerateMeasurement."""
+        _refuse_parallel(grads.parallel)
+        G, n = grads.G, grads.n
+        *batch, _, dim = G.shape
         members = math.prod(batch)
         # one weighted bincount: each cell sums its terms from zero in input
         # order, as np.add.at would, at a fraction of its cost. The cells of
@@ -553,10 +628,12 @@ class MeasurementList:
             return np.zeros((*batch, N, N))
         D, lens = self._vectors(P)
         blocks = [
-            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)[2]
+            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)
             for fn, slices in self._blocks
         ]
-        weights = np.concatenate([b.reshape(members, 1, -1) for b in blocks], axis=-1)
+        for b in blocks:
+            _refuse_parallel(b[3])
+        weights = np.concatenate([b[2].reshape(members, 1, -1) for b in blocks], axis=-1)
         owner, left, right = self._hessian_scatter()
         # each (dim, dim) block takes the weight of the row it belongs to
         rows = w.reshape(members, 1, self.size)[..., owner]
@@ -596,7 +673,8 @@ class MeasurementList:
         counts = np.zeros(self.size, itype)  # cells per row
         nnz = 0
         for r0, blocks, at, checked in self._chunks(_CSR_CHUNK):
-            G = self._gradients(*self._vectors(P, at, checked), blocks)
+            _, G, parallel = self._gradients(*self._vectors(P, at, checked), blocks)
+            _refuse_parallel(parallel)
             cells, cell = np.unique(self._cells(n, at).astype(itype), return_inverse=True)
             rows, ends = np.divmod(cells, n)
             counts[r0 : r0 + _CSR_CHUNK] = np.bincount(

@@ -24,6 +24,7 @@ from .pointsets import (
     Angle,
     DiagonalAngle,
     Distance,
+    Gradients,
     MeasurementList,
     SimpleMeasurement,
     _dot,
@@ -420,11 +421,12 @@ def _sqp_max(
     free = _free_columns(n)
     N, m = int(free.sum()), kernel.size - 1
 
-    def c_fun(P: np.ndarray) -> np.ndarray:
-        return kernel.values(P)[:, :-1] - targets
+    def c_fun(P: np.ndarray) -> tuple[np.ndarray, Gradients]:
+        values, grads = kernel.evaluate(P)
+        return values[:, :-1] - targets, grads
 
-    def c_jac(P: np.ndarray) -> np.ndarray:
-        return kernel.jacobian(P)[:, :-1]
+    def c_jac(grads: Gradients) -> np.ndarray:
+        return kernel.assemble(grads)[:, :-1]
 
     x, _, _ = lm_solve(c_fun, c_jac, starts, max_iter=120, target=1e-13)
     kept = np.ones(B, dtype=bool)

@@ -1,6 +1,7 @@
 """Dimension-agnostic measurement primitives and alignment distance."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy import sparse
 from polyrig import pointsets
 from polyrig.errors import DegenerateMeasurement
 from polyrig.generators import platonic
-from polyrig.geometry import build_pool, mesh_kernel
+from polyrig.geometry import DihedralAngle, build_pool, mesh_kernel
 from polyrig.pointsets import (
     Angle,
     Coplanar,
@@ -234,6 +235,34 @@ def test_hessian_raises_where_the_gradient_does():
             MeasurementList([m]).jacobian(collinear)
         with pytest.raises(DegenerateMeasurement, match="coincide"):
             MeasurementList([m]).weighted_hessian(collinear, np.ones(1))
+
+
+def test_evaluate_defers_parallel_rays_to_assembly():
+    # a straight angle in the plane, and a dihedral whose face triangle is
+    # flat (its cross product is zero): evaluate gives the values and
+    # Gradients without a warning, and only assemble raises, for a batch
+    # that holds such a point among others too
+    poly, real = platonic("cube")
+    flat = real.vertices.copy()
+    flat[2] = 2.0 * flat[1] - flat[0]
+    collinear = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
+    cases = [
+        (MeasurementList([Angle(0, 1, 2), Distance(0, 2)]), collinear, SQUARE[:3]),
+        (mesh_kernel(poly, [DihedralAngle(0, 2)]), flat, real.vertices),
+    ]
+    for kernel, P, fine in cases:
+        batch = np.stack([fine, P])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads = kernel.evaluate(batch)
+        assert values.tobytes() == kernel.values(batch).tobytes()
+        assert grads.parallel.tolist() == [False, True]
+        assert np.isfinite(grads.G).all()
+        assert kernel.assemble(grads[[0]]).tobytes() == kernel.jacobian(fine[None]).tobytes()
+        for call in (lambda: kernel.assemble(grads), lambda: kernel.assemble(grads[1]),
+                     lambda: kernel.jacobian(P), lambda: kernel.sparse_jacobian(P)):
+            with pytest.raises(DegenerateMeasurement, match="parallel rays"):
+                call()
 
 
 def test_hessian_of_an_empty_list():

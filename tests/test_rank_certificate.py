@@ -302,8 +302,9 @@ def test_deficient_sparse_rank_takes_one_svd_and_no_qr(monkeypatch):
 
 
 def _linear(J, b):
-    """The residual J x - b and its constant Jacobian, on a batch of x."""
-    return (lambda x: x @ J.T - b), (lambda x: np.broadcast_to(J, (len(x), *J.shape)))
+    """The residual J x - b, as gauss_newton_project's evaluate, and its
+    constant Jacobian, on a batch of x."""
+    return (lambda x: (x @ J.T - b, x)), (lambda x: np.broadcast_to(J, (len(x), *J.shape)))
 
 
 def test_projection_step_matches_lstsq_on_full_row_rank():
@@ -320,7 +321,7 @@ def test_projection_step_matches_lstsq_on_full_row_rank():
     x0 = X.ravel()
     resid, jac = _linear(J, J @ x0 + b)
     x, ok = gauss_newton_project(resid, jac, x0)
-    assert ok and np.abs(resid(x)).max() <= 1e-10
+    assert ok and np.abs(resid(x)[0]).max() <= 1e-10
     # damped steps J^T (J J^T + lam I)^-1 r stay in the row space of J
     dx = x - x0
     in_rows = J.T @ np.linalg.lstsq(J.T, dx, rcond=None)[0]
@@ -379,7 +380,7 @@ def test_projection_rejects_a_non_finite_jacobian(monkeypatch, capsys, tmp_path)
     built = []
     x0 = np.arange(4.0)
     x, ok = gauss_newton_project(
-        lambda x: np.ones((len(x), 3)), lambda x: built.append(1) or J[None], x0
+        lambda x: (np.ones((len(x), 3)), x), lambda x: built.append(1) or J[None], x0
     )
     assert not ok and np.array_equal(x, x0) and built == [1]
 

@@ -6,11 +6,16 @@ references below are the one-restart-at-a-time loops they replace; every
 restart must come out bit for bit the same.
 """
 
+import functools
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
-from polyrig.errors import NoConvergedRestarts
+from polyrig.errors import DegenerateMeasurement, NoConvergedRestarts
 from polyrig.generators import platonic
 from polyrig.geometry import build_pool, mesh_kernel
 from polyrig.pointsets import (
@@ -49,14 +54,16 @@ RESTARTS = 30
 OUTCOMES = ("converged", "escaped", STALLED, EXHAUSTED)
 
 
-def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12):
+def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None):
     """One start at a time: the loop the batched lm_solve replaced, with
-    the reason it stopped."""
+    the reason it stopped. `trials`, a list, receives per iteration the
+    outcome of each trial: "singular", "worse" or "won"."""
     x = np.array(x0, dtype=float)
     r = residual(x)
     cost = float(r @ r)
     lam = 1e-3
     reason = EXHAUSTED
+    log = [] if trials is None else trials
     for _ in range(max_iter):
         if np.abs(r).max() <= target:
             break
@@ -65,11 +72,13 @@ def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12):
         g = J.T @ r
         n = A.shape[0]
         improved = False
+        log.append([])
         for _ in range(40):
             try:
                 dx = np.linalg.solve(A + lam * np.eye(n), -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
+                log[-1].append("singular")
                 continue
             xn = x + dx
             rn = residual(xn)
@@ -78,8 +87,10 @@ def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12):
                 x, r, cost = xn, rn, cn
                 lam = max(lam * 0.25, 1e-14)
                 improved = True
+                log[-1].append("won")
                 break
             lam *= 4.0
+            log[-1].append("worse")
         if not improved:
             reason = STALLED
             break
@@ -88,14 +99,27 @@ def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12):
     return x, r, reason
 
 
-def system(name, restarts=RESTARTS, seed=0):
-    """The residual, the Jacobian (on one point or a batch) and the starts
-    point_set_witness builds for a case."""
-    dim, ref, ms, kw = CASES[name]
+def plain(residual):
+    """A residual as lm_solve's evaluate: the residuals, with the points
+    themselves as the data its Jacobian takes."""
+    return lambda x: (residual(x), x)
+
+
+def case_kernel(name):
+    """The measurement list of a case with its side rows, and its targets."""
+    _, ref, ms, kw = CASES[name]
     side = [Coplanar(*q) for q in kw.get("coplanar", ())]
     kernel = MeasurementList(list(ms) + side)
     targets = kernel.values(ref)
     targets[len(ms):] = 0.0
+    return kernel, targets
+
+
+def system(name, restarts=RESTARTS, seed=0):
+    """The residual, the Jacobian (on one point or a batch) and the starts
+    point_set_witness builds for a case."""
+    dim, ref, ms, kw = CASES[name]
+    kernel, targets = case_kernel(name)
     n = len(ref)
     noise = kw.get("noise", 0.5)
     diam = diameter(ref)
@@ -150,7 +174,7 @@ def serial_witness(name, restarts=RESTARTS, seed=0):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batched_lm_matches_serial_loop(name):
     resid, jac, starts = system(name)
-    x, r, reason = lm_solve(resid, jac, starts, target=1e-12)
+    x, r, reason = lm_solve(plain(resid), jac, starts, target=1e-12)
     for i, x0 in enumerate(starts):
         xs, rs, why = serial_lm(resid, jac, x0, target=1e-12)
         assert np.array_equal(x[i], xs), i
@@ -166,7 +190,7 @@ def test_a_point_batch_solves_as_its_flattened_batch(name, restarts):
     ref = CASES[name][1]
     resid, jac, starts = system(name, restarts)
     flat = starts.reshape(restarts, ref.size)
-    x_flat, r_flat, why_flat = lm_solve(resid, jac, flat, target=1e-12)
+    x_flat, r_flat, why_flat = lm_solve(plain(resid), jac, flat, target=1e-12)
     seen = set()
 
     def on_points(f):
@@ -176,7 +200,7 @@ def test_a_point_batch_solves_as_its_flattened_batch(name, restarts):
         return g
 
     points = flat.reshape(restarts, *ref.shape)
-    x, r, why = lm_solve(on_points(resid), on_points(jac), points, target=1e-12)
+    x, r, why = lm_solve(plain(on_points(resid)), on_points(jac), points, target=1e-12)
     assert seen == {ref.shape} and x.shape == points.shape
     assert np.array_equal(x.reshape(restarts, ref.size), x_flat)
     assert np.array_equal(r, r_flat) and np.array_equal(why, why_flat)
@@ -208,7 +232,7 @@ def test_singular_member_does_not_stop_the_others(monkeypatch):
 
     starts = np.array([[0.3, 0.2, -1.0], [0.3, 0.2, 1.0], [2.0, -3.0, -1.0]])
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    x, r, reason = lm_solve(resid, jac, starts, max_iter=30, target=1e-9)
+    x, r, reason = lm_solve(plain(resid), jac, starts, max_iter=30, target=1e-9)
     monkeypatch.undo()
     assert singular
     for i, x0 in enumerate(starts):
@@ -222,7 +246,7 @@ def polish_starts(name):
     """The system of a case and the points point_set_witness polishes: its
     restarts that converged within residual_tol."""
     resid, jac, starts = system(name)
-    x, r, _ = lm_solve(resid, jac, starts, target=1e-12)
+    x, r, _ = lm_solve(plain(resid), jac, starts, target=1e-12)
     return resid, jac, x[np.abs(r).max(axis=1) <= 1e-10]
 
 
@@ -231,7 +255,7 @@ def test_polish_pass_matches_serial_loop(name):
     # the polish pass of point_set_witness, where most members end by a stall
     # at their rounding floor after a full sweep of damping values
     resid, jac, x0 = polish_starts(name)
-    x, r, reason = lm_solve(resid, jac, x0, max_iter=80, target=1e-15)
+    x, r, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
     for i in range(len(x0)):
         xs, rs, why = serial_lm(resid, jac, x0[i], max_iter=80, target=1e-15)
         assert np.array_equal(x[i], xs), i
@@ -245,7 +269,7 @@ def test_stalled_member_costs_six_residual_calls(name):
     # of 1, 2, 4, 8, 16 and 9: six residual calls in its last iteration, not
     # one per value
     resid, jac, x0 = polish_starts(name)
-    _, _, reason = lm_solve(resid, jac, x0, max_iter=80, target=1e-15)
+    _, _, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
     for start in x0[reason == STALLED][:3]:
         iterations = []  # per iteration, the rows of each residual call
 
@@ -258,7 +282,7 @@ def test_stalled_member_costs_six_residual_calls(name):
                 iterations[-1].append(len(x))
             return resid(x)
 
-        _, _, (why,) = lm_solve(counting_resid, counting_jac, start[None], max_iter=80,
+        _, _, (why,) = lm_solve(plain(counting_resid), counting_jac, start[None], max_iter=80,
                                 target=1e-15)
         assert why == STALLED
         assert iterations[-1] == [1, 2, 4, 8, 16, 9]
@@ -292,7 +316,7 @@ def test_singular_rung_inside_a_ladder(monkeypatch):
 
     starts = np.array([[3.0, 0.0], [-3.0, 1.0], [0.5, 0.0]])
     monkeypatch.setattr(np.linalg, "solve", poisoned_solve)
-    x, r, reason = lm_solve(resid, jac, starts, max_iter=30, target=1e-9)
+    x, r, reason = lm_solve(plain(resid), jac, starts, max_iter=30, target=1e-9)
     serial = [serial_lm(resid, jac, x0, max_iter=30, target=1e-9) for x0 in starts]
     monkeypatch.undo()
     # a stacked solve met the poison right after the rung below it
@@ -303,6 +327,174 @@ def test_singular_rung_inside_a_ladder(monkeypatch):
     for i, (xs, rs, why) in enumerate(serial):
         assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
         assert reason[i] == why == CONVERGED, i
+
+
+def ladder_rounds(outcomes):
+    """The rounds of damping values lm_solve takes for one iteration's
+    trials, as serial_lm logs them: rounds of 1, 2, 4, 8, 16, then the rest
+    of the 40 trials, each ended by its first singular or winning trial."""
+    rounds, size, tried = 0, 1, 0
+    while tried < len(outcomes):
+        ladder = outcomes[tried : tried + min(size, 40 - tried)]
+        stop = next((j for j, o in enumerate(ladder) if o != "worse"), len(ladder) - 1)
+        rounds, size, tried = rounds + 1, 2 * size, tried + stop + 1
+    return rounds
+
+
+def test_each_member_runs_on_its_own_schedule():
+    # a step gives every member still running its next round of damping
+    # values, so the evaluate calls number those of the member that takes
+    # the most rounds alone, where a lockstep batch made every iteration
+    # wait for the slowest member's ladder before any took its Jacobian
+    fewer = []
+    for name in ["staircase6", "cube-ten"]:
+        resid, jac, starts = system(name)
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            return resid(x), x
+
+        x, r, reason = lm_solve(counting, jac, starts, target=1e-12)
+        rounds = []  # per member, the rounds of each of its iterations
+        for i, x0 in enumerate(starts):
+            trials = []
+            xs, rs, why = serial_lm(resid, jac, x0, target=1e-12, trials=trials)
+            assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), (name, i)
+            assert reason[i] == why, (name, i)
+            rounds.append([ladder_rounds(t) for t in trials])
+        alone = 1 + max(sum(m) for m in rounds)
+        lockstep = 1 + sum(
+            max(m[t] for m in rounds if len(m) > t)
+            for t in range(max(len(m) for m in rounds))
+        )
+        assert len(calls) == alone, name
+        fewer.append(len(calls) < lockstep)
+    assert any(fewer)
+
+
+ORDER_CASES = ["square-four", "staircase6", "cube-nine"]
+ORDER_BATCH = 12
+
+
+def kernel_system(name, restarts=ORDER_BATCH):
+    """A case's evaluate and Jacobian as point_set_witness passes them to
+    lm_solve (values and Gradients from one kernel pass, assemble), and its
+    starts as points."""
+    ref = CASES[name][1]
+    kernel, targets = case_kernel(name)
+
+    def evaluate(P):
+        values, grads = kernel.evaluate(P)
+        return values - targets, grads
+
+    return evaluate, kernel.assemble, system(name, restarts)[2].reshape(restarts, *ref.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def _whole_batch(name):
+    evaluate, assemble, starts = kernel_system(name)
+    return lm_solve(evaluate, assemble, starts, target=1e-12)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(
+    name=st.sampled_from(ORDER_CASES),
+    order=st.permutations(range(ORDER_BATCH)),
+    cut=st.integers(0, ORDER_BATCH),
+)
+def test_a_member_does_not_depend_on_its_batch(name, order, cut):
+    # the starts in any order, split into two batches anywhere, give each
+    # member the bits it has in the whole batch
+    evaluate, assemble, starts = kernel_system(name)
+    x, r, reason = _whole_batch(name)
+    order = np.array(order, dtype=int)
+    for part in (order[:cut], order[cut:]):
+        xp, rp, why = lm_solve(evaluate, assemble, starts[part], target=1e-12)
+        assert xp.tobytes() == x[part].tobytes()
+        assert rp.tobytes() == r[part].tobytes()
+        assert np.array_equal(why, reason[part])
+
+
+ANGLE = MeasurementList([Angle(0, 1, 2)])
+COLLINEAR = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+OFF_LINE = np.array([[0.0, 0.0], [1.0, 0.0], [1.25, 1.0]])
+
+
+def _first_trial_collinear(monkeypatch):
+    """The first solve after this returns the step from OFF_LINE to
+    COLLINEAR, where the angle's rays are parallel; it is exact in binary,
+    so the trial point is COLLINEAR to the bit."""
+    solve = np.linalg.solve
+    step = (COLLINEAR - OFF_LINE).ravel()
+    poisoned = []
+
+    def first_collinear(a, b):
+        if poisoned:
+            return solve(a, b)
+        poisoned.append(1)
+        return step.reshape(b.shape)
+
+    monkeypatch.setattr(np.linalg, "solve", first_collinear)
+
+
+def _run(solver):
+    """solver() with the first trial made COLLINEAR, warnings as errors: its
+    result, or the DegenerateMeasurement it raised."""
+    monkeypatch = pytest.MonkeyPatch()
+    _first_trial_collinear(monkeypatch)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return solver()
+    except DegenerateMeasurement as exc:
+        return exc
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("target", [np.pi / 2, np.pi - 2.0**-10], ids=["rejected", "accepted"])
+def test_parallel_rays_raise_only_at_a_step_taken(target):
+    # from OFF_LINE the first trial lands on COLLINEAR: against a right
+    # angle it raises the cost and is rejected, and evaluating it neither
+    # raises nor warns; against an angle of nearly pi it is taken, and the
+    # Jacobian there raises at the next iteration, as in the serial loop
+    targets = np.array([target])
+    parallel, built = [], {"batched": [], "serial": []}
+
+    def evaluate(P):
+        values, grads = ANGLE.evaluate(P)
+        parallel.append(grads.parallel is not None and bool(grads.parallel.any()))
+        return values - targets, grads
+
+    def assemble(grads):
+        built["batched"].append(len(parallel))  # after how many evaluations
+        return ANGLE.assemble(grads)
+
+    serial_evals = []
+
+    def resid(x):
+        serial_evals.append(1)
+        return ANGLE.values(x.reshape(3, 2)) - targets
+
+    def jac(x):
+        built["serial"].append(len(serial_evals))
+        return ANGLE.jacobian(x.reshape(3, 2))
+
+    got = _run(lambda: lm_solve(evaluate, assemble, OFF_LINE[None], max_iter=40, target=1e-12))
+    serial = _run(lambda: serial_lm(resid, jac, OFF_LINE.ravel(), max_iter=40, target=1e-12))
+    assert parallel[:2] == [False, True]  # the first trial was COLLINEAR
+    assert built["batched"] == built["serial"]
+    if target == np.pi / 2:
+        (x,), (r,), (why,) = got
+        xs, rs, whys = serial
+        assert np.array_equal(x.ravel(), xs) and np.array_equal(r, rs)
+        assert why == whys == CONVERGED
+    else:
+        assert isinstance(got, DegenerateMeasurement) and isinstance(serial, DegenerateMeasurement)
+        assert "parallel rays" in str(got)
+        # the Jacobians at the start and at COLLINEAR, after two evaluations
+        assert built["batched"] == [1, 2]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -357,7 +549,7 @@ def _add_at_jacobian(kernel, P):
     tail's, each cell summed from zero in that order."""
     *batch, n, dim = P.shape
     members = int(np.prod(batch))
-    G = kernel._gradients(*kernel._vectors(P), kernel._blocks)
+    G = kernel.evaluate(P)[1].G
     owners = np.concatenate([kernel._owners, kernel._owners])
     ends = np.concatenate([kernel._heads, kernel._tails])
     J = np.zeros((members, kernel.size, n, dim))
