@@ -336,7 +336,7 @@ def mesh_kernel(
         else:
             kind, columns = _ON_POINTS[cls]
             ids[kind] = (rows, f[:, columns])
-    return MeasurementList.from_ids(len(ms), ids)
+    return MeasurementList(MeasurementIds(len(ms), ids))
 
 
 def evaluate_all(

@@ -202,19 +202,6 @@ def _measurement_ids(obj: dict) -> tuple[type, list[int]]:
     return cls, ids
 
 
-def measurement_from_dict(obj: dict) -> Measurement3D | SimpleMeasurement:
-    cls, ids = _measurement_ids(obj)
-    return cls(*ids)
-
-
-def measurements_to_json(
-    dim: int, measurements: Sequence[Measurement3D | SimpleMeasurement]
-) -> str:
-    return json_dumps(
-        {"dim": dim, "measurements": [measurement_to_dict(m) for m in measurements]}
-    )
-
-
 def _dim(obj: dict) -> int:
     """The 'dim' of a measurement set or point config: the integer 2 or 3
     (not 2.0, not a bool)."""

@@ -12,7 +12,8 @@ coordinate array (n * dim,). Each primitive differentiates itself twice
 with respect to its difference vectors, so the second derivatives are
 exact, not finite differences; the grid oracles' Newton steps use them.
 A MeasurementIds holds a list as those index arrays, type by type, and
-builds a measurement object only when one is read.
+builds a measurement object only when one is read; a MeasurementList is
+compiled from one, or from a plain list read into one.
 """
 
 from __future__ import annotations
@@ -246,10 +247,11 @@ _LAYOUT = {
 }
 
 
-# how many rows MeasurementList.sparse_jacobian takes at a time
+# how many rows MeasurementList.sparse_jacobian compiles at a time, and
+# rigidity._sketched_rank sums into its buckets at a time
 _CSR_CHUNK = 2**15
 
-# the signs of the four point pairs of a Hessian block (MeasurementList._compile)
+# the signs of the four point pairs of a Hessian block (MeasurementList.weighted_hessian)
 _SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
 
 
@@ -264,7 +266,7 @@ class MeasurementIds(Sequence):
     """A read-only sequence of measurements held as index arrays.
 
     ids maps each measurement type present to (rows, fields), the form
-    MeasurementList.from_ids takes: the measurement at position rows[i] is
+    MeasurementList compiles: the measurement at position rows[i] is
     type(*fields[i]), each rows array ascending, each position in one of
     them. A measurement object is built only when the sequence is indexed
     or iterated, so a pool of a million face angles is a few arrays, while
@@ -308,6 +310,16 @@ class MeasurementIds(Sequence):
 
     def __len__(self) -> int:
         return self.size
+
+    def _span(self, start: int, stop: int) -> "MeasurementIds":
+        """Positions start to stop as MeasurementIds, from one searchsorted
+        a type: its fields are views of these."""
+        stop = min(stop, self.size)
+        ids = {}
+        for kind, (rows, f) in self.ids.items():
+            a, b = np.searchsorted(rows, [start, stop])
+            ids[kind] = rows[a:b] - start, f[a:b]
+        return MeasurementIds(stop - start, ids)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -398,28 +410,17 @@ class MeasurementList:
     jacobian is the two in a row. sparse_jacobian gives the Jacobian of one
     point array as a CSR matrix, for lists too long for the dense one, and
     weighted_hessian one weighted sum of the measurements' Hessians.
+
+    A list is compiled from a MeasurementIds, or from any sequence of
+    measurements read into one, and keeps it as ids.
     """
 
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
-        ids = MeasurementIds.of(measurements, _LAYOUT, "point")
-        self._compile(len(ids), ids.ids)
-
-    @classmethod
-    def from_ids(
-        cls, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]
-    ) -> "MeasurementList":
-        """A list of `size` measurements given as index arrays: ids maps a
-        measurement type to (rows, fields), and the measurement at position
-        rows[i] is type(*fields[i]). Each position appears once."""
-        self = cls.__new__(cls)
-        self._compile(size, ids)
-        return self
-
-    def _compile(self, size: int, ids: dict[type, tuple[np.ndarray, np.ndarray]]) -> None:
-        self.size = size
+        self.ids = MeasurementIds.of(measurements, _LAYOUT, "point")
+        self.size = len(self.ids)
         # (primitive, slices of the vector list: vector t of each of its rows),
         # and each block's rows, ascending
-        self._blocks, self._rows = [], []
+        self._blocks, block_rows = [], []
         heads, tails, owners = [], [], []
         start = 0
         for fn in _PRIMITIVES:
@@ -427,7 +428,7 @@ class MeasurementList:
                 self._checked = start
             parts = [
                 (rows, f[:, ends])
-                for kind, (rows, f) in ids.items()
+                for kind, (rows, f) in self.ids.ids.items()
                 for prim, ends in [_LAYOUT[kind]]
                 if prim is fn and len(rows)
             ]
@@ -443,7 +444,7 @@ class MeasurementList:
             self._blocks.append(
                 (fn, [slice(start + t * k, start + (t + 1) * k) for t in range(width)])
             )
-            self._rows.append(rows)
+            block_rows.append(rows)
             heads.append(e[:, :width].T)
             tails.append(e[:, width:].T)
             owners += [rows] * width
@@ -451,7 +452,7 @@ class MeasurementList:
         self._heads = _join(heads)
         self._tails = _join(tails)
         # the blocks' values come out in block order; this puts them back
-        order = _join(self._rows)
+        order = _join(block_rows)
         self._order = None if (np.diff(order) > 0).all() else np.argsort(order)
         # a vector's gradient enters its row, its owner, at its head and,
         # negated, at its tail; a scatter sums the terms of a point that ends
@@ -462,50 +463,20 @@ class MeasurementList:
         self._hess_scatter = None
         self._jacobian_cells = None
 
-    def _cells(self, n: int, at: np.ndarray | slice = slice(None)) -> np.ndarray:
-        """owner * n + point of each term of the vectors `at`, for n points:
+    def _cells(self, n: int) -> np.ndarray:
+        """owner * n + point of each term of the vectors, for n points:
         every vector at its head, then every vector at its tail."""
-        owner = self._owners[at] * n
-        return np.concatenate([owner + self._heads[at], owner + self._tails[at]])
+        owner = self._owners * n
+        return np.concatenate([owner + self._heads, owner + self._tails])
 
-    def _vectors(
-        self, P: np.ndarray, at: np.ndarray | slice | None = None, checked: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The difference vectors `at` (all by default) and their lengths;
-        the first `checked` of them (those of lengths and angles) must not
-        vanish."""
-        if at is None:
-            heads, tails, checked = self._heads, self._tails, self._checked
-        else:
-            heads, tails = self._heads[at], self._tails[at]
-        D = P.take(heads, axis=-2) - P.take(tails, axis=-2)
+    def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The difference vectors and their lengths; the first _checked of
+        them (those of lengths and angles) must not vanish."""
+        D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
         lens = _norm(D)
-        if checked and lens.size and lens[..., :checked].min() < 1e-300:
+        if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
         return D, lens
-
-    def _chunks(self, rows: int):
-        """The list `rows` rows at a time: for each chunk its first row, its
-        blocks, as (primitive, slices) into the chunk's vectors, the
-        positions of those vectors in the list's, and how many of them, the
-        first, belong to lengths and angles. A list of at most `rows` rows
-        is one chunk, its vectors all of the list's."""
-        if self.size <= rows:
-            yield 0, self._blocks, slice(None), self._checked
-            return
-        for r0 in range(0, self.size, rows):
-            blocks, at, start, checked = [], [], 0, 0
-            for (fn, slices), own in zip(self._blocks, self._rows):
-                a, b = np.searchsorted(own, [r0, r0 + rows])
-                k = int(b - a)
-                if k:
-                    width = len(slices)
-                    blocks.append((fn, [slice(start + t * k, start + (t + 1) * k)
-                                        for t in range(width)]))
-                    at += [np.arange(s.start + a, s.start + b) for s in slices]
-                    start += k * width
-                    checked = start if fn is not _triple else checked
-            yield r0, blocks, _join(at), checked
 
     def _in_order(self, vals: list, batch: tuple) -> np.ndarray:
         # the blocks' values, shape batch + (size,), in the list's order
@@ -524,16 +495,16 @@ class MeasurementList:
         ], P.shape[:-2])
 
     def _gradients(
-        self, D: np.ndarray, lens: np.ndarray, blocks: list
+        self, D: np.ndarray, lens: np.ndarray
     ) -> tuple[list, np.ndarray, np.ndarray | None]:
-        """The values of `blocks`, one array a block, the gradient of each
+        """The values of the blocks, one array a block, the gradient of each
         row's value with respect to each of its difference vectors D (with
         lengths lens), in D's shape, and, when some angle's rays are
         parallel, whether they are for each member (an index of D's leading
         axes); None when none are."""
         G = np.empty_like(D)
         vals, parallel = [], None
-        for fn, slices in blocks:
+        for fn, slices in self._blocks:
             value, grads, _, flat = fn(
                 [D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1
             )
@@ -555,15 +526,13 @@ class MeasurementList:
         raise, as in values.
         """
         P = np.asarray(points, dtype=float)
-        vals, G, parallel = self._gradients(*self._vectors(P), self._blocks)
+        vals, G, parallel = self._gradients(*self._vectors(P))
         return self._in_order(vals, P.shape[:-2]), Gradients(G, parallel, P.shape[-2])
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
         (..., n, dim) point array; shape (..., size, n * dim)."""
-        P = np.asarray(points, dtype=float)
-        _, G, parallel = self._gradients(*self._vectors(P), self._blocks)
-        return self.assemble(Gradients(G, parallel, P.shape[-2]))
+        return self.assemble(self.evaluate(points)[1])
 
     def assemble(self, grads: Gradients) -> np.ndarray:
         """The Jacobian of the members of `grads` (from evaluate, or any
@@ -658,9 +627,10 @@ class MeasurementList:
         Each row stores the dim coordinates of every point it touches. The
         terms that meet at one point of a row (the apex of an angle, p of a
         coplanarity) are summed from zero in the order of _cells, as
-        jacobian sums them. The rows are taken _CSR_CHUNK at a time, so that
-        besides the matrix only one chunk's vectors, gradients and cells
-        exist at once.
+        jacobian sums them. A list of more than _CSR_CHUNK rows compiles the
+        ids of each _CSR_CHUNK of them as a list of its own, whose vectors
+        and cells come in the order of the whole list's, so that besides the
+        matrix only one chunk's vectors, gradients and cells exist at once.
         """
         P = np.asarray(points, dtype=float)
         n, dim = P.shape
@@ -672,16 +642,17 @@ class MeasurementList:
         data, indices = np.empty((terms, dim)), np.empty((terms, dim), itype)
         counts = np.zeros(self.size, itype)  # cells per row
         nnz = 0
-        for r0, blocks, at, checked in self._chunks(_CSR_CHUNK):
-            _, G, parallel = self._gradients(*self._vectors(P, at, checked), blocks)
+        coord = np.arange(dim, dtype=itype)
+        for r0 in range(0, self.size, _CSR_CHUNK):
+            chunk = self
+            if self.size > _CSR_CHUNK:
+                chunk = MeasurementList(self.ids._span(r0, r0 + _CSR_CHUNK))
+            _, G, parallel = chunk._gradients(*chunk._vectors(P))
             _refuse_parallel(parallel)
-            cells, cell = np.unique(self._cells(n, at).astype(itype), return_inverse=True)
+            cells, cell = np.unique(chunk._cells(n).astype(itype), return_inverse=True)
             rows, ends = np.divmod(cells, n)
-            counts[r0 : r0 + _CSR_CHUNK] = np.bincount(
-                rows - r0, minlength=min(_CSR_CHUNK, self.size - r0)
-            )
+            counts[r0 : r0 + chunk.size] = np.bincount(rows, minlength=chunk.size)
             end = nnz + len(cells)
-            coord = np.arange(dim, dtype=itype)
             indices[nnz:end] = dim * ends[:, None] + coord
             # a weighted bincount sums each cell from zero in input order
             data[nnz:end] = np.bincount(

@@ -83,6 +83,7 @@ from .geometry import (
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
+    _CSR_CHUNK,
     Coplanar,
     Gradients,
     MeasurementIds,
@@ -199,12 +200,14 @@ def _segment_argmax(values: np.ndarray, starts: np.ndarray, segment: np.ndarray)
     return hit[np.searchsorted(hit, starts)]
 
 
-def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _face_anchors(
+    poly: AbstractPolyhedron, X: np.ndarray
+) -> tuple[np.ndarray, MeasurementIds]:
     """Three spread anchors per face of a realization with vertices X, (F, 3):
     its first vertex a, the vertex b farthest from a and the vertex c
-    farthest from the line ab; and the ids (a, b, c, v) of the side rows
-    Coplanar(a, b, c, v), one per face and vertex v of it other than its
-    anchors (none on a triangulated mesh)."""
+    farthest from the line ab; and the side rows Coplanar(a, b, c, v), one
+    per face and vertex v of it other than its anchors (none on a
+    triangulated mesh)."""
     vi, fj = _incidence_indices(poly)
     starts = np.searchsorted(fj, np.arange(poly.face_count))
     d = X[vi] - X[vi[starts]][fj]
@@ -215,7 +218,7 @@ def _face_anchors(poly: AbstractPolyhedron, X: np.ndarray) -> tuple[np.ndarray, 
     other[rows] = False
     anchors = vi[rows]
     ids = np.column_stack([anchors[fj[other]], vi[other]])
-    return anchors, ids
+    return anchors, MeasurementIds(len(ids), {Coplanar: (np.arange(len(ids)), ids)})
 
 
 def _kernel(M: np.ndarray, tol_rel: float, keep: int = 0) -> tuple[int, np.ndarray]:
@@ -240,7 +243,7 @@ def _kernel(M: np.ndarray, tol_rel: float, keep: int = 0) -> tuple[int, np.ndarr
 
 def _chart(
     poly: AbstractPolyhedron, scaled: Realization, g: int, tol_rel: float
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, np.ndarray, MeasurementIds]:
     """The planar-faced first-order deformations modulo the g motions at a
     unit-diameter realization, in vertex coordinates; (rank of d_phi, Z,
     anchors, side), the last two those of _face_anchors.
@@ -274,8 +277,7 @@ def _chart(
     G = motion_generators(scaled, g)
     if not len(side):
         return 3 * poly.face_count, np.linalg.qr(G, mode="complete")[0][:, g:], anchors, side
-    rows = MeasurementList.from_ids(len(side), {Coplanar: (np.arange(len(side)), side)})
-    C = rows.sparse_jacobian(X).toarray()
+    C = MeasurementList(side).sparse_jacobian(X).toarray()
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
     r, Z = _kernel(A, tol_rel, keep=g)
@@ -409,10 +411,10 @@ def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int |
     k = _SKETCH_ROWS * N
     # row i goes to bucket draw_i // 2 with sign (-1)^draw_i
     draw = np.random.default_rng(_SKETCH_SEED).integers(2 * k, size=m)
-    # the bucket sums C J, 16 row blocks at a time
+    # the bucket sums C J, _CSR_CHUNK rows at a time
     CJ = np.zeros(k * n)
-    for a in range(0, m, 16 * _ROW_BLOCK):
-        b = min(a + 16 * _ROW_BLOCK, m)
+    for a in range(0, m, _CSR_CHUNK):
+        b = min(a + _CSR_CHUNK, m)
         at = np.repeat(draw[a:b], np.diff(S.indptr[a : b + 1]))  # each nonzero's draw
         nz = slice(S.indptr[a], S.indptr[b])
         CJ += np.bincount(
@@ -445,7 +447,7 @@ def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int |
 def _setup(
     poly: AbstractPolyhedron, real: Realization, measurements: Sequence[Measurement3D],
     mode: str, tol_rel: float, allow_scale_variant: bool,
-) -> tuple[int, np.ndarray, sparse.csr_matrix, int, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, sparse.csr_matrix, int, np.ndarray, np.ndarray, MeasurementIds]:
     """The setup the three mesh verdicts share: (rank of d_phi, Z, S,
     target, X, anchors, side). X are the vertices of the unit-diameter
     realization, S the CSR measurement rows over X, target = 3E + 6 - g for
@@ -607,9 +609,7 @@ def flex_witness(
     u *= np.sign(u[np.argmax(np.abs(u))]) / np.linalg.norm(u)
 
     # one list: the measurements, then the side rows, whose target is 0
-    kernel = mesh_kernel(
-        poly, ms + MeasurementIds(len(side), {Coplanar: (np.arange(len(side)), side)})
-    )
+    kernel = mesh_kernel(poly, ms + side)
     targets = kernel.values(X)
     targets[len(ms):] = 0.0
     residual = 1e-10

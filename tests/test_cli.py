@@ -14,7 +14,9 @@ import polyrig
 from polyrig.cli import _parser, build_parser, main
 from polyrig.geometry import FaceDistance, build_pool
 from polyrig.incidence import build_incidence
-from polyrig.offio import measurements_to_json, off_text, read_off
+from polyrig.offio import off_text, read_off
+
+from measurement_json import measurements_to_json
 
 
 def run(capsys, *argv):

@@ -13,15 +13,15 @@ from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance
 from polyrig.offio import (
     format_float,
     json_dumps,
-    measurement_from_dict,
     measurement_to_dict,
-    measurements_to_json,
     off_text,
     parse_measurement_set,
     parse_point_config,
     read_off,
 )
 from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementIds
+
+from measurement_json import measurements_to_json
 
 
 def test_format_float_17_digits():
@@ -112,20 +112,24 @@ ALL_KINDS = [
 def test_measurement_dict_round_trip(m):
     d = measurement_to_dict(m)
     assert set(d) == {"type", "ids"}
-    assert measurement_from_dict(d) == m
+    assert parse_measurement_set({"dim": 3, "measurements": [d]})[1][0] == m
+
+
+def _parse_entry(entry):
+    return parse_measurement_set({"dim": 3, "measurements": [entry]})
 
 
 def test_measurement_from_dict_rejects_garbage():
     with pytest.raises(ParseError):
-        measurement_from_dict({"type": "laser", "ids": [0, 1]})
+        _parse_entry({"type": "laser", "ids": [0, 1]})
     with pytest.raises(ParseError):
-        measurement_from_dict({"type": "distance", "ids": [0]})
+        _parse_entry({"type": "distance", "ids": [0]})
     with pytest.raises(ParseError):
-        measurement_from_dict({"type": "distance", "ids": [0, True]})
+        _parse_entry({"type": "distance", "ids": [0, True]})
     with pytest.raises(ParseError):
-        measurement_from_dict({"type": "distance", "ids": [0.5, 1]})
+        _parse_entry({"type": "distance", "ids": [0.5, 1]})
     with pytest.raises(ParseError):
-        measurement_from_dict(["distance", 0, 1])
+        _parse_entry(["distance", 0, 1])
 
 
 def test_measurement_set_round_trip():

@@ -18,6 +18,7 @@ from polyrig.pointsets import (
     Coplanar,
     DiagonalAngle,
     Distance,
+    MeasurementIds,
     MeasurementList,
     _cross,
     align_distance,
@@ -351,6 +352,59 @@ def test_sparse_jacobian_in_chunks_is_the_whole(monkeypatch, chunk):
     P = np.random.default_rng(2).standard_normal((4, 3))
     with pytest.raises(DegenerateMeasurement, match="coincide"):
         MeasurementList([Distance(0, 1)] * 5 + [Distance(2, 2)]).sparse_jacobian(P)
+
+
+def test_a_row_range_of_ids_is_a_view_of_the_slice():
+    """MeasurementIds._span(a, b), the ids sparse_jacobian compiles a chunk
+    from, holds the items of the slice [a:b], its fields read-only views of
+    the parent's arrays: random ranges, and each range around a position
+    where the type changes, of the cube's `all` pool, Coplanar rows and its
+    edges (face distances again, after the other types)."""
+    poly, _ = platonic("cube")
+    side = MeasurementIds.of([Coplanar(0, 1, 2, 3), Coplanar(4, 5, 6, 7)], (Coplanar,), "side")
+    ids = build_pool(poly, "all") + side + build_pool(poly, "edges-only")
+    assert isinstance(ids, MeasurementIds)
+    items = list(ids)
+    turns = [t for t in range(1, len(items)) if type(items[t]) is not type(items[t - 1])]
+    assert len(turns) >= 4
+    rng = np.random.default_rng(5)
+    spans = [sorted(map(int, ab)) for ab in rng.integers(0, len(items) + 1, (200, 2))]
+    spans += [(t - d, t + e) for t in turns for d in (0, 1, 3) for e in (1, 2, 40)]
+    for a, b in spans:
+        view = ids._span(a, b)
+        assert len(view) == min(b, len(items)) - a and list(view) == items[a:b]
+        for kind, (rows, f) in view.ids.items():
+            assert not rows.flags.writeable and not f.flags.writeable
+            assert np.shares_memory(f, ids.ids[kind][1])
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 4])
+def test_a_list_of_ids_is_the_list_of_its_items(monkeypatch, chunk):
+    """MeasurementList(ids) and MeasurementList(list(ids)) give the same
+    bits of values, jacobian and sparse_jacobian, whole and in chunks; so
+    does a mesh kernel compiled again from the ids it keeps."""
+    point_types = (Distance, Angle, DiagonalAngle, Coplanar)
+    rng = np.random.default_rng(11)
+    cases = [
+        (MeasurementIds.of(ms, point_types, "point"), rng.standard_normal((7, dim)))
+        for dim, ms in SPARSE_CASES
+    ]
+    if chunk:
+        monkeypatch.setattr(pointsets, "_CSR_CHUNK", chunk)
+    for ids, P in cases:
+        assert isinstance(ids, MeasurementIds)
+        a, b = MeasurementList(ids), MeasurementList(list(ids))
+        assert a.ids is ids
+        for f in (lambda k: k.values(P), lambda k: k.jacobian(P),
+                  lambda k: k.sparse_jacobian(P).toarray()):
+            assert np.array_equal(_bits(f(a)), _bits(f(b)))
+    poly, real = platonic("cube")
+    kernel = mesh_kernel(poly, build_pool(poly, "all"))
+    again = MeasurementList(kernel.ids)
+    X = real.vertices
+    for f in (lambda k: k.values(X), lambda k: k.jacobian(X),
+              lambda k: k.sparse_jacobian(X).toarray()):
+        assert np.array_equal(_bits(f(kernel)), _bits(f(again)))
 
 
 def test_cross_is_numpys_bit_for_bit():

@@ -25,7 +25,6 @@ from polyrig.cli import main
 from polyrig.errors import ProjectionDiverged
 from polyrig.geometry import build_pool, fit_realization, mesh_kernel
 from polyrig.incidence import build_incidence
-from polyrig.offio import measurements_to_json
 from polyrig.pointsets import Angle, Distance, MeasurementList, diameter
 from polyrig.polygon import (
     PointConfig2D,
@@ -34,6 +33,8 @@ from polyrig.polygon import (
     sufficiency2d,
 )
 from polyrig.rigidity import _count_above, numeric_rank
+
+from measurement_json import measurements_to_json
 
 TOL = 1e-9
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
