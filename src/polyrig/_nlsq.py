@@ -8,8 +8,11 @@ One solver, deterministic, and two rank certificates:
   rank-deficient constraint varieties and convergence near them is linear
   rather than quadratic, hence the generous default iteration budget. Its
   damping sweep runs as a ladder of 1, 2, 4, 8, 16 and 9 damping values
-  per round, so a member parked at its rounding floor costs six residual
-  calls per iteration, not forty. Each member runs on its own schedule:
+  per round, and from the fourth round on it stops below lam*, the damping
+  value past which a trial provably gives back the iterate to the bit
+  (_stall_floor): a member parked at its rounding floor stalls once its
+  trials below lam* have failed, without solving or evaluating the rest of
+  its forty. Each member runs on its own schedule:
   a step gives every member its next round, the first of a new iteration
   for one whose last trial won, so no member waits for another's ladder,
   and all of them share one stacked solve and one call of `evaluate`,
@@ -52,13 +55,13 @@ def _sq(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def _solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked solve of M x = b; (x, solved). A singular member gets
-    solved False without failing the others."""
-    solved = np.ones(len(M), dtype=bool)
+def _solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Stacked solve of M x = b; (x, solved), solved None when every member
+    solved. A singular member gets solved False without failing the others."""
     try:
-        return np.linalg.solve(M, b), solved
+        return np.linalg.solve(M, b), None
     except np.linalg.LinAlgError:
+        solved = np.ones(len(M), dtype=bool)
         x = np.zeros_like(b)
         for i in range(len(M)):
             try:
@@ -66,6 +69,75 @@ def _solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 solved[i] = False
         return x, solved
+
+
+def _stall_floor(A: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """lam* of each member of an lm_solve iteration: from J^T J = A (m, N,
+    N), -J^T r = b (m, N, 1) and the iterate x (m, N), a damping value past
+    which every trial of the iteration is proved to fail; inf where the
+    premises fail, and nothing is claimed.
+
+    lam* = 8 max(||A||_1, ||A||_inf, ||b||_inf / q), q = min_j spacing(|x_j|)
+    / 4, whose rounding (at most gamma_{N+2} relative) the margins below
+    absorb. Let lam >= lam* and M = fl(A + lam I): its off-diagonal entries
+    are those of A and its diagonal is at least lam (A's is a sum of
+    squares), so every row and column of M has off-diagonal absolute sum at
+    most lam / 8, a diagonal margin of 7 lam / 8 and absolute sum at most
+    R = 1.13 lam.
+
+    * No row interchange. The computed factors of k steps of any LU
+      variant, blocked or recursive, are exact factors of M + E_k with
+      |E_k| <= gamma_N (|L||U| + |S_k|), S_k the computed active matrix
+      (Higham, Accuracy and Stability, Thm 9.3, whose sums may run in any
+      order). Schur complements of a matrix diagonally dominant by rows and
+      by columns stay so, with no smaller margin and no larger row sum (the
+      growth bound behind Higham's Thm 9.9). So by induction |l_ij| < 1,
+      every row of U sums to at most R + lam / 25, the rows of E_k sum to
+      at most gamma_N (N + 1) 1.2 lam and its columns to gamma_N (2 N + 1)
+      1.2 lam, both below lam / 25 when N gamma_{3N} <= 2^-5, and S_k keeps
+      a diagonal margin above lam / 2: each pivot search of dgetrf finds
+      the diagonal, and no pivot is zero, so the solve raises no
+      LinAlgError.
+    * A small step. The computed dx solves (M + dM) dx = b with |dM| <=
+      gamma_{3N} |L||U| (Higham, Thm 9.4), so every row of dM sums to at
+      most gamma_{3N} N 1.2 lam <= lam / 16. M + dM is then strictly
+      diagonally dominant by rows with margin at least 13 lam / 16, hence
+      ||dx||_inf <= ||b||_inf / (13 lam / 16) < q / 6 (Varah's bound).
+    * A trial that fails. |dx_j| < spacing(|x_j|) / 4, less than half the
+      gap between x_j and either neighbour, so x + dx rounds to x bit for
+      bit, its residual and cost are the iterate's and the trial fails.
+      Inside an iteration lam only grows, so every later trial fails too.
+
+    The premises: every x_j a normal number (a zero coordinate moves by any
+    step at all) with q > 0, A, b and x finite, and N gamma_{3N} <= 2^-5;
+    lam* is inf where one fails.
+    """
+    N = A.shape[-1]
+    floor = np.full(len(A), np.inf)
+    if N * _gamma(3 * N) > 2.0**-5:
+        return floor
+    ax = np.abs(x)
+    q = np.spacing(ax).min(axis=-1, initial=np.inf) / 4
+    ok = (ax >= np.finfo(float).tiny).all(axis=-1) & (q > 0) & np.isfinite(ax).all(axis=-1)
+    abs_A = np.abs(A)
+    norm_A = np.maximum(abs_A.sum(axis=-1).max(axis=-1), abs_A.sum(axis=-2).max(axis=-1))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = 8.0 * np.maximum(norm_A, np.abs(b).max(axis=(-2, -1)) / q)
+    ok &= np.isfinite(bound)
+    floor[ok] = bound[ok]
+    return floor
+
+
+# 2 j for the damping values lam 4^j of one iteration's 40 trials
+_RUNGS = 2 * np.arange(40)
+
+
+def _trials_below(lam: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """How many of the damping values lam 4^j, j = 0, 1, ..., 39, lie below
+    floor, per member; 40 where floor is inf."""
+    with np.errstate(over="ignore"):
+        below = np.count_nonzero(np.ldexp(lam[:, None], _RUNGS) < floor[:, None], axis=1)
+    return np.where(floor < np.inf, below, 40)
 
 
 def lm_solve(
@@ -85,7 +157,8 @@ def lm_solve(
     plain residual f with a Jacobian jac on points passes
     `lambda x: (f(x), x)` and jac; MeasurementList.evaluate and assemble
     split one kernel pass that way, so a Jacobian costs only a scatter at a
-    point already evaluated. Returns (x, r, reason), x in x0's shape and r
+    point already evaluated. A point's residual must not depend on the
+    other points of its batch. Returns (x, r, reason), x in x0's shape and r
     its residual, where reason[i] is CONVERGED (max|r_i| <= target),
     STALLED (no damping value in a sweep improved the cost) or EXHAUSTED
     (max_iter iterations).
@@ -105,8 +178,16 @@ def lm_solve(
     through one stacked solve and one `evaluate` call, and the new
     iterations' Jacobians through one `jacobian` call. So a member that
     converges in few rounds never waits for another's ladder, and the steps
-    number the most rounds any one member takes. The caller decides whether
-    a final residual is acceptable.
+    number the most rounds any one member takes. A step where every member
+    tries one value takes its rows as they are, with no ladder to lay out.
+
+    A member at its rounding floor would sweep all 40 values for nothing.
+    When it enters the fourth round of an iteration, _stall_floor gives the
+    damping value lam* from which on a trial provably returns the iterate
+    to the bit and fails: rungs at or past lam* are neither solved nor
+    evaluated, and a member whose next lam reaches lam* stalls at once, as
+    its remaining trials would have. The caller decides whether a final
+    residual is acceptable.
     """
     shape = np.shape(x0)
     B, N = shape[0], math.prod(shape[1:])
@@ -115,16 +196,21 @@ def lm_solve(
     cost = _sq(r)
     lam = np.full(B, 1e-3)
     # J^T J and -J^T r of each member's iteration, and per member the
-    # iterations it started, the trials left in the current one and the size
-    # of its next round
+    # iterations it started, the trials left in the current one, the size
+    # of its next round and, from its fourth round on, the iteration's lam*
     A, b = np.empty((B, N, N)), np.empty((B, N, 1))
     iters, left, size = np.zeros(B, int), np.full(B, 40), np.zeros(B, int)
+    floor = np.empty(B)
     # members that start an iteration, with their rows of `data` and their
     # residuals, and those inside a ladder
     start, at, rs, looking = np.arange(B), np.arange(B), r, np.zeros(0, int)
     while True:
-        go = (np.abs(rs).max(axis=1, initial=0.0) > target) & (iters[start] < max_iter)
-        start, at = start[go], at[go]
+        # a member inside its ladder takes a round of rungs; a step where
+        # none is takes one rung a member, its rows as they are
+        ladder = len(looking) > 0
+        if len(start):
+            go = (np.abs(rs).max(axis=1, initial=0.0) > target) & (iters[start] < max_iter)
+            start, at = start[go], at[go]
         if len(start):
             J = jacobian(data[at])
             Jt = J.swapaxes(1, 2)
@@ -136,38 +222,63 @@ def lm_solve(
             looking = np.concatenate([looking, start])
         if not len(looking):
             break
-        # k rungs lam 4^j, j < k, per member
-        k = np.minimum(size[looking], left[looking])
-        first = np.add.accumulate(k) - k
-        own = np.arange(len(looking)).repeat(k)
-        rung = np.arange(len(own)) - first[own]
-        row = looking[own]
+        lam_l = lam[looking]
+        if ladder:
+            # k rungs lam 4^j, j < k, per member
+            k = np.minimum(size[looking], left[looking])
+            first = np.add.accumulate(k) - k
+            own = np.arange(len(looking)).repeat(k)
+            rung = np.arange(len(own)) - first[own]
+            row, lam_row = looking[own], np.ldexp(lam_l[own], 2 * rung)
+        else:
+            k, row, lam_row = 1, looking, lam_l
         # J^T J + lam I: matmul sums from +0, so J^T J holds no -0 and adding
         # lam on the diagonal alone rounds as adding lam I
         M = A[row]
-        M.reshape(len(row), N * N)[:, :: N + 1] += np.ldexp(lam[row], 2 * rung)[:, None]
+        M.reshape(len(row), N * N)[:, :: N + 1] += lam_row[:, None]
         dx, solved = _solve(M, b[row])
         xn = x[row] + dx[:, :, 0]
         rn, data = evaluate(xn.reshape(len(xn), *shape[1:]))
         cn = _sq(rn)
-        better = solved & (cn < cost[row])
+        better = halt = cn < cost[row]
+        if solved is not None:
+            better = better & solved
+            halt = better | ~solved
         # the first rung that lowers the cost or is singular stops the
         # member's round (stop == k: none did); rungs past it are discarded
-        stop = np.minimum.reduceat(np.where(better | ~solved, rung, k[own]), first)
-        stopped = stop < k
-        hit = first + np.minimum(stop, k - 1)
-        won = stopped & better[hit]
-        singular = stopped & ~won
-        lam_s = np.ldexp(lam[looking], 2 * stop)
-        lam[looking] = np.where(
-            won, np.maximum(lam_s * 0.25, 1e-14), np.where(singular, lam_s * 10.0, lam_s)
-        )
+        if ladder:
+            stop = np.minimum.reduceat(np.where(halt, rung, k[own]), first)
+            hit = first + np.minimum(stop, k - 1)
+            won = (stop < k) & better[hit]
+        else:
+            stop, hit, won = (~halt).astype(int), np.arange(len(looking)), better
+        lam_s = np.ldexp(lam_l, 2 * stop)
+        left[looking] -= stop
+        if solved is not None:
+            # a singular rung counts as a trial and gives lam *= 10; past the
+            # fourth round that moves lam off the values lam* was counted on
+            singular = (stop < k) & ~won
+            lam_s[singular] *= 10.0
+            left[looking[singular]] -= 1
+            late = singular & (size[looking] >= 8)
+            left[looking[late]] = np.minimum(
+                left[looking[late]], _trials_below(lam_s[late], floor[looking[late]])
+            )
+        lam[looking] = np.where(won, np.maximum(lam_s * 0.25, 1e-14), lam_s)
         start, at = looking[won], hit[won]
         rs = rn[at]
         x[start], r[start], cost[start] = xn[at], rs, cn[at]
-        left[looking] -= stop + singular
         size[looking] *= 2
         looking = looking[~won & (left[looking] > 0)]
+        # entering its fourth round, a member keeps only its trials below
+        # lam*, past which every trial of the iteration is proved to fail;
+        # with none below it stalls at once
+        if ladder:
+            fourth = looking[size[looking] == 8]
+            if len(fourth):
+                floor[fourth] = _stall_floor(A[fourth], b[fourth], x[fourth])
+                left[fourth] = np.minimum(left[fourth], _trials_below(lam[fourth], floor[fourth]))
+                looking = looking[left[looking] > 0]
     # a member out of trials stalled: one that took a step has some left
     reason = np.where(left == 0, STALLED, EXHAUSTED)
     reason[np.abs(r).max(axis=1, initial=0.0) <= target] = CONVERGED

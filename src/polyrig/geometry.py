@@ -35,11 +35,11 @@ import numpy as np
 from .errors import DegenerateFace, NonPlanarFace
 from .incidence import AbstractPolyhedron
 from .pointsets import (
-    Angle,
     Coplanar,
     Distance,
     MeasurementIds,
     MeasurementList,
+    _Corner,
     _Hinge,
     _dot,
     _unit,
@@ -278,13 +278,8 @@ def d_phi(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
 # --- measurement evaluation ---------------------------------------------------
 
 
-# the point measurement each vertex measurement is, and the columns of its
-# ids that give the point measurement's fields
-_ON_POINTS = {
-    FaceDistance: (Distance, [0, 1]),
-    FaceAngle: (Angle, [1, 0, 2]),
-    Coplanar: (Coplanar, [0, 1, 2, 3]),
-}
+# the point measurement each vertex measurement is on its ids as they are
+_ON_POINTS = {FaceDistance: Distance, FaceAngle: _Corner, Coplanar: Coplanar}
 
 
 def _hinges(poly: AbstractPolyhedron, faces: np.ndarray) -> np.ndarray:
@@ -320,13 +315,14 @@ def mesh_kernel(
 ) -> MeasurementList:
     """Mesh measurements of a polyhedron compiled once onto its vertices.
 
-    A face distance is a point distance and a face angle a point angle of
-    the vertices; a dihedral is the angle of a _Hinge at the edge the two
+    A face distance is a point distance of the vertices and a face angle a
+    point angle, read as a _Corner from its ids (apex, end1, end2) in their
+    order; a dihedral is the angle of a _Hinge at the edge the two
     faces share (_hinges), and a Coplanar row on vertex ids stays as it is.
     The one point-set kernel serves meshes too. The index arrays of a
-    MeasurementIds (a pool) are taken as they are, and any other sequence
-    is read into them once, by measurement type. A measurement of another
-    type raises TypeError.
+    MeasurementIds (a pool) are taken as they are, with no copy but the
+    hinges, and any other sequence is read into them once, by measurement
+    type. A measurement of another type raises TypeError.
     """
     ms = _mesh_ids(measurements)
     ids = {}
@@ -334,8 +330,7 @@ def mesh_kernel(
         if cls is DihedralAngle:
             ids[_Hinge] = (rows, _hinges(poly, f))
         else:
-            kind, columns = _ON_POINTS[cls]
-            ids[kind] = (rows, f[:, columns])
+            ids[_ON_POINTS[cls]] = (rows, f)
     return MeasurementList(MeasurementIds(len(ms), ids))
 
 

@@ -67,6 +67,12 @@ class _Hinge:
     (u, v, w) and (v, u, x)."""
 
 
+class _Corner:
+    """The layout of a mesh face angle, ids (apex, end1, end2): the angle at
+    A_apex between the rays to A_end1 and A_end2, Angle(end1, apex, end2)
+    on a pool's id rows as they are, with no copy in Angle's field order."""
+
+
 @dataclass(frozen=True)
 class Coplanar:
     """Side constraint: points p, q, r, s lie on one plane (3D only).
@@ -114,11 +120,12 @@ def _skew(a: np.ndarray) -> np.ndarray:
     ], axis=-1).reshape(a.shape + (3,))
 
 
-# Each primitive takes, for its k measurements, the t difference vectors
-# vecs[t][..., k, :] and their lengths lens[t][..., k], and returns the k
-# values, then (for order >= 1) the gradients with respect to each vector,
-# then (for order 2) the Hessian blocks, shape (..., t, t, k, dim, dim):
-# block [s, r] holds the second derivatives with respect to vectors s and r.
+# Each primitive takes, for its k measurements, its t difference vectors as
+# one (..., t, k, dim) array V, vector s of measurement i at V[..., s, i, :],
+# and their lengths L, shape (..., t, k), and returns the k values, then (for
+# order >= 1) the gradients with respect to each vector in V's shape, then
+# (for order 2) the Hessian blocks, shape (..., t, t, k, dim, dim): block
+# [s, r] holds the second derivatives with respect to vectors s and r.
 # Last comes, for the angles at order >= 1 when some rays are parallel,
 # where they are, shape (..., k): there the derivatives are finite
 # stand-ins for undefined ones, and the caller refuses them
@@ -132,20 +139,21 @@ def _refuse_parallel(parallel: np.ndarray | None) -> None:
         raise DegenerateMeasurement(_PARALLEL)
 
 
-def _length(vecs, lens, order: int):
-    (d,), (r,) = vecs, lens
+def _length(V, L, order: int):
+    r = L[..., 0, :]
     if not order:
         return r, None, None, None
-    u = d / r[..., None]
+    G = V / L[..., None]
     if order == 1:
-        return r, (u,), None, None
-    hess = (np.eye(d.shape[-1]) - _outer(u, u)) / r[..., None, None]
-    return r, (u,), hess[..., None, None, :, :, :], None
+        return r, G, None, None
+    u = G[..., 0, :, :]
+    hess = (np.eye(V.shape[-1]) - _outer(u, u)) / r[..., None, None]
+    return r, G, hess[..., None, None, :, :, :], None
 
 
-def _angle(vecs, lens, order: int):
-    (u, v), (nu, nv) = vecs, lens
-    if u.shape[-1] == 2:
+def _angle(V, L, order: int):
+    u, v = V[..., 0, :, :], V[..., 1, :, :]
+    if V.shape[-1] == 2:
         s = np.abs(u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0])
     else:
         s = _norm(_cross(u, v))
@@ -153,24 +161,26 @@ def _angle(vecs, lens, order: int):
     theta = np.arctan2(s, c)
     if not order:
         return theta, None, None, None
-    parallel = s <= 1e-14 * nu * nv
+    parallel = s <= 1e-14 * L[..., 0, :] * L[..., 1, :]
     if not parallel.any():
         parallel = None
     else:
         # 1 stands in for s and both lengths there, so that no division
         # meets a zero (a solver's trial point may be such a point and be
         # rejected); `parallel` marks the result as no derivative
-        s, nu, nv = (np.where(parallel, 1.0, t) for t in (s, nu, nv))
+        s = np.where(parallel, 1.0, s)
+        L = np.where(parallel[..., None, :], 1.0, L)
     c, s = c[..., None], s[..., None]
-    nu2, nv2 = (nu ** 2)[..., None], (nv ** 2)[..., None]
-    du = (c * u / nu2 - v) / s
-    dv = (c * v / nv2 - u) / s
+    L2 = (L ** 2)[..., None]
+    # d theta/du = (c u / |u|^2 - v) / s, and v alike
+    G = (c[..., None, :, :] * V / L2 - V[..., ::-1, :, :]) / s[..., None, :, :]
     if order == 1:
-        return theta, (du, dv), None, parallel
+        return theta, G, None, parallel
     # In the plane of u and v the angle is a difference of two arguments,
     # so there d2/dudv = 0 and d2/du2 = -(au'^T + u'a^T), a = du and
     # u' = u / |u|^2 (v alike). In space the plane's unit normal e adds
     # cot e e^T / |u|^2 to d2/du2 (|v|^2 to d2/dv2), and d2/dudv = -e e^T / s.
+    du, dv, nu2, nv2 = G[..., 0, :, :], G[..., 1, :, :], L2[..., 0, :, :], L2[..., 1, :, :]
     au, bv = _outer(du, u / nu2), _outer(dv, v / nv2)
     hess = np.zeros(u.shape[:-2] + (2, 2) + u.shape[-2:] + u.shape[-1:])
     hess[..., 0, 0, :, :, :] = -(au + au.swapaxes(-1, -2))
@@ -182,23 +192,25 @@ def _angle(vecs, lens, order: int):
         hess[..., 0, 0, :, :, :] += cot / nu2[..., None] * ee
         hess[..., 1, 1, :, :, :] += cot / nv2[..., None] * ee
         hess[..., 0, 1, :, :, :] = hess[..., 1, 0, :, :, :] = -ee / s[..., None]
-    return theta, (du, dv), hess, parallel
+    return theta, G, hess, parallel
 
 
-def _normal_angle(vecs, lens, order: int):
+def _normal_angle(V, L, order: int):
     # the angle between n = a x b and m = c x d; d theta = g.dn with
     # dn = da x b + a x db, that is dn/da = -[b]x and dn/db = [a]x
-    a, b, c, d = vecs
-    n, m = _cross(a, b), _cross(c, d)
-    theta, g, h, parallel = _angle([n, m], [_norm(n), _norm(m)], order)
+    ac, bd = V[..., 0::2, :, :], V[..., 1::2, :, :]
+    nm = _cross(ac, bd)
+    theta, g, h, parallel = _angle(nm, _norm(nm), order)
     if not order:
         return theta, None, None, None
-    gn, gm = g
-    grads = (_cross(b, gn), _cross(gn, a), _cross(d, gm), _cross(gm, c))
+    # (b x gn, gn x a, d x gm, gm x c)
+    G = np.stack([_cross(bd, g), _cross(g, ac)], axis=-3).reshape(V.shape)
     if order == 1:
-        return theta, grads, None, parallel
+        return theta, G, None, parallel
     # the chain rule through dn/da, dn/db, dm/dc, dm/dd, plus the bilinear
     # second derivatives of gn.(a x b) and gm.(c x d)
+    a, b, c, d = (V[..., t, :, :] for t in range(4))
+    gn, gm = g[..., 0, :, :], g[..., 1, :, :]
     J = np.stack([-_skew(b), _skew(a), -_skew(d), _skew(c)], axis=-4)
     normal = [0, 0, 1, 1]
     h = h[..., normal, :, :, :, :][..., normal, :, :, :]
@@ -208,18 +220,18 @@ def _normal_angle(vecs, lens, order: int):
     hess[..., 1, 0, :, :, :] += kn
     hess[..., 2, 3, :, :, :] -= km
     hess[..., 3, 2, :, :, :] += km
-    return theta, grads, hess, parallel
+    return theta, G, hess, parallel
 
 
-def _triple(vecs, lens, order: int):
-    a, b, c = vecs
-    bc = _cross(b, c)
-    value = _dot(a, bc)
+def _triple(V, L, order: int):
+    a, b, c = (V[..., t, :, :] for t in range(3))
     if not order:
-        return value, None, None, None
-    grads = (bc, _cross(c, a), _cross(a, b))
+        return _dot(a, _cross(b, c)), None, None, None
+    # (b x c, c x a, a x b)
+    G = _cross(np.roll(V, -1, axis=-3), np.roll(V, -2, axis=-3))
+    value = _dot(a, G[..., 0, :, :])
     if order == 1:
-        return value, grads, None, None
+        return value, G, None, None
     # bilinear in each pair of vectors: d2/dadb = -[c]x and so on
     ka, kb, kc = _skew(a), _skew(b), _skew(c)
     zero = np.zeros_like(ka)
@@ -228,7 +240,7 @@ def _triple(vecs, lens, order: int):
         np.stack([kc, zero, -ka], axis=-4),
         np.stack([-kb, ka, zero], axis=-4),
     ], axis=-5)
-    return value, grads, hess, None
+    return value, G, hess, None
 
 
 # the order of the vector blocks; the triple product comes last because its
@@ -242,6 +254,7 @@ _LAYOUT = {
     Distance: (_length, [0, 1]),
     Angle: (_angle, [0, 2, 1, 1]),
     DiagonalAngle: (_angle, [1, 3, 0, 2]),
+    _Corner: (_angle, [1, 2, 0, 0]),
     _Hinge: (_normal_angle, [1, 2, 3, 0, 0, 0, 1, 1]),
     Coplanar: (_triple, [1, 2, 3, 0, 0, 0]),
 }
@@ -418,8 +431,8 @@ class MeasurementList:
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
         self.ids = MeasurementIds.of(measurements, _LAYOUT, "point")
         self.size = len(self.ids)
-        # (primitive, slices of the vector list: vector t of each of its rows),
-        # and each block's rows, ascending
+        # (primitive, its span of the vector list, t, k): vector s of row i
+        # of the block at span.start + s k + i; and each block's rows, ascending
         self._blocks, block_rows = [], []
         heads, tails, owners = [], [], []
         start = 0
@@ -441,9 +454,7 @@ class MeasurementList:
                 by_row = np.argsort(rows, kind="stable")
                 rows, e = rows[by_row], np.concatenate([e for _, e in parts])[by_row]
             k, width = len(rows), e.shape[1] // 2
-            self._blocks.append(
-                (fn, [slice(start + t * k, start + (t + 1) * k) for t in range(width)])
-            )
+            self._blocks.append((fn, slice(start, start + width * k), width, k))
             block_rows.append(rows)
             heads.append(e[:, :width].T)
             tails.append(e[:, width:].T)
@@ -478,6 +489,14 @@ class MeasurementList:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
         return D, lens
 
+    def _views(self, D: np.ndarray, lens: np.ndarray):
+        """Each block's primitive and span, with its vectors as one
+        (..., t, k, dim) view of D and their lengths, shape (..., t, k)."""
+        batch, dim = lens.shape[:-1], D.shape[-1:]
+        for fn, span, width, k in self._blocks:
+            shape = batch + (width, k)
+            yield fn, span, D[..., span, :].reshape(shape + dim), lens[..., span].reshape(shape)
+
     def _in_order(self, vals: list, batch: tuple) -> np.ndarray:
         # the blocks' values, shape batch + (size,), in the list's order
         if not vals:
@@ -489,10 +508,9 @@ class MeasurementList:
         """All values on a (..., n, dim) point array, shape (..., size)."""
         P = np.asarray(points, dtype=float)
         D, lens = self._vectors(P)
-        return self._in_order([
-            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 0)[0]
-            for fn, slices in self._blocks
-        ], P.shape[:-2])
+        return self._in_order(
+            [fn(V, L, 0)[0] for fn, _, V, L in self._views(D, lens)], P.shape[:-2]
+        )
 
     def _gradients(
         self, D: np.ndarray, lens: np.ndarray
@@ -504,13 +522,10 @@ class MeasurementList:
         axes); None when none are."""
         G = np.empty_like(D)
         vals, parallel = [], None
-        for fn, slices in self._blocks:
-            value, grads, _, flat = fn(
-                [D[..., s, :] for s in slices], [lens[..., s] for s in slices], 1
-            )
+        for fn, span, V, L in self._views(D, lens):
+            value, g, _, flat = fn(V, L, 1)
             vals.append(value)
-            for s, g in zip(slices, grads):
-                G[..., s, :] = g
+            G[..., span, :] = g.reshape(G[..., span, :].shape)
             if flat is not None:
                 flat = flat.any(axis=-1)
                 parallel = flat if parallel is None else parallel | flat
@@ -565,10 +580,8 @@ class MeasurementList:
         and r enters that row, with the signs +, -, -, + of _SIGNS."""
         if self._hess_scatter is None:
             vs, vr = [], []
-            for _, slices in self._blocks:
-                first, width = slices[0], len(slices)
-                k = first.stop - first.start
-                at = first.start + k * np.arange(width)[:, None] + np.arange(k)
+            for _, span, width, k in self._blocks:
+                at = np.arange(span.start, span.stop).reshape(width, k)
                 vs.append(np.broadcast_to(at[:, None], (width, width, k)))
                 vr.append(np.broadcast_to(at[None, :], (width, width, k)))
             vs, vr = _join(vs), _join(vr)
@@ -596,10 +609,7 @@ class MeasurementList:
         if not self._blocks:
             return np.zeros((*batch, N, N))
         D, lens = self._vectors(P)
-        blocks = [
-            fn([D[..., s, :] for s in slices], [lens[..., s] for s in slices], 2)
-            for fn, slices in self._blocks
-        ]
+        blocks = [fn(V, L, 2) for fn, _, V, L in self._views(D, lens)]
         for b in blocks:
             _refuse_parallel(b[3])
         weights = np.concatenate([b[2].reshape(members, 1, -1) for b in blocks], axis=-1)

@@ -449,10 +449,12 @@ def _sqp_max(
         K[:, :N, N:] = C.swapaxes(1, 2)
         K[:, N:, :N] = C
         rhs = np.concatenate([-g, targets - kernel.values(pts)[:, :-1]], axis=1)
-        sol, ok = _solve(K, rhs[:, :, None])
+        sol, solved = _solve(K, rhs[:, :, None])
         dx = sol[:, :N, 0]
         size = np.abs(dx).max(axis=1)
-        ok &= np.isfinite(sol).all(axis=(1, 2)) & (size <= max_step)
+        ok = np.isfinite(sol).all(axis=(1, 2)) & (size <= max_step)
+        if solved is not None:
+            ok &= solved
         kept[active[~ok]] = False
         step = active[ok]
         moved = x[step].reshape(len(step), 2 * n)

@@ -754,16 +754,23 @@ def point_set_witness(
     escaped = int(np.count_nonzero(far))
     converged = len(sols) - escaped
 
+    # the first representative within CLUSTER_TOL takes a solution. The
+    # reference is the first, and to_ref is already each solution's distance
+    # to it, so a restart that came back joins its cluster with no further
+    # alignment; the others are aligned against the representatives after it
+    back = to_ref <= CLUSTER_TOL * scale
     reps: list[np.ndarray] = [ref]
-    counts: list[int] = [0]
+    counts: list[int] = [int(np.count_nonzero(back & ~far))]
     dists: list[float] = [0.0]
-    for sol, d in zip(sols[~far], to_ref[~far]):
-        # the first representative within CLUSTER_TOL takes the solution
-        hits = np.flatnonzero(
-            align_distance(np.array(reps), sol, allow_reflection) <= CLUSTER_TOL * scale
-        )
+    rest = ~back & ~far
+    for sol, d in zip(sols[rest], to_ref[rest]):
+        hits = []
+        if len(reps) > 1:
+            hits = np.flatnonzero(
+                align_distance(np.array(reps[1:]), sol, allow_reflection) <= CLUSTER_TOL * scale
+            )
         if len(hits):
-            counts[hits[0]] += 1
+            counts[1 + hits[0]] += 1
         else:
             reps.append(sol)
             counts.append(1)

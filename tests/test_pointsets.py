@@ -12,7 +12,7 @@ from scipy import sparse
 from polyrig import pointsets
 from polyrig.errors import DegenerateMeasurement
 from polyrig.generators import platonic
-from polyrig.geometry import DihedralAngle, build_pool, mesh_kernel
+from polyrig.geometry import DihedralAngle, FaceAngle, build_pool, mesh_kernel
 from polyrig.pointsets import (
     Angle,
     Coplanar,
@@ -20,7 +20,9 @@ from polyrig.pointsets import (
     Distance,
     MeasurementIds,
     MeasurementList,
+    _Corner,
     _cross,
+    _Hinge,
     align_distance,
     diameter,
     measurement_gradient,
@@ -354,6 +356,25 @@ def test_sparse_jacobian_in_chunks_is_the_whole(monkeypatch, chunk):
         MeasurementList([Distance(0, 1)] * 5 + [Distance(2, 2)]).sparse_jacobian(P)
 
 
+def test_a_face_angle_pool_is_its_point_angles_bit_for_bit():
+    """mesh_kernel takes a face-angle pool's ids (apex, end1, end2) as they
+    are, as the layout _Corner: its CSR rows, values and dense Jacobian are
+    those of the point list Angle(end1, apex, end2), bit for bit, and the
+    compiled list holds the pool's id array itself."""
+    poly, real = platonic("dodecahedron")
+    pool = build_pool(poly, "face-angles")
+    kernel = mesh_kernel(poly, pool)
+    ids = pool.ids[FaceAngle][1]
+    point = MeasurementList([Angle(i, j, k) for j, i, k in ids.tolist()])
+    P = real.vertices + 0.05 * np.random.default_rng(4).standard_normal(real.vertices.shape)
+    S, T = kernel.sparse_jacobian(P), point.sparse_jacobian(P)
+    assert np.array_equal(_bits(S.data), _bits(T.data))
+    assert np.array_equal(S.indices, T.indices) and np.array_equal(S.indptr, T.indptr)
+    assert np.array_equal(_bits(kernel.values(P)), _bits(point.values(P)))
+    assert np.array_equal(_bits(kernel.jacobian(P)), _bits(point.jacobian(P)))
+    assert kernel.ids.ids[_Corner][1] is ids
+
+
 def test_a_row_range_of_ids_is_a_view_of_the_slice():
     """MeasurementIds._span(a, b), the ids sparse_jacobian compiles a chunk
     from, holds the items of the slice [a:b], its fields read-only views of
@@ -405,6 +426,124 @@ def test_a_list_of_ids_is_the_list_of_its_items(monkeypatch, chunk):
     for f in (lambda k: k.values(X), lambda k: k.jacobian(X),
               lambda k: k.sparse_jacobian(X).toarray()):
         assert np.array_equal(_bits(f(kernel)), _bits(f(again)))
+
+
+# A row-by-row scalar reference of the kernel at order 1: the documented
+# formula of each primitive, in the kernel's operation order, on one
+# measurement of one point array at a time. Inner products of one vector
+# pair are np.dot, as the kernel's matmul rounds.
+
+
+def _ref_cross(u, v):
+    return np.array([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _ref_norm(u):
+    return np.sqrt(np.dot(u, u))
+
+
+def _ref_angle(u, v, nu, nv):
+    """The angle between u and v (lengths nu, nv), its gradients with
+    respect to both, and whether they are parallel: there 1 stands in for s
+    and both lengths."""
+    s = abs(u[0] * v[1] - u[1] * v[0]) if len(u) == 2 else _ref_norm(_ref_cross(u, v))
+    c = np.dot(u, v)
+    theta = np.arctan2(s, c)
+    parallel = bool(s <= 1e-14 * nu * nv)
+    if parallel:
+        s = nu = nv = 1.0
+    du = (c * u / (nu * nu) - v) / s
+    dv = (c * v / (nv * nv) - u) / s
+    return theta, [du, dv], parallel
+
+
+def _ref_row(kind, ids, P):
+    """One measurement on one (n, dim) point array: value, the gradients of
+    its difference vectors, their heads and tails, and whether rays are
+    parallel."""
+    if kind is Distance:
+        heads, tails = [ids[0]], [ids[1]]
+    elif kind is Angle:
+        heads, tails = [ids[0], ids[2]], [ids[1], ids[1]]
+    elif kind is _Corner:
+        heads, tails = [ids[1], ids[2]], [ids[0], ids[0]]
+    elif kind is DiagonalAngle:
+        heads, tails = [ids[1], ids[3]], [ids[0], ids[2]]
+    elif kind is Coplanar:
+        heads, tails = list(ids[1:]), [ids[0]] * 3
+    else:  # _Hinge (u, v, w, x)
+        heads, tails = [ids[1], ids[2], ids[3], ids[0]], [ids[0], ids[0], ids[1], ids[1]]
+    vecs = [P[h] - P[t] for h, t in zip(heads, tails)]
+    lens = [_ref_norm(d) for d in vecs]
+    parallel = False
+    if kind is Distance:
+        value, grads = lens[0], [vecs[0] / lens[0]]
+    elif kind is Coplanar:
+        a, b, c = vecs
+        value, grads = np.dot(a, _ref_cross(b, c)), [_ref_cross(b, c), _ref_cross(c, a),
+                                                    _ref_cross(a, b)]
+    elif kind is _Hinge:
+        a, b, c, d = vecs
+        n, m = _ref_cross(a, b), _ref_cross(c, d)
+        value, (gn, gm), parallel = _ref_angle(n, m, _ref_norm(n), _ref_norm(m))
+        grads = [_ref_cross(b, gn), _ref_cross(gn, a), _ref_cross(d, gm), _ref_cross(gm, c)]
+    else:
+        value, grads, parallel = _ref_angle(*vecs, *lens)
+    return value, grads, heads, tails, parallel
+
+
+def _kernel_bit_lists():
+    """Lists of every primitive on 7 points, 2D and 3D, with random ids."""
+    rng = np.random.default_rng(23)
+    lists = []
+    for dim in (2, 3):
+        ids = {kind: rng.permuted(np.tile(np.arange(7), (6, 1)), axis=1)[:, :width]
+               for kind, width in [(Distance, 2), (Angle, 3), (_Corner, 3), (DiagonalAngle, 4),
+                                   (Coplanar, 4), (_Hinge, 4)]
+               if dim == 3 or kind not in (Coplanar, _Hinge)}
+        kinds = rng.permutation([kind for kind in ids for _ in range(6)])
+        rows = {kind: np.flatnonzero(kinds == kind) for kind in ids}
+        lists.append((dim, MeasurementList(MeasurementIds(len(kinds), {
+            kind: (rows[kind], ids[kind]) for kind in ids}))))
+    return lists
+
+
+@pytest.mark.parametrize("dim, kernel", _kernel_bit_lists(), ids=["2d", "3d"])
+def test_kernel_is_its_scalar_reference_bit_for_bit(dim, kernel):
+    """evaluate's values and gradients, and assemble's Jacobian, equal the
+    scalar reference on a random batch, bit for bit. Member 0 has its points
+    on a line with integer coordinates, so every angle's rays are parallel
+    and evaluate gives the stand-ins; in 3D member 1 has them in a plane,
+    so every dihedral's normals are parallel."""
+    rng = np.random.default_rng(dim)
+    P = rng.standard_normal((9, 7, dim))
+    P[0] = np.arange(1, 8)[:, None] * np.arange(1, dim + 1)
+    if dim == 3:
+        P[1, :, 2] = 0.0
+    values, grads = kernel.evaluate(P)
+    owners = kernel._owners
+    ref_parallel = np.zeros(len(P), dtype=bool)
+    keep = []
+    for b, pts in enumerate(P):
+        J = np.zeros((kernel.size, 7, dim))
+        for row in range(kernel.size):
+            kind, ids = next((kind, f[rows == row][0]) for kind, (rows, f)
+                             in kernel.ids.ids.items() if (rows == row).any())
+            value, g, heads, tails, parallel = _ref_row(kind, ids, pts)
+            ref_parallel[b] |= parallel
+            assert _bits(values[b, row]) == _bits(np.float64(value)), (b, row)
+            at = np.flatnonzero(owners == row)
+            assert np.array_equal(_bits(grads.G[b, at]), _bits(np.array(g))), (b, row)
+            for h, gt in zip(heads, g):
+                J[row, h] += gt
+            for t, gt in zip(tails, g):
+                J[row, t] += -gt
+        keep.append(J.reshape(kernel.size, 7 * dim))
+    assert ref_parallel[0] and ref_parallel[1] == (dim == 3)
+    assert np.array_equal(grads.parallel, ref_parallel)
+    ok = np.flatnonzero(~ref_parallel)
+    assert np.array_equal(_bits(kernel.assemble(grads[ok])), _bits(np.array(keep)[ok]))
 
 
 def test_cross_is_numpys_bit_for_bit():

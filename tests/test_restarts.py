@@ -1,7 +1,7 @@
 """The batched restart search against serial reference loops.
 
 `lm_solve` runs all restarts of a witness search as one batch, and
-`point_set_witness` clusters against all representatives in one call. The
+`point_set_witness` aligns every solution to the reference in one call. The
 references below are the one-restart-at-a-time loops they replace; every
 restart must come out bit for bit the same.
 """
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
+from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, _stall_floor, lm_solve
 from polyrig.errors import DegenerateMeasurement, NoConvergedRestarts
 from polyrig.generators import platonic
 from polyrig.geometry import build_pool, mesh_kernel
@@ -54,16 +54,27 @@ RESTARTS = 30
 OUTCOMES = ("converged", "escaped", STALLED, EXHAUSTED)
 
 
-def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None):
+def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None, floor=None,
+              rounds=None, skipped=None):
     """One start at a time: the loop the batched lm_solve replaced, with
     the reason it stopped. `trials`, a list, receives per iteration the
-    outcome of each trial: "singular", "worse" or "won"."""
+    outcome of each trial: "singular", "worse" or "won".
+
+    With `floor` (lm_solve's _stall_floor) the loop takes its trials in the
+    rounds lm_solve takes, 1, 2, 4, 8, 16, then the rest of the 40, each
+    ended by its first singular or winning trial, and applies the same
+    proof: from the fourth round of an iteration on, trials at damping
+    values from floor(A, -g, x) up are not run, and the iteration ends as a
+    stall. `rounds`, a list, then receives per iteration the rows of each
+    round, and `skipped` one (A, g, x, damping values) per iteration that
+    the proof ended, with the values of the trials it left out."""
     x = np.array(x0, dtype=float)
     r = residual(x)
     cost = float(r @ r)
     lam = 1e-3
     reason = EXHAUSTED
     log = [] if trials is None else trials
+    sizes = [] if rounds is None else rounds
     for _ in range(max_iter):
         if np.abs(r).max() <= target:
             break
@@ -73,24 +84,38 @@ def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None):
         n = A.shape[0]
         improved = False
         log.append([])
-        for _ in range(40):
-            try:
-                dx = np.linalg.solve(A + lam * np.eye(n), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                log[-1].append("singular")
-                continue
-            xn = x + dx
-            rn = residual(xn)
-            cn = float(rn @ rn)
-            if cn < cost:
-                x, r, cost = xn, rn, cn
-                lam = max(lam * 0.25, 1e-14)
-                improved = True
-                log[-1].append("won")
+        sizes.append([])
+        tried, size, cap = 0, 1 if floor is not None else 40, np.inf
+        while tried < 40 and not improved:
+            if size == 8:
+                cap = floor(A[None], -g[None, :, None], x[None])[0]
+            k = min(size, 40 - tried)
+            k = sum(lam * 4.0**j < cap for j in range(k))
+            if not k:
+                if skipped is not None:
+                    skipped.append((A, g, x, lam * 4.0 ** np.arange(40 - tried)))
                 break
-            lam *= 4.0
-            log[-1].append("worse")
+            sizes[-1].append(k)
+            for _ in range(k):
+                tried += 1
+                try:
+                    dx = np.linalg.solve(A + lam * np.eye(n), -g)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    log[-1].append("singular")
+                    break
+                xn = x + dx
+                rn = residual(xn)
+                cn = float(rn @ rn)
+                if cn < cost:
+                    x, r, cost = xn, rn, cn
+                    lam = max(lam * 0.25, 1e-14)
+                    improved = True
+                    log[-1].append("won")
+                    break
+                lam *= 4.0
+                log[-1].append("worse")
+            size *= 2
         if not improved:
             reason = STALLED
             break
@@ -263,30 +288,93 @@ def test_polish_pass_matches_serial_loop(name):
         assert reason[i] == why, i
 
 
+def counted_rounds(resid, jac, x0, **kw):
+    """lm_solve from one start: its result and, per iteration, the rows of
+    each of its residual calls."""
+    iterations = []
+
+    def counting_jac(x):
+        iterations.append([])
+        return jac(x)
+
+    def counting_resid(x):
+        if iterations:
+            iterations[-1].append(len(x))
+        return resid(x)
+
+    return lm_solve(plain(counting_resid), counting_jac, x0[None], **kw), iterations
+
+
 @pytest.mark.parametrize("name", ["cube-ten", "square-four", "staircase6"])
-def test_stalled_member_costs_six_residual_calls(name):
-    # a member at its rounding floor tries its 40 damping values in ladders
-    # of 1, 2, 4, 8, 16 and 9: six residual calls in its last iteration, not
-    # one per value
+def test_stalled_member_stops_at_the_proved_floor(name):
+    # a member at its rounding floor tries its damping values in rounds of
+    # 1, 2, 4, 8, 16 and 9, and from the fourth round on stops at lam*, the
+    # value past which every trial is proved to return its iterate: the
+    # serial loop with the same proof predicts every residual call
     resid, jac, x0 = polish_starts(name)
     _, _, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
+    cut = 0
     for start in x0[reason == STALLED][:3]:
-        iterations = []  # per iteration, the rows of each residual call
-
-        def counting_jac(x):
-            iterations.append([])
-            return jac(x)
-
-        def counting_resid(x):
-            if iterations:
-                iterations[-1].append(len(x))
-            return resid(x)
-
-        _, _, (why,) = lm_solve(plain(counting_resid), counting_jac, start[None], max_iter=80,
-                                target=1e-15)
-        assert why == STALLED
-        assert iterations[-1] == [1, 2, 4, 8, 16, 9]
+        ((x,), (r,), (why,)), iterations = counted_rounds(
+            resid, jac, start, max_iter=80, target=1e-15)
+        rounds = []
+        xs, rs, whys = serial_lm(resid, jac, start, max_iter=80, target=1e-15,
+                                 floor=_stall_floor, rounds=rounds)
+        assert why == whys == STALLED
+        assert np.array_equal(x, xs) and np.array_equal(r, rs)
+        assert iterations == rounds
         assert all(len(calls) <= 6 and sum(calls) <= 40 for calls in iterations)
+        cut += sum(iterations[-1]) < 40
+    assert cut
+
+
+def test_trials_past_the_floor_return_the_iterate():
+    # every trial the proof left out, run anyway: its solve meets no
+    # singular pivot, and x + dx is x to the bit
+    skipped = []
+    for name in sorted(CASES):
+        resid, jac, x0 = polish_starts(name)
+        for start in x0[:6]:
+            serial_lm(resid, jac, start, max_iter=80, target=1e-15, floor=_stall_floor,
+                      skipped=skipped)
+    assert len(skipped) >= 10
+    for A, g, x, lams in skipped:
+        for lam in lams:
+            dx = np.linalg.solve(A + lam * np.eye(len(A)), -g)
+            assert (x + dx).tobytes() == x.tobytes(), lam
+
+
+def root_two(x):
+    """r = x0^2 - 2, which stalls at its rounding floor near sqrt(2) and
+    leaves x1 where it started."""
+    return x[..., :1] ** 2 - 2.0
+
+
+def root_two_jacobian(x):
+    # x1's column is zero, so (J^T J + lam I)[1, 1] is the damping value
+    J = np.zeros(x.shape[:-1] + (1, 2))
+    J[..., 0, 0] = 2.0 * x[..., 0]
+    return J
+
+
+def test_a_zero_coordinate_skips_no_trial():
+    # at x1 = 0 any step moves it, so the proof claims nothing and the
+    # member sweeps all 40 damping values; at x1 = 0.5 the sweep ends at lam*
+    resid, jac = root_two, root_two_jacobian
+    starts = np.array([[1.5, 0.0], [1.5, 0.5]])
+    x, r, reason = lm_solve(plain(resid), jac, starts, target=1e-20)
+    sweeps = []
+    for i, x0 in enumerate(starts):
+        xs, rs, why = serial_lm(resid, jac, x0, target=1e-20)
+        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
+        assert reason[i] == why == STALLED, i
+        (_, _, (why,)), iterations = counted_rounds(resid, jac, x0, target=1e-20)
+        rounds = []
+        serial_lm(resid, jac, x0, target=1e-20, floor=_stall_floor, rounds=rounds)
+        assert why == STALLED and iterations == rounds, i
+        sweeps.append(iterations[-1])
+    assert x[0, 1] == 0.0 and sweeps[0] == [1, 2, 4, 8, 16, 9]
+    assert sum(sweeps[1]) < 40
 
 
 def test_singular_rung_inside_a_ladder(monkeypatch):
@@ -329,23 +417,53 @@ def test_singular_rung_inside_a_ladder(monkeypatch):
         assert reason[i] == why == CONVERGED, i
 
 
-def ladder_rounds(outcomes):
-    """The rounds of damping values lm_solve takes for one iteration's
-    trials, as serial_lm logs them: rounds of 1, 2, 4, 8, 16, then the rest
-    of the 40 trials, each ended by its first singular or winning trial."""
-    rounds, size, tried = 0, 1, 0
-    while tried < len(outcomes):
-        ladder = outcomes[tried : tried + min(size, 40 - tried)]
-        stop = next((j for j, o in enumerate(ladder) if o != "worse"), len(ladder) - 1)
-        rounds, size, tried = rounds + 1, 2 * size, tried + stop + 1
-    return rounds
+def test_singular_rung_past_the_fourth_round(monkeypatch):
+    # the stall sweep of root_two from x1 = 0.5 ends at lam* inside its
+    # fourth round. Made singular at that round's second rung, lam grows by
+    # 10, off the powers of 4 its trials below lam* were counted on: they are
+    # counted again, and the rounds are those the serial loop takes
+    start = np.array([1.5, 0.5])
+    tried = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        tried.append(a[..., 1, 1].ravel())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    serial_lm(root_two, root_two_jacobian, start, target=1e-20)
+    poison = np.concatenate(tried)[-40:][8]
+    hits = []
+
+    def poisoned(a, b):
+        if (a[..., 1, 1] == poison).any():
+            hits.append(a.shape)
+            raise np.linalg.LinAlgError("poisoned damping value")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", poisoned)
+    ((x,), (r,), (why,)), iterations = counted_rounds(
+        root_two, root_two_jacobian, start, target=1e-20)
+    assert hits
+    rounds, trials = [], []
+    xs, rs, whys = serial_lm(root_two, root_two_jacobian, start, target=1e-20,
+                             floor=_stall_floor, rounds=rounds, trials=trials)
+    xp, rp, whyp = serial_lm(root_two, root_two_jacobian, start, target=1e-20)
+    monkeypatch.undo()
+    assert trials[-1][:9] == ["worse"] * 8 + ["singular"]
+    assert np.array_equal(x, xs) and np.array_equal(x, xp)
+    assert np.array_equal(r, rs) and np.array_equal(r, rp)
+    assert why == whys == whyp == STALLED
+    assert iterations == rounds and sum(iterations[-1]) < 40
 
 
 def test_each_member_runs_on_its_own_schedule():
     # a step gives every member still running its next round of damping
     # values, so the evaluate calls number those of the member that takes
     # the most rounds alone, where a lockstep batch made every iteration
-    # wait for the slowest member's ladder before any took its Jacobian
+    # wait for the slowest member's ladder before any took its Jacobian.
+    # The serial loop with lm_solve's proved floor predicts each member's
+    # rounds and their rows: the calls and the rows they evaluate
     fewer = []
     for name in ["staircase6", "cube-ten"]:
         resid, jac, starts = system(name)
@@ -356,19 +474,22 @@ def test_each_member_runs_on_its_own_schedule():
             return resid(x), x
 
         x, r, reason = lm_solve(counting, jac, starts, target=1e-12)
-        rounds = []  # per member, the rounds of each of its iterations
+        rounds, rows = [], 0  # per member, the rounds of each iteration; all rows
         for i, x0 in enumerate(starts):
-            trials = []
-            xs, rs, why = serial_lm(resid, jac, x0, target=1e-12, trials=trials)
+            member = []
+            xs, rs, why = serial_lm(resid, jac, x0, target=1e-12, floor=_stall_floor,
+                                    rounds=member)
             assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), (name, i)
             assert reason[i] == why, (name, i)
-            rounds.append([ladder_rounds(t) for t in trials])
+            rounds.append([len(it) for it in member])
+            rows += sum(map(sum, member))
         alone = 1 + max(sum(m) for m in rounds)
         lockstep = 1 + sum(
             max(m[t] for m in rounds if len(m) > t)
             for t in range(max(len(m) for m in rounds))
         )
         assert len(calls) == alone, name
+        assert sum(calls) == len(starts) + rows, name
         fewer.append(len(calls) < lockstep)
     assert any(fewer)
 
