@@ -41,6 +41,8 @@ from scipy import sparse
 from scipy.linalg.lapack import dtrtri
 from scipy.sparse.linalg import splu
 
+from .pointsets import _dot
+
 # a batch of points -> (residuals, data by member); data[idx] -> Jacobians
 Evaluate = Callable[[np.ndarray], tuple[np.ndarray, Any]]
 Jacobian = Callable[[Any], np.ndarray]
@@ -48,11 +50,6 @@ Jacobian = Callable[[Any], np.ndarray]
 
 # why a member of a batched lm_solve stopped
 CONVERGED, STALLED, EXHAUSTED = "converged", "stalled", "exhausted"
-
-
-def _sq(r: np.ndarray) -> np.ndarray:
-    # r @ r per row; a (1, m) @ (m, 1) matmul rounds as the 1-D dot does
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
 def _solve(M: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -193,7 +190,7 @@ def lm_solve(
     B, N = shape[0], math.prod(shape[1:])
     x = np.array(x0, dtype=float).reshape(B, N)
     r, data = evaluate(x.reshape(shape))
-    cost = _sq(r)
+    cost = _dot(r, r)
     lam = np.full(B, 1e-3)
     # J^T J and -J^T r of each member's iteration, and per member the
     # iterations it started, the trials left in the current one, the size
@@ -239,7 +236,7 @@ def lm_solve(
         dx, solved = _solve(M, b[row])
         xn = x[row] + dx[:, :, 0]
         rn, data = evaluate(xn.reshape(len(xn), *shape[1:]))
-        cn = _sq(rn)
+        cn = _dot(rn, rn)
         better = halt = cn < cost[row]
         if solved is not None:
             better = better & solved
@@ -289,24 +286,24 @@ def gauss_newton_project(
     evaluate: Evaluate,
     jacobian: Jacobian,
     x0: np.ndarray,
-    max_iter: int = 100,
     target: float = 1e-10,
     max_travel: float | None = None,
 ) -> tuple[np.ndarray, bool]:
     """Damped Gauss-Newton steps from x0 toward residual = 0; (x, reached).
 
-    One lm_solve from x0 alone, driven to target * 1e-2 as point_set_witness
-    drives its restarts, so a point that stops short still meets the
-    target. x0 has any shape; `evaluate` takes a batch of such points and
-    `jacobian` its data, as lm_solve's do. Every step solves
-    (J^T J + lam I) dx = -J^T r, so on an underdetermined system x - x0
-    stays in the row space of J and the iterate does not drift along the
-    manifold; the damping bounds the step where J is near singular.
+    One lm_solve of at most 100 iterations from x0 alone, driven to
+    target * 1e-2 as point_set_witness drives its restarts, so a point that
+    stops short still meets the target. x0 has any shape; `evaluate` takes
+    a batch of such points and `jacobian` its data, as lm_solve's do. Every
+    step solves (J^T J + lam I) dx = -J^T r, so on an underdetermined
+    system x - x0 stays in the row space of J and the iterate does not
+    drift along the manifold; the damping bounds the step where J is near
+    singular.
     reached is max|r| <= target with x within max_travel of x0. A J or r
     that is not finite takes no step: (x0, False).
     """
     x0 = np.asarray(x0, dtype=float)
-    (x,), (r,), _ = lm_solve(evaluate, jacobian, x0[None], max_iter, target * 1e-2)
+    (x,), (r,), _ = lm_solve(evaluate, jacobian, x0[None], 100, target * 1e-2)
     near = max_travel is None or np.linalg.norm(x - x0) <= max_travel
     return x, bool(near and np.abs(r).max(initial=0.0) <= target)
 

@@ -112,16 +112,19 @@ def _is_mesh_path(path: str) -> bool:
     return not _load_text(path).lstrip().startswith("{")
 
 
-def _check_ids(ms: MeasurementIds, bounds: dict[str, int], hint: str) -> None:
+def _check_ids(ms: MeasurementIds, bounds: dict[str, int], what: str) -> None:
     """Check that each measurement of `ms` has ids of a kind in `bounds`,
-    which maps a kind to its count, each id in 0..count - 1; `hint` says
-    which measurements the input takes. The error names the first
+    which maps a kind to its count, each id in 0..count - 1; `what` names
+    the measurements the input takes, and a measurement of another kind is
+    told their MEASUREMENT_TYPES names. The error names the first
     measurement that fails, on its id arrays."""
     errors = []
     for cls, (rows, ids) in ms.ids.items():
         kind = MEASUREMENT_TYPES[cls][1]
         if kind not in bounds:
-            errors.append((rows[0], f"{cls.__name__} is not a {hint}"))
+            *names, last = (name for name, k in MEASUREMENT_TYPES.values() if k in bounds)
+            use = f"use {', '.join(names)}, or {last}"
+            errors.append((rows[0], f"{cls.__name__} is not a {what}; {use}"))
             continue
         out = (ids < 0) | (ids >= bounds[kind])
         if out.any():
@@ -139,11 +142,7 @@ def _load_mesh_for(path: str, dim: int, ms: Sequence) -> tuple[AbstractPolyhedro
     if dim != 3:
         raise ParseError("a mesh takes a dim-3 measurement set")
     poly, real = _load_mesh(path)
-    _check_ids(
-        ms,
-        {"vertex": poly.vertex_count, "face": poly.face_count},
-        "mesh measurement; use face_distance, face_angle, or dihedral",
-    )
+    _check_ids(ms, {"vertex": poly.vertex_count, "face": poly.face_count}, "mesh measurement")
     return poly, real
 
 
@@ -153,9 +152,7 @@ def _load_points_for(path: str, dim: int, ms: Sequence) -> tuple[np.ndarray, lis
     cdim, pts, coplanar = parse_point_config(_load_json(path))
     if cdim != dim:
         raise ParseError(f"config dim {cdim} != measurement-set dim {dim}")
-    _check_ids(
-        ms, {"point": len(pts)}, "point measurement; use distance, angle, or diagonal_angle"
-    )
+    _check_ids(ms, {"point": len(pts)}, "point measurement")
     return pts, coplanar
 
 

@@ -102,24 +102,20 @@ def _octahedron_coords():
     return c, np.sqrt(2.0)
 
 
+def _cyclic(a: float, b: float) -> list[np.ndarray]:
+    """The cyclic permutations of (0, +-a, +-b): signs of a, then of b,
+    then the three shifts."""
+    return [np.roll((0.0, s1 * a, s2 * b), shift)
+            for s1 in (-1.0, 1.0) for s2 in (-1.0, 1.0) for shift in range(3)]
+
+
 def _icosahedron_coords():
-    pts = []
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            v = (0.0, s1, s2 * GOLDEN)
-            for shift in range(3):
-                pts.append(np.roll(v, shift))
-    return np.array(pts), 2.0
+    return np.array(_cyclic(1.0, GOLDEN)), 2.0
 
 
 def _dodecahedron_coords():
-    pts = [np.array(p, dtype=float) for p in itertools.product((-1.0, 1.0), repeat=3)]
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            v = (0.0, s1 / GOLDEN, s2 * GOLDEN)
-            for shift in range(3):
-                pts.append(np.roll(np.array(v), shift))
-    return np.array(pts), 2.0 / GOLDEN
+    cube = list(itertools.product((-1.0, 1.0), repeat=3))
+    return np.array(cube + _cyclic(1.0 / GOLDEN, GOLDEN)), 2.0 / GOLDEN
 
 
 _PLATONIC = {

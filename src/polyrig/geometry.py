@@ -289,10 +289,7 @@ def _hinges(poly: AbstractPolyhedron, faces: np.ndarray) -> np.ndarray:
     cycles are consistently oriented, so the hinge's angle is pi minus the
     angle between the face normals; a global flip of the orientation leaves
     it unchanged. Two faces that share no edge raise ValueError."""
-    after = {}  # each directed cycle edge (a, b): its face and the vertex after b
-    for f, cycle in enumerate(poly.faces):
-        for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2]):
-            after[a, b] = f, c
+    after = poly._after()
     hinge = {}
     for (u, v), (f, w) in after.items():
         g, x = after[v, u]

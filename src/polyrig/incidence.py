@@ -41,13 +41,18 @@ class AbstractPolyhedron:
     def edge_count(self) -> int:
         return len(self.incidence) // 2
 
+    def _after(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """Each directed cycle edge (a, b): its face and the vertex after b.
+        On a closed surface every edge runs once each way."""
+        return {
+            (a, b): (f, c)
+            for f, cycle in enumerate(self.faces)
+            for a, b, c in zip(cycle, cycle[1:] + cycle[:1], cycle[2:] + cycle[:2])
+        }
+
     def edges(self) -> list[tuple[int, int]]:
         """Sorted undirected edges (u, v) with u < v."""
-        seen = set()
-        for cycle in self.faces:
-            for a, b in _cycle_pairs(cycle):
-                seen.add((min(a, b), max(a, b)))
-        return sorted(seen)
+        return sorted(e for e in self._after() if e[0] < e[1])
 
     def face_vertex_pairs(self) -> list[tuple[int, int]]:
         """Sorted pairs of distinct vertices sharing at least one face."""
@@ -58,22 +63,14 @@ class AbstractPolyhedron:
 
     def face_diagonals(self) -> list[tuple[int, int]]:
         """Same-face vertex pairs that are not edges."""
-        edge_set = set(self.edges())
-        return [p for p in self.face_vertex_pairs() if p not in edge_set]
+        after = self._after()
+        return [p for p in self.face_vertex_pairs() if p not in after]
 
     def adjacent_faces(self) -> list[tuple[int, int]]:
         """Sorted pairs of face ids sharing an edge."""
-        by_edge: dict[tuple[int, int], list[int]] = {}
-        for f, cycle in enumerate(self.faces):
-            for a, b in _cycle_pairs(cycle):
-                by_edge.setdefault((min(a, b), max(a, b)), []).append(f)
-        return sorted((min(fs), max(fs)) for fs in by_edge.values())
-
-
-def _cycle_pairs(cycle: Sequence[int]):
-    k = len(cycle)
-    for i in range(k):
-        yield cycle[i], cycle[(i + 1) % k]
+        after = self._after()
+        pairs = ((f, after[b, a][0]) for (a, b), (f, _) in after.items() if a < b)
+        return sorted((min(p), max(p)) for p in pairs)
 
 
 def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
@@ -102,7 +99,7 @@ def build_incidence(faces: Sequence[Sequence[int]]) -> AbstractPolyhedron:
         missing = sorted(set(range(vertex_count)) - set(used))
         raise ValueError(f"vertex ids are not contiguous, missing {missing}")
 
-    directed = Counter(pair for cycle in cycles for pair in _cycle_pairs(cycle))
+    directed = Counter(pair for cycle in cycles for pair in zip(cycle, cycle[1:] + cycle[:1]))
     for (a, b), n in directed.items():
         if n != 1 or directed[(b, a)] != 1:
             raise DanglingEdge(

@@ -285,13 +285,12 @@ def _chart(
 
 
 def _reduced_blocks(S: sparse.csr_matrix, Z: np.ndarray):
-    """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks; S
-    itself, not a slice of it, when one block holds every row."""
-    if S.shape[0] <= _ROW_BLOCK:
-        yield S @ Z
-        return
+    """The rows of S Z, _ROW_BLOCK of them at a time, as dense blocks; each
+    block's rows are views of the arrays of S, which a slice would copy."""
     for start in range(0, S.shape[0], _ROW_BLOCK):
-        yield S[start : start + _ROW_BLOCK] @ Z
+        p = S.indptr[start : start + _ROW_BLOCK + 1]
+        rows = (S.data[p[0] : p[-1]], S.indices[p[0] : p[-1]], p - p[0])
+        yield sparse.csr_matrix(rows, shape=(len(p) - 1, S.shape[1])) @ Z
 
 
 def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int) -> list[int]:
@@ -319,9 +318,6 @@ def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int)
             P -= (P @ old.T) @ old
             first = len(kept)
             for i, res in enumerate(P, offset + sub):
-                norm = row_norms[i]
-                if norm == 0.0:
-                    continue
                 # projecting off no kept rows would subtract exact zeros
                 if len(kept) > first:
                     new = basis[first : len(kept)]
@@ -329,7 +325,7 @@ def _greedy_scan(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float, room: int)
                     res -= new.T @ (new @ res)
                 # np.linalg.norm's own formula for a vector
                 res_norm = math.sqrt(res @ res)
-                if res_norm > tol_rel * norm:
+                if res_norm > tol_rel * row_norms[i]:
                     basis[len(kept)] = res / res_norm
                     kept.append(i)
                     if len(kept) >= room:
@@ -355,14 +351,6 @@ def _streamed_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int:
     if _triangular_full_rank(R, tol_rel):
         return len(R)
     return _count_above(np.linalg.svd(R, compute_uv=False), tol_rel)
-
-
-def _column_norms(S: sparse.csr_matrix, V: np.ndarray) -> np.ndarray:
-    """The norms of the columns of S V, taken a few columns at a time, so
-    that about 2^20 numbers of S V exist at once."""
-    step = max(1, 2**20 // max(S.shape[0], 1))
-    parts = (S @ V[:, j : j + step] for j in range(0, V.shape[1], step))
-    return np.sqrt(np.concatenate([np.einsum("ij,ij->j", P, P) for P in parts]))
 
 
 def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int | None:
@@ -433,7 +421,9 @@ def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int |
     d = N - rank
     if not 0 < rank < N:
         return None
-    norms = _column_norms(S, Z @ np.vstack([Vt[:1], Vt[rank:]]).T)
+    # the columns J Z x and J Z K, squared and summed _ROW_BLOCK rows at a time
+    blocks = _reduced_blocks(S, Z @ np.vstack([Vt[:1], Vt[rank:]]).T)
+    norms = np.sqrt(sum(np.einsum("ij,ij->j", B, B) for B in blocks))
     r = int(np.diff(S.indptr).max())
     slack, rounding = 2.0 * _gamma(n + N + r) * f * math.sqrt(N * d), _gamma(m + d + 2)
     sigma_1 = norms[0] * (1.0 - rounding) - slack

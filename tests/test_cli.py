@@ -853,3 +853,60 @@ def test_witness_of_a_relabelled_dodecahedron_exits_0(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {
         "note": "first-order flex only", "sufficient": False, "witness": None}
+
+
+@pytest.mark.parametrize("bd", [1.0, 1e-300, 1e300])
+def test_polygon_oracle_max_diag_reports_the_rhombus_sides(capsys, bd):
+    """At theta1 = theta2 = pi/4 the maximizer is a rhombus on BD: its four
+    sides are (bd / 2) / sin(pi / 8), taken at unit size at any scale."""
+    code, out, err = run(capsys, "polygon", "oracle", "max-diag", "--bd", repr(bd))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    side = bd * 0.5 / np.sin(np.pi / 8.0)
+    for key in ("ab", "ad", "cb", "cd"):
+        assert report[key] == pytest.approx(side, rel=1e-14), key
+    assert report["maxDiagonal"] == pytest.approx(bd * (1.0 + np.sqrt(2.0)), rel=1e-14)
+    A, B, C, D = np.array(report["argmax"]) / bd
+    assert np.allclose([B, D], [[0.0, 0.0], [1.0, 0.0]], rtol=0.0, atol=1e-15)
+    assert np.linalg.norm(A - C) == pytest.approx(1.0 + np.sqrt(2.0), rel=1e-14)
+
+
+def test_generate_hexa_b_has_twelve_equal_face_diagonals(capsys):
+    code, out, err = run(capsys, "generate", "hexa-b", "--q1", "0.15", "--q2", "0.1")
+    assert (code, err) == (0, "")
+    coords, faces = read_off(out)
+    assert coords.shape == (8, 3) and len(faces) == 6
+    diagonals = [np.linalg.norm(coords[f[i]] - coords[f[i + 2]]) for f in faces for i in (0, 1)]
+    assert np.ptp(diagonals) < 1e-12
+
+
+def test_generate_regular_ngon_is_one_face_of_equal_sides(capsys):
+    code, out, err = run(capsys, "generate", "regular-ngon", "--n", "5", "--side", "2")
+    assert (code, err) == (0, "")
+    coords, faces = read_off(out)
+    assert faces == [(0, 1, 2, 3, 4)]
+    assert np.allclose(coords[:, 2], 0.0)
+    sides = np.linalg.norm(coords - np.roll(coords, -1, axis=0), axis=1)
+    assert np.allclose(sides, 2.0, rtol=1e-15, atol=0.0)
+
+
+def test_a_measurement_of_the_other_kind_is_told_the_types_to_use(capsys, tmp_path, cube_off):
+    """The hint lists the MEASUREMENT_TYPES names of the input's kind."""
+    point_set = tmp_path / "distance.json"
+    point_set.write_text(json.dumps(
+        {"dim": 3, "measurements": [{"type": "distance", "ids": [0, 1]}]}))
+    code, out, err = run(capsys, "check", cube_off, "--measurements", str(point_set))
+    assert (code, out) == (2, "")
+    assert err == ("error: Distance is not a mesh measurement; "
+                   "use face_distance, face_angle, or dihedral\n")
+
+    config = tmp_path / "cube.json"
+    points = read_off(Path(cube_off).read_text())[0].tolist()
+    config.write_text(json.dumps({"dim": 3, "points": points}))
+    mesh_set = tmp_path / "face_distance.json"
+    mesh_set.write_text(json.dumps(
+        {"dim": 3, "measurements": [{"type": "face_distance", "ids": [0, 1]}]}))
+    code, out, err = run(capsys, "witness", str(config), "--measurements", str(mesh_set))
+    assert (code, out) == (2, "")
+    assert err == ("error: FaceDistance is not a point measurement; "
+                   "use distance, angle, or diagonal_angle\n")

@@ -258,3 +258,23 @@ def test_parsers_raise_only_parse_error(obj):
             parse(obj)
         except ParseError:
             pass
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty OFF file"),
+        ("# only a comment\n", "empty OFF file"),
+        ("OFF\n0 1 0\n", "bad counts in OFF header: 0 vertices, 1 faces"),
+        ("OFF\n3 -1 0\n0 0 0\n1 0 0\n0 1 0\n", "bad counts in OFF header: 3 vertices, -1 faces"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n", "expected 9 vertex coordinates, file ends early"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n", "face 0: file ends before face line"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\nx 0 1 2\n", "face 0: bad vertex count 'x'"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1\n", "face 0: file ends mid-face"),
+        ("OFF\n3 1 3\n0 0 0\n1 0 0\n0 1 0\n3 0 1 z\n", "face 0: non-integer vertex id"),
+    ],
+)
+def test_read_off_names_what_is_wrong(text, message):
+    with pytest.raises(ParseError) as info:
+        read_off(text)
+    assert str(info.value) == message

@@ -18,6 +18,7 @@ from polyrig.pointsets import (
 from polyrig.polygon import (
     PointConfig2D,
     _free_columns,
+    _grid_max,
     _sqp_max,
     max_diagonal_oracle,
     octagon_distance_oracle,
@@ -373,3 +374,40 @@ def test_sqp_restarts_do_not_couple():
         alone, r = _sqp_max(kernel, targets, starts[i : i + 1], max_step=diam)
         assert np.array_equal(alone[0], points[i]), i
         assert r[0] == residual[i], i
+
+
+def test_from_points_rejects_coincident_first_points():
+    with pytest.raises(ValueError, match="A_1 and A_2 coincide"):
+        PointConfig2D.from_points(np.array([[0.3, 0.4], [0.3, 0.4], [1.0, 1.0]]))
+
+
+def test_grid_max_climbs_from_a_coarse_grid():
+    """The square oracle's problem on a 2 x 2 grid far from the maximum:
+    there H is not negative definite, so the iteration takes gradient
+    steps, and halves those that overshoot, until Newton steps end at the
+    unit square's right angle."""
+    A = np.zeros(2)
+    fixed = np.array([A, A, [np.sqrt(2.0), 0.0], A])
+    grids = [np.array([-2.5, -2.0]), np.array([-1.5, -1.0])]
+    value, argmax = _grid_max(Angle(1, 2, 3), fixed, [(1, A, 1.0), (3, A, 1.0)], grids)
+    assert value == pytest.approx(np.pi / 2.0, abs=1e-15)
+    corner = np.sqrt(0.5)
+    expected = [[0.0, 0.0], [corner, corner], [np.sqrt(2.0), 0.0], [corner, -corner]]
+    assert np.allclose(argmax, expected, rtol=0.0, atol=1e-7)
+
+
+def test_sqp_drops_a_member_whose_kkt_system_is_singular():
+    """Maximize |CD| with |AB| = |AC| = |AD| = 1. With B straight above A,
+    |AB| has no gradient in the free chart coordinates, so that member's
+    KKT matrix has a zero row and its solve is singular: it is dropped,
+    with residual inf, while the same start turned by 0.3 rad reaches
+    C and D opposite on the unit circle."""
+    start = np.array(
+        [[0.0, 0.0], [0.0, 1.0], [np.cos(0.4), np.sin(0.4)], [np.cos(2.0), np.sin(2.0)]])
+    c, s = np.cos(0.3), np.sin(0.3)
+    starts = np.array([start, start @ np.array([[c, s], [-s, c]])])
+    kernel = MeasurementList([Distance(0, 1), Distance(0, 2), Distance(0, 3), Distance(2, 3)])
+    points, residual = _sqp_max(kernel, kernel.values(start)[:-1], starts, max_step=2.0)
+    assert residual[0] == np.inf
+    assert residual[1] <= 1e-13
+    assert kernel.values(points[1])[-1] == pytest.approx(2.0, abs=1e-12)
