@@ -2,13 +2,14 @@
 
 All emission is deterministic: object keys are sorted and floats are printed
 with 17 significant digits, which round-trips IEEE doubles losslessly.
-Strings and keys are escaped by json.dumps. Input coordinates must be finite.
+Strings and keys are escaped as json.dumps escapes them. Input coordinates
+must be finite.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Sequence
 
 import numpy as np
@@ -25,53 +26,58 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, k in enumerate(keys):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            out.append(f"{pad}  {json.dumps(k)}: ")
-            _emit(obj[k], indent + 1, out)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(pad + "  ")
-            _emit(v, indent + 1, out)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), indent, out)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _key(k: Any) -> str:
+    if not isinstance(k, str):
+        raise TypeError(f"JSON object keys must be strings, got {k!r}")
+    return _quote(k)
+
+
+def _dict(obj: dict, pad: str) -> str:
+    if not obj:
+        return "{}"
+    inner = pad + "  "
+    body = ",\n".join([f"{inner}{_key(k)}: {_emit(obj[k], inner)}" for k in sorted(obj)])
+    return f"{{\n{body}\n{pad}}}"
+
+
+def _list(obj: list | tuple, pad: str) -> str:
+    if not obj:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    # a list of ints, such as a measurement's ids, takes one join of str
+    items = map(str, obj) if all(type(v) is int for v in obj) else [_emit(v, inner) for v in obj]
+    return f"[\n{inner}{sep.join(items)}\n{pad}]"
+
+
+def _unknown(obj: Any, pad: str) -> str:
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# each JSON form, in the order a value is tested for it, so that a bool is
+# no int; a value of one of the listed types takes its form at once
+_FORMS = (
+    ((dict,), _dict),
+    ((list, tuple), _list),
+    ((bool,), lambda b, pad: "true" if b else "false"),
+    ((int, np.integer), lambda i, pad: str(int(i))),
+    ((float, np.floating), lambda x, pad: format_float(x)),
+    ((str,), lambda s, pad: _quote(s)),
+    ((type(None),), lambda _, pad: "null"),
+    ((np.ndarray,), lambda a, pad: _emit(a.tolist(), pad)),
+)
+_EMIT = {kind: form for kinds, form in _FORMS for kind in kinds}
+
+
+def _emit(obj: Any, pad: str) -> str:
+    form = _EMIT.get(type(obj))
+    if form is None:  # a subclass, such as np.float64 or an IntEnum
+        form = next((f for kinds, f in _FORMS if isinstance(obj, kinds)), _unknown)
+    return form(obj, pad)
 
 
 def json_dumps(obj: Any) -> str:
-    out: list[str] = []
-    _emit(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _emit(obj, "") + "\n"
 
 
 # --- OFF ---------------------------------------------------------------------
@@ -171,14 +177,15 @@ MEASUREMENT_TYPES = {
     DiagonalAngle: ("diagonal_angle", "point"),
 }
 _CLASS_BY_TYPE = {name: cls for cls, (name, _) in MEASUREMENT_TYPES.items()}
+# each class's field names, in order: its ids
+_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls)) for cls in MEASUREMENT_TYPES}
 
 
 def measurement_to_dict(m: Measurement3D | SimpleMeasurement) -> dict:
     entry = MEASUREMENT_TYPES.get(type(m))
     if entry is None:
         raise TypeError(f"not a serializable measurement: {type(m).__name__}")
-    ids = [getattr(m, f.name) for f in dataclasses.fields(m)]
-    return {"type": entry[0], "ids": ids}
+    return {"type": entry[0], "ids": [getattr(m, name) for name in _FIELDS[type(m)]]}
 
 
 def _measurement_ids(obj: dict) -> tuple[type, list[int]]:
@@ -191,7 +198,7 @@ def _measurement_ids(obj: dict) -> tuple[type, list[int]]:
             f"unknown measurement type {name!r}; expected one of {sorted(_CLASS_BY_TYPE)}"
         )
     cls = _CLASS_BY_TYPE[name]
-    arity = len(dataclasses.fields(cls))
+    arity = len(_FIELDS[cls])
     ids = obj["ids"]
     if (
         not isinstance(ids, (list, tuple))

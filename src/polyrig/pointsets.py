@@ -97,13 +97,15 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u, u))
 
 
+# (1, 2, 0) then (2, 0, 1), and the reverse: gathered by these, component t
+# of u x v is the product at t less the product at t + 3
+_CROSS_U, _CROSS_V = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
+
+
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # the products and differences np.cross takes, without its axis handling
-    return np.stack([
-        u[..., 1] * v[..., 2] - u[..., 2] * v[..., 1],
-        u[..., 2] * v[..., 0] - u[..., 0] * v[..., 2],
-        u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0],
-    ], axis=-1)
+    # the products and differences np.cross takes, from two gathers
+    p = u.take(_CROSS_U, axis=-1) * v.take(_CROSS_V, axis=-1)
+    return p[..., :3] - p[..., 3:]
 
 
 def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -227,8 +229,8 @@ def _triple(V, L, order: int):
     a, b, c = (V[..., t, :, :] for t in range(3))
     if not order:
         return _dot(a, _cross(b, c)), None, None, None
-    # (b x c, c x a, a x b)
-    G = _cross(np.roll(V, -1, axis=-3), np.roll(V, -2, axis=-3))
+    # (b x c, c x a, a x b): the block in the orders (b, c, a) and (c, a, b)
+    G = _cross(V.take(_CROSS_U[:3], axis=-3), V.take(_CROSS_V[:3], axis=-3))
     value = _dot(a, G[..., 0, :, :])
     if order == 1:
         return value, G, None, None
@@ -334,9 +336,21 @@ class MeasurementIds(Sequence):
             ids[kind] = rows[a:b] - start, f[a:b]
         return MeasurementIds(stop - start, ids)
 
+    def take(self, positions: Sequence[int]) -> list:
+        """The measurements at `positions` (each in range), in their order,
+        from one searchsorted and one read of the fields a type."""
+        at = np.asarray(positions, dtype=np.intp)
+        items = [None] * len(at)
+        for kind, (rows, f) in self.ids.items():
+            j = np.minimum(np.searchsorted(rows, at), len(rows) - 1)
+            hit = np.flatnonzero(rows[j] == at)
+            for p, args in zip(hit.tolist(), f[j[hit]].tolist()):
+                items[p] = kind(*args)
+        return items
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self.size))]
+            return self.take(np.arange(*i.indices(self.size)))
         i = index(i)
         if not -self.size <= i < self.size:
             raise IndexError("measurement index out of range")

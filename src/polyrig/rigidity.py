@@ -277,7 +277,7 @@ def _chart(
     G = motion_generators(scaled, g)
     if not len(side):
         return 3 * poly.face_count, np.linalg.qr(G, mode="complete")[0][:, g:], anchors, side
-    C = MeasurementList(side).sparse_jacobian(X).toarray()
+    C = MeasurementList(side).jacobian(X)
     # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
     A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
     r, Z = _kernel(A, tol_rel, keep=g)
@@ -536,9 +536,10 @@ def greedy_minimal_subset(
     """
     if not len(pool):
         raise ValueError("pool is empty")
+    pool = _mesh_ids(pool)
     rank, Z, S, target = _setup(poly, real, pool, mode, tol_rel, allow_scale_variant)[:4]
     # Z has target - rank columns: a scan that starts at the target accepts nothing
-    selected = tuple(pool[i] for i in _greedy_scan(S, Z, tol_rel, target - rank))
+    selected = tuple(pool.take(_greedy_scan(S, Z, tol_rel, target - rank)))
     return _report(poly, mode, rank + len(selected), target, selected, tol_rel)
 
 

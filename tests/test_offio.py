@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from polyrig.errors import ParseError
 from polyrig.generators import platonic
@@ -22,6 +23,7 @@ from polyrig.offio import (
 from polyrig.pointsets import Angle, DiagonalAngle, Distance, MeasurementIds
 
 from measurement_json import measurements_to_json
+from reference_json import reference_dumps
 
 
 def test_format_float_17_digits():
@@ -45,6 +47,74 @@ def test_json_dumps_sorted_and_parseable():
 def test_json_dumps_numpy_arrays():
     blob = json_dumps({"v": np.array([[1.0, 2.0], [3.0, 4.0]])})
     assert json.loads(blob) == {"v": [[1.0, 2.0], [3.0, 4.0]]}
+
+
+class _Opaque:
+    """An object that no JSON form takes."""
+
+
+_JSON_SCALARS = (
+    st.integers() | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.integers(0, 255).map(np.uint8) | st.integers(-(2**31), 2**31 - 1).map(np.int32)
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 0.0])
+    | st.floats().map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.booleans() | st.none() | st.text()
+    | st.sampled_from(["\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", '"\\/\n\t'])
+    | arrays(st.sampled_from([np.float64, np.int64, np.float32]),
+             array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3))
+)
+_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=40,
+)
+# payloads with keys that are no str and values that no JSON form takes
+_BAD_PAYLOADS = st.recursive(
+    _JSON_SCALARS | st.sampled_from([_Opaque(), 1j, b"x", np.bool_(False), frozenset({1})]),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=2) | st.integers(0, 3) | st.none(), inner, max_size=3)
+    ),
+    max_leaves=12,
+)
+
+
+def _dumps_or_error(dumps, obj):
+    try:
+        return dumps(obj)
+    except TypeError as exc:
+        return f"TypeError: {exc}"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_PAYLOADS)
+def test_json_dumps_is_the_reference_emitter_byte_for_byte(payload):
+    """Nested dicts, lists and tuples of ints, numpy integers, floats and
+    numpy floats (nan, infinities and -0.0 among them), bools, None,
+    strings with control and non-ASCII characters, and arrays."""
+    assert json_dumps(payload) == reference_dumps(payload)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_BAD_PAYLOADS)
+def test_json_dumps_fails_as_the_reference_fails(payload):
+    assert _dumps_or_error(json_dumps, payload) == _dumps_or_error(reference_dumps, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    {1: "a"}, {"a": 1, 2: "b"}, {"a": [1, {"b": {0.5: None}}]}, {None: 1},
+    _Opaque(), [1, 2, _Opaque()], {"a": (1, 1j)}, {"b": b"bytes"}, {"c": {1, 2}},
+    [np.bool_(True)], {"d": [1, 2, object()]},
+], ids=["int-key", "mixed-keys", "nested-float-key", "none-key", "object", "object-in-list",
+        "complex", "bytes", "set", "numpy-bool", "object-in-int-list"])
+def test_json_dumps_raises_the_reference_type_error(payload):
+    """A non-str key, and a value no JSON form takes, raise the TypeError
+    the reference raises, with its message."""
+    assert _dumps_or_error(json_dumps, payload).startswith("TypeError: ")
+    assert _dumps_or_error(json_dumps, payload) == _dumps_or_error(reference_dumps, payload)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "dodecahedron"])
@@ -156,6 +226,35 @@ def test_measurement_set_validation():
         {"dim": 3, "measurements": [{"type": "face_distance", "ids": [0, 1]}]}
     )
     assert dim == 3 and ms == [FaceDistance(0, 1)]
+
+
+def _entry(kind, ids):
+    return {"dim": 3, "measurements": [{"type": kind, "ids": ids}]}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1, 2], "measurement set must be a JSON object"),
+    ({"dim": 4, "measurements": []}, "'dim' must be 2 or 3, got 4"),
+    ({"dim": 3, "measurements": []}, "'measurements' must be a nonempty list"),
+    ({"dim": 3, "measurements": [["distance", 0, 1]]},
+     "measurement must be {'type', 'ids'}, got ['distance', 0, 1]"),
+    (_entry("laser", [0, 1]), "unknown measurement type 'laser'; expected one of ['angle', "
+     "'diagonal_angle', 'dihedral', 'distance', 'face_angle', 'face_distance']"),
+    (_entry("distance", [0]), "distance needs 2 integer ids, got [0]"),
+    (_entry("angle", [0, 1]), "angle needs 3 integer ids, got [0, 1]"),
+    (_entry("diagonal_angle", [0, 1, 2]), "diagonal_angle needs 4 integer ids, got [0, 1, 2]"),
+    (_entry("face_distance", [0, True]), "face_distance needs 2 integer ids, got [0, True]"),
+    (_entry("face_angle", [0, 1, 2.0]), "face_angle needs 3 integer ids, got [0, 1, 2.0]"),
+    (_entry("dihedral", [0, 1, 2]), "dihedral needs 2 integer ids, got [0, 1, 2]"),
+    (_entry("dihedral", "01"), "dihedral needs 2 integer ids, got '01'"),
+    ({"dim": 2, "measurements": [{"type": "dihedral", "ids": [0, 1]}]},
+     "dihedral is a mesh measurement; dim 2 takes ['angle', 'diagonal_angle', 'distance']"),
+    (_entry("face_distance", [0, 10**30]), f"vertex id {10**30} out of range"),
+])
+def test_measurement_set_errors_name_what_is_wrong(obj, message):
+    with pytest.raises(ParseError) as err:
+        parse_measurement_set(obj)
+    assert str(err.value) == message
 
 
 def test_measurement_set_parses_to_index_arrays():

@@ -22,7 +22,10 @@ from polyrig.pointsets import (
     MeasurementList,
     _Corner,
     _cross,
+    _dot,
     _Hinge,
+    _skew,
+    _triple,
     align_distance,
     diameter,
     measurement_gradient,
@@ -546,13 +549,62 @@ def test_kernel_is_its_scalar_reference_bit_for_bit(dim, kernel):
     assert np.array_equal(_bits(kernel.assemble(grads[ok])), _bits(np.array(keep)[ok]))
 
 
+def _signed_zeros(rng, shape):
+    """Normal entries of spread magnitudes, a third of them +0 or -0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    return np.where(rng.random(shape) < 1 / 3, np.copysign(0.0, x), x)
+
+
 def test_cross_is_numpys_bit_for_bit():
+    """On batched, broadcast and strided inputs; zero entries of either
+    sign make products and differences of +0 and -0."""
     rng = np.random.default_rng(3)
+    u, v = _signed_zeros(rng, 3), _signed_zeros(rng, 3)
+    assert np.array_equal(_bits(_cross(u, v)), _bits(np.cross(u, v)))
     for shape in [(5, 3), (4, 7, 3), (2, 3, 5, 3)]:
-        u = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
-        v = rng.standard_normal(shape)
-        assert np.array_equal(_cross(u, v), np.cross(u, v))
-        assert np.array_equal(_cross(u[:1], v), np.cross(u[:1], v))
+        u, v = _signed_zeros(rng, shape), _signed_zeros(rng, shape)
+        assert np.array_equal(_bits(_cross(u, v)), _bits(np.cross(u, v)))
+        assert np.array_equal(_bits(_cross(u[:1], v)), _bits(np.cross(u[:1], v)))
+        assert np.array_equal(_bits(_cross(u[0], v)), _bits(np.cross(u[0], v)))
+    # strided: every other row, a transposed block, a reversed axis, every
+    # other coordinate
+    u, v, w = _signed_zeros(rng, (8, 6, 3)), _signed_zeros(rng, (6, 8, 3)), _signed_zeros(rng, (8, 6, 6))
+    for a, b in [(u[::2], v.swapaxes(0, 1)[::2]), (u, v.swapaxes(0, 1)),
+                 (u[:, ::-1], v[::-1].swapaxes(0, 1)), (w[..., ::2], u)]:
+        assert not a.flags.c_contiguous or not b.flags.c_contiguous
+        assert np.array_equal(_bits(_cross(a, b)), _bits(np.cross(a, b)))
+
+
+def _rolled_triple(V, L, order):
+    """The triple-product primitive with its gradients from np.roll of the
+    vector axis and np.cross, the formulation _triple reproduces."""
+    a, b, c = (V[..., t, :, :] for t in range(3))
+    if not order:
+        return _dot(a, np.cross(b, c)), None, None, None
+    G = np.cross(np.roll(V, -1, axis=-3), np.roll(V, -2, axis=-3))
+    value = _dot(a, G[..., 0, :, :])
+    if order == 1:
+        return value, G, None, None
+    ka, kb, kc = _skew(a), _skew(b), _skew(c)
+    zero = np.zeros_like(ka)
+    hess = np.stack([
+        np.stack([zero, -kc, kb], axis=-4),
+        np.stack([kc, zero, -ka], axis=-4),
+        np.stack([-kb, ka, zero], axis=-4),
+    ], axis=-5)
+    return value, G, hess, None
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_triple_is_its_rolled_formulation_bit_for_bit(order):
+    rng = np.random.default_rng(order)
+    for V in [_signed_zeros(rng, (3, 6, 3)), _signed_zeros(rng, (10, 3, 6, 3)),
+              _signed_zeros(rng, (4, 3, 12, 3))[..., ::2, :]]:
+        L = np.sqrt((V ** 2).sum(axis=-1))
+        for got, want in zip(_triple(V, L, order), _rolled_triple(V, L, order)):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
 
 
 def test_diameter():

@@ -385,14 +385,22 @@ def test_projection_rejects_a_non_finite_jacobian(monkeypatch, capsys, tmp_path)
     )
     assert not ok and np.array_equal(x, x0) and built == [1]
 
-    # and flex_witness reports it as a diverged projection, exit 2 on the CLI
+    # and flex_witness reports it as a diverged projection, exit 2 on the
+    # CLI; the NaN Jacobian goes to the projection alone, not to the chart
     poly, real = platonic("cube")
-    monkeypatch.setattr(
-        MeasurementList, "jacobian",
-        lambda self, P: np.full((len(P), self.size, P[0].size), np.nan),
-    )
+    project = rigidity.gauss_newton_project
+    built.clear()
+
+    def nan_projection(evaluate, jacobian, x0, **options):
+        def nan_jacobian(data):
+            built.append(1)
+            return np.full(jacobian(data).shape, np.nan)
+        return project(evaluate, nan_jacobian, x0, **options)
+
+    monkeypatch.setattr(rigidity, "gauss_newton_project", nan_projection)
     with pytest.raises(ProjectionDiverged):
         rigidity.flex_witness(poly, real, build_pool(poly, "edges-only"))
+    assert built == [1]
     off, ms = tmp_path / "cube.off", tmp_path / "edges.json"
     assert main(["generate", "cube", "--out", str(off)]) == 0
     ms.write_text(measurements_to_json(3, build_pool(poly, "edges-only")))

@@ -13,10 +13,11 @@ vertices, a dihedral as the angle of its hinge's two cross products.
 
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polyrig import rigidity
@@ -55,6 +56,7 @@ from polyrig.rigidity import (
 )
 
 from full_coordinates import full_motion_generators
+from test_sketch import lattice_hulls
 
 TOL = 1e-9
 
@@ -125,6 +127,57 @@ def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     reference = np.linalg.qr(np.hstack([_svd_reference(poly, scaled, g).T, G]))[0]
     cosines = np.linalg.svd(chart.T @ reference, compute_uv=False)
     assert cosines.min() >= 1.0 - 1e-12
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _chart_side_rows(poly, real, g=6):
+    """The C that _chart stacks over the motions (None when it stacks
+    none), and the CSR Jacobian of its side rows at the same vertices."""
+    scaled = _unit_diameter(real)
+    stacked = []
+    kernel = rigidity._kernel
+
+    def spy(A, tol_rel, keep=0):
+        stacked.append(A)
+        return kernel(A, tol_rel, keep=keep)
+
+    with mock.patch.object(rigidity, "_kernel", spy):
+        side = _chart(poly, scaled, g, TOL)[3]
+    C = stacked[0][: len(side)] if stacked else None
+    return C, MeasurementList(side).sparse_jacobian(scaled.vertices).toarray()
+
+
+CHART_SOLIDS = {
+    **{name: (lambda name=name: platonic(name)) for name in
+       ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")},
+    "hexa-a": lambda: hexahedron_family_a(0.13),
+    "hexa-b": lambda: hexahedron_family_b(0.1, -0.15),
+    **{f"prism{k}": (lambda k=k: prism(k)) for k in range(3, 25)},
+}
+
+
+@pytest.mark.parametrize("solid", list(CHART_SOLIDS))
+def test_chart_side_rows_are_the_csr_rows_bit_for_bit(solid):
+    """_chart takes C from the dense Jacobian of the side rows; it is their
+    CSR matrix entry for entry, bit for bit, signs of zeros included. A
+    triangulated solid has no side rows and stacks no C."""
+    poly, real = CHART_SOLIDS[solid]()
+    C, csr = _chart_side_rows(poly, real)
+    if all(len(face) == 3 for face in poly.faces):
+        assert C is None and csr.shape == (0, 3 * real.vertex_count)
+    else:
+        assert C.shape == csr.shape and np.array_equal(_bits(C), _bits(csr))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(lattice_hulls())
+def test_chart_side_rows_on_lattice_hulls_are_the_csr_rows_bit_for_bit(hull):
+    C, csr = _chart_side_rows(*hull)
+    assert C is None and not len(csr) or np.array_equal(_bits(C), _bits(csr))
 
 
 def _spy_shapes(monkeypatch, names):
