@@ -333,12 +333,13 @@ def cmd_polygon_oracle(args) -> int:
         _emit({"maxAngle": value, "argmax": argmax.tolist()}, args.out)
     elif which == "right-quad":
         value, argmax = polygon.right_angle_quad_oracle(args.ab, args.ad, args.ac)
+        scaled = argmax / _unit(argmax)  # the angles at unit size, where no square overflows
         _emit(
             {
                 "maxAngle": value,
                 "argmax": argmax.tolist(),
-                "angleABC": measurement_value(Angle(0, 1, 2), argmax),
-                "angleADC": measurement_value(Angle(0, 3, 2), argmax),
+                "angleABC": measurement_value(Angle(0, 1, 2), scaled),
+                "angleADC": measurement_value(Angle(0, 3, 2), scaled),
             },
             args.out,
         )

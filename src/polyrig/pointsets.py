@@ -703,9 +703,10 @@ def measurement_gradient(m: SimpleMeasurement | Coplanar, points: np.ndarray) ->
 
 def _unit(a: np.ndarray) -> float:
     """The power of two just above the largest absolute entry of a (1 for
-    zeros). Dividing by it is exact, and at that size no square overflows
-    or underflows."""
-    return float(np.ldexp(1.0, int(np.frexp(np.abs(a).max(initial=0.0))[1])))
+    zeros), and at most 2**1023, the largest power of two a float holds, so
+    that from 2**1023 on the largest entries land in [1, 2). Dividing by it
+    is exact, and at that size no square overflows or underflows."""
+    return float(np.ldexp(1.0, min(int(np.frexp(np.abs(a).max(initial=0.0))[1]), 1023)))
 
 
 # below this many points comparing every pair is cheaper than a convex hull

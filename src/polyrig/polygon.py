@@ -13,6 +13,7 @@ remaining constraint variety) and by restart-based witness searches.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,6 +140,13 @@ def sufficiency2d(
 # --- maximization oracles -------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _oracle_kernel(measurement: SimpleMeasurement) -> MeasurementList:
+    """The one-measurement kernel of an oracle, compiled once: its Jacobian
+    cells and Hessian scatter are then built on its first call only."""
+    return MeasurementList([measurement])
+
+
 def _grid_max(
     measurement: SimpleMeasurement,
     fixed: np.ndarray,
@@ -149,33 +157,51 @@ def _grid_max(
 
     `fixed` holds every point (a mover's row is a placeholder); mover k,
     (row, center, radius), puts center + radius (cos p_k, sin p_k) in that
-    row. The whole grid over (p_0, p_1) is evaluated in one kernel call;
-    its first maximum in row-major order starts a damped Newton iteration
-    on p. Its f, gradient and 2 x 2 Hessian come from one configuration and
-    the kernel's exact derivatives by the chain rule: with x(p) the movers'
-    points, g = (dm/dx) x' and H = x'^T (d2m/dx2) x' + diag((dm/dx) x'').
-    Each step is -H^-1 g where H is negative definite and g elsewhere, and
-    is halved until f does not fall. The iteration stops at |g|_inf <=
-    NEWTON_GTOL, when a step makes f fall by at most FLOOR_ULPS ulp (f is
-    then at its rounding floor, where halving only repeats the fall), when
-    no halving keeps f from falling, or after NEWTON_MAXITER steps. It all
+    row. The whole grid over (p_0, p_1) is evaluated in one kernel call,
+    its configurations built from the two axes (each mover's circle points
+    once per value of its own axis); its first maximum in row-major order
+    starts a damped Newton iteration on p. Its f, gradient and 2 x 2
+    Hessian come from one configuration and the kernel's exact derivatives
+    by the chain rule: with x(p) the movers' points, g = (dm/dx) x' and
+    H = x'^T (d2m/dx2) x' + diag((dm/dx) x''). Each step is -H^-1 g where H
+    is negative definite and g elsewhere, and is halved until f does not
+    fall. The iteration stops at |g|_inf <= NEWTON_GTOL, when a step makes
+    f fall by at most FLOOR_ULPS ulp (f is then at its rounding floor,
+    where halving only repeats the fall), when no halving keeps f from
+    falling or a step is not finite, or after NEWTON_MAXITER steps. It all
     runs at unit size: the points, centers and radii are divided by the
     power of two just above their largest absolute value, so that the stop
     at NEWTON_GTOL does not depend on the unit of length, and no square
     overflows or underflows. Returns (max value, argmax points), scaled
-    back.
+    back; a point, center or radius, or the result, that overflows the
+    float range raises ValueError.
     """
-    kernel = MeasurementList([measurement])
-    rows, centers, radii = (np.array(x) for x in zip(*movers))
+    kernel = _oracle_kernel(measurement)
+    rows, centers, radii = zip(*movers)
+    rows, centers, radii = list(rows), np.array(centers), np.array(radii)
     n = len(fixed)
-    unit = _unit(np.concatenate([fixed.ravel(), centers.ravel(), radii]))
+    given = np.concatenate([fixed.ravel(), centers.ravel(), radii])
+    if not np.isfinite(given).all():
+        raise ValueError("a point, center or radius of the oracle overflows the float range")
+    unit = _unit(given)
     fixed, centers, radii = fixed / unit, centers / unit, radii / unit
     scale = unit if isinstance(measurement, Distance) else 1.0  # the value's unit
 
+    def grid(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
+        # the configurations at every (p0[i], p1[j]), shape (len(p0), len(p1), n, 2):
+        # built coordinate-major, where every write runs along a grid axis
+        pts = np.empty((n, 2, len(p0), len(p1)))
+        pts[...] = fixed[:, :, None, None]
+        for k, axis in enumerate((p0, p1)):
+            circle = centers[k][:, None] + radii[k] * np.stack([np.cos(axis), np.sin(axis)])
+            pts[rows[k]] = circle[:, :, None] if k == 0 else circle[:, None, :]
+        return np.ascontiguousarray(pts.transpose(2, 3, 0, 1))
+
     def config(p: np.ndarray) -> np.ndarray:
-        pts = np.array(np.broadcast_to(fixed, p.shape[:-1] + fixed.shape))
-        circle = np.stack([np.cos(p), np.sin(p)], axis=-1)
-        pts[..., rows, :] = centers + radii[:, None] * circle
+        pts = fixed.copy()
+        circle = centers + radii[:, None] * np.stack([np.cos(p), np.sin(p)], axis=-1)
+        for row, point in zip(rows, circle):
+            pts[row] = point
         return pts
 
     def derivatives(p: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +214,16 @@ def _grid_max(
         H[[0, 1], [0, 1]] -= (grad * arm).sum(axis=1)
         return (grad * tangent).sum(axis=1), H
 
-    grid = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, 2)
-    p = grid[int(np.argmax(kernel.values(config(grid))[:, 0]))]
+    def result(f: float, pts: np.ndarray) -> tuple[float, np.ndarray]:
+        with np.errstate(over="ignore"):
+            value, argmax = float(f) * scale, pts * unit
+        if not (np.isfinite(value) and np.isfinite(argmax).all()):
+            raise ValueError("the oracle's maximum or its argmax overflows the float range")
+        return value, argmax
+
+    p0, p1 = grids
+    i, j = divmod(int(np.argmax(kernel.values(grid(p0, p1)))), len(p1))
+    p = np.array([p0[i], p1[j]])
     pts = config(p)
     f = kernel.values(pts)[0]
     for _ in range(NEWTON_MAXITER):
@@ -204,17 +238,17 @@ def _grid_max(
             step = g
         while True:
             q = p + step
-            if (q == p).all():
-                return float(f) * scale, pts * unit
+            if (q == p).all() or not np.isfinite(q).all():
+                return result(f, pts)
             q_pts = config(q)
             q_f = kernel.values(q_pts)[0]
             if q_f >= f:
                 break
             if f - q_f <= FLOOR_ULPS * np.spacing(f):
-                return float(f) * scale, pts * unit  # f is at its rounding floor
+                return result(f, pts)  # f is at its rounding floor
             step = step / 2.0
         p, pts, f = q, q_pts, q_f
-    return float(f) * scale, pts * unit
+    return result(f, pts)
 
 
 def _require_finite(**params: float) -> None:
@@ -237,7 +271,8 @@ def square_angle_oracle(d: float) -> tuple[float, np.ndarray]:
     if d <= 0:
         raise ValueError("d must be positive")
     A = np.zeros(2)
-    fixed = np.array([A, A, [d * np.sqrt(2.0), 0.0], A])
+    with np.errstate(over="ignore"):  # _grid_max refuses a point that overflows
+        fixed = np.array([A, A, [d * np.sqrt(2.0), 0.0], A])
     # the grid includes B = D, where the angle is 0 and so never the maximum
     grid = np.linspace(-np.pi, np.pi, GRID, endpoint=False)
     return _grid_max(Angle(1, 2, 3), fixed, [(1, A, d), (3, A, d)], [grid, grid])
@@ -284,10 +319,11 @@ def max_diagonal_oracle(
 
     B = np.array([0.0, 0.0])
     D = np.array([bd, 0.0])
-    r1 = bd / (2.0 * np.sin(theta1))
-    k1 = bd / (2.0 * np.tan(theta1))
-    r2 = bd / (2.0 * np.sin(theta2))
-    k2 = bd / (2.0 * np.tan(theta2))
+    with np.errstate(over="ignore"):  # _grid_max refuses a circle that overflows
+        r1 = bd / (2.0 * np.sin(theta1))
+        k1 = bd / (2.0 * np.tan(theta1))
+        r2 = bd / (2.0 * np.sin(theta2))
+        k2 = bd / (2.0 * np.tan(theta2))
     c1 = np.array([bd / 2.0, k1])  # A's circle center (major arc above)
     c2 = np.array([bd / 2.0, -k2])  # C's circle center (major arc below)
 

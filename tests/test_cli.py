@@ -604,6 +604,33 @@ def test_polygon_oracle_right_quad(capsys):
     assert payload["angleADC"] == pytest.approx(np.pi / 2, abs=1e-7)
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e308"])
+def test_polygon_oracle_right_quad_angles_at_extreme_scales(capsys, scale):
+    """The tangency angles are measured at unit size: at the input's size
+    their squares overflowed from about 1e154, and both read 3 pi / 4."""
+    s = float(scale)
+    code, out, _ = run(capsys, "polygon", "oracle", "right-quad",
+                       "--ab", str(s), "--ad", str(s), "--ac", str(1.7 * s))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["angleABC"] == pytest.approx(np.pi / 2, abs=1e-7)
+    assert payload["angleADC"] == pytest.approx(np.pi / 2, abs=1e-7)
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["polygon", "oracle", "square", "--d", "1.7e308"],
+        ["polygon", "oracle", "max-diag", "--bd", "1.7e308", "--theta1", "1.0", "--theta2", "1.0"],
+    ],
+)
+def test_oracle_overflow_exits_2(capsys, argv):
+    """An oracle whose points (the square's |AC|) or maximum (max|AC|)
+    overflow the float range once ran forever, or printed inf, which is not
+    JSON; it exits 2 with nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "overflows the float range" in err
+
 @pytest.mark.parametrize(
     "argv, option, text",
     [

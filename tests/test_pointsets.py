@@ -611,6 +611,19 @@ def test_diameter():
     assert diameter(SQUARE) == pytest.approx(np.sqrt(2))
 
 
+def test_unit_stops_at_the_largest_power_of_two():
+    """The unit is the power of two just above the largest entry, and at
+    most 2**1023: from there on the largest entries land in [1, 2), where
+    the unit once overflowed to inf and diameter([[0, 0], [1e308, 0]]) was
+    nan."""
+    assert pointsets._unit(np.array([0.75, -3.0])) == 4.0
+    assert pointsets._unit(np.array([2.0**1022])) == 2.0**1023
+    for top in (2.0**1023, 1e308, np.finfo(float).max):
+        unit = pointsets._unit(np.array([0.0, -top]))
+        assert unit == 2.0**1023 and 1.0 <= top / unit < 2.0
+    assert diameter(np.array([[0.0, 0.0], [1e308, 0.0]])) == 1e308
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_diameter_equals_brute_force(dim):
     rng = np.random.default_rng(dim)

@@ -4,7 +4,10 @@ staircase polygons, the twelve-measurement octagon."""
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polyrig import polygon
 from polyrig.errors import InfeasibleRadii, NotConvex
 from polyrig.pointsets import (
     Angle,
@@ -30,6 +33,8 @@ from polyrig.polygon import (
     staircase_polygon,
     sufficiency2d,
 )
+
+from reference_oracles import reference_search
 
 SQUARE = PointConfig2D(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
 
@@ -245,18 +250,122 @@ def test_max_diagonal_oracle_scales_linearly():
 
 def test_grid_oracles_do_not_depend_on_the_unit_of_length():
     """The grid oracles run at unit size, so that at every d = 10^k from
-    1e-300 to 1e300 they return their d = 1 values (a length's times d)
-    well within a second; max|AC| / bd at bd = 1e-20 once stopped 1.7e-4
-    short, on a gradient test that scaled with bd."""
+    1e-300 to 1e308, the last power of ten whose d sqrt(2) is a float, they
+    return their d = 1 values (a length's times d) well within a second;
+    max|AC| / bd at bd = 1e-20 once stopped 1.7e-4 short, on a gradient
+    test that scaled with bd. |BD| is d / 4, so that max|AC|, about 2.4 |BD|,
+    is a float too."""
     unit = (square_angle_oracle(1.0), right_angle_quad_oracle(0.6, 0.8, 1.5),
-            max_diagonal_oracle(1.0, 0.7, 0.9))
-    for k in range(-300, 301):
+            max_diagonal_oracle(0.25, 0.7, 0.9))
+    for k in range(-300, 309):
         d = 10.0 ** k
         scaled = (square_angle_oracle(d), right_angle_quad_oracle(0.6 * d, 0.8 * d, 1.5 * d),
-                  max_diagonal_oracle(d, 0.7, 0.9))
+                  max_diagonal_oracle(0.25 * d, 0.7, 0.9))
         for (v1, a1), (v, a), length in zip(unit, scaled, (1.0, 1.0, d)):
             assert v / length == pytest.approx(v1, rel=1e-12), k
             assert np.isfinite(a).all() and a / d == pytest.approx(a1, rel=1e-6, abs=1e-6), k
+
+
+
+def test_grid_oracles_reach_the_top_of_the_float_range():
+    """From 2**1023 (about 8.99e307) on, the search's unit is 2**1023, the
+    largest power of two a float holds; it once overflowed to inf, the
+    points divided by it were all 0, and both oracles raised
+    DegenerateMeasurement."""
+    value, argmax = square_angle_oracle(8e307)
+    assert value == pytest.approx(np.pi / 2, abs=1e-15)
+    assert np.isfinite(argmax).all()
+    value, argmax = right_angle_quad_oracle(1e308, 1e308, 1.7e308)
+    assert value == pytest.approx(2.0 * np.arcsin(1e308 / 1.7e308), rel=1e-14)
+    assert np.isfinite(argmax).all()
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (square_angle_oracle, (1.7e308,)),  # |AC| = d sqrt(2) is inf
+        (max_diagonal_oracle, (1.7e308, 0.1, 0.1)),  # both circle radii are inf
+        (max_diagonal_oracle, (1e308, 1e-10, 1.0)),  # A's circle is inf
+        (max_diagonal_oracle, (1.7e308, 1.0, 1.0)),  # max|AC| is inf
+    ],
+)
+def test_grid_oracles_refuse_an_overflow(oracle, args):
+    """A point, center or radius past the float range once sent the Newton
+    iteration's step halving round forever on a NaN step; an inf maximum
+    was returned, which no JSON can hold. Both raise ValueError."""
+    with pytest.raises(ValueError, match="overflows the float range"):
+        oracle(*args)
+
+
+def test_grid_max_ends_on_a_non_finite_step(monkeypatch):
+    """A step that is not finite never turns into a step that keeps f from
+    falling, however often it is halved: the iteration ends there, at the
+    grid's best point."""
+    monkeypatch.setattr(polygon, "NEWTON_MAXITER", 0)
+    grid_value, grid_argmax = square_angle_oracle(1.0)
+    monkeypatch.undo()
+    kernel = MeasurementList([Angle(1, 2, 3)])
+
+    class NanGradient:
+        values = staticmethod(kernel.values)
+        weighted_hessian = staticmethod(kernel.weighted_hessian)
+
+        @staticmethod
+        def jacobian(points):
+            return np.full_like(kernel.jacobian(points), np.nan)
+
+    monkeypatch.setattr(polygon, "_oracle_kernel", lambda measurement: NanGradient())
+    value, argmax = square_angle_oracle(1.0)
+    assert value == grid_value and np.array_equal(argmax, grid_argmax)
+
+
+def _same_bits(oracle, *args):
+    with reference_search():
+        want_value, want_argmax = oracle(*args)
+    value, argmax = oracle(*args)
+    assert type(value) is float and argmax.dtype == want_argmax.dtype
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), args
+    assert argmax.tobytes() == want_argmax.tobytes(), args
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-6.0, 6.0))
+def test_square_oracle_is_the_reference_bit_for_bit(u):
+    _same_bits(square_angle_oracle, 10.0 ** u)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-6.0, 6.0), st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+def test_right_quad_oracle_is_the_reference_bit_for_bit(u, b, d):
+    ac = 10.0 ** u
+    _same_bits(right_angle_quad_oracle, b * ac, d * ac, ac)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-6.0, 6.0), st.floats(0.02, 1.55), st.floats(0.02, 1.55))
+def test_max_diagonal_oracle_is_the_reference_bit_for_bit(u, theta1, theta2):
+    _same_bits(max_diagonal_oracle, 10.0 ** u, theta1, theta2)
+
+
+def test_interleaved_oracles_share_no_state():
+    """Each oracle's kernel is compiled once and kept; calls of the three
+    oracles in turn, at several sizes, each give the reference's bits, and
+    the first call repeated last gives its first bits."""
+    calls = [
+        (square_angle_oracle, (1.0,)),
+        (max_diagonal_oracle, (2.0, 0.7, 0.7)),
+        (right_angle_quad_oracle, (1.0, 1.0, np.sqrt(2.0))),
+        (square_angle_oracle, (3e-5,)),
+        (right_angle_quad_oracle, (0.6e4, 0.8e4, 1.5e4)),
+        (max_diagonal_oracle, (1e-3, 0.6, 1.1)),
+        (square_angle_oracle, (7.0e5,)),
+        (max_diagonal_oracle, (2.0, 0.7, 0.7)),
+    ]
+    first = square_angle_oracle(1.0)
+    for oracle, args in calls:
+        _same_bits(oracle, *args)
+    again = square_angle_oracle(1.0)
+    assert first[0] == again[0] and first[1].tobytes() == again[1].tobytes()
 
 
 # staircase polygons ----------------------------------------------------------

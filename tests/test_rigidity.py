@@ -59,6 +59,17 @@ def test_face_distances_suffice_for_congruence(name):
     assert report.achieved_rank == report.target_rank == 3 * poly.edge_count
 
 
+
+@pytest.mark.parametrize("scale", [9e307, 1e308])
+def test_face_distances_suffice_at_the_top_of_the_float_range(scale):
+    """The unit cube [0, 1]^3 scaled past 2**1023 (about 8.99e307): the fit
+    once divided by an inf unit, found every face's vertices collinear and
+    raised DegenerateFace."""
+    poly, real = platonic("cube")
+    real = fit_realization(poly, (real.vertices + 0.5) * scale)
+    report = is_sufficient(poly, real, build_pool(poly, "face-distances"))
+    assert report.sufficient and report.achieved_rank == report.target_rank == 36
+
 def test_stack_annihilates_rigid_motions():
     poly, real = platonic("icosahedron")
     pool = build_pool(poly, "all")
