@@ -19,7 +19,7 @@ compiled from one, or from a plain list read into one.
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, fields
 from operator import attrgetter, index
 
@@ -354,19 +354,10 @@ class MeasurementIds(Sequence):
         i = index(i)
         if not -self.size <= i < self.size:
             raise IndexError("measurement index out of range")
-        i %= self.size
-        for kind, (rows, f) in self.ids.items():
-            # one type holds every position, as in a pool
-            j = i if len(rows) == self.size else int(np.searchsorted(rows, i))
-            if j < len(rows) and rows[j] == i:
-                return kind(*f[j].tolist())
+        return self.take([i % self.size])[0]
 
     def __iter__(self):
-        items = [None] * self.size
-        for kind, (rows, f) in self.ids.items():
-            for r, args in zip(rows.tolist(), f.tolist()):
-                items[r] = kind(*args)
-        return iter(items)
+        return iter(self.take(np.arange(self.size)))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -434,9 +425,12 @@ class MeasurementList:
     length of the list. evaluate gives the values with the gradients of
     each row with respect to its difference vectors, from one gather, and
     assemble scatters those into the Jacobian of any of the point arrays;
-    jacobian is the two in a row. sparse_jacobian gives the Jacobian of one
-    point array as a CSR matrix, for lists too long for the dense one, and
-    weighted_hessian one weighted sum of the measurements' Hessians.
+    jacobian is the two in a row, and residual the two as the system
+    values - targets = 0 that lm_solve takes. sparse_jacobian gives the
+    Jacobian of one point array as a CSR matrix, for lists too long for the
+    dense one, and weighted_hessian one weighted sum of the measurements'
+    Hessians. All of them take their values and derivatives from one pass
+    over the primitives' blocks (_apply).
 
     A list is compiled from a MeasurementIds, or from any sequence of
     measurements read into one, and keeps it as ids.
@@ -445,9 +439,10 @@ class MeasurementList:
     def __init__(self, measurements: Sequence[SimpleMeasurement | Coplanar]):
         self.ids = MeasurementIds.of(measurements, _LAYOUT, "point")
         self.size = len(self.ids)
-        # (primitive, its span of the vector list, t, k): vector s of row i
-        # of the block at span.start + s k + i; and each block's rows, ascending
-        self._blocks, block_rows = [], []
+        # (primitive, its span of the vector list, t, k, rows): vector s of
+        # row i of the block at span.start + s k + i, and the block's rows,
+        # ascending, as a slice when they are consecutive
+        self._blocks = []
         heads, tails, owners = [], [], []
         start = 0
         for fn in _PRIMITIVES:
@@ -468,17 +463,15 @@ class MeasurementList:
                 by_row = np.argsort(rows, kind="stable")
                 rows, e = rows[by_row], np.concatenate([e for _, e in parts])[by_row]
             k, width = len(rows), e.shape[1] // 2
-            self._blocks.append((fn, slice(start, start + width * k), width, k))
-            block_rows.append(rows)
+            # a slice write is cheaper than a fancy-index one
+            at = slice(rows[0], rows[0] + k) if rows[-1] - rows[0] == k - 1 else rows
+            self._blocks.append((fn, slice(start, start + width * k), width, k, at))
             heads.append(e[:, :width].T)
             tails.append(e[:, width:].T)
             owners += [rows] * width
             start += k * width
         self._heads = _join(heads)
         self._tails = _join(tails)
-        # the blocks' values come out in block order; this puts them back
-        order = _join(block_rows)
-        self._order = None if (np.diff(order) > 0).all() else np.argsort(order)
         # a vector's gradient enters its row, its owner, at its head and,
         # negated, at its tail; a scatter sums the terms of a point that ends
         # two vectors, all heads' terms first (_cells)
@@ -494,56 +487,38 @@ class MeasurementList:
         owner = self._owners * n
         return np.concatenate([owner + self._heads, owner + self._tails])
 
-    def _vectors(self, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The difference vectors and their lengths; the first _checked of
-        them (those of lengths and angles) must not vanish."""
+    def _apply(self, P: np.ndarray, order: int):
+        """Every block's primitive at `order` on a (..., n, dim) point array,
+        in one pass: the values, shape (..., size), in the list's order; at
+        order 1 the gradient of each row's value with respect to each of its
+        difference vectors, in their (..., vectors, dim) shape; at order 2
+        the Hessian blocks, one array a block; and, when some angle's rays
+        are parallel, whether they are for each member, else None. The
+        first _checked vectors (those of lengths and angles) must not
+        vanish."""
         D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
         lens = _norm(D)
         if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
-        return D, lens
-
-    def _views(self, D: np.ndarray, lens: np.ndarray):
-        """Each block's primitive and span, with its vectors as one
-        (..., t, k, dim) view of D and their lengths, shape (..., t, k)."""
         batch, dim = lens.shape[:-1], D.shape[-1:]
-        for fn, span, width, k in self._blocks:
+        vals = np.empty(batch + (self.size,))
+        G = np.empty_like(D) if order == 1 else None
+        hess, parallel = [], None
+        for fn, span, width, k, rows in self._blocks:
             shape = batch + (width, k)
-            yield fn, span, D[..., span, :].reshape(shape + dim), lens[..., span].reshape(shape)
-
-    def _in_order(self, vals: list, batch: tuple) -> np.ndarray:
-        # the blocks' values, shape batch + (size,), in the list's order
-        if not vals:
-            return np.zeros(batch + (0,))
-        vals = np.concatenate(vals, axis=-1)
-        return vals if self._order is None else vals.take(self._order, axis=-1)
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """All values on a (..., n, dim) point array, shape (..., size)."""
-        P = np.asarray(points, dtype=float)
-        D, lens = self._vectors(P)
-        return self._in_order(
-            [fn(V, L, 0)[0] for fn, _, V, L in self._views(D, lens)], P.shape[:-2]
-        )
-
-    def _gradients(
-        self, D: np.ndarray, lens: np.ndarray
-    ) -> tuple[list, np.ndarray, np.ndarray | None]:
-        """The values of the blocks, one array a block, the gradient of each
-        row's value with respect to each of its difference vectors D (with
-        lengths lens), in D's shape, and, when some angle's rays are
-        parallel, whether they are for each member (an index of D's leading
-        axes); None when none are."""
-        G = np.empty_like(D)
-        vals, parallel = [], None
-        for fn, span, V, L in self._views(D, lens):
-            value, g, _, flat = fn(V, L, 1)
-            vals.append(value)
-            G[..., span, :] = g.reshape(G[..., span, :].shape)
+            V, L = D[..., span, :].reshape(shape + dim), lens[..., span].reshape(shape)
+            vals[..., rows], g, h, flat = fn(V, L, order)
+            if G is not None:
+                G[..., span, :] = g.reshape(G[..., span, :].shape)
+            hess.append(h)
             if flat is not None:
                 flat = flat.any(axis=-1)
                 parallel = flat if parallel is None else parallel | flat
-        return vals, G, parallel
+        return vals, G, hess, parallel
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """All values on a (..., n, dim) point array, shape (..., size)."""
+        return self._apply(np.asarray(points, dtype=float), 0)[0]
 
     def evaluate(self, points: np.ndarray) -> tuple[np.ndarray, Gradients]:
         """The values on a (..., n, dim) point array, as values gives them,
@@ -555,8 +530,21 @@ class MeasurementList:
         raise, as in values.
         """
         P = np.asarray(points, dtype=float)
-        vals, G, parallel = self._gradients(*self._vectors(P))
-        return self._in_order(vals, P.shape[:-2]), Gradients(G, parallel, P.shape[-2])
+        vals, G, _, parallel = self._apply(P, 1)
+        return vals, Gradients(G, parallel, P.shape[-2])
+
+    def residual(self, targets: np.ndarray) -> tuple[Callable, Callable]:
+        """The system values - targets = 0 on the first len(targets) rows, as
+        lm_solve takes it: (evaluate, jacobian), evaluate giving a batch of
+        points' residuals with their Gradients, and jacobian the Jacobian of
+        those rows from any index of them."""
+        m = len(targets)
+
+        def evaluate(P: np.ndarray) -> tuple[np.ndarray, Gradients]:
+            vals, grads = self.evaluate(P)
+            return vals[..., :m] - targets, grads
+
+        return evaluate, lambda grads: self.assemble(grads)[..., :m, :]
 
     def jacobian(self, points: np.ndarray) -> np.ndarray:
         """Exact Jacobian wrt the flattened (n * dim,) coordinate array, on a
@@ -594,7 +582,7 @@ class MeasurementList:
         and r enters that row, with the signs +, -, -, + of _SIGNS."""
         if self._hess_scatter is None:
             vs, vr = [], []
-            for _, span, width, k in self._blocks:
+            for _, span, width, k, _ in self._blocks:
                 at = np.arange(span.start, span.stop).reshape(width, k)
                 vs.append(np.broadcast_to(at[:, None], (width, width, k)))
                 vr.append(np.broadcast_to(at[None, :], (width, width, k)))
@@ -622,11 +610,9 @@ class MeasurementList:
         members, N = math.prod(batch), n * dim
         if not self._blocks:
             return np.zeros((*batch, N, N))
-        D, lens = self._vectors(P)
-        blocks = [fn(V, L, 2) for fn, _, V, L in self._views(D, lens)]
-        for b in blocks:
-            _refuse_parallel(b[3])
-        weights = np.concatenate([b[2].reshape(members, 1, -1) for b in blocks], axis=-1)
+        _, _, hess, parallel = self._apply(P, 2)
+        _refuse_parallel(parallel)
+        weights = np.concatenate([h.reshape(members, 1, -1) for h in hess], axis=-1)
         owner, left, right = self._hessian_scatter()
         # each (dim, dim) block takes the weight of the row it belongs to
         rows = w.reshape(members, 1, self.size)[..., owner]
@@ -671,7 +657,7 @@ class MeasurementList:
             chunk = self
             if self.size > _CSR_CHUNK:
                 chunk = MeasurementList(self.ids._span(r0, r0 + _CSR_CHUNK))
-            _, G, parallel = chunk._gradients(*chunk._vectors(P))
+            _, G, _, parallel = chunk._apply(P, 1)
             _refuse_parallel(parallel)
             cells, cell = np.unique(chunk._cells(n).astype(itype), return_inverse=True)
             rows, ends = np.divmod(cells, n)

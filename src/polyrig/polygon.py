@@ -25,7 +25,6 @@ from .pointsets import (
     Angle,
     DiagonalAngle,
     Distance,
-    Gradients,
     MeasurementList,
     SimpleMeasurement,
     _dot,
@@ -457,14 +456,8 @@ def _sqp_max(
     free = _free_columns(n)
     N, m = int(free.sum()), kernel.size - 1
 
-    def c_fun(P: np.ndarray) -> tuple[np.ndarray, Gradients]:
-        values, grads = kernel.evaluate(P)
-        return values[:, :-1] - targets, grads
-
-    def c_jac(grads: Gradients) -> np.ndarray:
-        return kernel.assemble(grads)[:, :-1]
-
-    x, _, _ = lm_solve(c_fun, c_jac, starts, max_iter=120, target=1e-13)
+    constraints = kernel.residual(targets)
+    x, _, _ = lm_solve(*constraints, starts, max_iter=120, target=1e-13)
     kept = np.ones(B, dtype=bool)
     active = np.arange(B)
     eye = np.eye(N)
@@ -472,7 +465,8 @@ def _sqp_max(
         if not len(active):
             break
         pts = x[active]
-        J = kernel.jacobian(pts)[:, :, free]
+        vals, grads = kernel.evaluate(pts)
+        J = kernel.assemble(grads)[:, :, free]
         C, g = J[:, :-1], -J[:, -1]
         Q, R = np.linalg.qr(C.swapaxes(1, 2), mode="complete")
         lam, _ = _solve(R[:, :m], -(Q[:, :, :m].swapaxes(1, 2) @ g[:, :, None]))
@@ -484,7 +478,7 @@ def _sqp_max(
         K[:, :N, :N] = W + np.maximum(0.0, SQP_CURVATURE - least)[:, None, None] * eye
         K[:, :N, N:] = C.swapaxes(1, 2)
         K[:, N:, :N] = C
-        rhs = np.concatenate([-g, targets - kernel.values(pts)[:, :-1]], axis=1)
+        rhs = np.concatenate([-g, targets - vals[:, :-1]], axis=1)
         sol, solved = _solve(K, rhs[:, :, None])
         dx = sol[:, :N, 0]
         size = np.abs(dx).max(axis=1)
@@ -499,7 +493,7 @@ def _sqp_max(
         active = step[size[ok] > SQP_XTOL]
     residual = np.full(B, np.inf)
     if kept.any():
-        x[kept], r, _ = lm_solve(c_fun, c_jac, x[kept], max_iter=120, target=1e-13)
+        x[kept], r, _ = lm_solve(*constraints, x[kept], max_iter=120, target=1e-13)
         residual[kept] = np.abs(r).max(axis=1)
     return x, residual
 

@@ -85,7 +85,6 @@ from .incidence import AbstractPolyhedron
 from .pointsets import (
     _CSR_CHUNK,
     Coplanar,
-    Gradients,
     MeasurementIds,
     MeasurementList,
     SimpleMeasurement,
@@ -605,7 +604,7 @@ def flex_witness(
     targets[len(ms):] = 0.0
     residual = 1e-10
     W, ok = gauss_newton_project(
-        lambda P: (kernel.values(P) - targets, P), kernel.jacobian, X + step * u.reshape(-1, 3),
+        *kernel.residual(targets), X + step * u.reshape(-1, 3),
         target=residual, max_travel=100.0 * (abs(step) + 1.0),
     )
     if not ok:
@@ -723,14 +722,9 @@ def point_set_witness(
     diam = diameter(ref)
     scale = max(1.0, diam)
 
-    def evaluate(P: np.ndarray) -> tuple[np.ndarray, Gradients]:
-        values, grads = kernel.evaluate(P)
-        return values - targets, grads
-
+    system = kernel.residual(targets)
     x0 = _perturbed_starts(ref, noise * diam, restarts, seed)
-    x, r, reason = lm_solve(
-        evaluate, kernel.assemble, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2
-    )
+    x, r, reason = lm_solve(*system, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2)
     ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
     stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
@@ -739,7 +733,7 @@ def point_set_witness(
     # pass with a far tighter target collapses that smear. 1e-15 is below
     # the rounding floor of most members (a residual of 1e-13 to 1e-14), so
     # they end by a stall, after a full sweep of damping values
-    sols = lm_solve(evaluate, kernel.assemble, x[ok], max_iter=80, target=1e-15)[0]
+    sols = lm_solve(*system, x[ok], max_iter=80, target=1e-15)[0]
     to_ref = align_distance(ref, sols, allow_reflection)
     far = np.zeros(len(sols), dtype=bool) if locality is None else to_ref > locality * scale
     escaped = int(np.count_nonzero(far))

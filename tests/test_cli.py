@@ -937,3 +937,66 @@ def test_a_measurement_of_the_other_kind_is_told_the_types_to_use(capsys, tmp_pa
     assert (code, out) == (2, "")
     assert err == ("error: FaceDistance is not a point measurement; "
                    "use distance, angle, or diagonal_angle\n")
+
+
+SQUARE_3D = {"dim": 3, "points": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]}
+SIDES_3D = {**SQUARE_SIDES, "dim": 3}
+
+
+def _input_error_runs(tmp_path, cube_off):
+    """(argv, message) of each input error the CLI loaders and verbs raise."""
+    extra = tmp_path / "extra-vertex.off"
+    lines = Path(cube_off).read_text().splitlines()
+    nv, nf, ne = map(int, lines[1].split())
+    extra.write_text("\n".join(
+        ["OFF", f"{nv + 1} {nf} {ne}", *lines[2 : 2 + nv], "5 5 5", *lines[2 + nv :]]) + "\n")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"dim": 2, "measurements": [')
+    square = _write(tmp_path, "square.json", SQUARE_POINTS)
+    sides = _write(tmp_path, "sides.json", SQUARE_SIDES)
+    square3 = _write(tmp_path, "square3.json", SQUARE_3D)
+    sides3 = _write(tmp_path, "sides3.json", SIDES_3D)
+    return [
+        (["analyze", str(extra)], "faces reference 8 vertices, file lists 9"),
+        (["check", square, "--measurements", str(broken)], "invalid JSON"),
+        (["check", cube_off, "--measurements", sides], "a mesh takes a dim-3 measurement set"),
+        (["check", square3, "--measurements", sides], "config dim 3 != measurement-set dim 2"),
+        (["witness", square, "--measurements", sides3, "--restarts", "4"],
+         "config dim 2 != measurement-set dim 3"),
+        (["check", square3, "--measurements", sides3],
+         "a point config and its measurement set must both have dim 2"),
+        (["generate", "staircase-ngon", "--n", "6"], "--angles is required (4 comma-separated"),
+    ]
+
+
+def test_input_errors_exit_2_with_their_message(capsys, tmp_path, cube_off):
+    """An OFF file whose faces miss a listed vertex, invalid JSON, a dim-2
+    set on a mesh, a config and set of different dims, a dim-3 point config
+    under check, and a staircase n-gon without --angles: each exits 2 with
+    its message and prints nothing on stdout."""
+    for argv, message in _input_error_runs(tmp_path, cube_off):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def test_check_reads_a_path_of_another_suffix_by_its_first_character(capsys, tmp_path, cube_off):
+    """check reads an input whose name ends in neither .off nor .json as a
+    point config when its text starts with '{', and as an OFF mesh
+    otherwise, with the verdicts of the same inputs under their suffixes."""
+    config = tmp_path / "square.txt"
+    config.write_text("  \n" + json.dumps(SQUARE_POINTS))
+    five = _write(tmp_path, "five.json", {**SQUARE_SIDES, "measurements": [
+        *SQUARE_SIDES["measurements"], {"type": "distance", "ids": [0, 2]}]})
+    as_json = run(capsys, "check", _write(tmp_path, "square.json", SQUARE_POINTS),
+                  "--measurements", five)
+    assert as_json[0] == 0
+    assert run(capsys, "check", str(config), "--measurements", five) == as_json
+
+    mesh = tmp_path / "cube.txt"
+    mesh.write_text(Path(cube_off).read_text())
+    edges = _write(tmp_path, "edges.json", {"dim": 3, "measurements": [
+        {"type": "face_distance", "ids": [i, (i + 1) % 4]} for i in range(4)]})
+    as_off = run(capsys, "check", cube_off, "--measurements", edges)
+    assert as_off[0] == 1 and json.loads(as_off[1])["E"] == 12
+    assert run(capsys, "check", str(mesh), "--measurements", edges) == as_off

@@ -418,3 +418,15 @@ def test_pool_sizes_cube(cube):
     assert len(build_pool(poly, "dihedrals")) == 12
     with pytest.raises(ValueError):
         build_pool(poly, "nonsense")
+
+
+def test_arrays_of_the_wrong_shape_are_rejected():
+    """A Realization takes (V, 3) vertices and (F, 3) planes, and
+    fit_realization (V, 3) coordinates for the V vertices of its incidence."""
+    poly, real = platonic("cube")
+    with pytest.raises(ValueError, match=r"vertices must be \(V, 3\), got \(8, 2\)"):
+        Realization(real.vertices[:, :2], real.planes)
+    with pytest.raises(ValueError, match=r"planes must be \(F, 3\), got \(18,\)"):
+        Realization(real.vertices, real.planes.ravel())
+    with pytest.raises(ValueError, match=r"expected coords of shape \(8, 3\), got \(7, 3\)"):
+        fit_realization(poly, real.vertices[:7])

@@ -156,3 +156,10 @@ def test_not_reducible():
     poly = AbstractPolyhedron(vertex_count=4, faces=cycles, incidence=incidence)
     with pytest.raises(NotReducible):
         elimination_order(poly)
+
+
+def test_no_faces_and_negative_ids_rejected():
+    with pytest.raises(DegenerateFace, match="no faces given"):
+        build_incidence([])
+    with pytest.raises(ValueError, match="face 1 contains a negative vertex id"):
+        build_incidence([(0, 1, 2), (0, -1, 1)])

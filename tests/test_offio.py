@@ -377,3 +377,25 @@ def test_read_off_names_what_is_wrong(text, message):
     with pytest.raises(ParseError) as info:
         read_off(text)
     assert str(info.value) == message
+
+
+def test_writers_reject_what_they_cannot_write():
+    """off_text takes (n, 2) or (n, 3) vertices, and measurement_to_dict
+    only the measurement types of MEASUREMENT_TYPES."""
+    with pytest.raises(ValueError, match=r"vertices must be \(n, 2\) or \(n, 3\), got \(4, 4\)"):
+        off_text(np.zeros((4, 4)), [[0, 1, 2]])
+    with pytest.raises(ValueError, match=r"got \(4,\)"):
+        off_text(np.zeros(4), [[0, 1, 2]])
+    with pytest.raises(TypeError, match="not a serializable measurement: tuple"):
+        measurement_to_dict((0, 1))
+
+
+def test_point_config_errors():
+    """A JSON integer too large for a float is a non-finite coordinate, and
+    coplanar constraints need dim 3."""
+    huge = json.loads('{"dim": 2, "points": [[1' + "0" * 400 + ', 0], [1, 0]]}')
+    with pytest.raises(ParseError, match="non-finite point coordinate"):
+        parse_point_config(huge)
+    square = {"dim": 2, "points": [[0, 0], [1, 0], [1, 1], [0, 1]], "coplanar": [[0, 1, 2, 3]]}
+    with pytest.raises(ParseError, match="coplanar constraints require dim 3"):
+        parse_point_config(square)

@@ -431,6 +431,140 @@ def test_a_list_of_ids_is_the_list_of_its_items(monkeypatch, chunk):
         assert np.array_equal(_bits(f(kernel)), _bits(f(again)))
 
 
+def _row_blocks(kernel: MeasurementList) -> list:
+    """How each block of a compiled list writes its values: True through a
+    slice of consecutive rows, False through an index array."""
+    return [isinstance(block[-1], slice) for block in kernel._blocks]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.lists(st.lists(st.integers(0, 5), min_size=4, max_size=4, unique=True), max_size=12),
+    st.lists(st.sampled_from([Distance, Angle, DiagonalAngle, Coplanar]), min_size=12, max_size=12),
+    st.sampled_from([(), (3,), (2, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_values_are_the_values_of_evaluate_bit_for_bit(dim, ids, kinds, batch, seed):
+    """values takes its numbers from the same primitive arithmetic as
+    evaluate, in the list's order, on random lists of every point
+    measurement type (Coplanar in 3D), on one point array and on batches."""
+    arity = {Distance: 2, Angle: 3, DiagonalAngle: 4, Coplanar: 4}
+    ms = [
+        kind(*quad[: arity[kind]])
+        for quad, kind in zip(ids, kinds)
+        if kind is not Coplanar or dim == 3
+    ]
+    P = np.random.default_rng(seed).standard_normal(batch + (6, dim))
+    kernel = MeasurementList(ms)
+    values = kernel.values(P)
+    assert values.shape == batch + (len(ms),)
+    assert np.array_equal(_bits(values), _bits(kernel.evaluate(P)[0]))
+    if not batch:
+        for m, v in zip(ms, values):
+            assert _bits(v) == _bits(np.float64(measurement_value(m, P)))
+
+
+def test_mesh_values_are_the_values_of_evaluate_bit_for_bit():
+    """The same on mesh rows: face distances, _Corner face angles and
+    _Hinge dihedrals of geometry.mesh_kernel, once in blocks of consecutive
+    rows (the `all` pool) and once with the face distances split around
+    the other types and Coplanar rows, so that a block writes its values
+    through an index array."""
+    poly, real = platonic("dodecahedron")
+    P = real.vertices + 0.05 * np.random.default_rng(6).standard_normal(real.vertices.shape)
+    pool = build_pool(poly, "all")
+    split = pool + [Coplanar(0, 1, 2, 3)] + build_pool(poly, "edges-only")
+    for ms, slices in ((pool, [True, True, True]), (split, [False, True, True, True])):
+        kernel = mesh_kernel(poly, ms)
+        assert _row_blocks(kernel) == slices
+        values = kernel.values(P)
+        assert np.array_equal(_bits(values), _bits(kernel.evaluate(P)[0]))
+        assert np.array_equal(_bits(values), _bits(kernel.values(P[None])[0]))
+
+
+def test_blocks_of_interleaved_rows_keep_the_list_order():
+    """An Angle and a DiagonalAngle share one primitive: their rows, mixed
+    with Distance rows, make blocks that are not consecutive, and values,
+    evaluate and each row's scalar value agree to the bit."""
+    ms = [Angle(0, 1, 2), Distance(0, 3), DiagonalAngle(0, 2, 1, 3), Distance(1, 2),
+          Angle(3, 0, 1), DiagonalAngle(3, 1, 2, 0)]
+    kernel = MeasurementList(ms)
+    assert _row_blocks(kernel) == [False, False]
+    P = np.random.default_rng(8).standard_normal((5, 4, 2))
+    values = kernel.values(P)
+    assert np.array_equal(_bits(values), _bits(kernel.evaluate(P)[0]))
+    for b in range(len(P)):
+        for row, m in enumerate(ms):
+            assert _bits(values[b, row]) == _bits(np.float64(measurement_value(m, P[b])))
+
+
+@pytest.mark.parametrize("dim, ms", SPARSE_CASES[:2])
+def test_residual_is_the_sliced_system_bit_for_bit(dim, ms):
+    """residual(targets) gives, on the first len(targets) rows, the bits of
+    values - targets and of the Jacobian rows that the sliced closures over
+    evaluate and assemble gave, on any index of the Gradients, and the
+    Jacobian of jacobian(points) on those rows."""
+    kernel = MeasurementList(ms)
+    P = np.random.default_rng(13).standard_normal((6, 7, dim))
+    values, grads = kernel.evaluate(P)
+    for m in (kernel.size - 1, kernel.size):
+        targets = kernel.values(P[0])[:m] + 0.25
+        evaluate, jacobian = kernel.residual(targets)
+        r, data = evaluate(P)
+        assert np.array_equal(_bits(r), _bits(values[:, :m] - targets))
+        at = np.array([4, 1, 3])
+        assert np.array_equal(_bits(jacobian(data[at])), _bits(kernel.assemble(grads[at])[:, :m]))
+        assert np.array_equal(_bits(jacobian(data)), _bits(kernel.jacobian(P)[:, :m]))
+
+
+def test_ids_read_every_item_as_take_does():
+    """ids[i], ids[-i], slices and iteration read the items that take reads,
+    each one the type and fields of its row, on the cube's `all` pool with
+    Coplanar rows and its edges after it, where face distances come in two
+    runs."""
+    poly, _ = platonic("cube")
+    side = MeasurementIds.of([Coplanar(0, 1, 2, 3), Coplanar(4, 5, 6, 7)], (Coplanar,), "side")
+    ids = build_pool(poly, "all") + side + build_pool(poly, "edges-only")
+    expected = [None] * len(ids)
+    for kind, (rows, f) in ids.ids.items():
+        for r, args in zip(rows.tolist(), f.tolist()):
+            expected[r] = kind(*args)
+    assert list(ids) == expected == ids.take(range(len(ids)))
+    n = len(ids)
+    for i in range(n):
+        assert ids[i] == expected[i] == ids[i - n]
+    assert ids[-1] == expected[-1] and ids[-1] == ids.take([n - 1])[0]
+    for a, b, step in ((0, n, 1), (5, 40, 3), (n - 10, n + 5, 1), (30, 2, -4), (7, 7, 1)):
+        assert ids[a:b:step] == expected[a:b:step] == ids.take(range(n)[a:b:step])
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            ids[i]
+
+
+def test_ids_protocol_with_other_objects():
+    """== and + against a non-sequence or a str give NotImplemented, so
+    Python falls back to identity and raises TypeError; the repr names the
+    count and the types."""
+    poly, _ = platonic("tetrahedron")
+    ids = build_pool(poly, "all")
+    for other in (5, None, "ab"):
+        assert ids.__eq__(other) is NotImplemented
+        assert ids != other
+        assert ids.__add__(other) is NotImplemented
+        assert ids.__radd__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            ids + other
+        with pytest.raises(TypeError):
+            other + ids
+    assert ids == list(ids) and ids == tuple(ids)
+    assert repr(ids) == (f"MeasurementIds({len(ids)} measurements: "
+                         "FaceDistance, FaceAngle, DihedralAngle)")
+    # ids of a type the list does not take are refused by their first item
+    with pytest.raises(TypeError, match=r"not a point measurement: FaceDistance\(v=0, w=1\)"):
+        MeasurementList(ids)
+
+
 # A row-by-row scalar reference of the kernel at order 1: the documented
 # formula of each primitive, in the kernel's operation order, on one
 # measurement of one point array at a time. Inner products of one vector

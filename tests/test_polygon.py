@@ -48,6 +48,9 @@ def test_chart_validation():
         PointConfig2D(np.array([[0.0, 0.0], [-1.0, 0.0]]))  # x_2 <= 0
     with pytest.raises(ValueError):
         PointConfig2D(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]]))
+    for shape in [(1, 2), (4, 3), (8,)]:
+        with pytest.raises(ValueError, match=r"points must be \(n >= 2, 2\)"):
+            PointConfig2D(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

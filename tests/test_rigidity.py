@@ -470,3 +470,19 @@ def test_coplanar_constraint_validation():
         point_set_witness(
             3, pts, [Distance(0, 1)], coplanar=[(0, 1, 2, 3)], restarts=2
         )
+
+
+def test_arguments_out_of_their_domain_raise():
+    """A mode other than congruence or similarity, a search dimension other
+    than 2 or 3, and points of another shape raise ValueError naming them."""
+    poly, real = platonic("cube")
+    with pytest.raises(ValueError, match="mode must be 'congruence' or 'similarity', got 'affine'"):
+        is_sufficient(poly, real, build_pool(poly, "face-distances"), "affine")
+    square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    sides = [Distance(i, (i + 1) % 4) for i in range(4)]
+    with pytest.raises(ValueError, match="dim must be 2 or 3, got 4"):
+        point_set_witness(4, square, sides)
+    with pytest.raises(ValueError, match=r"points must be \(n, 3\), got \(4, 2\)"):
+        point_set_witness(3, square, sides)
+    with pytest.raises(ValueError, match=r"points must be \(n, 2\), got \(8,\)"):
+        point_set_witness(2, np.ravel(square), sides)
