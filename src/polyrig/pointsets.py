@@ -262,8 +262,7 @@ _LAYOUT = {
 }
 
 
-# how many rows MeasurementList.sparse_jacobian compiles at a time, and
-# rigidity._sketched_rank sums into its buckets at a time
+# how many rows MeasurementList.sparse_jacobian compiles at a time
 _CSR_CHUNK = 2**15
 
 # the signs of the four point pairs of a Hessian block (MeasurementList.weighted_hessian)
@@ -337,9 +336,12 @@ class MeasurementIds(Sequence):
         return MeasurementIds(stop - start, ids)
 
     def take(self, positions: Sequence[int]) -> list:
-        """The measurements at `positions` (each in range), in their order,
-        from one searchsorted and one read of the fields a type."""
+        """The measurements at `positions`, in their order, from one
+        searchsorted and one read of the fields a type; a position outside
+        [0, len) raises IndexError."""
         at = np.asarray(positions, dtype=np.intp)
+        if ((at < 0) | (at >= self.size)).any():
+            raise IndexError("measurement index out of range")
         items = [None] * len(at)
         for kind, (rows, f) in self.ids.items():
             j = np.minimum(np.searchsorted(rows, at), len(rows) - 1)
@@ -352,9 +354,7 @@ class MeasurementIds(Sequence):
         if isinstance(i, slice):
             return self.take(np.arange(*i.indices(self.size)))
         i = index(i)
-        if not -self.size <= i < self.size:
-            raise IndexError("measurement index out of range")
-        return self.take([i % self.size])[0]
+        return self.take([i + self.size if i < 0 else i])[0]
 
     def __iter__(self):
         return iter(self.take(np.arange(self.size)))

@@ -17,8 +17,8 @@ of a face adds one Coplanar side row to C, so the planar-faced deformations
 are ker C. One complete QR of C stacked with the motions' vertex rows,
 orthonormalized and scaled past sigma_1(C), gives the rank of d_phi and an
 orthonormal basis Z of the nontrivial first-order deformations (of the
-motions alone on a triangulated mesh, which has no side rows); no
-computation sees the plane coefficients. The measurements locally
+motions' rows alone, as they are, on a triangulated mesh, which has no
+side rows); no computation sees the plane coefficients. The measurements locally
 determine the realization up to the motion group exactly when J Z reaches
 rank E + 6 - g, i.e. when the stack [d_phi; rows] reaches 3E + 6 - g; the
 shortfall is the flex dimension. This reduces the geometric question to
@@ -29,8 +29,9 @@ _nlsq._triangular_full_rank shows from R^-1 that a square R has sigma_min
 > 2 tol_rel sigma_1, so all its values clear the cutoff and no SVD is
 needed. The rank test's R takes that proof first, and so does _kernel, the
 one rank-and-kernel step of the chart and of the flex witness's J Z (from a
-complete QR of the wide matrix's transpose); each takes an SVD only when it
-fails: a rank-deficient factor, or one too near the cutoff. The three mesh
+complete QR of the wide matrix's transpose), unless every row is a kept
+motion; each takes an SVD only when it fails: a rank-deficient factor, or
+one too near the cutoff. The three mesh
 verdicts take their unit-diameter vertices, chart, CSR rows and target rank
 from one setup, _setup.
 
@@ -83,7 +84,6 @@ from .geometry import (
 )
 from .incidence import AbstractPolyhedron
 from .pointsets import (
-    _CSR_CHUNK,
     Coplanar,
     MeasurementIds,
     MeasurementList,
@@ -225,15 +225,16 @@ def _kernel(M: np.ndarray, tol_rel: float, keep: int = 0) -> tuple[int, np.ndarr
     its first `keep` singular values count, and the rest count above
     tol_rel times the largest of them.
 
-    A wide M has full row rank, and its kernel is Q_2, when
-    _triangular_full_rank proves R nonsingular with a margin in a complete
-    QR M^T = [Q_1 Q_2] [R; 0]. Any other M takes both from an SVD, a full
+    A wide M has full row rank, and its kernel is Q_2, in a complete QR
+    M^T = [Q_1 Q_2] [R; 0] when every row's value counts: when keep == m,
+    with no certificate taken, or when _triangular_full_rank proves R
+    nonsingular with a margin. Any other M takes both from an SVD, a full
     one for a wide M, whose kernel a thin Vt does not hold.
     """
     m, n = M.shape
     if m < n:
         Q, R = np.linalg.qr(M.T, mode="complete")
-        if _triangular_full_rank(R[:m], tol_rel):
+        if keep == m or _triangular_full_rank(R[:m], tol_rel):
             return m, Q[:, m:]
     _, s, Vt = np.linalg.svd(M, full_matrices=m < n)
     rank = keep + _count_above(s[keep:], tol_rel)
@@ -261,24 +262,25 @@ def _chart(
     orthogonal to G_x at every tolerance, the E + 6 - g nontrivial
     deformations, and rank(d_phi) = 3F + r - g. Measurement rows annihilate
     the motions, so their rank there is that of J Z, which the verdicts cut
-    at its own sigma_1.
+    at its own sigma_1. A triangulated mesh has no side rows, and A is
+    G_x^T itself: its g rows are all kept motions.
 
     A has 2E - 3F + g = 3V - (E + 6 - g) rows (Euler), fewer than its 3V
     columns, so _kernel(A, tol_rel, keep=g) gives r and Z: from a complete
     QR of A^T once the square R is proved nonsingular with a margin (then
     sigma_min(A) > 2 tol_rel c >= 2 tol_rel sigma_1(C), every value of C
-    counts, and r is A's row count), else from an SVD. A triangulated mesh
-    has no side rows, so A is Q^T and Z completes Q, from one complete QR
-    of G_x.
+    counts, and r is A's row count), else from an SVD. With no side rows
+    every row is kept, and Z completes G_x from one complete QR of G_x
+    with no certificate.
     """
     X = scaled.vertices
     anchors, side = _face_anchors(poly, X)
     G = motion_generators(scaled, g)
-    if not len(side):
-        return 3 * poly.face_count, np.linalg.qr(G, mode="complete")[0][:, g:], anchors, side
-    C = MeasurementList(side).jacobian(X)
-    # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
-    A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
+    A = G.T
+    if len(side):
+        C = MeasurementList(side).jacobian(X)
+        # orthonormal motion rows scaled to ||C||_F >= sigma_1(C): no cutoff reaches them
+        A = np.vstack([C, max(np.linalg.norm(C), 1.0) * np.linalg.qr(G)[0].T])
     r, Z = _kernel(A, tol_rel, keep=g)
     return 3 * poly.face_count + r - g, Z, anchors, side
 
@@ -396,19 +398,11 @@ def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int |
     """
     m, (n, N) = S.shape[0], Z.shape
     k = _SKETCH_ROWS * N
-    # row i goes to bucket draw_i // 2 with sign (-1)^draw_i
+    # row i of J goes to bucket draw_i // 2 with sign (-1)^draw_i: column i of C
     draw = np.random.default_rng(_SKETCH_SEED).integers(2 * k, size=m)
-    # the bucket sums C J, _CSR_CHUNK rows at a time
-    CJ = np.zeros(k * n)
-    for a in range(0, m, _CSR_CHUNK):
-        b = min(a + _CSR_CHUNK, m)
-        at = np.repeat(draw[a:b], np.diff(S.indptr[a : b + 1]))  # each nonzero's draw
-        nz = slice(S.indptr[a], S.indptr[b])
-        CJ += np.bincount(
-            (at >> 1) * n + S.indices[nz], (1 - 2 * (at & 1)) * S.data[nz], minlength=k * n
-        )
-    R = np.linalg.qr(CJ.reshape(k, n) @ Z, mode="r")
-    counts = np.bincount(draw, minlength=2 * k).reshape(k, 2).sum(axis=1)
+    C = sparse.csr_matrix((1.0 - 2.0 * (draw & 1), (draw >> 1, np.arange(m))), shape=(k, m))
+    R = np.linalg.qr((C @ S).toarray() @ Z, mode="r")
+    counts = np.diff(C.indptr)
     c = math.sqrt(counts.max())
     f = math.sqrt(S.data @ S.data) * (1.0 + _gamma(S.nnz + 2))
     e = 2.0 * math.sqrt(N) * _gamma(int(counts.max()) + n + N + 16 * N * (k + N)) * c * f

@@ -667,6 +667,14 @@ def test_polygon_oracle_octagon_smoke(capsys):
     assert 1 <= payload["restartsAtMax"] <= 3
 
 
+def test_octagon_oracle_without_restarts_exits_2(capsys):
+    # no restart can meet the 11 constraints: the oracle is inconclusive,
+    # an error with nothing on stdout
+    code, out, err = run(capsys, "polygon", "oracle", "octagon", "--restarts", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: OracleInconclusive: no SQP restart satisfied the 11 constraints\n"
+
+
 # a triangular bipyramid with its lower apex pushed up to the vertex
 # centroid: the three lower faces are dents whose planes pass through it
 DENTED_BIPYRAMID_OFF = """OFF

@@ -542,6 +542,22 @@ def test_ids_read_every_item_as_take_does():
             ids[i]
 
 
+def test_take_refuses_a_position_out_of_range():
+    """take reads positions in [0, len) only: one outside raises the
+    IndexError that indexing raises, where it once read None."""
+    poly, _ = platonic("cube")
+    pool = build_pool(poly, "face-distances")
+    assert len(pool) == 24
+    for positions in ([24, -1], [0, 24], [-1], [3, -25]):
+        with pytest.raises(IndexError, match="^measurement index out of range$"):
+            pool.take(positions)
+    with pytest.raises(IndexError, match="^measurement index out of range$"):
+        pool[24]
+    with pytest.raises(IndexError, match="^measurement index out of range$"):
+        MeasurementIds(0, {}).take([0])
+    assert pool.take([]) == [] and pool.take([23, 0]) == [pool[-1], pool[-24]]
+
+
 def test_ids_protocol_with_other_objects():
     """== and + against a non-sequence or a str give NotImplemented, so
     Python falls back to identity and raises TypeError; the repr names the

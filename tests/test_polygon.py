@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrig import polygon
-from polyrig.errors import InfeasibleRadii, NotConvex
+from polyrig.errors import InfeasibleRadii, NotConvex, OracleInconclusive
 from polyrig.pointsets import (
     Angle,
     Distance,
@@ -467,6 +467,23 @@ def test_octagon_oracle_counts_the_restarts_at_the_maximum():
 def test_three_restarts_reach_the_regular_octagon(seed):
     report = octagon_distance_oracle(restarts=3, seed=seed)
     assert abs(report.max_value - report.regular_value) < 1e-9
+
+
+def test_a_dropped_linkage_refinement_is_inconclusive(monkeypatch):
+    # the oracle's second SQP refines the linkage scan's best point; one
+    # that reports no feasible point leaves the linkage angles unproved
+    sqp = polygon._sqp_max
+    calls = []
+
+    def second_dropped(*args, **kwargs):
+        points, residual = sqp(*args, **kwargs)
+        calls.append(len(residual))
+        return points, np.full_like(residual, np.inf) if len(calls) == 2 else residual
+
+    monkeypatch.setattr(polygon, "_sqp_max", second_dropped)
+    with pytest.raises(OracleInconclusive, match="the linkage scan's best point was dropped"):
+        octagon_distance_oracle(restarts=3, seed=0)
+    assert calls == [3, 1]
 
 
 def test_sqp_restarts_do_not_couple():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from polyrig import rigidity
+from polyrig import _nlsq, rigidity
 from polyrig._nlsq import _gram_full_rank, _triangular_full_rank, gauss_newton_project
 from polyrig.generators import faces_from_convex_vertices, platonic
 from polyrig.cli import main
@@ -174,6 +174,30 @@ def test_proved_sparse_rank_takes_no_qr_and_no_svd(monkeypatch):
     _no_svd(monkeypatch)
     assert numeric_rank(wide) == 40
     assert numeric_rank(square) == 77
+
+
+def test_a_failed_sparse_lu_claims_nothing(monkeypatch):
+    """An LU that raises (as splu does on an exactly singular factor)
+    proves nothing: numeric_rank takes the SVD count instead."""
+    square = _rows(_base_config(40), _trilateration(40))
+    assert _gram_full_rank(square, TOL)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(_nlsq, "splu", singular)
+    svd = np.linalg.svd
+    taken = []
+
+    def recorded(a, *args, **kwargs):
+        taken.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    assert not _gram_full_rank(square, TOL)
+    count = _count_above(svd(square.toarray(), compute_uv=False), TOL)
+    assert numeric_rank(square) == count == 77
+    assert taken == [square.shape]
 
 
 @st.composite

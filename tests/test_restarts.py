@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrig import _nlsq
 from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, _stall_floor, lm_solve
 from polyrig.errors import DegenerateMeasurement, NoConvergedRestarts
 from polyrig.generators import platonic
@@ -326,6 +327,29 @@ def test_stalled_member_stops_at_the_proved_floor(name):
         assert all(len(calls) <= 6 and sum(calls) <= 40 for calls in iterations)
         cut += sum(iterations[-1]) < 40
     assert cut
+
+
+def test_a_floor_whose_premise_fails_cuts_no_trial(monkeypatch):
+    # with N gamma_3N above 2^-5 the proof claims nothing: every floor is
+    # inf, and the stalled members of the polish pass sweep all 40 damping
+    # values, as the loop without a floor does, bit for bit
+    monkeypatch.setattr(_nlsq, "_gamma", lambda k: 1.0)
+    floor, floors = _nlsq._stall_floor, []
+
+    def recorded(*args):
+        floors.append(floor(*args))
+        return floors[-1]
+
+    monkeypatch.setattr(_nlsq, "_stall_floor", recorded)
+    resid, jac, x0 = polish_starts("staircase6")
+    x, r, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
+    monkeypatch.undo()
+    assert floors and all(np.isinf(f).all() for f in floors)
+    assert (reason == STALLED).any()
+    for i in range(len(x0)):
+        xs, rs, why = serial_lm(resid, jac, x0[i], max_iter=80, target=1e-15)
+        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
+        assert reason[i] == why, i
 
 
 def test_trials_past_the_floor_return_the_iterate():

@@ -125,6 +125,78 @@ def test_the_certificate_takes_an_absolute_threshold():
     assert _triangular_full_rank(R, 1e-4, 1.1) and _triangular_full_rank(R, 1e-4)
 
 
+def chunked_buckets(S, draw, k, chunk=2**15):
+    """C J and the bucket counts as _sketched_rank summed them before it
+    took C as a sparse matrix: `chunk` rows at a time into np.bincount."""
+    m, n = S.shape
+    CJ = np.zeros(k * n)
+    for a in range(0, m, chunk):
+        b = min(a + chunk, m)
+        at = np.repeat(draw[a:b], np.diff(S.indptr[a : b + 1]))  # each nonzero's draw
+        nz = slice(S.indptr[a], S.indptr[b])
+        CJ += np.bincount(
+            (at >> 1) * n + S.indices[nz], (1 - 2 * (at & 1)) * S.data[nz], minlength=k * n
+        )
+    return CJ.reshape(k, n), np.bincount(draw, minlength=2 * k).reshape(k, 2).sum(axis=1)
+
+
+class _RecordingSparse:
+    """scipy.sparse with each csr_matrix that rigidity builds recorded."""
+
+    def __init__(self):
+        self.built = []
+
+    def __getattr__(self, name):
+        return getattr(sparse, name)
+
+    def csr_matrix(self, *args, **kwargs):
+        self.built.append(sparse.csr_matrix(*args, **kwargs))
+        return self.built[-1]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("pool", ["face-angles", "all"])
+@pytest.mark.parametrize("sides", range(3, 25))
+def test_the_sketch_is_the_chunked_bucket_sums_bit_for_bit(monkeypatch, sides, pool):
+    """The sketch C is one sparse matrix; C J, the B = C J Z that the QR
+    factors and the bucket counts are those of the chunked bucket loop,
+    bit for bit, on every pool of at most 2^15 rows."""
+    poly, real = _prism(sides)
+    _, Z, S = _rows(poly, real, pool)
+    k = rigidity._SKETCH_ROWS * Z.shape[1]
+    draw = np.random.default_rng(rigidity._SKETCH_SEED).integers(2 * k, size=S.shape[0])
+    CJ, counts = chunked_buckets(S, draw, k)
+    recording, factored = _RecordingSparse(), []
+    qr = np.linalg.qr
+
+    def recorded_qr(a, *args, **kwargs):
+        factored.append(a)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(rigidity, "sparse", recording)
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    _sketched_rank(S, Z, TOL)
+    monkeypatch.undo()
+    C = recording.built[0]
+    assert S.shape[0] <= 2**15 and C.shape == (k, S.shape[0])
+    assert np.array_equal(np.diff(C.indptr), counts)
+    assert np.array_equal(_bits((C @ S).toarray()), _bits(CJ))
+    assert np.array_equal(_bits(factored[0]), _bits(CJ @ Z))
+
+
+def test_the_sketch_of_the_forty_prism_face_angles_proves_its_flex():
+    """The 40-prism's 59 760 face angles, more than 2^15 rows, whose
+    bucket sums the chunked loop associated by chunk: the sketch proves
+    119 of the 120 chart columns, the streamed count."""
+    poly, real = _prism(40)
+    _, Z, S = _rows(poly, real, "face-angles")
+    assert S.shape == (59760, 240) and Z.shape == (240, 120)
+    assert _sketched_rank(S, Z, TOL) == 119 == _streamed_rank(S, Z, TOL)
+
+
 @st.composite
 def lattice_hulls(draw):
     """The hull vertices of a few integer points: exactly planar faces,

@@ -163,11 +163,11 @@ CHART_SOLIDS = {
 def test_chart_side_rows_are_the_csr_rows_bit_for_bit(solid):
     """_chart takes C from the dense Jacobian of the side rows; it is their
     CSR matrix entry for entry, bit for bit, signs of zeros included. A
-    triangulated solid has no side rows and stacks no C."""
+    triangulated solid has no side rows and stacks an empty C."""
     poly, real = CHART_SOLIDS[solid]()
     C, csr = _chart_side_rows(poly, real)
     if all(len(face) == 3 for face in poly.faces):
-        assert C is None and csr.shape == (0, 3 * real.vertex_count)
+        assert C.shape == csr.shape == (0, 3 * real.vertex_count)
     else:
         assert C.shape == csr.shape and np.array_equal(_bits(C), _bits(csr))
 
@@ -178,6 +178,38 @@ def test_chart_side_rows_are_the_csr_rows_bit_for_bit(solid):
 def test_chart_side_rows_on_lattice_hulls_are_the_csr_rows_bit_for_bit(hull):
     C, csr = _chart_side_rows(*hull)
     assert C is None and not len(csr) or np.array_equal(_bits(C), _bits(csr))
+
+
+def triangulated_chart(poly, scaled, g):
+    """The chart of a mesh with no side rows as _chart took it before it
+    went through _kernel: (3F, the complement of G_x from one complete QR
+    of G_x)."""
+    G = motion_generators(scaled, g)
+    return 3 * poly.face_count, np.linalg.qr(G, mode="complete")[0][:, g:]
+
+
+@pytest.mark.parametrize("g", [6, 7])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(solid=st.one_of(
+    st.builds(platonic, st.sampled_from(["tetrahedron", "octahedron", "icosahedron"]),
+              st.sampled_from([1e-4, 1.0, 1e4])),
+    st.builds(sphere_hull, st.integers(8, 60), st.integers(0, 2**32 - 1)),
+))
+def test_a_triangulated_chart_is_the_complete_qr_of_the_motions_bit_for_bit(g, solid):
+    """A triangulated mesh's chart goes through _kernel with all g rows
+    kept: its rank is 3F and its Z the complement of G_x that one complete
+    QR gives, bit for bit, and no certificate is taken."""
+    poly, real = solid
+    assert all(len(face) == 3 for face in poly.faces)
+    scaled = _unit_diameter(real)
+    with mock.patch.object(
+        rigidity, "_triangular_full_rank", wraps=rigidity._triangular_full_rank
+    ) as certificate:
+        rank, Z = _chart(poly, scaled, g, TOL)[:2]
+    assert not certificate.called
+    ref_rank, ref_Z = triangulated_chart(poly, scaled, g)
+    assert rank == ref_rank == 3 * poly.face_count
+    assert Z.shape == ref_Z.shape and np.array_equal(_bits(Z), _bits(ref_Z))
 
 
 def _spy_shapes(monkeypatch, names):
