@@ -321,7 +321,8 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
 
     A is M, or M^T when M is wide, scaled by a power of two so that its
     largest entry lies in [1/2, 1), m x n with m >= n;
-    s = 2 fl(||A||_F^2) >= ||A||_F^2, and c is the longest column of A. SuperLU factors C = fl(A^T A) - mu I, with
+    s = 2 fl(||A||_F^2) >= ||A||_F^2, and c is the longest column of A.
+    SuperLU factors C = fl(A^T A) - mu I, with
     mu = ((2 tol)^2 + 4 gamma_{n+2} + 4 gamma_{c+2}) s, in symmetric mode
     with the diagonal always taken as pivot. The proof needs no row
     interchange (perm_r == perm_c, so P C P^T = L U for one permutation P)
@@ -344,7 +345,7 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
       (the argument of Rump, BIT 2006, for Cholesky). The second bounds
       L Delta too, and its norm is at most lam = sqrt(||V||_1 ||V||_inf),
       V = |L| W, where W = |fl(D L^T - U)| + u |U| is |Delta| up to
-      rounding; both norms of V come from products with a vector.
+      rounding.
     * By Weyl's inequality, lambda_min(A^T A) > mu - eps with
       eps = gamma_c s + u (2 s + mu) + gamma_{k+1} (t + lam) + lam.
 
@@ -354,9 +355,23 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
     k <= n, mu leaves room for that whenever Delta is at rounding level.
     Underflow, not counted above, adds at most 2^-1074 per operation, far
     below mu >= 2^-50 (s >= 1/2 after the scaling).
+
+    Every quantity is read from the CSC arrays of A, C, L and U. mu is
+    subtracted on C's stored diagonal in place; a diagonal entry that
+    fl(A^T A) does not store (a zero column of A) returns False. The rows
+    of U, as its CSR arrays, must hold L's CSC pattern, so that entry p of
+    L's arrays is l_ij and entry p of theirs u_ji, and each column of L
+    must start at its diagonal, where U's rows give d; else it returns
+    False. Then W_ji = |d_j l_ij - u_ji| + u |u_ji| is one expression on
+    that pattern, t = sum_p l_p^2 d_j(p), k the longest column of U, and
+    V's norms come from bincount sums: ||V||_inf the largest of
+    |L| (W 1) and ||V||_1 the largest of (1^T |L|) W. Each of t, lam and
+    their inner sums adds at most n^2 nonnegative terms, so any order of
+    summation leaves a relative error below gamma_{n^2}, far inside the
+    factor 2 above.
     Any failure (a row interchange, a pivot that is not positive, an
-    exactly singular factor, a margin too thin) returns False, and nothing
-    is claimed.
+    exactly singular factor, a pattern or diagonal that is not as above, a
+    margin too thin) returns False, and nothing is claimed.
     """
     A = sparse.csc_matrix(M.T if M.shape[0] < M.shape[1] else M, dtype=float, copy=True)
     A.sum_duplicates()
@@ -368,7 +383,11 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
     s = 2.0 * float(A.data @ A.data)
     c = int(np.diff(A.indptr).max())
     mu = ((2.0 * tol) ** 2 + 4.0 * (_gamma(n + 2) + _gamma(c + 2))) * s
-    C = (A.T @ A - mu * sparse.identity(n, format="csc")).tocsc()
+    C = (A.T @ A).tocsc()
+    diag = C.indices == np.repeat(np.arange(n), np.diff(C.indptr))
+    if np.count_nonzero(diag) < n:
+        return False
+    C.data[diag] -= mu
     try:
         lu = splu(
             C, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -376,16 +395,30 @@ def _gram_full_rank(M: sparse.spmatrix, tol: float) -> bool:
         )
     except RuntimeError:  # an exactly singular factor
         return False
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return False
     L, U = lu.L, lu.U
-    d = U.diagonal()
-    if not np.array_equal(lu.perm_r, lu.perm_c) or not (d > 0.0).all():
+    L.sort_indices()
+    Ur = U.tocsr()  # U's rows, sorted: entry p is u_ji where L's is l_ij
+    if not (np.array_equal(Ur.indptr, L.indptr) and np.array_equal(Ur.indices, L.indices)):
+        return False
+    counts, first = np.diff(L.indptr), L.indptr[:-1]
+    # each column of L, and so each row of U, starts at its diagonal
+    if counts.min() == 0 or not np.array_equal(L.indices[first], np.arange(n)):
+        return False
+    d = Ur.data[first]
+    if not (d > 0.0).all():
         return False
     u = np.finfo(float).eps / 2
-    k = int(np.bincount(L.indices).max())
-    t = float((L.multiply(L) @ d).sum())
-    W = abs(sparse.diags(d) @ L.T - U) + u * abs(U)
-    aL, one = abs(L), np.ones(n)
-    lam = np.sqrt((aL @ (W @ one)).max() * ((one @ aL) @ W).max())
+    k = int(np.diff(U.indptr).max())
+    cols = np.repeat(np.arange(n), counts)
+    l, dj = L.data, d[cols]
+    t = float(l * l @ dj)
+    W = np.abs(dj * l - Ur.data) + u * np.abs(Ur.data)
+    aL, rows = np.abs(l), L.indices
+    v_inf = np.bincount(rows, aL * np.bincount(cols, W, n)[cols], n).max()
+    v_one = np.bincount(rows, np.bincount(cols, aL, n)[cols] * W, n).max()
+    lam = np.sqrt(v_one * v_inf)
     eps = _gamma(c) * s + u * (2.0 * s + mu) + _gamma(k + 1) * (t + lam) + lam
     return bool(mu >= (2.0 * tol) ** 2 * s + 2.0 * eps)
 

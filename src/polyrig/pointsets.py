@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Collection, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from operator import attrgetter, index
 
 import numpy as np
@@ -312,15 +312,20 @@ class MeasurementIds(Sequence):
                 if kind not in allowed:
                     raise TypeError(f"not a {what} measurement: {measurements[rows[0]]!r}")
             return measurements
-        rows: dict[type, list[int]] = {}
-        for r, m in enumerate(measurements):
-            if type(m) not in allowed:
-                raise TypeError(f"not a {what} measurement: {m!r}")
-            rows.setdefault(type(m), []).append(r)
-        return cls(len(measurements), {
-            kind: (r, _field_ids([measurements[i] for i in r], [f.name for f in fields(kind)]))
-            for kind, r in rows.items()
-        })
+        kinds = list(map(type, measurements))
+        # each type by its first position, so the first item of a type
+        # outside `allowed` is the first such item of the list
+        code = {kind: c for c, kind in enumerate(dict.fromkeys(kinds))}
+        for kind in code:
+            if kind not in allowed:
+                raise TypeError(f"not a {what} measurement: {measurements[kinds.index(kind)]!r}")
+        codes = np.fromiter(map(code.__getitem__, kinds), np.intp, len(kinds))
+        ids = {}
+        for kind, c in code.items():
+            rows = np.flatnonzero(codes == c)
+            items = measurements if len(code) == 1 else [measurements[i] for i in rows.tolist()]
+            ids[kind] = rows, _field_ids(items, [f.name for f in fields(kind)])
+        return cls(len(measurements), ids)
 
     def __len__(self) -> int:
         return self.size
@@ -476,10 +481,23 @@ class MeasurementList:
         # negated, at its tail; a scatter sums the terms of a point that ends
         # two vectors, all heads' terms first (_cells)
         self._owners = _join(owners)
+        # take would read a negative id from the end of the points
+        if len(self._heads) and min(self._heads.min(), self._tails.min()) < 0:
+            self._refuse_ids((self._heads < 0) | (self._tails < 0), "a negative point id")
         # built on first use: most lists never take a Hessian, and a long one
         # only a sparse Jacobian
         self._hess_scatter = None
         self._jacobian_cells = None
+
+    def _refuse_ids(self, bad: np.ndarray, what: str) -> None:
+        """Raise ValueError naming the first measurement that owns a vector
+        flagged in `bad` and saying that it has `what`."""
+        row = self._owners[bad].min()
+        kind, (rows, f) = next((k, v) for k, v in self.ids.ids.items() if row in v[0])
+        ids = tuple(f[np.searchsorted(rows, row)].tolist())
+        # a mesh layout (_Corner, _Hinge) is no dataclass: its ids name it
+        name = repr(kind(*ids)) if is_dataclass(kind) else f"{kind.__name__[1:]}{ids}"
+        raise ValueError(f"{name} has {what}")
 
     def _cells(self, n: int) -> np.ndarray:
         """owner * n + point of each term of the vectors, for n points:
@@ -496,7 +514,12 @@ class MeasurementList:
         are parallel, whether they are for each member, else None. The
         first _checked vectors (those of lengths and angles) must not
         vanish."""
-        D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
+        try:
+            D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
+        except IndexError:
+            n = P.shape[-2]
+            past = (self._heads >= n) | (self._tails >= n)
+            self._refuse_ids(past, f"a point id past the {n} points")
         lens = _norm(D)
         if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")

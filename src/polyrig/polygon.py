@@ -43,21 +43,29 @@ FLOOR_ULPS = 4  # a fall of f this many ulp or less is rounding, not a worse poi
 
 @dataclass(frozen=True)
 class PointConfig2D:
-    """n labeled points in chart form: A_1 = (0,0), A_2 = (x_2, 0), x_2 > 0."""
+    """n labeled points in chart form: A_1 = (0,0), A_2 = (x_2, 0), x_2 > 0.
+
+    A_1 and A_2's y coordinate may be off zero by 1e-12 times the largest
+    absolute coordinate, the rounding that from_points' rotation leaves at
+    any scale; the stored points hold them at exactly zero. The points must
+    be finite and pairwise distinct, with -0.0 equal to 0.0.
+    """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ValueError(f"points must be (n >= 2, 2), got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        if np.abs(pts[0]).max() > 1e-12:
+        slack = 1e-12 * np.abs(pts).max()
+        if np.abs(pts[0]).max() > slack:
             raise ValueError("chart form requires A_1 = (0, 0)")
-        if abs(pts[1, 1]) > 1e-12 or pts[1, 0] <= 0:
+        if abs(pts[1, 1]) > slack or pts[1, 0] <= 0:
             raise ValueError("chart form requires A_2 = (x_2, 0) with x_2 > 0")
-        if len(np.unique(pts, axis=0)) < len(pts):
+        # each row as one complex number: a 1-D unique, where -0.0 == 0.0
+        if len(np.unique(pts.view(complex))) < len(pts):
             raise ValueError("points must be pairwise distinct")
         pts[0] = 0.0
         pts[1, 1] = 0.0
@@ -109,8 +117,12 @@ def sufficiency2d(
 ) -> Sufficiency2DReport:
     """First-order sufficiency: do the gradient rows span R^(2n-3)?
 
-    The gradient rows form one sparse matrix, a few nonzeros per row, and
-    numeric_rank proves full rank from a sparse factorization when it can.
+    The gradient rows, at unit diameter on the free chart columns, form one
+    sparse matrix, a few nonzeros per row, and numeric_rank proves full
+    rank from one sparse factorization of its Gram matrix when it can, so a
+    sufficient set takes no SVD. The unit of length enters the verdict only
+    through rounding. A point id outside the configuration raises
+    ValueError naming its measurement.
     A deficient rank does not refute determination; sets that pin the
     configuration at second order (the square's four measurements, say)
     land here as "candidate for second-order determination" and are

@@ -176,10 +176,11 @@ def numeric_rank(M: np.ndarray | sparse.spmatrix, tol_rel: float = DEFAULT_TOL_R
     M, dense or sparse, goes to _nlsq._gram_full_rank as a CSR matrix: one
     sparse LU of the shifted Gram matrix of M, or of M^T when M is wide,
     tries to prove that all min(m, n) singular values clear the cutoff
-    with a factor-2 margin. A proof makes min(m, n) the answer, with no SVD
-    taken; a rank-deficient matrix, or one whose smallest singular value
-    lies too near the cutoff for the proof, gets the count from an SVD. M
-    must be finite.
+    with a factor-2 margin, its rounding bound read from the arrays of the
+    Gram matrix and its factors. A proof makes min(m, n) the answer, with
+    no SVD taken; a rank-deficient matrix, or one whose smallest singular
+    value lies too near the cutoff for the proof, gets the count from an
+    SVD. M must be finite.
     """
     M = sparse.csr_matrix(M, dtype=float)
     if not np.isfinite(M.data).all():

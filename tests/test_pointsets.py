@@ -12,7 +12,9 @@ from scipy import sparse
 from polyrig import pointsets
 from polyrig.errors import DegenerateMeasurement
 from polyrig.generators import platonic
-from polyrig.geometry import DihedralAngle, FaceAngle, build_pool, mesh_kernel
+from polyrig.geometry import DihedralAngle, FaceAngle, FaceDistance, build_pool, mesh_kernel
+from polyrig.polygon import PointConfig2D, sufficiency2d
+from polyrig.rigidity import is_sufficient, point_set_witness
 from polyrig.pointsets import (
     Angle,
     Coplanar,
@@ -835,3 +837,43 @@ def test_align_distance_rigid_and_mirror():
     mirrored = pts * np.array([1.0, -1.0])
     assert align_distance(pts, mirrored) > 1e-3
     assert align_distance(pts, mirrored, allow_reflection=True) < 1e-12
+
+
+# point ids ---------------------------------------------------------------------
+
+
+def test_a_negative_point_id_is_refused_when_the_list_is_compiled():
+    """take would read id -1 as the last point; the list refuses it at
+    compile, naming the measurement, before any verdict runs on it."""
+    with pytest.raises(ValueError, match=r"^Distance\(i=0, j=-1\) has a negative point id$"):
+        MeasurementList([Distance(0, 1), Distance(0, -1)])
+    with pytest.raises(ValueError, match=r"Angle\(i=2, j=-3, k=0\) has a negative point id"):
+        MeasurementList([Angle(2, -3, 0), Distance(0, -1)])
+    config = PointConfig2D.from_points(SQUARE)
+    with pytest.raises(ValueError, match="negative point id"):
+        sufficiency2d(config, [Distance(0, 1), Distance(0, -1)])
+    with pytest.raises(ValueError, match="negative point id"):
+        point_set_witness(2, SQUARE, [Distance(0, 1), Distance(0, -1)], restarts=2)
+    poly, real = platonic("cube")
+    with pytest.raises(ValueError, match=r"Distance\(i=0, j=-1\) has a negative point id"):
+        is_sufficient(poly, real, [FaceDistance(0, 1), FaceDistance(0, -1)])
+    with pytest.raises(ValueError, match=r"Corner\(0, 1, -3\) has a negative point id"):
+        is_sufficient(poly, real, [FaceAngle(0, 1, -3)])
+
+
+def test_a_point_id_past_the_points_names_its_measurement():
+    """An id of n or more on n points raises ValueError naming the first
+    measurement that holds one, from every entry of the kernel."""
+    kernel = MeasurementList([Distance(0, 1), Angle(0, 1, 7), Distance(9, 0)])
+    message = r"^Angle\(i=0, j=1, k=7\) has a point id past the 4 points$"
+    for call in (kernel.values, kernel.evaluate, kernel.jacobian, kernel.sparse_jacobian):
+        with pytest.raises(ValueError, match=message):
+            call(SQUARE)
+    with pytest.raises(ValueError, match=message):
+        kernel.weighted_hessian(SQUARE, np.ones(3))
+    with pytest.raises(ValueError, match="past the 4 points"):
+        kernel.values(np.stack([SQUARE, SQUARE]))
+    assert kernel.values(np.vstack([SQUARE] * 3)).shape == (3,)
+    poly, real = platonic("cube")
+    with pytest.raises(ValueError, match=r"Corner\(0, 1, 99\) has a point id past the 8"):
+        is_sufficient(poly, real, [FaceDistance(0, 1), FaceAngle(0, 1, 99)])

@@ -1,6 +1,12 @@
 """Planar configurations: charts, first-order tests, maximization oracles,
 staircase polygons, the twelve-measurement octagon."""
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -8,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrig import polygon
+from polyrig.cli import main
 from polyrig.errors import InfeasibleRadii, NotConvex, OracleInconclusive
 from polyrig.pointsets import (
     Angle,
@@ -34,6 +41,7 @@ from polyrig.polygon import (
     sufficiency2d,
 )
 
+from measurement_json import measurements_to_json
 from reference_oracles import reference_search
 
 SQUARE = PointConfig2D(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float))
@@ -51,6 +59,64 @@ def test_chart_validation():
     for shape in [(1, 2), (4, 3), (8,)]:
         with pytest.raises(ValueError, match=r"points must be \(n >= 2, 2\)"):
             PointConfig2D(np.zeros(shape))
+
+
+def test_chart_form_slack_is_relative_to_the_size():
+    """A_1 and A_2's y coordinate may be off zero by 1e-12 of the largest
+    coordinate, and are stored at zero; -0.0 and 0.0 are one coordinate."""
+    for scale in (1e-9, 1.0, 1e9):
+        config = PointConfig2D(scale * np.array([[1e-13, 0.0], [1.0, -1e-13], [0.5, 1.0]]))
+        assert config.points[0].tolist() == [0.0, 0.0] and config.points[1, 1] == 0.0
+        with pytest.raises(ValueError, match="A_1 = "):
+            PointConfig2D(scale * np.array([[1e-11, 0.0], [1.0, 0.0], [0.5, 1.0]]))
+        with pytest.raises(ValueError, match="A_2 = "):
+            PointConfig2D(scale * np.array([[0.0, 0.0], [1.0, 1e-11], [0.5, 1.0]]))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointConfig2D(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.0], [0.5, -0.0]]))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        PointConfig2D(np.array([[0.0, 0.0], [1.0, 0.0], [-0.0, 0.0]]))
+    fortran = np.asfortranarray([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
+    assert PointConfig2D(fortran).points.tolist() == fortran.tolist()
+
+
+def test_from_points_accepts_every_scale():
+    # random 5-point configurations: at 1e6 most were refused while the
+    # chart-form test was absolute, by the rotation's rounding of A_2's y
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        pts = rng.standard_normal((5, 2))
+        for scale in (1e-6, 1e4, 1e6, 1e12):
+            config = PointConfig2D.from_points(scale * pts)
+            assert config.points[1, 1] == 0.0 and config.points[1, 0] > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_sufficiency2d_does_not_depend_on_the_unit_of_length(n, seed, u):
+    """Random points, a random set of distances and angles on them (n - 1
+    to all pairs, so both verdicts occur), scaled by 10^u: the report, and
+    `polyrig check`'s exit code and stdout, equal those at unit scale."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, (n, 2))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = rng.permutation(len(pairs))[: rng.integers(n - 1, len(pairs) + 1)]
+    ms = [Distance(*pairs[c]) for c in chosen]
+    ms += [Angle(*rng.permutation(n)[:3].tolist()) for _ in range(rng.integers(0, 3))]
+    scaled = 10.0**u * pts
+    unit = sufficiency2d(PointConfig2D.from_points(pts), ms)
+    assert sufficiency2d(PointConfig2D.from_points(scaled), ms) == unit
+    with tempfile.TemporaryDirectory() as tmp:
+        ms_path = Path(tmp, "ms.json")
+        ms_path.write_text(measurements_to_json(2, ms))
+        outputs = []
+        for points in (pts, scaled):
+            cfg = Path(tmp, "cfg.json")
+            cfg.write_text(json.dumps({"dim": 2, "points": points.tolist()}))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["check", str(cfg), "--measurements", str(ms_path)])
+            outputs.append((code, out.getvalue()))
+    assert outputs[0] == outputs[1] == ([1, 0][unit.sufficient], outputs[0][1])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

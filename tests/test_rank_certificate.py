@@ -4,12 +4,16 @@ and the flex projection.
 `numeric_rank` counts singular values above tol_rel * sigma_1; when a
 sparse LU of the shifted Gram matrix of its input, dense or sparse, proves
 that all of them clear that cutoff it returns min(m, n) without an SVD.
-It must give what the SVD-based computation gives. `_triangular_full_rank`
+It must give what the SVD-based computation gives. `_gram_full_rank` reads
+its proof from the factors' arrays, and must prove whatever its operator
+form (reference_gram.py) proves, on the same factors. `_triangular_full_rank`
 proves the same of a square triangular factor from its inverse, and must
 never claim more than the SVD count. `gauss_newton_project`
 is one damped lm_solve from one start: its steps stay in the row space of
 J, so on a consistent linear system it ends at lstsq's solution.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +39,8 @@ from polyrig.polygon import (
 from polyrig.rigidity import _count_above, numeric_rank
 
 from measurement_json import measurements_to_json
+import reference_gram
+from reference_gram import reference_gram_full_rank
 
 TOL = 1e-9
 entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -226,11 +232,137 @@ def near_dependent(draw):
 def test_gram_proof_never_claims_more_than_the_svd(M):
     before = M.copy()
     svd = _count_above(np.linalg.svd(M.toarray(), compute_uv=False), TOL)
-    if _gram_full_rank(M, TOL):
+    proved, reference = _gram_full_rank(M, TOL), reference_gram_full_rank(M, TOL)
+    assert proved or not reference
+    if proved or reference:
         assert svd == min(M.shape)
     assert _three_counts(M) == (svd, svd, svd)
     for field in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(M, field), getattr(before, field))
+
+
+@st.composite
+def scaled_sparse(draw):
+    """A random sparse m x n matrix, m and n up to 40, rows scaled by 10^u
+    with u in [-4, 4]; CSR or CSC."""
+    m, n = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    M = sparse.random(m, n, density=draw(st.floats(0.05, 0.9)), random_state=rng)
+    M = sparse.diags(10.0 ** rng.uniform(-4.0, 4.0, m)) @ M
+    return sparse.csr_matrix(M) if draw(st.booleans()) else sparse.csc_matrix(M)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(scaled_sparse())
+def test_gram_proof_proves_what_the_operator_form_proves(M):
+    proved = _gram_full_rank(M, TOL)
+    assert proved or not reference_gram_full_rank(M, TOL)
+    if proved:
+        assert _count_above(np.linalg.svd(M.toarray(), compute_uv=False), TOL) == min(M.shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 30), st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_thin_sparse_products_prove_nothing(m, n, seed):
+    # B C with B m x k and C k x n sparse, k < min(m, n): rank k at most,
+    # so neither form may prove full rank
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, min(m, n)))
+    B = sparse.random(m, k, density=0.6, random_state=rng)
+    C = sparse.random(k, n, density=0.6, random_state=rng)
+    M = sparse.csr_matrix(sparse.diags(10.0 ** rng.uniform(-4.0, 4.0, m)) @ B @ C)
+    assert not _gram_full_rank(M, TOL)
+    assert not reference_gram_full_rank(M, TOL)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(3, 400), st.booleans(), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_gram_proof_on_2d_sets_proves_what_the_operator_form_proves(n, trilateration, seed, u):
+    """sufficiency2d's rows of a trilateration or staircase set on n random
+    points (scattered off the base line A_1A_2, as planar-oracles places
+    them), moved by a random rigid motion and scaled by 10^u. A
+    trilateration set is well conditioned there and always proved."""
+    rng = np.random.default_rng(seed)
+    pts = np.column_stack([rng.uniform(-1, 1, n), rng.uniform(0.2, 1, n)])
+    pts[:, 1] *= rng.choice([-1.0, 1.0], n)
+    pts[0], pts[1] = (-1.5, 0.0), (1.5, 0.0)
+    turn = rng.uniform(0.0, 2.0 * np.pi)
+    R = np.array([[np.cos(turn), -np.sin(turn)], [np.sin(turn), np.cos(turn)]])
+    pts = 10.0**u * (pts @ R.T + rng.uniform(-1.0, 1.0, 2))
+    M = _rows(pts, _trilateration(n) if trilateration else staircase_measurements(n))
+    proved = _gram_full_rank(M, TOL)
+    assert proved or not reference_gram_full_rank(M, TOL)
+    assert proved or not trilateration
+
+
+# hand-made factors: the certificate's arithmetic on factors it is given
+
+
+def _given_factors(monkeypatch, L, U):
+    """Both forms of the certificate take L and U (dense; their nonzeros
+    are the pattern) as their SuperLU factors, with no permutation."""
+    n = len(L)
+    lu = SimpleNamespace(
+        L=sparse.csc_matrix(L), U=sparse.csc_matrix(U), perm_r=np.arange(n), perm_c=np.arange(n)
+    )
+    for module in (_nlsq, reference_gram):
+        monkeypatch.setattr(module, "splu", lambda *args, **kwargs: lu)
+
+
+def _unit_lower(x):
+    """3 x 3 unit lower triangular with every entry below the diagonal x."""
+    return np.eye(3) + np.tril(np.full((3, 3), x), -1)
+
+
+def test_the_margin_test_flips_where_the_operator_form_does(monkeypatch):
+    """On factors L and U = D L^T that agree to the bit, W is u |U| alone,
+    and as L grows t and lam outgrow the margin; on L fixed and one entry
+    of U off D L^T by a relative delta, lam does. Both forms must decide
+    each case alike, and each sweep must cross from proved to refused."""
+    M = sparse.identity(3, format="csr")
+    for x in np.geomspace(0.5, 5.0, 500):
+        L = _unit_lower(x)
+        _given_factors(monkeypatch, L, L.T.copy())
+        verdicts = [_gram_full_rank(M, TOL), reference_gram_full_rank(M, TOL)]
+        assert verdicts[0] == verdicts[1], x
+    sweep = []
+    for delta in np.geomspace(1e-17, 1e-12, 500):
+        L = _unit_lower(0.25)
+        U = L.T.copy()
+        U[0, 2] *= 1.0 + delta
+        _given_factors(monkeypatch, L, U)
+        proved = _gram_full_rank(M, TOL)
+        assert proved == reference_gram_full_rank(M, TOL), delta
+        sweep.append(proved)
+    assert sweep[0] and not sweep[-1]
+    growth = []
+    for x in (0.5, 5.0):
+        L = _unit_lower(x)
+        _given_factors(monkeypatch, L, L.T.copy())
+        growth.append(_gram_full_rank(M, TOL))
+    assert growth == [True, False]
+
+
+def test_factors_off_the_shared_pattern_prove_nothing(monkeypatch):
+    """U's rows must hold L's pattern, and each column of L must start at
+    its diagonal, where U's rows give d; else nothing is claimed."""
+    M = sparse.identity(2, format="csr")
+    L = np.array([[1.0, 0.0], [0.5, 1.0]])
+    _given_factors(monkeypatch, L, L.T.copy())
+    assert _gram_full_rank(M, TOL)
+    _given_factors(monkeypatch, L, np.eye(2))  # U lacks l_21's place
+    assert not _gram_full_rank(M, TOL)
+    gap = np.array([[1.0, 0.0], [0.5, 0.0]])  # no second pivot
+    _given_factors(monkeypatch, gap, gap.T.copy())
+    assert not _gram_full_rank(M, TOL)
+
+
+def test_a_missing_diagonal_of_the_gram_matrix_proves_nothing(monkeypatch):
+    # a zero column of A leaves fl(A^T A) without that diagonal entry; the
+    # certificate gives up before it factors
+    M = sparse.csr_matrix(np.eye(6, 4)[:, [0, 1, 3, 3]] * [1.0, 2.0, 0.0, 3.0])
+    monkeypatch.setattr(_nlsq, "splu", _refuse("splu"))
+    assert not _gram_full_rank(M, TOL)
 
 
 @st.composite
