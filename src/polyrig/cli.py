@@ -118,19 +118,14 @@ def _check_ids(ms: MeasurementIds, bounds: dict[str, int], what: str) -> None:
     the measurements the input takes, and a measurement of another kind is
     told their MEASUREMENT_TYPES names. The error names the first
     measurement that fails, on its id arrays."""
-    errors = []
-    for cls, (rows, ids) in ms.ids.items():
-        kind = MEASUREMENT_TYPES[cls][1]
-        if kind not in bounds:
-            *names, last = (name for name, k in MEASUREMENT_TYPES.values() if k in bounds)
-            use = f"use {', '.join(names)}, or {last}"
-            errors.append((rows[0], f"{cls.__name__} is not a {what}; {use}"))
-            continue
-        out = (ids < 0) | (ids >= bounds[kind])
-        if out.any():
-            j = np.flatnonzero(out.any(axis=1))[0]
-            bad = ids[j][out[j]][0]
-            errors.append((rows[j], f"{kind} id {bad} out of range 0..{bounds[kind] - 1}"))
+    counted = {cls: (k, bounds[k]) for cls, (_, k) in MEASUREMENT_TYPES.items() if k in bounds}
+    *names, last = (MEASUREMENT_TYPES[cls][0] for cls in counted)
+    use = f"use {', '.join(names)}, or {last}"
+    errors = [(rows[0], f"{cls.__name__} is not a {what}; {use}")
+              for cls, (rows, _) in ms.ids.items() if cls not in counted]
+    bad = ms._out_of_range(counted)
+    if bad is not None:
+        errors.append(bad)
     if errors:
         raise ParseError(min(errors)[1])
 
@@ -306,10 +301,10 @@ def cmd_witness(args) -> int:
         coplanar=[(c.p, c.q, c.r, c.s) for c in coplanar],
         allow_reflection=True if args.allow_reflection else None,
     )
+    counts = ("converged", "escaped", "stalled", "exhausted", "restarts")
     payload = {
         "witness": None if report.witness is None else report.witness.tolist(),
-        "converged": report.converged,
-        "restarts": report.restarts,
+        **{k: getattr(report, k) for k in counts},
         "clusters": [
             {"count": c.count, "distanceToReference": c.distance_to_reference}
             for c in report.clusters

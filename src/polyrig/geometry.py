@@ -319,9 +319,15 @@ def mesh_kernel(
     The one point-set kernel serves meshes too. The index arrays of a
     MeasurementIds (a pool) are taken as they are, with no copy but the
     hinges, and any other sequence is read into them once, by measurement
-    type. A measurement of another type raises TypeError.
+    type. A measurement of another type raises TypeError, and one with a
+    vertex or face id outside the polyhedron's ValueError that names it as
+    it was passed.
     """
     ms = _mesh_ids(measurements)
+    bounds = dict.fromkeys(_ON_POINTS, ("vertex", poly.vertex_count))
+    bad = ms._out_of_range({**bounds, DihedralAngle: ("face", poly.face_count)})
+    if bad is not None:
+        raise ValueError(f"{ms[bad[0]]!r} has {bad[1]}")
     ids = {}
     for cls, (rows, f) in ms.ids.items():
         if cls is DihedralAngle:

@@ -355,6 +355,21 @@ class MeasurementIds(Sequence):
                 items[p] = kind(*args)
         return items
 
+    def _out_of_range(self, bounds: dict[type, tuple[str, int]]) -> tuple[int, str] | None:
+        """The first measurement, by position, of a type in `bounds` that has
+        an id outside 0..count - 1, where bounds[type] = (kind, count): its
+        position and "{kind} id {id} out of range 0..{count - 1}" for the
+        first such id of its fields; None when every id of those types is in
+        range. Types outside `bounds` are not checked."""
+        found = []
+        for cls, (rows, f) in self.ids.items():
+            kind, count = bounds.get(cls, (None, None))
+            if kind is not None and (f.min() < 0 or f.max() >= count):
+                out = (f < 0) | (f >= count)
+                j = np.flatnonzero(out.any(axis=1))[0]
+                found.append((rows[j], f"{kind} id {f[j][out[j]][0]} out of range 0..{count - 1}"))
+        return min(found, default=None)
+
     def __getitem__(self, i):
         if isinstance(i, slice):
             return self.take(np.arange(*i.indices(self.size)))

@@ -110,9 +110,8 @@ _SUB_BLOCK = 64
 _SKETCH_ROWS = 4
 _SKETCH_SEED = 0
 
-# point_set_witness's cluster radius and witness distance, times its scale,
-# and its iteration budget per restart
-CLUSTER_TOL = 1e-6
+# point_set_witness's witness distance, times its scale, and its iteration
+# budget per restart
 WITNESS_TOL = 1e-4
 MAX_ITER = 250
 
@@ -623,7 +622,10 @@ class PointWitnessReport:
     """The outcome of a restart search. Every restart is counted once:
     `converged` (residual <= residual_tol, kept), `escaped` (converged
     outside the locality radius), `stalled` (no damping value improved, the
-    residual above residual_tol) or `exhausted` (ran out of iterations)."""
+    residual above residual_tol) or `exhausted` (ran out of iterations).
+    `cluster_tol` is the cluster radius, sqrt(residual_tol), and
+    `witness_tol` the distance a witness lies beyond, WITNESS_TOL; the
+    search takes both times its scale, max(1, diameter)."""
 
     witness: np.ndarray | None
     clusters: tuple[PointCluster, ...]
@@ -673,18 +675,25 @@ def point_set_witness(
     perturbed copies of the reference (Gaussian noise of scale noise *
     diameter, per-restart generator seeded by (seed, restart index)), all
     restarts as one batch, keeps solutions with residual <= residual_tol,
-    and clusters them in restart order modulo rigid motions (reflections allowed by default in 2D only, where unsigned
-    measurements cannot tell mirror images apart), within CLUSTER_TOL *
-    scale. The witness is a representative of any cluster farther than
-    WITNESS_TOL * scale from the reference; None means every converged
-    restart came back to the reference, i.e. the set is determined at
-    oracle scale.
+    and clusters them in restart order modulo rigid motions (reflections
+    allowed by default in 2D only, where unsigned measurements cannot tell
+    mirror images apart), within sqrt(residual_tol) * scale, the report's
+    cluster_tol times the scale. The witness is a representative of any
+    cluster farther than WITNESS_TOL * scale from the reference; None means
+    every converged restart came back to the reference, i.e. the set is
+    determined at oracle scale.
 
-    WITNESS_TOL is deliberately coarser than CLUSTER_TOL: near a
-    second-order-determined configuration the residual grows only
-    quadratically with shape distance, so solutions at residual_tol can
-    scatter up to sqrt(residual_tol) from the true point without being
-    different shapes in any meaningful sense.
+    The cluster radius is what a residual of residual_tol resolves. The
+    sets this search settles are first-order deficient, so at a solution
+    the Jacobian loses rank and the residual grows only quadratically with
+    the distance along the flex: solutions at residual_tol scatter up to
+    about sqrt(residual_tol) from the true point without being different
+    shapes, and a second solver pass to a tighter target does not close
+    that gap, since rounding holds the residual near 1e-13. At the default
+    residual_tol the radius is 1e-5, below WITNESS_TOL (1e-4). When
+    residual_tol is above 1e-8 the cluster radius is the coarser of the
+    two, and then it, not WITNESS_TOL, bounds what counts as back at the
+    reference.
 
     `locality`, when given, bounds the search to a neighborhood: converged
     solutions farther than locality * scale from the reference are counted
@@ -717,38 +726,37 @@ def point_set_witness(
     diam = diameter(ref)
     scale = max(1.0, diam)
 
-    system = kernel.residual(targets)
     x0 = _perturbed_starts(ref, noise * diam, restarts, seed)
-    x, r, reason = lm_solve(*system, x0, max_iter=MAX_ITER, target=residual_tol * 1e-2)
+    x, r, reason = lm_solve(*kernel.residual(targets), x0, max_iter=MAX_ITER,
+                            target=residual_tol * 1e-2)
     ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
     stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
-    # polish: in a quadratic residual valley, stopping at residual_tol
-    # leaves the iterate ~sqrt(residual_tol) off the solution; a second
-    # pass with a far tighter target collapses that smear. 1e-15 is below
-    # the rounding floor of most members (a residual of 1e-13 to 1e-14), so
-    # they end by a stall, after a full sweep of damping values
-    sols = lm_solve(*system, x[ok], max_iter=80, target=1e-15)[0]
+    sols = x[ok]
     to_ref = align_distance(ref, sols, allow_reflection)
     far = np.zeros(len(sols), dtype=bool) if locality is None else to_ref > locality * scale
     escaped = int(np.count_nonzero(far))
     converged = len(sols) - escaped
 
-    # the first representative within CLUSTER_TOL takes a solution. The
-    # reference is the first, and to_ref is already each solution's distance
-    # to it, so a restart that came back joins its cluster with no further
-    # alignment; the others are aligned against the representatives after it
-    back = to_ref <= CLUSTER_TOL * scale
-    reps: list[np.ndarray] = [ref]
-    counts: list[int] = [int(np.count_nonzero(back & ~far))]
-    dists: list[float] = [0.0]
+    if converged == 0:
+        raise NoConvergedRestarts(
+            f"no restart reached residual {residual_tol:g} in {restarts} tries")
+
+    # the first representative within the cluster radius takes a solution.
+    # The reference is the first, and to_ref is already each solution's
+    # distance to it, so a restart that came back joins its cluster with no
+    # further alignment; the others are aligned against the representatives
+    # after it
+    cluster_tol = float(np.sqrt(residual_tol))
+    radius = cluster_tol * scale
+    back = to_ref <= radius
+    reps, counts, dists = [ref], [int(np.count_nonzero(back & ~far))], [0.0]
     rest = ~back & ~far
     for sol, d in zip(sols[rest], to_ref[rest]):
         hits = []
         if len(reps) > 1:
-            hits = np.flatnonzero(
-                align_distance(np.array(reps[1:]), sol, allow_reflection) <= CLUSTER_TOL * scale
-            )
+            to_reps = align_distance(np.array(reps[1:]), sol, allow_reflection)
+            hits = np.flatnonzero(to_reps <= radius)
         if len(hits):
             counts[1 + hits[0]] += 1
         else:
@@ -756,20 +764,8 @@ def point_set_witness(
             counts.append(1)
             dists.append(float(d))
 
-    if converged == 0:
-        raise NoConvergedRestarts(
-            f"no restart reached residual {residual_tol:g} in {restarts} tries"
-        )
-
-    witness = None
-    for rep, d in zip(reps, dists):
-        if d > WITNESS_TOL * scale:
-            witness = rep
-            break
-    clusters = tuple(
-        PointCluster(representative=rep, count=c, distance_to_reference=d)
-        for rep, c, d in zip(reps, counts, dists)
-    )
+    witness = next((rep for rep, d in zip(reps, dists) if d > WITNESS_TOL * scale), None)
+    clusters = tuple(map(PointCluster, reps, counts, dists))
     return PointWitnessReport(
         witness=witness,
         clusters=clusters,
@@ -779,6 +775,6 @@ def point_set_witness(
         exhausted=exhausted,
         restarts=restarts,
         residual_tol=residual_tol,
-        cluster_tol=CLUSTER_TOL,
+        cluster_tol=cluster_tol,
         witness_tol=WITNESS_TOL,
     )

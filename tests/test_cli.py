@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -359,6 +360,9 @@ def test_witness_point_config(capsys, tmp_path):
     assert payload["witness"] is not None
     assert payload["converged"] > 0
     assert sum(c["count"] for c in payload["clusters"]) == payload["converged"]
+    # every restart is reported under one of the four outcomes
+    outcomes = ("converged", "escaped", "stalled", "exhausted")
+    assert sum(payload[k] for k in outcomes) == payload["restarts"] == 40
 
     exceptional = _write(tmp_path, "four.json", EXCEPTIONAL_FOUR)
     code, out, _ = run(
@@ -368,6 +372,8 @@ def test_witness_point_config(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["witness"] is None
     assert len(payload["clusters"]) == 1
+    assert sum(payload[k] for k in outcomes) == payload["restarts"] == 80
+    assert payload["clusterTol"] == math.sqrt(payload["residualTol"]) == 1e-5
 
 
 def test_witness_is_deterministic(tmp_path):

@@ -855,9 +855,9 @@ def test_a_negative_point_id_is_refused_when_the_list_is_compiled():
     with pytest.raises(ValueError, match="negative point id"):
         point_set_witness(2, SQUARE, [Distance(0, 1), Distance(0, -1)], restarts=2)
     poly, real = platonic("cube")
-    with pytest.raises(ValueError, match=r"Distance\(i=0, j=-1\) has a negative point id"):
+    with pytest.raises(ValueError, match=r"^FaceDistance\(v=0, w=-1\) has vertex id -1 out of"):
         is_sufficient(poly, real, [FaceDistance(0, 1), FaceDistance(0, -1)])
-    with pytest.raises(ValueError, match=r"Corner\(0, 1, -3\) has a negative point id"):
+    with pytest.raises(ValueError, match=r"^FaceAngle\(apex=0, end1=1, end2=-3\) has vertex id -3"):
         is_sufficient(poly, real, [FaceAngle(0, 1, -3)])
 
 
@@ -875,5 +875,28 @@ def test_a_point_id_past_the_points_names_its_measurement():
         kernel.values(np.stack([SQUARE, SQUARE]))
     assert kernel.values(np.vstack([SQUARE] * 3)).shape == (3,)
     poly, real = platonic("cube")
-    with pytest.raises(ValueError, match=r"Corner\(0, 1, 99\) has a point id past the 8"):
+    with pytest.raises(ValueError, match=r"^FaceAngle\(apex=0, end1=1, end2=99\) has vertex id 99"):
         is_sufficient(poly, real, [FaceDistance(0, 1), FaceAngle(0, 1, 99)])
+
+
+def test_a_mesh_verdict_names_a_bad_id_as_it_was_passed():
+    """A mesh measurement with a vertex or face id outside the polyhedron
+    is refused before the kernel compiles it to point measurements, and the
+    error names the measurement passed, with the range of its ids, as the
+    CLI's id check words it; the first such measurement of the list wins."""
+    poly, real = platonic("cube")
+    bad = [FaceAngle(0, 1, 99), FaceDistance(0, -1)]
+    with pytest.raises(ValueError) as raised:
+        is_sufficient(poly, real, [FaceDistance(0, 1)] + bad)
+    assert str(raised.value) == "FaceAngle(apex=0, end1=1, end2=99) has vertex id 99 out of range 0..7"
+    with pytest.raises(ValueError) as raised:
+        is_sufficient(poly, real, bad[::-1])
+    assert str(raised.value) == "FaceDistance(v=0, w=-1) has vertex id -1 out of range 0..7"
+    message = r"^DihedralAngle\(f=0, g=6\) has face id 6 out of range 0..5$"
+    with pytest.raises(ValueError, match=message):
+        is_sufficient(poly, real, [DihedralAngle(0, 1), DihedralAngle(0, 6)])
+    message = r"^Coplanar\(p=0, q=1, r=2, s=8\) has vertex id 8 out of range 0..7$"
+    with pytest.raises(ValueError, match=message):
+        mesh_kernel(poly, [FaceDistance(0, 1), Coplanar(0, 1, 2, 8)])
+    # the pools build_pool gives, index arrays, pass the same check
+    assert len(mesh_kernel(poly, build_pool(poly, "all")).values(real.vertices)) > 0

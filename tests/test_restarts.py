@@ -166,7 +166,9 @@ def system(name, restarts=RESTARTS, seed=0):
 def serial_witness(name, restarts=RESTARTS, seed=0):
     """The search point_set_witness made before its restarts were batched:
     (the count of each restart outcome, clusters as (representative, count,
-    distance), witness)."""
+    distance), witness). Each restart is solved once, to 1e-12, and kept
+    at a residual of 1e-10; clusters are taken at sqrt(1e-10) of the
+    scale."""
     dim, ref, _, kw = CASES[name]
     resid, jac, starts = system(name, restarts, seed)
     reflect = kw.get("allow_reflection", dim == 2)
@@ -179,14 +181,13 @@ def serial_witness(name, restarts=RESTARTS, seed=0):
         if np.abs(r).max() > 1e-10:
             outcomes[why] += 1
             continue
-        x, _, _ = serial_lm(resid, jac, x, max_iter=80, target=1e-15)
         sol = x.reshape(-1, dim)
         if locality is not None and align_distance(ref, sol, reflect) > locality * scale:
             outcomes["escaped"] += 1
             continue
         outcomes["converged"] += 1
         for k, rep in enumerate(reps):
-            if align_distance(rep, sol, reflect) <= 1e-6 * scale:
+            if align_distance(rep, sol, reflect) <= np.sqrt(1e-10) * scale:
                 counts[k] += 1
                 break
         else:
@@ -269,8 +270,8 @@ def test_singular_member_does_not_stop_the_others(monkeypatch):
 
 
 def polish_starts(name):
-    """The system of a case and the points point_set_witness polishes: its
-    restarts that converged within residual_tol."""
+    """The system of a case and its restarts that converged within
+    point_set_witness's residual_tol, the starts of a polish pass."""
     resid, jac, starts = system(name)
     x, r, _ = lm_solve(plain(resid), jac, starts, target=1e-12)
     return resid, jac, x[np.abs(r).max(axis=1) <= 1e-10]
@@ -278,8 +279,9 @@ def polish_starts(name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_polish_pass_matches_serial_loop(name):
-    # the polish pass of point_set_witness, where most members end by a stall
-    # at their rounding floor after a full sweep of damping values
+    # a second pass over converged restarts to a target below their rounding
+    # floor (a polish), where most members end by a stall after a full sweep
+    # of damping values
     resid, jac, x0 = polish_starts(name)
     x, r, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
     for i in range(len(x0)):
@@ -672,6 +674,30 @@ def test_restart_outcomes_sum_to_restarts():
     dim, ref, ms, _ = CASES["square-five"]
     rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, residual_tol=1e-3)
     assert rep.converged == RESTARTS and rep.exhausted == rep.stalled == 0
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(4, 8), seed=st.integers(0, 2**32 - 1))
+def test_a_determined_search_gives_one_cluster(n, seed):
+    # staircase n-gons with angles drawn as criterion 10 draws them: every
+    # converged restart lies within the cluster radius of the reference,
+    # sqrt(residual_tol) of the scale, so one cluster and no witness
+    angles = np.random.default_rng(seed).uniform(1.15, 1.45, size=n - 2)
+    points = staircase_polygon(n, 1.0, angles).points
+    rep = point_set_witness(2, points, staircase_measurements(n), restarts=40, seed=0,
+                            noise=0.05, locality=0.1)
+    assert rep.cluster_tol == np.sqrt(rep.residual_tol)
+    assert rep.witness is None and len(rep.clusters) == 1, [c.count for c in rep.clusters]
+
+
+def test_the_square_four_and_cube_ten_give_one_cluster():
+    # criterion 8's four-set on the square and criterion 11's ten distances
+    # on the cube, at those criteria's restart counts
+    for name, restarts in (("square-four", 200), ("cube-ten", 500)):
+        dim, ref, ms, kw = CASES[name]
+        rep = point_set_witness(dim, ref, ms, restarts=restarts, seed=0, **kw)
+        assert rep.witness is None and len(rep.clusters) == 1, name
+        assert rep.clusters[0].count == rep.converged > 0, name
 
 
 def test_no_restarts_is_no_converged_restart():
