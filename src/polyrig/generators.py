@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import OutOfValidityRegion, UnknownName
 from .geometry import Realization, fit_realization
@@ -38,6 +37,8 @@ def faces_from_convex_vertices(coords: np.ndarray) -> list[list[int]]:
     the points centred and scaled to unit size, so no unit changes a face.
     Flat input and points that are not hull vertices raise ValueError.
     """
+    from scipy.spatial import ConvexHull, QhullError  # qhull loads on the first hull
+
     coords = np.asarray(coords, dtype=float)
     x = coords - (coords.min(axis=0) / 2 + coords.max(axis=0) / 2)
     try:

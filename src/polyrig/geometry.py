@@ -337,10 +337,19 @@ def mesh_kernel(
     return MeasurementList(MeasurementIds(len(ms), ids))
 
 
+def _vertices_of(poly: AbstractPolyhedron, real: Realization) -> np.ndarray:
+    """The vertices of `real`, a realization of `poly`: a realization with
+    another vertex count raises ValueError naming both counts."""
+    if real.vertex_count != poly.vertex_count:
+        raise ValueError(f"the realization has {real.vertex_count} vertices, "
+                         f"the polyhedron {poly.vertex_count}")
+    return real.vertices
+
+
 def evaluate_all(
     poly: AbstractPolyhedron, measurements: Sequence[Measurement3D], real: Realization
 ) -> np.ndarray:
-    return mesh_kernel(poly, measurements).values(real.vertices)
+    return mesh_kernel(poly, measurements).values(_vertices_of(poly, real))
 
 
 def gradient_rows(
@@ -348,5 +357,5 @@ def gradient_rows(
 ) -> np.ndarray:
     """Gradient rows wrt the full coordinate vector, shape (m, 3V + 3F);
     the plane columns are zero."""
-    J = mesh_kernel(poly, measurements).jacobian(real.vertices)
+    J = mesh_kernel(poly, measurements).jacobian(_vertices_of(poly, real))
     return np.hstack([J, np.zeros((len(J), 3 * real.face_count))])

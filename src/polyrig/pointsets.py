@@ -25,7 +25,6 @@ from operator import attrgetter, index
 
 import numpy as np
 from scipy import sparse
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateMeasurement
 
@@ -450,7 +449,12 @@ class MeasurementList:
     Jacobian of one point array as a CSR matrix, for lists too long for the
     dense one, and weighted_hessian one weighted sum of the measurements'
     Hessians. All of them take their values and derivatives from one pass
-    over the primitives' blocks (_apply).
+    over the primitives' blocks: _apply gathers the difference vectors
+    (_gather) and runs that pass on them (_pass). A caller that builds the
+    difference vectors itself, as the grid oracles do, runs _pass alone;
+    one order-2 pass gives the values, the gradients and the Hessian
+    blocks together, so a caller that holds one assembles its Jacobian
+    (assemble) and sums its weighted Hessian (_weigh) without a second.
 
     A list is compiled from a MeasurementIds, or from any sequence of
     measurements read into one, and keeps it as ids.
@@ -521,26 +525,35 @@ class MeasurementList:
         return np.concatenate([owner + self._heads, owner + self._tails])
 
     def _apply(self, P: np.ndarray, order: int):
-        """Every block's primitive at `order` on a (..., n, dim) point array,
-        in one pass: the values, shape (..., size), in the list's order; at
-        order 1 the gradient of each row's value with respect to each of its
-        difference vectors, in their (..., vectors, dim) shape; at order 2
-        the Hessian blocks, one array a block; and, when some angle's rays
-        are parallel, whether they are for each member, else None. The
-        first _checked vectors (those of lengths and angles) must not
-        vanish."""
+        """_pass on the difference vectors of a (..., n, dim) point array."""
+        return self._pass(self._gather(P), order)
+
+    def _gather(self, P: np.ndarray) -> np.ndarray:
+        """The difference vectors P[heads] - P[tails] of a (..., n, dim)
+        point array, shape (..., vectors, dim); a point id past the points
+        raises ValueError naming its measurement."""
         try:
-            D = P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
+            return P.take(self._heads, axis=-2) - P.take(self._tails, axis=-2)
         except IndexError:
             n = P.shape[-2]
             past = (self._heads >= n) | (self._tails >= n)
             self._refuse_ids(past, f"a point id past the {n} points")
+
+    def _pass(self, D: np.ndarray, order: int):
+        """Every block's primitive at `order` on the (..., vectors, dim)
+        difference vectors D, in one pass: the values, shape (..., size), in
+        the list's order; at order >= 1 the gradient of each row's value with
+        respect to each of its difference vectors, in D's shape; at order 2
+        the Hessian blocks, one array a block; and, when some angle's rays
+        are parallel, whether they are for each member, else None. The
+        first _checked vectors (those of lengths and angles) must not
+        vanish."""
         lens = _norm(D)
         if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
         batch, dim = lens.shape[:-1], D.shape[-1:]
         vals = np.empty(batch + (self.size,))
-        G = np.empty_like(D) if order == 1 else None
+        G = np.empty_like(D) if order else None
         hess, parallel = [], None
         for fn, span, width, k, rows in self._blocks:
             shape = batch + (width, k)
@@ -613,12 +626,14 @@ class MeasurementList:
         )
         return J.reshape(*batch, self.size, n * dim)
 
-    def _hessian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _hessian_scatter(self, n: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
         """For each entry of the Hessian blocks, in their (block, s, r, row)
-        order: its row, and the points (head s, head r), (head s, tail r),
-        (tail s, head r), (tail s, tail r) at which the block of vectors s
-        and r enters that row, with the signs +, -, -, + of _SIGNS."""
-        if self._hess_scatter is None:
+        order: its row, and the cells of one member's (n * dim)^2 Hessian at
+        which its (dim, dim) block enters that row, at the points (head s,
+        head r), (head s, tail r), (tail s, head r), (tail s, tail r) of
+        vectors s and r with the signs +, -, -, + of _SIGNS. Kept for the
+        next call on points of the same shape."""
+        if self._hess_scatter is None or self._hess_scatter[0] != (n, dim):
             vs, vr = [], []
             for _, span, width, k, _ in self._blocks:
                 at = np.arange(span.start, span.stop).reshape(width, k)
@@ -626,10 +641,12 @@ class MeasurementList:
                 vr.append(np.broadcast_to(at[None, :], (width, width, k)))
             vs, vr = _join(vs), _join(vr)
             ends = np.stack([self._heads, self._tails])
-            self._hess_scatter = (
-                self._owners[vs], ends[[0, 0, 1, 1]][:, vs], ends[[0, 1, 0, 1]][:, vr]
-            )
-        return self._hess_scatter
+            left, right = dim * ends[[0, 0, 1, 1]][:, vs], dim * ends[[0, 1, 0, 1]][:, vr]
+            coord = np.arange(dim)
+            cells = ((left[..., None, None] + coord[:, None]) * (n * dim)
+                     + right[..., None, None] + coord)
+            self._hess_scatter = (n, dim), self._owners[vs], cells.reshape(-1)
+        return self._hess_scatter[1:]
 
     def weighted_hessian(self, points: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sum_i w_i times the exact Hessian of value i wrt the flattened
@@ -645,22 +662,25 @@ class MeasurementList:
         """
         P, w = np.asarray(points, dtype=float), np.asarray(w, dtype=float)
         *batch, n, dim = P.shape
-        members, N = math.prod(batch), n * dim
         if not self._blocks:
-            return np.zeros((*batch, N, N))
+            return np.zeros((*batch, n * dim, n * dim))
         _, _, hess, parallel = self._apply(P, 2)
         _refuse_parallel(parallel)
+        return self._weigh(hess, w, n)
+
+    def _weigh(self, hess: list, w: np.ndarray, n: int) -> np.ndarray:
+        """weighted_hessian's sum from the Hessian blocks `hess` of one
+        order-2 _pass on a batch of n-point members, with weights w, an
+        array of shape (..., size): a caller that holds the pass sums its
+        Lagrangian without a second one."""
+        batch, dim = hess[0].shape[:-5], hess[0].shape[-1]
+        members, N = math.prod(batch), n * dim
         weights = np.concatenate([h.reshape(members, 1, -1) for h in hess], axis=-1)
-        owner, left, right = self._hessian_scatter()
+        owner, cells = self._hessian_scatter(n, dim)
         # each (dim, dim) block takes the weight of the row it belongs to
         rows = w.reshape(members, 1, self.size)[..., owner]
         weights = weights * np.repeat(rows, dim * dim, axis=-1)
-        coord = np.arange(dim)
-        cells = (
-            ((dim * left)[..., None, None] + coord[:, None]) * N
-            + (dim * right)[..., None, None] + coord
-        )
-        cells = np.arange(0, members * N * N, N * N)[:, None] + cells.reshape(-1)
+        cells = np.arange(0, members * N * N, N * N)[:, None] + cells
         H = np.bincount(
             cells.ravel(),
             (weights * _SIGNS).ravel(),
@@ -754,6 +774,8 @@ def diameter(points: np.ndarray) -> float:
     """
     points = np.asarray(points, dtype=float)
     if len(points) >= _HULL_MIN:
+        from scipy.spatial import ConvexHull, QhullError  # qhull loads on the first hull
+
         x = points - (points.min(axis=0) / 2 + points.max(axis=0) / 2)
         try:
             hull = ConvexHull(x / (np.abs(x).max() or 1.0))

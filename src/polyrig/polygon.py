@@ -25,6 +25,7 @@ from .pointsets import (
     Angle,
     DiagonalAngle,
     Distance,
+    Gradients,
     MeasurementList,
     SimpleMeasurement,
     _dot,
@@ -168,19 +169,23 @@ def _grid_max(
 
     `fixed` holds every point (a mover's row is a placeholder); mover k,
     (row, center, radius), puts center + radius (cos p_k, sin p_k) in that
-    row. The whole grid over (p_0, p_1) is evaluated in one kernel call,
-    its configurations built from the two axes (each mover's circle points
-    once per value of its own axis); its first maximum in row-major order
-    starts a damped Newton iteration on p. Its f, gradient and 2 x 2
-    Hessian come from one configuration and the kernel's exact derivatives
-    by the chain rule: with x(p) the movers' points, g = (dm/dx) x' and
-    H = x'^T (d2m/dx2) x' + diag((dm/dx) x''). Each step is -H^-1 g where H
-    is negative definite and g elsewhere, and is halved until f does not
-    fall. The iteration stops at |g|_inf <= NEWTON_GTOL, when a step makes
-    f fall by at most FLOOR_ULPS ulp (f is then at its rounding floor,
-    where halving only repeats the fall), when no halving keeps f from
-    falling or a step is not finite, or after NEWTON_MAXITER steps. It all
-    runs at unit size: the points, centers and radii are divided by the
+    row. The whole grid over (p_0, p_1) takes one kernel pass on its
+    difference vectors, each point(head) - point(tail) with a point fixed
+    or its mover's circle along the mover's own axis, broadcast, so no
+    configuration array of the grid is formed; its first maximum in
+    row-major order starts a damped Newton iteration on p. Each point the
+    iteration evaluates takes one order-2 kernel pass, whose value decides
+    the line search. Only at a point the iteration accepts are f's gradient
+    and 2 x 2 Hessian assembled from that pass, by the chain rule: with
+    x(p) the movers' points, g = (dm/dx) x' and
+    H = x'^T (d2m/dx2) x' + diag((dm/dx) x''); parallel rays at a trial
+    point raise DegenerateMeasurement only then. Each step is -H^-1 g
+    where H is negative definite and g elsewhere, and is halved until f
+    does not fall. The iteration stops at |g|_inf <= NEWTON_GTOL, when a
+    step makes f fall by at most FLOOR_ULPS ulp (f is then at its rounding
+    floor, where halving only repeats the fall), when no halving keeps f
+    from falling or a step is not finite, or after NEWTON_MAXITER steps. It
+    all runs at unit size: the points, centers and radii are divided by the
     power of two just above their largest absolute value, so that the stop
     at NEWTON_GTOL does not depend on the unit of length, and no square
     overflows or underflows. Returns (max value, argmax points), scaled
@@ -189,7 +194,7 @@ def _grid_max(
     """
     kernel = _oracle_kernel(measurement)
     rows, centers, radii = zip(*movers)
-    rows, centers, radii = list(rows), np.array(centers), np.array(radii)
+    rows, centers, radii = np.array(rows), np.array(centers), np.array(radii)
     n = len(fixed)
     given = np.concatenate([fixed.ravel(), centers.ravel(), radii])
     if not np.isfinite(given).all():
@@ -198,31 +203,23 @@ def _grid_max(
     fixed, centers, radii = fixed / unit, centers / unit, radii / unit
     scale = unit if isinstance(measurement, Distance) else 1.0  # the value's unit
 
-    def grid(p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
-        # the configurations at every (p0[i], p1[j]), shape (len(p0), len(p1), n, 2):
-        # built coordinate-major, where every write runs along a grid axis
-        pts = np.empty((n, 2, len(p0), len(p1)))
-        pts[...] = fixed[:, :, None, None]
-        for k, axis in enumerate((p0, p1)):
-            circle = centers[k][:, None] + radii[k] * np.stack([np.cos(axis), np.sin(axis)])
-            pts[rows[k]] = circle[:, :, None] if k == 0 else circle[:, None, :]
-        return np.ascontiguousarray(pts.transpose(2, 3, 0, 1))
-
-    def config(p: np.ndarray) -> np.ndarray:
-        pts = fixed.copy()
-        circle = centers + radii[:, None] * np.stack([np.cos(p), np.sin(p)], axis=-1)
-        for row, point in zip(rows, circle):
-            pts[row] = point
-        return pts
-
-    def derivatives(p: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # x' = r (-sin p, cos p) and x'' = -r (cos p, sin p) for each mover
+    def at(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        # the movers' arms r (cos p, sin p), the points, and the order-2 pass there
         arm = radii[:, None] * np.stack([np.cos(p), np.sin(p)], axis=-1)
+        pts = fixed.copy()
+        pts[rows] = centers + arm
+        return arm, pts, kernel._apply(pts, 2)
+
+    def derivatives(
+        arm: np.ndarray, G: np.ndarray, hess: list, parallel: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # g and H from an order-2 pass's G, hess and parallel where the movers'
+        # arms are arm: x' = r (-sin p, cos p) and x'' = -r (cos p, sin p)
         tangent = arm[:, ::-1] * [-1.0, 1.0]
-        grad = kernel.jacobian(pts).reshape(n, 2)[rows]
-        hess = kernel.weighted_hessian(pts, np.ones(1)).reshape(n, 2, n, 2)[rows][:, :, rows]
+        grad = kernel.assemble(Gradients(G, parallel, n)).reshape(n, 2)[rows]
+        hess = kernel._weigh(hess, np.ones(1), n).reshape(n, 2, n, 2)[rows][:, :, rows]
         H = np.einsum("ka,kalb,lb->kl", tangent, hess, tangent)
-        H[[0, 1], [0, 1]] -= (grad * arm).sum(axis=1)
+        H -= np.diag((grad * arm).sum(axis=1))
         return (grad * tangent).sum(axis=1), H
 
     def result(f: float, pts: np.ndarray) -> tuple[float, np.ndarray]:
@@ -232,13 +229,22 @@ def _grid_max(
             raise ValueError("the oracle's maximum or its argmax overflows the float range")
         return value, argmax
 
+    # the grid's difference vectors point(head) - point(tail), a point fixed
+    # or its mover's circle along the mover's own axis, broadcast
     p0, p1 = grids
-    i, j = divmod(int(np.argmax(kernel.values(grid(p0, p1)))), len(p1))
+    point = list(fixed)
+    for k, axis in enumerate(grids):
+        circle = centers[k] + radii[k] * np.stack([np.cos(axis), np.sin(axis)], axis=-1)
+        point[rows[k]] = circle[:, None] if k == 0 else circle[None]
+    D = np.empty((len(p0), len(p1), len(kernel._heads), 2))
+    for v, (head, tail) in enumerate(zip(kernel._heads, kernel._tails)):
+        D[:, :, v] = point[head] - point[tail]
+    i, j = divmod(int(np.argmax(kernel._pass(D, 0)[0])), len(p1))
     p = np.array([p0[i], p1[j]])
-    pts = config(p)
-    f = kernel.values(pts)[0]
+    arm, pts, (vals, *second) = at(p)
+    f = vals[0]
     for _ in range(NEWTON_MAXITER):
-        g, H = derivatives(p, pts)
+        g, H = derivatives(arm, *second)
         if np.abs(g).max() <= NEWTON_GTOL:
             break
         det = H[0, 0] * H[1, 1] - H[0, 1] * H[1, 0]
@@ -251,14 +257,13 @@ def _grid_max(
             q = p + step
             if (q == p).all() or not np.isfinite(q).all():
                 return result(f, pts)
-            q_pts = config(q)
-            q_f = kernel.values(q_pts)[0]
-            if q_f >= f:
+            q_arm, q_pts, (q_vals, *q_second) = at(q)
+            if q_vals[0] >= f:
                 break
-            if f - q_f <= FLOOR_ULPS * np.spacing(f):
+            if f - q_vals[0] <= FLOOR_ULPS * np.spacing(f):
                 return result(f, pts)  # f is at its rounding floor
             step = step / 2.0
-        p, pts, f = q, q_pts, q_f
+        p, f, arm, pts, second = q, q_vals[0], q_arm, q_pts, q_second
     return result(f, pts)
 
 
@@ -451,7 +456,9 @@ def _sqp_max(
         [W + sI  C^T] [dx]   [-grad phi]
         [C       0  ] [mu] = [-c       ]
 
-    with W = -Hess f + sum_i lam_i Hess c_i from one weighted_hessian call.
+    with W = -Hess f + sum_i lam_i Hess c_i. Each step takes the values,
+    C and W from one order-2 kernel pass: the multipliers come from its
+    Jacobian, then its Hessian blocks are summed with their weights.
     A complete QR of C^T gives both the least-squares multipliers lam
     (C^T lam = -grad phi) and Z, an orthonormal basis of ker C; the shift
     s = max(0, SQP_CURVATURE - lambda_min(Z^T W Z)) makes the reduced
@@ -477,13 +484,13 @@ def _sqp_max(
         if not len(active):
             break
         pts = x[active]
-        vals, grads = kernel.evaluate(pts)
-        J = kernel.assemble(grads)[:, :, free]
+        vals, G, hess, parallel = kernel._apply(pts, 2)
+        J = kernel.assemble(Gradients(G, parallel, n))[:, :, free]
         C, g = J[:, :-1], -J[:, -1]
         Q, R = np.linalg.qr(C.swapaxes(1, 2), mode="complete")
         lam, _ = _solve(R[:, :m], -(Q[:, :, :m].swapaxes(1, 2) @ g[:, :, None]))
         w = np.concatenate([lam[:, :, 0], np.full((len(active), 1), -1.0)], axis=1)
-        W = kernel.weighted_hessian(pts, w)[:, free][:, :, free]
+        W = kernel._weigh(hess, w, n)[:, free][:, :, free]
         Z = Q[:, :, m:]
         least = np.linalg.eigvalsh(Z.swapaxes(1, 2) @ W @ Z)[:, 0]
         K = np.zeros((len(active), N + m, N + m))

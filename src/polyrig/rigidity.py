@@ -79,6 +79,7 @@ from .geometry import (
     Realization,
     _incidence_indices,
     _mesh_ids,
+    _vertices_of,
     face_distance_pool,
     mesh_kernel,
 )
@@ -434,7 +435,9 @@ def _setup(
     """The setup the three mesh verdicts share: (rank of d_phi, Z, S,
     target, X, anchors, side). X are the vertices of the unit-diameter
     realization, S the CSR measurement rows over X, target = 3E + 6 - g for
-    the motion group of _motion_dim, and the rest _chart's at X."""
+    the motion group of _motion_dim, and the rest _chart's at X. A
+    realization with another vertex count than poly's raises ValueError."""
+    _vertices_of(poly, real)
     measurements = _mesh_ids(measurements)
     g = _motion_dim(mode, measurements, allow_scale_variant)
     scaled = _unit_diameter(real)

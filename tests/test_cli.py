@@ -13,6 +13,7 @@ import pytest
 
 import polyrig
 from polyrig.cli import _parser, build_parser, main
+from polyrig.generators import platonic
 from polyrig.geometry import FaceDistance, build_pool
 from polyrig.incidence import build_incidence
 from polyrig.offio import off_text, read_off
@@ -479,6 +480,31 @@ def test_no_verb_loads_scipy_optimize():
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "False\nFalse\n"
+
+
+def test_no_verb_on_a_small_solid_loads_qhull(tmp_path):
+    # qhull serves hulls and the diameter of 256 points or more only: a fresh
+    # interpreter that imports the CLI and analyzes the dodecahedron's OFF
+    # file never loads scipy.spatial, and the first hull loads it
+    poly, real = platonic("dodecahedron")
+    off = tmp_path / "dodecahedron.off"
+    off.write_text(off_text(real.vertices, [list(f) for f in poly.faces]))
+    script = (
+        "import sys, polyrig.cli\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "polyrig.cli.main(['analyze', sys.argv[1], '--pool', 'face-distances'])\n"
+        "print('scipy.spatial' in sys.modules)\n"
+        "from polyrig.generators import faces_from_convex_vertices\n"
+        "faces_from_convex_vertices([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])\n"
+        "print('scipy.spatial' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(polyrig.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(off)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines()[0] == "False" and out.splitlines()[-2:] == ["False", "True"]
 
 
 def test_seed_env_is_read_at_every_call(monkeypatch, capsys, tmp_path):

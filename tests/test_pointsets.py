@@ -20,6 +20,7 @@ from polyrig.pointsets import (
     Coplanar,
     DiagonalAngle,
     Distance,
+    Gradients,
     MeasurementIds,
     MeasurementList,
     _Corner,
@@ -269,6 +270,69 @@ def test_evaluate_defers_parallel_rays_to_assembly():
         assert kernel.assemble(grads[[0]]).tobytes() == kernel.jacobian(fine[None]).tobytes()
         for call in (lambda: kernel.assemble(grads), lambda: kernel.assemble(grads[1]),
                      lambda: kernel.jacobian(P), lambda: kernel.sparse_jacobian(P)):
+            with pytest.raises(DegenerateMeasurement, match="parallel rays"):
+                call()
+
+
+# each primitive on random ids of 7 points: lengths, angles in the plane and
+# in space, diagonal angles, the angle of two normals (a _Hinge) and triples
+PASS_CASES = {
+    "length": (Distance, 2, 3),
+    "angle-2d": (Angle, 3, 2),
+    "angle-3d": (Angle, 3, 3),
+    "diagonal-angle": (DiagonalAngle, 4, 2),
+    "normal-angle": (_Hinge, 4, 3),
+    "triple": (Coplanar, 4, 3),
+}
+
+
+@pytest.mark.parametrize("kind, width, dim", PASS_CASES.values(), ids=PASS_CASES.keys())
+def test_one_order_two_pass_is_values_jacobian_and_hessian_bit_for_bit(kind, width, dim):
+    """A caller that holds one order-2 _pass on a random batch reads from
+    it the bits of values, its assembled Jacobian those of jacobian, and its
+    blocks weighed by _weigh those of weighted_hessian."""
+    rng = np.random.default_rng(width * dim)
+    ids = rng.permuted(np.tile(np.arange(7), (5, 1)), axis=1)[:, :width]
+    kernel = MeasurementList(MeasurementIds(5, {kind: (np.arange(5), ids)}))
+    P = rng.standard_normal((4, 7, dim))
+    w = rng.standard_normal((4, 5))
+    vals, G, hess, parallel = kernel._apply(P, 2)
+    assert parallel is None
+    assert np.array_equal(_bits(vals), _bits(kernel.values(P)))
+    J = kernel.assemble(Gradients(G, parallel, 7))
+    assert np.array_equal(_bits(J), _bits(kernel.jacobian(P)))
+    assert np.array_equal(_bits(kernel._weigh(hess, w, 7)), _bits(kernel.weighted_hessian(P, w)))
+    # one member, as the grid oracles' Newton points take it
+    vals, G, hess, parallel = kernel._pass(kernel._gather(P[0]), 2)
+    assert np.array_equal(_bits(vals), _bits(kernel.values(P[0])))
+    assert np.array_equal(_bits(kernel._weigh(hess, w[0], 7)),
+                          _bits(kernel.weighted_hessian(P[0], w[0])))
+
+
+def test_parallel_rays_give_a_value_and_raise_only_at_their_derivatives():
+    """An order-2 pass on a batch that holds a straight angle in the plane,
+    or a dihedral whose face triangle is flat, gives the values, no warning
+    and finite stand-ins; only the Jacobian assembled from it and the
+    weighted Hessian raise."""
+    poly, real = platonic("cube")
+    flat = real.vertices.copy()
+    flat[2] = 2.0 * flat[1] - flat[0]
+    collinear = np.array([[0, 0], [1, 0], [2, 0]], dtype=float)
+    cases = [
+        (MeasurementList([Angle(0, 1, 2), Distance(0, 2)]), collinear, SQUARE[:3]),
+        (mesh_kernel(poly, [DihedralAngle(0, 2)]), flat, real.vertices),
+    ]
+    for kernel, P, fine in cases:
+        batch = np.stack([fine, P])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, G, hess, parallel = kernel._pass(kernel._gather(batch), 2)
+        assert np.array_equal(_bits(vals), _bits(kernel.values(batch)))
+        assert parallel.tolist() == [False, True]
+        assert np.isfinite(G).all() and all(np.isfinite(h).all() for h in hess)
+        n = len(P)
+        for call in (lambda: kernel.assemble(Gradients(G, parallel, n)),
+                     lambda: kernel.weighted_hessian(P, np.ones(kernel.size))):
             with pytest.raises(DegenerateMeasurement, match="parallel rays"):
                 call()
 

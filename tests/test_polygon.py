@@ -20,12 +20,14 @@ from polyrig.pointsets import (
     Angle,
     Distance,
     MeasurementList,
+    _unit,
     align_distance,
     diameter,
     measurement_gradient,
     measurement_value,
 )
 from polyrig.polygon import (
+    GRID,
     PointConfig2D,
     _free_columns,
     _grid_max,
@@ -373,19 +375,53 @@ def test_grid_max_ends_on_a_non_finite_step(monkeypatch):
     monkeypatch.setattr(polygon, "NEWTON_MAXITER", 0)
     grid_value, grid_argmax = square_angle_oracle(1.0)
     monkeypatch.undo()
-    kernel = MeasurementList([Angle(1, 2, 3)])
 
-    class NanGradient:
-        values = staticmethod(kernel.values)
-        weighted_hessian = staticmethod(kernel.weighted_hessian)
+    class NanGradient(MeasurementList):
+        def assemble(self, grads):
+            return np.full_like(super().assemble(grads), np.nan)
 
-        @staticmethod
-        def jacobian(points):
-            return np.full_like(kernel.jacobian(points), np.nan)
-
-    monkeypatch.setattr(polygon, "_oracle_kernel", lambda measurement: NanGradient())
+    monkeypatch.setattr(polygon, "_oracle_kernel", lambda measurement: NanGradient([measurement]))
     value, argmax = square_angle_oracle(1.0)
     assert value == grid_value and np.array_equal(argmax, grid_argmax)
+
+
+@pytest.mark.parametrize("oracle, args", [
+    (square_angle_oracle, (1.3,)),
+    (right_angle_quad_oracle, (0.6, 0.8, 1.1)),
+    (max_diagonal_oracle, (2.0, 0.7, 1.1)),
+], ids=["square", "right-quad", "max-diag"])
+def test_the_grid_on_its_difference_vectors_is_the_materialized_grid(monkeypatch, oracle, args):
+    """The oracle's grid pass, on difference vectors built by broadcasting,
+    gives the bits of values on the (64, 64, n, 2) configurations written
+    out point by point, the square's B = D cells (angle 0) among them."""
+    calls, passes = [], []
+
+    class Recording(MeasurementList):
+        def _pass(self, D, order):
+            out = super()._pass(D, order)
+            if D.ndim == 4:
+                passes.append(out[0])
+            return out
+
+    def recorded(*call):
+        calls.append(call)
+        return _grid_max(*call)
+
+    monkeypatch.setattr(polygon, "_oracle_kernel", lambda measurement: Recording([measurement]))
+    monkeypatch.setattr(polygon, "_grid_max", recorded)
+    oracle(*args)
+    (measurement, fixed, movers, grids), = calls
+    rows, centers, radii = (np.array(x) for x in zip(*movers))
+    unit = _unit(np.concatenate([fixed.ravel(), centers.ravel(), radii]))
+    fixed, centers, radii = fixed / unit, centers / unit, radii / unit
+    pts = np.array(np.broadcast_to(fixed, (GRID, GRID) + fixed.shape))
+    for k, p in enumerate(grids):
+        circle = centers[k] + radii[k] * np.stack([np.cos(p), np.sin(p)], axis=-1)
+        pts[:, :, rows[k]] = circle[:, None] if k == 0 else circle[None, :]
+    want = MeasurementList([measurement]).values(pts)
+    assert want.shape == (GRID, GRID, 1) and passes[0].tobytes() == want.tobytes()
+    if oracle is square_angle_oracle:
+        assert not np.diagonal(want[..., 0]).any()  # B = D
 
 
 def _same_bits(oracle, *args):

@@ -486,3 +486,20 @@ def test_arguments_out_of_their_domain_raise():
         point_set_witness(3, square, sides)
     with pytest.raises(ValueError, match=r"points must be \(n, 2\), got \(8,\)"):
         point_set_witness(2, np.ravel(square), sides)
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda cube, tetra: evaluate_all(cube, [FaceAngle(0, 1, 7)], tetra),
+    lambda cube, tetra: gradient_rows(cube, [FaceAngle(0, 1, 7)], tetra),
+    lambda cube, tetra: is_sufficient(cube, tetra, build_pool(cube, "face-distances")),
+    lambda cube, tetra: greedy_minimal_subset(cube, tetra, build_pool(cube, "face-distances")),
+    lambda cube, tetra: flex_witness(cube, tetra, build_pool(cube, "face-distances")[:5]),
+], ids=["evaluate_all", "gradient_rows", "is_sufficient", "greedy_minimal_subset", "flex_witness"])
+def test_a_realization_with_another_vertex_count_is_refused(verdict):
+    """The tetrahedron's realization given for the cube raises ValueError
+    naming both vertex counts at every entry point, not a point id past
+    the realization's points nor a numpy IndexError."""
+    cube, _ = platonic("cube")
+    _, tetra = platonic("tetrahedron")
+    with pytest.raises(ValueError, match="the realization has 4 vertices, the polyhedron 8"):
+        verdict(cube, tetra)
