@@ -18,6 +18,7 @@ compiled from one, or from a plain list read into one.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, fields, is_dataclass
@@ -96,6 +97,14 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u, u))
 
 
+# the largest double whose square rounds to 0: a vector's fl(u.u) is 0, and
+# so its _norm below 1e-300, exactly when no coordinate exceeds it in size.
+# Started at about 2**-537.5, whose square rounds up to the least subnormal
+_TINY = math.ldexp(math.sqrt(2.0), -538)
+while _TINY * _TINY:
+    _TINY = math.nextafter(_TINY, 0.0)
+
+
 # (1, 2, 0) then (2, 0, 1), and the reverse: gathered by these, component t
 # of u x v is the product at t less the product at t + 3
 _CROSS_U, _CROSS_V = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
@@ -140,6 +149,13 @@ def _refuse_parallel(parallel: np.ndarray | None) -> None:
         raise DegenerateMeasurement(_PARALLEL)
 
 
+@functools.lru_cache(maxsize=None)
+def _eye(dim: int) -> np.ndarray:
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
 def _length(V, L, order: int):
     r = L[..., 0, :]
     if not order:
@@ -148,7 +164,7 @@ def _length(V, L, order: int):
     if order == 1:
         return r, G, None, None
     u = G[..., 0, :, :]
-    hess = (np.eye(V.shape[-1]) - _outer(u, u)) / r[..., None, None]
+    hess = (_eye(V.shape[-1]) - _outer(u, u)) / r[..., None, None]
     return r, G, hess[..., None, None, :, :, :], None
 
 
@@ -181,19 +197,19 @@ def _angle(V, L, order: int):
     # so there d2/dudv = 0 and d2/du2 = -(au'^T + u'a^T), a = du and
     # u' = u / |u|^2 (v alike). In space the plane's unit normal e adds
     # cot e e^T / |u|^2 to d2/du2 (|v|^2 to d2/dv2), and d2/dudv = -e e^T / s.
-    du, dv, nu2, nv2 = G[..., 0, :, :], G[..., 1, :, :], L2[..., 0, :, :], L2[..., 1, :, :]
-    au, bv = _outer(du, u / nu2), _outer(dv, v / nv2)
-    hess = np.zeros(u.shape[:-2] + (2, 2) + u.shape[-2:] + u.shape[-1:])
-    hess[..., 0, 0, :, :, :] = -(au + au.swapaxes(-1, -2))
-    hess[..., 1, 1, :, :, :] = -(bv + bv.swapaxes(-1, -2))
+    # Both vectors' blocks are taken at once: blocks (0, 0) and (1, 1) are
+    # entries 0 and 3 of the four, and (0, 1) and (1, 0) entries 1 and 2.
+    a = _outer(G, V / L2)
+    hess = np.zeros(V.shape[:-3] + (4,) + V.shape[-2:] + V.shape[-1:])
+    np.negative(a + a.swapaxes(-1, -2), out=hess[..., ::3, :, :, :])
     if u.shape[-1] == 3:
         e = _cross(u, v) / s
         ee = _outer(e, e)
         cot = (c / s)[..., None]
-        hess[..., 0, 0, :, :, :] += cot / nu2[..., None] * ee
-        hess[..., 1, 1, :, :, :] += cot / nv2[..., None] * ee
-        hess[..., 0, 1, :, :, :] = hess[..., 1, 0, :, :, :] = -ee / s[..., None]
-    return theta, G, hess, parallel
+        hess[..., 0, :, :, :] += cot / L2[..., 0, :, :, None] * ee
+        hess[..., 3, :, :, :] += cot / L2[..., 1, :, :, None] * ee
+        hess[..., 1, :, :, :] = hess[..., 2, :, :, :] = -ee / s[..., None]
+    return theta, G, hess.reshape(V.shape[:-3] + (2, 2) + V.shape[-2:] + V.shape[-1:]), parallel
 
 
 def _normal_angle(V, L, order: int):
@@ -547,17 +563,28 @@ class MeasurementList:
         the Hessian blocks, one array a block; and, when some angle's rays
         are parallel, whether they are for each member, else None. The
         first _checked vectors (those of lengths and angles) must not
-        vanish."""
-        lens = _norm(D)
-        if self._checked and lens.size and lens[..., : self._checked].min() < 1e-300:
+        vanish: none may have a length below 1e-300.
+
+        At order 0 only the length blocks read lengths, so only their
+        vectors' are taken, and a vector counts as vanishing when no
+        coordinate exceeds _TINY in size, which holds exactly when its
+        length is below 1e-300; a NaN among the checked vectors' largest
+        coordinates keeps the check from raising, as it does among their
+        lengths at orders 1 and 2."""
+        lens = _norm(D) if order else None
+        if self._checked and D.size and (
+            lens[..., : self._checked].min() < 1e-300 if order
+            else functools.reduce(np.maximum, np.abs(D[..., : self._checked, :]).T).min() <= _TINY
+        ):
             raise DegenerateMeasurement("two points of a distance or an angle coincide")
-        batch, dim = lens.shape[:-1], D.shape[-1:]
+        batch, dim = D.shape[:-2], D.shape[-1:]
         vals = np.empty(batch + (self.size,))
         G = np.empty_like(D) if order else None
         hess, parallel = [], None
         for fn, span, width, k, rows in self._blocks:
             shape = batch + (width, k)
-            V, L = D[..., span, :].reshape(shape + dim), lens[..., span].reshape(shape)
+            V = D[..., span, :].reshape(shape + dim)
+            L = lens[..., span].reshape(shape) if order else _norm(V) if fn is _length else None
             vals[..., rows], g, h, flat = fn(V, L, order)
             if G is not None:
                 G[..., span, :] = g.reshape(G[..., span, :].shape)

@@ -28,8 +28,10 @@ from .pointsets import (
     Gradients,
     MeasurementList,
     SimpleMeasurement,
+    _SIGNS,
     _dot,
     _norm,
+    _refuse_parallel,
     _unit,
     diameter,
     measurement_value,
@@ -159,6 +161,52 @@ def _oracle_kernel(measurement: SimpleMeasurement) -> MeasurementList:
     return MeasurementList([measurement])
 
 
+@functools.lru_cache(maxsize=8)
+def _mover_scatter(measurement: SimpleMeasurement, rows: tuple[int, ...], n: int) -> tuple:
+    """The scatters of _on_movers for the oracle kernel of `measurement` on
+    n points, of which those in `rows` move, compiled once per (measurement,
+    rows, n); no result is kept. Of the terms that assemble and _weigh
+    scatter, only those that land on a coordinate of a mover are kept, in
+    their order, each with the cell of the movers' coordinates it enters:
+    (movers, (g_terms, g_cells), (h_terms, h_signs, h_cells)), g_terms
+    indexing assemble's terms, h_terms the Hessian blocks' entries one
+    after another, and h_signs the sign _weigh gives each."""
+    kernel = _oracle_kernel(measurement)
+    M = 2 * len(rows)
+    local = np.full(2 * n, -1)
+    local[(2 * np.array(rows))[:, None] + [0, 1]] = np.arange(M).reshape(-1, 2)
+    cells = local[(2 * kernel._cells(n))[:, None] + [0, 1]].ravel()
+    g_terms = np.flatnonzero(cells >= 0)
+    _, hess_cells = kernel._hessian_scatter(n, 2)
+    left, right = (local[c] for c in np.divmod(hess_cells, 2 * n))
+    h_terms = np.flatnonzero((left >= 0) & (right >= 0))
+    block, h_at = np.divmod(h_terms, len(hess_cells) // 4)
+    h_cells = (M * left + right)[h_terms]
+    return len(rows), (g_terms, cells[g_terms]), (h_at, _SIGNS.ravel()[block], h_cells)
+
+
+def _on_movers(
+    scatter: tuple, G: np.ndarray, hess: list, parallel: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient and Hessian of an oracle kernel's measurement with
+    respect to the m movers' coordinates, shapes (m, 2) and (m, 2, m, 2),
+    from one order-2 pass's G, hess and parallel on an (n, 2) point array
+    and the movers' _mover_scatter: assemble's Jacobian reshaped to (n, 2)
+    at the movers' rows, and _weigh's unit-weight Hessian reshaped to
+    (n, 2, n, 2) at their rows and columns, bit for bit. A bincount sums
+    each cell's terms in their order, so leaving out the terms of other
+    cells moves no bit; the Hessian also keeps the strides the fancy index
+    [rows][:, :, rows] gives, as einsum's order of summation follows them.
+    Parallel rays raise DegenerateMeasurement."""
+    _refuse_parallel(parallel)
+    m, (g_terms, g_cells), (h_terms, h_signs, h_cells) = scatter
+    grad = np.bincount(g_cells, np.concatenate([G, -G]).ravel()[g_terms], minlength=2 * m)
+    terms = np.concatenate([h.ravel() for h in hess])[h_terms] * h_signs
+    H = np.bincount(h_cells, terms, minlength=4 * m * m).reshape(2 * m, 2 * m)
+    movers = np.arange(m)
+    return grad.reshape(m, 2), ((H + H.T) / 2).reshape(m, 2, m, 2)[movers][:, :, movers]
+
+
 def _grid_max(
     measurement: SimpleMeasurement,
     fixed: np.ndarray,
@@ -171,17 +219,21 @@ def _grid_max(
     (row, center, radius), puts center + radius (cos p_k, sin p_k) in that
     row. The whole grid over (p_0, p_1) takes one kernel pass on its
     difference vectors, each point(head) - point(tail) with a point fixed
-    or its mover's circle along the mover's own axis, broadcast, so no
-    configuration array of the grid is formed; its first maximum in
-    row-major order starts a damped Newton iteration on p. Each point the
-    iteration evaluates takes one order-2 kernel pass, whose value decides
-    the line search. Only at a point the iteration accepts are f's gradient
-    and 2 x 2 Hessian assembled from that pass, by the chain rule: with
-    x(p) the movers' points, g = (dm/dx) x' and
-    H = x'^T (d2m/dx2) x' + diag((dm/dx) x''); parallel rays at a trial
-    point raise DegenerateMeasurement only then. Each step is -H^-1 g
-    where H is negative definite and g elsewhere, and is halved until f
-    does not fall. The iteration stops at |g|_inf <= NEWTON_GTOL, when a
+    or its mover's circle along the mover's own axis, broadcast and
+    written one coordinate at a time, so no configuration array of the
+    grid is formed; its first maximum in row-major order starts a damped
+    Newton iteration on p. Each point the iteration evaluates takes one
+    order-2 kernel pass, whose value decides the line search. Only at a
+    point the iteration accepts are f's gradient and 2 x 2 Hessian
+    assembled from that pass, by the chain rule: with x(p) the movers'
+    points, g = (dm/dx) x' and H = x'^T (d2m/dx2) x' + diag((dm/dx) x'').
+    dm/dx and d2m/dx2 are scattered onto the movers' coordinates alone
+    (_on_movers), with the bits of the whole Jacobian's and Hessian's
+    entries there; the Hessian keeps the layout that indexing the whole
+    one gives, since einsum's order of summation follows its operands'
+    strides. Parallel rays at a trial point raise DegenerateMeasurement
+    only then. Each step is -H^-1 g where H is negative definite and g
+    elsewhere, and is halved until f does not fall. The iteration stops at |g|_inf <= NEWTON_GTOL, when a
     step makes f fall by at most FLOOR_ULPS ulp (f is then at its rounding
     floor, where halving only repeats the fall), when no halving keeps f
     from falling or a step is not finite, or after NEWTON_MAXITER steps. It
@@ -194,8 +246,9 @@ def _grid_max(
     """
     kernel = _oracle_kernel(measurement)
     rows, centers, radii = zip(*movers)
-    rows, centers, radii = np.array(rows), np.array(centers), np.array(radii)
     n = len(fixed)
+    scatter = _mover_scatter(measurement, rows, n)
+    rows, centers, radii = np.array(rows), np.array(centers), np.array(radii)
     given = np.concatenate([fixed.ravel(), centers.ravel(), radii])
     if not np.isfinite(given).all():
         raise ValueError("a point, center or radius of the oracle overflows the float range")
@@ -216,8 +269,7 @@ def _grid_max(
         # g and H from an order-2 pass's G, hess and parallel where the movers'
         # arms are arm: x' = r (-sin p, cos p) and x'' = -r (cos p, sin p)
         tangent = arm[:, ::-1] * [-1.0, 1.0]
-        grad = kernel.assemble(Gradients(G, parallel, n)).reshape(n, 2)[rows]
-        hess = kernel._weigh(hess, np.ones(1), n).reshape(n, 2, n, 2)[rows][:, :, rows]
+        grad, hess = _on_movers(scatter, G, hess, parallel)
         H = np.einsum("ka,kalb,lb->kl", tangent, hess, tangent)
         H -= np.diag((grad * arm).sum(axis=1))
         return (grad * tangent).sum(axis=1), H
@@ -238,7 +290,8 @@ def _grid_max(
         point[rows[k]] = circle[:, None] if k == 0 else circle[None]
     D = np.empty((len(p0), len(p1), len(kernel._heads), 2))
     for v, (head, tail) in enumerate(zip(kernel._heads, kernel._tails)):
-        D[:, :, v] = point[head] - point[tail]
+        for d in range(2):
+            np.subtract(point[head][..., d], point[tail][..., d], out=D[:, :, v, d])
     i, j = divmod(int(np.argmax(kernel._pass(D, 0)[0])), len(p1))
     p = np.array([p0[i], p1[j]])
     arm, pts, (vals, *second) = at(p)

@@ -964,3 +964,104 @@ def test_a_mesh_verdict_names_a_bad_id_as_it_was_passed():
         mesh_kernel(poly, [FaceDistance(0, 1), Coplanar(0, 1, 2, 8)])
     # the pools build_pool gives, index arrays, pass the same check
     assert len(mesh_kernel(poly, build_pool(poly, "all")).values(real.vertices)) > 0
+
+
+# the coincidence check of an order-0 pass ------------------------------------
+
+_T = pointsets._TINY
+_EDGE_COORDS = [
+    0.0, -0.0, _T, -_T, np.nextafter(_T, 1.0), -np.nextafter(_T, 1.0), np.nextafter(_T, 0.0),
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-162, 1.6e-162, 1.0,
+    np.nan, np.inf, -np.inf,
+]
+
+
+def _coincidence_kernel(dim: int) -> MeasurementList:
+    # a length, an angle and (in 3D) a triple product, whose vectors may vanish
+    extra = [Coplanar(0, 1, 2, 3)] if dim == 3 else []
+    return MeasurementList([Distance(0, 1), Angle(0, 1, 2)] + extra)
+
+
+def _raises_as_lengths_say(kernel: MeasurementList, P: np.ndarray) -> bool:
+    """Whether values raises on P, checked against the test on the lengths
+    of the checked vectors that every order made before: their least below
+    1e-300 (a NaN among them, which makes min NaN, never raises)."""
+    with np.errstate(all="ignore"):
+        lens = pointsets._norm(kernel._gather(P))
+        want = bool(lens.size) and lens[..., : kernel._checked].min() < 1e-300
+        try:
+            kernel.values(P)
+        except DegenerateMeasurement as raised:
+            assert "coincide" in str(raised)
+            got = True
+        else:
+            got = False
+    assert got == want, P
+    return got
+
+
+def test_the_coincidence_bound_is_the_largest_coordinate_whose_square_is_zero():
+    assert _T * _T == 0.0 and np.nextafter(_T, 1.0) ** 2 > 0.0
+    assert 1.5717e-162 < _T < 1.5718e-162
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_order_zero_coincidence_is_the_length_test_at_edge_coordinates(dim):
+    """With A_0 at the origin, the distance's vector is A_1's coordinates:
+    every pair (2D) or triple (3D) of edge coordinates, around the largest
+    coordinate whose square rounds to 0, subnormals, NaN and infinities."""
+    kernel = _coincidence_kernel(dim)
+    base = np.zeros((4, dim))
+    base[2, 0], base[3, -1] = 1.0, 2.0
+    coords = _EDGE_COORDS if dim == 2 else _EDGE_COORDS[::2] + [np.nan]
+    raised = 0
+    for c in np.array(np.meshgrid(*[coords] * dim, indexing="ij")).reshape(dim, -1).T:
+        P = base.copy()
+        P[1] = c
+        raised += _raises_as_lengths_say(kernel, P)
+    assert raised > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_vanishing_vector_beside_a_nan_does_not_raise(dim):
+    """A zero vector raises alone, and does not beside a NaN or an
+    infinite difference in another checked vector, as the lengths' least
+    does not; a vanishing triple product vector never raises."""
+    kernel = _coincidence_kernel(dim)
+    P = np.zeros((4, dim))
+    P[2, 0] = 1.0
+    assert _raises_as_lengths_say(kernel, P)
+    for bad in (np.nan, np.inf, -np.inf):
+        Q = P.copy()
+        Q[2, 0] = bad
+        _raises_as_lengths_say(kernel, Q)
+    Q[2, 0] = np.nan
+    with np.errstate(all="ignore"):
+        assert np.isnan(kernel.values(Q)[1])
+    if dim == 3:
+        # A_3 = A_0: the coplanarity's vector A_3 - A_0 vanishes, and may
+        R = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]])
+        assert not _raises_as_lengths_say(kernel, R)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.sampled_from([(), (1,), (2,), (2, 1)]),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_EDGE_COORDS),
+            st.floats(-1e-160, 1e-160),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        min_size=24, max_size=24,
+    ),
+)
+def test_order_zero_coincidence_on_tiny_random_batches(dim, batch, coords):
+    """values raises on a batch exactly when the least length of its
+    checked vectors is below 1e-300, on batches of tiny, subnormal and
+    non-finite coordinates."""
+    kernel = _coincidence_kernel(dim)
+    size = int(np.prod(batch, dtype=int)) * 4 * dim
+    P = np.array(coords[:size] * (1 + size // 24))[:size].reshape(batch + (4, dim))
+    _raises_as_lengths_say(kernel, P)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from polyrig import polygon
 from polyrig.cli import main
-from polyrig.errors import InfeasibleRadii, NotConvex, OracleInconclusive
+from polyrig.errors import DegenerateMeasurement, InfeasibleRadii, NotConvex, OracleInconclusive
 from polyrig.pointsets import (
     Angle,
     Distance,
@@ -471,6 +471,78 @@ def test_interleaved_oracles_share_no_state():
         _same_bits(oracle, *args)
     again = square_angle_oracle(1.0)
     assert first[0] == again[0] and first[1].tobytes() == again[1].tobytes()
+
+
+# the grid oracles' Newton derivatives on the movers -------------------------
+
+GRID_KERNELS = {
+    # measurement, mover rows: square and right-quad move B and D, max-diag A and C
+    "angle": (Angle(1, 2, 3), (1, 3)),
+    "distance": (Distance(0, 2), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("measurement, rows", GRID_KERNELS.values(), ids=GRID_KERNELS.keys())
+@pytest.mark.parametrize("seed", range(20))
+def test_mover_derivatives_are_the_full_scatters_at_the_movers_bit_for_bit(measurement, rows, seed):
+    """g and H on the movers' coordinates are the whole Jacobian's rows and
+    the whole unit-weight Hessian's rows and columns of the movers, bit for
+    bit, at random points of random sizes, and H keeps the strides of the
+    fancy index, which einsum's order of summation follows."""
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((4, 2)) * 10.0 ** rng.uniform(-6, 6)
+    kernel = polygon._oracle_kernel(measurement)
+    _, G, hess, parallel = kernel._apply(P, 2)
+    g, H = polygon._on_movers(polygon._mover_scatter(measurement, rows, 4), G, hess, parallel)
+    want_g = kernel.assemble(polygon.Gradients(G, parallel, 4)).reshape(4, 2)[list(rows)]
+    full = kernel._weigh(hess, np.ones(1), 4).reshape(4, 2, 4, 2)
+    want_H = full[list(rows)][:, :, list(rows)]
+    assert g.shape == want_g.shape and g.tobytes() == want_g.tobytes()
+    assert H.shape == want_H.shape and H.tobytes() == want_H.tobytes()
+    assert H.strides == want_H.strides
+    assert np.einsum("ka,kalb,lb->kl", g, H, g).tobytes() == (
+        np.einsum("ka,kalb,lb->kl", g, want_H, g).tobytes()
+    )
+
+
+def test_mover_derivatives_refuse_parallel_rays():
+    """The movers' derivatives at parallel rays raise, as assemble does."""
+    measurement, rows = GRID_KERNELS["angle"]
+    P = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    _, G, hess, parallel = polygon._oracle_kernel(measurement)._apply(P, 2)
+    with pytest.raises(DegenerateMeasurement, match="parallel rays"):
+        polygon._on_movers(polygon._mover_scatter(measurement, rows, 4), G, hess, parallel)
+
+
+@pytest.mark.parametrize("oracle, args", [
+    (right_angle_quad_oracle, (2732.4078115899733, 1027.3924840197947, 3118.255597395882)),
+    (max_diagonal_oracle, (2865.5469578386983, 0.8192701795075364, 1.0570007034784208)),
+    (right_angle_quad_oracle, (15.873286244553166, 14.256463912363806, 19.98170237431697)),
+], ids=["right-quad-2732", "max-diag-2865", "right-quad-15.9"])
+def test_draws_that_follow_the_hessians_strides_are_the_reference(oracle, args):
+    """Draws whose last bits change when einsum is handed the movers'
+    Hessian C-contiguous, not in the fancy index's layout."""
+    _same_bits(oracle, *args)
+
+
+def test_grid_max_ends_on_a_non_finite_newton_step(monkeypatch):
+    """A NaN gradient on the movers makes a step that is not finite, and
+    the iteration ends there, at the grid's best point, at a size where
+    that point is not the maximum."""
+    monkeypatch.setattr(polygon, "NEWTON_MAXITER", 0)
+    grid_value, grid_argmax = max_diagonal_oracle(2.0, 0.7, 1.1)
+    monkeypatch.undo()
+    value, _ = max_diagonal_oracle(2.0, 0.7, 1.1)
+    assert value > grid_value
+
+    def nan_gradient(*args):
+        g, H = on_movers(*args)
+        return np.full_like(g, np.nan), H
+
+    on_movers = polygon._on_movers
+    monkeypatch.setattr(polygon, "_on_movers", nan_gradient)
+    value, argmax = max_diagonal_oracle(2.0, 0.7, 1.1)
+    assert value == grid_value and np.array_equal(argmax, grid_argmax)
 
 
 # staircase polygons ----------------------------------------------------------
