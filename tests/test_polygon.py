@@ -368,23 +368,6 @@ def test_grid_oracles_refuse_an_overflow(oracle, args):
         oracle(*args)
 
 
-def test_grid_max_ends_on_a_non_finite_step(monkeypatch):
-    """A step that is not finite never turns into a step that keeps f from
-    falling, however often it is halved: the iteration ends there, at the
-    grid's best point."""
-    monkeypatch.setattr(polygon, "NEWTON_MAXITER", 0)
-    grid_value, grid_argmax = square_angle_oracle(1.0)
-    monkeypatch.undo()
-
-    class NanGradient(MeasurementList):
-        def assemble(self, grads):
-            return np.full_like(super().assemble(grads), np.nan)
-
-    monkeypatch.setattr(polygon, "_oracle_kernel", lambda measurement: NanGradient([measurement]))
-    value, argmax = square_angle_oracle(1.0)
-    assert value == grid_value and np.array_equal(argmax, grid_argmax)
-
-
 @pytest.mark.parametrize("oracle, args", [
     (square_angle_oracle, (1.3,)),
     (right_angle_quad_oracle, (0.6, 0.8, 1.1)),

@@ -13,6 +13,7 @@ is one damped lm_solve from one start: its steps stay in the row space of
 J, so on a consistent linear system it ends at lstsq's solution.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -419,6 +420,21 @@ def test_triangular_proof_holds_with_room_and_refuses_the_rest():
     assert not _triangular_full_rank(R[:10], 1e-9)  # not square
     assert not _triangular_full_rank(np.zeros((4, 4)), 1e-9)
     assert not _triangular_full_rank(np.zeros((0, 0)), 1e-9)
+
+
+def test_an_inverse_whose_squares_overflow_proves_nothing():
+    # a diagonal 1e-160 of the largest entry gives a finite inverse X whose
+    # ||X||_F^2 passes the float range: no overflow warning and no claim,
+    # with or without sigma_1, and _kernel takes its count from an SVD
+    R = np.array([[1.0, 0.5], [0.0, 1e-160]])
+    M = np.array([[1.0, 0.0, 0.0], [1.0, 1e-170, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not _triangular_full_rank(R, 1e-9)
+        assert not _triangular_full_rank(R, 1e-9, 1.0)
+        rank, Z = rigidity._kernel(M, 1e-9)
+    assert rank == 1 and Z.shape == (3, 2)
+    assert np.allclose(Z.T @ Z, np.eye(2)) and np.abs(M @ Z).max() <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyrig import _nlsq
-from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, _stall_floor, lm_solve
+from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
 from polyrig.errors import DegenerateMeasurement, NoConvergedRestarts
 from polyrig.generators import platonic
 from polyrig.geometry import build_pool, mesh_kernel
@@ -55,20 +54,13 @@ RESTARTS = 30
 OUTCOMES = ("converged", "escaped", STALLED, EXHAUSTED)
 
 
-def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None, floor=None,
-              rounds=None, skipped=None):
+def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None, rounds=None):
     """One start at a time: the loop the batched lm_solve replaced, with
-    the reason it stopped. `trials`, a list, receives per iteration the
-    outcome of each trial: "singular", "worse" or "won".
-
-    With `floor` (lm_solve's _stall_floor) the loop takes its trials in the
-    rounds lm_solve takes, 1, 2, 4, 8, 16, then the rest of the 40, each
-    ended by its first singular or winning trial, and applies the same
-    proof: from the fourth round of an iteration on, trials at damping
-    values from floor(A, -g, x) up are not run, and the iteration ends as a
-    stall. `rounds`, a list, then receives per iteration the rows of each
-    round, and `skipped` one (A, g, x, damping values) per iteration that
-    the proof ended, with the values of the trials it left out."""
+    the reason it stopped. It takes its trials in the rounds lm_solve
+    takes, 1, 2, 4, 8, 16, then the rest of the 40, each ended by its first
+    singular or winning trial. `trials`, a list, receives per iteration the
+    outcome of each trial: "singular", "worse" or "won"; `rounds`, a list,
+    per iteration the rows of each round."""
     x = np.array(x0, dtype=float)
     r = residual(x)
     cost = float(r @ r)
@@ -86,16 +78,9 @@ def serial_lm(residual, jacobian, x0, max_iter=250, target=1e-12, trials=None, f
         improved = False
         log.append([])
         sizes.append([])
-        tried, size, cap = 0, 1 if floor is not None else 40, np.inf
+        tried, size = 0, 1
         while tried < 40 and not improved:
-            if size == 8:
-                cap = floor(A[None], -g[None, :, None], x[None])[0]
             k = min(size, 40 - tried)
-            k = sum(lam * 4.0**j < cap for j in range(k))
-            if not k:
-                if skipped is not None:
-                    skipped.append((A, g, x, lam * 4.0 ** np.arange(40 - tried)))
-                break
             sizes[-1].append(k)
             for _ in range(k):
                 tried += 1
@@ -308,68 +293,6 @@ def counted_rounds(resid, jac, x0, **kw):
     return lm_solve(plain(counting_resid), counting_jac, x0[None], **kw), iterations
 
 
-@pytest.mark.parametrize("name", ["cube-ten", "square-four", "staircase6"])
-def test_stalled_member_stops_at_the_proved_floor(name):
-    # a member at its rounding floor tries its damping values in rounds of
-    # 1, 2, 4, 8, 16 and 9, and from the fourth round on stops at lam*, the
-    # value past which every trial is proved to return its iterate: the
-    # serial loop with the same proof predicts every residual call
-    resid, jac, x0 = polish_starts(name)
-    _, _, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
-    cut = 0
-    for start in x0[reason == STALLED][:3]:
-        ((x,), (r,), (why,)), iterations = counted_rounds(
-            resid, jac, start, max_iter=80, target=1e-15)
-        rounds = []
-        xs, rs, whys = serial_lm(resid, jac, start, max_iter=80, target=1e-15,
-                                 floor=_stall_floor, rounds=rounds)
-        assert why == whys == STALLED
-        assert np.array_equal(x, xs) and np.array_equal(r, rs)
-        assert iterations == rounds
-        assert all(len(calls) <= 6 and sum(calls) <= 40 for calls in iterations)
-        cut += sum(iterations[-1]) < 40
-    assert cut
-
-
-def test_a_floor_whose_premise_fails_cuts_no_trial(monkeypatch):
-    # with N gamma_3N above 2^-5 the proof claims nothing: every floor is
-    # inf, and the stalled members of the polish pass sweep all 40 damping
-    # values, as the loop without a floor does, bit for bit
-    monkeypatch.setattr(_nlsq, "_gamma", lambda k: 1.0)
-    floor, floors = _nlsq._stall_floor, []
-
-    def recorded(*args):
-        floors.append(floor(*args))
-        return floors[-1]
-
-    monkeypatch.setattr(_nlsq, "_stall_floor", recorded)
-    resid, jac, x0 = polish_starts("staircase6")
-    x, r, reason = lm_solve(plain(resid), jac, x0, max_iter=80, target=1e-15)
-    monkeypatch.undo()
-    assert floors and all(np.isinf(f).all() for f in floors)
-    assert (reason == STALLED).any()
-    for i in range(len(x0)):
-        xs, rs, why = serial_lm(resid, jac, x0[i], max_iter=80, target=1e-15)
-        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
-        assert reason[i] == why, i
-
-
-def test_trials_past_the_floor_return_the_iterate():
-    # every trial the proof left out, run anyway: its solve meets no
-    # singular pivot, and x + dx is x to the bit
-    skipped = []
-    for name in sorted(CASES):
-        resid, jac, x0 = polish_starts(name)
-        for start in x0[:6]:
-            serial_lm(resid, jac, start, max_iter=80, target=1e-15, floor=_stall_floor,
-                      skipped=skipped)
-    assert len(skipped) >= 10
-    for A, g, x, lams in skipped:
-        for lam in lams:
-            dx = np.linalg.solve(A + lam * np.eye(len(A)), -g)
-            assert (x + dx).tobytes() == x.tobytes(), lam
-
-
 def root_two(x):
     """r = x0^2 - 2, which stalls at its rounding floor near sqrt(2) and
     leaves x1 where it started."""
@@ -383,24 +306,28 @@ def root_two_jacobian(x):
     return J
 
 
-def test_a_zero_coordinate_skips_no_trial():
-    # at x1 = 0 any step moves it, so the proof claims nothing and the
-    # member sweeps all 40 damping values; at x1 = 0.5 the sweep ends at lam*
-    resid, jac = root_two, root_two_jacobian
-    starts = np.array([[1.5, 0.0], [1.5, 0.5]])
-    x, r, reason = lm_solve(plain(resid), jac, starts, target=1e-20)
-    sweeps = []
-    for i, x0 in enumerate(starts):
-        xs, rs, why = serial_lm(resid, jac, x0, target=1e-20)
-        assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), i
-        assert reason[i] == why == STALLED, i
-        (_, _, (why,)), iterations = counted_rounds(resid, jac, x0, target=1e-20)
-        rounds = []
-        serial_lm(resid, jac, x0, target=1e-20, floor=_stall_floor, rounds=rounds)
-        assert why == STALLED and iterations == rounds, i
-        sweeps.append(iterations[-1])
-    assert x[0, 1] == 0.0 and sweeps[0] == [1, 2, 4, 8, 16, 9]
-    assert sum(sweeps[1]) < 40
+def test_a_stalled_iteration_takes_all_40_trials():
+    # at its rounding floor near sqrt(2), the member's last iteration tries
+    # all 40 damping values in rounds of 1, 2, 4, 8, 16 and 9, none lowers
+    # the cost, and it stalls where the iteration started; the largest
+    # damping values give back that iterate to the bit
+    start = np.array([1.5, 0.5])
+    ((x,), (r,), (why,)), iterations = counted_rounds(
+        root_two, root_two_jacobian, start, target=1e-20)
+    points = []
+
+    def recording(point):
+        points.append(point)
+        return root_two(point)
+
+    rounds, trials = [], []
+    xs, rs, whys = serial_lm(recording, root_two_jacobian, start, target=1e-20,
+                             rounds=rounds, trials=trials)
+    assert why == whys == STALLED
+    assert np.array_equal(x, xs) and np.array_equal(r, rs)
+    assert iterations == rounds and iterations[-1] == [1, 2, 4, 8, 16, 9]
+    assert trials[-1] == ["worse"] * 40
+    assert all(p.tobytes() == x.tobytes() for p in points[-9:])
 
 
 def test_singular_rung_inside_a_ladder(monkeypatch):
@@ -444,10 +371,10 @@ def test_singular_rung_inside_a_ladder(monkeypatch):
 
 
 def test_singular_rung_past_the_fourth_round(monkeypatch):
-    # the stall sweep of root_two from x1 = 0.5 ends at lam* inside its
-    # fourth round. Made singular at that round's second rung, lam grows by
-    # 10, off the powers of 4 its trials below lam* were counted on: they are
-    # counted again, and the rounds are those the serial loop takes
+    # the stall sweep of root_two from x1 = 0.5, made singular at its
+    # fourth round's second rung: lam grows by 10, the rungs past it are
+    # discarded, and the rounds after it take 16 and the 15 trials left, as
+    # the serial loop does
     start = np.array([1.5, 0.5])
     tried = []
     solve = np.linalg.solve
@@ -473,14 +400,12 @@ def test_singular_rung_past_the_fourth_round(monkeypatch):
     assert hits
     rounds, trials = [], []
     xs, rs, whys = serial_lm(root_two, root_two_jacobian, start, target=1e-20,
-                             floor=_stall_floor, rounds=rounds, trials=trials)
-    xp, rp, whyp = serial_lm(root_two, root_two_jacobian, start, target=1e-20)
+                             rounds=rounds, trials=trials)
     monkeypatch.undo()
     assert trials[-1][:9] == ["worse"] * 8 + ["singular"]
-    assert np.array_equal(x, xs) and np.array_equal(x, xp)
-    assert np.array_equal(r, rs) and np.array_equal(r, rp)
-    assert why == whys == whyp == STALLED
-    assert iterations == rounds and sum(iterations[-1]) < 40
+    assert np.array_equal(x, xs) and np.array_equal(r, rs)
+    assert why == whys == STALLED
+    assert iterations == rounds and iterations[-1] == [1, 2, 4, 8, 16, 15]
 
 
 def test_each_member_runs_on_its_own_schedule():
@@ -488,8 +413,8 @@ def test_each_member_runs_on_its_own_schedule():
     # values, so the evaluate calls number those of the member that takes
     # the most rounds alone, where a lockstep batch made every iteration
     # wait for the slowest member's ladder before any took its Jacobian.
-    # The serial loop with lm_solve's proved floor predicts each member's
-    # rounds and their rows: the calls and the rows they evaluate
+    # The serial loop predicts each member's rounds and their rows: the
+    # calls and the rows they evaluate
     fewer = []
     for name in ["staircase6", "cube-ten"]:
         resid, jac, starts = system(name)
@@ -503,8 +428,7 @@ def test_each_member_runs_on_its_own_schedule():
         rounds, rows = [], 0  # per member, the rounds of each iteration; all rows
         for i, x0 in enumerate(starts):
             member = []
-            xs, rs, why = serial_lm(resid, jac, x0, target=1e-12, floor=_stall_floor,
-                                    rounds=member)
+            xs, rs, why = serial_lm(resid, jac, x0, target=1e-12, rounds=member)
             assert np.array_equal(x[i], xs) and np.array_equal(r[i], rs), (name, i)
             assert reason[i] == why, (name, i)
             rounds.append([len(it) for it in member])
