@@ -27,8 +27,8 @@ from .geometry import (
     MEASUREMENT_POOLS,
     Realization,
     build_pool,
-    evaluate_all,
     fit_realization,
+    mesh_kernel,
     phi,
 )
 from .incidence import AbstractPolyhedron, build_incidence
@@ -275,8 +275,9 @@ def cmd_witness(args) -> int:
             return 0
         # at unit size no square overflows or underflows; lengths are scaled back
         unit = _unit(real.vertices)
-        ref, wit = real.rescaled(1.0 / unit), found.rescaled(1.0 / unit)
-        errors = evaluate_all(poly, ms, wit) - evaluate_all(poly, ms, ref)
+        ref, wit = real.vertices / unit, found.rescaled(1.0 / unit)
+        kernel = mesh_kernel(poly, ms)
+        errors = kernel.values(wit.vertices) - kernel.values(ref)
         if FaceDistance in ms.ids:
             errors[ms.ids[FaceDistance][0]] *= unit
         payload = {
@@ -286,7 +287,7 @@ def cmd_witness(args) -> int:
             },
             "maxMeasurementError": float(np.abs(errors).max()),
             "maxIncidenceError": float(np.abs(phi(poly, wit)).max()),
-            "normalizedDistance": align_distance(ref.vertices, wit.vertices) * unit,
+            "normalizedDistance": align_distance(ref, wit.vertices) * unit,
         }
         _emit(payload, args.out)
         return 1

@@ -220,34 +220,31 @@ def _dim(obj: dict) -> int:
 
 def parse_measurement_set(obj: Any) -> tuple[int, MeasurementIds]:
     """Validate {'dim': 2|3, 'measurements': [...]}; returns (dim,
-    measurements), the measurements as MeasurementIds: each entry's ids go
-    to the arrays of its MEASUREMENT_TYPES class. An id too large for an
-    index array is out of range of any input."""
+    measurements), the measurements as MeasurementIds: each entry is read
+    as its MEASUREMENT_TYPES class. An id too large for an index array is
+    out of range of any input."""
     if not isinstance(obj, dict):
         raise ParseError("measurement set must be a JSON object")
     dim = _dim(obj)
     raw = obj.get("measurements")
     if not isinstance(raw, list) or not raw:
         raise ParseError("'measurements' must be a nonempty list")
-    by_class: dict[type, tuple[list[int], list[list[int]]]] = {}
-    for r, entry in enumerate(raw):
-        cls, ids = _measurement_ids(entry)
-        rows, fields = by_class.setdefault(cls, ([], []))
-        rows.append(r)
-        fields.append(ids)
-    # the classes are in the order of their first entries
+    entries = list(map(_measurement_ids, raw))
+    # the classes in the order of their first entries
+    kinds = list(dict.fromkeys(cls for cls, _ in entries))
     if dim == 2:
-        for cls in by_class:
+        for cls in kinds:
             name, kind = MEASUREMENT_TYPES[cls]
             if kind != "point":
                 simple = sorted(n for n, k in MEASUREMENT_TYPES.values() if k == "point")
                 raise ParseError(f"{name} is a mesh measurement; dim 2 takes {simple}")
     limit = np.iinfo(np.intp).max
-    for cls, (_, fields) in by_class.items():
-        big = [i for ids in fields for i in ids if abs(i) > limit]
-        if big:
-            raise ParseError(f"{MEASUREMENT_TYPES[cls][1]} id {big[0]} out of range")
-    return dim, MeasurementIds(len(raw), by_class)
+    big = [(cls, i) for cls, ids in entries for i in ids if abs(i) > limit]
+    if big:  # the first such id of the first class that has one
+        cls, i = min(big, key=lambda b: kinds.index(b[0]))
+        raise ParseError(f"{MEASUREMENT_TYPES[cls][1]} id {i} out of range")
+    items = [cls(*ids) for cls, ids in entries]
+    return dim, MeasurementIds.of(items, MEASUREMENT_TYPES, "serializable")
 
 
 def parse_point_config(obj: Any) -> tuple[int, np.ndarray, list[Coplanar]]:

@@ -702,7 +702,9 @@ class MeasurementList:
         Lagrangian without a second one."""
         batch, dim = hess[0].shape[:-5], hess[0].shape[-1]
         members, N = math.prod(batch), n * dim
-        weights = np.concatenate([h.reshape(members, 1, -1) for h in hess], axis=-1)
+        # each block at its own size: an empty batch leaves no -1 to infer
+        weights = np.concatenate(
+            [h.reshape(members, 1, math.prod(h.shape[-5:])) for h in hess], axis=-1)
         owner, cells = self._hessian_scatter(n, dim)
         # each (dim, dim) block takes the weight of the row it belongs to
         rows = w.reshape(members, 1, self.size)[..., owner]

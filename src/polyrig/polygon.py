@@ -36,7 +36,7 @@ from .pointsets import (
     diameter,
     measurement_value,
 )
-from .rigidity import DEFAULT_TOL_REL, _perturbed_starts, numeric_rank
+from .rigidity import DEFAULT_TOL_REL, RESIDUAL_TOL, _perturbed_starts, numeric_rank
 
 GRID = 64  # grid points per angular parameter when seeding an oracle
 NEWTON_GTOL = 1e-13  # |gradient|_inf at which an oracle's Newton iteration stops
@@ -156,8 +156,10 @@ def sufficiency2d(
 
 @functools.lru_cache(maxsize=8)
 def _oracle_kernel(measurement: SimpleMeasurement) -> MeasurementList:
-    """The one-measurement kernel of an oracle, compiled once: its Jacobian
-    cells and Hessian scatter are then built on its first call only."""
+    """The one-measurement kernel of an oracle, compiled once per
+    measurement. A grid oracle never builds its Jacobian cells: its Newton
+    derivatives come from _mover_scatter, compiled once per measurement,
+    mover rows and point count."""
     return MeasurementList([measurement])
 
 
@@ -502,9 +504,8 @@ def _sqp_max(
     (Nocedal and Wright, Numerical Optimization, ch. 18), all starts as one
     batch: one lm_solve projects them onto the constraints, Newton-KKT
     steps then move the chart coordinates of _free_columns (the other three
-    stay put, which fixes the rigid motion), and one lm_solve polishes the
-    result back onto the constraints. For min phi = -f subject to c = 0,
-    each step solves
+    stay put, which fixes the rigid motion). For min phi = -f subject to
+    c = 0, each step solves
 
         [W + sI  C^T] [dx]   [-grad phi]
         [C       0  ] [mu] = [-c       ]
@@ -521,15 +522,15 @@ def _sqp_max(
     operation works member by member, so each member's result is that of a
     batch of its start alone, bit for bit.
 
-    Returns (points, residual): the (B, n, 2) polished points and each
-    member's max |c|, inf for a dropped member.
+    Returns (points, residual): the (B, n, 2) final points and each
+    member's max |c| there, from one pass of values, inf for a dropped
+    member.
     """
     B, n, _ = starts.shape
     free = _free_columns(n)
     N, m = int(free.sum()), kernel.size - 1
 
-    constraints = kernel.residual(targets)
-    x, _, _ = lm_solve(*constraints, starts, max_iter=120, target=1e-13)
+    x, _, _ = lm_solve(*kernel.residual(targets), starts, max_iter=120, target=1e-13)
     kept = np.ones(B, dtype=bool)
     active = np.arange(B)
     eye = np.eye(N)
@@ -564,9 +565,7 @@ def _sqp_max(
         x[step] = moved.reshape(-1, n, 2)
         active = step[size[ok] > SQP_XTOL]
     residual = np.full(B, np.inf)
-    if kept.any():
-        x[kept], r, _ = lm_solve(*constraints, x[kept], max_iter=120, target=1e-13)
-        residual[kept] = np.abs(r).max(axis=1)
+    residual[kept] = np.abs(kernel.values(x[kept])[:, :-1] - targets).max(axis=1)
     return x, residual
 
 
@@ -580,8 +579,8 @@ def octagon_distance_oracle(
     |A_1A_5|, |A_8A_6|, |A_2A_4| of the regular side-1 octagon, maximize
     |A_3A_7| from `restarts` seeded starts near the regular octagon by one
     batched SQP (_sqp_max): the maximum is the regular-octagon value. A
-    restart counts when its polished point meets the 11 constraints to
-    1e-10; the best is the first largest in restart order, and
+    restart counts when its final point meets the 11 constraints to
+    RESIDUAL_TOL; the best is the first largest in restart order, and
     restarts_at_max counts the restarts that end within 1e-9 of it.
 
     (ii) In the four-bar linkage A_1 A_5 A_6 A_8 (base |A_1A_5|, cranks of
@@ -601,9 +600,9 @@ def octagon_distance_oracle(
 
     starts = _perturbed_starts(reference, 0.05 * diam, restarts, seed)
     points, residual = _sqp_max(kernel, targets, starts, max_step=diam)
-    if not (residual <= 1e-10).any():
+    if not (residual <= RESIDUAL_TOL).any():
         raise OracleInconclusive("no SQP restart satisfied the 11 constraints")
-    values = np.where(residual <= 1e-10, kernel.values(points)[:, -1], -np.inf)
+    values = np.where(residual <= RESIDUAL_TOL, kernel.values(points)[:, -1], -np.inf)
     best = int(np.argmax(values))  # the first of the largest, in restart order
     best_val, best_x = values[best], points[best]
     at_max = int(np.count_nonzero(values >= best_val - 1e-9))
@@ -611,8 +610,7 @@ def octagon_distance_oracle(
     # (ii) the four-bar linkage: a closed-form scan over theta = angle
     # A_5 A_1 A_8, the global evidence, then one SQP from its best point
     side = 1.0
-    d15 = measurement_value(Distance(0, 4), reference)
-    d68 = measurement_value(Distance(5, 7), reference)
+    d15, d68 = regular[8], regular[9]  # |A_1A_5|, |A_8A_6|
     a5 = np.array([d15, 0.0])
     theta = np.linspace(1e-3, np.pi - 1e-3, 2048)
     a8 = side * np.stack([np.cos(theta), -np.sin(theta)], axis=-1)
@@ -636,7 +634,7 @@ def octagon_distance_oracle(
     )
     start = np.array([[np.zeros(2), a5, a6[k], a8[k]]])
     (pts,), (res,) = _sqp_max(link, np.array([d15, side, d68, side]), start, max_step=side)
-    if not res <= 1e-10:
+    if not res <= RESIDUAL_TOL:
         raise OracleInconclusive("the SQP from the linkage scan's best point was dropped")
 
     return OctagonReport(

@@ -111,8 +111,10 @@ _SUB_BLOCK = 64
 _SKETCH_ROWS = 4
 _SKETCH_SEED = 0
 
-# point_set_witness's witness distance, times its scale, and its iteration
-# budget per restart
+# the residual at which a witness search, a flex projection or an octagon
+# SQP member counts as on its constraints; point_set_witness's witness
+# distance, times its scale, and its iteration budget per restart
+RESIDUAL_TOL = 1e-10
 WITNESS_TOL = 1e-4
 MAX_ITER = 250
 
@@ -134,10 +136,6 @@ def _motion_dim(mode: str, measurements: MeasurementIds, allow_scale_variant: bo
             "line) to include distances anyway"
         )
     return 6
-
-
-def _unit_diameter(real: Realization) -> Realization:
-    return real.rescaled(1.0 / real.diameter())
 
 
 # --- generator matrices -------------------------------------------------------
@@ -431,19 +429,21 @@ def _sketched_rank(S: sparse.csr_matrix, Z: np.ndarray, tol_rel: float) -> int |
 def _setup(
     poly: AbstractPolyhedron, real: Realization, measurements: Sequence[Measurement3D],
     mode: str, tol_rel: float, allow_scale_variant: bool,
-) -> tuple[int, np.ndarray, sparse.csr_matrix, int, np.ndarray, np.ndarray, MeasurementIds]:
+) -> tuple[int, np.ndarray, sparse.csr_matrix, int, np.ndarray, np.ndarray, MeasurementIds, float]:
     """The setup the three mesh verdicts share: (rank of d_phi, Z, S,
-    target, X, anchors, side). X are the vertices of the unit-diameter
-    realization, S the CSR measurement rows over X, target = 3E + 6 - g for
-    the motion group of _motion_dim, and the rest _chart's at X. A
-    realization with another vertex count than poly's raises ValueError."""
+    target, X, anchors, side, diam). X are the vertices of the realization
+    scaled to unit diameter, diam its diameter, S the CSR measurement rows
+    over X, target = 3E + 6 - g for the motion group of _motion_dim, and
+    the rest _chart's at X. A realization with another vertex count than
+    poly's raises ValueError."""
     _vertices_of(poly, real)
     measurements = _mesh_ids(measurements)
     g = _motion_dim(mode, measurements, allow_scale_variant)
-    scaled = _unit_diameter(real)
+    diam = real.diameter()
+    scaled = real.rescaled(1.0 / diam)
     base, Z, anchors, side = _chart(poly, scaled, g, tol_rel)
     S = mesh_kernel(poly, measurements).sparse_jacobian(scaled.vertices)
-    return base, Z, S, 3 * poly.edge_count + 6 - g, scaled.vertices, anchors, side
+    return base, Z, S, 3 * poly.edge_count + 6 - g, scaled.vertices, anchors, side, diam
 
 
 @dataclass(frozen=True)
@@ -563,8 +563,8 @@ def flex_witness(
     Coplanar rows = 0} over the 3V vertex coordinates, one list of the
     measurements then the side rows of _face_anchors, as point_set_witness
     solves it, with its solver (gauss_newton_project, one lm_solve) to
-    residual 1e-10. The witness planes come from each face's anchor
-    triple. Returns the projected realization, scaled back to the
+    residual RESIDUAL_TOL = 1e-10. The witness planes come from each face's
+    anchor triple. Returns the projected realization, scaled back to the
     input's units, when it lies more than sqrt(1e-10) = 1e-5 diameters from
     the input after the best proper rigid placement (align_distance, which
     no vertex numbering enters), or None when the projection slides back to
@@ -583,7 +583,7 @@ def flex_witness(
     if not abs(step) > 1e-5:
         raise ValueError(f"|step| must exceed 1e-5, the witness radius; got {step:g}")
     ms = _mesh_ids(measurements)
-    base, Z, S, target, X, anchors, side = _setup(
+    base, Z, S, target, X, anchors, side, diam = _setup(
         poly, real, ms, mode, tol_rel, allow_scale_variant
     )
     extra, K = _kernel(S @ Z, tol_rel)
@@ -599,18 +599,17 @@ def flex_witness(
     kernel = mesh_kernel(poly, ms + side)
     targets = kernel.values(X)
     targets[len(ms):] = 0.0
-    residual = 1e-10
     W, ok = gauss_newton_project(
         *kernel.residual(targets), X + step * u.reshape(-1, 3),
-        target=residual, max_travel=100.0 * (abs(step) + 1.0),
+        target=RESIDUAL_TOL, max_travel=100.0 * (abs(step) + 1.0),
     )
     if not ok:
-        raise ProjectionDiverged(f"projection did not reach residual {residual:g}")
-    if align_distance(X, W) <= np.sqrt(residual):
+        raise ProjectionDiverged(f"projection did not reach residual {RESIDUAL_TOL:g}")
+    if align_distance(X, W) <= np.sqrt(RESIDUAL_TOL):
         return None
     # each face's plane a.x = 1 through its anchor triple
     planes = np.linalg.solve(W[anchors], np.ones((poly.face_count, 3, 1)))[..., 0]
-    return Realization(W, planes).rescaled(real.diameter())
+    return Realization(W, planes).rescaled(diam)
 
 
 @dataclass(frozen=True)
@@ -626,9 +625,10 @@ class PointWitnessReport:
     `converged` (residual <= residual_tol, kept), `escaped` (converged
     outside the locality radius), `stalled` (no damping value improved, the
     residual above residual_tol) or `exhausted` (ran out of iterations).
-    `cluster_tol` is the cluster radius, sqrt(residual_tol), and
-    `witness_tol` the distance a witness lies beyond, WITNESS_TOL; the
-    search takes both times its scale, max(1, diameter)."""
+    `residual_tol` is the search's RESIDUAL_TOL, `cluster_tol` the cluster
+    radius, sqrt(residual_tol), and `witness_tol` the distance a witness
+    lies beyond, WITNESS_TOL; the search takes both times its scale,
+    max(1, diameter)."""
 
     witness: np.ndarray | None
     clusters: tuple[PointCluster, ...]
@@ -669,7 +669,6 @@ def point_set_witness(
     noise: float = 0.5,
     coplanar: Sequence[tuple[int, int, int, int]] = (),
     allow_reflection: bool | None = None,
-    residual_tol: float = 1e-10,
     locality: float | None = None,
 ) -> PointWitnessReport:
     """Uniqueness oracle for a labeled point configuration.
@@ -677,26 +676,23 @@ def point_set_witness(
     Solves {measurement residuals = 0} by Levenberg-Marquardt from `restarts`
     perturbed copies of the reference (Gaussian noise of scale noise *
     diameter, per-restart generator seeded by (seed, restart index)), all
-    restarts as one batch, keeps solutions with residual <= residual_tol,
-    and clusters them in restart order modulo rigid motions (reflections
-    allowed by default in 2D only, where unsigned measurements cannot tell
-    mirror images apart), within sqrt(residual_tol) * scale, the report's
-    cluster_tol times the scale. The witness is a representative of any
-    cluster farther than WITNESS_TOL * scale from the reference; None means
-    every converged restart came back to the reference, i.e. the set is
-    determined at oracle scale.
+    restarts as one batch, keeps solutions with residual <= RESIDUAL_TOL
+    (1e-10), and clusters them in restart order modulo rigid motions
+    (reflections allowed by default in 2D only, where unsigned measurements
+    cannot tell mirror images apart), within sqrt(RESIDUAL_TOL) * scale,
+    the report's cluster_tol times the scale. The witness is a
+    representative of any cluster farther than WITNESS_TOL * scale from the
+    reference; None means every converged restart came back to the
+    reference, i.e. the set is determined at oracle scale.
 
-    The cluster radius is what a residual of residual_tol resolves. The
+    The cluster radius is what a residual of RESIDUAL_TOL resolves. The
     sets this search settles are first-order deficient, so at a solution
     the Jacobian loses rank and the residual grows only quadratically with
-    the distance along the flex: solutions at residual_tol scatter up to
-    about sqrt(residual_tol) from the true point without being different
+    the distance along the flex: solutions at RESIDUAL_TOL scatter up to
+    about sqrt(RESIDUAL_TOL) from the true point without being different
     shapes, and a second solver pass to a tighter target does not close
-    that gap, since rounding holds the residual near 1e-13. At the default
-    residual_tol the radius is 1e-5, below WITNESS_TOL (1e-4). When
-    residual_tol is above 1e-8 the cluster radius is the coarser of the
-    two, and then it, not WITNESS_TOL, bounds what counts as back at the
-    reference.
+    that gap, since rounding holds the residual near 1e-13. The radius is
+    1e-5, below WITNESS_TOL (1e-4).
 
     `locality`, when given, bounds the search to a neighborhood: converged
     solutions farther than locality * scale from the reference are counted
@@ -731,8 +727,8 @@ def point_set_witness(
 
     x0 = _perturbed_starts(ref, noise * diam, restarts, seed)
     x, r, reason = lm_solve(*kernel.residual(targets), x0, max_iter=MAX_ITER,
-                            target=residual_tol * 1e-2)
-    ok = np.abs(r).max(axis=1, initial=0.0) <= residual_tol
+                            target=RESIDUAL_TOL * 1e-2)
+    ok = np.abs(r).max(axis=1, initial=0.0) <= RESIDUAL_TOL
     stalled = int(np.count_nonzero(~ok & (reason == STALLED)))
     exhausted = int(np.count_nonzero(~ok & (reason == EXHAUSTED)))
     sols = x[ok]
@@ -743,14 +739,14 @@ def point_set_witness(
 
     if converged == 0:
         raise NoConvergedRestarts(
-            f"no restart reached residual {residual_tol:g} in {restarts} tries")
+            f"no restart reached residual {RESIDUAL_TOL:g} in {restarts} tries")
 
     # the first representative within the cluster radius takes a solution.
     # The reference is the first, and to_ref is already each solution's
     # distance to it, so a restart that came back joins its cluster with no
     # further alignment; the others are aligned against the representatives
     # after it
-    cluster_tol = float(np.sqrt(residual_tol))
+    cluster_tol = float(np.sqrt(RESIDUAL_TOL))
     radius = cluster_tol * scale
     back = to_ref <= radius
     reps, counts, dists = [ref], [int(np.count_nonzero(back & ~far))], [0.0]
@@ -777,7 +773,7 @@ def point_set_witness(
         stalled=stalled,
         exhausted=exhausted,
         restarts=restarts,
-        residual_tol=residual_tol,
+        residual_tol=RESIDUAL_TOL,
         cluster_tol=cluster_tol,
         witness_tol=WITNESS_TOL,
     )

@@ -344,6 +344,23 @@ def test_hessian_of_an_empty_list():
     assert H.shape == (2, 12, 12) and not H.any()
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_hessian_of_an_empty_batch(dim):
+    # a batch of no point arrays: values and jacobian give empty arrays, and
+    # weighted_hessian its zeros, whatever the list holds
+    kernel = MeasurementList(_mixed_list(dim))
+    P, w = np.zeros((0, 5, dim)), np.zeros((0, kernel.size))
+    assert kernel.values(P).shape == (0, kernel.size)
+    assert kernel.jacobian(P).shape == (0, kernel.size, 5 * dim)
+    H = kernel.weighted_hessian(P, w)
+    assert H.shape == (0, 5 * dim, 5 * dim)
+    H = kernel.weighted_hessian(np.zeros((2, 0, 5, dim)), np.zeros((2, 0, kernel.size)))
+    assert H.shape == (2, 0, 5 * dim, 5 * dim)
+    H = MeasurementList([Distance(0, 1), Angle(0, 1, 2)]).weighted_hessian(
+        np.zeros((0, 3, 2)), np.zeros((0, 2)))
+    assert H.shape == (0, 6, 6)
+
+
 def test_angle_gradient_invariant_to_translation_direction():
     # rows must sum to zero: sliding the whole configuration cannot
     # change any measurement

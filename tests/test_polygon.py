@@ -662,6 +662,30 @@ def test_sqp_restarts_do_not_couple():
         assert r[0] == residual[i], i
 
 
+@pytest.mark.parametrize("restarts", [24, 8])
+def test_sqp_members_end_on_their_constraints(monkeypatch, restarts):
+    # the Newton-KKT steps end on the constraints with no projection after
+    # them: every kept member of the oracle's SQP, and its linkage
+    # refinement, meets its constraints to 1e-13 at its final point, as
+    # read from one values pass there
+    sqp = polygon._sqp_max
+    ends = []
+
+    def recorded(kernel, targets, starts, max_step):
+        points, residual = sqp(kernel, targets, starts, max_step)
+        kept = np.isfinite(residual)
+        ends.append(np.abs(kernel.values(points[kept])[:, :-1] - targets).max(axis=1))
+        assert np.array_equal(ends[-1], residual[kept])
+        return points, residual
+
+    monkeypatch.setattr(polygon, "_sqp_max", recorded)
+    for seed in range(20):
+        ends.clear()
+        octagon_distance_oracle(restarts=restarts, seed=seed)
+        assert len(ends) == 2 and len(ends[1]) == 1, seed
+        assert all(len(r) and r.max() <= 1e-13 for r in ends), (seed, ends)
+
+
 def test_from_points_rejects_coincident_first_points():
     with pytest.raises(ValueError, match="A_1 and A_2 coincide"):
         PointConfig2D.from_points(np.array([[0.3, 0.4], [0.3, 0.4], [1.0, 1.0]]))

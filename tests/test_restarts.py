@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyrig import rigidity
 from polyrig._nlsq import CONVERGED, EXHAUSTED, STALLED, lm_solve
 from polyrig.errors import DegenerateMeasurement, NoConvergedRestarts
 from polyrig.generators import platonic
@@ -256,7 +257,7 @@ def test_singular_member_does_not_stop_the_others(monkeypatch):
 
 def polish_starts(name):
     """The system of a case and its restarts that converged within
-    point_set_witness's residual_tol, the starts of a polish pass."""
+    point_set_witness's RESIDUAL_TOL, the starts of a polish pass."""
     resid, jac, starts = system(name)
     x, r, _ = lm_solve(plain(resid), jac, starts, target=1e-12)
     return resid, jac, x[np.abs(r).max(axis=1) <= 1e-10]
@@ -583,7 +584,7 @@ def test_witness_matches_serial_search(name):
         assert np.array_equal(rep.witness, witness)
 
 
-def test_restart_outcomes_sum_to_restarts():
+def test_restart_outcomes_sum_to_restarts(monkeypatch):
     seen = dict.fromkeys(OUTCOMES, 0)
     for name, (dim, ref, ms, kw) in sorted(CASES.items()):
         rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, **kw)
@@ -592,11 +593,12 @@ def test_restart_outcomes_sum_to_restarts():
             seen[k] += getattr(rep, k)
     # the cases between them show every outcome
     assert all(seen.values()), seen
-    # a restart that stops above its target but within residual_tol is
+    # a restart that stops above its target but within RESIDUAL_TOL is
     # converged, whatever stopped it: square-five's restarts that run out of
     # iterations end within 1e-3
     dim, ref, ms, _ = CASES["square-five"]
-    rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0, residual_tol=1e-3)
+    monkeypatch.setattr(rigidity, "RESIDUAL_TOL", 1e-3)
+    rep = point_set_witness(dim, ref, ms, restarts=RESTARTS, seed=0)
     assert rep.converged == RESTARTS and rep.exhausted == rep.stalled == 0
 
 

@@ -48,7 +48,6 @@ from polyrig.rigidity import (
     SIMILARITY,
     _chart,
     _count_above,
-    _unit_diameter,
     flex_witness,
     greedy_minimal_subset,
     is_sufficient,
@@ -112,7 +111,7 @@ def test_tangent_basis_is_the_nontrivial_kernel(g, solid):
     lift [Z; dn] with dn the least-squares plane velocity is annihilated by
     d_phi, and with the motions G it spans ker d_phi."""
     poly, real = solid
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     rank, Z = _chart(poly, scaled, g, TOL)[:2]
     n = 3 * real.vertex_count
     assert rank == 2 * poly.edge_count
@@ -136,7 +135,7 @@ def _bits(a: np.ndarray) -> np.ndarray:
 def _chart_side_rows(poly, real, g=6):
     """The C that _chart stacks over the motions (None when it stacks
     none), and the CSR Jacobian of its side rows at the same vertices."""
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     stacked = []
     kernel = rigidity._kernel
 
@@ -201,7 +200,7 @@ def test_a_triangulated_chart_is_the_complete_qr_of_the_motions_bit_for_bit(g, s
     QR gives, bit for bit, and no certificate is taken."""
     poly, real = solid
     assert all(len(face) == 3 for face in poly.faces)
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     with mock.patch.object(
         rigidity, "_triangular_full_rank", wraps=rigidity._triangular_full_rank
     ) as certificate:
@@ -258,7 +257,7 @@ def test_chart_claims_rank_2e_only_when_the_svd_counts_it(solid, tol, g):
     five vertices; a 24-gon's coplanarity rows fall below 3e-2 sigma_1(C).
     """
     poly, real = solid
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     rank, Z = _chart(poly, scaled, g, tol)[:2]
     n = 3 * real.vertex_count
     assert Z.shape == (n, n - (rank - 3 * real.face_count + g))
@@ -321,7 +320,7 @@ def test_triangulated_hulls_and_the_cube_are_rigid_at_loose_tolerance():
     poly, real = sphere_hull(100, 0)
     assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=1e-2).sufficient
     poly, real = platonic("cube")
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     for tol in (0.1, 0.2, 0.3):
         assert is_sufficient(poly, real, build_pool(poly, "face-distances"), tol_rel=tol).sufficient
         edges = is_sufficient(poly, real, build_pool(poly, "edges-only"), tol_rel=tol)
@@ -383,7 +382,7 @@ def test_vertex_dihedral_is_the_plane_formula(name):
     deformation (ker d_phi)."""
     poly, real = {"hull": lambda: sphere_hull(30, 0), "prism": prism}.get(name, lambda: platonic(name))()
     agree = 1e-14 if name in ("hull", "prism") else 1e-15
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     V, F = real.vertex_count, real.face_count
     pool = dihedral_pool(poly)
     planes = MeasurementList([DiagonalAngle(V + F, V + m.f, V + m.g, V + F) for m in pool])
@@ -602,7 +601,7 @@ def _dense_verdicts(poly, real, pool, mode, tol):
     rows that keeps one when its residual against the rows kept so far,
     reduced to Z, exceeds tol times its full norm."""
     g = rigidity._motion_dim(mode, pool, True)
-    scaled = _unit_diameter(real)
+    scaled = real.rescaled(1.0 / real.diameter())
     base, Z = _chart(poly, scaled, g, tol)[:2]
     J = mesh_kernel(poly, pool).jacobian(scaled.vertices)
     rank = base + _count_above(np.linalg.svd(J @ Z, compute_uv=False), tol)
