@@ -41,7 +41,7 @@ from .offio import (
     parse_point_config,
     read_off,
 )
-from .pointsets import Angle, MeasurementIds, _unit, align_distance, measurement_value
+from .pointsets import Angle, Distance, MeasurementIds, MeasurementList, _unit, align_distance
 from .rigidity import (
     CONGRUENCE,
     DEFAULT_TOL_REL,
@@ -151,6 +151,22 @@ def _load_points_for(path: str, dim: int, ms: Sequence) -> tuple[np.ndarray, lis
     return pts, coplanar
 
 
+def _emit_rank(report, out: str | None, **fields) -> int:
+    """Emit the JSON report of a rank test, `fields` and the four keys
+    every rank report has, and return its exit code."""
+    _emit(
+        {
+            **fields,
+            "achievedRank": report.achieved_rank,
+            "targetRank": report.target_rank,
+            "sufficient": report.sufficient,
+            "tolerance": report.tolerance_used,
+        },
+        out,
+    )
+    return 0 if report.sufficient else 1
+
+
 def _mesh_verdict(args, verdict, poly, real, ms: Sequence) -> int:
     """The end of analyze, select and check on a mesh: `verdict`
     (is_sufficient or greedy_minimal_subset) with the common options, its
@@ -159,18 +175,13 @@ def _mesh_verdict(args, verdict, poly, real, ms: Sequence) -> int:
         poly, real, ms, args.mode, args.tol, allow_scale_variant=args.allow_scale_variant
     )
     selected = report.selected
-    _emit(
-        {
-            "mode": report.mode,
-            "E": report.edge_count,
-            "achievedRank": report.achieved_rank,
-            "targetRank": report.target_rank,
-            "sufficient": report.sufficient,
-            "flexDimension": report.flex_dimension,
-            "selected": None if selected is None else [measurement_to_dict(m) for m in selected],
-            "tolerance": report.tolerance_used,
-        },
+    code = _emit_rank(
+        report,
         args.out,
+        mode=report.mode,
+        E=report.edge_count,
+        flexDimension=report.flex_dimension,
+        selected=None if selected is None else [measurement_to_dict(m) for m in selected],
     )
     if selected is not None:
         print(f"selected {len(selected)} measurements", file=sys.stderr)
@@ -180,7 +191,7 @@ def _mesh_verdict(args, verdict, poly, real, ms: Sequence) -> int:
                 f"{report.achieved_rank} < {report.target_rank}",
                 file=sys.stderr,
             )
-    return 0 if report.sufficient else 1
+    return code
 
 
 def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
@@ -190,18 +201,7 @@ def _sufficiency2d_verdict(args, dim: int, ms: Sequence) -> int:
         raise ParseError("a point config and its measurement set must both have dim 2")
     pts, _ = _load_points_for(args.input, dim, ms)
     report = polygon.sufficiency2d(polygon.PointConfig2D.from_points(pts), ms, args.tol)
-    _emit(
-        {
-            "pointCount": report.point_count,
-            "achievedRank": report.achieved_rank,
-            "targetRank": report.target_rank,
-            "sufficient": report.sufficient,
-            "status": report.status,
-            "tolerance": report.tolerance_used,
-        },
-        args.out,
-    )
-    return 0 if report.sufficient else 1
+    return _emit_rank(report, args.out, pointCount=report.point_count, status=report.status)
 
 
 # --- verbs -------------------------------------------------------------------
@@ -276,8 +276,7 @@ def cmd_witness(args) -> int:
         # at unit size no square overflows or underflows; lengths are scaled back
         unit = _unit(real.vertices)
         ref, wit = real.vertices / unit, found.rescaled(1.0 / unit)
-        kernel = mesh_kernel(poly, ms)
-        errors = kernel.values(wit.vertices) - kernel.values(ref)
+        errors = np.subtract(*mesh_kernel(poly, ms).values(np.stack([wit.vertices, ref])))
         if FaceDistance in ms.ids:
             errors[ms.ids[FaceDistance][0]] *= unit
         payload = {
@@ -326,49 +325,43 @@ def cmd_polygon_oracle(args) -> int:
     which = args.which
     if which == "square":
         value, argmax = polygon.square_angle_oracle(args.d)
-        _emit({"maxAngle": value, "argmax": argmax.tolist()}, args.out)
+        payload = {"maxAngle": value, "argmax": argmax.tolist()}
     elif which == "right-quad":
         value, argmax = polygon.right_angle_quad_oracle(args.ab, args.ad, args.ac)
-        scaled = argmax / _unit(argmax)  # the angles at unit size, where no square overflows
-        _emit(
-            {
-                "maxAngle": value,
-                "argmax": argmax.tolist(),
-                "angleABC": measurement_value(Angle(0, 1, 2), scaled),
-                "angleADC": measurement_value(Angle(0, 3, 2), scaled),
-            },
-            args.out,
-        )
+        # the angles at unit size, where no square overflows
+        abc, adc = MeasurementList([Angle(0, 1, 2), Angle(0, 3, 2)]).values(argmax / _unit(argmax))
+        payload = {
+            "maxAngle": value,
+            "argmax": argmax.tolist(),
+            "angleABC": float(abc),
+            "angleADC": float(adc),
+        }
     elif which == "max-diag":
         value, argmax = polygon.max_diagonal_oracle(args.bd, args.theta1, args.theta2)
-        unit = _unit(argmax)  # the sides at unit size, where no square overflows
-        a, b, c, d = argmax / unit
-        _emit(
-            {
-                "maxDiagonal": value,
-                "argmax": argmax.tolist(),
-                "ab": float(np.linalg.norm(a - b)) * unit,
-                "ad": float(np.linalg.norm(a - d)) * unit,
-                "cb": float(np.linalg.norm(c - b)) * unit,
-                "cd": float(np.linalg.norm(c - d)) * unit,
-            },
-            args.out,
-        )
+        unit = _unit(argmax)  # the sides at unit size, where no square overflows; scaled back
+        sides = [Distance(0, 1), Distance(0, 3), Distance(2, 1), Distance(2, 3)]
+        ab, ad, cb, cd = MeasurementList(sides).values(argmax / unit).tolist()
+        payload = {
+            "maxDiagonal": value,
+            "argmax": argmax.tolist(),
+            "ab": ab * unit,
+            "ad": ad * unit,
+            "cb": cb * unit,
+            "cd": cd * unit,
+        }
     else:
         report = polygon.octagon_distance_oracle(restarts=args.restarts, seed=args.seed)
-        _emit(
-            {
-                "regularValue": report.regular_value,
-                "maxValue": report.max_value,
-                "maximizer": report.maximizer.tolist(),
-                "constraintResidual": report.constraint_residual,
-                "angleA5A1A8": report.linkage_angle_a5_a1_a8,
-                "angleA6A5A1": report.linkage_angle_a6_a5_a1,
-                "midpointDistance": report.midpoint_distance,
-                "restartsAtMax": report.restarts_at_max,
-            },
-            args.out,
-        )
+        payload = {
+            "regularValue": report.regular_value,
+            "maxValue": report.max_value,
+            "maximizer": report.maximizer.tolist(),
+            "constraintResidual": report.constraint_residual,
+            "angleA5A1A8": report.linkage_angle_a5_a1_a8,
+            "angleA6A5A1": report.linkage_angle_a6_a5_a1,
+            "midpointDistance": report.midpoint_distance,
+            "restartsAtMax": report.restarts_at_max,
+        }
+    _emit(payload, args.out)
     return 0
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import OutOfValidityRegion, UnknownName
 from .geometry import Realization, fit_realization
 from .incidence import AbstractPolyhedron, build_incidence
+from .pointsets import _unit_hull
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -33,19 +34,14 @@ def faces_from_convex_vertices(coords: np.ndarray) -> list[list[int]]:
 
     Neighbouring hull facets whose planes agree to 1e-8 form one face; each
     cycle runs counterclockwise seen from outside, from its smallest vertex
-    id, and faces are sorted by their vertex id sets. The hull is taken of
-    the points centred and scaled to unit size, so no unit changes a face.
-    Flat input and points that are not hull vertices raise ValueError.
+    id, and faces are sorted by their vertex id sets. The hull is
+    pointsets._unit_hull, taken of the points centred and scaled to unit
+    size, so no unit changes a face. Flat input (_unit_hull's "flat or
+    degenerate points") and points that are not hull vertices raise
+    ValueError.
     """
-    from scipy.spatial import ConvexHull, QhullError  # qhull loads on the first hull
-
-    coords = np.asarray(coords, dtype=float)
-    x = coords - (coords.min(axis=0) / 2 + coords.max(axis=0) / 2)
-    try:
-        hull = ConvexHull(x / (np.abs(x).max() or 1.0))
-    except QhullError as exc:
-        raise ValueError(f"flat or degenerate points: {str(exc).splitlines()[0]}") from exc
-    inner = np.setdiff1d(np.arange(len(x)), hull.vertices)
+    hull = _unit_hull(np.asarray(coords, dtype=float))
+    inner = np.setdiff1d(np.arange(len(hull.points)), hull.vertices)
     if inner.size:
         raise ValueError(f"points {inner.tolist()} are not hull vertices")
 

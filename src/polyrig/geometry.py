@@ -133,27 +133,37 @@ def face_diagonal_pool(poly: AbstractPolyhedron) -> MeasurementIds:
     return _pool(FaceDistance, poly.face_diagonals())
 
 
+def _faces_by_size(poly: AbstractPolyhedron) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The faces of `poly` grouped by vertex count k, ascending: for each k,
+    the ids of its faces, ascending, and their cycles as one (faces, k)
+    index array."""
+    by_size: dict[int, list[int]] = {}
+    for j, cycle in enumerate(poly.faces):
+        by_size.setdefault(len(cycle), []).append(j)
+    return [
+        (np.array(ids, dtype=np.intp), np.array([poly.faces[j] for j in ids], dtype=np.intp))
+        for _, ids in sorted(by_size.items())
+    ]
+
+
 def face_angle_pool(poly: AbstractPolyhedron) -> MeasurementIds:
     """Every angle formed at a vertex by rays to two other vertices of a
     common face, cycle-adjacent or not; ordered by (apex, end1, end2).
 
-    The faces of each size k take one template of positions (apex p, then
-    two others q < r), each row's two ends go in id order, and one sort of
-    the rows' keys (apex V + end1) V + end2 orders them and drops a triple
-    that two faces share.
+    The faces of each size k (_faces_by_size) take one template of
+    positions (apex p, then two others q < r), each row's two ends go in id
+    order, and one sort of the rows' keys (apex V + end1) V + end2 orders
+    them and drops a triple that two faces share.
     """
-    by_size: dict[int, list] = {}
-    for cycle in poly.faces:
-        by_size.setdefault(len(cycle), []).append(cycle)
     V = poly.vertex_count
     keys = []
-    for k, cycles in by_size.items():
+    for _, cycles in _faces_by_size(poly):
+        k = cycles.shape[1]
         q, r = np.triu_indices(k, 1)
         p = np.repeat(np.arange(k), len(q))
         q, r = np.tile(q, k), np.tile(r, k)
         apex_first = (p != q) & (p != r)
-        ids = np.array(cycles, dtype=np.intp)
-        a, b, c = (ids[:, t[apex_first]] for t in (p, q, r))
+        a, b, c = (cycles[:, t[apex_first]] for t in (p, q, r))
         keys.append(((a * V + np.minimum(b, c)) * V + np.maximum(b, c)).ravel())
     apex, ends = np.divmod(np.unique(np.concatenate(keys)), V * V)
     rows = np.column_stack([apex, *np.divmod(ends, V)])
@@ -197,7 +207,7 @@ def fit_realization(
     from one SVD of its vertices about their mean m: the normal n is the
     last right singular vector and the coefficients are n / (n . m), so
     that a x + b y + c z = 1 on the plane. Faces with the same vertex count
-    share one stacked SVD. The fit residual
+    (_faces_by_size) share one stacked SVD. The fit residual
     |a x_i + ... - 1| is dimensionless; if it exceeds planarity_tol for
     some face, NonPlanarFace is raised. Collinear face vertices, and a face
     plane through the vertex centroid (possible only off convex
@@ -220,10 +230,8 @@ def fit_realization(
     planes = np.empty((F, 3))
     collinear, through_centroid = np.zeros(F, dtype=bool), np.zeros(F, dtype=bool)
     residual = np.zeros(F)
-    sizes = np.array([len(cycle) for cycle in poly.faces])
-    for k in np.unique(sizes):
-        ids = np.flatnonzero(sizes == k)
-        pts = centered[np.array([poly.faces[j] for j in ids])]
+    for ids, cycles in _faces_by_size(poly):
+        pts = centered[cycles]
         mid = pts.mean(axis=1)
         _, svals, Vt = np.linalg.svd(pts - mid[:, None], full_matrices=False)
         # a (1, 3) @ (3, 1) matmul rounds as a 1-D dot does, so the planes

@@ -782,6 +782,22 @@ def _unit(a: np.ndarray) -> float:
     return float(np.ldexp(1.0, min(int(np.frexp(np.abs(a).max(initial=0.0))[1]), 1023)))
 
 
+def _unit_hull(points: np.ndarray):
+    """The convex hull (scipy's ConvexHull) of the (n, dim) float array
+    `points` centred on their bounding box and divided by their largest
+    coordinate, so that the hull does not depend on the unit of length; its
+    `points` are the centred and scaled ones. Flat or degenerate points
+    raise ValueError ("flat or degenerate points: ..." with qhull's first
+    line)."""
+    from scipy.spatial import ConvexHull, QhullError  # qhull loads on the first hull
+
+    x = points - (points.min(axis=0) / 2 + points.max(axis=0) / 2)
+    try:
+        return ConvexHull(x / (np.abs(x).max() or 1.0))
+    except QhullError as exc:
+        raise ValueError(f"flat or degenerate points: {str(exc).splitlines()[0]}") from exc
+
+
 # below this many points comparing every pair is cheaper than a convex hull
 _HULL_MIN = 256
 
@@ -790,9 +806,10 @@ def diameter(points: np.ndarray) -> float:
     """Largest distance between two points, in O(n) memory.
 
     The farthest pair lies on the convex hull, so from _HULL_MIN points on
-    only the hull's vertices and the points qhull finds coplanar with a
-    facet (those on the hull to rounding) are compared; flat or degenerate
-    sets, and smaller ones, compare every point. Rows are taken in blocks
+    only the vertices of their _unit_hull and the points qhull finds
+    coplanar with a facet (those on the hull to rounding) are compared;
+    flat or degenerate sets, whose hull raises ValueError, and smaller
+    ones compare every point. Rows are taken in blocks
     of about 2**16 / n, each against itself and the points after it, and
     the squared distances are summed coordinate by coordinate as the full
     n x n table sums them, at unit size: the points are divided by a power
@@ -803,12 +820,9 @@ def diameter(points: np.ndarray) -> float:
     """
     points = np.asarray(points, dtype=float)
     if len(points) >= _HULL_MIN:
-        from scipy.spatial import ConvexHull, QhullError  # qhull loads on the first hull
-
-        x = points - (points.min(axis=0) / 2 + points.max(axis=0) / 2)
         try:
-            hull = ConvexHull(x / (np.abs(x).max() or 1.0))
-        except (QhullError, ValueError):
+            hull = _unit_hull(points)
+        except ValueError:
             pass
         else:
             points = points[np.union1d(hull.vertices, hull.coplanar[:, 0])]

@@ -418,7 +418,8 @@ def staircase_polygon(n: int, base: float, angles: Sequence[float]) -> PointConf
     angle alpha_k at A_(k+1), so |A_1 A_(k+1)| = |A_1 A_k| / sin(alpha_k).
 
     The polygon A_1...A_n is validated convex: all cross products of
-    consecutive edges must share a sign (tolerance 1e-12).
+    consecutive edges must share a sign, each beyond 1e-12 times its two
+    edges' lengths, so that the test holds at any base length.
     """
     if n < 3:
         raise ValueError("need n >= 3")
@@ -442,7 +443,9 @@ def staircase_polygon(n: int, base: float, angles: Sequence[float]) -> PointConf
     edges = np.roll(coords, -1, axis=0) - coords
     nxt = np.roll(edges, -1, axis=0)
     crosses = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-    if not (np.all(crosses > 1e-12) or np.all(crosses < -1e-12)):
+    lengths = np.linalg.norm(edges, axis=1)
+    tol = 1e-12 * lengths * np.roll(lengths, -1)
+    if not (np.all(crosses > tol) or np.all(crosses < -tol)):
         raise NotConvex(
             "consecutive-edge cross products change sign; the staircase wraps "
             "past a straight angle at A_1"

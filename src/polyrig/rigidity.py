@@ -701,7 +701,9 @@ def point_set_witness(
     staircase polygon, say) do not refute anything.
 
     `coplanar` quadruples add side constraints [q-p, r-p, s-p] = 0 for 3D
-    searches whose claims presume planar faces. A negative `restarts` or
+    searches whose claims presume planar faces; a reference whose triple
+    product exceeds 1e-8 diam^3 in size violates one and raises ValueError,
+    at any unit of length. A negative `restarts` or
     `seed` raises ValueError; no restarts at all raise NoConvergedRestarts.
     """
     if dim not in (2, 3):
@@ -717,12 +719,13 @@ def point_set_witness(
     side = [Coplanar(*q) for q in coplanar]
     kernel = MeasurementList(list(measurements) + side)
     targets = kernel.values(ref)
+    # a triple product is cubic in length: the test is relative to diam^3
+    # (a product, which overflows to inf where a power would raise)
+    diam = diameter(ref)
     for c, value in zip(side, targets[len(measurements):]):
-        if abs(value) > 1e-8:
+        if abs(value) > 1e-8 * diam * diam * diam:
             raise ValueError(f"reference violates coplanarity constraint {c}")
     targets[len(measurements):] = 0.0
-
-    diam = diameter(ref)
     scale = max(1.0, diam)
 
     x0 = _perturbed_starts(ref, noise * diam, restarts, seed)

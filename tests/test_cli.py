@@ -17,6 +17,7 @@ from polyrig.generators import platonic
 from polyrig.geometry import FaceDistance, build_pool
 from polyrig.incidence import build_incidence
 from polyrig.offio import off_text, read_off
+from polyrig.pointsets import Angle, _unit, measurement_value
 
 from measurement_json import measurements_to_json
 
@@ -920,6 +921,40 @@ def test_witness_of_a_relabelled_dodecahedron_exits_0(capsys, tmp_path):
     assert code == 0
     assert json.loads(out) == {
         "note": "first-order flex only", "sufficient": False, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["right-quad", "--ab", "1", "--ad", "1", "--ac", "1.4142135623730951"],
+        ["right-quad", "--ab", "6e299", "--ad", "8e299", "--ac", "1.5e300"],
+        ["right-quad", "--ab", "6e-301", "--ad", "8e-301", "--ac", "1.5e-300"],
+        ["max-diag", "--bd", "2", "--theta1", "0.7", "--theta2", "0.7"],
+        ["max-diag", "--bd", "1e-300", "--theta1", "0.7", "--theta2", "0.7"],
+        ["max-diag", "--bd", "1e300", "--theta1", "0.7", "--theta2", "0.7"],
+    ],
+    ids=["right-quad", "right-quad-huge", "right-quad-tiny", "max-diag", "max-diag-tiny",
+         "max-diag-huge"],
+)
+def test_oracle_derived_fields_keep_their_bits(capsys, argv):
+    """The oracle verb reads right-quad's two angles and max-diag's four
+    sides from one kernel pass on the argmax at unit size: each is, bit for
+    bit, the one-measurement value (an angle) or np.linalg.norm times the
+    unit (a side) on the printed argmax, which the JSON's 17 digits carry
+    exactly."""
+    code, out, err = run(capsys, "polygon", "oracle", *argv)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    argmax = np.array(report["argmax"])
+    unit = _unit(argmax)
+    scaled = argmax / unit
+    if argv[0] == "right-quad":
+        assert report["angleABC"] == measurement_value(Angle(0, 1, 2), scaled)
+        assert report["angleADC"] == measurement_value(Angle(0, 3, 2), scaled)
+    else:
+        a, b, c, d = scaled
+        for key, (p, q) in {"ab": (a, b), "ad": (a, d), "cb": (c, b), "cd": (c, d)}.items():
+            assert report[key] == float(np.linalg.norm(p - q)) * unit, key
 
 
 @pytest.mark.parametrize("bd", [1.0, 1e-300, 1e300])

@@ -556,6 +556,19 @@ def test_staircase_convexity_guard():
         staircase_polygon(5, 1.0, [0.3, 0.3, 0.3])
 
 
+@pytest.mark.parametrize("u", range(-12, 13))
+def test_staircase_convexity_at_any_base(u):
+    """Each cross product is compared with 1e-12 times its two edges'
+    lengths: at a fixed tolerance a convex staircase with base 1e-6 was
+    refused as NotConvex, its cross products being of order base^2."""
+    base = 10.0**u
+    for angles in ([0.9, 1.2, 0.7, 1.0], [1.2, 1.3, 1.25, 1.2]):
+        config = staircase_polygon(6, base, angles)
+        assert np.allclose(config.points / base, staircase_polygon(6, 1.0, angles).points)
+    with pytest.raises(NotConvex):
+        staircase_polygon(5, base, [0.3, 0.3, 0.3])
+
+
 def test_staircase_parameter_validation():
     with pytest.raises(ValueError):
         staircase_polygon(2, 1.0, [])

@@ -632,6 +632,25 @@ def test_no_restarts_is_no_converged_restart():
         point_set_witness(dim, ref, ms, restarts=0)
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-2, 1.0, 1e2, 1e3, 1e4])
+def test_the_reference_coplanarity_test_is_relative(scale):
+    """A triple product is cubic in length, so the reference's coplanarity
+    test is relative to diam^3: a rotated cube's planar faces pass it at any
+    scale (they once failed from 1e3 on), and a face lifted by 1e-6 of the
+    edge fails it (it once passed below 1)."""
+    axis = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    K = np.cross(np.eye(3), axis)
+    R = np.eye(3) + np.sin(0.7) * K + (1.0 - np.cos(0.7)) * K @ K
+    ref = scale * CUBE @ R.T
+    lifted = ref.copy()
+    lifted[6] += 1e-6 * scale * R[:, 2]
+    ms = CUBE_TEN[:3]
+    with pytest.raises(NoConvergedRestarts):
+        point_set_witness(3, ref, ms, restarts=0, coplanar=CUBE_COPLANAR)
+    with pytest.raises(ValueError, match="reference violates coplanarity constraint"):
+        point_set_witness(3, lifted, ms, restarts=0, coplanar=CUBE_COPLANAR)
+
+
 @pytest.mark.parametrize("restarts,seed,name", [(-3, 0, "restarts"), (4, -1, "seed")])
 def test_negative_restarts_or_seed_is_a_value_error(restarts, seed, name):
     dim, ref, ms, _ = CASES["square-four"]
